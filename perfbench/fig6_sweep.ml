@@ -21,6 +21,25 @@ let setup_repeats = 7
 
 let sweep seed = Fig6.run ~jobs:1 ~instrs ~warmup ~seed ~config ()
 
+(* The same sweep row by row, as the checkpoint driver's row batches run
+   it, with a calibration probe before the first row and after each row
+   (see Calib). Returns the result, the sweep's time and that time at
+   the reference host speed. *)
+let scaled_sweep seed =
+  let before = ref (Calib.probe ()) and raw = ref 0. and scaled = ref 0. in
+  let rows =
+    List.map
+      (fun spec ->
+        let row, dt = Measure.time (fun () -> Fig6.run_rows ~jobs:1 ~instrs ~warmup ~seed ~config [ spec ]) in
+        let after = Calib.probe () in
+        raw := !raw +. dt;
+        scaled := !scaled +. Calib.scale ~before:!before ~after dt;
+        before := after;
+        row)
+      specs
+  in
+  (Fig6.of_rows (List.concat rows), !raw, !scaled)
+
 let row_key (r : Fig6.row) =
   Printf.sprintf "%s %h %h %h %h %d %d" r.workload r.mpki r.base_ipc r.norm_ipc
     r.slowdown_pct r.pte_dram_reads r.dram_reads
@@ -62,12 +81,18 @@ let build_machines seed =
       ignore (Sys.opaque_identity (Core.create ~guard ())))
     specs
 
-(* Each build starts from a collected heap, as each sweep does. *)
+(* Each build starts from a collected heap, as each sweep does, and
+   sits between two calibration probes. Returns the median build time
+   and the median at the reference host speed. *)
 let setup_s seed =
-  Measure.median
-    (List.init setup_repeats (fun _ ->
-         Gc.full_major ();
-         snd (Measure.time (fun () -> build_machines seed))))
+  let builds =
+    List.init setup_repeats (fun _ ->
+        Gc.full_major ();
+        let before = Calib.probe () in
+        let (), dt = Measure.time (fun () -> build_machines seed) in
+        (dt, Calib.scale ~before ~after:(Calib.probe ()) dt))
+  in
+  (Measure.median (List.map fst builds), Measure.median (List.map snd builds))
 
 let reference_note seed reference =
   match reference with
@@ -75,15 +100,16 @@ let reference_note seed reference =
   | None -> Printf.sprintf "seed %Ld has no recorded reference: checked sweep-to-sweep identity" seed
 
 let run ~seed ~seconds =
-  let setup = setup_s seed in
+  let raw_setup, setup = setup_s seed in
   let reference = reference seed in
   let tally = Measure.tally () in
-  let first = ref None and lat = ref [] and last = ref None in
+  let first = ref None and lat = ref [] and raw_lat = ref [] and last = ref None in
   let t0 = Clock.now_ns () in
   while !lat = [] || Clock.elapsed_s t0 < seconds do
     Gc.full_major ();
-    let r, dt = Measure.time (fun () -> sweep seed) in
+    let r, raw, dt = scaled_sweep seed in
     lat := dt :: !lat;
+    raw_lat := raw :: !raw_lat;
     Measure.record tally (check ~seed ~reference ~first:!first r);
     if !first = None then first := Some [ amean r; digest r ];
     last := Some r
@@ -103,6 +129,8 @@ let run ~seed ~seconds =
         Printf.sprintf "fig6-sweep: %d sweeps of %d simulated instructions; amean slowdown %s%%"
           sweeps sim_instrs
           (match !last with Some r -> amean r | None -> "n/a");
+        Printf.sprintf "unscaled: median set-up %.4f s, median sweep %.3f s; calibration reference %.5f s"
+          raw_setup (Measure.median !raw_lat) Calib.reference_s;
         reference_note seed reference;
       ];
   }
@@ -132,7 +160,7 @@ let dram_access_s ~seed ~row_hit_ratio =
 let traced ~seed =
   let tally = Measure.tally () in
   let reference = reference seed in
-  let setup = setup_s seed in
+  let setup, _ = setup_s seed in
   let plain, wall = Measure.time (fun () -> sweep seed) in
   Measure.record tally (check ~seed ~reference ~first:None plain);
   (* The traced sweep rebuilds each row from the public pieces Fig6 uses,

@@ -7,11 +7,12 @@
    disturbance fault model, and the snapshot codec.
 
    One round is [machines] independent machines, each seeded from the
-   workload seed: host time per instruction varies by about a quarter
+   workload seed. Host time per instruction varies by about a quarter
    between single machines (how many flips land where), and about one
-   machine in a hundred falls into a re-fault storm that costs fifteen
-   times a normal one, so a run holds many machines and reports medians
-   over them. *)
+   machine in a thousand falls into a re-fault storm that costs fifteen
+   times a normal one, so a run holds many machines and combines them.
+   Timings are scaled to a reference host speed by calibration probes
+   run between the timed intervals (see Calib). *)
 
 open Ptg_util
 module Fullsys = Ptg_sim.Fullsys
@@ -22,7 +23,7 @@ module Dram = Ptg_dram.Dram
 
 let instrs = 10_000
 let every = 2_000
-let machines = 32
+let machines = 24
 let config = Fullsys.default_config
 let bursts_per_machine = instrs / config.Fullsys.hammer_period
 let machine_seed seed k = Int64.add (Int64.mul seed 1000L) (Int64.of_int k)
@@ -72,24 +73,56 @@ type timed = {
   result : Fullsys.result;
   completed : bool;
   setup_s : float;  (** run_fullsys call to its first stop poll: machine construction *)
-  run_s : float;  (** the chunks and their checkpoints *)
+  chunks_s : float list;  (** each chunk with its checkpoint, in order *)
+  run_s : float;  (** the sum of [chunks_s] *)
+  probes_s : float list;  (** calibration probes: before construction, then after it and each chunk *)
 }
 
 (* Each machine starts from a collected heap, so the peak resident set
-   is one machine's and not an accident of collector timing. *)
+   is one machine's and not an accident of collector timing. The stop
+   poll marks the end of construction and each progress report the end
+   of a chunk and its checkpoint; a calibration probe runs at each mark,
+   outside the timed intervals. *)
 let run_machine ~dir seed =
   clear dir;
   Gc.full_major ();
-  let t0 = Clock.now_ns () in
-  let built = ref None in
+  let probes = ref [ Calib.probe () ] in
+  let intervals = ref [] in
+  let start = ref (Clock.now_ns ()) in
+  let mark () =
+    intervals := Clock.elapsed_s !start :: !intervals;
+    probes := Calib.probe () :: !probes;
+    start := Clock.now_ns ()
+  in
   let should_stop () =
-    if !built = None then built := Some (Clock.elapsed_s t0);
+    if !intervals = [] then mark ();
     false
   in
-  let o = Checkpoint.run_fullsys ~config ~dir ~every ~should_stop ~seed ~instrs () in
-  let total = Clock.elapsed_s t0 in
-  let setup_s = Option.value !built ~default:total in
-  { result = o.Checkpoint.f_result; completed = o.f_completed; setup_s; run_s = total -. setup_s }
+  let progress ~done_count:_ ~total:_ = mark () in
+  let o = Checkpoint.run_fullsys ~config ~dir ~every ~should_stop ~progress ~seed ~instrs () in
+  match List.rev !intervals with
+  | setup_s :: chunks_s ->
+      {
+        result = o.Checkpoint.f_result;
+        completed = o.f_completed;
+        setup_s;
+        chunks_s;
+        run_s = List.fold_left ( +. ) 0. chunks_s;
+        probes_s = List.rev !probes;
+      }
+  | [] -> failwith "run_fullsys never polled for a stop"
+
+(* A machine's construction and chunk times at the reference host speed,
+   each scaled by the probes on either side of it. *)
+let scaled m =
+  let rec go probes times =
+    match (probes, times) with
+    | before :: (after :: _ as rest), dt :: times -> Calib.scale ~before ~after dt :: go rest times
+    | _ -> []
+  in
+  match go m.probes_s (m.setup_s :: m.chunks_s) with
+  | setup :: chunks -> (setup, List.fold_left ( +. ) 0. chunks)
+  | [] -> assert false
 
 let reference_lines seed =
   let dir = store () in
@@ -130,31 +163,47 @@ let run_rounds ~dir ~refs ~seed ~seconds ~tally =
   in
   go [] 0
 
+(* Timings are at the reference host speed (see Calib). Set-up and
+   latency are medians over the machine runs; throughput is all
+   instructions over all chunk time, which weighs each machine by its
+   cost: the median machine moves with the luck of the seed's draw far
+   more than the total does. *)
 let run ~seed ~seconds =
   let dir = store () in
   Fun.protect ~finally:(fun () -> remove_store dir) (fun () ->
       let refs = references () in
       let tally = Measure.tally () in
       let ms = run_rounds ~dir ~refs ~seed ~seconds ~tally in
+      let scaled_ms = List.map scaled ms in
+      let sumi f = List.fold_left (fun a m -> a + f m) 0 ms in
       {
         Measure.tally;
         metrics =
           [
-            ("setup_s", Measure.median (List.map (fun m -> m.setup_s) ms));
+            ("setup_s", Measure.median (List.map fst scaled_ms));
             ( "work_per_s",
-              Measure.median (List.map (fun m -> float_of_int m.result.Fullsys.instrs /. m.run_s) ms) );
-            ("request_p50_ms", 1000. *. Measure.median (List.map (fun m -> m.setup_s +. m.run_s) ms));
+              float_of_int (sumi (fun m -> m.result.Fullsys.instrs))
+              /. List.fold_left (fun a (_, run) -> a +. run) 0. scaled_ms );
+            ("request_p50_ms", 1000. *. Measure.median (List.map (fun (s, r) -> s +. r) scaled_ms));
             ("peak_rss_mb", Measure.peak_rss_mb (Unix.getpid ()));
           ];
         notes =
           [
             Printf.sprintf
-              "fullsys-attack: %d machines of %d instructions, checkpoint every %d; \
+              "fullsys-attack: %d machine runs of %d instructions, checkpoint every %d; \
                %d corrected walks, %d flips, %d wrong translations"
               (List.length ms) instrs every
-              (List.fold_left (fun a m -> a + m.result.Fullsys.walk_corrections) 0 ms)
-              (List.fold_left (fun a m -> a + m.result.Fullsys.flips_landed) 0 ms)
-              (List.fold_left (fun a m -> a + m.result.Fullsys.wrong_translations) 0 ms);
+              (sumi (fun m -> m.result.Fullsys.walk_corrections))
+              (sumi (fun m -> m.result.Fullsys.flips_landed))
+              (sumi (fun m -> m.result.Fullsys.wrong_translations));
+            Printf.sprintf
+              "unscaled: median set-up %.4f s, %.0f instructions per second; calibration probe \
+               median %.5f s against its reference %.5f s"
+              (Measure.median (List.map (fun m -> m.setup_s) ms))
+              (float_of_int (sumi (fun m -> m.result.Fullsys.instrs))
+              /. List.fold_left (fun a m -> a +. m.run_s) 0. ms)
+              (Measure.median (List.concat_map (fun m -> m.probes_s) ms))
+              Calib.reference_s;
             reference_note refs seed;
           ];
       })
