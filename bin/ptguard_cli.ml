@@ -542,6 +542,11 @@ let fullsys_cmd =
              (observer state is not checkpointed)\n";
           exit 2
         end;
+        (try Ptg_sim.Checkpoint.ensure_dir dir
+         with Sys_error msg ->
+           Printf.eprintf "fullsys: --checkpoint-dir %s: cannot create directory (%s)\n"
+             dir msg;
+           exit 2);
         banner ();
         List.iter
           (fun (label, guarded, attack) ->
@@ -587,6 +592,10 @@ let stats_cmd =
       & info [ "json" ] ~doc:"Emit the registry as line-JSON instead of CSV.")
   in
   let run seed instrs pages json trace =
+    if pages < 1 then begin
+      Printf.eprintf "stats: --pages must be >= 1\n";
+      exit 2
+    end;
     let r = Ptg_sim.Stats_exp.run ~seed ~pages ~instrs () in
     let snap = Ptg_obs.Sink.metrics r.Ptg_sim.Stats_exp.sink in
     print_string

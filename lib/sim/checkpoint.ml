@@ -1,46 +1,9 @@
 open Ptg_snapshot
 
 (* ------------------------------------------------------------------ *)
-(* Meta section                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Every checkpoint opens with a meta section naming what produced it:
-   the driver kind, the warm-start store key, and how far the run had
-   got. Restoring validates all three — a snapshot from a different
-   scenario (or a stale key collision) is rejected before any state is
-   touched. *)
-type meta = { m_kind : string; m_key : string; m_count : int }
-
-let meta_section m =
-  let b = Codec.writer () in
-  Codec.put_string b m.m_kind;
-  Codec.put_string b m.m_key;
-  Codec.put_varint b m.m_count;
-  Snapshot.section ~name:"meta" (Codec.contents b)
-
-let meta_of_sections ~what sections =
-  let r = Snapshot.reader ~what sections "meta" in
-  let m_kind = Codec.get_string r in
-  let m_key = Codec.get_string r in
-  let m_count = Codec.get_varint r in
-  Codec.expect_end r;
-  { m_kind; m_key; m_count }
-
-let check_meta ~what ~kind ~key m =
-  if m.m_kind <> kind then
-    invalid_arg
-      (Printf.sprintf "Snapshot.load: %s: checkpoint kind %S, want %S" what
-         m.m_kind kind);
-  if m.m_key <> key then
-    invalid_arg
-      (Printf.sprintf "Snapshot.load: %s: checkpoint key %s, want %s" what
-         m.m_key key)
-
-(* ------------------------------------------------------------------ *)
 (* Warm-start store: <dir>/<key>.<count>.ptgs                          *)
 (* ------------------------------------------------------------------ *)
 
-let file_name = Snapshot.store_file_name
 let path = Snapshot.store_path
 
 (* Counts present in the store for [key], newest first. *)
@@ -51,15 +14,129 @@ let stored_counts = Snapshot.store_counts
    and a long served run grows the store without bound. *)
 let default_keep = 2
 
-(* Best usable checkpoint at or below [upto] instructions/rows. *)
-let find_latest ~dir ~key ~upto =
-  List.find_opt (fun n -> n <= upto && n > 0) (stored_counts ~dir ~key)
-
+(* A peer shard or domain sharing the store may create [dir] between our
+   check and our mkdir; losing that race is success, not an error. *)
 let ensure_dir dir =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
+  let is_dir () = Sys.file_exists dir && Sys.is_directory dir in
+  if not (is_dir ()) then
+    try Sys.mkdir dir 0o755 with Sys_error _ when is_dir () -> ()
+
+(* Every checkpoint opens with a meta section naming what produced it:
+   the driver kind, the warm-start store key, and how far the run had
+   got. Loading validates kind and key — a snapshot from a different
+   scenario (or a stale key collision) is rejected before any state is
+   touched. *)
+let save ~path ~kind ~key ~count sections =
+  let b = Codec.writer () in
+  Codec.put_string b kind;
+  Codec.put_string b key;
+  Codec.put_varint b count;
+  Snapshot.save ~path (Snapshot.section ~name:"meta" (Codec.contents b) :: sections)
+
+(* [(count, sections)] of a checkpoint written by [kind] under [key];
+   raises [Invalid_argument] otherwise. *)
+let load ~kind ~key path =
+  let sections = Snapshot.load ~path in
+  let r = Snapshot.reader ~what:path sections "meta" in
+  let m_kind = Codec.get_string r in
+  let m_key = Codec.get_string r in
+  let count = Codec.get_varint r in
+  Codec.expect_end r;
+  if m_kind <> kind then
+    invalid_arg
+      (Printf.sprintf "Snapshot.load: %s: checkpoint kind %S, want %S" path
+         m_kind kind);
+  if m_key <> key then
+    invalid_arg
+      (Printf.sprintf "Snapshot.load: %s: checkpoint key %s, want %s" path
+         m_key key);
+  (count, sections)
 
 (* ------------------------------------------------------------------ *)
-(* Fullsys checkpoints                                                 *)
+(* The driver                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* One sliceable run, as the driver sees it. ['s] is the run's progress:
+   the machine for fullsys, the completed unit prefix for the sweeps. *)
+type 's instance = {
+  kind : string;  (* the meta kind its checkpoints carry *)
+  total : int;  (* units in the whole run *)
+  start : 's;  (* the cold start *)
+  depth : 's -> int;
+      (* units done; fig7's cold start is -1 because its shared
+         baselines are a step of their own, leaving a depth-0 state *)
+  step : 's -> int -> 's;  (* run up to n more units *)
+  encode : 's -> Snapshot.section list;  (* every section but meta *)
+  decode : what:string -> Snapshot.section list -> 's option;
+      (* [None] when the stored prefix belongs to a different run *)
+}
+
+let never_stop () = false
+let no_progress ~done_count:_ ~total:_ = ()
+
+(* The deepest stored state past the cold start and within the budget.
+   A damaged, foreign or mismatched file is skipped, and so is one a
+   sharing peer pruned between our readdir and the open: the store is
+   an optimization, never a reason to fail. *)
+let adopt_from ~dir ~key inst =
+  stored_counts ~dir ~key
+  |> List.filter (fun n -> n > inst.depth inst.start && n <= inst.total)
+  |> List.find_map (fun n ->
+         let p = path ~dir ~key n in
+         match
+           let count, sections = load ~kind:inst.kind ~key p in
+           if count = n then inst.decode ~what:p sections else None
+         with
+         | Some s when inst.depth s = n -> Some s
+         | _ -> None
+         | exception (Invalid_argument _ | Sys_error _) -> None)
+
+(* Adopt, then loop: poll [should_stop] at each chunk top, step, save
+   (every chunk when [every] is given, else at completion), report
+   progress. A stop saves the position reached, but only when a step ran
+   since start or adoption — otherwise there is nothing new to keep.
+   Returns the final state, whether it completed, and the adopted
+   depth. *)
+let drive ?(keep = default_keep) ?every ?dir ?(adopt = true)
+    ?(should_stop = never_stop) ?(progress = no_progress) ~key inst =
+  let total = inst.total in
+  let resumed =
+    match dir with Some dir when adopt -> adopt_from ~dir ~key inst | _ -> None
+  in
+  (* Taken now: a machine state keeps moving after adoption. *)
+  let resumed_from = Option.map inst.depth resumed in
+  (* Make the adopted depth visible to progress streams before any new
+     work happens (also the only progress a full-depth adoption emits). *)
+  Option.iter (fun n -> progress ~done_count:n ~total) resumed_from;
+  let s = ref (Option.value resumed ~default:inst.start) in
+  let checkpoint () =
+    Option.iter
+      (fun dir ->
+        ensure_dir dir;
+        let count = inst.depth !s in
+        let p = path ~dir ~key count in
+        if not (Sys.file_exists p) then begin
+          save ~path:p ~kind:inst.kind ~key ~count (inst.encode !s);
+          ignore (Snapshot.prune ~keep ~dir ~key ())
+        end)
+      dir
+  in
+  let chunk = match every with Some e when e > 0 -> e | _ -> total in
+  let stepped = ref false and stopped = ref false in
+  while (not !stopped) && inst.depth !s < total do
+    if should_stop () then stopped := true
+    else begin
+      s := inst.step !s (min chunk (total - inst.depth !s));
+      stepped := true;
+      if every <> None || inst.depth !s >= total then checkpoint ();
+      progress ~done_count:(inst.depth !s) ~total
+    end
+  done;
+  if !stopped && !stepped then checkpoint ();
+  (!s, not !stopped, resumed_from)
+
+(* ------------------------------------------------------------------ *)
+(* Fullsys                                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Keying a fullsys machine outside the scenario layer: everything
@@ -86,16 +163,15 @@ let fullsys_key ?(config = Fullsys.default_config) ?(pages = 2048) ~seed () =
   in
   Snapshot.hash_hex (Codec.fnv1a64 canonical)
 
-let fullsys_sections ~key (m : Fullsys.t) =
+(* One section per subsystem of the machine's current state. *)
+let fullsys_sections (m : Fullsys.t) =
   let s = Fullsys.state m in
-  let w = Codec.writer in
   let sec name fill =
-    let b = w () in
+    let b = Codec.writer () in
     fill b;
     Snapshot.section ~name (Codec.contents b)
   in
   [
-    meta_section { m_kind = "fullsys"; m_key = key; m_count = s.Fullsys.s_instr };
     sec "rng" (fun b -> Sections.put_words b s.Fullsys.s_rng);
     sec "dram" (fun b -> Sections.put_dram b s.Fullsys.s_dram);
     sec "fault" (fun b -> Sections.put_fault b s.Fullsys.s_fault);
@@ -177,18 +253,14 @@ let fullsys_state_of_sections ~what sections : Fullsys.state =
     s_wrong_translations;
   }
 
-let fullsys_save ~path ~key m = Snapshot.save ~path (fullsys_sections ~key m)
+let fullsys_save ~path ~key m =
+  save ~path ~kind:"fullsys" ~key ~count:(Fullsys.instrs_done m)
+    (fullsys_sections m)
 
 let fullsys_restore ~path ~key m =
-  let sections = Snapshot.load ~path in
-  let meta = meta_of_sections ~what:path sections in
-  check_meta ~what:path ~kind:"fullsys" ~key meta;
+  let count, sections = load ~kind:"fullsys" ~key path in
   Fullsys.set_state m (fullsys_state_of_sections ~what:path sections);
-  meta.m_count
-
-(* ------------------------------------------------------------------ *)
-(* Chunked fullsys driver                                              *)
-(* ------------------------------------------------------------------ *)
+  count
 
 type fullsys_outcome = {
   f_result : Fullsys.result;
@@ -197,216 +269,148 @@ type fullsys_outcome = {
   f_resumed_from : int option;
 }
 
-let never_stop () = false
-let no_progress ~done_count:_ ~total:_ = ()
-
-let run_fullsys ?config ?pages ?key ?(keep = default_keep) ?every ?dir
-    ?(adopt = true) ?(should_stop = never_stop) ?(progress = no_progress) ~seed
-    ~instrs () =
+(* The machine is the state: [step] runs it on, [decode] overwrites it
+   (the whole state is decoded before any of it is set, so a bad file
+   leaves the machine untouched). *)
+let run_fullsys ?config ?pages ?key ?keep ?every ?dir ?adopt ?should_stop
+    ?progress ~seed ~instrs () =
   let key =
     match key with Some k -> k | None -> fullsys_key ?config ?pages ~seed ()
   in
   let m = Fullsys.create ?config ?pages ~seed () in
-  (* Warm start: adopt the deepest stored checkpoint not past the
-     budget. A damaged or mismatched file is skipped (the store is an
-     optimization); deeper candidates are tried in order. *)
-  let resumed_from =
-    match dir with
-    | None -> None
-    | Some _ when not adopt -> None
-    | Some dir ->
-        stored_counts ~dir ~key
-        |> List.filter (fun n -> n <= instrs && n > 0)
-        |> List.find_map (fun n ->
-               match fullsys_restore ~path:(path ~dir ~key n) ~key m with
-               | count -> Some count
-               | exception Invalid_argument _ -> None
-               (* A sharing peer may prune a file between our readdir
-                  and the open; skip it like any other dead candidate. *)
-               | exception Sys_error _ -> None)
+  let m, completed, resumed_from =
+    drive ?keep ?every ?dir ?adopt ?should_stop ?progress ~key
+      {
+        kind = "fullsys";
+        total = instrs;
+        start = m;
+        depth = Fullsys.instrs_done;
+        step =
+          (fun m n ->
+            ignore (Fullsys.run m ~instrs:n);
+            m);
+        encode = fullsys_sections;
+        decode =
+          (fun ~what sections ->
+            Fullsys.set_state m (fullsys_state_of_sections ~what sections);
+            Some m);
+      }
   in
-  let checkpoint () =
-    match dir with
-    | None -> ()
-    | Some dir ->
-        ensure_dir dir;
-        let n = Fullsys.instrs_done m in
-        let p = path ~dir ~key n in
-        if not (Sys.file_exists p) then begin
-          fullsys_save ~path:p ~key m;
-          ignore (Snapshot.prune ~keep ~dir ~key ())
-        end
-  in
-  (* Make the adopted depth visible to progress streams before any new
-     work happens (also the only progress a full-depth adoption emits). *)
-  (match resumed_from with
-  | Some n -> progress ~done_count:n ~total:instrs
-  | None -> ());
-  let chunk = match every with Some e when e > 0 -> e | _ -> instrs in
-  let stopped = ref false in
-  while (not !stopped) && Fullsys.instrs_done m < instrs do
-    if should_stop () then stopped := true
-    else begin
-      let step = min chunk (instrs - Fullsys.instrs_done m) in
-      ignore (Fullsys.run m ~instrs:step);
-      if every <> None || Fullsys.instrs_done m >= instrs then checkpoint ();
-      progress ~done_count:(Fullsys.instrs_done m) ~total:instrs
-    end
-  done;
-  if !stopped then checkpoint ();
   {
     f_result = Fullsys.totals m;
-    f_completed = not !stopped;
+    f_completed = completed;
     f_done = Fullsys.instrs_done m;
     f_resumed_from = resumed_from;
   }
 
 (* ------------------------------------------------------------------ *)
-(* Fig6 row-batch checkpoints                                          *)
+(* Sweeps: a case list computed in order, one unit per case            *)
 (* ------------------------------------------------------------------ *)
 
-let fig6_rows_sections ~key ~total rows =
-  let b = Codec.writer () in
-  Codec.put_varint b total;
-  Codec.put_list b
-    (fun b (r : Fig6.row) ->
-      Codec.put_string b r.Fig6.workload;
-      Codec.put_float b r.mpki;
-      Codec.put_float b r.base_ipc;
-      Codec.put_float b r.norm_ipc;
-      Codec.put_float b r.slowdown_pct;
-      Codec.put_varint b r.pte_dram_reads;
-      Codec.put_varint b r.dram_reads)
-    rows;
-  [
-    meta_section { m_kind = "fig6"; m_key = key; m_count = List.length rows };
-    Snapshot.section ~name:"fig6.rows" (Codec.contents b);
-  ]
-
-let fig6_rows_of_sections ~what sections =
-  let r = Snapshot.reader ~what sections "fig6.rows" in
-  let total = Codec.get_varint r in
-  let rows =
-    Codec.get_list r (fun r ->
-        let workload = Codec.get_string r in
-        let mpki = Codec.get_float r in
-        let base_ipc = Codec.get_float r in
-        let norm_ipc = Codec.get_float r in
-        let slowdown_pct = Codec.get_float r in
-        let pte_dram_reads = Codec.get_varint r in
-        let dram_reads = Codec.get_varint r in
-        {
-          Fig6.workload;
-          mpki;
-          base_ipc;
-          norm_ipc;
-          slowdown_pct;
-          pte_dram_reads;
-          dram_reads;
-        })
-  in
-  Codec.expect_end r;
-  (total, rows)
-
-type fig6_outcome = {
-  g_result : Fig6.result option; (* None when stopped before the last row *)
-  g_rows : Fig6.row list;
-  g_completed : bool;
-  g_resumed_from : int option;
+type ('unit, 'result) outcome = {
+  o_result : 'result option;
+  o_units : 'unit list;
+  o_completed : bool;
+  o_resumed_from : int option;
 }
 
-let run_fig6 ?jobs ?key ?(keep = default_keep) ?every ?dir ?(adopt = true)
-    ?(should_stop = never_stop) ?(progress = no_progress) ~instrs ~warmup ~seed
-    ~config ~workloads () =
-  let total = List.length workloads in
-  let key =
-    match key with
-    | Some k -> k
-    | None ->
-        (* No scenario at hand: key by the run parameters and the
-           workload list. *)
-        let names =
-          String.concat ","
-            (List.map (fun s -> s.Ptg_workloads.Workload.name) workloads)
-        in
-        Snapshot.hash_hex
-          (Codec.fnv1a64
-             (Printf.sprintf
-                "{\"instrs\":%d,\"mac\":%d,\"seed\":%Ld,\"warmup\":%d,\"workloads\":[%s]}"
-                instrs config.Ptguard.Config.mac_latency_cycles seed warmup
-                names))
-  in
-  (* Resume: the deepest stored row prefix whose workloads match ours in
-     order (a stale or colliding checkpoint is skipped). *)
-  let resumed =
-    match dir with
-    | None -> None
-    | Some _ when not adopt -> None
-    | Some dir ->
-        stored_counts ~dir ~key
-        |> List.filter (fun n -> n <= total && n > 0)
-        |> List.find_map (fun n ->
-               let p = path ~dir ~key n in
-               match
-                 let sections = Snapshot.load ~path:p in
-                 let meta = meta_of_sections ~what:p sections in
-                 check_meta ~what:p ~kind:"fig6" ~key meta;
-                 fig6_rows_of_sections ~what:p sections
-               with
-               | stored_total, rows
-                 when stored_total = total
-                      && List.length rows = n
-                      && List.for_all2
-                           (fun (r : Fig6.row) s ->
-                             r.Fig6.workload = s.Ptg_workloads.Workload.name)
-                           rows
-                           (List.filteri (fun i _ -> i < n) workloads) ->
-                   Some (n, rows)
-               | _ -> None
-               | exception Invalid_argument _ -> None
-               | exception Sys_error _ -> None)
-  in
-  let done_rows = ref (match resumed with None -> [] | Some (_, rows) -> rows) in
-  let checkpoint () =
-    match dir with
-    | None -> ()
-    | Some dir ->
-        ensure_dir dir;
-        let n = List.length !done_rows in
-        let p = path ~dir ~key n in
-        if n > 0 && not (Sys.file_exists p) then begin
-          Snapshot.save ~path:p (fig6_rows_sections ~key ~total !done_rows);
-          ignore (Snapshot.prune ~keep ~dir ~key ())
-        end
-  in
-  (match resumed with
-  | Some (n, _) -> progress ~done_count:n ~total
-  | None -> ());
-  let batch = match every with Some e when e > 0 -> e | _ -> total in
-  let stopped = ref false in
-  while (not !stopped) && List.length !done_rows < total do
-    if should_stop () then stopped := true
-    else begin
-      let n = List.length !done_rows in
-      let step = min batch (total - n) in
-      let specs = List.filteri (fun i _ -> i >= n && i < n + step) workloads in
-      let rows = Fig6.run_rows ?jobs ~instrs ~warmup ~seed ~config specs in
-      done_rows := !done_rows @ rows;
-      if every <> None || List.length !done_rows >= total then checkpoint ();
-      progress ~done_count:(List.length !done_rows) ~total
-    end
-  done;
-  if !stopped then checkpoint ();
-  let completed = not !stopped in
+let outcome finish (units, completed, resumed_from) =
   {
-    g_result = (if completed then Some (Fig6.of_rows !done_rows) else None);
-    g_rows = !done_rows;
-    g_completed = completed;
-    g_resumed_from = Option.map fst resumed;
+    o_result = (if completed then Some (finish units) else None);
+    o_units = units;
+    o_completed = completed;
+    o_resumed_from = resumed_from;
+  }
+
+let slice l from n = List.filteri (fun i _ -> i >= from && i < from + n) l
+
+let par_map ?jobs f l =
+  Array.to_list (Ptg_util.Pool.parallel_map ?jobs f (Array.of_list l))
+
+(* A sweep's unit-prefix section: the case count, an optional header,
+   then the completed units in case order. *)
+let put_prefix ~name ~total ?(header = ignore) put units =
+  let b = Codec.writer () in
+  Codec.put_varint b total;
+  header b;
+  Codec.put_list b put units;
+  Snapshot.section ~name (Codec.contents b)
+
+(* The stored prefix, or [None] when it answers a different case list:
+   another case count, another header, or a unit that does not answer
+   its case. *)
+let get_prefix ~name ~total ?(header = fun _ -> true) get ~answers cases ~what
+    sections =
+  let r = Snapshot.reader ~what sections name in
+  let stored_total = Codec.get_varint r in
+  let header_ok = header r in
+  let units = Codec.get_list r get in
+  Codec.expect_end r;
+  let rec pairs units cases =
+    match (units, cases) with
+    | [], _ -> true
+    | u :: units, c :: cases -> answers u c && pairs units cases
+    | _ :: _, [] -> false
+  in
+  if stored_total = total && header_ok && pairs units cases then Some units
+  else None
+
+(* The common sweep shape: the state is the completed unit prefix. *)
+let list_sweep ~kind ~name ?header ?check_header ~put ~get ~answers ~run cases
+    =
+  let total = List.length cases in
+  {
+    kind;
+    total;
+    start = [];
+    depth = List.length;
+    step = (fun units n -> units @ run (slice cases (List.length units) n));
+    encode = (fun units -> [ put_prefix ~name ~total ?header put units ]);
+    decode = get_prefix ~name ~total ?header:check_header get ~answers cases;
   }
 
 (* ------------------------------------------------------------------ *)
-(* Fig7 point-batch checkpoints                                        *)
+(* Fig6: per-workload rows                                             *)
+(* ------------------------------------------------------------------ *)
+
+let put_fig6_row b (r : Fig6.row) =
+  Codec.put_string b r.Fig6.workload;
+  Codec.put_float b r.mpki;
+  Codec.put_float b r.base_ipc;
+  Codec.put_float b r.norm_ipc;
+  Codec.put_float b r.slowdown_pct;
+  Codec.put_varint b r.pte_dram_reads;
+  Codec.put_varint b r.dram_reads
+
+let get_fig6_row r =
+  let workload = Codec.get_string r in
+  let mpki = Codec.get_float r in
+  let base_ipc = Codec.get_float r in
+  let norm_ipc = Codec.get_float r in
+  let slowdown_pct = Codec.get_float r in
+  let pte_dram_reads = Codec.get_varint r in
+  let dram_reads = Codec.get_varint r in
+  {
+    Fig6.workload;
+    mpki;
+    base_ipc;
+    norm_ipc;
+    slowdown_pct;
+    pte_dram_reads;
+    dram_reads;
+  }
+
+let run_fig6 ?jobs ~key ?keep ?every ?dir ?adopt ?should_stop ?progress
+    ~instrs ~warmup ~seed ~config ~workloads () =
+  list_sweep ~kind:"fig6" ~name:"fig6.rows" ~put:put_fig6_row ~get:get_fig6_row
+    ~answers:(fun (r : Fig6.row) s -> r.Fig6.workload = s.Ptg_workloads.Workload.name)
+    ~run:(Fig6.run_rows ?jobs ~instrs ~warmup ~seed ~config)
+    workloads
+  |> drive ?keep ?every ?dir ?adopt ?should_stop ?progress ~key
+  |> outcome Fig6.of_rows
+
+(* ------------------------------------------------------------------ *)
+(* Fig7: shared baselines, then sweep points                           *)
 (* ------------------------------------------------------------------ *)
 
 (* A fig7 checkpoint carries the shared per-workload baseline runs in
@@ -451,513 +455,204 @@ let get_core_result r : Ptg_cpu.Core.result =
     cache_writebacks;
   }
 
-let put_design b d = Codec.put_bool b (d = Ptguard.Config.Optimized)
+let put_point b (pt : Fig7.point) =
+  Codec.put_bool b (pt.Fig7.design = Ptguard.Config.Optimized);
+  Codec.put_varint b pt.Fig7.mac_latency;
+  Codec.put_float b pt.Fig7.avg_slowdown_pct;
+  Codec.put_float b pt.Fig7.max_slowdown_pct;
+  Codec.put_string b pt.Fig7.max_workload;
+  Codec.put_float b pt.Fig7.mac_reads_fraction
 
-let get_design r =
-  if Codec.get_bool r then Ptguard.Config.Optimized else Ptguard.Config.Baseline
-
-let fig7_sections ~key ~total ~base ~points =
-  let b = Codec.writer () in
-  Codec.put_list b
-    (fun b (spec, r) ->
-      Codec.put_string b spec.Ptg_workloads.Workload.name;
-      put_core_result b r)
-    base;
-  let p = Codec.writer () in
-  Codec.put_varint p total;
-  Codec.put_list p
-    (fun p (pt : Fig7.point) ->
-      put_design p pt.Fig7.design;
-      Codec.put_varint p pt.Fig7.mac_latency;
-      Codec.put_float p pt.Fig7.avg_slowdown_pct;
-      Codec.put_float p pt.Fig7.max_slowdown_pct;
-      Codec.put_string p pt.Fig7.max_workload;
-      Codec.put_float p pt.Fig7.mac_reads_fraction)
-    points;
-  [
-    meta_section { m_kind = "fig7"; m_key = key; m_count = List.length points };
-    Snapshot.section ~name:"fig7.base" (Codec.contents b);
-    Snapshot.section ~name:"fig7.points" (Codec.contents p);
-  ]
-
-let fig7_parts_of_sections ~what sections =
-  let r = Snapshot.reader ~what sections "fig7.base" in
-  let base =
-    Codec.get_list r (fun r ->
-        let name = Codec.get_string r in
-        let core = get_core_result r in
-        (name, core))
+let get_point r =
+  let design =
+    if Codec.get_bool r then Ptguard.Config.Optimized else Ptguard.Config.Baseline
   in
-  Codec.expect_end r;
-  let r = Snapshot.reader ~what sections "fig7.points" in
-  let total = Codec.get_varint r in
-  let points =
-    Codec.get_list r (fun r ->
-        let design = get_design r in
-        let mac_latency = Codec.get_varint r in
-        let avg_slowdown_pct = Codec.get_float r in
-        let max_slowdown_pct = Codec.get_float r in
-        let max_workload = Codec.get_string r in
-        let mac_reads_fraction = Codec.get_float r in
-        {
-          Fig7.design;
-          mac_latency;
-          avg_slowdown_pct;
-          max_slowdown_pct;
-          max_workload;
-          mac_reads_fraction;
-        })
-  in
-  Codec.expect_end r;
-  (total, base, points)
+  let mac_latency = Codec.get_varint r in
+  let avg_slowdown_pct = Codec.get_float r in
+  let max_slowdown_pct = Codec.get_float r in
+  let max_workload = Codec.get_string r in
+  let mac_reads_fraction = Codec.get_float r in
+  {
+    Fig7.design;
+    mac_latency;
+    avg_slowdown_pct;
+    max_slowdown_pct;
+    max_workload;
+    mac_reads_fraction;
+  }
 
-type fig7_outcome = {
-  p_result : Fig7.result option; (* None when stopped before the last point *)
-  p_points : Fig7.point list;
-  p_completed : bool;
-  p_resumed_from : int option;
-}
-
-let run_fig7 ?jobs ?key ?(keep = default_keep) ?every ?dir ?(adopt = true)
-    ?(should_stop = never_stop) ?(progress = no_progress)
+let run_fig7 ?jobs ~key ?keep ?every ?dir ?adopt ?should_stop ?progress
     ?(latencies = Fig7.default_latencies)
     ?(workloads = Ptg_workloads.Workload.all) ~instrs ~warmup ~seed () =
   let cases = Fig7.cases ~latencies () in
   let total = List.length cases in
   let names = List.map (fun s -> s.Ptg_workloads.Workload.name) workloads in
-  let key =
-    match key with
-    | Some k -> k
-    | None ->
-        Snapshot.hash_hex
-          (Codec.fnv1a64
-             (Printf.sprintf
-                "{\"instrs\":%d,\"kind\":\"fig7\",\"latencies\":[%s],\"seed\":%Ld,\"warmup\":%d,\"workloads\":[%s]}"
-                instrs
-                (String.concat "," (List.map string_of_int latencies))
-                seed warmup (String.concat "," names)))
+  let points = "fig7.points" in
+  let answers (pt : Fig7.point) (d, l) =
+    pt.Fig7.design = d && pt.Fig7.mac_latency = l
   in
-  (* Adopt the deepest stored point prefix whose baselines cover our
-     workload list and whose points match our case list, in order. *)
-  let resumed =
-    match dir with
-    | None -> None
-    | Some _ when not adopt -> None
-    | Some dir ->
-        Snapshot.store_counts ~dir ~key
-        |> List.filter (fun n -> n >= 0 && n <= total)
-        |> List.find_map (fun n ->
-               let p = path ~dir ~key n in
-               match
-                 let sections = Snapshot.load ~path:p in
-                 let meta = meta_of_sections ~what:p sections in
-                 check_meta ~what:p ~kind:"fig7" ~key meta;
-                 fig7_parts_of_sections ~what:p sections
-               with
-               | stored_total, base, points
-                 when stored_total = total
-                      && List.length points = n
-                      && List.map fst base = names
-                      && List.for_all2
-                           (fun (pt : Fig7.point) (d, l) ->
-                             pt.Fig7.design = d && pt.Fig7.mac_latency = l)
-                           points
-                           (List.filteri (fun i _ -> i < n) cases) ->
-                   Some
-                     ( n,
-                       List.map2
-                         (fun spec (_, core) -> (spec, core))
-                         workloads base,
-                       points )
-               | _ -> None
-               | exception Invalid_argument _ -> None
-               | exception Sys_error _ -> None)
+  let (_, done_points), completed, resumed_from =
+    drive ?keep ?every ?dir ?adopt ?should_stop ?progress ~key
+      {
+        kind = "fig7";
+        total;
+        start = (None, []);
+        depth = (function None, _ -> -1 | Some _, pts -> List.length pts);
+        step =
+          (fun (base, pts) n ->
+            match base with
+            | None -> (Some (Fig7.base_runs ?jobs ~instrs ~warmup ~seed workloads), pts)
+            | Some base_results ->
+                ( base,
+                  pts
+                  @ par_map ?jobs
+                      (Fig7.point ~instrs ~warmup ~seed ~base_results)
+                      (slice cases (List.length pts) n) ));
+        encode =
+          (fun (base, pts) ->
+            let b = Codec.writer () in
+            Codec.put_list b
+              (fun b (spec, r) ->
+                Codec.put_string b spec.Ptg_workloads.Workload.name;
+                put_core_result b r)
+              (Option.get base);
+            [
+              Snapshot.section ~name:"fig7.base" (Codec.contents b);
+              put_prefix ~name:points ~total put_point pts;
+            ]);
+        decode =
+          (fun ~what sections ->
+            let r = Snapshot.reader ~what sections "fig7.base" in
+            let base =
+              Codec.get_list r (fun r ->
+                  let name = Codec.get_string r in
+                  let core = get_core_result r in
+                  (name, core))
+            in
+            Codec.expect_end r;
+            if List.map fst base <> names then None
+            else
+              let base = List.map2 (fun spec (_, r) -> (spec, r)) workloads base in
+              get_prefix ~name:points ~total get_point ~answers cases ~what
+                sections
+              |> Option.map (fun pts -> (Some base, pts)));
+      }
   in
-  let base = ref (Option.map (fun (_, b, _) -> b) resumed) in
-  let done_points =
-    ref (match resumed with None -> [] | Some (_, _, pts) -> pts)
-  in
-  let checkpoint () =
-    match (dir, !base) with
-    | Some dir, Some b ->
-        ensure_dir dir;
-        let n = List.length !done_points in
-        let p = path ~dir ~key n in
-        if not (Sys.file_exists p) then begin
-          Snapshot.save ~path:p
-            (fig7_sections ~key ~total ~base:b ~points:!done_points);
-          ignore (Snapshot.prune ~keep ~dir ~key ())
-        end
-    | _ -> ()
-  in
-  (match resumed with
-  | Some (n, _, _) -> progress ~done_count:n ~total
-  | None -> ());
-  let batch = match every with Some e when e > 0 -> e | _ -> total in
-  let stopped = ref false in
-  (* The shared baselines are the first chunk. *)
-  if !base = None then
-    if should_stop () then stopped := true
-    else begin
-      base := Some (Fig7.base_runs ?jobs ~instrs ~warmup ~seed workloads);
-      if every <> None then checkpoint ();
-      progress ~done_count:0 ~total
-    end;
-  while (not !stopped) && List.length !done_points < total do
-    if should_stop () then stopped := true
-    else begin
-      let n = List.length !done_points in
-      let step = min batch (total - n) in
-      let chunk = List.filteri (fun i _ -> i >= n && i < n + step) cases in
-      let base_results = Option.get !base in
-      let pts =
-        Array.to_list
-          (Ptg_util.Pool.parallel_map ?jobs
-             (fun case -> Fig7.point ~instrs ~warmup ~seed ~base_results case)
-             (Array.of_list chunk))
-      in
-      done_points := !done_points @ pts;
-      if every <> None || List.length !done_points >= total then checkpoint ();
-      progress ~done_count:(List.length !done_points) ~total
-    end
-  done;
-  if !stopped then checkpoint ();
-  let completed = not !stopped in
-  {
-    p_result =
-      (if completed then Some { Fig7.points = !done_points } else None);
-    p_points = !done_points;
-    p_completed = completed;
-    p_resumed_from = Option.map (fun (n, _, _) -> n) resumed;
-  }
+  outcome
+    (fun points -> { Fig7.points })
+    (done_points, completed, resumed_from)
 
 (* ------------------------------------------------------------------ *)
-(* Fig9 workload-batch checkpoints                                     *)
+(* Fig9: per-workload injection campaigns                              *)
 (* ------------------------------------------------------------------ *)
 
-let fig9_sections ~key ~total ~p_flips parts =
-  let b = Codec.writer () in
-  Codec.put_varint b total;
-  Codec.put_list b (Codec.put_float) p_flips;
+let put_fig9_part b ((w : Fig9.workload_result), steps) =
+  Codec.put_string b w.Fig9.workload;
   Codec.put_list b
-    (fun b ((w : Fig9.workload_result), steps) ->
-      Codec.put_string b w.Fig9.workload;
-      Codec.put_list b
-        (fun b (c : Fig9.cell) ->
-          Codec.put_float b c.Fig9.p_flip;
-          Codec.put_varint b c.Fig9.sampled;
-          Codec.put_varint b c.Fig9.corrected;
-          Codec.put_varint b c.Fig9.uncorrectable;
-          Codec.put_varint b c.Fig9.benign;
-          Codec.put_varint b c.Fig9.miscorrections;
-          Codec.put_varint b c.Fig9.escapes;
-          Codec.put_float b c.Fig9.corrected_pct)
-        w.Fig9.cells;
-      Codec.put_list b
-        (fun b (k, v) ->
-          Codec.put_string b k;
-          Codec.put_varint b v)
-        steps)
-    parts;
-  [
-    meta_section { m_kind = "fig9"; m_key = key; m_count = List.length parts };
-    Snapshot.section ~name:"fig9.parts" (Codec.contents b);
-  ]
+    (fun b (c : Fig9.cell) ->
+      Codec.put_float b c.Fig9.p_flip;
+      Codec.put_varint b c.Fig9.sampled;
+      Codec.put_varint b c.Fig9.corrected;
+      Codec.put_varint b c.Fig9.uncorrectable;
+      Codec.put_varint b c.Fig9.benign;
+      Codec.put_varint b c.Fig9.miscorrections;
+      Codec.put_varint b c.Fig9.escapes;
+      Codec.put_float b c.Fig9.corrected_pct)
+    w.Fig9.cells;
+  Codec.put_list b
+    (fun b (k, v) ->
+      Codec.put_string b k;
+      Codec.put_varint b v)
+    steps
 
-let fig9_parts_of_sections ~what sections =
-  let r = Snapshot.reader ~what sections "fig9.parts" in
-  let total = Codec.get_varint r in
-  let p_flips = Codec.get_list r Codec.get_float in
-  let parts =
+let get_fig9_part r =
+  let workload = Codec.get_string r in
+  let cells =
     Codec.get_list r (fun r ->
-        let workload = Codec.get_string r in
-        let cells =
-          Codec.get_list r (fun r ->
-              let p_flip = Codec.get_float r in
-              let sampled = Codec.get_varint r in
-              let corrected = Codec.get_varint r in
-              let uncorrectable = Codec.get_varint r in
-              let benign = Codec.get_varint r in
-              let miscorrections = Codec.get_varint r in
-              let escapes = Codec.get_varint r in
-              let corrected_pct = Codec.get_float r in
-              {
-                Fig9.p_flip;
-                sampled;
-                corrected;
-                uncorrectable;
-                benign;
-                miscorrections;
-                escapes;
-                corrected_pct;
-              })
-        in
-        let steps =
-          Codec.get_list r (fun r ->
-              let k = Codec.get_string r in
-              let v = Codec.get_varint r in
-              (k, v))
-        in
-        ({ Fig9.workload; cells }, steps))
+        let p_flip = Codec.get_float r in
+        let sampled = Codec.get_varint r in
+        let corrected = Codec.get_varint r in
+        let uncorrectable = Codec.get_varint r in
+        let benign = Codec.get_varint r in
+        let miscorrections = Codec.get_varint r in
+        let escapes = Codec.get_varint r in
+        let corrected_pct = Codec.get_float r in
+        {
+          Fig9.p_flip;
+          sampled;
+          corrected;
+          uncorrectable;
+          benign;
+          miscorrections;
+          escapes;
+          corrected_pct;
+        })
   in
-  Codec.expect_end r;
-  (total, p_flips, parts)
+  let steps =
+    Codec.get_list r (fun r ->
+        let k = Codec.get_string r in
+        let v = Codec.get_varint r in
+        (k, v))
+  in
+  ({ Fig9.workload; cells }, steps)
 
-type fig9_outcome = {
-  q_result : Fig9.result option; (* None when stopped before the last workload *)
-  q_parts : (Fig9.workload_result * (string * int) list) list;
-  q_completed : bool;
-  q_resumed_from : int option;
-}
-
-let run_fig9 ?jobs ?key ?(keep = default_keep) ?every ?dir ?(adopt = true)
-    ?(should_stop = never_stop) ?(progress = no_progress)
+(* Generator states are re-derived every slice (cheap); only the
+   campaign results are stored, after the run's [p_flips]. *)
+let run_fig9 ?jobs ~key ?keep ?every ?dir ?adopt ?should_stop ?progress
     ?(p_flips = Fig9.default_p_flips) ?(config = Ptguard.Config.optimized)
     ?(workloads = Ptg_workloads.Workload.fig9_subset) ~lines_per_point ~seed ()
     =
-  let total = List.length workloads in
-  let names = List.map (fun s -> s.Ptg_workloads.Workload.name) workloads in
-  let key =
-    match key with
-    | Some k -> k
-    | None ->
-        Snapshot.hash_hex
-          (Codec.fnv1a64
-             (Printf.sprintf
-                "{\"kind\":\"fig9\",\"lines\":%d,\"mac\":%d,\"p_flips\":[%s],\"seed\":%Ld,\"workloads\":[%s]}"
-                lines_per_point config.Ptguard.Config.mac_latency_cycles
-                (String.concat ","
-                   (List.map (Printf.sprintf "%.17g") p_flips))
-                seed (String.concat "," names)))
-  in
-  (* Generator states are re-derived every slice (cheap); only the
-     campaign results are stored. *)
-  let prepared = Fig9.prepare ~seed workloads in
-  let resumed =
-    match dir with
-    | None -> None
-    | Some _ when not adopt -> None
-    | Some dir ->
-        Snapshot.store_counts ~dir ~key
-        |> List.filter (fun n -> n <= total && n > 0)
-        |> List.find_map (fun n ->
-               let p = path ~dir ~key n in
-               match
-                 let sections = Snapshot.load ~path:p in
-                 let meta = meta_of_sections ~what:p sections in
-                 check_meta ~what:p ~kind:"fig9" ~key meta;
-                 fig9_parts_of_sections ~what:p sections
-               with
-               | stored_total, stored_p_flips, parts
-                 when stored_total = total
-                      && stored_p_flips = p_flips
-                      && List.length parts = n
-                      && List.for_all2
-                           (fun ((w : Fig9.workload_result), _) name ->
-                             w.Fig9.workload = name)
-                           parts
-                           (List.filteri (fun i _ -> i < n) names) ->
-                   Some (n, parts)
-               | _ -> None
-               | exception Invalid_argument _ -> None
-               | exception Sys_error _ -> None)
-  in
-  let done_parts =
-    ref (match resumed with None -> [] | Some (_, parts) -> parts)
-  in
-  let checkpoint () =
-    match dir with
-    | None -> ()
-    | Some dir ->
-        ensure_dir dir;
-        let n = List.length !done_parts in
-        let p = path ~dir ~key n in
-        if n > 0 && not (Sys.file_exists p) then begin
-          Snapshot.save ~path:p (fig9_sections ~key ~total ~p_flips !done_parts);
-          ignore (Snapshot.prune ~keep ~dir ~key ())
-        end
-  in
-  (match resumed with
-  | Some (n, _) -> progress ~done_count:n ~total
-  | None -> ());
-  let batch = match every with Some e when e > 0 -> e | _ -> total in
-  let stopped = ref false in
-  while (not !stopped) && List.length !done_parts < total do
-    if should_stop () then stopped := true
-    else begin
-      let n = List.length !done_parts in
-      let step = min batch (total - n) in
-      let chunk = List.filteri (fun i _ -> i >= n && i < n + step) prepared in
-      let parts =
-        Array.to_list
-          (Ptg_util.Pool.parallel_map ?jobs
-             (fun p -> Fig9.run_workload ~lines_per_point ~p_flips ~config p)
-             (Array.of_list chunk))
-      in
-      done_parts := !done_parts @ parts;
-      if every <> None || List.length !done_parts >= total then checkpoint ();
-      progress ~done_count:(List.length !done_parts) ~total
-    end
-  done;
-  if !stopped then checkpoint ();
-  let completed = not !stopped in
+  list_sweep ~kind:"fig9" ~name:"fig9.parts"
+    ~header:(fun b -> Codec.put_list b Codec.put_float p_flips)
+    ~check_header:(fun r -> Codec.get_list r Codec.get_float = p_flips)
+    ~put:put_fig9_part ~get:get_fig9_part
+    ~answers:(fun ((w : Fig9.workload_result), _) (p : Fig9.prepared) ->
+      w.Fig9.workload = p.Fig9.pr_spec.Ptg_workloads.Workload.name)
+    ~run:(par_map ?jobs (Fig9.run_workload ~lines_per_point ~p_flips ~config))
+    (Fig9.prepare ~seed workloads)
+  |> drive ?keep ?every ?dir ?adopt ?should_stop ?progress ~key
+  |> outcome (Fig9.assemble ~p_flips)
+
+(* ------------------------------------------------------------------ *)
+(* Multicore: SAME/MIX rows                                            *)
+(* ------------------------------------------------------------------ *)
+
+let put_multicore_row b (r : Multicore_exp.row) =
+  Codec.put_string b r.Multicore_exp.label;
+  Codec.put_list b Codec.put_string r.Multicore_exp.workloads;
+  Codec.put_float b r.Multicore_exp.base_ipc;
+  Codec.put_float b r.Multicore_exp.norm_ipc;
+  Codec.put_float b r.Multicore_exp.slowdown_pct;
+  Codec.put_float b r.Multicore_exp.avg_queue_delay
+
+let get_multicore_row r =
+  let label = Codec.get_string r in
+  let workloads = Codec.get_list r Codec.get_string in
+  let base_ipc = Codec.get_float r in
+  let norm_ipc = Codec.get_float r in
+  let slowdown_pct = Codec.get_float r in
+  let avg_queue_delay = Codec.get_float r in
   {
-    q_result =
-      (if completed then Some (Fig9.assemble ~p_flips !done_parts) else None);
-    q_parts = !done_parts;
-    q_completed = completed;
-    q_resumed_from = Option.map fst resumed;
+    Multicore_exp.label;
+    workloads;
+    base_ipc;
+    norm_ipc;
+    slowdown_pct;
+    avg_queue_delay;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Multicore row-batch checkpoints                                     *)
-(* ------------------------------------------------------------------ *)
-
-let multicore_sections ~key ~total rows =
-  let b = Codec.writer () in
-  Codec.put_varint b total;
-  Codec.put_list b
-    (fun b (r : Multicore_exp.row) ->
-      Codec.put_string b r.Multicore_exp.label;
-      Codec.put_list b Codec.put_string r.Multicore_exp.workloads;
-      Codec.put_float b r.Multicore_exp.base_ipc;
-      Codec.put_float b r.Multicore_exp.norm_ipc;
-      Codec.put_float b r.Multicore_exp.slowdown_pct;
-      Codec.put_float b r.Multicore_exp.avg_queue_delay)
-    rows;
-  [
-    meta_section
-      { m_kind = "multicore"; m_key = key; m_count = List.length rows };
-    Snapshot.section ~name:"multicore.rows" (Codec.contents b);
-  ]
-
-let multicore_rows_of_sections ~what sections =
-  let r = Snapshot.reader ~what sections "multicore.rows" in
-  let total = Codec.get_varint r in
-  let rows =
-    Codec.get_list r (fun r ->
-        let label = Codec.get_string r in
-        let workloads = Codec.get_list r Codec.get_string in
-        let base_ipc = Codec.get_float r in
-        let norm_ipc = Codec.get_float r in
-        let slowdown_pct = Codec.get_float r in
-        let avg_queue_delay = Codec.get_float r in
-        {
-          Multicore_exp.label;
-          workloads;
-          base_ipc;
-          norm_ipc;
-          slowdown_pct;
-          avg_queue_delay;
-        })
-  in
-  Codec.expect_end r;
-  (total, rows)
-
-type multicore_outcome = {
-  r_result : Multicore_exp.result option; (* None when stopped early *)
-  r_rows : Multicore_exp.row list;
-  r_completed : bool;
-  r_resumed_from : int option;
-}
-
-let run_multicore ?jobs ?key ?(keep = default_keep) ?every ?dir ?(adopt = true)
-    ?(should_stop = never_stop) ?(progress = no_progress)
+(* The case list is re-derived from the seed every slice. *)
+let run_multicore ?jobs ~key ?keep ?every ?dir ?adopt ?should_stop ?progress
     ?(same = Ptg_workloads.Workload.all) ?(config = Ptguard.Config.baseline)
     ~instrs_per_core ~mixes ~seed () =
-  let cases = Multicore_exp.cases ~same ~seed ~mixes () in
-  let total = List.length cases in
-  let labels = List.map fst cases in
-  let key =
-    match key with
-    | Some k -> k
-    | None ->
-        Snapshot.hash_hex
-          (Codec.fnv1a64
-             (Printf.sprintf
-                "{\"instrs\":%d,\"kind\":\"multicore\",\"mac\":%d,\"mixes\":%d,\"same\":[%s],\"seed\":%Ld}"
-                instrs_per_core config.Ptguard.Config.mac_latency_cycles mixes
-                (String.concat ","
-                   (List.map
-                      (fun s -> s.Ptg_workloads.Workload.name)
-                      same))
-                seed))
-  in
-  let resumed =
-    match dir with
-    | None -> None
-    | Some _ when not adopt -> None
-    | Some dir ->
-        Snapshot.store_counts ~dir ~key
-        |> List.filter (fun n -> n <= total && n > 0)
-        |> List.find_map (fun n ->
-               let p = path ~dir ~key n in
-               match
-                 let sections = Snapshot.load ~path:p in
-                 let meta = meta_of_sections ~what:p sections in
-                 check_meta ~what:p ~kind:"multicore" ~key meta;
-                 multicore_rows_of_sections ~what:p sections
-               with
-               | stored_total, rows
-                 when stored_total = total
-                      && List.length rows = n
-                      && List.for_all2
-                           (fun (r : Multicore_exp.row) label ->
-                             r.Multicore_exp.label = label)
-                           rows
-                           (List.filteri (fun i _ -> i < n) labels) ->
-                   Some (n, rows)
-               | _ -> None
-               | exception Invalid_argument _ -> None
-               | exception Sys_error _ -> None)
-  in
-  let done_rows =
-    ref (match resumed with None -> [] | Some (_, rows) -> rows)
-  in
-  let checkpoint () =
-    match dir with
-    | None -> ()
-    | Some dir ->
-        ensure_dir dir;
-        let n = List.length !done_rows in
-        let p = path ~dir ~key n in
-        if n > 0 && not (Sys.file_exists p) then begin
-          Snapshot.save ~path:p (multicore_sections ~key ~total !done_rows);
-          ignore (Snapshot.prune ~keep ~dir ~key ())
-        end
-  in
-  (match resumed with
-  | Some (n, _) -> progress ~done_count:n ~total
-  | None -> ());
-  let batch = match every with Some e when e > 0 -> e | _ -> total in
-  let stopped = ref false in
-  while (not !stopped) && List.length !done_rows < total do
-    if should_stop () then stopped := true
-    else begin
-      let n = List.length !done_rows in
-      let step = min batch (total - n) in
-      let chunk = List.filteri (fun i _ -> i >= n && i < n + step) cases in
-      let rows =
-        Array.to_list
-          (Ptg_util.Pool.parallel_map ?jobs
-             (fun case ->
-               Multicore_exp.case_row ~instrs_per_core ~seed ~config case)
-             (Array.of_list chunk))
-      in
-      done_rows := !done_rows @ rows;
-      if every <> None || List.length !done_rows >= total then checkpoint ();
-      progress ~done_count:(List.length !done_rows) ~total
-    end
-  done;
-  if !stopped then checkpoint ();
-  let completed = not !stopped in
-  {
-    r_result =
-      (if completed then Some (Multicore_exp.of_rows !done_rows) else None);
-    r_rows = !done_rows;
-    r_completed = completed;
-    r_resumed_from = Option.map fst resumed;
-  }
+  list_sweep ~kind:"multicore" ~name:"multicore.rows" ~put:put_multicore_row
+    ~get:get_multicore_row
+    ~answers:(fun (r : Multicore_exp.row) (label, _) ->
+      r.Multicore_exp.label = label)
+    ~run:(par_map ?jobs (Multicore_exp.case_row ~instrs_per_core ~seed ~config))
+    (Multicore_exp.cases ~same ~seed ~mixes ())
+  |> drive ?keep ?every ?dir ?adopt ?should_stop ?progress ~key
+  |> outcome Multicore_exp.of_rows
 
 (* ------------------------------------------------------------------ *)
 (* Scenario entry point (server warm-start path)                       *)
@@ -1000,12 +695,20 @@ let run_scenario ?dir ?every ?should_stop ?progress (t : Scenario.t) =
     | Some _ -> every
     | None -> if sliceable t then Some (default_every t) else None
   in
+  let jobs = t.Scenario.jobs and seed = t.Scenario.seed in
+  let served out o =
+    {
+      text = Option.map (fun r -> Scenario.render (out r)) o.o_result;
+      completed = o.o_completed;
+      resumed_from = o.o_resumed_from;
+    }
+  in
   match t.Scenario.kind with
   | Scenario.Fullsys ->
       let o =
         run_fullsys ?every ?dir ?should_stop ?progress
-          ~key:(Scenario.prefix_hash t) ~seed:t.Scenario.seed
-          ~instrs:(Scenario.resolve_instrs t) ()
+          ~key:(Scenario.prefix_hash t) ~seed ~instrs:(Scenario.resolve_instrs t)
+          ()
       in
       {
         text =
@@ -1026,55 +729,28 @@ let run_scenario ?dir ?every ?should_stop ?progress (t : Scenario.t) =
           (fun name -> Option.get (Ptg_workloads.Workload.by_name name))
           (Scenario.resolve_workload_names t)
       in
-      let o =
-        run_fig6 ~jobs:t.Scenario.jobs ?every ?dir ?should_stop ?progress
-          ~key:(Scenario.hash t) ~instrs:(Scenario.resolve_instrs t)
-          ~warmup:(Scenario.resolve_warmup t) ~seed:t.Scenario.seed ~config
-          ~workloads ()
-      in
-      {
-        text = Option.map (fun r -> Scenario.render (Scenario.Fig6_out r)) o.g_result;
-        completed = o.g_completed;
-        resumed_from = o.g_resumed_from;
-      }
+      run_fig6 ~jobs ?every ?dir ?should_stop ?progress ~key:(Scenario.hash t)
+        ~instrs:(Scenario.resolve_instrs t) ~warmup:(Scenario.resolve_warmup t)
+        ~seed ~config ~workloads ()
+      |> served (fun r -> Scenario.Fig6_out r)
   | Scenario.Fig7 ->
-      let o =
-        run_fig7 ~jobs:t.Scenario.jobs ?every ?dir ?should_stop ?progress
-          ~key:(Scenario.hash t) ~instrs:(Scenario.resolve_instrs t)
-          ~warmup:(Scenario.resolve_warmup t) ~seed:t.Scenario.seed ()
-      in
-      {
-        text = Option.map (fun r -> Scenario.render (Scenario.Fig7_out r)) o.p_result;
-        completed = o.p_completed;
-        resumed_from = o.p_resumed_from;
-      }
+      run_fig7 ~jobs ?every ?dir ?should_stop ?progress ~key:(Scenario.hash t)
+        ~instrs:(Scenario.resolve_instrs t) ~warmup:(Scenario.resolve_warmup t)
+        ~seed ()
+      |> served (fun r -> Scenario.Fig7_out r)
   | Scenario.Fig9 when t.Scenario.seeds = 1 ->
-      let o =
-        run_fig9 ~jobs:t.Scenario.jobs ?every ?dir ?should_stop ?progress
-          ~key:(Scenario.hash t) ~lines_per_point:(Scenario.resolve_lines t)
-          ~seed:t.Scenario.seed ()
-      in
-      {
-        text = Option.map (fun r -> Scenario.render (Scenario.Fig9_out r)) o.q_result;
-        completed = o.q_completed;
-        resumed_from = o.q_resumed_from;
-      }
+      run_fig9 ~jobs ?every ?dir ?should_stop ?progress ~key:(Scenario.hash t)
+        ~lines_per_point:(Scenario.resolve_lines t) ~seed ()
+      |> served (fun r -> Scenario.Fig9_out r)
   | Scenario.Multicore ->
-      let o =
-        run_multicore ~jobs:t.Scenario.jobs ?every ?dir ?should_stop ?progress
-          ~key:(Scenario.hash t)
-          ~instrs_per_core:(Scenario.resolve_instrs t)
-          ~mixes:(Scenario.resolve_mixes t) ~seed:t.Scenario.seed ()
-      in
-      {
-        text =
-          Option.map (fun r -> Scenario.render (Scenario.Multicore_out r)) o.r_result;
-        completed = o.r_completed;
-        resumed_from = o.r_resumed_from;
-      }
-  | _ ->
-      (match should_stop with
-      | Some stop when stop () -> { text = None; completed = false; resumed_from = None }
+      run_multicore ~jobs ?every ?dir ?should_stop ?progress
+        ~key:(Scenario.hash t) ~instrs_per_core:(Scenario.resolve_instrs t)
+        ~mixes:(Scenario.resolve_mixes t) ~seed ()
+      |> served (fun r -> Scenario.Multicore_out r)
+  | _ -> (
+      match should_stop with
+      | Some stop when stop () ->
+          { text = None; completed = false; resumed_from = None }
       | _ ->
           {
             text = Some (Scenario.run_to_string t);

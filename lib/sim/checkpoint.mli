@@ -1,51 +1,54 @@
-(** Checkpoint/restore drivers over {!Ptg_snapshot}.
+(** Checkpoint/restore over {!Ptg_snapshot}: one chunked driver for
+    every sliceable experiment.
 
-    Every sliceable experiment family has a chunked driver:
+    Each run is an instance the driver steps through: a meta kind, a
+    total unit count, a cold start state, how deep a state is, a step
+    that runs up to [n] more units, and a section codec whose decoder
+    rejects a prefix stored by a different run. The driver alone adopts
+    the deepest usable stored prefix, polls [should_stop] at each chunk
+    top, saves, prunes and reports [progress]. The instances are:
 
-    - {b fullsys} — the machine's complete mutable state
-      ({!Fullsys.state}) every [every] instructions. Because the hammer
+    - {b fullsys} — instructions; the state is the machine itself
+      ({!Fullsys.state} in nine subsystem sections). Because the hammer
       schedule, RNG streams and all counters are absolute, a run
       resumed from any checkpoint is byte-identical to one that never
       stopped.
-    - {b fig6} — completed per-workload rows in batches of [every].
-      Rows are independent and job-count invariant, so a resumed run
-      recomputes only the missing suffix and aggregates identically.
-    - {b fig7} — completed sweep points, with the shared unprotected
-      baselines stored in every checkpoint so resumes never recompute
-      them.
-    - {b fig9} — completed per-workload injection campaigns; generator
-      states are re-derived from the seed each slice.
-    - {b multicore} — completed SAME/MIX rows; the case list is
-      re-derived from the seed each slice.
+    - {b fig6}, {b fig7}, {b fig9}, {b multicore} — sweeps over a case
+      list; the state is the completed unit prefix. Units are
+      independent and job-count invariant, so a resumed run computes
+      only the missing suffix and aggregates identically.
 
     Checkpoints live in a {e warm-start store}: a directory of
     [<key>.<count>.ptgs] snapshot files, where [key] hashes everything
     the run depends on {e except} how far it goes
     ({!Scenario.prefix_hash} for fullsys scenarios) and [count] is the
-    instruction (or unit) prefix covered. A longer run warm-starts from
-    the deepest stored prefix at or below its budget; damaged or
-    mismatched files are skipped, never fatal — explicit restores
-    ({!fullsys_restore}) raise instead. After each successful save the
-    drivers prune the store to the deepest [keep] files per key
-    ({!Ptg_snapshot.Snapshot.prune}), so a long multi-chunk run leaves a
-    bounded number of files behind.
+    depth covered. A longer run warm-starts from the deepest stored
+    prefix at or below its budget; damaged or mismatched files are
+    skipped, never fatal — explicit restores ({!fullsys_restore}) raise
+    instead. After each save the store is pruned to the deepest [keep]
+    files per key, so a long multi-chunk run leaves a bounded number of
+    files behind. A stopped run saves its position only when it ran a
+    step since it started or adopted.
 
     Checkpointing excludes observability: drivers never pass [obs]. *)
 
 (** {1 Warm-start store} *)
 
-val file_name : key:string -> int -> string
 val path : dir:string -> key:string -> int -> string
 
 val stored_counts : dir:string -> key:string -> int list
 (** Prefix depths present for [key], deepest first; [] when [dir] is
     missing. *)
 
-val find_latest : dir:string -> key:string -> upto:int -> int option
-
 val default_keep : int
 (** Files retained per key by the drivers' post-save prune (2: the
     deepest plus one fallback for damaged-file recovery). *)
+
+val ensure_dir : string -> unit
+(** Create the store directory unless it already exists; a concurrent
+    creator winning the race is not an error. Raises [Sys_error] when
+    the directory cannot be created (missing parent, a file in the
+    way). *)
 
 (** {1 Fullsys} *)
 
@@ -55,19 +58,10 @@ val fullsys_key :
     over the canonicalized creation parameters. Scenario-driven runs
     use {!Scenario.prefix_hash} instead. *)
 
-val fullsys_sections : key:string -> Fullsys.t -> Ptg_snapshot.Snapshot.section list
-(** Snapshot sections for the machine's current state: a meta header
-    (kind, key, instruction count) plus one section per subsystem
-    (rng, dram, fault, engine, memctrl, vm, tlb, translations,
-    counters). *)
-
-val fullsys_state_of_sections :
-  what:string -> Ptg_snapshot.Snapshot.section list -> Fullsys.state
-(** Decode the subsystem sections back into a state record. Raises
-    [Invalid_argument] naming [what] on any missing or malformed
-    section. *)
-
 val fullsys_save : path:string -> key:string -> Fullsys.t -> unit
+(** Snapshot the machine's current state: a meta header (kind, key,
+    instruction count) plus one section per subsystem (rng, dram,
+    fault, engine, memctrl, vm, tlb, translations, counters). *)
 
 val fullsys_restore : path:string -> key:string -> Fullsys.t -> int
 (** Load, validate the meta header against [key], and overwrite the
@@ -100,33 +94,32 @@ val run_fullsys :
     the remaining budget in chunks of [every] (one chunk when absent),
     checkpointing after each chunk and at completion. [should_stop] is
     polled between chunks; stopping checkpoints the current position
-    and returns with [f_completed = false]. [adopt:false] still writes
+    (when a chunk ran since the start or the warm start) and returns
+    with [f_completed = false]. [adopt:false] still writes
     checkpoints but starts cold, ignoring stored ones (the CLI's
     checkpoint-without-[--resume] mode). The final result is
     byte-identical for any [every], any kill/resume schedule, and any
     warm-start depth. *)
 
-(** {1 Fig6} *)
+(** {1 Sweeps}
 
-val fig6_rows_sections :
-  key:string -> total:int -> Fig6.row list -> Ptg_snapshot.Snapshot.section list
+    Fig6, fig7, fig9 and multicore are sweeps: a case list computed in
+    order, one unit (row, point or workload campaign) per case. Each
+    takes the store [key] explicitly ({!run_scenario} passes
+    {!Scenario.hash}); a stored prefix is only adopted when it answers
+    this run's case list, in order. The other arguments mean what they
+    mean for {!run_fullsys}, with [every] counted in units. *)
 
-val fig6_rows_of_sections :
-  what:string ->
-  Ptg_snapshot.Snapshot.section list ->
-  int * Fig6.row list
-(** [(total, completed-prefix)]. *)
-
-type fig6_outcome = {
-  g_result : Fig6.result option;  (** [None] when stopped early *)
-  g_rows : Fig6.row list;
-  g_completed : bool;
-  g_resumed_from : int option;    (** rows adopted from the store *)
+type ('unit, 'result) outcome = {
+  o_result : 'result option;  (** [None] when stopped early *)
+  o_units : 'unit list;       (** the completed prefix *)
+  o_completed : bool;
+  o_resumed_from : int option;  (** units adopted from the store *)
 }
 
 val run_fig6 :
   ?jobs:int ->
-  ?key:string ->
+  key:string ->
   ?keep:int ->
   ?every:int ->
   ?dir:string ->
@@ -139,43 +132,13 @@ val run_fig6 :
   config:Ptguard.Config.t ->
   workloads:Ptg_workloads.Workload.spec list ->
   unit ->
-  fig6_outcome
-(** Row-batch analogue of {!run_fullsys}: compute missing rows in
-    ordered batches of [every] (all at once when absent) through
-    {!Fig6.run_rows}, checkpointing the completed prefix. A stored
-    prefix is only adopted when its workload names match this run's
-    list in order. *)
-
-(** {1 Fig7} *)
-
-val fig7_sections :
-  key:string ->
-  total:int ->
-  base:(Ptg_workloads.Workload.spec * Ptg_cpu.Core.result) list ->
-  points:Fig7.point list ->
-  Ptg_snapshot.Snapshot.section list
-(** Every fig7 checkpoint carries the shared unprotected baselines
-    alongside the completed point prefix: they cost about one sweep
-    point and every remaining point needs them, so a resumed slice
-    never recomputes them. A points-empty (baselines-only) file is a
-    legal count-0 checkpoint. *)
-
-val fig7_parts_of_sections :
-  what:string ->
-  Ptg_snapshot.Snapshot.section list ->
-  int * (string * Ptg_cpu.Core.result) list * Fig7.point list
-(** [(total, named baselines, completed-prefix)]. *)
-
-type fig7_outcome = {
-  p_result : Fig7.result option;  (** [None] when stopped early *)
-  p_points : Fig7.point list;
-  p_completed : bool;
-  p_resumed_from : int option;    (** points adopted from the store *)
-}
+  (Fig6.row, Fig6.result) outcome
+(** Rows through {!Fig6.run_rows}; a stored prefix must name this run's
+    workloads. *)
 
 val run_fig7 :
   ?jobs:int ->
-  ?key:string ->
+  key:string ->
   ?keep:int ->
   ?every:int ->
   ?dir:string ->
@@ -188,38 +151,17 @@ val run_fig7 :
   warmup:int ->
   seed:int64 ->
   unit ->
-  fig7_outcome
-(** Point-batch analogue of {!run_fig6}: compute the shared baselines
-    as the first chunk, then the missing sweep points in ordered
-    batches of [every] through {!Fig7.point}. A stored prefix is only
-    adopted when its baseline workload names and its (design, latency)
-    points match this run's case list in order. *)
-
-(** {1 Fig9} *)
-
-val fig9_sections :
-  key:string ->
-  total:int ->
-  p_flips:float list ->
-  (Fig9.workload_result * (string * int) list) list ->
-  Ptg_snapshot.Snapshot.section list
-
-val fig9_parts_of_sections :
-  what:string ->
-  Ptg_snapshot.Snapshot.section list ->
-  int * float list * (Fig9.workload_result * (string * int) list) list
-(** [(total, p_flips, completed per-workload parts)]. *)
-
-type fig9_outcome = {
-  q_result : Fig9.result option;  (** [None] when stopped early *)
-  q_parts : (Fig9.workload_result * (string * int) list) list;
-  q_completed : bool;
-  q_resumed_from : int option;    (** workloads adopted from the store *)
-}
+  (Fig7.point, Fig7.result) outcome
+(** The shared unprotected baselines are the first step, then points
+    through {!Fig7.point}. Every checkpoint carries the baselines (about
+    one point's cost, needed by every remaining point), so a
+    baselines-only file is a legal depth-0 checkpoint and a resumed
+    slice never recomputes them. A stored prefix must hold baselines for
+    this run's workloads and this run's (design, latency) points. *)
 
 val run_fig9 :
   ?jobs:int ->
-  ?key:string ->
+  key:string ->
   ?keep:int ->
   ?every:int ->
   ?dir:string ->
@@ -232,37 +174,15 @@ val run_fig9 :
   lines_per_point:int ->
   seed:int64 ->
   unit ->
-  fig9_outcome
-(** Workload-batch driver: {!Fig9.prepare} re-derives every generator
-    state from [seed] each slice (cheap), missing campaigns run in
-    ordered batches of [every] through {!Fig9.run_workload}, and
-    completion assembles through {!Fig9.assemble}. A stored prefix is
-    only adopted when its [p_flips] and workload-name prefix match. *)
-
-(** {1 Multicore} *)
-
-val multicore_sections :
-  key:string ->
-  total:int ->
-  Multicore_exp.row list ->
-  Ptg_snapshot.Snapshot.section list
-
-val multicore_rows_of_sections :
-  what:string ->
-  Ptg_snapshot.Snapshot.section list ->
-  int * Multicore_exp.row list
-(** [(total, completed-prefix)]. *)
-
-type multicore_outcome = {
-  r_result : Multicore_exp.result option;  (** [None] when stopped early *)
-  r_rows : Multicore_exp.row list;
-  r_completed : bool;
-  r_resumed_from : int option;    (** rows adopted from the store *)
-}
+  (Fig9.workload_result * (string * int) list, Fig9.result) outcome
+(** Campaigns through {!Fig9.run_workload} over generator states
+    {!Fig9.prepare} re-derives from [seed] each slice, assembled by
+    {!Fig9.assemble}; a stored prefix must match [p_flips] and the
+    workload names. *)
 
 val run_multicore :
   ?jobs:int ->
-  ?key:string ->
+  key:string ->
   ?keep:int ->
   ?every:int ->
   ?dir:string ->
@@ -275,11 +195,10 @@ val run_multicore :
   mixes:int ->
   seed:int64 ->
   unit ->
-  multicore_outcome
-(** Row-batch driver over {!Multicore_exp.cases} (re-derived from
-    [seed] each slice) and {!Multicore_exp.case_row}. A stored prefix
-    is only adopted when its labels match this run's case labels in
-    order. *)
+  (Multicore_exp.row, Multicore_exp.result) outcome
+(** Rows through {!Multicore_exp.case_row} over {!Multicore_exp.cases}
+    (re-derived from [seed] each slice); a stored prefix must carry this
+    run's case labels. *)
 
 (** {1 Scenario entry point} *)
 

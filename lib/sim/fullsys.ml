@@ -56,6 +56,8 @@ type t = {
 let vaddr_base = 0x1000_0000L
 
 let create ?(config = default_config) ?(pages = 2048) ?obs ~seed () =
+  if pages < 1 then
+    invalid_arg (Printf.sprintf "Fullsys.create: pages must be >= 1 (got %d)" pages);
   let rng = Rng.create seed in
   let dram = Ptg_dram.Dram.create ?obs () in
   let fault =

@@ -51,7 +51,7 @@ type t
 val create :
   ?config:config -> ?pages:int -> ?obs:Ptg_obs.Sink.t -> seed:int64 -> unit -> t
 (** Build the machine and a process with [pages] mapped pages
-    (default 2048). With [obs], the DRAM device, integrity engine, memory
+    (default 2048; [Invalid_argument] below 1). With [obs], the DRAM device, integrity engine, memory
     controller and TLB all report into the sink, and a read-only
     {!Ptg_os.Os_handler} is attached (auto-rekey disabled, private RNG) so
     journal entries land in the trace — the observed run consumes exactly

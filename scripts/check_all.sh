@@ -25,11 +25,14 @@
 #   8b. snapshot tier alone (dune build @snapshot) — codec/container
 #      properties and resume determinism, also part of runtest but
 #      addressable for quick checkpoint iteration
-#   8c. warm-start regression gate (scripts/check_bench_snapshot.sh):
+#   8c. grep gate: Snapshot.prune and Snapshot.store_counts each have
+#      exactly one call site in lib/ outside lib/snapshot/ — the one
+#      checkpoint driver — so no hand-rolled driver loop reappears
+#   8d. warm-start regression gate (scripts/check_bench_snapshot.sh):
 #      resuming a finished fullsys budget from its snapshot store must
 #      stay >= 5x faster than computing it cold and byte-identical,
 #      cold wall time vs the committed BENCH_snapshot.json
-#   8d. deadline-slicing gate (scripts/check_bench_slices.sh): a served
+#   8e. deadline-slicing gate (scripts/check_bench_slices.sh): a served
 #      run forced through checkpoint/requeue compute windows must stay
 #      byte-identical at <= 10% tax, and finishing from a victim's
 #      deepest checkpoint must stay >= 2x faster than recomputing cold
@@ -91,6 +94,17 @@ scripts/check_bench_fullsys.sh
 
 echo "== snapshot tier (dune build @snapshot) =="
 dune build @snapshot
+
+echo "== one checkpoint driver in lib =="
+for fn in Snapshot.prune Snapshot.store_counts; do
+    sites=$(grep -rnF --include='*.ml' "$fn" lib | grep -v '^lib/snapshot/' || true)
+    if [ "$(printf '%s' "$sites" | grep -c .)" -ne 1 ]; then
+        echo "FAIL: $fn must have exactly one call site in lib/ outside lib/snapshot/ (the checkpoint driver):" >&2
+        printf '%s\n' "$sites" >&2
+        exit 1
+    fi
+done
+echo "OK: Snapshot.prune and Snapshot.store_counts each called once, by the checkpoint driver"
 
 echo "== warm-start regression gate =="
 scripts/check_bench_snapshot.sh

@@ -194,9 +194,9 @@ let workloads =
 
 let fig6_args = (600, 200, Ptguard.Config.baseline)
 
-let fig6_run ?jobs ?key ?every ?dir ?adopt ?should_stop () =
+let fig6_run ?jobs ?(key = "fig6") ?every ?dir ?adopt ?should_stop () =
   let instrs, warmup, config = fig6_args in
-  Checkpoint.run_fig6 ?jobs ?key ?every ?dir ?adopt ?should_stop ~instrs
+  Checkpoint.run_fig6 ?jobs ~key ?every ?dir ?adopt ?should_stop ~instrs
     ~warmup ~seed ~config ~workloads ()
 
 let fig6_reference =
@@ -210,11 +210,11 @@ let test_fig6_batched_equals_plain () =
       let o = fig6_run ~jobs:1 ~every () in
       Alcotest.(check bool)
         (Printf.sprintf "every=%d completed" every)
-        true o.Checkpoint.g_completed;
+        true o.Checkpoint.o_completed;
       Alcotest.(check bool)
         (Printf.sprintf "every=%d rows" every)
         true
-        (o.Checkpoint.g_rows = Lazy.force fig6_reference))
+        (o.Checkpoint.o_units = Lazy.force fig6_reference))
     [ 1; 3; 10 ]
 
 let test_fig6_jobs_invariant () =
@@ -226,7 +226,7 @@ let test_fig6_jobs_invariant () =
           let b = fig6_run ~jobs:3 ~every:2 ~dir:dir2 () in
           Alcotest.(check bool)
             "rows identical across -j" true
-            (a.Checkpoint.g_rows = b.Checkpoint.g_rows);
+            (a.Checkpoint.o_units = b.Checkpoint.o_units);
           let files d =
             Sys.readdir d |> Array.to_list |> List.sort compare
             |> List.map (fun n ->
@@ -241,20 +241,20 @@ let test_fig6_jobs_invariant () =
 let test_fig6_killed_and_resumed () =
   with_dir (fun dir ->
       let killed = fig6_run ~every:1 ~dir ~should_stop:(stop_after 2) () in
-      Alcotest.(check bool) "stopped" false killed.Checkpoint.g_completed;
+      Alcotest.(check bool) "stopped" false killed.Checkpoint.o_completed;
       Alcotest.(check bool) "no aggregate yet" true
-        (killed.Checkpoint.g_result = None);
+        (killed.Checkpoint.o_result = None);
       Alcotest.(check int) "two rows done" 2
-        (List.length killed.Checkpoint.g_rows);
+        (List.length killed.Checkpoint.o_units);
       let resumed = fig6_run ~every:1 ~dir () in
       Alcotest.(check (option int))
-        "adopted the row prefix" (Some 2) resumed.Checkpoint.g_resumed_from;
+        "adopted the row prefix" (Some 2) resumed.Checkpoint.o_resumed_from;
       Alcotest.(check bool)
         "rows byte-identical to uninterrupted" true
-        (resumed.Checkpoint.g_rows = Lazy.force fig6_reference);
+        (resumed.Checkpoint.o_units = Lazy.force fig6_reference);
       Alcotest.(check bool)
         "aggregate equals of_rows" true
-        (resumed.Checkpoint.g_result
+        (resumed.Checkpoint.o_result
         = Some (Fig6.of_rows (Lazy.force fig6_reference))))
 
 let test_fig6_prefix_not_adopted_for_other_workloads () =
@@ -271,7 +271,7 @@ let test_fig6_prefix_not_adopted_for_other_workloads () =
           ~config ~workloads:others ()
       in
       Alcotest.(check (option int))
-        "foreign prefix ignored" None o.Checkpoint.g_resumed_from)
+        "foreign prefix ignored" None o.Checkpoint.o_resumed_from)
 
 (* ------------------------------------------------------------------ *)
 (* Fig7 point batches                                                  *)
@@ -283,7 +283,7 @@ let fig7_latencies = [ 5; 10 ]
 
 let fig7_run ?every ?dir ?should_stop ?(latencies = fig7_latencies) () =
   let instrs, warmup = fig7_args in
-  Checkpoint.run_fig7 ~jobs:1 ?every ?dir ?should_stop ~latencies
+  Checkpoint.run_fig7 ~jobs:1 ~key:"fig7" ?every ?dir ?should_stop ~latencies
     ~workloads:fig7_workloads ~instrs ~warmup ~seed ()
 
 let fig7_reference =
@@ -297,15 +297,15 @@ let test_fig7_killed_and_resumed () =
       (* Poll 1 admits the baseline chunk, poll 2 admits one point,
          poll 3 stops. *)
       let killed = fig7_run ~every:1 ~dir ~should_stop:(stop_after 2) () in
-      Alcotest.(check bool) "stopped" false killed.Checkpoint.p_completed;
+      Alcotest.(check bool) "stopped" false killed.Checkpoint.o_completed;
       Alcotest.(check int) "one point done" 1
-        (List.length killed.Checkpoint.p_points);
+        (List.length killed.Checkpoint.o_units);
       let resumed = fig7_run ~every:1 ~dir () in
       Alcotest.(check (option int))
-        "adopted the point prefix" (Some 1) resumed.Checkpoint.p_resumed_from;
+        "adopted the point prefix" (Some 1) resumed.Checkpoint.o_resumed_from;
       Alcotest.(check bool)
         "result byte-identical to uninterrupted" true
-        (resumed.Checkpoint.p_result = Some (Lazy.force fig7_reference)))
+        (resumed.Checkpoint.o_result = Some (Lazy.force fig7_reference)))
 
 let test_fig7_base_only_checkpoint_adopted () =
   with_dir (fun dir ->
@@ -313,14 +313,14 @@ let test_fig7_base_only_checkpoint_adopted () =
          checkpoint still spares the resume the whole baseline sweep. *)
       let killed = fig7_run ~every:1 ~dir ~should_stop:(stop_after 1) () in
       Alcotest.(check int) "no points yet" 0
-        (List.length killed.Checkpoint.p_points);
+        (List.length killed.Checkpoint.o_units);
       let resumed = fig7_run ~every:1 ~dir () in
       Alcotest.(check (option int))
         "baselines adopted at depth 0" (Some 0)
-        resumed.Checkpoint.p_resumed_from;
+        resumed.Checkpoint.o_resumed_from;
       Alcotest.(check bool)
         "result byte-identical to uninterrupted" true
-        (resumed.Checkpoint.p_result = Some (Lazy.force fig7_reference)))
+        (resumed.Checkpoint.o_result = Some (Lazy.force fig7_reference)))
 
 let test_fig7_foreign_sweep_not_adopted () =
   with_dir (fun dir ->
@@ -337,7 +337,7 @@ let test_fig7_foreign_sweep_not_adopted () =
           ()
       in
       Alcotest.(check (option int))
-        "foreign sweep ignored" None o.Checkpoint.p_resumed_from)
+        "foreign sweep ignored" None o.Checkpoint.o_resumed_from)
 
 (* ------------------------------------------------------------------ *)
 (* Fig9 workload batches                                               *)
@@ -349,7 +349,7 @@ let fig9_workloads =
   List.filteri (fun i _ -> i < 2) Ptg_workloads.Workload.fig9_subset
 
 let fig9_run ?every ?dir ?should_stop () =
-  Checkpoint.run_fig9 ~jobs:1 ?every ?dir ?should_stop
+  Checkpoint.run_fig9 ~jobs:1 ~key:"fig9" ?every ?dir ?should_stop
     ~workloads:fig9_workloads ~lines_per_point:fig9_lines ~seed ()
 
 let fig9_reference =
@@ -360,16 +360,16 @@ let fig9_reference =
 let test_fig9_killed_and_resumed () =
   with_dir (fun dir ->
       let killed = fig9_run ~every:1 ~dir ~should_stop:(stop_after 1) () in
-      Alcotest.(check bool) "stopped" false killed.Checkpoint.q_completed;
+      Alcotest.(check bool) "stopped" false killed.Checkpoint.o_completed;
       Alcotest.(check int) "one workload done" 1
-        (List.length killed.Checkpoint.q_parts);
+        (List.length killed.Checkpoint.o_units);
       let resumed = fig9_run ~every:1 ~dir () in
       Alcotest.(check (option int))
         "adopted the workload prefix" (Some 1)
-        resumed.Checkpoint.q_resumed_from;
+        resumed.Checkpoint.o_resumed_from;
       Alcotest.(check bool)
         "result byte-identical to uninterrupted" true
-        (resumed.Checkpoint.q_result = Some (Lazy.force fig9_reference)))
+        (resumed.Checkpoint.o_result = Some (Lazy.force fig9_reference)))
 
 (* ------------------------------------------------------------------ *)
 (* Multicore row batches                                               *)
@@ -379,8 +379,8 @@ let mc_same = List.filteri (fun i _ -> i < 2) Ptg_workloads.Workload.all
 let mc_instrs = 1_500
 
 let mc_run ?every ?dir ?should_stop () =
-  Checkpoint.run_multicore ~jobs:1 ?every ?dir ?should_stop ~same:mc_same
-    ~instrs_per_core:mc_instrs ~mixes:1 ~seed ()
+  Checkpoint.run_multicore ~jobs:1 ~key:"multicore" ?every ?dir ?should_stop
+    ~same:mc_same ~instrs_per_core:mc_instrs ~mixes:1 ~seed ()
 
 let mc_reference =
   lazy
@@ -390,15 +390,233 @@ let mc_reference =
 let test_multicore_killed_and_resumed () =
   with_dir (fun dir ->
       let killed = mc_run ~every:1 ~dir ~should_stop:(stop_after 1) () in
-      Alcotest.(check bool) "stopped" false killed.Checkpoint.r_completed;
+      Alcotest.(check bool) "stopped" false killed.Checkpoint.o_completed;
       Alcotest.(check int) "one row done" 1
-        (List.length killed.Checkpoint.r_rows);
+        (List.length killed.Checkpoint.o_units);
       let resumed = mc_run ~every:1 ~dir () in
       Alcotest.(check (option int))
-        "adopted the row prefix" (Some 1) resumed.Checkpoint.r_resumed_from;
+        "adopted the row prefix" (Some 1) resumed.Checkpoint.o_resumed_from;
       Alcotest.(check bool)
         "result byte-identical to uninterrupted" true
-        (resumed.Checkpoint.r_result = Some (Lazy.force mc_reference)))
+        (resumed.Checkpoint.o_result = Some (Lazy.force mc_reference)))
+
+(* ------------------------------------------------------------------ *)
+(* Every kind through the one driver                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* One row per checkpoint kind. [run] runs the kind under [key] in
+   chunks (so a finished store holds its deepest two depths) and reports
+   the adopted depth and whether the result equals the uninterrupted
+   one; [foreign] fills the store under the same key from a different
+   case list. *)
+type kind_row = {
+  kind : string;
+  key : string;
+  run : ?should_stop:(unit -> bool) -> string -> int option * bool;
+  foreign : (string -> unit) option;
+}
+
+let kind_rows =
+  let instrs6, warmup6, config6 = fig6_args in
+  let instrs7, warmup7 = fig7_args in
+  let other_workloads lo n = List.filteri (fun i _ -> i >= lo && i < lo + n) in
+  [
+    {
+      kind = "fullsys";
+      key = Checkpoint.fullsys_key ~seed ();
+      run =
+        (fun ?should_stop dir ->
+          let o =
+            Checkpoint.run_fullsys ~every:1_000 ~dir ?should_stop ~seed ~instrs ()
+          in
+          ( o.Checkpoint.f_resumed_from,
+            o.Checkpoint.f_result = Lazy.force uninterrupted ));
+      foreign = None;
+    };
+    {
+      kind = "fig6";
+      key = "fig6";
+      run =
+        (fun ?should_stop dir ->
+          let o = fig6_run ~jobs:1 ~every:1 ~dir ?should_stop () in
+          ( o.Checkpoint.o_resumed_from,
+            o.Checkpoint.o_units = Lazy.force fig6_reference ));
+      foreign =
+        Some
+          (fun dir ->
+            ignore
+              (Checkpoint.run_fig6 ~jobs:1 ~key:"fig6" ~every:1 ~dir
+                 ~instrs:instrs6 ~warmup:warmup6 ~seed ~config:config6
+                 ~workloads:(other_workloads 4 4 Ptg_workloads.Workload.all)
+                 ()));
+    };
+    {
+      kind = "fig7";
+      key = "fig7";
+      run =
+        (fun ?should_stop dir ->
+          let o = fig7_run ~every:1 ~dir ?should_stop () in
+          ( o.Checkpoint.o_resumed_from,
+            o.Checkpoint.o_result = Some (Lazy.force fig7_reference) ));
+      foreign =
+        Some
+          (fun dir ->
+            ignore
+              (Checkpoint.run_fig7 ~jobs:1 ~key:"fig7" ~every:1 ~dir
+                 ~latencies:fig7_latencies
+                 ~workloads:(other_workloads 2 2 Ptg_workloads.Workload.all)
+                 ~instrs:instrs7 ~warmup:warmup7 ~seed ()));
+    };
+    {
+      kind = "fig9";
+      key = "fig9";
+      run =
+        (fun ?should_stop dir ->
+          let o = fig9_run ~every:1 ~dir ?should_stop () in
+          ( o.Checkpoint.o_resumed_from,
+            o.Checkpoint.o_result = Some (Lazy.force fig9_reference) ));
+      foreign =
+        Some
+          (fun dir ->
+            ignore
+              (Checkpoint.run_fig9 ~jobs:1 ~key:"fig9" ~every:1 ~dir
+                 ~workloads:(other_workloads 2 2 Ptg_workloads.Workload.fig9_subset)
+                 ~lines_per_point:fig9_lines ~seed ()));
+    };
+    {
+      kind = "multicore";
+      key = "multicore";
+      run =
+        (fun ?should_stop dir ->
+          let o = mc_run ~every:1 ~dir ?should_stop () in
+          ( o.Checkpoint.o_resumed_from,
+            o.Checkpoint.o_result = Some (Lazy.force mc_reference) ));
+      foreign =
+        Some
+          (fun dir ->
+            ignore
+              (Checkpoint.run_multicore ~jobs:1 ~key:"multicore" ~every:1 ~dir
+                 ~same:(other_workloads 2 2 Ptg_workloads.Workload.all)
+                 ~instrs_per_core:mc_instrs ~mixes:1 ~seed ()));
+    };
+  ]
+
+let check_cold row (resumed, same) =
+  Alcotest.(check (option int)) (row.kind ^ ": store ignored") None resumed;
+  Alcotest.(check bool) (row.kind ^ ": result unchanged") true same
+
+(* A damaged deepest checkpoint demotes to the next depth: the store is
+   an optimization, never a reason to fail or to drift. *)
+let test_every_kind_damaged_falls_back () =
+  List.iter
+    (fun row ->
+      with_dir (fun dir ->
+          ignore (row.run dir);
+          match Checkpoint.stored_counts ~dir ~key:row.key with
+          | deepest :: next :: _ ->
+              let p = Checkpoint.path ~dir ~key:row.key deepest in
+              let bytes = In_channel.with_open_bin p In_channel.input_all in
+              Out_channel.with_open_bin p (fun oc ->
+                  Out_channel.output_string oc
+                    (String.sub bytes 0 (String.length bytes - 1)));
+              let resumed, same = row.run dir in
+              Alcotest.(check (option int))
+                (row.kind ^ ": fell back to the next depth") (Some next) resumed;
+              Alcotest.(check bool) (row.kind ^ ": result unchanged") true same
+          | counts ->
+              Alcotest.failf "%s: store holds %d checkpoints, want 2" row.kind
+                (List.length counts)))
+    kind_rows
+
+(* Rewrite a stored checkpoint's meta header to claim another kind; the
+   payload sections stay exactly as the real kind wrote them. *)
+let relabel ~kind path =
+  let sections = Snapshot.load ~path in
+  let r = Snapshot.reader ~what:path sections "meta" in
+  let _kind = Ptg_snapshot.Codec.get_string r in
+  let key = Ptg_snapshot.Codec.get_string r in
+  let count = Ptg_snapshot.Codec.get_varint r in
+  let b = Ptg_snapshot.Codec.writer () in
+  Ptg_snapshot.Codec.put_string b kind;
+  Ptg_snapshot.Codec.put_string b key;
+  Ptg_snapshot.Codec.put_varint b count;
+  let meta = Snapshot.section ~name:"meta" (Ptg_snapshot.Codec.contents b) in
+  Snapshot.save ~path
+    (List.map (fun s -> if s.Snapshot.name = "meta" then meta else s) sections)
+
+(* Same key, same depths, another meta kind (each row claims the next
+   row's kind): nothing is adopted. *)
+let test_every_kind_foreign_meta_ignored () =
+  List.iteri
+    (fun i row ->
+      let other = List.nth kind_rows ((i + 1) mod List.length kind_rows) in
+      with_dir (fun dir ->
+          ignore (row.run dir);
+          let counts = Checkpoint.stored_counts ~dir ~key:row.key in
+          Alcotest.(check int) (row.kind ^ ": two checkpoints stored") 2
+            (List.length counts);
+          List.iter
+            (fun n ->
+              relabel ~kind:other.kind (Checkpoint.path ~dir ~key:row.key n))
+            counts;
+          check_cold row (row.run dir)))
+    kind_rows
+
+(* Same key, another case list: the stored prefix answers different
+   cases and is ignored. *)
+let test_every_kind_foreign_cases_ignored () =
+  List.iter
+    (fun row ->
+      Option.iter
+        (fun foreign ->
+          with_dir (fun dir ->
+              foreign dir;
+              Alcotest.(check bool)
+                (row.kind ^ ": foreign prefix stored") true
+                (Checkpoint.stored_counts ~dir ~key:row.key <> []);
+              check_cold row (row.run dir)))
+        row.foreign)
+    kind_rows
+
+(* A run stopped before any step has nothing new to keep and must not
+   write a checkpoint: a cold fullsys file would sit at depth 0, which no
+   run adopts, and take the one fallback slot pruning leaves. *)
+let test_every_kind_stop_before_step_writes_nothing () =
+  List.iter
+    (fun row ->
+      with_dir (fun dir ->
+          ignore (row.run ~should_stop:(fun () -> true) dir);
+          Alcotest.(check (list int))
+            (row.kind ^ ": cold stop writes nothing") []
+            (Checkpoint.stored_counts ~dir ~key:row.key);
+          ignore (row.run ~should_stop:(stop_after 1) dir);
+          let kept = Checkpoint.stored_counts ~dir ~key:row.key in
+          ignore (row.run ~should_stop:(fun () -> true) dir);
+          Alcotest.(check (list int))
+            (row.kind ^ ": stop straight after adoption writes nothing") kept
+            (Checkpoint.stored_counts ~dir ~key:row.key)))
+    kind_rows
+
+(* The store directory: created when missing, fine when present (also
+   when a concurrent creator got there first), an error when it cannot
+   exist. *)
+let test_ensure_dir () =
+  with_dir (fun dir ->
+      let store = Filename.concat dir "store" in
+      Checkpoint.ensure_dir store;
+      Checkpoint.ensure_dir store;
+      Alcotest.(check bool) "created" true (Sys.is_directory store);
+      Sys.rmdir store;
+      let raises d =
+        match Checkpoint.ensure_dir d with
+        | () -> false
+        | exception Sys_error _ -> true
+      in
+      Alcotest.(check bool) "missing parent raises" true
+        (raises (Filename.concat (Filename.concat dir "missing") "store"));
+      let file = Filename.concat dir "file" in
+      Out_channel.with_open_bin file ignore;
+      Alcotest.(check bool) "a file in the way raises" true (raises file))
 
 (* ------------------------------------------------------------------ *)
 (* Scenario entry point (the server's execution path)                  *)
@@ -518,6 +736,15 @@ let suite =
       test_fig9_killed_and_resumed;
     Alcotest.test_case "multicore: killed + resumed = uninterrupted" `Quick
       test_multicore_killed_and_resumed;
+    Alcotest.test_case "every kind: damaged deepest falls back" `Quick
+      test_every_kind_damaged_falls_back;
+    Alcotest.test_case "every kind: foreign meta kind ignored" `Quick
+      test_every_kind_foreign_meta_ignored;
+    Alcotest.test_case "every kind: foreign case list ignored" `Quick
+      test_every_kind_foreign_cases_ignored;
+    Alcotest.test_case "every kind: stop before a step writes nothing" `Quick
+      test_every_kind_stop_before_step_writes_nothing;
+    Alcotest.test_case "store: ensure_dir" `Quick test_ensure_dir;
     Alcotest.test_case "scenario: warm-start text identical" `Quick
       test_scenario_warm_start_text_identical;
     Alcotest.test_case "scenario: interrupted then resumed" `Quick

@@ -98,7 +98,18 @@ let test_validation_exit_codes () =
   check_exit2 "loadgen --port 1 --swarm 0" "--swarm";
   check_exit2 "loadgen --port 1 --clients 0" "--clients";
   (* The router needs at least one shard. *)
-  check_exit2 "serve-router" "shard"
+  check_exit2 "serve-router" "shard";
+  (* A full-system machine needs a mapped page. *)
+  check_exit2 "stats --pages 0" "--pages";
+  check_exit2 "stats --pages=-1" "--pages";
+  (* A checkpoint store that cannot be created is the caller's mistake,
+     named before any machine runs. *)
+  let parent = tmp ".missing" in
+  Sys.remove parent;
+  let dir = Filename.concat parent "store" in
+  check_exit2
+    (Printf.sprintf "fullsys --instrs 1000 --checkpoint-dir %s" dir)
+    dir
 
 (* The trace pipeline end to end through the binary: record a trace,
    convert text -> binary -> text losslessly, and replay it under a

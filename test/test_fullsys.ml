@@ -43,6 +43,20 @@ let test_determinism () =
   Alcotest.(check int) "corrections reproducible" a.Ptg_sim.Fullsys.walk_corrections
     b.Ptg_sim.Fullsys.walk_corrections
 
+(* A machine needs at least one mapped page: the attacker aims at the
+   first leaf table, and there is none without a mapping. *)
+let test_rejects_no_pages () =
+  List.iter
+    (fun pages ->
+      Alcotest.(check bool)
+        (Printf.sprintf "pages=%d rejected" pages)
+        true
+        (match Ptg_sim.Fullsys.create ~pages ~seed:1L () with
+        | _ -> false
+        | exception Invalid_argument msg ->
+            String.starts_with ~prefix:"Fullsys.create: pages" msg))
+    [ 0; -1 ]
+
 let suite =
   [
     Alcotest.test_case "clean run" `Slow test_clean_run;
@@ -51,4 +65,5 @@ let suite =
     Alcotest.test_case "unguarded consumes garbage" `Slow test_unguarded_consumes_garbage;
     Alcotest.test_case "attack costs performance" `Slow test_attack_costs_performance;
     Alcotest.test_case "determinism" `Slow test_determinism;
+    Alcotest.test_case "rejects pages < 1" `Quick test_rejects_no_pages;
   ]
