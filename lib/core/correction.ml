@@ -47,87 +47,123 @@ let no_strategies =
     use_pfn_contiguity = false;
   }
 
-(* The MAC folds Q(C_i xor A_i) over four 16-byte chunks; a candidate that
-   differs from a cached base in a single chunk needs only one fresh QARMA
-   call. This makes flip-and-check ~4x cheaper. *)
+(* The MAC folds Q(C_i xor A_i) over four 16-byte chunks under the chunk
+   tweaks A_i = { hi = i; lo = addr }. The cache schedules each A_i once
+   and keeps the base line's four chunk outputs, so a candidate that
+   differs from the base in one chunk costs one scheduled cipher call.
+   Flip-and-check guesses fold and compare bare int64s. *)
 module Mac_cache = struct
   type t = {
-    key : Qarma.key;
     addr : int64;
-    mac_bits : int;
     masked_for_mac : Ptg_pte.Line.t -> Ptg_pte.Line.t;
     protected_mask : int64;
-    mutable base : Ptg_pte.Line.t; (* masked for MAC *)
-    mutable q : Block128.t array;  (* 4 chunk ciphertexts for [base] *)
-    sc : Qarma.scratch;            (* reused across the correction search *)
+    mask_hi : int64; (* the MAC truncation as masks over hi32 and lo *)
+    mask_lo : int64;
+    scheds : Qarma.schedule array; (* A_0 .. A_3 *)
+    sc : Qarma.scratch;
+    base : Ptg_pte.Line.t; (* masked for MAC *)
+    nonzero_words : int; (* of [base] *)
+    q_hi : int64 array; (* the 4 chunk outputs for [base] *)
+    q_lo : int64 array;
   }
 
-  let chunk line i = Block128.make ~hi:line.((2 * i) + 1) ~lo:line.(2 * i)
-  let addr_block ~addr i = Block128.make ~hi:(Int64.of_int i) ~lo:addr
-
-  let encrypt_chunk t masked i =
-    let a = addr_block ~addr:t.addr i in
-    Qarma.encrypt_with t.sc t.key ~tweak:a (Block128.logxor (chunk masked i) a)
+  (* Leaves Q(chunk xor A_ci) in [t.sc]. *)
+  let encrypt_chunk t ci ~hi ~lo =
+    Qarma.encrypt_scheduled t.sc t.scheds.(ci)
+      ~p_hi:(Int64.logxor hi (Int64.of_int ci))
+      ~p_lo:(Int64.logxor lo t.addr)
 
   let make ~mac_bits ~masked_for_mac ~protected_mask key ~addr line =
-    let masked = masked_for_mac line in
+    let base = masked_for_mac line in
+    let masks = Mac.truncate ~width:mac_bits { Mac.hi32 = 0xFFFF_FFFFL; lo = -1L } in
     let t =
-      { key; addr; mac_bits; masked_for_mac; protected_mask; base = masked;
-        q = [||]; sc = Qarma.scratch () }
+      { addr; masked_for_mac; protected_mask; mask_hi = masks.Mac.hi32;
+        mask_lo = masks.Mac.lo;
+        scheds = Array.init 4 (fun i -> Qarma.schedule key ~t_hi:(Int64.of_int i) ~t_lo:addr);
+        sc = Qarma.scratch (); base;
+        nonzero_words = Array.fold_left (fun n w -> if w = 0L then n else n + 1) 0 base;
+        q_hi = Array.make 4 0L; q_lo = Array.make 4 0L }
     in
-    t.q <- Array.init 4 (fun i -> encrypt_chunk t masked i);
+    for i = 0 to 3 do
+      encrypt_chunk t i ~hi:base.((2 * i) + 1) ~lo:base.(2 * i);
+      t.q_hi.(i) <- Qarma.out_hi t.sc;
+      t.q_lo.(i) <- Qarma.out_lo t.sc
+    done;
     t
 
-  let mac_of_blocks t q =
-    let x = Array.fold_left Block128.logxor Block128.zero q in
-    let m =
-      { Mac.hi32 = Int64.logand x.Block128.hi 0xFFFFFFFFL; lo = x.Block128.lo }
-    in
-    Mac.truncate ~width:t.mac_bits m
+  let to_mac t ~hi ~lo =
+    { Mac.hi32 = Int64.logand hi t.mask_hi; lo = Int64.logand lo t.mask_lo }
 
   (* MAC of the current base. *)
-  let base_mac t = mac_of_blocks t t.q
+  let base_mac t =
+    let hi = ref 0L and lo = ref 0L in
+    for i = 0 to 3 do
+      hi := Int64.logxor !hi t.q_hi.(i);
+      lo := Int64.logxor !lo t.q_lo.(i)
+    done;
+    to_mac t ~hi:!hi ~lo:!lo
 
-  (* MAC of the base with one word replaced (word index 0..7). *)
-  let mac_with_word t ~word_idx value =
-    let masked_value = Int64.logand value t.protected_mask in
-    if Int64.equal masked_value t.base.(word_idx) then base_mac t
-    else begin
-      let ci = word_idx / 2 in
-      let candidate_chunk =
-        let hi = if word_idx = (2 * ci) + 1 then masked_value else t.base.((2 * ci) + 1) in
-        let lo = if word_idx = 2 * ci then masked_value else t.base.(2 * ci) in
-        Block128.make ~hi ~lo
-      in
-      let a = addr_block ~addr:t.addr ci in
-      let qc = Qarma.encrypt_with t.sc t.key ~tweak:a (Block128.logxor candidate_chunk a) in
-      let q = Array.copy t.q in
-      q.(ci) <- qc;
-      mac_of_blocks t q
+  (* Is the base with word [word_idx] replaced by [value] all-zero once
+     masked? *)
+  let zero_with_word t ~word_idx value =
+    Int64.equal (Int64.logand value t.protected_mask) 0L
+    && (t.nonzero_words = 0
+       || (t.nonzero_words = 1 && not (Int64.equal t.base.(word_idx) 0L)))
+
+  (* Does the MAC of the base with word [word_idx] replaced by [value]
+     soft-match [target] within [k] bits? *)
+  let word_matches t ~word_idx value ~k ~(target : Mac.t) =
+    let v = Int64.logand value t.protected_mask in
+    let ci = word_idx / 2 in
+    let hi = ref 0L and lo = ref 0L in
+    for i = 0 to 3 do
+      if i <> ci then begin
+        hi := Int64.logxor !hi t.q_hi.(i);
+        lo := Int64.logxor !lo t.q_lo.(i)
+      end
+    done;
+    if Int64.equal v t.base.(word_idx) then begin
+      hi := Int64.logxor !hi t.q_hi.(ci);
+      lo := Int64.logxor !lo t.q_lo.(ci)
     end
+    else begin
+      let odd = word_idx land 1 = 1 in
+      encrypt_chunk t ci
+        ~hi:(if odd then v else t.base.((2 * ci) + 1))
+        ~lo:(if odd then t.base.(2 * ci) else v);
+      hi := Int64.logxor !hi (Qarma.out_hi t.sc);
+      lo := Int64.logxor !lo (Qarma.out_lo t.sc)
+    end;
+    Bits.popcount (Int64.logxor (Int64.logand !hi t.mask_hi) target.Mac.hi32)
+    + Bits.popcount (Int64.logxor (Int64.logand !lo t.mask_lo) target.Mac.lo)
+    <= k
 
-  (* MAC of an arbitrary candidate line (all chunks recomputed as needed). *)
+  (* MAC of an arbitrary candidate line (changed chunks recomputed). *)
   let mac_of_line t line =
     let masked = t.masked_for_mac line in
-    let q =
-      Array.init 4 (fun i ->
-          let same =
-            Int64.equal masked.(2 * i) t.base.(2 * i)
-            && Int64.equal masked.((2 * i) + 1) t.base.((2 * i) + 1)
-          in
-          if same then t.q.(i) else encrypt_chunk t masked i)
-    in
-    mac_of_blocks t q
+    let hi = ref 0L and lo = ref 0L in
+    for i = 0 to 3 do
+      let chunk_hi = masked.((2 * i) + 1) and chunk_lo = masked.(2 * i) in
+      if Int64.equal chunk_lo t.base.(2 * i) && Int64.equal chunk_hi t.base.((2 * i) + 1)
+      then begin
+        hi := Int64.logxor !hi t.q_hi.(i);
+        lo := Int64.logxor !lo t.q_lo.(i)
+      end
+      else begin
+        encrypt_chunk t i ~hi:chunk_hi ~lo:chunk_lo;
+        hi := Int64.logxor !hi (Qarma.out_hi t.sc);
+        lo := Int64.logxor !lo (Qarma.out_lo t.sc)
+      end
+    done;
+    to_mac t ~hi:!hi ~lo:!lo
 end
 
 let verify_only (cfg : Config.t) key ~addr line =
   let module L = (val cfg.Config.layout : Layout.S) in
-  let cache =
-    Mac_cache.make ~mac_bits:cfg.Config.mac_bits ~masked_for_mac:L.masked_for_mac
-      ~protected_mask:L.protected_mask key ~addr line
-  in
-  Mac.equal (Mac_cache.base_mac cache)
-    (Mac.truncate ~width:cfg.Config.mac_bits (L.extract_mac line))
+  let truncate = Mac.truncate ~width:cfg.Config.mac_bits in
+  Mac.equal
+    (truncate (Mac.compute key ~addr (L.masked_for_mac line)))
+    (truncate (L.extract_mac line))
 
 let majority_bit words bit =
   let n = List.length words in
@@ -176,23 +212,27 @@ let correct ?(strategies = all_strategies) ?mac_zero (cfg : Config.t) key ~addr 
       let mac = effective_mac line (fun () -> Mac_cache.base_mac cache) in
       if matches mac then raise (Found (Ptg_pte.Line.copy line, Soft_mac_match))
     end;
-    (* Step 2: single-bit flip in any protected bit of any PTE. *)
+    (* Step 2: single-bit flip in any protected bit of any PTE. Each guess
+       tests the flipped word against the cache without building the
+       candidate line. *)
     if strategies.use_flip_and_check then begin
       for word = 0 to 7 do
         List.iter
           (fun b ->
-            let flipped = Bits.flip line.(word) b in
-            let candidate () =
-              let out = Ptg_pte.Line.copy line in
-              out.(word) <- flipped;
-              out
-            in
-            let mac =
+            let flipped = Int64.logxor line.(word) (Int64.shift_left 1L b) in
+            incr guesses;
+            let hit =
               match mac_zero with
-              | Some mz when zero_masked (candidate ()) -> mz
-              | Some _ | None -> Mac_cache.mac_with_word cache ~word_idx:word flipped
+              | Some mz when Mac_cache.zero_with_word cache ~word_idx:word flipped ->
+                  Mac.soft_match ~k mz target
+              | Some _ | None ->
+                  Mac_cache.word_matches cache ~word_idx:word flipped ~k ~target
             in
-            if matches mac then raise (Found (candidate (), Flip_and_check)))
+            if hit then begin
+              let candidate = Ptg_pte.Line.copy line in
+              candidate.(word) <- flipped;
+              raise (Found (candidate, Flip_and_check))
+            end)
           protected_bit_list
       done
     end;

@@ -88,8 +88,6 @@ type t = {
   (* Reused by every MAC computation; engines are single-domain, and the
      read-only view [rekey] builds shares it safely (strictly sequential). *)
   mac_ctx : Mac.ctx;
-  (* Lane buffers shared by [Batch] flushes and the rekey sweep. *)
-  mac_batch : Mac.batch_ctx;
 }
 
 let obs_incr t sel =
@@ -133,7 +131,6 @@ let create ?(config = Config.baseline) ?obs ~rng () =
     listeners = [];
     obs = Option.map obs_of_sink obs;
     mac_ctx = Mac.ctx ();
-    mac_batch = Mac.batch_ctx ();
   }
 
 let config t = t.config
@@ -470,9 +467,9 @@ let rekey t ~rng ~iter_lines ~write =
   t.mac_zero <- Mac.truncate ~width:t.config.Config.mac_bits (Mac.compute_zero t.key);
   Ctb.clear t.ctb;
   (* Snapshot the stored lines first, so the old-key verification MACs can
-     be computed as one lane-parallel batch instead of line-at-a-time. The
-     verification only reads [old]'s frozen key material, so hoisting it
-     ahead of the re-embedding writes cannot change any outcome. *)
+     be computed in one [Mac.compute_batch] pass. The verification only
+     reads [old]'s frozen key material, so hoisting it ahead of the
+     re-embedding writes cannot change any outcome. *)
   let addrs = ref [] and count = ref 0 in
   iter_lines (fun ~addr line ->
       incr count;
@@ -481,7 +478,7 @@ let rekey t ~rng ~iter_lines ~write =
   let n = Array.length items in
   let module L = (val layout old : Layout.S) in
   let macs =
-    Mac.compute_batch t.mac_batch old.key ~n
+    Mac.compute_batch t.mac_ctx old.key ~n
       ~addrs:(Array.map fst items)
       ~lines:(Array.map (fun (_, line) -> L.masked_for_mac line) items)
   in
@@ -509,14 +506,14 @@ let rekey t ~rng ~iter_lines ~write =
   obs_event t (Ptg_obs.Trace.Rekey { writes = !count });
   emit t (Rekey_completed { writes = !count })
 
-(* Deferred verification: reads are staged into a lane buffer and resolved
+(* Deferred verification: reads are staged into a buffer and resolved
    together when the buffer reaches capacity (or on an explicit flush).
    The flush computes every needed MAC with one [Mac.compute_batch], then
    replays the scalar decision logic per request in stage order with the
    precomputed MAC substituted in — so stats, traces, OS events and
    results are exactly those of calling [process_read] sequentially
    (pinned by the differential tests). Corrections, being rare and
-   iterative, fall back to the scalar cipher inside [Correction]. *)
+   iterative, run inside [Correction]. *)
 module Batch = struct
   type engine = t
 
@@ -536,7 +533,9 @@ module Batch = struct
 
   let nop (_ : read_result) = ()
 
-  let create ?(capacity = Mac.default_batch_capacity) engine =
+  let default_capacity = 64
+
+  let create ?(capacity = default_capacity) engine =
     if capacity < 1 then invalid_arg "Engine.Batch.create: capacity";
     {
       engine;
@@ -572,7 +571,7 @@ module Batch = struct
         end
       done;
       let macs =
-        Mac.compute_batch e.mac_batch e.key ~n:!k ~addrs:b.lane_addrs
+        Mac.compute_batch e.mac_ctx e.key ~n:!k ~addrs:b.lane_addrs
           ~lines:b.lane_lines
       in
       let next_lane = ref 0 in

@@ -123,28 +123,31 @@ val rekey :
   unit
 (** Gradual re-keying (Section VII-B): draws a fresh key, then
     [iter_lines] must present every stored line (the engine snapshots
-    them); each line is verified/stripped under the old key — as one
-    lane-parallel MAC batch — re-embedded under the new key, and handed
+    them); each line is verified/stripped under the old key — in one
+    {!Ptg_crypto.Mac.compute_batch} pass — re-embedded under the new key, and handed
     to [write] in iteration order. The CTB is cleared. *)
 
 (** {2 Batched verification}
 
-    Reads staged here are resolved together: one lane-parallel
+    Reads staged here are resolved together: one
     {!Ptg_crypto.Mac.compute_batch} covers every staged read that needs a
     cipher call, then each request is resolved in stage order with the
     precomputed MAC substituted into the ordinary read path. Stats,
     traces, OS events and results are exactly those of calling
     {!process_read} sequentially at flush time (differential-tested);
-    only the cipher work is amortized. Corrections still run the scalar
-    cipher. *)
+    only the cipher work is grouped. Corrections run in
+    {!Correction}. *)
 
 module Batch : sig
   type engine := t
   type t
 
+  val default_capacity : int
+  (** 64 staged reads. *)
+
   val create : ?capacity:int -> engine -> t
-  (** Lane buffer for up to [capacity] staged reads (default
-      {!Ptg_crypto.Mac.default_batch_capacity}). *)
+  (** Buffer for up to [capacity] staged reads (default
+      {!default_capacity}). *)
 
   val capacity : t -> int
 

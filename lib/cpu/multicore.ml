@@ -45,8 +45,7 @@ type result = {
    gets real MAC'd content installed on first touch, and every PTE DRAM
    read from any core stages a verification into one shared
    [Engine.Batch] — the batch boundary is where verifications from
-   different cores/workloads get amortized into one lane-parallel cipher
-   pass. Purely additive: timing still comes from [Guard_timing] (which
+   different cores/workloads are resolved together. Purely additive: timing still comes from [Guard_timing] (which
    already models the pipelined MAC latency), so results with [verify]
    off are bit-identical to builds without this feature. *)
 type verify = {

@@ -60,7 +60,7 @@ val create :
     engine, and every PTE DRAM read from any core stages a verification
     into a shared {!Ptguard.Engine.Batch} (flushed at batch boundaries
     and at the end of the run — this is where verifications from
-    different cores are amortized into lane-parallel cipher passes).
+    different cores are resolved together).
     Timing is unchanged: the MAC {e latency} is already modeled by
     [guard], so all cycle/IPC numbers are identical with or without
     [verify_engine]; only [macs_verified]/[mac_verify_failures] differ. *)

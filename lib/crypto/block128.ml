@@ -31,31 +31,6 @@ let to_cells a =
       let half, idx = if i < 8 then (a.hi, i) else (a.lo, i - 8) in
       Int64.to_int (Int64.logand (Int64.shift_right_logical half ((7 - idx) * 8)) 0xffL))
 
-(* Allocation-free variants for the scratch-context cipher API: the
-   destination array is caller-owned and reused across calls. *)
-let fill_cells dst ~hi ~lo =
-  if Array.length dst <> 16 then invalid_arg "Block128.fill_cells: length";
-  for i = 0 to 7 do
-    let sh = (7 - i) * 8 in
-    dst.(i) <- Int64.to_int (Int64.logand (Int64.shift_right_logical hi sh) 0xffL);
-    dst.(i + 8) <- Int64.to_int (Int64.logand (Int64.shift_right_logical lo sh) 0xffL)
-  done
-
-let to_cells_into a dst = fill_cells dst ~hi:a.hi ~lo:a.lo
-
-(* Packs eight consecutive cells into one 64-bit half. Unlike [of_cells]
-   this skips range validation: the cipher keeps cells within [0, 255] by
-   construction (all cell ops are table lookups or 8-bit xors). *)
-let pack_half cells off =
-  let acc = ref 0L in
-  for i = 0 to 7 do
-    acc := Int64.logor (Int64.shift_left !acc 8) (Int64.of_int cells.(off + i))
-  done;
-  !acc
-
-let pack_hi cells = pack_half cells 0
-let pack_lo cells = pack_half cells 8
-
 let of_cells cells =
   if Array.length cells <> 16 then invalid_arg "Block128.of_cells: length";
   let pack off =

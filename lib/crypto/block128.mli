@@ -35,19 +35,5 @@ val to_cells : t -> int array
 val of_cells : int array -> t
 (** Inverse of {!to_cells}; requires length 16, each cell in [0, 255]. *)
 
-val to_cells_into : t -> int array -> unit
-(** [to_cells_into a dst] writes the 16 cells of [a] into the caller-owned
-    [dst] (length 16) without allocating. *)
-
-val fill_cells : int array -> hi:int64 -> lo:int64 -> unit
-(** Like {!to_cells_into} on [make ~hi ~lo], without building the block. *)
-
-val pack_hi : int array -> int64
-(** High half of {!of_cells}, minus the range validation — for cell arrays
-    produced by the cipher itself, whose cells are 8-bit by construction. *)
-
-val pack_lo : int array -> int64
-(** Low half counterpart of {!pack_hi}. *)
-
 val to_hex : t -> string
 val pp : Format.formatter -> t -> unit

@@ -11,97 +11,38 @@ let soft_match ~k a b =
   if k < 0 then invalid_arg "Mac.soft_match: negative k";
   hamming a b <= k
 
-let chunk line i =
-  Block128.make ~hi:line.((2 * i) + 1) ~lo:line.(2 * i)
-
-(* A_i binds the MAC to both the line's physical address and the chunk's
-   position within the line. *)
-let addr_block ~addr i = Block128.make ~hi:(Int64.of_int i) ~lo:addr
-
-let fold key ~addr line =
-  if Array.length line <> 8 then invalid_arg "Mac.compute: line must be 8 words";
-  let acc = ref Block128.zero in
-  for i = 0 to 3 do
-    let a = addr_block ~addr i in
-    let q = Qarma.encrypt key ~tweak:a (Block128.logxor (chunk line i) a) in
-    acc := Block128.logxor !acc q
-  done;
-  !acc
-
-let of_block (x : Block128.t) =
-  { hi32 = Int64.logand x.Block128.hi 0xFFFFFFFFL; lo = x.Block128.lo }
-
-let compute key ~addr line = of_block (fold key ~addr line)
-
-(* Scratch-reusing fast path: same fold as [compute], but the chunk, A_i
-   and cipher state never materialize as Block128 values — the halves flow
-   through bare int64s into [Qarma.encrypt_raw]. Property-tested equal to
-   [compute] on random keys/addresses/lines. *)
 type ctx = Qarma.scratch
 
-let ctx () = Qarma.scratch ()
+let ctx = Qarma.scratch
 
+(* Chunk i enciphers C_i xor A_i under tweak A_i = { hi = i; lo = addr },
+   which binds the MAC to both the line's physical address and the
+   chunk's position within the line. A_0 is expanded once; A_i differs
+   from A_(i-1) only in tweak cell 7 (the low byte of [hi]). The halves
+   flow through bare int64s. *)
 let compute_with ctx key ~addr line =
   if Array.length line <> 8 then invalid_arg "Mac.compute: line must be 8 words";
   let acc_hi = ref 0L and acc_lo = ref 0L in
   for i = 0 to 3 do
-    (* A_i = { hi = i; lo = addr }; plaintext = C_i xor A_i. *)
     let a_hi = Int64.of_int i in
-    Qarma.encrypt_raw ctx key ~t_hi:a_hi ~t_lo:addr
-      ~p_hi:(Int64.logxor line.((2 * i) + 1) a_hi)
-      ~p_lo:(Int64.logxor line.(2 * i) addr);
+    let p_hi = Int64.logxor line.((2 * i) + 1) a_hi
+    and p_lo = Int64.logxor line.(2 * i) addr in
+    if i = 0 then Qarma.encrypt_raw ctx key ~t_hi:a_hi ~t_lo:addr ~p_hi ~p_lo
+    else Qarma.encrypt_retweaked ctx ~cell:7 (i lxor (i - 1)) ~p_hi ~p_lo;
     acc_hi := Int64.logxor !acc_hi (Qarma.out_hi ctx);
     acc_lo := Int64.logxor !acc_lo (Qarma.out_lo ctx)
   done;
   { hi32 = Int64.logand !acc_hi 0xFFFFFFFFL; lo = !acc_lo }
 
-(* Batched fold: MAC j occupies cipher lanes [4j .. 4j+3] of a
-   [Qarma.batch]; after one [encrypt_batch] over all lanes, each MAC is
-   XOR-folded back from its four lanes. Requests beyond the context's
-   capacity are processed in full-capacity chunks, so callers can hand
-   over arbitrarily large (or ragged) request sets. *)
-type batch_ctx = { qb : Qarma.batch; capacity : int }
-
-let default_batch_capacity = 64
-
-let batch_ctx ?(capacity = default_batch_capacity) () =
-  if capacity < 1 then invalid_arg "Mac.batch_ctx: capacity";
-  { qb = Qarma.batch ~capacity:(4 * capacity); capacity }
-
-let batch_capacity c = c.capacity
+(* A fresh scratch per call: [compute] is reached from pool workers
+   (every rekey's [compute_zero]) and from any thread, so it must never
+   share one. The hot paths keep their own [ctx]. *)
+let compute key ~addr line = compute_with (ctx ()) key ~addr line
 
 let compute_batch ctx key ~n ~addrs ~lines =
   if n < 0 || n > Array.length addrs || n > Array.length lines then
     invalid_arg "Mac.compute_batch: n out of range";
-  let out = Array.make n zero in
-  let pos = ref 0 in
-  while !pos < n do
-    let m = min ctx.capacity (n - !pos) in
-    for j = 0 to m - 1 do
-      let addr = addrs.(!pos + j) and line = lines.(!pos + j) in
-      if Array.length line <> 8 then
-        invalid_arg "Mac.compute_batch: line must be 8 words";
-      for i = 0 to 3 do
-        (* Same per-chunk inputs as [compute_with]: A_i = {hi=i; lo=addr},
-           plaintext = C_i xor A_i. *)
-        let a_hi = Int64.of_int i in
-        Qarma.set_lane ctx.qb ((4 * j) + i) ~t_hi:a_hi ~t_lo:addr
-          ~p_hi:(Int64.logxor line.((2 * i) + 1) a_hi)
-          ~p_lo:(Int64.logxor line.(2 * i) addr)
-      done
-    done;
-    Qarma.encrypt_batch key ctx.qb ~n:(4 * m);
-    for j = 0 to m - 1 do
-      let acc_hi = ref 0L and acc_lo = ref 0L in
-      for i = 0 to 3 do
-        acc_hi := Int64.logxor !acc_hi (Qarma.lane_hi ctx.qb ((4 * j) + i));
-        acc_lo := Int64.logxor !acc_lo (Qarma.lane_lo ctx.qb ((4 * j) + i))
-      done;
-      out.(!pos + j) <- { hi32 = Int64.logand !acc_hi 0xFFFFFFFFL; lo = !acc_lo }
-    done;
-    pos := !pos + m
-  done;
-  out
+  Array.init n (fun i -> compute_with ctx key ~addr:addrs.(i) lines.(i))
 
 let compute_zero key = compute key ~addr:0L (Array.make 8 0L)
 

@@ -28,38 +28,25 @@ val soft_match : k:int -> t -> t -> bool
 val compute : Qarma.key -> addr:int64 -> int64 array -> t
 (** [compute key ~addr line] is the 96-bit MAC of the 8-word [line] at
     physical line address [addr]. The caller must already have masked the
-    line to its protected bits and zeroed the MAC field itself. *)
+    line to its protected bits and zeroed the MAC field itself. Safe to
+    call from several domains or threads at once (each call uses a fresh
+    scratch). *)
 
 type ctx
-(** Reusable working state for {!compute_with} (wraps a {!Qarma.scratch}).
+(** Reusable working state for {!compute_with} (a {!Qarma.scratch}).
     Not thread-safe: one per domain. *)
 
 val ctx : unit -> ctx
 
 val compute_with : ctx -> Qarma.key -> addr:int64 -> int64 array -> t
-(** Allocation-free {!compute}: identical result, but the per-chunk blocks
-    and cipher state live in [ctx] instead of being freshly allocated. *)
-
-type batch_ctx
-(** Reusable lane buffers for {!compute_batch} (wraps a {!Qarma.batch}
-    with four cipher lanes per MAC). Not thread-safe: one per domain. *)
-
-val default_batch_capacity : int
-(** Default MAC capacity per flush (64 MACs = 256 cipher lanes). *)
-
-val batch_ctx : ?capacity:int -> unit -> batch_ctx
-(** [batch_ctx ~capacity ()] sizes the context for [capacity] MACs per
-    internal flush; larger request sets are chunked transparently. *)
-
-val batch_capacity : batch_ctx -> int
+(** {!compute} with a caller-owned scratch: identical result. *)
 
 val compute_batch :
-  batch_ctx -> Qarma.key -> n:int -> addrs:int64 array -> lines:int64 array array -> t array
+  ctx -> Qarma.key -> n:int -> addrs:int64 array -> lines:int64 array array -> t array
 (** [compute_batch ctx key ~n ~addrs ~lines] MACs the [n] requests
-    [(addrs.(i), lines.(i))], [i < n], in lane-parallel batches. Result
-    [i] equals [compute key ~addr:addrs.(i) lines.(i)] exactly (the
-    property tests assert lane-for-lane agreement with the scalar
-    oracle). Lines must already be masked as for {!compute}. *)
+    [(addrs.(i), lines.(i))], [i < n]: result [i] equals
+    [compute key ~addr:addrs.(i) lines.(i)]. Lines must already be masked
+    as for {!compute}. *)
 
 val compute_zero : Qarma.key -> t
 (** The pre-computed MAC of the all-zero cacheline {e without} the address

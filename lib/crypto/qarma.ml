@@ -1,8 +1,28 @@
-(* QARMA-128 reflector cipher. State is 16 cells of 8 bits; see the .mli
-   for the construction outline and the DESIGN.md faithfulness note about
-   constants. All steps are individually invertible and [decrypt] replays
-   them in exact reverse, which the test suite uses as the primary
-   correctness oracle. *)
+(* QARMA-128 reflector cipher, table-driven. See the .mli for the
+   construction and DESIGN.md for why tables rather than bit-slicing.
+
+   The state is four 32-bit column words: column [c] packs cells c, 4+c,
+   8+c and 12+c (rows 0..3) from the top byte down, cell index 4*row+col.
+   The cipher's steps regroup into units that each gather 16 bytes
+   through a cell permutation and rebuild four columns from lookups:
+
+   - forward unit: S-box, xor the round-key byte, then one lookup in
+     [mcol], the column contribution of that byte under M (the gather
+     through [tau] does the cell shuffle);
+   - backward unit: gather through [tau_inv], xor the round-key byte,
+     then one lookup in [mscol] = M o S^-1.
+
+   Encryption is: whitening, [r] forward units (the last one is the
+   centre's M), [r - 1] backward units (the first one carries the
+   reflector key), and a final S^-1 gather with the output whitening.
+   Decryption is the same program under k0a/k0 swapped and w0/w1
+   swapped; only the centre's constants differ. A [schedule] holds every
+   unit's key bytes for one (key, tweak), so a fixed tweak is scheduled
+   once. The pure cell-array cipher lives in test/crypto/qarma_ref.ml as
+   the differential oracle. *)
+
+external get : int array -> int -> int = "%array_unsafe_get"
+external set : int array -> int -> int -> unit = "%array_unsafe_set"
 
 (* sigma_1, the 4-bit S-box recommended in the QARMA paper. *)
 let sigma1 = [| 0xa; 0xd; 0xe; 0x6; 0xf; 0x7; 0x3; 0x5; 0x9; 0x8; 0x0; 0xc; 0xb; 0x1; 0x2; 0x4 |]
@@ -27,112 +47,62 @@ let tau_inv =
   Array.iteri (fun i j -> inv.(j) <- i) tau;
   inv
 
-let permute p cells = Array.init 16 (fun i -> cells.(p.(i)))
-let permute_into p src dst = for i = 0 to 15 do dst.(i) <- src.(p.(i)) done
-
 (* Involutory diffusion matrix M = circ(0, rho^1, rho^4, rho^5) over 8-bit
-   cells, applied column-wise on the 4x4 state (cell index = 4*row + col).
-   Involution: c0^2 + c2^2 = rho^8 = id and c1^2 + c3^2 = rho^2+rho^10 = 0. *)
+   cells, applied per column: out row i = rho(in row i+1) ^ rho^4(in row
+   i+2) ^ rho^5(in row i+3). [mcol.(256 j + x)] is the column word that
+   byte [x] in row [j] contributes. *)
+let mcol =
+  let rot = Ptg_util.Bits.rotl8 in
+  Array.init 1024 (fun i ->
+      let j = i lsr 8 and x = i land 0xff in
+      let at row v = v lsl (24 - (8 * (row land 3))) in
+      at (j + 3) (rot x 1) lor at (j + 2) (rot x 4) lor at (j + 1) (rot x 5))
+
+let mscol = Array.init 1024 (fun i -> mcol.((i land 0x300) lor sbox_inv.(i land 0xff)))
+
 let mix cells =
   let out = Array.make 16 0 in
-  let rot = Ptg_util.Bits.rotl8 in
-  for col = 0 to 3 do
-    for row = 0 to 3 do
-      let c j = cells.((j * 4) + col) in
-      let v =
-        rot (c ((row + 1) land 3)) 1
-        lxor rot (c ((row + 2) land 3)) 4
-        lxor rot (c ((row + 3) land 3)) 5
-      in
-      out.((row * 4) + col) <- v
+  for c = 0 to 3 do
+    let w = ref 0 in
+    for j = 0 to 3 do
+      w := !w lxor mcol.((256 * j) + cells.((4 * j) + c))
+    done;
+    for j = 0 to 3 do
+      out.((4 * j) + c) <- (!w lsr (24 - (8 * j))) land 0xff
     done
   done;
   out
 
-let substitute_in_place table cells =
-  for i = 0 to 15 do
-    cells.(i) <- table.(cells.(i))
-  done
+(* The tweak LFSR x^8 + x^4 + x^3 + x^2 + 1, as a table. *)
+let lfsr =
+  Array.init 256 (fun x ->
+      let fb = (x lxor (x lsr 2) lxor (x lsr 3) lxor (x lsr 4)) land 1 in
+      (x lsr 1) lor (fb lsl 7))
 
-(* s ^= k ^ t ^ rc, fused into one pass over the 16 cells. *)
-let xor_round_key s k t rc =
-  for i = 0 to 15 do
-    s.(i) <- s.(i) lxor k.(i) lxor t.(i) lxor rc.(i)
-  done
-
-let xor2_in_place s a b =
-  for i = 0 to 15 do
-    s.(i) <- s.(i) lxor a.(i) lxor b.(i)
-  done
-
-let xor1_in_place s a =
-  for i = 0 to 15 do
-    s.(i) <- s.(i) lxor a.(i)
-  done
-
-(* Rotation lookup tables for the diffusion matrix. *)
-let rot1 = Array.init 256 (fun x -> Ptg_util.Bits.rotl8 x 1)
-let rot4 = Array.init 256 (fun x -> Ptg_util.Bits.rotl8 x 4)
-let rot5 = Array.init 256 (fun x -> Ptg_util.Bits.rotl8 x 5)
-
-let mix_into src dst =
-  for col = 0 to 3 do
-    let c0 = src.(col)
-    and c1 = src.(4 + col)
-    and c2 = src.(8 + col)
-    and c3 = src.(12 + col) in
-    dst.(col) <- rot1.(c1) lxor rot4.(c2) lxor rot5.(c3);
-    dst.(4 + col) <- rot1.(c2) lxor rot4.(c3) lxor rot5.(c0);
-    dst.(8 + col) <- rot1.(c3) lxor rot4.(c0) lxor rot5.(c1);
-    dst.(12 + col) <- rot1.(c0) lxor rot4.(c1) lxor rot5.(c2)
-  done
-
-(* Tweak schedule: cell permutation h, then an 8-bit maximal LFSR
-   (x^8 + x^4 + x^3 + x^2 + 1) on a fixed subset of cells. *)
-let h_perm = [| 6; 5; 14; 15; 0; 1; 2; 3; 7; 12; 13; 4; 8; 9; 10; 11 |]
-
-let h_perm_inv =
-  let inv = Array.make 16 0 in
-  Array.iteri (fun i j -> inv.(j) <- i) h_perm;
-  inv
-
-let lfsr_cells = [| 0; 1; 3; 4; 8; 11; 13 |]
-
-let lfsr x =
-  let fb = (x lxor (x lsr 2) lxor (x lsr 3) lxor (x lsr 4)) land 1 in
-  (x lsr 1) lor (fb lsl 7)
-
-let lfsr_inv y =
-  let b7 = (y lsr 7) land 1 in
-  let x_low = (y lsl 1) land 0xff in
-  (* b7 = b0 xor b2 xor b3 xor b4 of the pre-image; those old bits sit at
-     positions 1..7 of [x_low] except old b0, which we solve for. *)
-  let b0 = b7 lxor ((x_low lsr 2) land 1) lxor ((x_low lsr 3) land 1) lxor ((x_low lsr 4) land 1) in
-  x_low lor b0
-
-let tweak_update t =
-  let t = permute h_perm t in
-  Array.iter (fun i -> t.(i) <- lfsr t.(i)) lfsr_cells;
-  t
-
-let tweak_update_inv t =
-  let t = Array.copy t in
-  Array.iter (fun i -> t.(i) <- lfsr_inv t.(i)) lfsr_cells;
-  permute h_perm_inv t
-
-(* In-place variants driving the hot path: [src] is consumed, the updated
-   tweak lands in [dst]. *)
-let tweak_update_into src dst =
-  permute_into h_perm src dst;
-  Array.iter (fun i -> dst.(i) <- lfsr dst.(i)) lfsr_cells
-
-let tweak_update_inv_into src dst =
-  Array.iter (fun i -> src.(i) <- lfsr_inv src.(i)) lfsr_cells;
-  permute_into h_perm_inv src dst
+(* Tweak update t_{i+1} from t_i (cells at [src], written at [dst]): the
+   cell permutation h = [6 5 14 15 0 1 2 3 7 12 13 4 8 9 10 11] (new cell
+   k = old cell h k), then the LFSR on cells 0 1 3 4 8 11 13. *)
+let tweak_update tw src dst =
+  set tw dst (get lfsr (get tw (src + 6)));
+  set tw (dst + 1) (get lfsr (get tw (src + 5)));
+  set tw (dst + 2) (get tw (src + 14));
+  set tw (dst + 3) (get lfsr (get tw (src + 15)));
+  set tw (dst + 4) (get lfsr (get tw src));
+  set tw (dst + 5) (get tw (src + 1));
+  set tw (dst + 6) (get tw (src + 2));
+  set tw (dst + 7) (get tw (src + 3));
+  set tw (dst + 8) (get lfsr (get tw (src + 7)));
+  set tw (dst + 9) (get tw (src + 12));
+  set tw (dst + 10) (get tw (src + 13));
+  set tw (dst + 11) (get lfsr (get tw (src + 4)));
+  set tw (dst + 12) (get tw (src + 8));
+  set tw (dst + 13) (get lfsr (get tw (src + 9)));
+  set tw (dst + 14) (get tw (src + 10));
+  set tw (dst + 15) (get tw (src + 11))
 
 (* Nothing-up-my-sleeve round constants: the SHA-512 round constants
    (fractional parts of cube roots of the first primes), paired into
-   128-bit words. 16 round constants plus the backward-key constant. *)
+   128-bit words. 16 round constants; [alpha] is the next pair. *)
 let constant_words =
   [|
     0x428a2f98d728ae22L; 0x7137449123ef65cdL; 0xb5c0fbcfec4d3b2fL; 0xe9b5dba58189dbbcL;
@@ -147,20 +117,31 @@ let constant_words =
 
 let max_rounds = 16
 
-let round_constant i =
-  Block128.make ~hi:constant_words.(2 * i) ~lo:constant_words.((2 * i) + 1)
+(* Round constant i as cells, at [16 i]. *)
+let rc_cells =
+  Array.concat
+    (List.init max_rounds (fun i ->
+         Block128.to_cells
+           (Block128.make ~hi:constant_words.(2 * i) ~lo:constant_words.((2 * i) + 1))))
 
 let alpha = Block128.make ~hi:0x27b70a8546d22ffcL ~lo:0x2e1b21385c26c926L
 
-type key = {
-  rounds : int;
-  w0 : int array;
-  w1 : int array;
-  k0 : int array;  (* forward round key *)
-  k0a : int array; (* backward round key: k0 xor alpha *)
-  k1 : int array;  (* reflector key: M(k0) *)
-  rc : int array array;
+(* One direction's key material, as cells. A forward unit xors [fk] (k xor
+   rc_i), a backward unit [bk]; the centre forward unit's key is
+   [centre_f] and the first backward unit's is [centre_b] (already in
+   post-tau^-1 order), with the last tweak t_r joining the former when
+   [tweak_in_centre_f] and the latter otherwise. *)
+type half = {
+  fk : int array;
+  bk : int array;
+  w_in : int array;
+  w_out : int array;
+  centre_f : int array;
+  centre_b : int array;
+  tweak_in_centre_f : bool;
 }
+
+type key = { rounds : int; w0 : Block128.t; k0 : Block128.t; enc : half; dec : half }
 
 let default_rounds = 8
 
@@ -168,15 +149,25 @@ let expand_key ?(rounds = default_rounds) ~w0 k0 =
   if rounds < 1 || rounds > max_rounds then invalid_arg "Qarma.expand_key: rounds";
   (* Orthomorphism o(w) = (w >>> 1) xor (w >> 127). *)
   let w1 = Block128.logxor (Block128.rotr1 w0) (Block128.shift_right_127 w0) in
-  let k0_cells = Block128.to_cells k0 in
+  let w0c = Block128.to_cells w0 and w1c = Block128.to_cells w1 in
+  let k0c = Block128.to_cells k0 in
+  let k0ac = Block128.to_cells (Block128.logxor k0 alpha) in
+  let round_keys k = Array.init (16 * rounds) (fun i -> k.(i land 15) lxor rc_cells.(i)) in
+  let after_tau_inv k = Array.init 16 (fun d -> k.(tau_inv.(d))) in
   {
     rounds;
-    w0 = Block128.to_cells w0;
-    w1 = Block128.to_cells w1;
-    k0 = k0_cells;
-    k0a = Block128.to_cells (Block128.logxor k0 alpha);
-    k1 = mix k0_cells;
-    rc = Array.init rounds (fun i -> Block128.to_cells (round_constant i));
+    w0;
+    k0;
+    (* Centre: xor (w1 ^ t_r); tau; M; xor k1 (= M k0); tau^-1. *)
+    enc =
+      { fk = round_keys k0c; bk = round_keys k0ac; w_in = w0c; w_out = w1c;
+        centre_f = w1c; centre_b = after_tau_inv (mix k0c); tweak_in_centre_f = true };
+    (* Its inverse: tau; M; xor M(k1) = k0; tau^-1; xor (w1 ^ t_r). *)
+    dec =
+      { fk = round_keys k0ac; bk = round_keys k0c; w_in = w1c; w_out = w0c;
+        centre_f = Array.make 16 0;
+        centre_b = Array.map2 ( lxor ) (after_tau_inv k0c) w1c;
+        tweak_in_centre_f = false };
   }
 
 let key_of_rng ?rounds rng =
@@ -186,440 +177,203 @@ let key_of_rng ?rounds rng =
   expand_key ?rounds ~w0:(block ()) (block ())
 
 let rounds k = k.rounds
+let key_material k = (k.w0, k.k0)
 
-let key_material k = (Block128.of_cells k.w0, Block128.of_cells k.k0)
+(* A schedule holds one (key, tweak)'s round-key bytes in [kb], 16 per
+   unit in cell order: the r forward units, then the r - 1 backward units
+   and the final gather. A forward unit xors its bytes before its tau
+   gather, a backward unit after its tau^-1 gather. [wr] holds the input
+   and output whitening as row words, [tw] the tweak cells of the current
+   round while filling. Bytes keep a schedule small enough for the minor
+   heap. *)
+type schedule = { mutable nr : int; kb : Bytes.t; wr : int array; tw : int array }
 
-let encrypt key ~tweak p =
-  let s = ref (Block128.to_cells p) in
-  let s' = ref (Array.make 16 0) in
-  let t = ref (Block128.to_cells tweak) in
-  let t' = ref (Array.make 16 0) in
-  let swap_s () = let tmp = !s in s := !s'; s' := tmp in
-  let swap_t () = let tmp = !t in t := !t'; t' := tmp in
-  xor1_in_place !s key.w0;
-  for i = 0 to key.rounds - 1 do
-    xor_round_key !s key.k0 !t key.rc.(i);
-    if i > 0 then begin
-      permute_into tau !s !s';
-      swap_s ();
-      mix_into !s !s';
-      swap_s ()
-    end;
-    substitute_in_place sbox !s;
-    tweak_update_into !t !t';
-    swap_t ()
+(* Byte access typed as int (a char is an immediate int); stored values
+   are always below 256. *)
+external kget : Bytes.t -> int -> int = "%bytes_unsafe_get"
+external kset : Bytes.t -> int -> int -> unit = "%bytes_unsafe_set"
+
+let make_schedule rounds =
+  { nr = rounds; kb = Bytes.make (32 * rounds) '\000'; wr = Array.make 8 0;
+    tw = Array.make 32 0 }
+
+(* Row word j of the 16 cells [a.(d) ^ b.(d) ^ c.(d)]. *)
+let row3 a b c j =
+  let w = ref 0 in
+  for d = 4 * j to (4 * j) + 3 do
+    w := (!w lsl 8) lor (get a d lxor get b d lxor get c d)
   done;
-  (* Center: whitening, then the keyed pseudo-reflector. *)
-  xor2_in_place !s key.w1 !t;
-  permute_into tau !s !s';
-  swap_s ();
-  mix_into !s !s';
-  swap_s ();
-  xor1_in_place !s key.k1;
-  permute_into tau_inv !s !s';
-  swap_s ();
-  (* Mirrored backward half. *)
-  for i = key.rounds - 1 downto 0 do
-    tweak_update_inv_into !t !t';
-    swap_t ();
-    substitute_in_place sbox_inv !s;
-    if i > 0 then begin
-      mix_into !s !s';
-      swap_s ();
-      permute_into tau_inv !s !s';
-      swap_s ()
-    end;
-    xor_round_key !s key.k0a !t key.rc.(i)
-  done;
-  xor1_in_place !s key.w1;
-  Block128.of_cells !s
+  !w
 
-let decrypt key ~tweak c =
-  let s = ref (Block128.to_cells c) in
-  let s' = ref (Array.make 16 0) in
-  let t = ref (Block128.to_cells tweak) in
-  let t' = ref (Array.make 16 0) in
-  let swap_s () = let tmp = !s in s := !s'; s' := tmp in
-  let swap_t () = let tmp = !t in t := !t'; t' := tmp in
-  xor1_in_place !s key.w1;
-  (* Undo the backward half (replay it forward). *)
-  for i = 0 to key.rounds - 1 do
-    xor_round_key !s key.k0a !t key.rc.(i);
-    if i > 0 then begin
-      permute_into tau !s !s';
-      swap_s ();
-      mix_into !s !s';
-      swap_s ()
-    end;
-    substitute_in_place sbox !s;
-    tweak_update_into !t !t';
-    swap_t ()
-  done;
-  (* Undo the center. *)
-  permute_into tau !s !s';
-  swap_s ();
-  xor1_in_place !s key.k1;
-  mix_into !s !s';
-  swap_s ();
-  permute_into tau_inv !s !s';
-  swap_s ();
-  xor2_in_place !s key.w1 !t;
-  (* Undo the forward half. *)
-  for i = key.rounds - 1 downto 0 do
-    tweak_update_inv_into !t !t';
-    swap_t ();
-    substitute_in_place sbox_inv !s;
-    if i > 0 then begin
-      mix_into !s !s';
-      swap_s ();
-      permute_into tau_inv !s !s';
-      swap_s ()
-    end;
-    xor_round_key !s key.k0 !t key.rc.(i)
-  done;
-  xor1_in_place !s key.w0;
-  Block128.of_cells !s
-
-(* Scratch-context API: a reusable pair of state/tweak double buffers so
-   the hot MAC paths encrypt without allocating. The round sequences below
-   mirror [encrypt]/[decrypt] above exactly; the pure functions stay as the
-   reference implementation and the property tests check agreement. *)
-
-type scratch = {
-  mutable s : int array;   (* state *)
-  mutable s' : int array;  (* state spare (permute/mix destination) *)
-  mutable t : int array;   (* tweak *)
-  mutable t' : int array;  (* tweak spare *)
-}
-
-let scratch () =
-  {
-    s = Array.make 16 0;
-    s' = Array.make 16 0;
-    t = Array.make 16 0;
-    t' = Array.make 16 0;
-  }
-
-let swap_state sc = let tmp = sc.s in sc.s <- sc.s'; sc.s' <- tmp
-let swap_tweak sc = let tmp = sc.t in sc.t <- sc.t'; sc.t' <- tmp
-
-(* Consumes the plaintext cells in [sc.s] and tweak cells in [sc.t],
-   leaving the ciphertext cells in [sc.s]. *)
-let encrypt_cells key sc =
-  xor1_in_place sc.s key.w0;
-  for i = 0 to key.rounds - 1 do
-    xor_round_key sc.s key.k0 sc.t key.rc.(i);
-    if i > 0 then begin
-      permute_into tau sc.s sc.s';
-      swap_state sc;
-      mix_into sc.s sc.s';
-      swap_state sc
-    end;
-    substitute_in_place sbox sc.s;
-    tweak_update_into sc.t sc.t';
-    swap_tweak sc
-  done;
-  xor2_in_place sc.s key.w1 sc.t;
-  permute_into tau sc.s sc.s';
-  swap_state sc;
-  mix_into sc.s sc.s';
-  swap_state sc;
-  xor1_in_place sc.s key.k1;
-  permute_into tau_inv sc.s sc.s';
-  swap_state sc;
-  for i = key.rounds - 1 downto 0 do
-    tweak_update_inv_into sc.t sc.t';
-    swap_tweak sc;
-    substitute_in_place sbox_inv sc.s;
-    if i > 0 then begin
-      mix_into sc.s sc.s';
-      swap_state sc;
-      permute_into tau_inv sc.s sc.s';
-      swap_state sc
-    end;
-    xor_round_key sc.s key.k0a sc.t key.rc.(i)
-  done;
-  xor1_in_place sc.s key.w1
-
-(* Inverse of [encrypt_cells]: ciphertext cells in [sc.s] and tweak cells
-   in [sc.t] on entry, plaintext cells in [sc.s] on exit. *)
-let decrypt_cells key sc =
-  xor1_in_place sc.s key.w1;
-  for i = 0 to key.rounds - 1 do
-    xor_round_key sc.s key.k0a sc.t key.rc.(i);
-    if i > 0 then begin
-      permute_into tau sc.s sc.s';
-      swap_state sc;
-      mix_into sc.s sc.s';
-      swap_state sc
-    end;
-    substitute_in_place sbox sc.s;
-    tweak_update_into sc.t sc.t';
-    swap_tweak sc
-  done;
-  permute_into tau sc.s sc.s';
-  swap_state sc;
-  xor1_in_place sc.s key.k1;
-  mix_into sc.s sc.s';
-  swap_state sc;
-  permute_into tau_inv sc.s sc.s';
-  swap_state sc;
-  xor2_in_place sc.s key.w1 sc.t;
-  for i = key.rounds - 1 downto 0 do
-    tweak_update_inv_into sc.t sc.t';
-    swap_tweak sc;
-    substitute_in_place sbox_inv sc.s;
-    if i > 0 then begin
-      mix_into sc.s sc.s';
-      swap_state sc;
-      permute_into tau_inv sc.s sc.s';
-      swap_state sc
-    end;
-    xor_round_key sc.s key.k0 sc.t key.rc.(i)
-  done;
-  xor1_in_place sc.s key.w0
-
-let encrypt_raw sc key ~t_hi ~t_lo ~p_hi ~p_lo =
-  Block128.fill_cells sc.s ~hi:p_hi ~lo:p_lo;
-  Block128.fill_cells sc.t ~hi:t_hi ~lo:t_lo;
-  encrypt_cells key sc
-
-let out_hi sc = Block128.pack_hi sc.s
-let out_lo sc = Block128.pack_lo sc.s
-
-let encrypt_with sc key ~tweak p =
-  Block128.to_cells_into p sc.s;
-  Block128.to_cells_into tweak sc.t;
-  encrypt_cells key sc;
-  Block128.make ~hi:(Block128.pack_hi sc.s) ~lo:(Block128.pack_lo sc.s)
-
-let decrypt_with sc key ~tweak c =
-  Block128.to_cells_into c sc.s;
-  Block128.to_cells_into tweak sc.t;
-  decrypt_cells key sc;
-  Block128.make ~hi:(Block128.pack_hi sc.s) ~lo:(Block128.pack_lo sc.s)
-
-(* Batched API: N independent (block, tweak) lanes encrypted together in
-   structure-of-arrays layout — cell c of lane l lives at [c * capacity + l].
-   Each round step walks the lanes of one cell at a time, so the key,
-   round-constant and S-box loads are hoisted out of the per-lane work and
-   the cell permutations become 16 contiguous blits. The scalar path above
-   is deliberately untouched: it is the property-tested oracle the batch
-   is checked against lane-for-lane. *)
-
-(* 256-entry tables for the tweak LFSR and its inverse: the batch applies
-   them across lanes, where a table load beats recomputing the feedback
-   bits. Identical by construction to [lfsr]/[lfsr_inv]. *)
-let lfsr_tab = Array.init 256 lfsr
-let lfsr_inv_tab = Array.init 256 lfsr_inv
-
-type batch = {
-  capacity : int;
-  mutable bs : int array;  (* state lanes *)
-  mutable bs' : int array; (* state spare (permute/mix destination) *)
-  mutable bt : int array;  (* tweak lanes *)
-  mutable bt' : int array; (* tweak spare *)
-}
-
-let batch ~capacity =
-  if capacity < 1 then invalid_arg "Qarma.batch: capacity";
-  {
-    capacity;
-    bs = Array.make (16 * capacity) 0;
-    bs' = Array.make (16 * capacity) 0;
-    bt = Array.make (16 * capacity) 0;
-    bt' = Array.make (16 * capacity) 0;
-  }
-
-let batch_capacity b = b.capacity
-
-let set_lane b l ~t_hi ~t_lo ~p_hi ~p_lo =
-  if l < 0 || l >= b.capacity then invalid_arg "Qarma.set_lane: lane";
-  let cap = b.capacity in
-  let byte x sh = Int64.to_int (Int64.logand (Int64.shift_right_logical x sh) 0xffL) in
+let fill sch key h ~t_hi ~t_lo =
+  let r = key.rounds in
+  sch.nr <- r;
+  let kb = sch.kb and tw = sch.tw and fk = h.fk and bk = h.bk in
   for i = 0 to 7 do
-    let sh = (7 - i) * 8 in
-    b.bs.((i * cap) + l) <- byte p_hi sh;
-    b.bs.(((i + 8) * cap) + l) <- byte p_lo sh;
-    b.bt.((i * cap) + l) <- byte t_hi sh;
-    b.bt.(((i + 8) * cap) + l) <- byte t_lo sh
-  done
-
-let lane_half b arr l off =
-  let cap = b.capacity in
-  let acc = ref 0L in
-  for i = off to off + 7 do
-    acc := Int64.logor (Int64.shift_left !acc 8) (Int64.of_int arr.((i * cap) + l))
+    let sh = 56 - (8 * i) in
+    set tw i (Int64.to_int (Int64.shift_right_logical t_hi sh) land 0xff);
+    set tw (i + 8) (Int64.to_int (Int64.shift_right_logical t_lo sh) land 0xff)
   done;
-  !acc
-
-let lane_hi b l =
-  if l < 0 || l >= b.capacity then invalid_arg "Qarma.lane_hi: lane";
-  lane_half b b.bs l 0
-
-let lane_lo b l =
-  if l < 0 || l >= b.capacity then invalid_arg "Qarma.lane_lo: lane";
-  lane_half b b.bs l 8
-
-let swap_bstate b = let tmp = b.bs in b.bs <- b.bs'; b.bs' <- tmp
-let swap_btweak b = let tmp = b.bt in b.bt <- b.bt'; b.bt' <- tmp
-
-(* s ^= k ^ t ^ rc across [n] lanes; the per-cell constant [k ^ rc] is
-   folded once outside the lane loop. *)
-let bxor_round_key b n k rc =
-  let cap = b.capacity in
-  let s = b.bs and t = b.bt in
-  for c = 0 to 15 do
-    let kc = k.(c) lxor rc.(c) in
-    let off = c * cap in
-    for l = off to off + n - 1 do
-      Array.unsafe_set s l
-        (Array.unsafe_get s l lxor kc lxor Array.unsafe_get t l)
+  for j = 0 to 3 do
+    set sch.wr j (row3 h.w_in fk tw j);
+    set sch.wr (4 + j) (row3 h.w_out bk tw j)
+  done;
+  (* Round i's forward key goes to unit i - 1, its backward key to unit
+     2r - i; t_i alternates between the two halves of [tw]. *)
+  for i = 1 to r - 1 do
+    let src = 16 * ((i - 1) land 1) and dst = 16 * (i land 1) in
+    tweak_update tw src dst;
+    let o = 16 * i and of_ = 16 * (i - 1) and ob = 16 * ((2 * r) - i) in
+    for d = 0 to 15 do
+      let t = get tw (dst + d) in
+      kset kb (of_ + d) (get fk (o + d) lxor t);
+      kset kb (ob + d) (get bk (o + d) lxor t)
     done
+  done;
+  let dst = 16 * (r land 1) in
+  tweak_update tw (16 - dst) dst;
+  let o = 16 * (r - 1) in
+  let tf = if h.tweak_in_centre_f then -1 else 0 in
+  for d = 0 to 15 do
+    let t = get tw (dst + d) in
+    kset kb (o + d) (get h.centre_f d lxor (t land tf));
+    kset kb (o + 16 + d) (get h.centre_b d lxor (t land lnot tf))
   done
 
-let bxor1 b n k =
-  let cap = b.capacity in
-  let s = b.bs in
-  for c = 0 to 15 do
-    let kc = k.(c) in
-    if kc <> 0 then begin
-      let off = c * cap in
-      for l = off to off + n - 1 do
-        Array.unsafe_set s l (Array.unsafe_get s l lxor kc)
-      done
+(* Where a one-cell tweak difference goes in one tweak update: the cell
+   it moves to, plus 16 if it passes through the LFSR there. Read off
+   [tweak_update] itself. *)
+let tweak_walk =
+  Array.init 16 (fun c ->
+      let tw = Array.make 32 0 in
+      tw.(c) <- 1;
+      tweak_update tw 0 16;
+      let k = ref 0 in
+      while tw.(16 + !k) = 0 do incr k done;
+      !k lor if tw.(16 + !k) = 1 then 0 else 16)
+
+(* The encryption schedule [sch] becomes that of its tweak with [v] xored
+   into cell [cell]. The tweak schedule is linear and moves cells one to
+   one, so the difference touches one byte per round. *)
+let retweak sch ~cell v =
+  let r = sch.nr and kb = sch.kb and wr = sch.wr in
+  let row = cell lsr 2 and d0 = v lsl (24 - (8 * (cell land 3))) in
+  set wr row (get wr row lxor d0);
+  set wr (4 + row) (get wr (4 + row) lxor d0);
+  let c = ref cell and d = ref v in
+  for i = 1 to r do
+    let w = get tweak_walk !c in
+    c := w land 15;
+    if w >= 16 then d := get lfsr !d;
+    (* t_i feeds round i's forward and backward units; t_r the centre's
+       forward unit. *)
+    let o1 = (16 * (i - 1)) + !c in
+    kset kb o1 (kget kb o1 lxor !d);
+    if i < r then begin
+      let o2 = (16 * ((2 * r) - i)) + !c in
+      kset kb o2 (kget kb o2 lxor !d)
     end
   done
 
-let bxor2 b n k =
-  let cap = b.capacity in
-  let s = b.bs and t = b.bt in
-  for c = 0 to 15 do
-    let kc = k.(c) in
-    let off = c * cap in
-    for l = off to off + n - 1 do
-      Array.unsafe_set s l
-        (Array.unsafe_get s l lxor kc lxor Array.unsafe_get t l)
-    done
-  done
+let schedule key ~t_hi ~t_lo =
+  let sch = make_schedule key.rounds in
+  fill sch key key.enc ~t_hi ~t_lo;
+  sch
 
-(* dst cell i := src cell p(i): one contiguous blit per cell. *)
-let bpermute p src dst cap n =
-  for i = 0 to 15 do
-    Array.blit src (p.(i) * cap) dst (i * cap) n
-  done
+(* The last block's output, as four 32-bit row words (hi = rows 0-1). *)
+type scratch = {
+  own : schedule;
+  mutable r0 : int;
+  mutable r1 : int;
+  mutable r2 : int;
+  mutable r3 : int;
+}
 
-let bmix src dst cap n =
-  for col = 0 to 3 do
-    let o0 = col * cap
-    and o1 = (4 + col) * cap
-    and o2 = (8 + col) * cap
-    and o3 = (12 + col) * cap in
-    for l = 0 to n - 1 do
-      let c0 = Array.unsafe_get src (o0 + l)
-      and c1 = Array.unsafe_get src (o1 + l)
-      and c2 = Array.unsafe_get src (o2 + l)
-      and c3 = Array.unsafe_get src (o3 + l) in
-      Array.unsafe_set dst (o0 + l)
-        (Array.unsafe_get rot1 c1
-        lxor Array.unsafe_get rot4 c2
-        lxor Array.unsafe_get rot5 c3);
-      Array.unsafe_set dst (o1 + l)
-        (Array.unsafe_get rot1 c2
-        lxor Array.unsafe_get rot4 c3
-        lxor Array.unsafe_get rot5 c0);
-      Array.unsafe_set dst (o2 + l)
-        (Array.unsafe_get rot1 c3
-        lxor Array.unsafe_get rot4 c0
-        lxor Array.unsafe_get rot5 c1);
-      Array.unsafe_set dst (o3 + l)
-        (Array.unsafe_get rot1 c0
-        lxor Array.unsafe_get rot4 c1
-        lxor Array.unsafe_get rot5 c2)
-    done
-  done
+let scratch () = { own = make_schedule max_rounds; r0 = 0; r1 = 0; r2 = 0; r3 = 0 }
 
-let bsubstitute table s cap n =
-  for c = 0 to 15 do
-    let off = c * cap in
-    for l = off to off + n - 1 do
-      Array.unsafe_set s l (Array.unsafe_get table (Array.unsafe_get s l))
-    done
-  done
+(* One output column of a unit. [x0]..[x3] carry the source cells of rows
+   0..3 in their low byte. A forward unit's key byte belongs to the source
+   cell ([c0]..[c3]); a backward unit's to the output cell, [o] for row
+   0. *)
+let[@inline] fcol kb o x0 c0 x1 c1 x2 c2 x3 c3 =
+  get mcol (get sbox (x0 land 0xff) lxor kget kb (o + c0))
+  lxor get mcol (256 + (get sbox (x1 land 0xff) lxor kget kb (o + c1)))
+  lxor get mcol (512 + (get sbox (x2 land 0xff) lxor kget kb (o + c2)))
+  lxor get mcol (768 + (get sbox (x3 land 0xff) lxor kget kb (o + c3)))
 
-let btweak_update b n =
-  let cap = b.capacity in
-  bpermute h_perm b.bt b.bt' cap n;
-  swap_btweak b;
-  let t = b.bt in
-  Array.iter
-    (fun c ->
-      let off = c * cap in
-      for l = off to off + n - 1 do
-        Array.unsafe_set t l (Array.unsafe_get lfsr_tab (Array.unsafe_get t l))
-      done)
-    lfsr_cells
+let[@inline] bcol kb o a b c d =
+  get mscol (a land 0xff lxor kget kb o)
+  lxor get mscol (256 + (b land 0xff lxor kget kb (o + 4)))
+  lxor get mscol (512 + (c land 0xff lxor kget kb (o + 8)))
+  lxor get mscol (768 + (d land 0xff lxor kget kb (o + 12)))
 
-let btweak_update_inv b n =
-  let cap = b.capacity in
-  let t = b.bt in
-  Array.iter
-    (fun c ->
-      let off = c * cap in
-      for l = off to off + n - 1 do
-        Array.unsafe_set t l
-          (Array.unsafe_get lfsr_inv_tab (Array.unsafe_get t l))
-      done)
-    lfsr_cells;
-  bpermute h_perm_inv b.bt b.bt' cap n;
-  swap_btweak b
+(* Final gather: S^-1 of the tau^-1-gathered cell [x] xor its key byte. *)
+let[@inline] fin kb o x = get sbox_inv (x land 0xff lxor kget kb o)
 
-(* Same round sequence as [encrypt_cells], lane-parallel. Lanes
-   [n..capacity-1] hold stale garbage and are simply not visited. *)
-let encrypt_batch key b ~n =
-  if n < 0 || n > b.capacity then invalid_arg "Qarma.encrypt_batch: n";
-  if n > 0 then begin
-    let cap = b.capacity in
-    bxor1 b n key.w0;
-    for i = 0 to key.rounds - 1 do
-      bxor_round_key b n key.k0 key.rc.(i);
-      if i > 0 then begin
-        bpermute tau b.bs b.bs' cap n;
-        swap_bstate b;
-        bmix b.bs b.bs' cap n;
-        swap_bstate b
-      end;
-      bsubstitute sbox b.bs cap n;
-      btweak_update b n
-    done;
-    bxor2 b n key.w1;
-    bpermute tau b.bs b.bs' cap n;
-    swap_bstate b;
-    bmix b.bs b.bs' cap n;
-    swap_bstate b;
-    bxor1 b n key.k1;
-    bpermute tau_inv b.bs b.bs' cap n;
-    swap_bstate b;
-    for i = key.rounds - 1 downto 0 do
-      btweak_update_inv b n;
-      bsubstitute sbox_inv b.bs cap n;
-      if i > 0 then begin
-        bmix b.bs b.bs' cap n;
-        swap_bstate b;
-        bpermute tau_inv b.bs b.bs' cap n;
-        swap_bstate b
-      end;
-      bxor_round_key b n key.k0a key.rc.(i)
-    done;
-    bxor1 b n key.w1
-  end
+(* Output row word j: cells 4j..4j+3 from [a]..[d], then the output
+   whitening [w]. *)
+let[@inline] frow kb o j w a b c d =
+  let oj = o + (4 * j) in
+  (fin kb oj a lsl 24) lor (fin kb (oj + 1) b lsl 16) lor (fin kb (oj + 2) c lsl 8)
+  lor fin kb (oj + 3) d
+  lxor w
 
-module Internal = struct
-  let sbox = sbox
-  let sbox_inv = sbox_inv
-  let tau = tau
-  let tau_inv = tau_inv
-  let mix = mix
-  let tweak_update t = tweak_update (Array.copy t)
-  let tweak_update_inv = tweak_update_inv
-end
+let final sc sch o s0 s1 s2 s3 =
+  let kb = sch.kb and wr = sch.wr in
+  sc.r0 <- frow kb o 0 (get wr 4) (s0 lsr 24) (s1 lsr 16) s3 (s2 lsr 8);
+  sc.r1 <- frow kb o 1 (get wr 5) s1 (s0 lsr 8) (s2 lsr 24) (s3 lsr 16);
+  sc.r2 <- frow kb o 2 (get wr 6) (s3 lsr 8) s2 (s0 lsr 16) (s1 lsr 24);
+  sc.r3 <- frow kb o 3 (get wr 7) (s2 lsr 16) (s3 lsr 24) (s1 lsr 8) s0
+
+let rec bwd sc sch kb o stop s0 s1 s2 s3 =
+  if o = stop then final sc sch o s0 s1 s2 s3
+  else
+    bwd sc sch kb (o + 16) stop
+      (bcol kb o (s0 lsr 24) s1 (s3 lsr 8) (s2 lsr 16))
+      (bcol kb (o + 1) (s1 lsr 16) (s0 lsr 8) s2 (s3 lsr 24))
+      (bcol kb (o + 2) s3 (s2 lsr 24) (s0 lsr 16) (s1 lsr 8))
+      (bcol kb (o + 3) (s2 lsr 8) (s3 lsr 16) (s1 lsr 24) s0)
+
+let rec fwd sc sch kb o stop s0 s1 s2 s3 =
+  if o = stop then bwd sc sch kb o (stop + stop - 16) s0 s1 s2 s3
+  else
+    fwd sc sch kb (o + 16) stop
+      (fcol kb o (s0 lsr 24) 0 (s2 lsr 8) 10 (s1 lsr 16) 5 s3 15)
+      (fcol kb o (s3 lsr 8) 11 (s1 lsr 24) 1 s2 14 (s0 lsr 16) 4)
+      (fcol kb o (s2 lsr 16) 6 s0 12 (s3 lsr 24) 3 (s1 lsr 8) 9)
+      (fcol kb o s1 13 (s3 lsr 16) 7 (s0 lsr 8) 8 (s2 lsr 24) 2)
+
+(* Whitening on row words, then the first forward unit, which gathers
+   from the row layout into columns. *)
+let run sc sch ~p_hi ~p_lo =
+  let kb = sch.kb and wr = sch.wr in
+  let s0 = Int64.to_int (Int64.shift_right_logical p_hi 32) lxor get wr 0
+  and s1 = Int64.to_int p_hi land 0xffff_ffff lxor get wr 1
+  and s2 = Int64.to_int (Int64.shift_right_logical p_lo 32) lxor get wr 2
+  and s3 = Int64.to_int p_lo land 0xffff_ffff lxor get wr 3 in
+  fwd sc sch kb 16 (16 * sch.nr)
+    (fcol kb 0 (s0 lsr 24) 0 (s2 lsr 8) 10 (s1 lsr 16) 5 s3 15)
+    (fcol kb 0 s2 11 (s0 lsr 16) 1 (s3 lsr 8) 14 (s1 lsr 24) 4)
+    (fcol kb 0 (s1 lsr 8) 6 (s3 lsr 24) 12 s0 3 (s2 lsr 16) 9)
+    (fcol kb 0 (s3 lsr 16) 13 s1 7 (s2 lsr 24) 8 (s0 lsr 8) 2)
+
+let encrypt_scheduled = run
+
+let encrypt_raw sc key ~t_hi ~t_lo ~p_hi ~p_lo =
+  fill sc.own key key.enc ~t_hi ~t_lo;
+  run sc sc.own ~p_hi ~p_lo
+
+let encrypt_retweaked sc ~cell v ~p_hi ~p_lo =
+  retweak sc.own ~cell v;
+  run sc sc.own ~p_hi ~p_lo
+
+let out_hi sc = Int64.logor (Int64.shift_left (Int64.of_int sc.r0) 32) (Int64.of_int sc.r1)
+let out_lo sc = Int64.logor (Int64.shift_left (Int64.of_int sc.r2) 32) (Int64.of_int sc.r3)
+
+let cipher_with h sc key ~tweak b =
+  fill sc.own key (h key) ~t_hi:tweak.Block128.hi ~t_lo:tweak.Block128.lo;
+  run sc sc.own ~p_hi:b.Block128.hi ~p_lo:b.Block128.lo;
+  Block128.make ~hi:(out_hi sc) ~lo:(out_lo sc)
+
+let encrypt_with sc key ~tweak p = cipher_with (fun k -> k.enc) sc key ~tweak p
+let decrypt_with sc key ~tweak c = cipher_with (fun k -> k.dec) sc key ~tweak c

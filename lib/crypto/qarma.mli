@@ -3,20 +3,26 @@
     This is the low-latency reflector cipher PT-Guard uses to build the PTE
     MAC (paper Section IV-F: "18 round QARMA-128 ... 256-bit key").
 
-    The implementation follows the published construction: a 16-cell state
-    (8-bit cells for the 128-bit block), [r] forward rounds of
-    AddRoundTweakey / cell shuffle [tau] / involutory diffusion matrix [M] /
-    S-box, a keyed pseudo-reflector, and [r] mirrored backward rounds, with
-    the tweak evolving through the [h] cell permutation and a cell LFSR.
-    Key material is [w0 || k0] (256 bits); [w1] is derived by the
-    orthomorphism [o(w) = (w >>> 1) xor (w >> 127)] and the reflector key is
-    [k1 = M(k0)].
+    The construction follows the published cipher: a 16-cell state (8-bit
+    cells for the 128-bit block), [r] forward rounds of AddRoundTweakey /
+    cell shuffle [tau] / involutory diffusion matrix [M] / S-box, a keyed
+    pseudo-reflector, and [r] mirrored backward rounds, with the tweak
+    evolving through the [h] cell permutation and a cell LFSR. Key
+    material is [w0 || k0] (256 bits); [w1] is derived by the
+    orthomorphism [o(w) = (w >>> 1) xor (w >> 127)] and the reflector key
+    is [k1 = M(k0)].
+
+    The implementation is table-driven: four 32-bit column words, with
+    each round one byte gather plus a lookup in an [M o tau] (forward) or
+    [M o S^-1] (backward) column table. The pure cell-array cipher is kept
+    under test/ as the differential oracle.
 
     No official QARMA-128 test vectors are reachable in this offline
-    environment, so the round constants (hex digits of pi) and the 8-bit
-    cell S-box (nibble-parallel sigma_1 with nibble swap) are documented
-    choices; correctness is established by the property tests: exact
-    inverse, ~50% avalanche, and key/tweak sensitivity. See DESIGN.md. *)
+    environment, so the round constants (the SHA-512 round constants) and
+    the 8-bit cell S-box (nibble-parallel sigma_1 with nibble swap) are
+    documented choices; correctness is established by the property tests:
+    exact inverse, ~50% avalanche, key/tweak sensitivity, pinned golden
+    vectors and agreement with the reference cipher. See DESIGN.md. *)
 
 type key
 (** Expanded key schedule. *)
@@ -42,92 +48,59 @@ val key_material : key -> Block128.t * Block128.t
     — this is how checkpoints serialize a key without persisting the
     derived round material. *)
 
-val encrypt : key -> tweak:Block128.t -> Block128.t -> Block128.t
-(** [encrypt key ~tweak p] is the ciphertext of block [p] under [tweak]. *)
+(** {2 Cipher calls}
 
-val decrypt : key -> tweak:Block128.t -> Block128.t -> Block128.t
-(** Exact inverse of {!encrypt} for the same key and tweak. *)
-
-(** {2 Scratch-context API}
-
-    The pure functions above allocate fresh cell arrays on every call,
-    which dominates the cost of MAC-ing a PTE line millions of times per
-    simulation. A {!scratch} preallocates the state and tweak double
-    buffers once; the [_with]/[_raw] entry points below reuse it and are
-    property-tested to agree with {!encrypt}/{!decrypt} exactly. A scratch
-    is not thread-safe: give each domain (each engine, each correction
-    engine) its own. *)
+    A {!scratch} holds the working tweak schedule and the last output; the
+    calls below reuse it instead of allocating. A scratch is not
+    thread-safe: give each domain (each engine, each correction search)
+    its own. *)
 
 type scratch
-(** Reusable cipher working state; see {!val-scratch}. *)
 
 val scratch : unit -> scratch
 (** Allocate a fresh scratch context. *)
 
 val encrypt_with : scratch -> key -> tweak:Block128.t -> Block128.t -> Block128.t
-(** [encrypt_with sc key ~tweak p] = [encrypt key ~tweak p], reusing [sc]'s
-    buffers instead of allocating. Only the result block is allocated. *)
+(** [encrypt_with sc key ~tweak p] is the ciphertext of block [p] under
+    [tweak]. Only the result block is allocated. *)
 
 val decrypt_with : scratch -> key -> tweak:Block128.t -> Block128.t -> Block128.t
-(** Scratch-reusing {!decrypt}. *)
+(** Exact inverse of {!encrypt_with} for the same key and tweak. *)
 
 val encrypt_raw :
   scratch -> key -> t_hi:int64 -> t_lo:int64 -> p_hi:int64 -> p_lo:int64 -> unit
 (** Fully allocation-free encryption: tweak and plaintext halves are passed
     as bare [int64]s and the ciphertext is left in the scratch, readable
-    via {!out_hi}/{!out_lo} until the next [_raw]/[_with] call. *)
+    via {!out_hi}/{!out_lo} until the next call on it. *)
+
+val encrypt_retweaked : scratch -> cell:int -> int -> p_hi:int64 -> p_lo:int64 -> unit
+(** [encrypt_retweaked sc ~cell v ~p_hi ~p_lo] encrypts [p] under the
+    tweak of the scratch's last {!encrypt_raw} (or [encrypt_retweaked])
+    call, which must be its last call, with
+    the byte [v] xored into tweak cell [cell] (cell 0 = most significant
+    byte of [t_hi], cell 7 its least significant). The schedule is patched
+    one byte per round instead of re-expanded: the MAC's chunk tweaks
+    [A_i] differ only in cell 7. *)
 
 val out_hi : scratch -> int64
-(** High 64 bits of the last {!encrypt_raw} result. *)
+(** High 64 bits of the last result left in the scratch. *)
 
 val out_lo : scratch -> int64
-(** Low 64 bits of the last {!encrypt_raw} result. *)
+(** Low 64 bits of the last result left in the scratch. *)
 
-(** {2 Batched API}
+(** {2 Fixed tweaks}
 
-    [N] independent (block, tweak) lanes encrypted together in a
-    structure-of-arrays layout (cell [c] of lane [l] at
-    [c * capacity + l]): key and round-constant loads are hoisted out of
-    the per-lane loops and the cell permutations become contiguous blits,
-    which is what makes the engine's batched MAC verification faster than
-    [N] scalar calls. Property-tested lane-for-lane equal to {!encrypt}
-    for every batch size, ragged tail and round count. Like {!scratch},
-    a batch is not thread-safe: one per domain. *)
+    Half the cost of a call is expanding the tweak into per-round key
+    bytes. A caller that encrypts many blocks under one tweak (correction
+    guesses under the chunk tweaks [A_i]) expands it once. *)
 
-type batch
-(** Preallocated lane buffers; see {!val-batch}. *)
+type schedule
+(** Every round's key-xor-tweak bytes for one (key, tweak). Immutable once
+    built. *)
 
-val batch : capacity:int -> batch
-(** [batch ~capacity] allocates lane buffers for up to [capacity]
-    concurrent encryptions. *)
+val schedule : key -> t_hi:int64 -> t_lo:int64 -> schedule
 
-val batch_capacity : batch -> int
-
-val set_lane :
-  batch -> int -> t_hi:int64 -> t_lo:int64 -> p_hi:int64 -> p_lo:int64 -> unit
-(** [set_lane b l ~t_hi ~t_lo ~p_hi ~p_lo] stages plaintext [p] and tweak
-    [t] into lane [l] (0-based, < capacity). *)
-
-val encrypt_batch : key -> batch -> n:int -> unit
-(** Encrypt lanes [0..n-1] in place ([0 <= n <= capacity]). Lanes at and
-    beyond [n] are untouched. Results are readable via
-    {!lane_hi}/{!lane_lo} until the next [set_lane]/[encrypt_batch]. *)
-
-val lane_hi : batch -> int -> int64
-(** High 64 bits of the ciphertext in lane [l] after {!encrypt_batch}. *)
-
-val lane_lo : batch -> int -> int64
-(** Low 64 bits of the ciphertext in lane [l] after {!encrypt_batch}. *)
-
-(**/**)
-
-module Internal : sig
-  (* Exposed for white-box unit tests only. *)
-  val sbox : int array
-  val sbox_inv : int array
-  val tau : int array
-  val tau_inv : int array
-  val mix : int array -> int array
-  val tweak_update : int array -> int array
-  val tweak_update_inv : int array -> int array
-end
+val encrypt_scheduled : scratch -> schedule -> p_hi:int64 -> p_lo:int64 -> unit
+(** [encrypt_scheduled sc (schedule key ~t_hi ~t_lo) ~p_hi ~p_lo] leaves
+    the same result in [sc] as [encrypt_raw sc key ~t_hi ~t_lo ~p_hi
+    ~p_lo]. *)

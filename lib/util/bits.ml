@@ -25,7 +25,7 @@ let insert w ~lo ~hi v =
     (Int64.logand w (Int64.lognot m))
     (Int64.logand (Int64.shift_left v lo) m)
 
-let popcount w =
+let[@inline] popcount w =
   (* SWAR popcount: classic bit-twiddling, avoids a 64-iteration loop. *)
   let open Int64 in
   let w = sub w (logand (shift_right_logical w 1) 0x5555555555555555L) in

@@ -9,9 +9,11 @@
 #      part of runtest, but kept addressable for quick iteration
 #   5. grep gate: no bare `with _ -> ()` in lib/server — every dropped
 #      exception there must be classified or counted
-#   6. crypto tier alone (dune build @crypto) — the batched-QARMA
-#      differential oracle, golden vectors and Block128 algebra, also
-#      part of runtest but addressable for quick cipher iteration
+#   6. crypto tier alone (dune build @crypto) — the table-driven QARMA
+#      core, every MAC path and correction checked against the cell-array
+#      reference cipher (test/crypto/qarma_ref.ml), golden vectors and
+#      Block128 algebra, also part of runtest but addressable for quick
+#      cipher iteration
 #   6b. trace tier alone (dune build @trace) — registry conformance +
 #      memory-trace formats, also part of runtest but addressable
 #   6c. grep gate: the plugin names registered in

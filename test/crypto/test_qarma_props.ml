@@ -1,9 +1,15 @@
-(* Crypto conformance suite: the batched QARMA path differentially tested
-   against the scalar oracle, pinned golden vectors, avalanche bounds and
-   Block128 algebra. Runs standalone via `dune build @crypto` so cipher
-   changes get a verdict in seconds, and under the full `dune runtest`. *)
+(* Crypto conformance suite: the table-driven QARMA core and every MAC
+   path differentially tested against the cell-array reference cipher
+   (Qarma_ref), correction against a reference search over it, pinned
+   golden vectors, avalanche bounds and Block128 algebra. Runs standalone
+   via `dune build @crypto` so cipher changes get a verdict in seconds,
+   and under the full `dune runtest`. *)
 
 open Ptg_crypto
+
+let sc = Qarma.scratch ()
+let encrypt key ~tweak p = Qarma.encrypt_with sc key ~tweak p
+let decrypt key ~tweak c = Qarma.decrypt_with sc key ~tweak c
 
 let fixed_key =
   Qarma.expand_key
@@ -16,9 +22,9 @@ let gen_block =
 (* {2 Golden vectors}
 
    test/golden/qarma_vectors.txt pins (key, tweak, plaintext, ciphertext)
-   tuples per round count, generated once from this implementation. Any
+   tuples per round count, generated once from the reference cipher. Any
    drift in the S-box, round constants, tweak schedule or round structure
-   flips a vector. *)
+   of either cipher flips a vector. *)
 
 let vectors_path = "../golden/qarma_vectors.txt"
 
@@ -49,12 +55,14 @@ let test_golden_vectors () =
   List.iter
     (fun (rounds, w0, k0, tweak, p, c) ->
       let key = Qarma.expand_key ~rounds ~w0 k0 in
-      let got = Qarma.encrypt key ~tweak p in
-      if not (Block128.equal got c) then
-        Alcotest.failf "vector mismatch (rounds=%d): got %s want %s" rounds
-          (Block128.to_hex got) (Block128.to_hex c);
+      List.iter
+        (fun (name, got) ->
+          if not (Block128.equal got c) then
+            Alcotest.failf "%s vector mismatch (rounds=%d): got %s want %s" name rounds
+              (Block128.to_hex got) (Block128.to_hex c))
+        [ ("core", encrypt key ~tweak p); ("reference", Qarma_ref.encrypt key ~tweak p) ];
       Alcotest.(check bool) "vector decrypts back" true
-        (Block128.equal (Qarma.decrypt key ~tweak c) p))
+        (Block128.equal (decrypt key ~tweak c) p))
     vectors
 
 let test_golden_covers_rounds () =
@@ -68,7 +76,7 @@ let prop_roundtrip_identity =
   QCheck2.Test.make ~name:"decrypt (encrypt p) = p" ~count:500
     QCheck2.Gen.(pair gen_block gen_block)
     (fun (p, tweak) ->
-      Block128.equal (Qarma.decrypt fixed_key ~tweak (Qarma.encrypt fixed_key ~tweak p)) p)
+      Block128.equal (decrypt fixed_key ~tweak (encrypt fixed_key ~tweak p)) p)
 
 (* Mean bit flips over single-bit input perturbations must be >= 40% of
    the 128-bit block (the issue's conformance bar; an ideal cipher sits
@@ -85,10 +93,10 @@ let avalanche_fraction ~flip_tweak =
       if bit < 64 then Block128.make ~hi:b.Block128.hi ~lo:(Ptg_util.Bits.flip b.Block128.lo bit)
       else Block128.make ~hi:(Ptg_util.Bits.flip b.Block128.hi (bit - 64)) ~lo:b.Block128.lo
     in
-    let c1 = Qarma.encrypt fixed_key ~tweak:t p in
+    let c1 = encrypt fixed_key ~tweak:t p in
     let c2 =
-      if flip_tweak then Qarma.encrypt fixed_key ~tweak:(flip t) p
-      else Qarma.encrypt fixed_key ~tweak:t (flip p)
+      if flip_tweak then encrypt fixed_key ~tweak:(flip t) p
+      else encrypt fixed_key ~tweak:t (flip p)
     in
     total := !total + Block128.hamming c1 c2
   done;
@@ -129,12 +137,8 @@ let prop_rotr1_order =
       !ok && Block128.equal !r a)
 
 let prop_cells_roundtrip =
-  QCheck2.Test.make ~name:"Block128 cells: of_cells (to_cells a) = a, pack agrees"
-    ~count:300 gen_block (fun a ->
-      let cells = Block128.to_cells a in
-      Block128.equal (Block128.of_cells cells) a
-      && Int64.equal (Block128.pack_hi cells) a.Block128.hi
-      && Int64.equal (Block128.pack_lo cells) a.Block128.lo)
+  QCheck2.Test.make ~name:"Block128 cells: of_cells (to_cells a) = a"
+    ~count:300 gen_block (fun a -> Block128.equal (Block128.of_cells (Block128.to_cells a)) a)
 
 let prop_shift127 =
   QCheck2.Test.make ~name:"Block128 shift_right_127 isolates the top bit" ~count:300
@@ -143,99 +147,250 @@ let prop_shift127 =
       Int64.equal s.Block128.hi 0L
       && Int64.equal s.Block128.lo (Int64.shift_right_logical a.Block128.hi 63))
 
-(* {2 Batched cipher vs scalar oracle}
+(* {2 Core vs reference cipher}
 
-   The differential harness of this PR: every lane of [encrypt_batch]
-   must equal the scalar [encrypt] of that lane's inputs — across batch
-   sizes 1..capacity, ragged fills (n < capacity), duplicated tweaks and
-   every round count. One shared batch is reused across samples so stale
-   lane state from a previous flush would be caught. *)
+   Every entry point of the table-driven core must equal the cell-array
+   reference for every round count. One shared scratch is reused across
+   samples, so state left over from a previous call would be caught. *)
 
-let batch_cap = 17
-let shared_batch = Qarma.batch ~capacity:batch_cap
+let gen_rounds_key =
+  QCheck2.Gen.(
+    map
+      (fun (rounds, (w0, k0)) -> Qarma.expand_key ~rounds ~w0 k0)
+      (pair (int_range 1 16) (pair gen_block gen_block)))
 
-let fill_and_check key ~n blocks =
-  List.iteri
-    (fun l (t, p) ->
-      if l < n then
-        Qarma.set_lane shared_batch l ~t_hi:t.Block128.hi ~t_lo:t.Block128.lo
-          ~p_hi:p.Block128.hi ~p_lo:p.Block128.lo)
-    blocks;
-  Qarma.encrypt_batch key shared_batch ~n;
-  List.for_all
-    (fun (l, (t, p)) ->
-      l >= n
-      ||
-      let c = Qarma.encrypt key ~tweak:t p in
-      Int64.equal (Qarma.lane_hi shared_batch l) c.Block128.hi
-      && Int64.equal (Qarma.lane_lo shared_batch l) c.Block128.lo)
-    (List.mapi (fun l tp -> (l, tp)) blocks)
+let prop_encrypt_matches_ref =
+  QCheck2.Test.make ~name:"encrypt = Qarma_ref.encrypt for r in 1..16" ~count:500
+    QCheck2.Gen.(triple gen_rounds_key gen_block gen_block)
+    (fun (key, tweak, p) ->
+      Block128.equal (encrypt key ~tweak p) (Qarma_ref.encrypt key ~tweak p))
 
-let prop_batch_matches_scalar =
-  QCheck2.Test.make ~name:"encrypt_batch lane-for-lane = scalar encrypt (n in 1..cap)"
-    ~count:200
-    QCheck2.Gen.(pair (int_range 1 batch_cap) (list_size (return batch_cap) (pair gen_block gen_block)))
-    (fun (n, blocks) -> fill_and_check fixed_key ~n blocks)
+let prop_decrypt_matches_ref =
+  QCheck2.Test.make ~name:"decrypt = Qarma_ref.decrypt for r in 1..16" ~count:500
+    QCheck2.Gen.(triple gen_rounds_key gen_block gen_block)
+    (fun (key, tweak, c) ->
+      Block128.equal (decrypt key ~tweak c) (Qarma_ref.decrypt key ~tweak c))
 
-let prop_batch_duplicated_tweaks =
-  QCheck2.Test.make ~name:"encrypt_batch with one tweak duplicated across all lanes"
-    ~count:100
-    QCheck2.Gen.(pair gen_block (list_size (return batch_cap) gen_block))
-    (fun (tweak, plains) ->
-      fill_and_check fixed_key ~n:batch_cap (List.map (fun p -> (tweak, p)) plains))
+let prop_schedule_reused =
+  QCheck2.Test.make ~name:"one schedule reused across blocks = Qarma_ref" ~count:100
+    QCheck2.Gen.(triple gen_rounds_key gen_block (list_size (int_range 1 8) gen_block))
+    (fun (key, tweak, plains) ->
+      let sch = Qarma.schedule key ~t_hi:tweak.Block128.hi ~t_lo:tweak.Block128.lo in
+      List.for_all
+        (fun p ->
+          Qarma.encrypt_scheduled sc sch ~p_hi:p.Block128.hi ~p_lo:p.Block128.lo;
+          let c = Qarma_ref.encrypt key ~tweak p in
+          Int64.equal (Qarma.out_hi sc) c.Block128.hi
+          && Int64.equal (Qarma.out_lo sc) c.Block128.lo)
+        plains)
 
-let prop_batch_all_rounds =
-  QCheck2.Test.make ~name:"encrypt_batch = scalar for r in 1..16" ~count:64
+let prop_retweaked_matches_ref =
+  QCheck2.Test.make ~name:"encrypt_retweaked = Qarma_ref under the changed tweak"
+    ~count:300
     QCheck2.Gen.(
-      triple (int_range 1 16) (int_range 1 batch_cap)
-        (list_size (return batch_cap) (pair gen_block gen_block)))
-    (fun (rounds, n, blocks) ->
-      let key = Qarma.expand_key ~rounds ~w0:(Block128.of_int64 42L) (Block128.of_int64 7L) in
-      fill_and_check key ~n blocks)
+      quad gen_rounds_key gen_block (pair (int_range 0 15) (int_range 0 255)) gen_block)
+    (fun (key, tweak, (cell, v), p) ->
+      Qarma.encrypt_raw sc key ~t_hi:tweak.Block128.hi ~t_lo:tweak.Block128.lo ~p_hi:0L
+        ~p_lo:0L;
+      Qarma.encrypt_retweaked sc ~cell v ~p_hi:p.Block128.hi ~p_lo:p.Block128.lo;
+      let shift = Int64.shift_left (Int64.of_int v) (8 * (7 - (cell land 7))) in
+      let tweak' =
+        if cell < 8 then Block128.make ~hi:(Int64.logxor tweak.Block128.hi shift) ~lo:tweak.Block128.lo
+        else Block128.make ~hi:tweak.Block128.hi ~lo:(Int64.logxor tweak.Block128.lo shift)
+      in
+      let c = Qarma_ref.encrypt key ~tweak:tweak' p in
+      Int64.equal (Qarma.out_hi sc) c.Block128.hi && Int64.equal (Qarma.out_lo sc) c.Block128.lo)
 
-let test_batch_n_zero_and_bounds () =
-  Qarma.encrypt_batch fixed_key shared_batch ~n:0;
-  Alcotest.(check int) "capacity recorded" batch_cap (Qarma.batch_capacity shared_batch);
-  Alcotest.check_raises "n > capacity rejected"
-    (Invalid_argument "Qarma.encrypt_batch: n") (fun () ->
-      Qarma.encrypt_batch fixed_key shared_batch ~n:(batch_cap + 1))
-
-(* {2 Batched MAC vs scalar oracle}
-
-   [Mac.compute_batch] over request counts straddling multiples of the
-   context capacity (internal flush boundaries, ragged tails) and with
-   duplicated addresses must reproduce [Mac.compute] per request. *)
-
-let mac_cap = 5
-let shared_mac_ctx = Mac.batch_ctx ~capacity:mac_cap ()
+(* {2 MAC paths vs the reference fold} *)
 
 let gen_line = QCheck2.Gen.(array_size (return 8) int64)
+let shared_mac_ctx = Mac.ctx ()
+
+let prop_mac_matches_ref =
+  QCheck2.Test.make ~name:"Mac.compute and compute_with = reference fold" ~count:200
+    QCheck2.Gen.(triple gen_rounds_key int64 gen_line)
+    (fun (key, addr, line) ->
+      let want = Qarma_ref.mac key ~addr line in
+      Mac.equal (Mac.compute key ~addr line) want
+      && Mac.equal (Mac.compute_with shared_mac_ctx key ~addr line) want)
 
 let prop_mac_batch_matches_scalar =
   QCheck2.Test.make
-    ~name:"Mac.compute_batch = scalar Mac.compute (n straddles chunk size)" ~count:100
+    ~name:"Mac.compute_batch = scalar Mac.compute = reference fold (ragged n)" ~count:60
     QCheck2.Gen.(
-      pair (int_range 1 (3 * mac_cap))
-        (list_size (return (3 * mac_cap)) (pair int64 gen_line)))
+      pair (int_range 0 12) (list_size (return 12) (pair int64 gen_line)))
     (fun (n, reqs) ->
       let reqs = Array.of_list reqs in
       let addrs = Array.map fst reqs and lines = Array.map snd reqs in
       let macs = Mac.compute_batch shared_mac_ctx fixed_key ~n ~addrs ~lines in
       Array.length macs = n
-      && Array.for_all (fun m -> Mac.is_well_formed m) macs
-      && Array.for_all
-           (fun i -> Mac.equal macs.(i) (Mac.compute fixed_key ~addr:addrs.(i) lines.(i)))
-           (Array.init n (fun i -> i)))
+      && Array.for_all Mac.is_well_formed macs
+      && List.for_all
+           (fun i ->
+             Mac.equal macs.(i) (Mac.compute fixed_key ~addr:addrs.(i) lines.(i))
+             && Mac.equal macs.(i) (Qarma_ref.mac fixed_key ~addr:addrs.(i) lines.(i)))
+           (List.init n Fun.id))
 
 let prop_mac_batch_duplicated_addrs =
   QCheck2.Test.make ~name:"Mac.compute_batch with one addr/line duplicated" ~count:60
     QCheck2.Gen.(pair int64 gen_line)
     (fun (addr, line) ->
-      let n = 2 * mac_cap in
+      let n = 10 in
       let addrs = Array.make n addr and lines = Array.make n line in
       let macs = Mac.compute_batch shared_mac_ctx fixed_key ~n ~addrs ~lines in
-      let want = Mac.compute fixed_key ~addr line in
+      let want = Qarma_ref.mac fixed_key ~addr line in
       Array.for_all (fun m -> Mac.equal m want) macs)
+
+(* [Mac.compute] runs in pool workers (every rekey's [compute_zero]), so
+   two domains computing at once must not disturb each other. *)
+let test_mac_across_domains () =
+  let rng = Ptg_util.Rng.create 0xD0D0L in
+  let reqs =
+    Array.init 400 (fun i ->
+        (Int64.of_int (i * 64), Array.init 8 (fun _ -> Ptg_util.Rng.next rng)))
+  in
+  let sequential = Array.map (fun (addr, line) -> Mac.compute fixed_key ~addr line) reqs in
+  let half lo hi () =
+    Array.init (hi - lo) (fun i ->
+        let addr, line = reqs.(lo + i) in
+        Mac.compute fixed_key ~addr line)
+  in
+  let d1 = Domain.spawn (half 0 200) and d2 = Domain.spawn (half 200 400) in
+  let parallel = Array.append (Domain.join d1) (Domain.join d2) in
+  Alcotest.(check bool) "two domains = sequential" true
+    (Array.for_all2 Mac.equal sequential parallel)
+
+(* {2 Correction vs a reference search}
+
+   The guess sequence of Section VI, candidate by candidate, with every
+   candidate's MAC recomputed from scratch by the reference cipher (and
+   the Optimized design's MAC-zero rule for all-zero candidates). The
+   production search must agree on outcome, step, line and guess count. *)
+
+open Ptguard
+
+let reference_correct ?mac_zero (cfg : Config.t) key ~addr line =
+  let module L = (val cfg.Config.layout : Layout.S) in
+  let width = cfg.Config.mac_bits in
+  let target = Mac.truncate ~width (L.extract_mac line) in
+  let mac_of cand =
+    let masked = L.masked_for_mac cand in
+    match mac_zero with
+    | Some mz when Ptg_pte.Line.is_zero masked -> mz
+    | Some _ | None -> Mac.truncate ~width (Qarma_ref.mac key ~addr masked)
+  in
+  let with_word l i w =
+    let c = Array.copy l in
+    c.(i) <- w;
+    c
+  in
+  let majority words b =
+    2 * List.length (List.filter (fun w -> Ptg_util.Bits.get w b) words) > List.length words
+  in
+  let content_mask = Int64.lognot (Int64.logor L.mac_field_mask L.identifier_field_mask) in
+  let flips =
+    List.concat_map
+      (fun i ->
+        List.filter_map
+          (fun b ->
+            if Ptg_util.Bits.get L.protected_mask b then
+              Some (Correction.Flip_and_check, with_word line i (Ptg_util.Bits.flip line.(i) b))
+            else None)
+          (List.init 64 Fun.id))
+      (List.init 8 Fun.id)
+  in
+  let base =
+    Array.map
+      (fun w ->
+        let c = Int64.logand w content_mask in
+        if c <> 0L && Ptg_util.Bits.popcount c <= cfg.Config.zero_pte_max_bits then
+          Int64.logand w (Int64.lognot content_mask)
+        else w)
+      line
+  in
+  let nz = List.filter (fun i -> Int64.logand base.(i) content_mask <> 0L) (List.init 8 Fun.id) in
+  let vote from bits =
+    let words = List.map (fun i -> from.(i)) nz in
+    Array.mapi
+      (fun i w ->
+        if List.mem i nz then
+          List.fold_left (fun w b -> Ptg_util.Bits.assign w b (majority words b)) w bits
+        else w)
+      from
+  in
+  let pfn_lo, pfn_hi = L.pfn_word_bits in
+  let top_bits = List.init (pfn_hi - pfn_lo - 7) (fun j -> pfn_lo + 8 + j) in
+  let contiguity step from =
+    List.map
+      (fun b ->
+        ( step,
+          Array.mapi
+            (fun i w ->
+              if List.mem i nz then L.set_pfn w (Int64.add (L.pfn from.(b)) (Int64.of_int (i - b)))
+              else w)
+            from ))
+      nz
+  in
+  let candidates =
+    [ (Correction.Soft_mac_match, line) ] @ flips
+    @ [ (Correction.Zero_pte_reset, base) ]
+    @ (if nz = [] then []
+       else
+         [ (Correction.Flag_majority, vote base L.flag_bits);
+           (Correction.Pfn_contiguity, vote base top_bits) ]
+         @ contiguity Correction.Pfn_contiguity base
+         @ contiguity Correction.Flags_and_pfn (vote base L.flag_bits))
+  in
+  let rec search n = function
+    | [] -> Correction.Uncorrectable { guesses = n }
+    | (step, cand) :: rest ->
+        if Mac.soft_match ~k:cfg.Config.soft_match_k (mac_of cand) target then
+          Correction.Corrected { line = cand; step; guesses = n + 1 }
+        else search (n + 1) rest
+  in
+  search 0 candidates
+
+let same_outcome a b =
+  match (a, b) with
+  | Correction.Corrected a, Correction.Corrected b ->
+      a.step = b.step && a.guesses = b.guesses && Ptg_pte.Line.equal a.line b.line
+  | Correction.Uncorrectable a, Correction.Uncorrectable b -> a.guesses = b.guesses
+  | _ -> false
+
+(* A stored line as the write path leaves it: [live] PTEs with contiguous
+   PFNs and shared flags, zeros after, MAC embedded (MAC-zero for an
+   all-zero line under Optimized); then [flips] random bit flips. *)
+let gen_faulty = QCheck2.Gen.(quad bool int64 (int_range 0 8) (int_range 1 4))
+
+let prop_correction_matches_ref =
+  QCheck2.Test.make ~name:"Correction.correct = reference search over Qarma_ref" ~count:60
+    gen_faulty (fun (optimized, seed, live, flips) ->
+      let rng = Ptg_util.Rng.create seed in
+      let cfg = if optimized then Config.optimized else Config.baseline in
+      let module L = (val cfg.Config.layout : Layout.S) in
+      let key = Qarma.key_of_rng rng in
+      let addr = Int64.of_int (64 * Ptg_util.Rng.int rng 0x100000) in
+      let pfn0 = Int64.of_int (Ptg_util.Rng.int rng 0x1000000) in
+      let writable = Ptg_util.Rng.bool rng and dirty = Ptg_util.Rng.bool rng in
+      let line =
+        Array.init 8 (fun i ->
+            if i >= live then 0L
+            else Ptg_pte.X86.make ~writable ~user:true ~dirty ~pfn:(Int64.add pfn0 (Int64.of_int i)) ())
+      in
+      let mac_zero = Mac.truncate ~width:cfg.Config.mac_bits (Mac.compute_zero key) in
+      let mac =
+        if optimized && live = 0 then mac_zero
+        else Mac.truncate ~width:cfg.Config.mac_bits (Mac.compute key ~addr (L.masked_for_mac line))
+      in
+      let stored = L.embed_mac line mac in
+      let faulty =
+        List.fold_left Ptg_pte.Line.flip_bit stored
+          (List.init flips (fun _ -> Ptg_util.Rng.int rng 512))
+      in
+      let mac_zero = if optimized then Some mac_zero else None in
+      same_outcome
+        (Correction.correct ?mac_zero cfg key ~addr faulty)
+        (reference_correct ?mac_zero cfg key ~addr faulty))
 
 let suite =
   [
@@ -243,15 +398,18 @@ let suite =
     Alcotest.test_case "golden round coverage" `Quick test_golden_covers_rounds;
     Alcotest.test_case "plaintext avalanche >= 40%" `Quick test_plaintext_avalanche;
     Alcotest.test_case "tweak avalanche >= 40%" `Quick test_tweak_avalanche;
-    Alcotest.test_case "batch n=0 and bounds" `Quick test_batch_n_zero_and_bounds;
+    Alcotest.test_case "Mac.compute across two domains" `Quick test_mac_across_domains;
     QCheck_alcotest.to_alcotest prop_roundtrip_identity;
     QCheck_alcotest.to_alcotest prop_xor_group;
     QCheck_alcotest.to_alcotest prop_rotr1_order;
     QCheck_alcotest.to_alcotest prop_cells_roundtrip;
     QCheck_alcotest.to_alcotest prop_shift127;
-    QCheck_alcotest.to_alcotest prop_batch_matches_scalar;
-    QCheck_alcotest.to_alcotest prop_batch_duplicated_tweaks;
-    QCheck_alcotest.to_alcotest prop_batch_all_rounds;
+    QCheck_alcotest.to_alcotest prop_encrypt_matches_ref;
+    QCheck_alcotest.to_alcotest prop_decrypt_matches_ref;
+    QCheck_alcotest.to_alcotest prop_schedule_reused;
+    QCheck_alcotest.to_alcotest prop_retweaked_matches_ref;
+    QCheck_alcotest.to_alcotest prop_mac_matches_ref;
     QCheck_alcotest.to_alcotest prop_mac_batch_matches_scalar;
     QCheck_alcotest.to_alcotest prop_mac_batch_duplicated_addrs;
+    QCheck_alcotest.to_alcotest prop_correction_matches_ref;
   ]

@@ -71,12 +71,30 @@ let metric sink key =
   | Some v -> v
   | None -> Alcotest.failf "metric %s missing" key
 
-(* Small enough to finish in ~a second, long enough to outlive several
-   sub-second compute windows (fullsys runs ~20-30k instrs/s here, after
-   ~0.2 s of machine construction per slice — the deadline windows below
-   must comfortably exceed that setup cost, or a slice yields at
-   instruction 0 and the run never advances). *)
 let fullsys seed instrs = Scenario.make ~seed ~instrs Scenario.Fullsys
+
+(* Host fullsys throughput, measured once from an uninterrupted
+   20k-instruction run. Machine construction is included, which only
+   errs towards longer scenarios below. *)
+let fullsys_instrs_per_s =
+  lazy
+    (let n = 20_000 in
+     let t0 = Clock.now_ns () in
+     ignore (Scenario.run_to_string (fullsys 20L n));
+     float_of_int n /. Clock.elapsed_s t0)
+
+(* A fullsys scenario whose uninterrupted run lasts about [windows]
+   compute windows of [deadline_s], so it overruns its deadline several
+   times over however fast the simulator is (never below the 20k-
+   instruction probe). Each window must comfortably exceed the per-slice
+   machine construction, or a slice yields at instruction 0 and the run
+   never advances. *)
+let overrunning_instrs ~deadline_s ~windows =
+  let instrs = Lazy.force fullsys_instrs_per_s *. deadline_s *. windows in
+  max 20_000 (1000 * (1 + (int_of_float instrs / 1000)))
+
+let overrunning_fullsys seed ~deadline_s ~windows =
+  fullsys seed (overrunning_instrs ~deadline_s ~windows)
 
 (* ------------------------------------------------------------------ *)
 (* Orphaned compute stops (the bugfix regression)                      *)
@@ -156,7 +174,7 @@ let sliced_config ~dir ~sink ~slices ~deadline_s =
 
 let test_sliced_run_byte_identical () =
   with_store (fun dir ->
-      let scenario = fullsys 21L 20_000 in
+      let scenario = overrunning_fullsys 21L ~deadline_s:0.5 ~windows:3. in
       let reference = Scenario.run_to_string scenario in
       let sink = Ptg_obs.Sink.create () in
       let config = sliced_config ~dir ~sink ~slices:100 ~deadline_s:0.5 in
@@ -183,7 +201,8 @@ let test_sliced_run_byte_identical () =
 
 let test_stream_progress_across_slices () =
   with_store (fun dir ->
-      let scenario = fullsys 22L 20_000 in
+      let scenario = overrunning_fullsys 22L ~deadline_s:0.5 ~windows:3. in
+      let instrs = Scenario.resolve_instrs scenario in
       let reference = Scenario.run_to_string scenario in
       let sink = Ptg_obs.Sink.create () in
       let config = sliced_config ~dir ~sink ~slices:100 ~deadline_s:0.5 in
@@ -212,7 +231,7 @@ let test_stream_progress_across_slices () =
              backwards and the total never changes. *)
           Alcotest.(check bool) "progress monotone across slices" true
             (fst (List.hd frames) <= fst (List.nth frames (List.length frames - 1))
-            && List.for_all (fun (_, t) -> t = 20_000) frames
+            && List.for_all (fun (_, t) -> t = instrs) frames
             &&
             let rec mono = function
               | (a, _) :: ((b, _) :: _ as rest) -> a <= b && mono rest
@@ -222,10 +241,10 @@ let test_stream_progress_across_slices () =
 
 let test_slice_budget_exhausted () =
   with_store (fun dir ->
-      (* Two 0.3 s windows are nowhere near enough for 20k instrs, so
-         after the single allowed slice the request times out — the
-         budget is a bound, not a loop. *)
-      let scenario = fullsys 23L 20_000 in
+      (* Two 0.3 s windows are nowhere near enough for a run sized to
+         six, so after the single allowed slice the request times out —
+         the budget is a bound, not a loop. *)
+      let scenario = overrunning_fullsys 23L ~deadline_s:0.3 ~windows:6. in
       let sink = Ptg_obs.Sink.create () in
       let config = sliced_config ~dir ~sink ~slices:1 ~deadline_s:0.3 in
       with_server config (fun server ->
@@ -277,8 +296,11 @@ let test_shard_kill_mid_slice_adoption () =
          test can probe seeds until one routes there. *)
       let ring = Ring.create ~vnodes:64 2 in
       let live = [| true; true |] in
+      (* Long enough to outlive the victim's 0.5 s windows several times
+         over, so the kill lands mid-run. *)
+      let instrs = overrunning_instrs ~deadline_s:0.5 ~windows:4. in
       let rec owned_by_victim seed =
-        let s = Scenario.make ~seed ~instrs:20_000 Scenario.Fullsys in
+        let s = fullsys seed instrs in
         if Ring.route ring ~live (Scenario.hash64 s) = Some 0 then s
         else owned_by_victim (Int64.add seed 1L)
       in

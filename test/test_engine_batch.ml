@@ -110,10 +110,10 @@ let run_differential ~config ~capacity () =
   check_stats_equal (Engine.stats ea) (Engine.stats eb)
 
 let test_differential_baseline () =
-  run_differential ~config:Config.baseline ~capacity:Ptg_crypto.Mac.default_batch_capacity ()
+  run_differential ~config:Config.baseline ~capacity:Engine.Batch.default_capacity ()
 
 let test_differential_optimized () =
-  run_differential ~config:Config.optimized ~capacity:Ptg_crypto.Mac.default_batch_capacity ()
+  run_differential ~config:Config.optimized ~capacity:Engine.Batch.default_capacity ()
 
 let test_differential_ragged_capacities () =
   (* Capacities that do not divide the workload size force auto-flush at

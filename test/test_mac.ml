@@ -107,7 +107,8 @@ let prop_compute_with_agrees =
   QCheck2.Test.make ~name:"compute_with agrees with compute" ~count:300
     QCheck2.Gen.(pair int64 gen_line)
     (fun (addr, line) ->
-      Mac.equal (Mac.compute_with shared_ctx key ~addr line) (Mac.compute key ~addr line))
+      Mac.equal (Mac.compute_with shared_ctx key ~addr line) (Mac.compute key ~addr line)
+      && Mac.equal (Mac.compute key ~addr line) (Qarma_ref.mac key ~addr line))
 
 let prop_compute_with_agrees_fresh_keys =
   QCheck2.Test.make ~name:"compute_with agrees under random keys" ~count:50

@@ -8,22 +8,28 @@ let fixed_key =
     ~w0:(Block128.make ~hi:0x0123456789ABCDEFL ~lo:0xFEDCBA9876543210L)
     (Block128.make ~hi:0xDEADBEEFDEADBEEFL ~lo:0xCAFEBABECAFEBABEL)
 
+(* The production cipher under test; the pure cell-array cipher it is
+   checked against is [Qarma_ref]. *)
+let sc = Qarma.scratch ()
+let encrypt key ~tweak p = Qarma.encrypt_with sc key ~tweak p
+let decrypt key ~tweak c = Qarma.decrypt_with sc key ~tweak c
+
 let test_internal_sbox_bijective () =
   let seen = Array.make 256 false in
   Array.iter
     (fun y ->
       if seen.(y) then Alcotest.fail "sbox not injective";
       seen.(y) <- true)
-    Qarma.Internal.sbox;
+    Qarma_ref.sbox;
   for x = 0 to 255 do
-    Alcotest.(check int) "sbox_inv inverts" x Qarma.Internal.sbox_inv.(Qarma.Internal.sbox.(x))
+    Alcotest.(check int) "sbox_inv inverts" x Qarma_ref.sbox_inv.(Qarma_ref.sbox.(x))
   done
 
 let test_internal_tau_inverse () =
   for i = 0 to 15 do
-    Alcotest.(check int) "tau_inv of tau" i Qarma.Internal.tau_inv.(Qarma.Internal.tau.(i));
+    Alcotest.(check int) "tau_inv of tau" i Qarma_ref.tau_inv.(Qarma_ref.tau.(i));
     (* tau is a permutation of 0..15 *)
-    if Qarma.Internal.tau.(i) < 0 || Qarma.Internal.tau.(i) > 15 then
+    if Qarma_ref.tau.(i) < 0 || Qarma_ref.tau.(i) > 15 then
       Alcotest.fail "tau out of range"
   done
 
@@ -31,7 +37,7 @@ let test_internal_mix_involution () =
   let rng = Ptg_util.Rng.create 1L in
   for _ = 1 to 100 do
     let cells = Array.init 16 (fun _ -> Ptg_util.Rng.int rng 256) in
-    let twice = Qarma.Internal.mix (Qarma.Internal.mix cells) in
+    let twice = Qarma_ref.mix (Qarma_ref.mix cells) in
     Alcotest.(check (array int)) "M(M(x)) = x" cells twice
   done
 
@@ -39,7 +45,7 @@ let test_internal_tweak_inverse () =
   let rng = Ptg_util.Rng.create 2L in
   for _ = 1 to 100 do
     let cells = Array.init 16 (fun _ -> Ptg_util.Rng.int rng 256) in
-    let back = Qarma.Internal.tweak_update_inv (Qarma.Internal.tweak_update cells) in
+    let back = Qarma_ref.tweak_update_inv (Qarma_ref.tweak_update cells) in
     Alcotest.(check (array int)) "omega inverse" cells back
   done
 
@@ -53,7 +59,7 @@ let test_tweak_update_period () =
     let key = String.concat "," (Array.to_list (Array.map string_of_int !cur)) in
     if Hashtbl.mem seen key then Alcotest.fail "tweak schedule cycled early";
     Hashtbl.replace seen key ();
-    cur := Qarma.Internal.tweak_update !cur
+    cur := Qarma_ref.tweak_update !cur
   done
 
 let test_rounds_validation () =
@@ -67,7 +73,7 @@ let test_rounds_validation () =
 let test_determinism () =
   let p = Block128.make ~hi:1L ~lo:2L and t = Block128.make ~hi:3L ~lo:4L in
   Alcotest.(check bool) "same inputs same output" true
-    (Block128.equal (Qarma.encrypt fixed_key ~tweak:t p) (Qarma.encrypt fixed_key ~tweak:t p))
+    (Block128.equal (encrypt fixed_key ~tweak:t p) (encrypt fixed_key ~tweak:t p))
 
 let test_key_sensitivity () =
   let key2 =
@@ -77,12 +83,12 @@ let test_key_sensitivity () =
   in
   let p = Block128.zero and t = Block128.zero in
   Alcotest.(check bool) "1-bit key change changes ciphertext" false
-    (Block128.equal (Qarma.encrypt fixed_key ~tweak:t p) (Qarma.encrypt key2 ~tweak:t p))
+    (Block128.equal (encrypt fixed_key ~tweak:t p) (encrypt key2 ~tweak:t p))
 
 let test_tweak_sensitivity () =
   let p = Block128.zero in
-  let c1 = Qarma.encrypt fixed_key ~tweak:Block128.zero p in
-  let c2 = Qarma.encrypt fixed_key ~tweak:(Block128.of_int64 1L) p in
+  let c1 = encrypt fixed_key ~tweak:Block128.zero p in
+  let c2 = encrypt fixed_key ~tweak:(Block128.of_int64 1L) p in
   Alcotest.(check bool) "tweak changes ciphertext" false (Block128.equal c1 c2);
   let d = Block128.hamming c1 c2 in
   Alcotest.(check bool) "tweak diffusion substantial" true (d > 30)
@@ -97,7 +103,7 @@ let test_avalanche () =
     let bit = Ptg_util.Rng.int rng 64 in
     let p' = Block128.make ~hi:p.Block128.hi ~lo:(Ptg_util.Bits.flip p.Block128.lo bit) in
     total :=
-      !total + Block128.hamming (Qarma.encrypt fixed_key ~tweak:t p) (Qarma.encrypt fixed_key ~tweak:t p')
+      !total + Block128.hamming (encrypt fixed_key ~tweak:t p) (encrypt fixed_key ~tweak:t p')
   done;
   let avg = float_of_int !total /. float_of_int n in
   if avg < 56.0 || avg > 72.0 then
@@ -107,14 +113,14 @@ let prop_roundtrip =
   QCheck2.Test.make ~name:"decrypt inverts encrypt" ~count:300
     QCheck2.Gen.(pair gen_block gen_block)
     (fun (p, tweak) ->
-      Block128.equal (Qarma.decrypt fixed_key ~tweak (Qarma.encrypt fixed_key ~tweak p)) p)
+      Block128.equal (decrypt fixed_key ~tweak (encrypt fixed_key ~tweak p)) p)
 
 let prop_roundtrip_all_rounds =
   QCheck2.Test.make ~name:"roundtrip holds for r in 1..16" ~count:32
     QCheck2.Gen.(triple (int_range 1 16) gen_block gen_block)
     (fun (rounds, p, tweak) ->
       let key = Qarma.expand_key ~rounds ~w0:(Block128.of_int64 42L) (Block128.of_int64 7L) in
-      Block128.equal (Qarma.decrypt key ~tweak (Qarma.encrypt key ~tweak p)) p)
+      Block128.equal (decrypt key ~tweak (encrypt key ~tweak p)) p)
 
 let prop_injective_sample =
   QCheck2.Test.make ~name:"encryption injective on distinct plaintexts" ~count:300
@@ -123,11 +129,12 @@ let prop_injective_sample =
       Block128.equal p1 p2
       || not
            (Block128.equal
-              (Qarma.encrypt fixed_key ~tweak p1)
-              (Qarma.encrypt fixed_key ~tweak p2)))
+              (encrypt fixed_key ~tweak p1)
+              (encrypt fixed_key ~tweak p2)))
 
-(* Scratch-context API: one shared scratch reused across every qcheck
-   sample, so state left over from a previous call would be caught. *)
+(* Production entry points against the pure reference cipher: one shared
+   scratch reused across every qcheck sample, so state left over from a
+   previous call would be caught. *)
 let shared_scratch = Qarma.scratch ()
 
 let prop_encrypt_with_agrees =
@@ -136,7 +143,7 @@ let prop_encrypt_with_agrees =
     (fun (p, tweak) ->
       Block128.equal
         (Qarma.encrypt_with shared_scratch fixed_key ~tweak p)
-        (Qarma.encrypt fixed_key ~tweak p))
+        (Qarma_ref.encrypt fixed_key ~tweak p))
 
 let prop_decrypt_with_agrees =
   QCheck2.Test.make ~name:"decrypt_with agrees with pure decrypt" ~count:500
@@ -144,7 +151,7 @@ let prop_decrypt_with_agrees =
     (fun (c, tweak) ->
       Block128.equal
         (Qarma.decrypt_with shared_scratch fixed_key ~tweak c)
-        (Qarma.decrypt fixed_key ~tweak c))
+        (Qarma_ref.decrypt fixed_key ~tweak c))
 
 let prop_encrypt_raw_agrees =
   QCheck2.Test.make ~name:"encrypt_raw agrees with pure encrypt" ~count:500
@@ -152,7 +159,7 @@ let prop_encrypt_raw_agrees =
     (fun (p, tweak) ->
       Qarma.encrypt_raw shared_scratch fixed_key ~t_hi:tweak.Block128.hi
         ~t_lo:tweak.Block128.lo ~p_hi:p.Block128.hi ~p_lo:p.Block128.lo;
-      let c = Qarma.encrypt fixed_key ~tweak p in
+      let c = Qarma_ref.encrypt fixed_key ~tweak p in
       Int64.equal (Qarma.out_hi shared_scratch) c.Block128.hi
       && Int64.equal (Qarma.out_lo shared_scratch) c.Block128.lo)
 
@@ -163,7 +170,7 @@ let prop_scratch_agrees_across_rounds =
       let key = Qarma.expand_key ~rounds ~w0:(Block128.of_int64 42L) (Block128.of_int64 7L) in
       Block128.equal
         (Qarma.encrypt_with shared_scratch key ~tweak p)
-        (Qarma.encrypt key ~tweak p))
+        (Qarma_ref.encrypt key ~tweak p))
 
 let suite =
   [
