@@ -776,7 +776,7 @@ let serve_cmd =
     in
     let server =
       try Ptg_server.Server.start config
-      with Invalid_argument msg ->
+      with Invalid_argument msg | Ptg_server.Listener.Bind_error msg ->
         Printf.eprintf "serve: %s\n" msg;
         exit 2
     in
@@ -1148,12 +1148,17 @@ let serve_router_cmd =
         obs;
       }
     in
+    (* Spawned shards must not outlive a router that failed to start:
+       they would keep running and hold the caller's stderr open. *)
     let router =
       try Ptg_server.Router.start config
-      with Invalid_argument msg ->
+      with e -> (
         List.iter shutdown_shard children;
-        Printf.eprintf "serve-router: %s\n" msg;
-        exit 2
+        match e with
+        | Invalid_argument msg | Ptg_server.Listener.Bind_error msg ->
+            Printf.eprintf "serve-router: %s\n" msg;
+            exit 2
+        | e -> raise e)
     in
     (match Ptg_server.Router.listen_addr router with
     | Ptg_server.Server.Unix_socket path ->

@@ -2,13 +2,8 @@ module Clock = Ptg_util.Clock
 
 type t = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
 
-let sockaddr_of = function
-  | Server.Unix_socket path -> (Unix.ADDR_UNIX path, Unix.PF_UNIX)
-  | Server.Tcp port ->
-      (Unix.ADDR_INET (Unix.inet_addr_loopback, port), Unix.PF_INET)
-
 let connect ?timeout_s addr =
-  let sockaddr, domain = sockaddr_of addr in
+  let domain, sockaddr = Listener.sockaddr addr in
   let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
   (try
      match timeout_s with
@@ -58,21 +53,36 @@ let classify_transport_error timeout_s t0 =
       Error "request timed out"
   | _ -> Error "connection closed"
 
-let request ?id ?v ?timeout_s t req =
+(* Send one request frame, then read frames until a terminal one,
+   forwarding any [progress] frame to [on_progress]. The read timeout
+   restarts per frame — progress frames are keep-alives, so a streamed
+   run survives a per-frame timeout shorter than the whole compute. *)
+let exchange ?id ?v ?timeout_s ?on_progress t req =
   set_timeouts t timeout_s;
   let t0 = Clock.now_ns () in
   match
     output_string t.oc (Protocol.encode_request ?id ?v req);
     output_char t.oc '\n';
-    flush t.oc;
-    input_line t.ic
+    flush t.oc
   with
-  | exception (End_of_file | Sys_error _ | Sys_blocked_io) ->
-      classify_transport_error timeout_s t0
-  | line -> (
-      match Protocol.decode_response line with
-      | Ok (_meta, resp) -> Ok resp
-      | Error e -> Error e)
+  | exception (Sys_error _ | Sys_blocked_io) -> classify_transport_error timeout_s t0
+  | () ->
+      let rec read_frame () =
+        let t_frame = Clock.now_ns () in
+        match input_line t.ic with
+        | exception (End_of_file | Sys_error _ | Sys_blocked_io) ->
+            classify_transport_error timeout_s t_frame
+        | line -> (
+            match Protocol.decode_response line with
+            | Ok (_meta, Protocol.Progress { done_count; total }) ->
+                Option.iter (fun f -> f ~done_count ~total) on_progress;
+                read_frame ()
+            | Ok (_meta, resp) -> Ok resp
+            | Error e -> Error e)
+      in
+      read_frame ()
+
+let request ?id ?v ?timeout_s t req = exchange ?id ?v ?timeout_s t req
 
 let run t scenario = request t (Protocol.Run scenario)
 
@@ -89,38 +99,8 @@ let cancel ?timeout_s t ~target =
   | Ok _ -> Error "cancel: unexpected reply"
   | Error e -> Error e
 
-(* A streamed run holds the connection in a read loop, forwarding each
-   progress frame, until the terminal frame arrives. The read timeout
-   restarts per frame — progress frames are keep-alives, so a streamed
-   run survives a per-frame timeout shorter than the whole compute. *)
 let run_stream ?id ?timeout_s ?on_progress t scenario =
-  set_timeouts t timeout_s;
-  let t0 = Clock.now_ns () in
-  match
-    output_string t.oc
-      (Protocol.encode_request ?id ~v:2 (Protocol.Run_stream scenario));
-    output_char t.oc '\n';
-    flush t.oc
-  with
-  | exception (Sys_error _ | Sys_blocked_io) ->
-      classify_transport_error timeout_s t0
-  | () ->
-      let rec read_frame () =
-        let t_frame = Clock.now_ns () in
-        match input_line t.ic with
-        | exception (End_of_file | Sys_error _ | Sys_blocked_io) ->
-            classify_transport_error timeout_s t_frame
-        | line -> (
-            match Protocol.decode_response line with
-            | Ok (_meta, Protocol.Progress { done_count; total }) ->
-                (match on_progress with
-                | Some f -> f ~done_count ~total
-                | None -> ());
-                read_frame ()
-            | Ok (_meta, resp) -> Ok resp
-            | Error e -> Error e)
-      in
-      read_frame ()
+  exchange ?id ~v:2 ?timeout_s ?on_progress t (Protocol.Run_stream scenario)
 
 (* ------------------------------------------------------------------ *)
 (* Retrying sessions                                                   *)
@@ -205,13 +185,11 @@ let ensure_conn s =
           Error ("connect: " ^ Unix.error_message err)
       | exception Sys_error msg -> Error ("connect: " ^ msg))
 
-(* Retries are lossless, not merely safe: every scenario is
-   deterministic and cache-keyed, so re-sending an identical request can
-   only hit the cache or recompute the same bytes. Only transport-level
-   failures (connect, torn/closed/timed-out sockets) are retried —
-   server-decided replies, including [Timeout] and [Overloaded], go back
-   to the caller. *)
-let session_request s req =
+(* The one retry loop behind every session call. Only transport-level
+   failures (connect, torn/closed/timed-out sockets) are retried; the
+   interface documents why that is lossless, including for a torn
+   stream whose progress pairs are replayed. *)
+let with_retries s call =
   let rec attempt k last_err =
     if k >= s.policy.attempts then Error last_err
     else begin
@@ -225,7 +203,7 @@ let session_request s req =
       match ensure_conn s with
       | Error e -> attempt (k + 1) e
       | Ok conn -> (
-          match request ?timeout_s:s.request_timeout_s conn req with
+          match call conn with
           | Ok resp -> Ok resp
           | Error e ->
               drop_conn s;
@@ -233,40 +211,15 @@ let session_request s req =
     end
   in
   attempt 0 "no attempts made"
+
+let session_request s req =
+  with_retries s (fun conn -> request ?timeout_s:s.request_timeout_s conn req)
 
 let session_run s scenario = session_request s (Protocol.Run scenario)
 
-(* Streamed analogue of [session_request]. The same lossless-retry
-   argument applies to a torn stream: re-sending the run replays any
-   progress already forwarded (duplicates, never gaps) and the terminal
-   frame is byte-identical, so [on_progress] must be idempotent per
-   (done_count, total) pair — both consumers (keep-alive, edge
-   re-emission) are. *)
 let session_run_stream ?on_progress s scenario =
-  let rec attempt k last_err =
-    if k >= s.policy.attempts then Error last_err
-    else begin
-      if k > 0 then begin
-        s.retries <- s.retries + 1;
-        let d =
-          backoff_delay s.policy ~u:(Ptg_util.Rng.float s.rng) ~attempt:(k - 1)
-        in
-        if d > 0. then Thread.delay d
-      end;
-      match ensure_conn s with
-      | Error e -> attempt (k + 1) e
-      | Ok conn -> (
-          match
-            run_stream ?timeout_s:s.request_timeout_s ?on_progress conn
-              scenario
-          with
-          | Ok resp -> Ok resp
-          | Error e ->
-              drop_conn s;
-              attempt (k + 1) e)
-    end
-  in
-  attempt 0 "no attempts made"
+  with_retries s (fun conn ->
+      run_stream ?timeout_s:s.request_timeout_s ?on_progress conn scenario)
 
 (* ------------------------------------------------------------------ *)
 (* Load generation                                                     *)
@@ -372,30 +325,9 @@ let loadgen ?(policy = default_retry) ?connect_timeout_s ?request_timeout_s
   let threads = Array.init clients (fun i -> Thread.create worker i) in
   Array.iter Thread.join threads;
   let wall_s = Clock.elapsed_s wall_t0 in
-  let ok = ref 0
-  and hits = ref 0
-  and misses = ref 0
-  and coalesced = ref 0
-  and overloaded = ref 0
-  and timeouts = ref 0
-  and errors = ref 0
-  and retries = ref 0
-  and reconnects = ref 0
-  and latencies = ref [] in
-  Array.iter
-    (fun w ->
-      ok := !ok + w.w_ok;
-      hits := !hits + w.w_hits;
-      misses := !misses + w.w_misses;
-      coalesced := !coalesced + w.w_coalesced;
-      overloaded := !overloaded + w.w_overloaded;
-      timeouts := !timeouts + w.w_timeouts;
-      errors := !errors + w.w_errors;
-      retries := !retries + w.w_retries;
-      reconnects := !reconnects + w.w_reconnects;
-      latencies := List.rev_append w.latencies_us !latencies)
-    tallies;
-  let lat = Array.of_list !latencies in
+  let sum f = Array.fold_left (fun acc w -> acc + f w) 0 tallies in
+  let ok = sum (fun w -> w.w_ok) in
+  let lat = Array.of_list (List.concat_map (fun w -> w.latencies_us) (Array.to_list tallies)) in
   (* No ok responses means no latency sample: the percentiles are
      undefined, not 0 us — a 0 would read as an impossibly fast server
      in exactly the runs that are total failures. *)
@@ -405,17 +337,17 @@ let loadgen ?(policy = default_retry) ?connect_timeout_s ?request_timeout_s
   {
     clients;
     requests = clients * requests_per_client;
-    ok = !ok;
-    hits = !hits;
-    misses = !misses;
-    coalesced = !coalesced;
-    overloaded = !overloaded;
-    timeouts = !timeouts;
-    errors = !errors;
-    retries = !retries;
-    reconnects = !reconnects;
+    ok;
+    hits = sum (fun w -> w.w_hits);
+    misses = sum (fun w -> w.w_misses);
+    coalesced = sum (fun w -> w.w_coalesced);
+    overloaded = sum (fun w -> w.w_overloaded);
+    timeouts = sum (fun w -> w.w_timeouts);
+    errors = sum (fun w -> w.w_errors);
+    retries = sum (fun w -> w.w_retries);
+    reconnects = sum (fun w -> w.w_reconnects);
     wall_s;
-    throughput_rps = (if wall_s > 0. then float_of_int !ok /. wall_s else 0.);
+    throughput_rps = (if wall_s > 0. then float_of_int ok /. wall_s else 0.);
     p50_us = pct 50.;
     p95_us = pct 95.;
     p99_us = pct 99.;

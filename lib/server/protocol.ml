@@ -2,6 +2,7 @@ module Scenario = Ptg_sim.Scenario
 
 let version = 1
 let max_version = 2
+let max_frame_bytes = 1 lsl 20
 let supported v = v = 1 || v = 2
 
 type request =

@@ -74,6 +74,12 @@ val version : int
 val max_version : int
 (** Highest version this implementation speaks (2). *)
 
+val max_frame_bytes : int
+(** Longest request frame a server reads, newline excluded: 1 MiB, far
+    above any legitimate request (trace scenarios carry a path, not
+    content). A longer frame gets an error frame naming this limit and
+    the connection is closed. *)
+
 val supported : int -> bool
 
 type request =

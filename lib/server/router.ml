@@ -22,9 +22,8 @@
      strikes and re-admits an ejected shard, restoring its original
      keyspace.
 
-   Connection handling mirrors [Server]: per-connection threads, idle
-   timeouts, a connection cap with best-effort shedding, a self-pipe to
-   wake the accept loop, and a drain deadline at shutdown. Forwarding is
+   Connections are [Listener]'s, as for [Server]; the router supplies
+   only the forwarding session and its [cancel] error. Forwarding is
    I/O-bound, so requests run inline on the connection thread — no
    worker pool. *)
 
@@ -81,9 +80,6 @@ type obs_metrics = {
   c_errors : Registry.counter;
   c_timeouts : Registry.counter;
   c_overloaded : Registry.counter;
-  c_conn_shed : Registry.counter;
-  c_accept_errors : Registry.counter;
-  c_idle_closed : Registry.counter;
   shard_requests : Registry.counter array;
   shard_ejections : Registry.counter array;
   shard_readmissions : Registry.counter array;
@@ -110,9 +106,6 @@ let make_obs sink ~shards =
     c_errors = Registry.counter reg "router_errors_total";
     c_timeouts = Registry.counter reg "router_timeouts_total";
     c_overloaded = Registry.counter reg "router_overloaded_total";
-    c_conn_shed = Registry.counter reg "router_conns_shed_total";
-    c_accept_errors = Registry.counter reg "router_accept_errors_total";
-    c_idle_closed = Registry.counter reg "router_conns_idle_closed_total";
     shard_requests = per "router_shard_requests_total";
     shard_ejections = per "router_shard_ejections_total";
     shard_readmissions = per "router_shard_readmissions_total";
@@ -139,21 +132,11 @@ type t = {
   config : config;
   ring : Ring.t;
   states : shard_state array;
-  listen_fd : Unix.file_descr;
-  bound : Server.addr;
-  pipe_r : Unix.file_descr;  (* self-pipe: wakes the accept loop on stop *)
-  pipe_w : Unix.file_descr;
+  listener : Listener.t;
   mutex : Mutex.t;
-  drained : Condition.t;
   cache : Lru.t;
-  conn_fds : (Unix.file_descr, unit) Hashtbl.t;
-  mutable conns : int;
   mutable conn_seq : int;
-  mutable stopping : bool;
-  mutable finalized : bool;
-  mutable ticker_stop : bool;
-  mutable accept_thread : Thread.t option;
-  mutable ticker_thread : Thread.t option;
+  mutable health_stop : bool;
   mutable health_thread : Thread.t option;
   mutable served : int;
   mutable forwarded : int;
@@ -163,13 +146,10 @@ type t = {
   mutable errors : int;
   mutable timeouts : int;
   mutable overloaded : int;
-  mutable conn_shed : int;
-  mutable accept_errors : int;
-  mutable idle_closed : int;
   obs_m : obs_metrics option;
 }
 
-let listen_addr t = t.bound
+let listen_addr t = Listener.bound t.listener
 
 let obs_incr t f = match t.obs_m with Some m -> Registry.incr (f m) | None -> ()
 
@@ -195,9 +175,7 @@ let eject_locked t i =
   if st.live then begin
     st.live <- false;
     st.ejections <- st.ejections + 1;
-    (match t.obs_m with
-    | Some m -> Registry.incr m.shard_ejections.(i)
-    | None -> ());
+    obs_incr t (fun m -> m.shard_ejections.(i));
     sync_topology_gauges_locked t
   end
 
@@ -212,9 +190,7 @@ let mark_healthy_locked t i =
   if not st.live then begin
     st.live <- true;
     st.readmissions <- st.readmissions + 1;
-    (match t.obs_m with
-    | Some m -> Registry.incr m.shard_readmissions.(i)
-    | None -> ());
+    obs_incr t (fun m -> m.shard_readmissions.(i));
     sync_topology_gauges_locked t
   end
 
@@ -228,26 +204,22 @@ let sync_hit_ratio_locked t =
           (float_of_int (Lru.hits t.cache) /. float_of_int lookups)
 
 (* ------------------------------------------------------------------ *)
-(* Stats (also the [stats] op payload); keys sorted alphabetically.    *)
+(* Stats (also the [stats] op payload), merged and sorted by Listener  *)
 (* ------------------------------------------------------------------ *)
 
 let stats_locked t =
   let totals f = Array.fold_left (fun a s -> a + f s) 0 t.states in
   let base =
     [
-      ("accept_errors", float_of_int t.accept_errors);
       ("adoptions", float_of_int t.adoptions);
       ("cache_bytes", float_of_int (Lru.bytes t.cache));
       ("cache_entries", float_of_int (Lru.length t.cache));
       ("cache_evictions", float_of_int (Lru.evictions t.cache));
       ("cache_hits", float_of_int (Lru.hits t.cache));
       ("cache_misses", float_of_int (Lru.misses t.cache));
-      ("conn_shed", float_of_int t.conn_shed);
-      ("conns", float_of_int t.conns);
       ("ejections", float_of_int (totals (fun s -> s.ejections)));
       ("errors", float_of_int t.errors);
       ("forwarded", float_of_int t.forwarded);
-      ("idle_closed", float_of_int t.idle_closed);
       ("no_live", float_of_int t.no_live);
       ("overloaded", float_of_int t.overloaded);
       ("readmissions", float_of_int (totals (fun s -> s.readmissions)));
@@ -268,13 +240,9 @@ let stats_locked t =
              (Printf.sprintf "shard%d_requests" i, float_of_int st.requests);
            ]))
   in
-  List.sort (fun (a, _) (b, _) -> compare a b) (base @ per_shard)
+  base @ per_shard
 
-let stats t =
-  Mutex.lock t.mutex;
-  let rows = stats_locked t in
-  Mutex.unlock t.mutex;
-  rows
+let stats t = Listener.stats t.listener
 
 let live_shards t =
   Mutex.lock t.mutex;
@@ -303,10 +271,7 @@ let handle_run ?on_progress t get_session scenario =
   let hash64 = Scenario.hash64 scenario in
   Mutex.lock t.mutex;
   let cached = Lru.find t.cache hash in
-  (match (cached, t.obs_m) with
-  | Some _, Some m -> Registry.incr m.c_hits
-  | None, Some m -> Registry.incr m.c_misses
-  | _, None -> ());
+  obs_incr t (fun m -> if cached = None then m.c_misses else m.c_hits);
   sync_hit_ratio_locked t;
   match cached with
   | Some result ->
@@ -337,9 +302,7 @@ let handle_run ?on_progress t get_session scenario =
           (match target with
           | Some i ->
               t.states.(i).requests <- t.states.(i).requests + 1;
-              (match t.obs_m with
-              | Some m -> Registry.incr m.shard_requests.(i)
-              | None -> ())
+              obs_incr t (fun m -> m.shard_requests.(i))
           | None -> ());
           Mutex.unlock t.mutex;
           match target with
@@ -412,53 +375,22 @@ let handle_run ?on_progress t get_session scenario =
       attempt 1
 
 (* ------------------------------------------------------------------ *)
-(* Connection handling (mirrors Server, minus fault injection)         *)
+(* The front end the listener drives                                   *)
 (* ------------------------------------------------------------------ *)
 
-let record_idle_close t =
-  Mutex.lock t.mutex;
-  t.idle_closed <- t.idle_closed + 1;
-  obs_incr t (fun m -> m.c_idle_closed);
-  Mutex.unlock t.mutex
-
-let record_error t =
-  Mutex.lock t.mutex;
+let record_error_locked t =
   t.errors <- t.errors + 1;
-  obs_incr t (fun m -> m.c_errors);
-  Mutex.unlock t.mutex
+  obs_incr t (fun m -> m.c_errors)
 
-let initiate_stop t =
+(* One forwarding session per connection, holding one shard session per
+   shard, built on first use: shard sessions are single-threaded, and
+   per-connection ownership keeps the inter-tier connection count
+   proportional to the edge's. *)
+let open_session t conn =
   Mutex.lock t.mutex;
-  if not t.stopping then begin
-    t.stopping <- true;
-    (try ignore (Unix.write t.pipe_w (Bytes.make 1 'x') 0 1)
-     with Unix.Unix_error _ -> ());
-    Condition.broadcast t.drained
-  end;
-  Mutex.unlock t.mutex
-
-let handle_conn t fd =
-  (try
-     Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.idle_timeout_s;
-     Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.config.idle_timeout_s
-   with Unix.Unix_error _ | Invalid_argument _ -> ());
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let send frame =
-    output_string oc frame;
-    output_char oc '\n';
-    flush oc
-  in
-  let conn_id =
-    Mutex.lock t.mutex;
-    let id = t.conn_seq in
-    t.conn_seq <- id + 1;
-    Mutex.unlock t.mutex;
-    id
-  in
-  (* One session per shard per connection, built on first use: sessions
-     are single-threaded, and per-connection ownership keeps the
-     inter-tier connection count proportional to the edge's. *)
+  let conn_id = t.conn_seq in
+  t.conn_seq <- conn_id + 1;
+  Mutex.unlock t.mutex;
   let n = Array.length t.states in
   let sessions = Array.make n None in
   let get_session i =
@@ -475,159 +407,38 @@ let handle_conn t fd =
         sessions.(i) <- Some s;
         s
   in
-  let read_t0 = ref (Clock.now_ns ()) in
-  let rec loop () =
-    read_t0 := Clock.now_ns ();
-    match input_line ic with
-    | exception End_of_file -> ()
-    | exception (Sys_error _ | Sys_blocked_io) ->
-        if
-          t.config.idle_timeout_s > 0.
-          && Clock.elapsed_s !read_t0 >= 0.9 *. t.config.idle_timeout_s
-        then record_idle_close t
-    | line -> (
-        let continue =
-          match Protocol.decode_request line with
-          | Error msg ->
-              record_error t;
-              send (Protocol.encode_response (Protocol.Error_reply msg));
-              true
-          | Ok ({ Protocol.id; v }, req) -> (
-              match req with
-              | Protocol.Ping ->
-                  send (Protocol.encode_response ?id ~v Protocol.Pong);
-                  true
-              | Protocol.Stats ->
-                  send
-                    (Protocol.encode_response ?id ~v
-                       (Protocol.Stats_reply (stats t)));
-                  true
-              | Protocol.Shutdown ->
-                  initiate_stop t;
-                  send (Protocol.encode_response ?id ~v Protocol.Pong);
-                  false
-              | Protocol.Hello client_max ->
-                  send
-                    (Protocol.encode_response ?id ~v
-                       (Protocol.Hello_reply
-                          (min client_max Protocol.max_version)));
-                  true
-              | Protocol.Cancel target ->
-                  (* The router holds no in-flight registry of its own —
-                     forwarded runs block their connection thread — so a
-                     cancel can never name anything it could stop. *)
-                  record_error t;
-                  send
-                    (Protocol.encode_response ?id ~v
-                       (Protocol.Error_reply
-                          (Printf.sprintf
-                             "cancel: no in-flight request with id \"%s\""
-                             target)));
-                  true
-              | Protocol.Run scenario ->
-                  (* Forwarded as a v2 stream regardless (shard progress
-                     frames keep the inter-tier hop alive through sliced
-                     runs) but the edge asked for a plain run, so the
-                     frames are consumed here and only the terminal one
-                     goes back, at the edge's version. *)
-                  send
-                    (Protocol.encode_response ?id ~v
-                       (handle_run t get_session scenario));
-                  true
-              | Protocol.Run_stream scenario ->
-                  (* [Run_stream] only decodes at v2, so re-emitting
-                     progress frames to the edge is always legal. The
-                     re-emission is duplicate-tolerant (an inter-tier
-                     retry may replay pairs), matching what Server
-                     itself sends on a re-coalesced waiter. *)
-                  let on_progress ~done_count ~total =
-                    send
-                      (Protocol.encode_response ?id ~v
-                         (Protocol.Progress { done_count; total }))
-                  in
-                  send
-                    (Protocol.encode_response ?id ~v
-                       (handle_run ~on_progress t get_session scenario));
-                  true)
+  let reply ?id ~v response = Listener.send conn (Protocol.encode_response ?id ~v response) in
+  let dispatch { Protocol.id; v } = function
+    | Listener.Cancel target ->
+        (* The router holds no in-flight registry of its own — forwarded
+           runs block their connection thread — so a cancel can never
+           name anything it could stop. *)
+        Mutex.lock t.mutex;
+        record_error_locked t;
+        Mutex.unlock t.mutex;
+        reply ?id ~v
+          (Protocol.Error_reply
+             (Printf.sprintf "cancel: no in-flight request with id \"%s\"" target));
+        true
+    | Listener.Run { scenario; stream } ->
+        (* Forwarded as a v2 stream regardless: shard progress frames
+           keep the inter-tier hop alive through sliced runs. For a plain
+           run they are consumed here and only the terminal frame goes
+           back, at the edge's version. A [stream] run (which only
+           decodes at v2) gets them re-emitted, duplicate-tolerant (an
+           inter-tier retry may replay pairs), matching what Server
+           itself sends on a re-coalesced waiter. *)
+        let on_progress ~done_count ~total =
+          reply ?id ~v (Protocol.Progress { done_count; total })
         in
-        if continue then loop ())
+        let on_progress = if stream then Some on_progress else None in
+        reply ?id ~v (handle_run ?on_progress t get_session scenario);
+        true
   in
-  (try loop () with
-  | End_of_file | Sys_error _ | Sys_blocked_io | Unix.Unix_error _ -> ()
-  | _ -> record_error t);
-  Array.iter (Option.iter Client.session_close) sessions;
-  Mutex.lock t.mutex;
-  Hashtbl.remove t.conn_fds fd;
-  t.conns <- t.conns - 1;
-  Condition.broadcast t.drained;
-  Mutex.unlock t.mutex;
-  close_out_noerr oc
-
-let shed_conn fd =
-  (try
-     Unix.set_nonblock fd;
-     let frame = Protocol.encode_response Protocol.Overloaded ^ "\n" in
-     ignore (Unix.write_substring fd frame 0 (String.length frame))
-   with Unix.Unix_error _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let record_accept_error t =
-  Mutex.lock t.mutex;
-  t.accept_errors <- t.accept_errors + 1;
-  obs_incr t (fun m -> m.c_accept_errors);
-  Mutex.unlock t.mutex
-
-let accept_backoff_s = 0.05
-
-let accept_loop t =
-  let rec loop () =
-    match Unix.select [ t.listen_fd; t.pipe_r ] [] [] (-1.0) with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-    | readable, _, _ ->
-        if List.mem t.pipe_r readable then ()
-        else begin
-          (match Unix.accept ~cloexec:true t.listen_fd with
-          | exception
-              Unix.Unix_error
-                ((Unix.EMFILE | Unix.ENFILE | Unix.ENOBUFS | Unix.ENOMEM), _, _)
-            ->
-              record_accept_error t;
-              Thread.delay accept_backoff_s
-          | exception Unix.Unix_error _ -> record_accept_error t
-          | fd, _ ->
-              let over =
-                Mutex.lock t.mutex;
-                let over = t.conns >= t.config.max_conns in
-                if over then begin
-                  t.conn_shed <- t.conn_shed + 1;
-                  obs_incr t (fun m -> m.c_conn_shed)
-                end
-                else begin
-                  t.conns <- t.conns + 1;
-                  Hashtbl.replace t.conn_fds fd ()
-                end;
-                Mutex.unlock t.mutex;
-                over
-              in
-              if over then shed_conn fd
-              else ignore (Thread.create (handle_conn t) fd));
-          loop ()
-        end
-  in
-  loop ()
-
-let tick_interval_s = 0.05
-
-let ticker t =
-  let rec loop () =
-    Thread.delay tick_interval_s;
-    Mutex.lock t.mutex;
-    let stop = t.ticker_stop in
-    if not stop then Condition.broadcast t.drained;
-    Mutex.unlock t.mutex;
-    if not stop then loop ()
-  in
-  loop ()
+  {
+    Listener.dispatch;
+    close = (fun () -> Array.iter (Option.iter Client.session_close) sessions);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Health checks                                                       *)
@@ -651,7 +462,7 @@ let check_shard t i =
 let health_loop t =
   let stopping () =
     Mutex.lock t.mutex;
-    let s = t.ticker_stop in
+    let s = t.health_stop in
     Mutex.unlock t.mutex;
     s
   in
@@ -678,46 +489,26 @@ let health_loop t =
 (* ------------------------------------------------------------------ *)
 
 let start config =
-  if config.shards = [] then invalid_arg "Router.start: shards";
-  if config.cache_capacity < 1 then invalid_arg "Router.start: cache_capacity";
-  (match config.cache_bytes with
-  | Some b when b < 1 -> invalid_arg "Router.start: cache_bytes"
-  | _ -> ());
-  if config.vnodes < 1 then invalid_arg "Router.start: vnodes";
-  if not (config.connect_timeout_s > 0.) then
-    invalid_arg "Router.start: connect_timeout_s";
-  if not (config.request_timeout_s > 0.) then
-    invalid_arg "Router.start: request_timeout_s";
-  if not (config.health_interval_s > 0.) then
-    invalid_arg "Router.start: health_interval_s";
-  if config.strike_limit < 1 then invalid_arg "Router.start: strike_limit";
-  if not (config.idle_timeout_s >= 0.) then
-    invalid_arg "Router.start: idle_timeout_s";
-  if config.max_conns < 1 then invalid_arg "Router.start: max_conns";
-  if not (config.drain_deadline_s >= 0.) then
-    invalid_arg "Router.start: drain_deadline_s";
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let listen_fd, bound =
-    match config.addr with
-    | Server.Unix_socket path ->
-        if Sys.file_exists path then Sys.remove path;
-        let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.bind fd (Unix.ADDR_UNIX path);
-        Unix.listen fd 64;
-        (fd, Server.Unix_socket path)
-    | Server.Tcp port ->
-        let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.setsockopt fd Unix.SO_REUSEADDR true;
-        Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-        Unix.listen fd 64;
-        let actual =
-          match Unix.getsockname fd with
-          | Unix.ADDR_INET (_, p) -> p
-          | _ -> port
-        in
-        (fd, Server.Tcp actual)
+  let check ok field = if not ok then invalid_arg ("Router.start: " ^ field) in
+  check (config.shards <> []) "shards";
+  check (config.cache_capacity >= 1) "cache_capacity";
+  check (Option.fold ~none:true ~some:(fun b -> b >= 1) config.cache_bytes) "cache_bytes";
+  check (config.vnodes >= 1) "vnodes";
+  check (config.connect_timeout_s > 0.) "connect_timeout_s";
+  check (config.request_timeout_s > 0.) "request_timeout_s";
+  check (config.health_interval_s > 0.) "health_interval_s";
+  check (config.strike_limit >= 1) "strike_limit";
+  let mutex = Mutex.create () in
+  let listener =
+    Listener.create ~name:"router" ~mutex
+      ?registry:(Option.map Ptg_obs.Sink.registry config.obs)
+      {
+        Listener.addr = config.addr;
+        idle_timeout_s = config.idle_timeout_s;
+        max_conns = config.max_conns;
+        drain_deadline_s = config.drain_deadline_s;
+      }
   in
-  let pipe_r, pipe_w = Unix.pipe ~cloexec:true () in
   let shards = Array.of_list config.shards in
   let t =
     {
@@ -735,23 +526,13 @@ let start config =
               readmissions = 0;
             })
           shards;
-      listen_fd;
-      bound;
-      pipe_r;
-      pipe_w;
-      mutex = Mutex.create ();
-      drained = Condition.create ();
+      listener;
+      mutex;
       cache =
         Lru.create ?max_bytes:config.cache_bytes
           ~capacity:config.cache_capacity ();
-      conn_fds = Hashtbl.create 64;
-      conns = 0;
       conn_seq = 0;
-      stopping = false;
-      finalized = false;
-      ticker_stop = false;
-      accept_thread = None;
-      ticker_thread = None;
+      health_stop = false;
       health_thread = None;
       served = 0;
       forwarded = 0;
@@ -761,9 +542,6 @@ let start config =
       errors = 0;
       timeouts = 0;
       overloaded = 0;
-      conn_shed = 0;
-      accept_errors = 0;
-      idle_closed = 0;
       obs_m =
         Option.map (fun s -> make_obs s ~shards:(Array.length shards)) config.obs;
     }
@@ -771,62 +549,25 @@ let start config =
   Mutex.lock t.mutex;
   sync_topology_gauges_locked t;
   Mutex.unlock t.mutex;
-  t.accept_thread <- Some (Thread.create accept_loop t);
-  t.ticker_thread <- Some (Thread.create ticker t);
   t.health_thread <- Some (Thread.create health_loop t);
+  Listener.serve listener
+    {
+      Listener.admit = (fun () -> true);
+      open_session = open_session t;
+      stats_locked = (fun () -> stats_locked t);
+      on_error_locked = (fun () -> record_error_locked t);
+      on_tick_locked = ignore;
+      on_force_locked = ignore;
+      on_drained =
+        (fun ~drain_us:_ ->
+          Mutex.lock t.mutex;
+          t.health_stop <- true;
+          let health = t.health_thread in
+          t.health_thread <- None;
+          Mutex.unlock t.mutex;
+          Option.iter Thread.join health);
+    };
   t
 
-let finalize t =
-  Mutex.lock t.mutex;
-  let acceptor = t.accept_thread in
-  t.accept_thread <- None;
-  Mutex.unlock t.mutex;
-  Option.iter Thread.join acceptor;
-  Mutex.lock t.mutex;
-  let drain_t0 = Clock.now_ns () in
-  let force_at = Clock.ns_after drain_t0 t.config.drain_deadline_s in
-  Hashtbl.iter
-    (fun fd () ->
-      try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-    t.conn_fds;
-  let forced = ref false in
-  while t.conns > 0 do
-    if (not !forced) && Clock.now_ns () >= force_at then begin
-      forced := true;
-      Hashtbl.iter
-        (fun fd () ->
-          try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-        t.conn_fds
-    end;
-    Condition.wait t.drained t.mutex
-  done;
-  let first = not t.finalized in
-  t.finalized <- true;
-  t.ticker_stop <- true;
-  let tick = t.ticker_thread in
-  t.ticker_thread <- None;
-  let health = t.health_thread in
-  t.health_thread <- None;
-  Mutex.unlock t.mutex;
-  Option.iter Thread.join tick;
-  Option.iter Thread.join health;
-  if first then begin
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    (try Unix.close t.pipe_r with Unix.Unix_error _ -> ());
-    (try Unix.close t.pipe_w with Unix.Unix_error _ -> ());
-    match t.bound with
-    | Server.Unix_socket path -> ( try Sys.remove path with Sys_error _ -> ())
-    | Server.Tcp _ -> ()
-  end
-
-let stop t =
-  initiate_stop t;
-  finalize t
-
-let wait t =
-  Mutex.lock t.mutex;
-  while not t.stopping do
-    Condition.wait t.drained t.mutex
-  done;
-  Mutex.unlock t.mutex;
-  finalize t
+let stop t = Listener.stop t.listener
+let wait t = Listener.wait t.listener

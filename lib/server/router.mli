@@ -64,7 +64,8 @@ type t
 val start : config -> t
 (** Binds, then serves on background threads until {!stop} (or a
     [shutdown] frame). Raises [Invalid_argument] on an empty shard list
-    or nonsensical tuning values, [Unix.Unix_error] when binding fails.
+    or nonsensical tuning values, {!Listener.Bind_error} when binding
+    fails.
     All shards start live; the first health sweep corrects that within
     [health_interval_s]. *)
 

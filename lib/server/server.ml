@@ -4,7 +4,7 @@ module Registry = Ptg_obs.Registry
 module Trace = Ptg_obs.Trace
 module Clock = Ptg_util.Clock
 
-type addr = Unix_socket of string | Tcp of int
+type addr = Listener.addr = Unix_socket of string | Tcp of int
 
 type config = {
   addr : addr;
@@ -67,9 +67,6 @@ type obs_metrics = {
   c_warm_starts : Registry.counter;
   c_sliced : Registry.counter;
   c_orphaned : Registry.counter;
-  c_conn_shed : Registry.counter;
-  c_accept_errors : Registry.counter;
-  c_idle_closed : Registry.counter;
   c_faults : Registry.counter;
   c_pool_dropped : Registry.counter;
   g_queue : Registry.gauge;
@@ -93,9 +90,6 @@ let make_obs sink =
     c_warm_starts = Registry.counter reg "server_warm_starts_total";
     c_sliced = Registry.counter reg "server_sliced_total";
     c_orphaned = Registry.counter reg "server_orphaned_stops_total";
-    c_conn_shed = Registry.counter reg "server_conns_shed_total";
-    c_accept_errors = Registry.counter reg "server_accept_errors_total";
-    c_idle_closed = Registry.counter reg "server_conns_idle_closed_total";
     c_faults = Registry.counter reg "server_faults_injected_total";
     c_pool_dropped = Registry.counter reg "server_pool_dropped_exceptions_total";
     g_queue = Registry.gauge reg "server_queue_depth";
@@ -145,26 +139,15 @@ type t = {
     should_stop:(unit -> bool) ->
     Scenario.t ->
     Checkpoint.served;
-  listen_fd : Unix.file_descr;
-  bound : addr;
-  pipe_r : Unix.file_descr;  (* self-pipe: wakes the accept loop on stop *)
-  pipe_w : Unix.file_descr;
+  listener : Listener.t;
   service : Ptg_util.Pool.Service.t;
-  mutex : Mutex.t;
+  mutex : Mutex.t;            (* also guards the listener's state *)
   done_cond : Condition.t;    (* a pending computation finished *)
-  drained : Condition.t;      (* connection-count / stopping transitions *)
   cache : Lru.t;
   pending_tbl : (string, pending) Hashtbl.t;
   cancel_tbl : (string, waiter) Hashtbl.t;
-  conn_fds : (Unix.file_descr, unit) Hashtbl.t;
   mutable inflight : int;
-  mutable conns : int;
-  mutable stopping : bool;
   mutable aborting : bool;    (* forced drain: expire every waiter now *)
-  mutable finalized : bool;
-  mutable ticker_stop : bool;
-  mutable accept_thread : Thread.t option;
-  mutable ticker_thread : Thread.t option;
   mutable served : int;
   mutable shed : int;
   mutable coalesced : int;
@@ -174,23 +157,19 @@ type t = {
   mutable warm_starts : int;
   mutable sliced : int;
   mutable orphaned_stops : int;
-  mutable conn_shed : int;
-  mutable accept_errors : int;
-  mutable idle_closed : int;
   mutable pool_dropped : int;
   mutable last_evictions : int;
   obs_m : obs_metrics option;
 }
 
-let listen_addr t = t.bound
+let listen_addr t = Listener.bound t.listener
 
 (* ------------------------------------------------------------------ *)
-(* Stats (also the [stats] op payload); keys sorted alphabetically.    *)
+(* Stats (also the [stats] op payload), merged and sorted by Listener  *)
 (* ------------------------------------------------------------------ *)
 
 let stats_locked t =
   [
-    ("accept_errors", float_of_int t.accept_errors);
     ("cache_bytes", float_of_int (Lru.bytes t.cache));
     ("cache_entries", float_of_int (Lru.length t.cache));
     ("cache_evictions", float_of_int (Lru.evictions t.cache));
@@ -198,12 +177,9 @@ let stats_locked t =
     ("cache_misses", float_of_int (Lru.misses t.cache));
     ("cancelled", float_of_int t.cancelled);
     ("coalesced", float_of_int t.coalesced);
-    ("conn_shed", float_of_int t.conn_shed);
-    ("conns", float_of_int t.conns);
     ("errors", float_of_int t.errors);
     ("faults_injected", float_of_int (Faults.fired t.config.faults));
     ("high_water", float_of_int t.config.high_water);
-    ("idle_closed", float_of_int t.idle_closed);
     ("inflight", float_of_int t.inflight);
     ("max_conns", float_of_int t.config.max_conns);
     ("orphaned_stops", float_of_int t.orphaned_stops);
@@ -217,11 +193,7 @@ let stats_locked t =
     ("workers", float_of_int t.config.workers);
   ]
 
-let stats t =
-  Mutex.lock t.mutex;
-  let rows = stats_locked t in
-  Mutex.unlock t.mutex;
-  rows
+let stats t = Listener.stats t.listener
 
 (* ------------------------------------------------------------------ *)
 (* Request scheduling                                                  *)
@@ -242,18 +214,15 @@ let sync_evictions_locked t =
       Registry.add m.c_evictions (now - t.last_evictions);
       t.last_evictions <- now
 
-(* A consumed fault firing, counted under the mutex. *)
-let record_fault t =
-  Mutex.lock t.mutex;
-  obs_incr t (fun m -> m.c_faults);
-  Mutex.unlock t.mutex
-
+(* A fault firing, counted under the mutex when consumed. *)
 let take_fault t f =
-  match Faults.take_matching t.config.faults f with
-  | Some _ as hit ->
-      record_fault t;
-      hit
-  | None -> None
+  let hit = Faults.take_matching t.config.faults f in
+  if hit <> None then begin
+    Mutex.lock t.mutex;
+    obs_incr t (fun m -> m.c_faults);
+    Mutex.unlock t.mutex
+  end;
+  hit
 
 type wait_outcome =
   | Done of (string, string) result
@@ -263,8 +232,8 @@ type wait_outcome =
 
 (* Called with the mutex held; releases it while waiting and while
    writing progress frames (socket writes can block). Wakeups come from
-   job completion/progress broadcasts and from the ticker thread, which
-   bounds how late a deadline expiry is noticed.
+   job completion/progress broadcasts and from the listener's ticker,
+   which bounds how late a deadline expiry is noticed.
 
    [sliceable] requests whose deadline runs out with slice budget left
    do not expire: the waiter arms [p_yield] (the worker checkpoints and
@@ -324,19 +293,19 @@ let unhook_locked t hash p =
   | Some q when q == p -> Hashtbl.remove t.pending_tbl hash
   | _ -> ()
 
+(* Release a waiter's interest in its computation, once. *)
+let release_locked w =
+  if not w.w_detached then begin
+    w.w_detached <- true;
+    w.w_pending.p_interest <- w.w_pending.p_interest - 1
+  end
+
 type job_result = Finished of string * int option | Stopped | Failed of string
 
 let rec submit_job t hash scenario p =
   Ptg_util.Pool.Service.submit t.service (fun () ->
-      (match
-         Faults.take_matching t.config.faults (function
-           | Faults.Wedge_worker d -> Some d
-           | _ -> None)
-       with
-      | Some d ->
-          record_fault t;
-          Thread.delay d
-      | None -> ());
+      Option.iter Thread.delay
+        (take_fault t (function Faults.Wedge_worker d -> Some d | _ -> None));
       let progress ~done_count ~total =
         Mutex.lock t.mutex;
         p.p_done <- done_count;
@@ -419,25 +388,29 @@ let handle_run t ?on_progress ?cancel_id scenario =
   let t0 = Clock.now_ns () in
   let deadline = Clock.ns_after t0 t.config.deadline_s in
   Mutex.lock t.mutex;
-  let attach_locked p =
+  (* Wait on [p] as one more interested waiter. On expiry, unhook so a
+     later identical request recomputes instead of coalescing onto the
+     zombie. The in-flight slot stays charged: the worker really is still
+     busy, and it releases the slot itself (stopping early at its next
+     checkpoint boundary once no interest remains). *)
+  let wait_on p =
     p.p_interest <- p.p_interest + 1;
     let w =
       { w_hash = hash; w_pending = p; w_cancelled = false; w_detached = false }
     in
     Option.iter (fun id -> Hashtbl.replace t.cancel_tbl id w) cancel_id;
-    w
-  in
-  let detach_locked w =
+    let r = await_locked t p w ~deadline ~sliceable ~on_progress in
     Option.iter
       (fun id ->
         match Hashtbl.find_opt t.cancel_tbl id with
         | Some w' when w' == w -> Hashtbl.remove t.cancel_tbl id
         | _ -> ())
       cancel_id;
-    if not w.w_detached then begin
-      w.w_detached <- true;
-      w.w_pending.p_interest <- w.w_pending.p_interest - 1
-    end
+    release_locked w;
+    (match r with
+    | Expired | Conn_lost _ -> unhook_locked t hash p
+    | _ -> ());
+    r
   in
   let disposition, outcome =
     match Lru.find t.cache hash with
@@ -450,13 +423,7 @@ let handle_run t ?on_progress ?cancel_id scenario =
         | Some p ->
             t.coalesced <- t.coalesced + 1;
             obs_incr t (fun m -> m.c_coalesced);
-            let w = attach_locked p in
-            let r = await_locked t p w ~deadline ~sliceable ~on_progress in
-            detach_locked w;
-            (match r with
-            | Expired | Conn_lost _ -> unhook_locked t hash p
-            | _ -> ());
-            (Some Protocol.Coalesced, r)
+            (Some Protocol.Coalesced, wait_on p)
         | None ->
             if t.inflight >= t.config.high_water then begin
               t.shed <- t.shed + 1;
@@ -474,23 +441,11 @@ let handle_run t ?on_progress ?cancel_id scenario =
                   p_slices = 0;
                 }
               in
-              let w = attach_locked p in
               Hashtbl.replace t.pending_tbl hash p;
               t.inflight <- t.inflight + 1;
               set_queue_gauge t;
               submit_job t hash scenario p;
-              let r = await_locked t p w ~deadline ~sliceable ~on_progress in
-              detach_locked w;
-              (* On expiry, unhook so a later identical request
-                 recomputes instead of coalescing onto the zombie. The
-                 in-flight slot stays charged: the worker really is
-                 still busy, and it releases the slot itself (stopping
-                 early at its next checkpoint boundary now that no
-                 interest remains). *)
-              (match r with
-              | Expired | Conn_lost _ -> unhook_locked t hash p
-              | _ -> ());
-              (Some Protocol.Miss, r)
+              (Some Protocol.Miss, wait_on p)
             end)
   in
   match outcome with
@@ -548,10 +503,7 @@ let handle_cancel t target =
     | Some w ->
         Hashtbl.remove t.cancel_tbl target;
         w.w_cancelled <- true;
-        if not w.w_detached then begin
-          w.w_detached <- true;
-          w.w_pending.p_interest <- w.w_pending.p_interest - 1
-        end;
+        release_locked w;
         (* Nobody is waiting any more: unhook so identical retries
            recompute (warm-starting from whatever was checkpointed)
            rather than coalescing onto the dying computation. *)
@@ -563,295 +515,100 @@ let handle_cancel t target =
   response
 
 (* ------------------------------------------------------------------ *)
-(* Connection handling                                                 *)
+(* The front end the listener drives                                   *)
 (* ------------------------------------------------------------------ *)
 
-let record_protocol_error t =
-  Mutex.lock t.mutex;
+(* An undecodable or over-long frame, or a crashed connection. *)
+let record_error_locked t =
   t.errors <- t.errors + 1;
-  obs_incr t (fun m -> m.c_errors);
-  (match t.obs_m with
-  | Some m ->
-      Trace.record m.trace
-        (Trace.Server_request { hash = 0L; status = "error"; cache = "" })
-  | None -> ());
-  Mutex.unlock t.mutex
+  Option.iter
+    (fun m ->
+      Registry.incr m.c_errors;
+      Trace.record m.trace (Trace.Server_request { hash = 0L; status = "error"; cache = "" }))
+    t.obs_m
 
-let record_idle_close t =
-  Mutex.lock t.mutex;
-  t.idle_closed <- t.idle_closed + 1;
-  obs_incr t (fun m -> m.c_idle_closed);
-  Mutex.unlock t.mutex
+(* Two of the three connection fault points: a stalled handler and a
+   dropped connection, before any frame is answered. *)
+let admit t () =
+  Option.iter Thread.delay
+    (take_fault t (function Faults.Delay_handler d -> Some d | _ -> None));
+  take_fault t (function Faults.Drop_connection -> Some () | _ -> None) = None
 
-(* An exception no connection should produce: counted (never silent),
-   then the connection is dropped. *)
-let record_conn_crash t _e =
-  Mutex.lock t.mutex;
-  t.errors <- t.errors + 1;
-  obs_incr t (fun m -> m.c_errors);
-  (match t.obs_m with
-  | Some m ->
-      Trace.record m.trace
-        (Trace.Server_request { hash = 0L; status = "error"; cache = "" })
-  | None -> ());
-  Mutex.unlock t.mutex
+(* One [run] or [cancel] frame; the third fault point tears the result
+   frame and hangs up. *)
+let dispatch t conn { Protocol.id; v } = function
+  | Listener.Cancel target ->
+      Listener.send conn (Protocol.encode_response ?id ~v (handle_cancel t target));
+      true
+  | Listener.Run { scenario; stream } ->
+      (* Only v2 requests with an id are cancellable: a v1 waiter could
+         not be answered with the [cancelled] status its cancellation
+         produces. *)
+      let cancel_id = if v >= 2 then id else None in
+      let on_progress =
+        if stream then
+          Some
+            (fun ~done_count ~total ->
+              Listener.send conn
+                (Protocol.encode_response ?id ~v (Protocol.Progress { done_count; total })))
+        else None
+      in
+      let frame =
+        Protocol.encode_response ?id ~v (handle_run t ?on_progress ?cancel_id scenario)
+      in
+      let torn = take_fault t (function Faults.Torn_frame -> Some () | _ -> None) <> None in
+      (if torn then Listener.send_torn else Listener.send) conn frame;
+      not torn
 
-let initiate_stop t =
-  Mutex.lock t.mutex;
-  if not t.stopping then begin
-    t.stopping <- true;
-    (try ignore (Unix.write t.pipe_w (Bytes.make 1 'x') 0 1)
-     with Unix.Unix_error _ -> ());
-    Condition.broadcast t.drained
-  end;
-  Mutex.unlock t.mutex
-
-let handle_conn t fd =
-  (* Read/write timeouts bound how long a slow or hung peer can hold
-     this thread: an idle socket times the blocked read out, and a peer
-     that stops reading times our blocked write out. 0 disables. *)
-  (try
-     Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.idle_timeout_s;
-     Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.config.idle_timeout_s
-   with Unix.Unix_error _ | Invalid_argument _ -> ());
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let send frame =
-    output_string oc frame;
-    output_char oc '\n';
-    flush oc
-  in
-  let send_torn frame =
-    output_string oc (String.sub frame 0 (String.length frame / 2));
-    flush oc
-  in
-  let read_t0 = ref (Clock.now_ns ()) in
-  let rec loop () =
-    read_t0 := Clock.now_ns ();
-    match input_line ic with
-    | exception End_of_file -> ()
-    | exception (Sys_error _ | Sys_blocked_io) ->
-        (* SO_RCVTIMEO expiry surfaces as [Sys_blocked_io] through the
-           buffered channel (or a read error); classify by how long the
-           read actually blocked so idle closes are counted apart from
-           peer resets. *)
-        if
-          t.config.idle_timeout_s > 0.
-          && Clock.elapsed_s !read_t0 >= 0.9 *. t.config.idle_timeout_s
-        then record_idle_close t
-    | line -> (
-        let continue =
-          match Protocol.decode_request line with
-          | Error msg ->
-              record_protocol_error t;
-              send (Protocol.encode_response (Protocol.Error_reply msg));
-              true
-          | Ok ({ Protocol.id; v }, req) -> (
-              (match
-                 take_fault t (function
-                   | Faults.Delay_handler d -> Some d
-                   | _ -> None)
-               with
-              | Some d -> Thread.delay d
-              | None -> ());
-              match
-                take_fault t (function
-                  | Faults.Drop_connection -> Some ()
-                  | _ -> None)
-              with
-              | Some () -> false
-              | None -> (
-                  match req with
-                  | Protocol.Ping ->
-                      send (Protocol.encode_response ?id ~v Protocol.Pong);
-                      true
-                  | Protocol.Stats ->
-                      send
-                        (Protocol.encode_response ?id ~v
-                           (Protocol.Stats_reply (stats t)));
-                      true
-                  | Protocol.Shutdown ->
-                      initiate_stop t;
-                      send (Protocol.encode_response ?id ~v Protocol.Pong);
-                      false
-                  | Protocol.Hello client_max ->
-                      send
-                        (Protocol.encode_response ?id ~v
-                           (Protocol.Hello_reply
-                              (min client_max Protocol.max_version)));
-                      true
-                  | Protocol.Cancel target ->
-                      send (Protocol.encode_response ?id ~v (handle_cancel t target));
-                      true
-                  | Protocol.Run scenario | Protocol.Run_stream scenario -> (
-                      (* Only v2 requests with an id are cancellable: a
-                         v1 waiter could not be answered with the
-                         [cancelled] status its cancellation produces. *)
-                      let cancel_id = if v >= 2 then id else None in
-                      let on_progress =
-                        match req with
-                        | Protocol.Run_stream _ ->
-                            Some
-                              (fun ~done_count ~total ->
-                                send
-                                  (Protocol.encode_response ?id ~v
-                                     (Protocol.Progress { done_count; total })))
-                        | _ -> None
-                      in
-                      let frame =
-                        Protocol.encode_response ?id ~v
-                          (handle_run t ?on_progress ?cancel_id scenario)
-                      in
-                      match
-                        take_fault t (function
-                          | Faults.Torn_frame -> Some ()
-                          | _ -> None)
-                      with
-                      | Some () ->
-                          send_torn frame;
-                          false
-                      | None ->
-                          send frame;
-                          true)))
-        in
-        if continue then loop ())
-  in
-  (try loop () with
-  | End_of_file | Sys_error _ | Sys_blocked_io | Unix.Unix_error _ -> ()
-  | e -> record_conn_crash t e);
-  Mutex.lock t.mutex;
-  Hashtbl.remove t.conn_fds fd;
-  t.conns <- t.conns - 1;
-  Condition.broadcast t.drained;
-  Mutex.unlock t.mutex;
-  (* Flushes and closes the shared fd; the input channel must not be
-     closed too (double close could hit a reused descriptor). *)
-  close_out_noerr oc
-
-(* Accepted but over the connection cap: tell the peer why (best effort,
-   non-blocking — a hostile peer must not stall the accept loop) and
-   hang up. *)
-let shed_conn fd =
-  (try
-     Unix.set_nonblock fd;
-     let frame = Protocol.encode_response Protocol.Overloaded ^ "\n" in
-     ignore (Unix.write_substring fd frame 0 (String.length frame))
-   with Unix.Unix_error _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let record_accept_error t =
-  Mutex.lock t.mutex;
-  t.accept_errors <- t.accept_errors + 1;
-  obs_incr t (fun m -> m.c_accept_errors);
-  Mutex.unlock t.mutex
-
-(* Transient fd exhaustion leaves listen_fd readable, so without a pause
-   select+accept would busy-loop at 100% CPU until an fd frees up. *)
-let accept_backoff_s = 0.05
-
-let accept_loop t =
-  let rec loop () =
-    match Unix.select [ t.listen_fd; t.pipe_r ] [] [] (-1.0) with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-    | readable, _, _ ->
-        if List.mem t.pipe_r readable then ()
-        else begin
-          (match Unix.accept ~cloexec:true t.listen_fd with
-          | exception
-              Unix.Unix_error
-                ((Unix.EMFILE | Unix.ENFILE | Unix.ENOBUFS | Unix.ENOMEM), _, _)
-            ->
-              record_accept_error t;
-              Thread.delay accept_backoff_s
-          | exception Unix.Unix_error _ ->
-              (* e.g. ECONNABORTED: the event was consumed, no spin. *)
-              record_accept_error t
-          | fd, _ ->
-              let over =
-                Mutex.lock t.mutex;
-                let over = t.conns >= t.config.max_conns in
-                if over then begin
-                  t.conn_shed <- t.conn_shed + 1;
-                  obs_incr t (fun m -> m.c_conn_shed)
-                end
-                else begin
-                  t.conns <- t.conns + 1;
-                  Hashtbl.replace t.conn_fds fd ()
-                end;
-                Mutex.unlock t.mutex;
-                over
-              in
-              if over then shed_conn fd
-              else ignore (Thread.create (handle_conn t) fd));
-          loop ()
-        end
-  in
-  loop ()
-
-(* Periodic broadcasts bound how late deadline-style waits (request
-   deadlines in [await_locked], the drain deadline in [finalize]) notice
-   that their clock ran out; completion events still wake them at once. *)
-let tick_interval_s = 0.05
-
-let ticker t =
-  let rec loop () =
-    Thread.delay tick_interval_s;
-    Mutex.lock t.mutex;
-    let stop = t.ticker_stop in
-    if not stop then begin
-      Condition.broadcast t.done_cond;
-      Condition.broadcast t.drained
-    end;
-    Mutex.unlock t.mutex;
-    if not stop then loop ()
-  in
-  loop ()
+let frontend t =
+  {
+    Listener.admit = admit t;
+    open_session = (fun conn -> { Listener.dispatch = dispatch t conn; close = ignore });
+    stats_locked = (fun () -> stats_locked t);
+    on_error_locked = (fun () -> record_error_locked t);
+    on_tick_locked = (fun () -> Condition.broadcast t.done_cond);
+    on_force_locked =
+      (fun () ->
+        (* Expire every compute wait; checkpointed computations notice
+           [aborting] through [should_stop] and persist their position
+           for a resume after restart. *)
+        t.aborting <- true;
+        Condition.broadcast t.done_cond);
+    on_drained =
+      (fun ~drain_us ->
+        (* Workers the pool shutdown must wait for should stop early
+           rather than compute for closed connections. *)
+        Mutex.lock t.mutex;
+        t.aborting <- true;
+        Option.iter (fun m -> Registry.set_gauge m.g_drain drain_us) t.obs_m;
+        Mutex.unlock t.mutex;
+        Ptg_util.Pool.Service.shutdown t.service);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let start config =
-  if config.workers < 1 then invalid_arg "Server.start: workers";
-  if config.high_water < 1 then invalid_arg "Server.start: high_water";
-  if config.cache_capacity < 1 then invalid_arg "Server.start: cache_capacity";
-  (match config.cache_bytes with
-  | Some b when b < 1 -> invalid_arg "Server.start: cache_bytes"
-  | _ -> ());
-  if not (config.deadline_s > 0.) then invalid_arg "Server.start: deadline_s";
-  if config.slices < 0 then invalid_arg "Server.start: slices";
-  if not (config.idle_timeout_s >= 0.) then
-    invalid_arg "Server.start: idle_timeout_s";
-  if config.max_conns < 1 then invalid_arg "Server.start: max_conns";
-  if not (config.drain_deadline_s >= 0.) then
-    invalid_arg "Server.start: drain_deadline_s";
-  (match config.snapshot_every with
-  | Some n when n < 1 -> invalid_arg "Server.start: snapshot_every"
-  | _ -> ());
-  (* A peer hanging up mid-response must surface as EPIPE, not kill the
-     process. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let listen_fd, bound =
-    match config.addr with
-    | Unix_socket path ->
-        if Sys.file_exists path then Sys.remove path;
-        let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.bind fd (Unix.ADDR_UNIX path);
-        Unix.listen fd 64;
-        (fd, Unix_socket path)
-    | Tcp port ->
-        let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.setsockopt fd Unix.SO_REUSEADDR true;
-        Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-        Unix.listen fd 64;
-        let actual =
-          match Unix.getsockname fd with
-          | Unix.ADDR_INET (_, p) -> p
-          | _ -> port
-        in
-        (fd, Tcp actual)
+  let check ok field = if not ok then invalid_arg ("Server.start: " ^ field) in
+  check (config.workers >= 1) "workers";
+  check (config.high_water >= 1) "high_water";
+  check (config.cache_capacity >= 1) "cache_capacity";
+  check (Option.fold ~none:true ~some:(fun b -> b >= 1) config.cache_bytes) "cache_bytes";
+  check (config.deadline_s > 0.) "deadline_s";
+  check (config.slices >= 0) "slices";
+  check (Option.fold ~none:true ~some:(fun n -> n >= 1) config.snapshot_every) "snapshot_every";
+  let mutex = Mutex.create () in
+  let listener =
+    Listener.create ~name:"server" ~mutex
+      ?registry:(Option.map Ptg_obs.Sink.registry config.obs)
+      {
+        Listener.addr = config.addr;
+        idle_timeout_s = config.idle_timeout_s;
+        max_conns = config.max_conns;
+        drain_deadline_s = config.drain_deadline_s;
+      }
   in
-  let pipe_r, pipe_w = Unix.pipe ~cloexec:true () in
   (* The pool is created before the server record exists, so its drop
      hook goes through a cell filled in just below. *)
   let drop_hook = ref (fun (_ : exn) -> ()) in
@@ -875,30 +632,19 @@ let start config =
             fun ~progress ~should_stop scenario ->
               Checkpoint.run_scenario ?dir:config.snapshot_dir
                 ?every:config.snapshot_every ~should_stop ~progress scenario);
-      listen_fd;
-      bound;
-      pipe_r;
-      pipe_w;
+      listener;
       service =
         Ptg_util.Pool.Service.create ~workers:config.workers
           ~on_drop:(fun e -> !drop_hook e) ();
-      mutex = Mutex.create ();
+      mutex;
       done_cond = Condition.create ();
-      drained = Condition.create ();
       cache =
         Lru.create ?max_bytes:config.cache_bytes
           ~capacity:config.cache_capacity ();
       pending_tbl = Hashtbl.create 64;
       cancel_tbl = Hashtbl.create 16;
-      conn_fds = Hashtbl.create 64;
       inflight = 0;
-      conns = 0;
-      stopping = false;
       aborting = false;
-      finalized = false;
-      ticker_stop = false;
-      accept_thread = None;
-      ticker_thread = None;
       served = 0;
       shed = 0;
       coalesced = 0;
@@ -908,9 +654,6 @@ let start config =
       warm_starts = 0;
       sliced = 0;
       orphaned_stops = 0;
-      conn_shed = 0;
-      accept_errors = 0;
-      idle_closed = 0;
       pool_dropped = 0;
       last_evictions = 0;
       obs_m = Option.map make_obs config.obs;
@@ -922,75 +665,8 @@ let start config =
        t.pool_dropped <- t.pool_dropped + 1;
        obs_incr t (fun m -> m.c_pool_dropped);
        Mutex.unlock t.mutex);
-  t.accept_thread <- Some (Thread.create accept_loop t);
-  t.ticker_thread <- Some (Thread.create ticker t);
+  Listener.serve listener (frontend t);
   t
 
-let finalize t =
-  (* Join the accept loop (woken by the self-pipe byte). *)
-  Mutex.lock t.mutex;
-  let acceptor = t.accept_thread in
-  t.accept_thread <- None;
-  Mutex.unlock t.mutex;
-  Option.iter Thread.join acceptor;
-  (* Nudge idle connections: half-close their read side so blocked
-     [input_line]s see EOF. Done under the mutex so a connection thread
-     cannot concurrently remove-and-close the same descriptor. In-flight
-     requests get [drain_deadline_s] to finish; stragglers are then
-     force-closed and their compute waits expired (checkpointed
-     computations notice [aborting] through [should_stop] and persist
-     their position for a resume after restart). *)
-  Mutex.lock t.mutex;
-  let drain_t0 = Clock.now_ns () in
-  let force_at = Clock.ns_after drain_t0 t.config.drain_deadline_s in
-  Hashtbl.iter
-    (fun fd () ->
-      try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-    t.conn_fds;
-  let forced = ref false in
-  while t.conns > 0 do
-    if (not !forced) && Clock.now_ns () >= force_at then begin
-      forced := true;
-      t.aborting <- true;
-      Condition.broadcast t.done_cond;
-      Hashtbl.iter
-        (fun fd () ->
-          try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-        t.conn_fds
-    end;
-    Condition.wait t.drained t.mutex
-  done;
-  (* Workers the pool shutdown below must wait for should stop early
-     rather than compute for closed connections. *)
-  t.aborting <- true;
-  let first = not t.finalized in
-  (match (first, t.obs_m) with
-  | true, Some m -> Registry.set_gauge m.g_drain (Clock.elapsed_us drain_t0)
-  | _ -> ());
-  t.finalized <- true;
-  t.ticker_stop <- true;
-  let tick = t.ticker_thread in
-  t.ticker_thread <- None;
-  Mutex.unlock t.mutex;
-  Option.iter Thread.join tick;
-  if first then begin
-    Ptg_util.Pool.Service.shutdown t.service;
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    (try Unix.close t.pipe_r with Unix.Unix_error _ -> ());
-    (try Unix.close t.pipe_w with Unix.Unix_error _ -> ());
-    match t.bound with
-    | Unix_socket path -> ( try Sys.remove path with Sys_error _ -> ())
-    | Tcp _ -> ()
-  end
-
-let stop t =
-  initiate_stop t;
-  finalize t
-
-let wait t =
-  Mutex.lock t.mutex;
-  while not t.stopping do
-    Condition.wait t.drained t.mutex
-  done;
-  Mutex.unlock t.mutex;
-  finalize t
+let stop t = Listener.stop t.listener
+let wait t = Listener.wait t.listener

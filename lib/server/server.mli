@@ -29,13 +29,11 @@
     the scheduler requeues the remainder (up to [slices] times per
     request), and the waiter — kept alive by streamed [progress] frames
     on v2 — receives the final slice's result, byte-identical to an
-    uninterrupted run. Connections carry socket read/write timeouts
-    ([idle_timeout_s]) so idle or non-reading peers cannot hold handler
-    threads; accepts beyond [max_conns] are shed at accept time with a
-    best-effort [overloaded] frame; accept-loop resource errors
-    (EMFILE/ENFILE) back off briefly instead of busy-looping; and
-    shutdown force-closes stragglers after [drain_deadline_s]. {!Faults}
-    can inject each failure for chaos tests.
+    uninterrupted run. Connections are {!Listener}'s, shared with
+    {!Router}: idle timeouts ([idle_timeout_s]), the accept-time
+    connection cap ([max_conns]), the frame limit, and the shutdown
+    drain ([drain_deadline_s]). {!Faults} can inject each failure for
+    chaos tests.
 
     Protocol v2 ({!Protocol}): responses mirror the request's version,
     so v1 clients interoperate unchanged. v2 adds [hello] version
@@ -50,15 +48,14 @@
     which also makes a forced drain lossless: interrupted runs resume
     where they stopped after a restart over the same store.
 
-    Connection I/O runs on one thread per accepted connection; the
-    compute pool is [workers] domains. With an [obs] sink the server
+    The compute pool is [workers] domains. With an [obs] sink the server
     reports per-request latency histograms, queue-depth and
     drain-duration gauges, served/shed/coalesced/error/timeout,
     connection-shed/idle-closed/accept-error, fault-injection and
     pool-dropped-exception counters, cache hit/miss/eviction counters,
     and a [server_request] trace event per request. *)
 
-type addr =
+type addr = Listener.addr =
   | Unix_socket of string
   | Tcp of int  (** 127.0.0.1; port 0 binds an ephemeral port *)
 
@@ -124,9 +121,9 @@ val default_config : addr -> config
 type t
 
 val start : config -> t
-(** Bind, listen and begin accepting (raises [Invalid_argument] on a
-    non-positive worker/high-water/cache size, [Unix.Unix_error] on bind
-    failure). A stale Unix-domain socket file is replaced. *)
+(** Bind, listen and begin accepting. Raises [Invalid_argument] on a
+    non-positive worker/high-water/cache size and {!Listener.Bind_error}
+    when binding fails (a socket path may only name a stale socket). *)
 
 val listen_addr : t -> addr
 (** The bound address — for [Tcp 0], the actual ephemeral port. *)

@@ -27,9 +27,12 @@
 #   8b. snapshot tier alone (dune build @snapshot) — codec/container
 #      properties and resume determinism, also part of runtest but
 #      addressable for quick checkpoint iteration
-#   8c. grep gate: Snapshot.prune and Snapshot.store_counts each have
+#   8c. grep gates: Snapshot.prune and Snapshot.store_counts each have
 #      exactly one call site in lib/ outside lib/snapshot/ — the one
-#      checkpoint driver — so no hand-rolled driver loop reappears
+#      checkpoint driver — so no hand-rolled driver loop reappears; and
+#      Unix.bind, Unix.accept, Unix.listen and SHUTDOWN_RECEIVE each
+#      have exactly one call site in lib/, in lib/server/listener.ml —
+#      the one connection layer behind Server and Router
 #   8d. warm-start regression gate (scripts/check_bench_snapshot.sh):
 #      resuming a finished fullsys budget from its snapshot store must
 #      stay >= 5x faster than computing it cold and byte-identical,
@@ -107,6 +110,18 @@ for fn in Snapshot.prune Snapshot.store_counts; do
     fi
 done
 echo "OK: Snapshot.prune and Snapshot.store_counts each called once, by the checkpoint driver"
+
+echo "== one connection layer in lib =="
+for fn in Unix.bind Unix.accept Unix.listen SHUTDOWN_RECEIVE; do
+    sites=$(grep -rnF --include='*.ml' "$fn" lib || true)
+    if [ "$(printf '%s' "$sites" | grep -c .)" -ne 1 ] \
+        || [ "$(printf '%s' "$sites" | grep -c '^lib/server/listener\.ml:')" -ne 1 ]; then
+        echo "FAIL: $fn must have exactly one call site in lib/, in lib/server/listener.ml (the connection layer):" >&2
+        printf '%s\n' "$sites" >&2
+        exit 1
+    fi
+done
+echo "OK: Unix.bind, Unix.accept, Unix.listen and SHUTDOWN_RECEIVE each called once, by the listener"
 
 echo "== warm-start regression gate =="
 scripts/check_bench_snapshot.sh

@@ -17,6 +17,11 @@ let cli =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let with_server config f =
   let server = Server.start config in
   Fun.protect ~finally:(fun () -> Server.stop server) (fun () -> f server)
@@ -383,9 +388,19 @@ let test_trace_scenario_error_frames () =
           Alcotest.(check bool) "errors counted" true
             (stat server "errors" >= 1)))
 
-let test_unix_socket_lifecycle () =
+(* A socket file left behind by a dead server: bound, then closed
+   without unlinking. *)
+let stale_socket () =
   let path = Filename.temp_file "ptg_sock_" ".sock" in
-  (* start replaces the stale file left by temp_file. *)
+  Sys.remove path;
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX path);
+  Unix.close fd;
+  path
+
+let test_unix_socket_lifecycle () =
+  let path = stale_socket () in
+  (* start replaces the stale socket. *)
   let config =
     {
       (Server.default_config (Server.Unix_socket path)) with
@@ -400,6 +415,49 @@ let test_unix_socket_lifecycle () =
           | _ -> Alcotest.fail "unix-socket round trip"));
   Alcotest.(check bool) "socket file removed on stop" false
     (Sys.file_exists path)
+
+(* A socket path naming a regular file is refused, and the file keeps
+   its bytes. *)
+let test_regular_file_refused () =
+  let path = Filename.temp_file "ptg_not_a_sock_" ".txt" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc "precious");
+  let config =
+    { (Server.default_config (Server.Unix_socket path)) with Server.handler = Some (fun _ -> "") }
+  in
+  (match Server.start config with
+  | server ->
+      Server.stop server;
+      Alcotest.fail "start replaced a regular file"
+  | exception e ->
+      let msg = Printexc.to_string e in
+      Alcotest.(check bool) (Printf.sprintf "error names the path (got %s)" msg) true
+        (contains msg path));
+  Alcotest.(check string) "file untouched" "precious" (read_file path);
+  Sys.remove path
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* Every failed bind closes its socket: repeated starts on a port in use
+   leave the descriptor count where it was. *)
+let test_bind_failure_leaks_no_fd () =
+  let holder = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close holder) (fun () ->
+      Unix.bind holder (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen holder 1;
+      let port =
+        match Unix.getsockname holder with Unix.ADDR_INET (_, p) -> p | _ -> assert false
+      in
+      let config = base_config ~handler:(fun _ -> "") () in
+      let config = { config with Server.addr = Server.Tcp port } in
+      let before = open_fds () in
+      for _ = 1 to 20 do
+        match Server.start config with
+        | server ->
+            Server.stop server;
+            Alcotest.fail "bound a port already in use"
+        | exception _ -> ()
+      done;
+      Alcotest.(check int) "open descriptors unchanged" before (open_fds ()))
 
 let suite =
   [
@@ -419,4 +477,8 @@ let suite =
       test_trace_scenario_error_frames;
     Alcotest.test_case "unix socket lifecycle" `Quick
       test_unix_socket_lifecycle;
+    Alcotest.test_case "socket path naming a regular file is refused" `Quick
+      test_regular_file_refused;
+    Alcotest.test_case "failed bind leaks no descriptor" `Quick
+      test_bind_failure_leaks_no_fd;
   ]

@@ -7,6 +7,7 @@
    recomputes instead of coalescing onto the zombie. *)
 
 module Server = Ptg_server.Server
+module Router = Ptg_server.Router
 module Client = Ptg_server.Client
 module Protocol = Ptg_server.Protocol
 module Faults = Ptg_server.Faults
@@ -38,22 +39,6 @@ let stat server key =
   match List.assoc_opt key (Server.stats server) with
   | Some v -> int_of_float v
   | None -> Alcotest.failf "stat %s missing" key
-
-(* Poll [stats] until [key] reaches [want] — for transitions driven by
-   server-side timers (idle closes, connection teardown). *)
-let wait_for_stat server key want =
-  let deadline = Clock.ns_after (Clock.now_ns ()) 3.0 in
-  let rec go () =
-    if stat server key = want then ()
-    else if Clock.now_ns () >= deadline then
-      Alcotest.failf "stat %s never reached %d (now %d)" key want
-        (stat server key)
-    else begin
-      Thread.delay 0.02;
-      go ()
-    end
-  in
-  go ()
 
 let scenario_seed seed = Scenario.make ~seed Scenario.Fig8
 
@@ -175,29 +160,135 @@ let test_timeout_frame_not_retried () =
   Alcotest.(check int) "no transport retries" 0 retries
 
 (* ------------------------------------------------------------------ *)
-(* Slow loris: connection cap and idle timeout                         *)
+(* Connection hardening, once per front end                            *)
 (* ------------------------------------------------------------------ *)
 
-let test_conn_cap_and_idle_timeout () =
-  let config = base_config ~max_conns:2 ~idle_timeout_s:0.3 () in
-  with_server config (fun server ->
-      let port =
-        match Server.listen_addr server with
-        | Server.Tcp p -> p
-        | Server.Unix_socket _ -> Alcotest.fail "expected tcp"
-      in
-      let dial () =
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-        fd
-      in
+(* Both front ends accept connections through one listener, so every
+   row below runs against a [Server] and against a [Router] in front of
+   one shard. *)
+type front = {
+  addr : Server.addr;
+  stats : unit -> (string * float) list;
+  stop : unit -> unit;
+}
+
+type front_kind = {
+  label : string;
+  start :
+    ?addr:Server.addr ->
+    ?obs:Ptg_obs.Sink.t ->
+    ?idle_timeout_s:float ->
+    ?max_conns:int ->
+    ?drain_deadline_s:float ->
+    ?handler:(Scenario.t -> string) ->
+    unit ->
+    front;
+}
+
+let server_kind =
+  {
+    label = "server";
+    start =
+      (fun ?(addr = Server.Tcp 0) ?obs ?idle_timeout_s ?max_conns ?drain_deadline_s
+           ?handler () ->
+        let config =
+          base_config ?handler ?obs ~workers:1 ?idle_timeout_s ?max_conns
+            ?drain_deadline_s ()
+        in
+        let server = Server.start { config with Server.addr } in
+        {
+          addr = Server.listen_addr server;
+          stats = (fun () -> Server.stats server);
+          stop = (fun () -> Server.stop server);
+        });
+  }
+
+let router_kind =
+  {
+    label = "router";
+    start =
+      (fun ?(addr = Server.Tcp 0) ?obs ?(idle_timeout_s = 60.) ?(max_conns = 256)
+           ?(drain_deadline_s = 5.) ?handler () ->
+        let shard = Server.start (base_config ?handler ()) in
+        let config =
+          {
+            (Router.default_config addr ~shards:[ Server.listen_addr shard ]) with
+            Router.retry = fast_policy;
+            idle_timeout_s;
+            max_conns;
+            drain_deadline_s;
+            obs;
+          }
+        in
+        match Router.start config with
+        | router ->
+            {
+              addr = Router.listen_addr router;
+              stats = (fun () -> Router.stats router);
+              stop =
+                (fun () ->
+                  Router.stop router;
+                  Server.stop shard);
+            }
+        | exception e ->
+            Server.stop shard;
+            raise e);
+  }
+
+let fstat front key =
+  match List.assoc_opt key (front.stats ()) with
+  | Some v -> int_of_float v
+  | None -> Alcotest.failf "stat %s missing" key
+
+(* Poll [stats] until [key] reaches [want] — for transitions driven by
+   timers (idle closes, connection teardown). *)
+let wait_for_fstat front key want =
+  let deadline = Clock.ns_after (Clock.now_ns ()) 3.0 in
+  let rec go () =
+    if fstat front key = want then ()
+    else if Clock.now_ns () >= deadline then
+      Alcotest.failf "stat %s never reached %d (now %d)" key want (fstat front key)
+    else begin
+      Thread.delay 0.02;
+      go ()
+    end
+  in
+  go ()
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let with_front front f = Fun.protect ~finally:front.stop (fun () -> f front)
+
+let dial_tcp front =
+  let port =
+    match front.addr with
+    | Server.Tcp p -> p
+    | Server.Unix_socket _ -> Alcotest.fail "expected tcp"
+  in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+let expect_payload front seed =
+  let c = Client.connect front.addr in
+  Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+      match Client.run c (scenario_seed seed) with
+      | Ok (Protocol.Result { result = "payload"; _ }) -> ()
+      | Ok _ -> Alcotest.fail "unexpected frame"
+      | Error e -> Alcotest.fail e)
+
+(* Slow loris: the connection cap and the idle timeout. *)
+let test_conn_cap_and_idle_timeout kind () =
+  with_front (kind.start ~max_conns:2 ~idle_timeout_s:0.3 ()) (fun front ->
       (* Two connections that never send a byte occupy the whole cap. *)
-      let loris1 = dial () and loris2 = dial () in
-      wait_for_stat server "conns" 2;
+      let loris1 = dial_tcp front and loris2 = dial_tcp front in
+      wait_for_fstat front "conns" 2;
       (* The third is shed at accept time with a best-effort overloaded
          frame, then closed. *)
-      let fd3 = dial () in
-      let ic3 = Unix.in_channel_of_descr fd3 in
+      let ic3 = Unix.in_channel_of_descr (dial_tcp front) in
       (match input_line ic3 with
       | exception End_of_file -> Alcotest.fail "no shed frame before close"
       | line -> (
@@ -208,43 +299,39 @@ let test_conn_cap_and_idle_timeout () =
       | exception End_of_file -> ()
       | _ -> Alcotest.fail "expected close after the shed frame");
       close_in_noerr ic3;
-      Alcotest.(check int) "accept-time shed counted" 1
-        (stat server "conn_shed");
+      Alcotest.(check int) "accept-time shed counted" 1 (fstat front "conn_shed");
       (* The idle timeout reaps both loris connections... *)
-      wait_for_stat server "conns" 0;
-      Alcotest.(check int) "idle closes counted" 2 (stat server "idle_closed");
+      wait_for_fstat front "conns" 0;
+      Alcotest.(check int) "idle closes counted" 2 (fstat front "idle_closed");
       (try Unix.close loris1 with Unix.Unix_error _ -> ());
       (try Unix.close loris2 with Unix.Unix_error _ -> ());
       (* ...freeing capacity for a real client. *)
-      let c = Client.connect (Server.listen_addr server) in
-      Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
-          match Client.run c (scenario_seed 6L) with
-          | Ok (Protocol.Result { result = "payload"; _ }) -> ()
-          | Ok _ -> Alcotest.fail "unexpected frame"
-          | Error e -> Alcotest.fail e))
+      expect_payload front 6L)
 
-(* ------------------------------------------------------------------ *)
-(* Shutdown drain deadline                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_drain_deadline_forces_stragglers () =
+(* Shutdown drain deadline: a request still computing when the drain
+   deadline passes is force-closed, not waited for. *)
+let test_drain_deadline_forces_stragglers kind () =
   let obs = Ptg_obs.Sink.create () in
-  let config =
-    base_config
+  let front =
+    kind.start
       ~handler:(fun _ ->
         Thread.delay 0.8;
         "slow")
-      ~workers:1 ~drain_deadline_s:0.2 ~obs ()
+      ~drain_deadline_s:0.2 ~obs ()
   in
-  let server = Server.start config in
-  let addr = Server.listen_addr server in
   let reply = ref (Error "unset") in
-  let c = Client.connect addr in
+  let replied_at = ref 0L in
+  let c = Client.connect front.addr in
   let straggler =
-    Thread.create (fun () -> reply := Client.run c (scenario_seed 7L)) ()
+    Thread.create
+      (fun () ->
+        reply := Client.run c (scenario_seed 7L);
+        replied_at := Clock.now_ns ())
+      ()
   in
   Thread.delay 0.2 (* let the request get admitted and start computing *);
-  Server.stop server;
+  let stop_t0 = Clock.now_ns () in
+  front.stop ();
   Thread.join straggler;
   Client.close c;
   (* The straggler was expired, not served: either it saw the timeout
@@ -252,14 +339,88 @@ let test_drain_deadline_forces_stragglers () =
   (match !reply with
   | Ok Protocol.Timeout | Error _ -> ()
   | Ok _ -> Alcotest.fail "straggler should have been expired");
+  Alcotest.(check bool) "straggler released by the drain deadline" true
+    (Int64.to_float (Int64.sub !replied_at stop_t0) /. 1e9 < 0.7);
   (* Connection drain was bounded by the drain deadline (~0.2 s), not
      held open for the 0.8 s handler. *)
-  match
-    Ptg_obs.Registry.find (Ptg_obs.Sink.metrics obs) "server_drain_duration_us"
-  with
-  | Some d ->
-      Alcotest.(check bool) "drain bounded by its deadline" true (d < 700_000.)
-  | None -> Alcotest.fail "drain gauge missing"
+  if kind.label = "server" then
+    match
+      Ptg_obs.Registry.find (Ptg_obs.Sink.metrics obs) "server_drain_duration_us"
+    with
+    | Some d ->
+        Alcotest.(check bool) "drain bounded by its deadline" true (d < 700_000.)
+    | None -> Alcotest.fail "drain gauge missing"
+
+(* A stale socket file is replaced and removed on stop; any other file
+   at the path is refused and keeps its bytes. *)
+let test_stale_socket_lifecycle kind () =
+  let path = Filename.temp_file "ptg_front_" ".sock" in
+  Sys.remove path;
+  let stale = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind stale (Unix.ADDR_UNIX path);
+  Unix.close stale;
+  with_front (kind.start ~addr:(Server.Unix_socket path) ()) (fun front ->
+      Alcotest.(check bool) "socket file exists" true (Sys.file_exists path);
+      expect_payload front 8L);
+  Alcotest.(check bool) "socket file removed on stop" false (Sys.file_exists path);
+  Out_channel.with_open_bin path (fun oc -> output_string oc "precious");
+  (match kind.start ~addr:(Server.Unix_socket path) () with
+  | front ->
+      front.stop ();
+      Alcotest.fail "start replaced a regular file"
+  | exception _ -> ());
+  Alcotest.(check string) "regular file untouched" "precious"
+    (In_channel.with_open_bin path In_channel.input_all);
+  Sys.remove path
+
+(* A frame at the limit is read; one byte more gets an error frame
+   naming the limit and a hangup, and the front end keeps serving. *)
+let test_over_long_frame kind () =
+  with_front (kind.start ~idle_timeout_s:3. ()) (fun front ->
+      let fd = dial_tcp front in
+      let ic = Unix.in_channel_of_descr fd in
+      Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
+          let write s = ignore (Unix.write_substring fd s 0 (String.length s)) in
+          let head = {|{"v":1,"op":"ping"|} in
+          write
+            (head
+            ^ String.make (Protocol.max_frame_bytes - String.length head - 1) ' '
+            ^ "}\n");
+          (match Protocol.decode_response (input_line ic) with
+          | Ok (_, Protocol.Pong) -> ()
+          | _ -> Alcotest.fail "a frame at the limit must be answered");
+          write (String.make (Protocol.max_frame_bytes + 1) 'x');
+          (match input_line ic with
+          | exception End_of_file -> Alcotest.fail "no error frame before close"
+          | line -> (
+              match Protocol.decode_response line with
+              | Ok (_, Protocol.Error_reply msg) ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "error names the limit (got %s)" msg)
+                    true
+                    (contains msg (string_of_int Protocol.max_frame_bytes))
+              | _ -> Alcotest.failf "unexpected frame %s" line));
+          match input_line ic with
+          | exception (End_of_file | Sys_error _) -> ()
+          | _ -> Alcotest.fail "expected close after the error frame");
+      Alcotest.(check int) "over-long frame counted" 1 (fstat front "errors");
+      expect_payload front 9L)
+
+let hardening_suite =
+  List.concat_map
+    (fun kind ->
+      let name n = if kind.label = "server" then n else kind.label ^ ": " ^ n in
+      [
+        Alcotest.test_case (name "slow loris: connection cap and idle timeout") `Slow
+          (test_conn_cap_and_idle_timeout kind);
+        Alcotest.test_case (name "shutdown drain deadline force-closes stragglers") `Slow
+          (test_drain_deadline_forces_stragglers kind);
+        Alcotest.test_case (name "stale socket replaced, other files refused") `Quick
+          (test_stale_socket_lifecycle kind);
+        Alcotest.test_case (name "over-long frame answered, then hung up") `Quick
+          (test_over_long_frame kind);
+      ])
+    [ server_kind; router_kind ]
 
 (* ------------------------------------------------------------------ *)
 (* The fault slot itself                                               *)
@@ -409,10 +570,6 @@ let suite =
       test_dropped_connection_retried;
     Alcotest.test_case "timeout frames are not retried" `Slow
       test_timeout_frame_not_retried;
-    Alcotest.test_case "slow loris: connection cap and idle timeout" `Slow
-      test_conn_cap_and_idle_timeout;
-    Alcotest.test_case "shutdown drain deadline force-closes stragglers" `Slow
-      test_drain_deadline_forces_stragglers;
     Alcotest.test_case "fault slot budget and disarm" `Quick
       test_fault_slot_budget;
     Alcotest.test_case "fault spec parsing" `Quick test_fault_spec_parsing;
@@ -420,3 +577,4 @@ let suite =
       test_backoff_delay;
     QCheck_alcotest.to_alcotest prop_backoff_positive_and_capped;
   ]
+  @ hardening_suite

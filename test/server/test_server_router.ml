@@ -291,6 +291,9 @@ let test_ejection_and_rerouting () =
 
 let test_readmission_after_recovery () =
   let path = Filename.temp_file "ptg_router_shard" ".sock" in
+  (* A fresh path: start refuses to replace the regular file temp_file
+     leaves there. *)
+  Sys.remove path;
   let shard_addr = Server.Unix_socket path in
   let shard = ref (Server.start (shard_config ~addr:shard_addr ())) in
   let router =

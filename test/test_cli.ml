@@ -14,6 +14,11 @@ let exec ?(out = Filename.null) args =
 
 let tmp suffix = Filename.temp_file "ptg_cli_" suffix
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let test_stats_golden () =
   let out = tmp "stats.csv" in
   Alcotest.(check int) "exit code" 0 (exec ~out "stats");
@@ -110,6 +115,92 @@ let test_validation_exit_codes () =
   check_exit2
     (Printf.sprintf "fullsys --instrs 1000 --checkpoint-dir %s" dir)
     dir
+
+(* A TCP port held by a listening socket for the duration of [f]. *)
+let with_held_port f =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen fd 1;
+      match Unix.getsockname fd with
+      | Unix.ADDR_INET (_, port) -> f port
+      | _ -> Alcotest.fail "expected an inet address")
+
+(* Bind failures are the caller's mistake: exit 2 naming the address,
+   never an internal error, and a path naming anything but a socket is
+   left untouched. *)
+let test_bind_failure_exit_codes () =
+  let run args =
+    let err = tmp "bind.err" in
+    let code =
+      Sys.command (Printf.sprintf "%s %s > %s 2> %s" cli args Filename.null err)
+    in
+    (code, read_file err)
+  in
+  let check_exit2 args needle =
+    let code, err = run args in
+    Alcotest.(check int) (args ^ " exits 2") 2 code;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: stderr names %s (got %S)" args needle err)
+      true (contains err needle)
+  in
+  let victim = tmp "victim.txt" in
+  Out_channel.with_open_bin victim (fun oc -> output_string oc "precious");
+  check_exit2 ("serve --socket " ^ victim) victim;
+  check_exit2 (Printf.sprintf "serve-router --socket %s --shard 1" victim) victim;
+  Alcotest.(check string) "regular file untouched" "precious" (read_file victim);
+  let dir = tmp ".dir" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  check_exit2 ("serve --socket " ^ dir) dir;
+  Sys.rmdir dir;
+  let orphan = Filename.concat dir "ptg.sock" in
+  check_exit2 ("serve --socket " ^ orphan) orphan;
+  with_held_port (fun port ->
+      check_exit2
+        (Printf.sprintf "serve --port %d" port)
+        (Printf.sprintf "127.0.0.1:%d" port))
+
+(* A router that cannot bind shuts its spawned shards down: it exits 2,
+   and its stderr (which the shards inherit) reaches EOF promptly. *)
+let test_router_bind_failure_reaps_shards () =
+  with_held_port (fun port ->
+      let r, w = Unix.pipe ~cloexec:true () in
+      let pid =
+        Unix.create_process cli
+          [| cli; "serve-router"; "--port"; string_of_int port; "--spawn"; "1" |]
+          Unix.stdin Unix.stdout w
+      in
+      Unix.close w;
+      let deadline = Unix.gettimeofday () +. 10. in
+      let buf = Bytes.create 4096 in
+      let rec drain acc =
+        let left = deadline -. Unix.gettimeofday () in
+        if left <= 0. then None
+        else
+          match Unix.select [ r ] [] [] left with
+          | [], _, _ -> None
+          | _ -> (
+              match Unix.read r buf 0 (Bytes.length buf) with
+              | 0 -> Some acc
+              | n -> drain (acc ^ Bytes.sub_string buf 0 n))
+      in
+      let err = drain "" in
+      Unix.close r;
+      if err = None then (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      let code =
+        match Unix.waitpid [] pid with
+        | _, Unix.WEXITED c -> c
+        | _ -> -1
+      in
+      match err with
+      | None -> Alcotest.fail "stderr still open after 10 s: spawned shards outlived the router"
+      | Some err ->
+          Alcotest.(check int) "exit code" 2 code;
+          Alcotest.(check bool)
+            (Printf.sprintf "stderr names the port (got %S)" err)
+            true
+            (contains err (Printf.sprintf "127.0.0.1:%d" port)))
 
 (* The trace pipeline end to end through the binary: record a trace,
    convert text -> binary -> text losslessly, and replay it under a
@@ -260,6 +351,10 @@ let suite =
     Alcotest.test_case "error exit codes" `Quick test_error_paths;
     Alcotest.test_case "validation exit codes" `Quick
       test_validation_exit_codes;
+    Alcotest.test_case "serve bind failures exit 2" `Quick
+      test_bind_failure_exit_codes;
+    Alcotest.test_case "router bind failure reaps spawned shards" `Quick
+      test_router_bind_failure_reaps_shards;
     Alcotest.test_case "trace pipeline record/convert/replay" `Slow
       test_trace_pipeline;
     Alcotest.test_case "trace validation exit codes" `Quick
