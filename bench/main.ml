@@ -16,6 +16,10 @@
    sweep through Ptg_util.Pool, recorded in EXPERIMENTS.md's "Parallel
    runs" section.
 
+   Part 4 — the gated sections (fig6, fullsys, snapshot, slices, serve,
+   serve_sharded) each record BENCH_<section>.json; bench/gate.exe
+   checks a fresh recording against the committed one.
+
    Run with: dune exec bench/main.exe *)
 
 open Bechamel
@@ -166,9 +170,51 @@ let run_micro () =
 let section title = Printf.printf "\n=== %s ===\n%!" title
 
 let timed f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Ptg_util.Clock.now_ns () in
   let r = f () in
-  (Unix.gettimeofday () -. t0, r)
+  (Ptg_util.Clock.elapsed_s t0, r)
+
+let clear_store dir =
+  Array.iter
+    (fun n -> try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
+    (try Sys.readdir dir with Sys_error _ -> [||])
+
+(* [with_store f] runs [f] on a fresh temporary checkpoint store. *)
+let with_store f =
+  let dir = Filename.temp_file "ptg_bench_store" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      clear_store dir;
+      try Sys.rmdir dir with Sys_error _ -> ())
+    (fun () -> f dir)
+
+(* Every gated section records its figures through [write_json]: one
+   "key": value pair per line, in list order, after the section name and
+   size mode. PTG_BENCH_JSON overrides the default BENCH_<section>.json
+   path; bench/gate.exe checks the file against the committed baseline. *)
+type value = Int of int | Float of int * float | Bool of bool | Str of string
+
+let write_json section fields =
+  let path =
+    Option.value (Sys.getenv_opt "PTG_BENCH_JSON")
+      ~default:(Printf.sprintf "BENCH_%s.json" section)
+  in
+  let line (k, v) =
+    Printf.sprintf "  \"%s\": %s" k
+      (match v with
+      | Int n -> string_of_int n
+      | Float (decimals, x) -> Printf.sprintf "%.*f" decimals x
+      | Bool b -> string_of_bool b
+      | Str s -> Printf.sprintf "\"%s\"" s)
+  in
+  let fields =
+    ("benchmark", Str section) :: ("mode", Str (if full then "full" else "reduced")) :: fields
+  in
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc "{\n%s\n}\n" (String.concat ",\n" (List.map line fields)));
+  Printf.printf "  wrote %s\n" path
 
 let run_experiments () =
   let seed = 42L in
@@ -238,22 +284,15 @@ let run_scaling () =
        (max jobs 4) (Ptg_util.Pool.default_jobs ()));
   let instrs = if full then 2_000_000 else 300_000 in
   let warmup = if full then 500_000 else 100_000 in
-  let timed j =
-    let t0 = Unix.gettimeofday () in
-    let r = Ptg_sim.Fig6.run ~jobs:j ~instrs ~warmup () in
-    (Unix.gettimeofday () -. t0, r)
-  in
+  let sweep j = timed (fun () -> Ptg_sim.Fig6.run ~jobs:j ~instrs ~warmup ()) in
   let parallel_jobs = max jobs 4 in
-  let t_serial, r_serial = timed 1 in
-  let t_parallel, r_parallel = timed parallel_jobs in
+  let t_serial, r_serial = sweep 1 in
+  let t_parallel, r_parallel = sweep parallel_jobs in
   let csv r =
     let path = Filename.temp_file "ptg_scaling" ".csv" in
     Ptg_sim.Fig6.to_csv r ~path;
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    Sys.remove path;
-    s
+    Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+        In_channel.with_open_bin path In_channel.input_all)
   in
   Printf.printf
     "  jobs 1:  %6.2f s\n  jobs %d:  %6.2f s\n  speedup: %.2fx\n  CSV identical: %b\n"
@@ -261,35 +300,10 @@ let run_scaling () =
     (String.equal (csv r_serial) (csv r_parallel))
 
 (* ------------------------------------------------------------------ *)
-(* Observability overhead: the same Figure 6 sweep with the sink off    *)
-(* and on. The disabled path is a single option branch per operation,   *)
-(* so "off" must match the pre-observability wall clock; "on" bounds    *)
-(* the full-instrumentation cost quoted in README.md.                   *)
-(* ------------------------------------------------------------------ *)
-
-let run_obs_overhead () =
-  section "Observability overhead: Figure 6 sweep, obs off vs on";
-  let instrs = if full then 1_000_000 else 300_000 in
-  let warmup = if full then 300_000 else 100_000 in
-  let t_off, r_off = timed (fun () -> Ptg_sim.Fig6.run ~jobs ~instrs ~warmup ()) in
-  let sink = Ptg_obs.Sink.create () in
-  let t_on, r_on =
-    timed (fun () -> Ptg_sim.Fig6.run ~jobs ~instrs ~warmup ~obs:sink ())
-  in
-  let rows = Ptg_obs.Registry.rows (Ptg_obs.Sink.metrics sink) in
-  Printf.printf
-    "  obs off: %6.2f s\n\
-    \  obs on:  %6.2f s (%+.1f%% wall clock)\n\
-    \  collected: %d metric rows, %d trace events\n\
-    \  figure results identical: %b\n"
-    t_off t_on
-    (100.0 *. ((t_on -. t_off) /. t_off))
-    (List.length rows)
-    (Ptg_obs.Trace.recorded (Ptg_obs.Sink.trace sink))
-    (r_off = r_on)
-
-(* ------------------------------------------------------------------ *)
 (* Figure 6 regression benchmark: BENCH_fig6.json                      *)
+(* The same sweep runs with the obs sink off and on: "off" is the      *)
+(* gated wall time, "on" bounds the full-instrumentation cost quoted   *)
+(* in README.md, and the figure must come out identical either way.    *)
 (* ------------------------------------------------------------------ *)
 
 (* Single-job reduced Figure 6 sweep measured on this container before
@@ -314,40 +328,25 @@ let run_fig6_json () =
   (* Base and guarded runs both simulate warmup + timed instructions. *)
   let simulated = 2 * n_workloads * (instrs + warmup) in
   let instrs_per_sec = float_of_int simulated /. t_off in
-  let path =
-    match Sys.getenv_opt "PTG_BENCH_JSON" with
-    | Some p -> p
-    | None -> "BENCH_fig6.json"
-  in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"fig6\",\n\
-    \  \"mode\": \"%s\",\n\
-    \  \"jobs\": 1,\n\
-    \  \"instrs\": %d,\n\
-    \  \"warmup\": %d,\n\
-    \  \"workloads\": %d,\n\
-    \  \"wall_time_s\": %.3f,\n\
-    \  \"wall_time_obs_s\": %.3f,\n\
-    \  \"instrs_per_sec\": %.0f,\n\
-    \  \"amean_slowdown_pct\": %.4f,\n\
-    \  \"obs_results_identical\": %b,\n\
-    \  \"pre_pr_wall_time_s\": %.2f,\n\
-    \  \"speedup_vs_pre_pr\": %.2f\n\
-     }\n"
-    (if full then "full" else "reduced")
-    instrs warmup n_workloads t_off t_on instrs_per_sec
-    r_off.Ptg_sim.Fig6.amean_slowdown_pct (r_off = r_on) pre_pr_wall_time_s
-    (pre_pr_wall_time_s /. t_off);
-  close_out oc;
   Printf.printf
     "  wall: %.2f s (obs on: %.2f s), %.0f simulated instrs/s\n\
-    \  speedup vs pre-PR %.2f s: %.2fx\n\
-    \  wrote %s\n"
+    \  speedup vs pre-PR %.2f s: %.2fx\n"
     t_off t_on instrs_per_sec pre_pr_wall_time_s
-    (pre_pr_wall_time_s /. t_off)
-    path
+    (pre_pr_wall_time_s /. t_off);
+  write_json "fig6"
+    [
+      ("jobs", Int 1);
+      ("instrs", Int instrs);
+      ("warmup", Int warmup);
+      ("workloads", Int n_workloads);
+      ("wall_time_s", Float (3, t_off));
+      ("wall_time_obs_s", Float (3, t_on));
+      ("instrs_per_sec", Float (0, instrs_per_sec));
+      ("amean_slowdown_pct", Float (4, r_off.Ptg_sim.Fig6.amean_slowdown_pct));
+      ("obs_results_identical", Bool (r_off = r_on));
+      ("pre_pr_wall_time_s", Float (2, pre_pr_wall_time_s));
+      ("speedup_vs_pre_pr", Float (2, pre_pr_wall_time_s /. t_off));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* MAC core: one cipher call with its tweak expanded per call, with a  *)
@@ -371,9 +370,8 @@ let run_mac_bench () =
   let sc = Ptg_crypto.Qarma.scratch () in
   let sch = Ptg_crypto.Qarma.schedule key ~t_hi:1L ~t_lo:0x4000L in
   let per_req f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to passes do f () done;
-    1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int (passes * reqs)
+    let t, () = timed (fun () -> for _ = 1 to passes do f () done) in
+    1e9 *. t /. float_of_int (passes * reqs)
   in
   let ns_raw =
     per_req (fun () ->
@@ -447,44 +445,27 @@ let run_fullsys_json () =
   in
   if r_mc.Ptg_cpu.Multicore.mac_verify_failures <> 0 then
     failwith "fullsys bench: multicore verification failed on untampered PTEs";
-  let wall = t_guarded +. t_mc in
-  let path =
-    match Sys.getenv_opt "PTG_BENCH_JSON" with
-    | Some p -> p
-    | None -> "BENCH_fullsys.json"
-  in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"fullsys\",\n\
-    \  \"mode\": \"%s\",\n\
-    \  \"instrs\": %d,\n\
-    \  \"wall_time_s\": %.3f,\n\
-    \  \"fullsys_wall_s\": %.3f,\n\
-    \  \"fullsys_walks\": %d,\n\
-    \  \"fullsys_flips_landed\": %d,\n\
-    \  \"fullsys_wrong_translations\": %d,\n\
-    \  \"mc_wall_s\": %.3f,\n\
-    \  \"mc_instrs_per_core\": %d,\n\
-    \  \"mc_macs_verified\": %d,\n\
-    \  \"mc_verify_failures\": %d,\n\
-    \  \"mc_macs_per_sec\": %.0f\n\
-     }\n"
-    (if full then "full" else "reduced")
-    instrs wall t_guarded r_guarded.Ptg_sim.Fullsys.walks
-    r_guarded.Ptg_sim.Fullsys.flips_landed
-    r_guarded.Ptg_sim.Fullsys.wrong_translations t_mc mc_instrs
-    r_mc.Ptg_cpu.Multicore.macs_verified r_mc.Ptg_cpu.Multicore.mac_verify_failures
-    (float_of_int r_mc.Ptg_cpu.Multicore.macs_verified /. t_mc);
-  close_out oc;
+  let macs = r_mc.Ptg_cpu.Multicore.macs_verified in
   Printf.printf
     "  fullsys: %.2f s (%d walks, %d flips landed, 0 wrong translations)\n\
-    \  multicore verify: %.2f s (%d MACs batch-verified, %.0f MACs/s)\n\
-    \  wrote %s\n"
+    \  multicore verify: %.2f s (%d MACs batch-verified, %.0f MACs/s)\n"
     t_guarded r_guarded.Ptg_sim.Fullsys.walks r_guarded.Ptg_sim.Fullsys.flips_landed
-    t_mc r_mc.Ptg_cpu.Multicore.macs_verified
-    (float_of_int r_mc.Ptg_cpu.Multicore.macs_verified /. t_mc)
-    path
+    t_mc macs
+    (float_of_int macs /. t_mc);
+  write_json "fullsys"
+    [
+      ("instrs", Int instrs);
+      ("wall_time_s", Float (3, t_guarded +. t_mc));
+      ("fullsys_wall_s", Float (3, t_guarded));
+      ("fullsys_walks", Int r_guarded.Ptg_sim.Fullsys.walks);
+      ("fullsys_flips_landed", Int r_guarded.Ptg_sim.Fullsys.flips_landed);
+      ("fullsys_wrong_translations", Int r_guarded.Ptg_sim.Fullsys.wrong_translations);
+      ("mc_wall_s", Float (3, t_mc));
+      ("mc_instrs_per_core", Int mc_instrs);
+      ("mc_macs_verified", Int macs);
+      ("mc_verify_failures", Int r_mc.Ptg_cpu.Multicore.mac_verify_failures);
+      ("mc_macs_per_sec", Float (0, float_of_int macs /. t_mc));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Warm-start regression benchmark: BENCH_snapshot.json                *)
@@ -498,26 +479,14 @@ let run_snapshot_json () =
   section "Warm-start regression benchmark (BENCH_snapshot.json)";
   let instrs = if full then 60_000 else 20_000 in
   let every = instrs / 10 in
-  let dir = Filename.temp_file "ptg_bench_store" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  let clear () =
-    Array.iter
-      (fun n -> try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
-      (try Sys.readdir dir with Sys_error _ -> [||])
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      clear ();
-      try Sys.rmdir dir with Sys_error _ -> ())
-  @@ fun () ->
+  with_store @@ fun dir ->
   (* Three rounds of a cold run into an emptied store, then a warm start
      from the store it left; medians of the times and of the per-round
      speedups. A warm start takes about as long as machine construction,
      tens of milliseconds, so a round's two runs share the host's load. *)
   let rounds =
     List.init 3 (fun _ ->
-        clear ();
+        clear_store dir;
         let run () = Ptg_sim.Checkpoint.run_fullsys ~every ~dir ~seed:42L ~instrs () in
         let t_cold, cold = timed run in
         let t_warm, warm = timed run in
@@ -538,39 +507,28 @@ let run_snapshot_json () =
       (fun a n -> a + (Unix.stat (Filename.concat dir n)).Unix.st_size)
       0 (Sys.readdir dir)
   in
-  let path =
-    match Sys.getenv_opt "PTG_BENCH_JSON" with
-    | Some p -> p
-    | None -> "BENCH_snapshot.json"
-  in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"snapshot\",\n\
-    \  \"mode\": \"%s\",\n\
-    \  \"instrs\": %d,\n\
-    \  \"every\": %d,\n\
-    \  \"wall_time_s\": %.3f,\n\
-    \  \"cold_wall_s\": %.3f,\n\
-    \  \"warm_wall_s\": %.3f,\n\
-    \  \"speedup\": %.2f,\n\
-    \  \"warm_resumed_from\": %d,\n\
-    \  \"identical\": %d,\n\
-    \  \"checkpoints\": %d,\n\
-    \  \"store_bytes\": %d\n\
-     }\n"
-    (if full then "full" else "reduced")
-    instrs every (t_cold +. t_warm) t_cold t_warm speedup resumed_from
-    (if identical then 1 else 0)
-    checkpoints store_bytes;
-  close_out oc;
   Printf.printf
     "  cold: %.2f s (%d checkpoints, %d KiB store)\n\
     \  warm: %.3f s (adopted %d/%d instructions)\n\
-    \  speedup: %.1fx, byte-identical: %b\n\
-    \  wrote %s\n"
+    \  speedup: %.1fx, byte-identical: %b\n"
     t_cold checkpoints (store_bytes / 1024) t_warm resumed_from instrs speedup
-    identical path
+    identical;
+  write_json "snapshot"
+    [
+      ("instrs", Int instrs);
+      ("every", Int every);
+      ("wall_time_s", Float (3, t_cold +. t_warm));
+      ("cold_wall_s", Float (3, t_cold));
+      ("warm_wall_s", Float (3, t_warm));
+      ("speedup", Float (2, speedup));
+      ("warm_resumed_from", Int resumed_from);
+      ("identical", Bool identical);
+      ("checkpoints", Int checkpoints);
+      ("store_bytes", Int store_bytes);
+    ]
+
+let p99 (r : Ptg_server.Client.report) =
+  Option.fold ~none:"n/a" ~some:(Printf.sprintf "%.0f us") r.p99_us
 
 (* ------------------------------------------------------------------ *)
 (* Serving throughput: cold (computed) vs cache-hot served requests.   *)
@@ -598,14 +556,15 @@ let run_serve () =
       let addr = Ptg_server.Server.listen_addr server in
       (* Cold: one request, nothing cached — response time is dominated
          by the experiment itself. *)
-      let t0 = Unix.gettimeofday () in
-      let client = Ptg_server.Client.connect addr in
-      (match Ptg_server.Client.run client scenario with
-      | Ok (Ptg_server.Protocol.Result { cache = Ptg_server.Protocol.Miss; _ })
-        -> ()
-      | _ -> failwith "serve bench: cold request did not compute");
-      Ptg_server.Client.close client;
-      let cold_s = Unix.gettimeofday () -. t0 in
+      let cold_s, () =
+        timed (fun () ->
+            let client = Ptg_server.Client.connect addr in
+            (match Ptg_server.Client.run client scenario with
+            | Ok (Ptg_server.Protocol.Result { cache = Ptg_server.Protocol.Miss; _ })
+              -> ()
+            | _ -> failwith "serve bench: cold request did not compute");
+            Ptg_server.Client.close client)
+      in
       (* Hot: a closed-loop load against the now-warm cache. *)
       let report =
         Ptg_server.Client.loadgen ~addr ~clients:4
@@ -613,21 +572,28 @@ let run_serve () =
           ~scenarios:[ scenario ] ()
       in
       let cold_rps = 1.0 /. cold_s in
-      let p99 =
-        match report.Ptg_server.Client.p99_us with
-        | Some v -> Printf.sprintf "%.0f us" v
-        | None -> "n/a"
-      in
+      let hot_rps = report.Ptg_server.Client.throughput_rps in
       Printf.printf
         "  cold:   %8.2f req/s (one computed request: %.3f s)\n\
         \  hot:    %8.2f req/s (%d requests, %d clients, p99 %s)\n\
         \  ratio:  %8.0fx\n\
         \  hits %d / misses %d / shed %d / errors %d\n"
-        cold_rps cold_s report.Ptg_server.Client.throughput_rps
-        report.Ptg_server.Client.ok report.Ptg_server.Client.clients p99
-        (report.Ptg_server.Client.throughput_rps /. cold_rps)
+        cold_rps cold_s hot_rps report.Ptg_server.Client.ok
+        report.Ptg_server.Client.clients (p99 report) (hot_rps /. cold_rps)
         report.Ptg_server.Client.hits report.Ptg_server.Client.misses
-        report.Ptg_server.Client.overloaded report.Ptg_server.Client.errors)
+        report.Ptg_server.Client.overloaded report.Ptg_server.Client.errors;
+      write_json "serve"
+        [
+          ("cold_s", Float (3, cold_s));
+          ("hot_rps", Float (2, hot_rps));
+          ("ratio", Float (0, hot_rps /. cold_rps));
+          ("clients", Int report.Ptg_server.Client.clients);
+          ("ok", Int report.Ptg_server.Client.ok);
+          ("hits", Int report.Ptg_server.Client.hits);
+          ("misses", Int report.Ptg_server.Client.misses);
+          ("shed", Int report.Ptg_server.Client.overloaded);
+          ("errors", Int report.Ptg_server.Client.errors);
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* Sharded serving: 1 vs 2 vs 4 shards behind the consistent-hash      *)
@@ -705,56 +671,39 @@ let run_serve_sharded () =
           - report.Ptg_server.Client.overloaded
           - report.Ptg_server.Client.timeouts - report.Ptg_server.Client.errors
         in
-        let p99 =
-          match report.Ptg_server.Client.p99_us with
-          | Some v -> Printf.sprintf "%.0f us" v
-          | None -> "n/a"
-        in
         Printf.printf
           "  %d shard%s: %8.2f req/s (ok %d, errors %d, lost %d, p99 %s)\n%!"
           n
           (if n = 1 then " " else "s")
           report.Ptg_server.Client.throughput_rps report.Ptg_server.Client.ok
-          report.Ptg_server.Client.errors lost p99;
+          report.Ptg_server.Client.errors lost (p99 report);
         (report.Ptg_server.Client.throughput_rps, report.Ptg_server.Client.ok,
          lost))
   in
   let rps1, ok1, lost1 = topology 1 in
   let rps2, ok2, lost2 = topology 2 in
   let rps4, ok4, lost4 = topology 4 in
-  let path =
-    match Sys.getenv_opt "PTG_BENCH_JSON" with
-    | Some p -> p
-    | None -> "BENCH_serve_sharded.json"
-  in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"serve_sharded\",\n\
-    \  \"mode\": \"%s\",\n\
-    \  \"distinct_scenarios\": %d,\n\
-    \  \"shard_cache_capacity\": %d,\n\
-    \  \"router_cache_capacity\": %d,\n\
-    \  \"clients\": %d,\n\
-    \  \"requests_per_client\": %d,\n\
-    \  \"rps_1_shard\": %.2f,\n\
-    \  \"rps_2_shards\": %.2f,\n\
-    \  \"rps_4_shards\": %.2f,\n\
-    \  \"speedup_2_shards\": %.2f,\n\
-    \  \"speedup_4_shards\": %.2f,\n\
-    \  \"ok_1_shard\": %d,\n\
-    \  \"ok_2_shards\": %d,\n\
-    \  \"ok_4_shards\": %d,\n\
-    \  \"lost_1_shard\": %d,\n\
-    \  \"lost_2_shards\": %d,\n\
-    \  \"lost_4_shards\": %d\n\
-     }\n"
-    (if full then "full" else "reduced")
-    distinct shard_cache router_cache clients requests_per_client rps1 rps2
-    rps4 (rps2 /. rps1) (rps4 /. rps1) ok1 ok2 ok4 lost1 lost2 lost4;
-  close_out oc;
-  Printf.printf "  speedup: %.2fx at 2 shards, %.2fx at 4\n  wrote %s\n"
-    (rps2 /. rps1) (rps4 /. rps1) path
+  Printf.printf "  speedup: %.2fx at 2 shards, %.2fx at 4\n" (rps2 /. rps1)
+    (rps4 /. rps1);
+  write_json "serve_sharded"
+    [
+      ("distinct_scenarios", Int distinct);
+      ("shard_cache_capacity", Int shard_cache);
+      ("router_cache_capacity", Int router_cache);
+      ("clients", Int clients);
+      ("requests_per_client", Int requests_per_client);
+      ("rps_1_shard", Float (2, rps1));
+      ("rps_2_shards", Float (2, rps2));
+      ("rps_4_shards", Float (2, rps4));
+      ("speedup_2_shards", Float (2, rps2 /. rps1));
+      ("speedup_4_shards", Float (2, rps4 /. rps1));
+      ("ok_1_shard", Int ok1);
+      ("ok_2_shards", Int ok2);
+      ("ok_4_shards", Int ok4);
+      ("lost_1_shard", Int lost1);
+      ("lost_2_shards", Int lost2);
+      ("lost_4_shards", Int lost4);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Deadline-sliced serving: BENCH_slices.json.                         *)
@@ -781,18 +730,6 @@ let run_serve_sharded () =
 
 let run_slices_json () =
   section "Deadline-sliced serving benchmark (BENCH_slices.json)";
-  let with_store f =
-    let dir = Filename.temp_file "ptg_bench_slices" "" in
-    Sys.remove dir;
-    Sys.mkdir dir 0o755;
-    Fun.protect
-      ~finally:(fun () ->
-        Array.iter
-          (fun n -> try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
-          (try Sys.readdir dir with Sys_error _ -> [||]);
-        try Sys.rmdir dir with Sys_error _ -> ())
-      (fun () -> f dir)
-  in
   (* Part 1: slicing tax over the served path. *)
   let instrs = if full then 2_000_000 else 1_000_000 in
   let scenario =
@@ -889,48 +826,30 @@ let run_slices_json () =
   if not resume_identical then
     failwith "slices bench: resumed result diverged from the cold run";
   let resume_speedup = t_cold /. t_resume in
-  let path =
-    match Sys.getenv_opt "PTG_BENCH_JSON" with
-    | Some p -> p
-    | None -> "BENCH_slices.json"
-  in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"slices\",\n\
-    \  \"mode\": \"%s\",\n\
-    \  \"instrs\": %d,\n\
-    \  \"deadline_s\": %.3f,\n\
-    \  \"wall_time_s\": %.3f,\n\
-    \  \"plain_wall_s\": %.3f,\n\
-    \  \"sliced_wall_s\": %.3f,\n\
-    \  \"slices\": %d,\n\
-    \  \"overhead_pct\": %.2f,\n\
-    \  \"identical\": %d,\n\
-    \  \"resume_instrs\": %d,\n\
-    \  \"victim_stopped_at\": %d,\n\
-    \  \"cold_wall_s\": %.3f,\n\
-    \  \"resume_wall_s\": %.3f,\n\
-    \  \"resume_adopted_from\": %d,\n\
-    \  \"resume_identical\": %d,\n\
-    \  \"resume_speedup\": %.2f\n\
-     }\n"
-    (if full then "full" else "reduced")
-    instrs deadline_s
-    (t_plain +. t_sliced +. t_cold +. t_resume)
-    t_plain t_sliced slices overhead_pct
-    (if identical then 1 else 0)
-    r_instrs victim_stop_at t_cold t_resume adopted
-    (if resume_identical then 1 else 0)
-    resume_speedup;
-  close_out oc;
   Printf.printf
     "  uninterrupted: %.2f s; sliced (%d yields): %.2f s (%+.1f%% tax), \
      byte-identical: %b\n\
-    \  cold: %.2f s; resumed from %d/%d: %.2f s (%.1fx), identical: %b\n\
-    \  wrote %s\n"
+    \  cold: %.2f s; resumed from %d/%d: %.2f s (%.1fx), identical: %b\n"
     t_plain slices t_sliced overhead_pct identical t_cold adopted r_instrs
-    t_resume resume_speedup resume_identical path
+    t_resume resume_speedup resume_identical;
+  write_json "slices"
+    [
+      ("instrs", Int instrs);
+      ("deadline_s", Float (3, deadline_s));
+      ("wall_time_s", Float (3, t_plain +. t_sliced +. t_cold +. t_resume));
+      ("plain_wall_s", Float (3, t_plain));
+      ("sliced_wall_s", Float (3, t_sliced));
+      ("slices", Int slices);
+      ("overhead_pct", Float (2, overhead_pct));
+      ("identical", Bool identical);
+      ("resume_instrs", Int r_instrs);
+      ("victim_stopped_at", Int victim_stop_at);
+      ("cold_wall_s", Float (3, t_cold));
+      ("resume_wall_s", Float (3, t_resume));
+      ("resume_adopted_from", Int adopted);
+      ("resume_identical", Bool resume_identical);
+      ("resume_speedup", Float (2, resume_speedup));
+    ]
 
 let () =
   Printf.printf "PT-Guard bench harness (%s sizes, %d worker domains)\n\n%!"
@@ -942,7 +861,6 @@ let () =
       ("micro", run_micro);
       ("experiments", run_experiments);
       ("scaling", run_scaling);
-      ("obs", run_obs_overhead);
       ("fig6", run_fig6_json);
       ("batch", run_mac_bench);
       ("fullsys", run_fullsys_json);

@@ -19,11 +19,11 @@
 #   6c. grep gate: the plugin names registered in
 #      lib/mitigations/registry.ml and the plugin table documented in
 #      README.md must stay in sync
-#   7. Figure 6 wall-time regression gate (scripts/check_bench_fig6.sh)
-#   8. full-system regression gate (scripts/check_bench_fullsys.sh):
-#      real-crypto co-simulation + batched multicore verification wall
-#      time vs the committed BENCH_fullsys.json, zero wrong translations
-#      and zero verify failures required
+#   7. Figure 6 gate (bench_gate fig6): single-job wall time, obs-on
+#      figure identical to obs-off, Fig. 6 mean slowdown pinned
+#   8. full-system gate (bench_gate fullsys): real-crypto co-simulation
+#      + batched multicore verification wall time, zero wrong
+#      translations and zero verify failures, walks/flips/MACs pinned
 #   8b. snapshot tier alone (dune build @snapshot) — codec/container
 #      properties and resume determinism, also part of runtest but
 #      addressable for quick checkpoint iteration
@@ -32,24 +32,36 @@
 #      checkpoint driver — so no hand-rolled driver loop reappears; and
 #      Unix.bind, Unix.accept, Unix.listen and SHUTDOWN_RECEIVE each
 #      have exactly one call site in lib/, in lib/server/listener.ml —
-#      the one connection layer behind Server and Router
-#   8d. warm-start regression gate (scripts/check_bench_snapshot.sh):
-#      resuming a finished fullsys budget from its snapshot store must
-#      stay >= 5x faster than computing it cold and byte-identical,
-#      cold wall time vs the committed BENCH_snapshot.json
-#   8e. deadline-slicing gate (scripts/check_bench_slices.sh): a served
-#      run forced through checkpoint/requeue compute windows must stay
+#      the one connection layer behind Server and Router; and one bench
+#      gate: no scripts/check_bench_*.sh, and bench/main.ml reads
+#      PTG_BENCH_JSON in exactly one place (its one JSON writer)
+#   8d. warm-start gate (bench_gate snapshot): resuming a finished
+#      fullsys budget from its snapshot store must stay >= 5x faster
+#      than computing it cold and byte-identical
+#   8e. deadline-slicing gate (bench_gate slices): a served run forced
+#      through checkpoint/requeue compute windows must stay
 #      byte-identical at <= 10% tax, and finishing from a victim's
 #      deepest checkpoint must stay >= 2x faster than recomputing cold
-#   9. serving throughput smoke (PTG_BENCH_ONLY=serve): asserts the
-#      cache-hot path serves at least 100x the cold-compute rate
-#  10. sharded-scaling gate (scripts/check_bench_serve_sharded.sh):
-#      2 router shards must serve >= 1.6x one shard's throughput, with
-#      zero lost requests
+#   9. serving throughput gate (bench_gate serve): the cache-hot path
+#      serves at least 100x the cold-compute rate
+#  10. sharded-scaling gate (bench_gate serve_sharded): 2 router shards
+#      must serve >= 1.6x one shard's throughput, with zero lost requests
 #
 # Usage: scripts/check_all.sh   (run from anywhere inside the repo)
 set -eu
 cd "$(dirname "$0")/.."
+
+# bench_gate SECTION: record one bench section into a temp file, then
+# check it against the committed BENCH_SECTION.json with bench/gate.exe,
+# whose rule table holds every bound of steps 7-10.
+bench_gate() {
+    fresh=$(mktemp "/tmp/ptg_bench_$1.XXXXXX.json")
+    status=0
+    PTG_BENCH_ONLY="$1" PTG_BENCH_JSON="$fresh" dune exec bench/main.exe >/dev/null \
+        && dune exec bench/gate.exe -- "BENCH_$1.json" "$fresh" || status=$?
+    rm -f "$fresh"
+    return "$status"
+}
 
 echo "== build =="
 dune build
@@ -92,10 +104,10 @@ fi
 echo "OK: registry plugins match the README table ($(echo $registered))"
 
 echo "== Figure 6 regression gate =="
-scripts/check_bench_fig6.sh
+bench_gate fig6
 
 echo "== full-system regression gate =="
-scripts/check_bench_fullsys.sh
+bench_gate fullsys
 
 echo "== snapshot tier (dune build @snapshot) =="
 dune build @snapshot
@@ -123,27 +135,27 @@ for fn in Unix.bind Unix.accept Unix.listen SHUTDOWN_RECEIVE; do
 done
 echo "OK: Unix.bind, Unix.accept, Unix.listen and SHUTDOWN_RECEIVE each called once, by the listener"
 
+echo "== one bench gate =="
+if ls scripts/check_bench_*.sh 2>/dev/null; then
+    echo "FAIL: per-section bench scripts are back; add rows to bench/gate.ml instead" >&2
+    exit 1
+fi
+reads=$(grep -nF '"PTG_BENCH_JSON"' bench/main.ml || true)
+if [ "$(printf '%s' "$reads" | grep -c .)" -ne 1 ]; then
+    echo "FAIL: bench/main.ml must read PTG_BENCH_JSON exactly once (in write_json):" >&2
+    printf '%s\n' "$reads" >&2
+    exit 1
+fi
+echo "OK: no check_bench_*.sh; PTG_BENCH_JSON read once, by the one bench JSON writer"
+
 echo "== warm-start regression gate =="
-scripts/check_bench_snapshot.sh
+bench_gate snapshot
 
 echo "== deadline-slicing gate =="
-scripts/check_bench_slices.sh
+bench_gate slices
 
 echo "== serving throughput (cold vs cache-hot) =="
-out=$(mktemp /tmp/ptg_bench_serve.XXXXXX.txt)
-trap 'rm -f "$out"' EXIT
-PTG_BENCH_ONLY=serve dune exec bench/main.exe >"$out" 2>&1
-cat "$out"
-ratio=$(sed -n 's/^ *ratio: *\([0-9][0-9]*\)x.*/\1/p' "$out" | head -1)
-if [ -z "$ratio" ]; then
-    echo "FAIL: serve bench did not report a cold-vs-hot ratio" >&2
-    exit 1
-fi
-if [ "$ratio" -lt 100 ]; then
-    echo "FAIL: cache-hot serving only ${ratio}x cold (want >= 100x)" >&2
-    exit 1
-fi
-echo "OK: cache-hot serving ${ratio}x cold (>= 100x)"
+bench_gate serve
 
 echo "== sharded-scaling gate =="
-scripts/check_bench_serve_sharded.sh
+bench_gate serve_sharded

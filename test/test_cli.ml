@@ -342,6 +342,132 @@ let test_bench_unknown_section () =
       "micro"; "fig6"; "batch"; "fullsys"; "serve_sharded";
     ]
 
+(* bench/gate.exe on synthetic BASE/FRESH pairs: each recording is an
+   ordered (key, raw JSON value) list written one key per line, the way
+   bench/main.exe writes it. No bench runs, so these are fast. *)
+let gate =
+  Filename.concat Filename.parent_dir_name (Filename.concat "bench" "gate.exe")
+
+let gate_fixtures =
+  List.map (fun (section, fields) -> (section, ("mode", {|"reduced"|}) :: fields))
+  @@ [
+    ( "fig6",
+      [ ("jobs", "1"); ("instrs", "600000"); ("warmup", "200000");
+        ("workloads", "25"); ("wall_time_s", "2.500"); ("wall_time_obs_s", "2.700");
+        ("instrs_per_sec", "16000000"); ("amean_slowdown_pct", "1.3212");
+        ("obs_results_identical", "true"); ("pre_pr_wall_time_s", "7.84");
+        ("speedup_vs_pre_pr", "3.14") ] );
+    ( "fullsys",
+      [ ("instrs", "30000"); ("wall_time_s", "0.640"); ("fullsys_wall_s", "0.580");
+        ("fullsys_walks", "3388"); ("fullsys_flips_landed", "2657");
+        ("fullsys_wrong_translations", "0"); ("mc_wall_s", "0.060");
+        ("mc_instrs_per_core", "50000"); ("mc_macs_verified", "1341");
+        ("mc_verify_failures", "0"); ("mc_macs_per_sec", "22350") ] );
+    ( "snapshot",
+      [ ("instrs", "20000"); ("every", "2000"); ("wall_time_s", "0.400");
+        ("cold_wall_s", "0.340"); ("warm_wall_s", "0.060"); ("speedup", "5.67");
+        ("warm_resumed_from", "20000"); ("identical", "true"); ("checkpoints", "2");
+        ("store_bytes", "150000") ] );
+    ( "slices",
+      [ ("instrs", "1000000"); ("deadline_s", "6.400"); ("wall_time_s", "33.000");
+        ("plain_wall_s", "16.000"); ("sliced_wall_s", "16.100"); ("slices", "2");
+        ("overhead_pct", "0.63"); ("identical", "true"); ("resume_instrs", "40000");
+        ("victim_stopped_at", "32000"); ("cold_wall_s", "0.900");
+        ("resume_wall_s", "0.250"); ("resume_adopted_from", "32000");
+        ("resume_identical", "true"); ("resume_speedup", "3.60") ] );
+    ( "serve",
+      [ ("cold_s", "0.750"); ("hot_rps", "4500.00"); ("ratio", "3375");
+        ("clients", "4"); ("ok", "800"); ("hits", "800"); ("misses", "0");
+        ("shed", "0"); ("errors", "0") ] );
+    ( "serve_sharded",
+      [ ("distinct_scenarios", "64"); ("shard_cache_capacity", "56");
+        ("router_cache_capacity", "8"); ("clients", "4");
+        ("requests_per_client", "150"); ("rps_1_shard", "16.66");
+        ("rps_2_shards", "7676.43"); ("rps_4_shards", "3932.51");
+        ("speedup_2_shards", "460.77"); ("speedup_4_shards", "236.04");
+        ("ok_1_shard", "600"); ("ok_2_shards", "600"); ("ok_4_shards", "600");
+        ("lost_1_shard", "0"); ("lost_2_shards", "0"); ("lost_4_shards", "0") ] );
+  ]
+
+let gate_record section fields =
+  let fields = ("benchmark", Printf.sprintf "%S" section) :: fields in
+  let path = tmp (section ^ ".json") in
+  Out_channel.with_open_bin path (fun oc ->
+      Printf.fprintf oc "{\n%s\n}\n"
+        (String.concat ",\n"
+           (List.map (fun (k, v) -> Printf.sprintf "  %S: %s" k v) fields)));
+  path
+
+(* Exit code and stdout followed by stderr of gate.exe BASE FRESH. *)
+let run_gate base fresh =
+  let out = tmp "gate.out" and err = tmp "gate.err" in
+  let code = Sys.command (Printf.sprintf "%s %s %s > %s 2> %s" gate base fresh out err) in
+  (code, read_file out ^ read_file err)
+
+let test_gate_passes_clean_pairs () =
+  List.iter
+    (fun (section, fields) ->
+      let code, out =
+        run_gate (gate_record section fields) (gate_record section fields)
+      in
+      Alcotest.(check int) (section ^ " exit code") 0 code;
+      Alcotest.(check bool) (section ^ " reports its rows") true
+        (contains out (Printf.sprintf "OK: %s gate" section)))
+    gate_fixtures
+
+(* One failing FRESH per rule kind, against a clean BASE. *)
+let test_gate_fails_each_rule_kind () =
+  let set k v = List.map (fun (k', v') -> (k', if k' = k then v else v')) in
+  List.iter
+    (fun (kind, section, field, edit) ->
+      let fields = List.assoc section gate_fixtures in
+      let code, out =
+        run_gate (gate_record section fields) (gate_record section (edit fields))
+      in
+      Alcotest.(check int) (kind ^ " exit code") 1 code;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: a FAIL line names %s %s" kind section field)
+        true
+        (List.exists
+           (fun line ->
+             String.starts_with ~prefix:("FAIL " ^ section ^ " ") line
+             && contains line (" " ^ field ^ " "))
+           (String.split_on_char '\n' out)))
+    [
+      ("missing field", "fig6", "warmup", List.filter (fun (k, _) -> k <> "warmup"));
+      ("mode", "fig6", "mode", set "mode" {|"full"|});
+      ("bool false", "fig6", "obs_results_identical", set "obs_results_identical" "false");
+      ("constant", "serve_sharded", "lost_2_shards", set "lost_2_shards" "1");
+      ("floor", "snapshot", "speedup", set "speedup" "4.90");
+      ("ceiling", "slices", "overhead_pct", set "overhead_pct" "10.50");
+      ("field vs field", "serve_sharded", "rps_2_shards", set "rps_2_shards" "26.00");
+      ("1.25 x baseline", "fullsys", "wall_time_s", set "wall_time_s" "0.832");
+      ("exact pin", "fullsys", "fullsys_walks", set "fullsys_walks" "3389");
+    ]
+
+let test_gate_bad_files () =
+  let good = gate_record "fig6" (List.assoc "fig6" gate_fixtures) in
+  let write text =
+    let path = tmp "bad.json" in
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    path
+  in
+  let missing = Filename.concat (Filename.get_temp_dir_name ()) "ptg_no_such_base.json" in
+  let malformed = write {|{"benchmark": "fig6", "jobs": |} in
+  let unknown = write {|{"benchmark": "fig99", "mode": "reduced"}|} in
+  List.iter
+    (fun (what, base, fresh, named) ->
+      let code, out = run_gate base fresh in
+      Alcotest.(check bool) (what ^ " exits non-zero") true (code <> 0);
+      Alcotest.(check bool) (what ^ " names the file") true (contains out named);
+      Alcotest.(check bool) (what ^ " without an exception trace") false
+        (contains out "Fatal error" || contains out "exception"))
+    [
+      ("missing BASE", missing, good, missing);
+      ("malformed FRESH", good, malformed, malformed);
+      ("unknown benchmark", unknown, unknown, unknown);
+    ]
+
 let suite =
   [
     Alcotest.test_case "stats golden output" `Slow test_stats_golden;
@@ -363,4 +489,9 @@ let suite =
       test_unknown_subcommand;
     Alcotest.test_case "bench rejects unknown section" `Quick
       test_bench_unknown_section;
+    Alcotest.test_case "bench gate passes clean pairs" `Quick
+      test_gate_passes_clean_pairs;
+    Alcotest.test_case "bench gate fails each rule kind" `Quick
+      test_gate_fails_each_rule_kind;
+    Alcotest.test_case "bench gate rejects bad files" `Quick test_gate_bad_files;
   ]
