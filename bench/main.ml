@@ -351,7 +351,7 @@ let run_fig6_json () =
 (* ------------------------------------------------------------------ *)
 (* MAC core: one cipher call with its tweak expanded per call, with a  *)
 (* cached tweak schedule (what correction guesses pay), and whole MACs *)
-(* through compute_with and compute_batch, which must agree.           *)
+(* through compute_with and compute, which must agree.                 *)
 (* ------------------------------------------------------------------ *)
 
 let run_mac_bench () =
@@ -393,24 +393,22 @@ let run_mac_bench () =
           scalar.(i) <- Ptg_crypto.Mac.compute_with ctx key ~addr:addrs.(i) lines.(i)
         done)
   in
-  let batched = ref [||] in
-  let ns_batch =
-    per_req (fun () -> batched := Ptg_crypto.Mac.compute_batch ctx key ~n:reqs ~addrs ~lines)
+  let identical =
+    Array.for_all2 Ptg_crypto.Mac.equal scalar
+      (Array.map2 (fun addr line -> Ptg_crypto.Mac.compute key ~addr line) addrs lines)
   in
-  let identical = Array.for_all2 Ptg_crypto.Mac.equal scalar !batched in
   Printf.printf
     "  encrypt_raw:       %8.1f ns/block (tweak expanded per call)\n\
     \  encrypt_scheduled: %8.1f ns/block (cached tweak schedule)\n\
     \  compute_with:      %8.1f ns/MAC (%d MACs, %d passes)\n\
-    \  compute_batch:     %8.1f ns/MAC\n\
-    \  compute_batch == compute_with: %b\n"
-    ns_raw ns_sched ns_scalar reqs passes ns_batch identical;
-  if not identical then failwith "mac bench: compute_batch diverges from compute_with"
+    \  compute_with == compute: %b\n"
+    ns_raw ns_sched ns_scalar reqs passes identical;
+  if not identical then failwith "mac bench: compute_with diverges from compute"
 
 (* ------------------------------------------------------------------ *)
 (* Full-system regression benchmark: BENCH_fullsys.json                *)
 (* The paths the fig6 gate never touches: real QARMA on every walk     *)
-(* (fullsys co-simulation) and the multicore scheduler's batched       *)
+(* (fullsys co-simulation) and the multicore scheduler's               *)
 (* engine-backed verification.                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -427,7 +425,7 @@ let run_fullsys_json () =
   if r_guarded.Ptg_sim.Fullsys.wrong_translations <> 0 then
     failwith "fullsys bench: guarded run consumed a wrong translation";
   (* Multicore with engine-backed verification: PTE reads from all four
-     cores batched into Engine.Batch MAC checks. *)
+     cores verified by one shared engine. *)
   let mc_instrs = if full then 100_000 else 50_000 in
   let t_mc, r_mc =
     timed (fun () ->
@@ -448,7 +446,7 @@ let run_fullsys_json () =
   let macs = r_mc.Ptg_cpu.Multicore.macs_verified in
   Printf.printf
     "  fullsys: %.2f s (%d walks, %d flips landed, 0 wrong translations)\n\
-    \  multicore verify: %.2f s (%d MACs batch-verified, %.0f MACs/s)\n"
+    \  multicore verify: %.2f s (%d MACs verified, %.0f MACs/s)\n"
     t_guarded r_guarded.Ptg_sim.Fullsys.walks r_guarded.Ptg_sim.Fullsys.flips_landed
     t_mc macs
     (float_of_int macs /. t_mc);

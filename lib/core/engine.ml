@@ -85,10 +85,23 @@ type t = {
   stats : stats;
   mutable listeners : (os_event -> unit) list;
   obs : obs option;
-  (* Reused by every MAC computation; engines are single-domain, and the
-     read-only view [rekey] builds shares it safely (strictly sequential). *)
+  (* Reused by every MAC computation; engines are single-domain. *)
   mac_ctx : Mac.ctx;
+  memo : Bytes.t;
+  memo_valid : Bytes.t;
 }
+
+(* The MAC memo: a host-side cache of [compute_mac], which is a pure
+   function of (key, line address, masked line). Direct-mapped on the
+   line address; a slot holds the address, the 8 masked words and the
+   truncated MAC, and a hit needs all nine key words equal. It is tied to
+   the current key and emptied whenever the key changes. It models no
+   hardware: the read and write paths charge latency and count MAC
+   computations exactly as without it, and [state] does not include it. *)
+let memo_slots = 1024
+let memo_stride = 11 * 8 (* address, 8 masked words, MAC hi32, MAC lo *)
+
+let clear_memo t = Bytes.fill t.memo_valid 0 memo_slots '\000'
 
 let obs_incr t sel =
   match t.obs with None -> () | Some o -> Ptg_obs.Registry.incr (sel o)
@@ -131,6 +144,8 @@ let create ?(config = Config.baseline) ?obs ~rng () =
     listeners = [];
     obs = Option.map obs_of_sink obs;
     mac_ctx = Mac.ctx ();
+    memo = Bytes.create (memo_slots * memo_stride);
+    memo_valid = Bytes.make memo_slots '\000';
   }
 
 let config t = t.config
@@ -167,6 +182,7 @@ let set_state t s =
   t.key <- key;
   t.mac_zero <-
     Mac.truncate ~width:t.config.Config.mac_bits (Mac.compute_zero key);
+  clear_memo t;
   Ctb.clear t.ctb;
   Ctb.set_entries t.ctb s.s_ctb;
   let d = t.stats and src = s.s_stats in
@@ -189,11 +205,49 @@ let emit t e = List.iter (fun f -> f e) t.listeners
    Config.with_layout): every format-specific operation goes through it. *)
 let layout t = t.config.Config.layout
 
+(* Does [slot] hold exactly [addr] and [line] under the protected-bit
+   mask [pm]? Allocates nothing. *)
+let memo_holds t ~slot ~addr ~pm line =
+  let base = slot * memo_stride in
+  Array.length line = Ptg_pte.Line.words
+  && Bytes.get t.memo_valid slot <> '\000'
+  && Int64.equal (Bytes.get_int64_ne t.memo base) addr
+  &&
+  let i = ref 0 in
+  while
+    !i < Ptg_pte.Line.words
+    && Int64.equal
+         (Bytes.get_int64_ne t.memo (base + 8 + (8 * !i)))
+         (Int64.logand line.(!i) pm)
+  do
+    incr i
+  done;
+  !i = Ptg_pte.Line.words
+
+let memo_store t ~slot ~addr masked (mac : Mac.t) =
+  let base = slot * memo_stride in
+  Bytes.set_int64_ne t.memo base addr;
+  Array.iteri (fun i w -> Bytes.set_int64_ne t.memo (base + 8 + (8 * i)) w) masked;
+  Bytes.set_int64_ne t.memo (base + 72) mac.hi32;
+  Bytes.set_int64_ne t.memo (base + 80) mac.lo;
+  Bytes.set t.memo_valid slot '\001'
+
 (* MAC of a line's protected bits, truncated to the configured width. *)
 let compute_mac t ~addr line =
   let module L = (val layout t : Layout.S) in
-  Mac.truncate ~width:t.config.Config.mac_bits
-    (Mac.compute_with t.mac_ctx t.key ~addr (L.masked_for_mac line))
+  let slot = (Int64.to_int addr lsr 6) land (memo_slots - 1) in
+  if memo_holds t ~slot ~addr ~pm:L.protected_mask line then
+    let base = slot * memo_stride in
+    { Mac.hi32 = Bytes.get_int64_ne t.memo (base + 72); lo = Bytes.get_int64_ne t.memo (base + 80) }
+  else begin
+    let masked = L.masked_for_mac line in
+    let mac =
+      Mac.truncate ~width:t.config.Config.mac_bits
+        (Mac.compute_with t.mac_ctx t.key ~addr masked)
+    in
+    memo_store t ~slot ~addr masked mac;
+    mac
+  end
 
 (* The embedded-MAC comparison is strict over the full 96-bit field: with
    a truncated MAC the unused upper field bits must be zero, exactly as
@@ -267,12 +321,18 @@ let process_write t ~addr line =
     Ptg_pte.Line.copy line
   end
 
-let strip t line =
+(* The spare bits the controller clears before forwarding a protected
+   line: the MAC field, plus the identifier field under Optimized. *)
+let stripped_bits t =
   let module L = (val layout t : Layout.S) in
-  let line = L.strip_mac line in
   match t.config.Config.design with
-  | Config.Baseline -> line
-  | Config.Optimized -> L.strip_identifier line
+  | Config.Baseline -> L.mac_field_mask
+  | Config.Optimized -> Int64.logor L.mac_field_mask L.identifier_field_mask
+
+let strip t line = Ptg_pte.Line.keep (Int64.lognot (stripped_bits t)) line
+
+let zero_once_stripped t line =
+  Ptg_pte.Line.zero_under (Int64.lognot (stripped_bits t)) line
 
 (* Under the Optimized design, faults in the identifier field of a PTE
    line are trivially corrected because the expected value is known
@@ -283,15 +343,7 @@ let restore_identifier t line =
   | Config.Baseline -> line
   | Config.Optimized -> L.embed_identifier line t.identifier
 
-(* The [?mac] parameter on the read paths carries a MAC that a [Batch]
-   flush already computed for this (addr, line): the decision logic and
-   stats accounting are identical to the scalar path — including counting
-   the computation — only the cipher work itself is skipped. *)
-let computed_or t ~addr line = function
-  | Some m -> m
-  | None -> compute_mac t ~addr line
-
-let read_pte ?mac t ~addr line =
+let read_pte t ~addr line =
   let module L = (val layout t : Layout.S) in
   let mac_latency = t.config.Config.mac_latency_cycles in
   let stored = L.extract_mac line in
@@ -300,7 +352,7 @@ let read_pte ?mac t ~addr line =
      latency. Only the Optimized design embeds MAC-zero. *)
   let mac_zero_hit =
     t.config.Config.design = Config.Optimized
-    && Ptg_pte.Line.is_zero (strip t line)
+    && zero_once_stripped t line
     && embedded_matches ~stored ~computed:t.mac_zero
   in
   if mac_zero_hit then begin
@@ -313,7 +365,7 @@ let read_pte ?mac t ~addr line =
   else begin
   t.stats.mac_computations <- t.stats.mac_computations + 1;
   obs_incr t (fun o -> o.o_mac_computations);
-  let computed = computed_or t ~addr line mac in
+  let computed = compute_mac t ~addr line in
   if embedded_matches ~stored ~computed then begin
     t.stats.macs_stripped <- t.stats.macs_stripped + 1;
     obs_incr t (fun o -> o.o_macs_stripped);
@@ -367,247 +419,119 @@ let read_pte ?mac t ~addr line =
   end
   end
 
-let read_data_baseline ?mac t ~addr line =
+(* A data read always forwards a line: the MAC-stripped line when an
+   embedded MAC verifies, the stored bits untouched otherwise. Returns the
+   forwarded line, its integrity and the added latency. *)
+let read_data_baseline t ~addr line =
   let module L = (val layout t : Layout.S) in
   let mac_latency = t.config.Config.mac_latency_cycles in
   t.stats.mac_computations <- t.stats.mac_computations + 1;
   obs_incr t (fun o -> o.o_mac_computations);
-  let computed = computed_or t ~addr line mac in
+  let computed = compute_mac t ~addr line in
   let stored = L.extract_mac line in
   if embedded_matches ~stored ~computed then begin
     t.stats.macs_stripped <- t.stats.macs_stripped + 1;
     obs_incr t (fun o -> o.o_macs_stripped);
-    { line = Some (strip t line); integrity = Data_protected;
-      extra_latency = mac_latency; raw_line = line }
+    (strip t line, Data_protected, mac_latency)
   end
-  else
-    { line = Some (Ptg_pte.Line.copy line); integrity = Data_passthrough;
-      extra_latency = mac_latency; raw_line = line }
+  else (Ptg_pte.Line.copy line, Data_passthrough, mac_latency)
 
-let read_data_optimized ?mac t ~addr line =
+let read_data_optimized t ~addr line =
   let mac_latency = t.config.Config.mac_latency_cycles in
   if not (identifier_present t line) then
     (* No identifier, no embedded MAC: forward with zero added latency —
        the optimization that flattens Figure 7. *)
-    { line = Some (Ptg_pte.Line.copy line); integrity = Data_passthrough;
-      extra_latency = 0; raw_line = line }
+    (Ptg_pte.Line.copy line, Data_passthrough, 0)
   else begin
     let module L = (val layout t : Layout.S) in
     let stored = L.extract_mac line in
-    let rest_is_zero = Ptg_pte.Line.is_zero (strip t line) in
-    if rest_is_zero && embedded_matches ~stored ~computed:t.mac_zero then begin
+    if zero_once_stripped t line && embedded_matches ~stored ~computed:t.mac_zero then begin
       (* MAC-zero shortcut: comparison against the on-chip constant only. *)
       t.stats.macs_stripped <- t.stats.macs_stripped + 1;
       obs_incr t (fun o -> o.o_macs_stripped);
-      { line = Some (strip t line); integrity = Data_protected;
-        extra_latency = 0; raw_line = line }
+      (strip t line, Data_protected, 0)
     end
     else begin
       t.stats.mac_computations <- t.stats.mac_computations + 1;
       obs_incr t (fun o -> o.o_mac_computations);
-      let computed = computed_or t ~addr line mac in
+      let computed = compute_mac t ~addr line in
       if embedded_matches ~stored ~computed then begin
         t.stats.macs_stripped <- t.stats.macs_stripped + 1;
         obs_incr t (fun o -> o.o_macs_stripped);
-        { line = Some (strip t line); integrity = Data_protected;
-          extra_latency = mac_latency; raw_line = line }
+        (strip t line, Data_protected, mac_latency)
       end
-      else
-        { line = Some (Ptg_pte.Line.copy line); integrity = Data_passthrough;
-          extra_latency = mac_latency; raw_line = line }
+      else (Ptg_pte.Line.copy line, Data_passthrough, mac_latency)
     end
   end
 
-let process_read_with ?mac t ~addr ~is_pte line =
+let read_data t ~addr line =
+  if Ctb.mem t.ctb addr then (Ptg_pte.Line.copy line, Data_passthrough, 0)
+  else
+    match t.config.Config.design with
+    | Config.Baseline -> read_data_baseline t ~addr line
+    | Config.Optimized -> read_data_optimized t ~addr line
+
+let count_read t =
   t.stats.reads_total <- t.stats.reads_total + 1;
-  obs_incr t (fun o -> o.o_reads_total);
+  obs_incr t (fun o -> o.o_reads_total)
+
+let process_data_read t ~addr line =
+  count_read t;
+  let data, _, extra_latency = read_data t ~addr line in
+  (data, extra_latency)
+
+let process_read t ~addr ~is_pte line =
+  count_read t;
   if is_pte then begin
     t.stats.reads_pte <- t.stats.reads_pte + 1;
     obs_incr t (fun o -> o.o_reads_pte);
     (* Page-table walks are always verified, CTB or not: a PTE line can
        never legitimately be a tracked collision because the kernel's
        protected write evicts any stale CTB entry. *)
-    read_pte ?mac t ~addr line
+    read_pte t ~addr line
   end
-  else if Ctb.mem t.ctb addr then
-    { line = Some (Ptg_pte.Line.copy line); integrity = Data_passthrough;
-      extra_latency = 0; raw_line = line }
   else
-    match t.config.Config.design with
-    | Config.Baseline -> read_data_baseline ?mac t ~addr line
-    | Config.Optimized -> read_data_optimized ?mac t ~addr line
-
-let process_read t ~addr ~is_pte line = process_read_with t ~addr ~is_pte line
-
-(* Will [process_read] need a fresh MAC computation for this request?
-   Mirrors the shortcut structure of the read paths above exactly (the
-   mac-zero constant comparison, the CTB passthrough, the Optimized
-   identifier gate); the batched-vs-sequential differential tests pin the
-   agreement. Pure: no stats, no traces. *)
-let needs_mac t ~addr ~is_pte line =
-  let module L = (val layout t : Layout.S) in
-  let mac_zero_hit () =
-    t.config.Config.design = Config.Optimized
-    && Ptg_pte.Line.is_zero (strip t line)
-    && embedded_matches ~stored:(L.extract_mac line) ~computed:t.mac_zero
-  in
-  if is_pte then not (mac_zero_hit ())
-  else if Ctb.mem t.ctb addr then false
-  else
-    match t.config.Config.design with
-    | Config.Baseline -> true
-    | Config.Optimized -> identifier_present t line && not (mac_zero_hit ())
+    let data, integrity, extra_latency = read_data t ~addr line in
+    { line = Some data; integrity; extra_latency; raw_line = line }
 
 let rekey t ~rng ~iter_lines ~write =
-  (* [old] is a read-only view under the outgoing key: no stats, no
-     listeners, and no observability (the re-embedding writes on [t] are
-     the ones that count). *)
-  let old = { t with stats = fresh_stats (); listeners = []; obs = None } in
+  let module L = (val layout t : Layout.S) in
+  let old_key = t.key in
   t.key <- Qarma.key_of_rng ~rounds:t.config.Config.qarma_rounds rng;
   t.mac_zero <- Mac.truncate ~width:t.config.Config.mac_bits (Mac.compute_zero t.key);
+  clear_memo t;
   Ctb.clear t.ctb;
-  (* Snapshot the stored lines first, so the old-key verification MACs can
-     be computed in one [Mac.compute_batch] pass. The verification only
-     reads [old]'s frozen key material, so hoisting it ahead of the
-     re-embedding writes cannot change any outcome. *)
-  let addrs = ref [] and count = ref 0 in
+  (* Snapshot the stored lines first: [write] updates the store
+     [iter_lines] walks. *)
+  let lines = ref [] and count = ref 0 in
   iter_lines (fun ~addr line ->
       incr count;
-      addrs := (addr, Ptg_pte.Line.copy line) :: !addrs);
-  let items = Array.of_list (List.rev !addrs) in
-  let n = Array.length items in
-  let module L = (val layout old : Layout.S) in
-  let macs =
-    Mac.compute_batch t.mac_ctx old.key ~n
-      ~addrs:(Array.map fst items)
-      ~lines:(Array.map (fun (_, line) -> L.masked_for_mac line) items)
-  in
-  Array.iteri
-    (fun i (addr, line) ->
-      (* Recover the pre-DRAM view under the old key, then re-embed. *)
+      lines := (addr, Ptg_pte.Line.copy line) :: !lines);
+  List.iter
+    (fun (addr, line) ->
+      (* Recover the pre-DRAM view under the old key, then re-embed. The
+         old-key MAC bypasses the memo, which holds new-key MACs only. *)
+      let id_ok =
+        match t.config.Config.design with
+        | Config.Baseline -> true
+        | Config.Optimized -> identifier_present t line
+      in
       let logical =
-        let id_ok =
-          match old.config.Config.design with
-          | Config.Baseline -> true
-          | Config.Optimized -> identifier_present old line
-        in
         if
           id_ok
           && embedded_matches ~stored:(L.extract_mac line)
                ~computed:
-                 (Mac.truncate ~width:old.config.Config.mac_bits macs.(i))
-        then strip old line
+                 (Mac.truncate ~width:t.config.Config.mac_bits
+                    (Mac.compute_with t.mac_ctx old_key ~addr (L.masked_for_mac line)))
+        then strip t line
         else Ptg_pte.Line.copy line
       in
       write ~addr (process_write t ~addr logical))
-    items;
+    (List.rev !lines);
   t.stats.rekeys <- t.stats.rekeys + 1;
   obs_incr t (fun o -> o.o_rekeys);
   obs_event t (Ptg_obs.Trace.Rekey { writes = !count });
   emit t (Rekey_completed { writes = !count })
-
-(* Deferred verification: reads are staged into a buffer and resolved
-   together when the buffer reaches capacity (or on an explicit flush).
-   The flush computes every needed MAC with one [Mac.compute_batch], then
-   replays the scalar decision logic per request in stage order with the
-   precomputed MAC substituted in — so stats, traces, OS events and
-   results are exactly those of calling [process_read] sequentially
-   (pinned by the differential tests). Corrections, being rare and
-   iterative, run inside [Correction]. *)
-module Batch = struct
-  type engine = t
-
-  type nonrec t = {
-    engine : engine;
-    capacity : int;
-    mutable n : int;
-    addrs : int64 array;
-    is_ptes : bool array;
-    lines : Ptg_pte.Line.t array;
-    ks : (read_result -> unit) array;
-    (* flush scratch: lane -> request mapping *)
-    lane_addrs : int64 array;
-    lane_lines : Ptg_pte.Line.t array;
-    lane_req : int array;
-  }
-
-  let nop (_ : read_result) = ()
-
-  let default_capacity = 64
-
-  let create ?(capacity = default_capacity) engine =
-    if capacity < 1 then invalid_arg "Engine.Batch.create: capacity";
-    {
-      engine;
-      capacity;
-      n = 0;
-      addrs = Array.make capacity 0L;
-      is_ptes = Array.make capacity false;
-      lines = Array.make capacity [||];
-      ks = Array.make capacity nop;
-      lane_addrs = Array.make capacity 0L;
-      lane_lines = Array.make capacity [||];
-      lane_req = Array.make capacity (-1);
-    }
-
-  let capacity b = b.capacity
-  let pending b = b.n
-
-  let flush b =
-    if b.n > 0 then begin
-      let e = b.engine in
-      let module L = (val layout e : Layout.S) in
-      (* Which staged reads will pay for a cipher call? The predicate only
-         depends on engine state that reads never mutate, so deciding for
-         the whole batch up front matches per-request decisions. *)
-      let k = ref 0 in
-      for i = 0 to b.n - 1 do
-        if needs_mac e ~addr:b.addrs.(i) ~is_pte:b.is_ptes.(i) b.lines.(i)
-        then begin
-          b.lane_addrs.(!k) <- b.addrs.(i);
-          b.lane_lines.(!k) <- L.masked_for_mac b.lines.(i);
-          b.lane_req.(!k) <- i;
-          incr k
-        end
-      done;
-      let macs =
-        Mac.compute_batch e.mac_ctx e.key ~n:!k ~addrs:b.lane_addrs
-          ~lines:b.lane_lines
-      in
-      let next_lane = ref 0 in
-      for i = 0 to b.n - 1 do
-        let mac =
-          if !next_lane < !k && b.lane_req.(!next_lane) = i then begin
-            let m =
-              Mac.truncate ~width:e.config.Config.mac_bits macs.(!next_lane)
-            in
-            incr next_lane;
-            Some m
-          end
-          else None
-        in
-        let r =
-          process_read_with ?mac e ~addr:b.addrs.(i) ~is_pte:b.is_ptes.(i)
-            b.lines.(i)
-        in
-        b.ks.(i) r
-      done;
-      (* Drop line references so staged lines don't outlive the flush. *)
-      for i = 0 to b.n - 1 do
-        b.lines.(i) <- [||];
-        b.ks.(i) <- nop
-      done;
-      b.n <- 0
-    end
-
-  let stage b ~addr ~is_pte line k =
-    b.addrs.(b.n) <- addr;
-    b.is_ptes.(b.n) <- is_pte;
-    b.lines.(b.n) <- Ptg_pte.Line.copy line;
-    b.ks.(b.n) <- k;
-    b.n <- b.n + 1;
-    if b.n = b.capacity then flush b
-end
 
 let pte_bounds_check t line =
   let module L = (val layout t : Layout.S) in

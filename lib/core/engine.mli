@@ -89,7 +89,19 @@ val process_write : t -> addr:int64 -> Ptg_pte.Line.t -> Ptg_pte.Line.t
     the pattern matches). Also performs collision detection. *)
 
 val process_read : t -> addr:int64 -> is_pte:bool -> Ptg_pte.Line.t -> read_result
-(** [line] is the line as read from DRAM (possibly corrupted). *)
+(** [line] is the line as read from DRAM (possibly corrupted).
+
+    Both paths compute MACs through a small host-side memo keyed on the
+    line address and all 8 masked words, compared exactly, and emptied
+    whenever the key changes. A memo hit still counts as a MAC
+    computation and still adds the MAC latency: results, {!stats},
+    observability counters and {!state} are those of computing every
+    MAC afresh. *)
+
+val process_data_read : t -> addr:int64 -> Ptg_pte.Line.t -> Ptg_pte.Line.t * int
+(** [process_read ~is_pte:false] for callers that need only the forwarded
+    line and the added latency: a data read always forwards a line, so
+    none is optional here. Same stats, events and latency. *)
 
 val ctb : t -> Ctb.t
 
@@ -123,47 +135,9 @@ val rekey :
   unit
 (** Gradual re-keying (Section VII-B): draws a fresh key, then
     [iter_lines] must present every stored line (the engine snapshots
-    them); each line is verified/stripped under the old key — in one
-    {!Ptg_crypto.Mac.compute_batch} pass — re-embedded under the new key, and handed
-    to [write] in iteration order. The CTB is cleared. *)
-
-(** {2 Batched verification}
-
-    Reads staged here are resolved together: one
-    {!Ptg_crypto.Mac.compute_batch} covers every staged read that needs a
-    cipher call, then each request is resolved in stage order with the
-    precomputed MAC substituted into the ordinary read path. Stats,
-    traces, OS events and results are exactly those of calling
-    {!process_read} sequentially at flush time (differential-tested);
-    only the cipher work is grouped. Corrections run in
-    {!Correction}. *)
-
-module Batch : sig
-  type engine := t
-  type t
-
-  val default_capacity : int
-  (** 64 staged reads. *)
-
-  val create : ?capacity:int -> engine -> t
-  (** Buffer for up to [capacity] staged reads (default
-      {!default_capacity}). *)
-
-  val capacity : t -> int
-
-  val pending : t -> int
-  (** Number of staged, unresolved reads. *)
-
-  val stage :
-    t -> addr:int64 -> is_pte:bool -> Ptg_pte.Line.t -> (read_result -> unit) -> unit
-  (** [stage b ~addr ~is_pte line k] defers [process_read] of [line]
-      (copied) and invokes [k] with the result at flush. Reaching
-      [capacity] flushes automatically — the batch boundary. *)
-
-  val flush : t -> unit
-  (** Resolve all staged reads now, invoking their callbacks in stage
-      order. No-op when empty. *)
-end
+    them); each line is verified/stripped under the old key, re-embedded
+    under the new key, and handed to [write] in iteration order. The CTB
+    and the MAC memo are cleared. *)
 
 val pte_bounds_check : t -> Ptg_pte.Line.t -> bool
 (** Section IV-E: would the OS's PFN bounds check flag this stored PTE

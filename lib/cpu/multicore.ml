@@ -43,14 +43,12 @@ type result = {
 
 (* Engine-backed verification (optional): every PTE line that reaches DRAM
    gets real MAC'd content installed on first touch, and every PTE DRAM
-   read from any core stages a verification into one shared
-   [Engine.Batch] — the batch boundary is where verifications from
-   different cores/workloads are resolved together. Purely additive: timing still comes from [Guard_timing] (which
-   already models the pipelined MAC latency), so results with [verify]
-   off are bit-identical to builds without this feature. *)
+   read from any core is verified by the one shared engine. Purely
+   additive: timing still comes from [Guard_timing] (which already models
+   the pipelined MAC latency), so results with [verify] off are
+   bit-identical to builds without this feature. *)
 type verify = {
   engine : Ptguard.Engine.t;
-  batch : Ptguard.Engine.Batch.t;
   store : (int64, Ptg_pte.Line.t) Hashtbl.t;
   mutable passed : int;
   mutable failed : int;
@@ -90,7 +88,6 @@ let create ?(config = default_config) ?verify_engine ~guard () =
         (fun engine ->
           {
             engine;
-            batch = Ptguard.Engine.Batch.create engine;
             store = Hashtbl.create 1024;
             passed = 0;
             failed = 0;
@@ -142,8 +139,8 @@ let upper_entry_addr t core ~level vpn =
     (Int64.mul index 8L)
 
 (* First PTE touch installs deterministic MAC-embedded content; every PTE
-   read stages a content verification. Address-derived PFNs keep the
-   synthetic tables reproducible without consuming any RNG stream. *)
+   read verifies it. Address-derived PFNs keep the synthetic tables
+   reproducible without consuming any RNG stream. *)
 let verify_pte_read v ~paddr =
   let laddr = Ptg_pte.Line.line_addr paddr in
   let stored =
@@ -163,11 +160,9 @@ let verify_pte_read v ~paddr =
         Hashtbl.replace v.store laddr s;
         s
   in
-  Ptguard.Engine.Batch.stage v.batch ~addr:laddr ~is_pte:true stored (fun r ->
-      match r.Ptguard.Engine.integrity with
-      | Ptguard.Engine.Passed | Ptguard.Engine.Corrected _ ->
-          v.passed <- v.passed + 1
-      | _ -> v.failed <- v.failed + 1)
+  match (Ptguard.Engine.process_read v.engine ~addr:laddr ~is_pte:true stored).integrity with
+  | Ptguard.Engine.Passed | Ptguard.Engine.Corrected _ -> v.passed <- v.passed + 1
+  | _ -> v.failed <- v.failed + 1
 
 let dram_access t core ~paddr ~is_pte =
   (match t.verify with
@@ -277,10 +272,6 @@ let run t ~instrs_per_core ~streams =
     end
   done;
   let total_cycles = Array.fold_left (fun acc c -> max acc c.now) 0 t.cores in
-  (* Resolve any ragged final batch before reporting. *)
-  (match t.verify with
-  | None -> ()
-  | Some v -> Ptguard.Engine.Batch.flush v.batch);
   {
     per_core =
       Array.map
@@ -337,11 +328,6 @@ type state = {
 }
 
 let state t =
-  (* Any staged verifications are resolved first so the snapshot never has
-     to encode half-batched engine work. *)
-  (match t.verify with
-  | None -> ()
-  | Some v -> Ptguard.Engine.Batch.flush v.batch);
   {
     s_cores =
       Array.map

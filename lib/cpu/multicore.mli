@@ -47,7 +47,7 @@ type result = {
       (** engine-backed verification mode only: PTE reads whose MAC
           verified (0 when no [verify_engine] was given) *)
   mac_verify_failures : int;
-      (** PTE reads whose staged verification failed outright *)
+      (** PTE reads whose verification failed outright *)
 }
 
 type t
@@ -57,10 +57,8 @@ val create :
 (** With [verify_engine], the scheduler runs {e content-level} MAC
     verification on top of the timing model: the first DRAM touch of each
     PTE line installs deterministic MAC-embedded content through the
-    engine, and every PTE DRAM read from any core stages a verification
-    into a shared {!Ptguard.Engine.Batch} (flushed at batch boundaries
-    and at the end of the run — this is where verifications from
-    different cores are resolved together).
+    engine, and every PTE DRAM read from any core is verified by that
+    one shared engine.
     Timing is unchanged: the MAC {e latency} is already modeled by
     [guard], so all cycle/IPC numbers are identical with or without
     [verify_engine]; only [macs_verified]/[mac_verify_failures] differ. *)
@@ -74,8 +72,7 @@ val run : t -> instrs_per_core:int -> streams:(unit -> Core.op) array -> result
 
     Per-core cache/TLB/MMU contents and counters, the shared LLC and
     DRAM device, channel occupancy, and (when engine-backed verification
-    is on) the engine state plus the installed PTE store. Capturing
-    state flushes any staged verification batch first. *)
+    is on) the engine state plus the installed PTE store. *)
 
 type core_snapshot = {
   sc_l1 : Cache.state;

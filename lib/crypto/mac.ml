@@ -39,11 +39,6 @@ let compute_with ctx key ~addr line =
    share one. The hot paths keep their own [ctx]. *)
 let compute key ~addr line = compute_with (ctx ()) key ~addr line
 
-let compute_batch ctx key ~n ~addrs ~lines =
-  if n < 0 || n > Array.length addrs || n > Array.length lines then
-    invalid_arg "Mac.compute_batch: n out of range";
-  Array.init n (fun i -> compute_with ctx key ~addr:addrs.(i) lines.(i))
-
 let compute_zero key = compute key ~addr:0L (Array.make 8 0L)
 
 let truncate ~width m =
@@ -89,6 +84,30 @@ let join12 pieces =
       end)
     pieces;
   { hi32 = Int64.logand !hi32 0xFFFFFFFFL; lo = !lo }
+
+(* Slice i covers MAC bits 12i..12i+11; slice 5 straddles [lo] and
+   [hi32]. Both directions work on bare int64s, so the layouts' per-line
+   loops allocate nothing but their output. *)
+let piece12 m i =
+  let b = 12 * i in
+  let v =
+    if b + 12 <= 64 then Int64.shift_right_logical m.lo b
+    else if b >= 64 then Int64.shift_right_logical m.hi32 (b - 64)
+    else Int64.logor (Int64.shift_right_logical m.lo b) (Int64.shift_left m.hi32 (64 - b))
+  in
+  Int64.to_int v land 0xfff
+
+let gather12 piece (line : int64 array) =
+  let lo = ref 0L and hi = ref 0L in
+  for i = 0 to 7 do
+    let p = Int64.of_int (piece line.(i) land 0xfff) and b = 12 * i in
+    if b < 64 then lo := Int64.logor !lo (Int64.shift_left p b);
+    if b + 12 > 64 then
+      hi :=
+        Int64.logor !hi
+          (if b >= 64 then Int64.shift_left p (b - 64) else Int64.shift_right_logical p (64 - b))
+  done;
+  { hi32 = !hi; lo = !lo }
 
 let flip_bit m i =
   if i < 0 || i > 95 then invalid_arg "Mac.flip_bit: bit index";

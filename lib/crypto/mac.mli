@@ -41,13 +41,6 @@ val ctx : unit -> ctx
 val compute_with : ctx -> Qarma.key -> addr:int64 -> int64 array -> t
 (** {!compute} with a caller-owned scratch: identical result. *)
 
-val compute_batch :
-  ctx -> Qarma.key -> n:int -> addrs:int64 array -> lines:int64 array array -> t array
-(** [compute_batch ctx key ~n ~addrs ~lines] MACs the [n] requests
-    [(addrs.(i), lines.(i))], [i < n]: result [i] equals
-    [compute key ~addr:addrs.(i) lines.(i)]. Lines must already be masked
-    as for {!compute}. *)
-
 val compute_zero : Qarma.key -> t
 (** The pre-computed MAC of the all-zero cacheline {e without} the address
     input — the MAC-zero optimization of Section V-B. Equals
@@ -63,6 +56,14 @@ val split12 : t -> int array
 
 val join12 : int array -> t
 (** Inverse of {!split12}; requires 8 values, each within 12 bits. *)
+
+val piece12 : t -> int -> int
+(** [piece12 m i] is slice [i] of {!split12} without building the array. *)
+
+val gather12 : (int64 -> int) -> int64 array -> t
+(** [gather12 piece line] is the MAC whose slice [i] is the low 12 bits
+    of [piece line.(i)], for [i < 8]: {!join12} over a per-word
+    extractor, without building the pieces array. *)
 
 val flip_bit : t -> int -> t
 (** [flip_bit m i] flips MAC bit [i] (0..95) — used by fault injection. *)

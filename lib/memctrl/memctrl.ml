@@ -62,35 +62,50 @@ let advance t = function
   | Some now -> t.now <- max t.now now
   | None -> t.now <- t.now + 1
 
-let read_line t ?now ~addr ~is_pte () =
+(* The DRAM half of every read: clock, observers, counters and the timed
+   device access. Returns the stored line and the DRAM latency. *)
+let fetch t ?now ~addr ~is_pte () =
   advance t now;
   List.iter (fun f -> f ~addr ~is_pte) t.line_read_hooks;
   obs_incr t (fun o -> o.o_reads_total);
   if is_pte then obs_incr t (fun o -> o.o_reads_pte);
   let r = Ptg_dram.Dram.access t.dram ~now:t.now ~addr ~is_write:false in
-  let stored = Ptg_dram.Dram.read_line t.dram addr in
+  (Ptg_dram.Dram.read_line t.dram addr, r.Ptg_dram.Dram.latency)
+
+let observe_latency t latency =
+  match t.obs with
+  | None -> ()
+  | Some o -> Ptg_obs.Registry.observe o.o_read_latency (float_of_int latency)
+
+let read_line t ?now ~addr ~is_pte () =
+  let stored, dram_latency = fetch t ?now ~addr ~is_pte () in
   let result =
     match t.engine with
     | None ->
-        {
-          data = Some stored;
-          integrity = Ptguard.Engine.Data_passthrough;
-          latency = r.Ptg_dram.Dram.latency;
-        }
+        { data = Some stored; integrity = Ptguard.Engine.Data_passthrough; latency = dram_latency }
     | Some engine ->
         let g = Ptguard.Engine.process_read engine ~addr ~is_pte stored in
         {
           data = g.Ptguard.Engine.line;
           integrity = g.Ptguard.Engine.integrity;
-          latency = r.Ptg_dram.Dram.latency + g.Ptguard.Engine.extra_latency;
+          latency = dram_latency + g.Ptguard.Engine.extra_latency;
         }
   in
-  (match t.obs with
-  | None -> ()
-  | Some o ->
-      if result.data = None then Ptg_obs.Registry.incr o.o_reads_failed;
-      Ptg_obs.Registry.observe o.o_read_latency (float_of_int result.latency));
+  if Option.is_none result.data then obs_incr t (fun o -> o.o_reads_failed);
+  observe_latency t result.latency;
   result
+
+(* A data read: the engine always forwards a line for one, so this path
+   has no failure case. *)
+let read_data t ~addr =
+  let stored, dram_latency = fetch t ~addr ~is_pte:false () in
+  let data, extra_latency =
+    match t.engine with
+    | None -> (stored, 0)
+    | Some engine -> Ptguard.Engine.process_data_read engine ~addr stored
+  in
+  observe_latency t (dram_latency + extra_latency);
+  data
 
 let write_line t ?now ~addr line () =
   advance t now;
@@ -108,20 +123,15 @@ let write_line t ?now ~addr line () =
    controller. Data reads of a tampered protected line pass the raw bits
    through — intentionally, see Section IV-E. *)
 let phys_mem t =
-  let read_raw addr =
-    match read_line t ~addr ~is_pte:false () with
-    | { data = Some line; _ } -> line
-    | { data = None; _ } -> assert false (* data reads always forward *)
-  in
   {
     Ptg_vm.Phys_mem.read_word =
       (fun addr ->
-        let line = read_raw (Ptg_pte.Line.line_addr addr) in
+        let line = read_data t ~addr:(Ptg_pte.Line.line_addr addr) in
         line.(Int64.to_int (Int64.logand addr 63L) / 8));
     write_word =
       (fun addr v ->
         let base = Ptg_pte.Line.line_addr addr in
-        let line = read_raw base in
+        let line = read_data t ~addr:base in
         line.(Int64.to_int (Int64.logand addr 63L) / 8) <- v;
         ignore (write_line t ~addr:base line ()));
   }

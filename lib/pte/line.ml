@@ -15,13 +15,28 @@ let equal a b =
        !ok
      end
 
-let is_zero a = Array.for_all (Int64.equal 0L) a
-
 let of_words a =
   if Array.length a <> words then invalid_arg "Line.of_words: need 8 words";
   Array.copy a
 
 let map = Array.map
+
+let keep mask line =
+  let out = Array.make (Array.length line) 0L in
+  for i = 0 to Array.length line - 1 do
+    out.(i) <- Int64.logand line.(i) mask
+  done;
+  out
+
+let zero_under mask line =
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < Array.length line do
+    ok := Int64.equal (Int64.logand line.(!i) mask) 0L;
+    incr i
+  done;
+  !ok
+
+let is_zero a = zero_under (-1L) a
 
 let hamming a b =
   let acc = ref 0 in

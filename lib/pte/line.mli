@@ -25,6 +25,14 @@ val of_words : int64 array -> t
 
 val map : (int64 -> int64) -> t -> t
 
+val keep : int64 -> t -> t
+(** [keep mask line]: every word ANDed with [mask], as a fresh line (the
+    only allocation). *)
+
+val zero_under : int64 -> t -> bool
+(** [zero_under mask line]: every word is zero under [mask]. Allocates
+    nothing. *)
+
 val hamming : t -> t -> int
 (** Bit-level Hamming distance over all 512 bits. *)
 

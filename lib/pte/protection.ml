@@ -25,34 +25,44 @@ let protected_mask cfg =
 
 let protected_bits_per_pte cfg = Bits.popcount (protected_mask cfg)
 
-let zero_under mask line = Array.for_all (fun w -> Int64.logand w mask = 0L) line
+(* The per-line helpers below are loops over the 8 words that allocate
+   at most their output line; the engine runs them on every access. *)
 
 let basic_pattern_mask cfg = Int64.logor mac_field_mask (unused_pfn_mask cfg)
 
-let matches_basic_pattern cfg line = zero_under (basic_pattern_mask cfg) line
+let matches_basic_pattern cfg =
+  let mask = basic_pattern_mask cfg in
+  fun line -> Line.zero_under mask line
 
-let matches_extended_pattern cfg line =
-  zero_under (Int64.logor (basic_pattern_mask cfg) identifier_field_mask) line
+let matches_extended_pattern cfg =
+  let mask = Int64.logor (basic_pattern_mask cfg) identifier_field_mask in
+  fun line -> Line.zero_under mask line
 
 let embed_mac line mac =
-  let pieces = Ptg_crypto.Mac.split12 mac in
-  Array.mapi
-    (fun i w -> Bits.insert w ~lo:40 ~hi:51 (Int64.of_int pieces.(i)))
-    line
+  let out = Array.make Line.words 0L in
+  for i = 0 to Line.words - 1 do
+    out.(i) <-
+      Int64.logor
+        (Int64.logand line.(i) (Int64.lognot mac_field_mask))
+        (Int64.shift_left (Int64.of_int (Ptg_crypto.Mac.piece12 mac i)) 40)
+  done;
+  out
 
 let extract_mac line =
-  Ptg_crypto.Mac.join12
-    (Array.map (fun w -> Int64.to_int (Bits.extract w ~lo:40 ~hi:51)) line)
+  Ptg_crypto.Mac.gather12 (fun w -> Int64.to_int (Int64.shift_right_logical w 40)) line
 
-let strip_mac line = Array.map (fun w -> Int64.logand w (Int64.lognot mac_field_mask)) line
+let strip_mac line = Line.keep (Int64.lognot mac_field_mask) line
 
-let masked_for_mac cfg line =
-  let m = protected_mask cfg in
-  Array.map (fun w -> Int64.logand w m) line
+let masked_for_mac cfg =
+  let mask = protected_mask cfg in
+  fun line -> Line.keep mask line
+
+let check_identifier ident =
+  if Int64.logand ident (Int64.lognot (Bits.mask 56)) <> 0L then
+    invalid_arg "Protection.split7: identifier wider than 56 bits"
 
 let split7 ident =
-  if Int64.logand ident (Int64.lognot (Bits.mask 56)) <> 0L then
-    invalid_arg "Protection.split7: identifier wider than 56 bits";
+  check_identifier ident;
   Array.init 8 (fun i -> Int64.to_int (Bits.extract ident ~lo:(i * 7) ~hi:((i * 7) + 6)))
 
 let join7 pieces =
@@ -66,14 +76,26 @@ let join7 pieces =
   !acc
 
 let embed_identifier line ident =
-  let pieces = split7 ident in
-  Array.mapi (fun i w -> Bits.insert w ~lo:52 ~hi:58 (Int64.of_int pieces.(i))) line
+  check_identifier ident;
+  let out = Array.make Line.words 0L in
+  for i = 0 to Line.words - 1 do
+    let piece = Int64.logand (Int64.shift_right_logical ident (7 * i)) 0x7fL in
+    out.(i) <-
+      Int64.logor
+        (Int64.logand line.(i) (Int64.lognot identifier_field_mask))
+        (Int64.shift_left piece 52)
+  done;
+  out
 
 let extract_identifier line =
-  join7 (Array.map (fun w -> Int64.to_int (Bits.extract w ~lo:52 ~hi:58)) line)
+  let acc = ref 0L in
+  for i = 0 to Line.words - 1 do
+    let piece = Int64.logand (Int64.shift_right_logical line.(i) 52) 0x7fL in
+    acc := Int64.logor !acc (Int64.shift_left piece (7 * i))
+  done;
+  !acc
 
-let strip_identifier line =
-  Array.map (fun w -> Int64.logand w (Int64.lognot identifier_field_mask)) line
+let strip_identifier line = Line.keep (Int64.lognot identifier_field_mask) line
 
 let pfn_out_of_bounds cfg pte =
   let max_pfn = Int64.shift_left 1L (cfg.phys_addr_bits - 12) in

@@ -37,7 +37,9 @@ val protected_bits_per_pte : config -> int
 (** {2 Write-time pattern matches (Sections IV-B and V-A)} *)
 
 val matches_basic_pattern : config -> Line.t -> bool
-(** The original 96-bit pattern: every PTE's MAC field (and any unused PFN
+(** Apply to the [config] once and keep the predicate: the partial
+    application computes the pattern mask, the line check allocates
+    nothing. The original 96-bit pattern: every PTE's MAC field (and any unused PFN
     bits) is zero. True for every line the trusted OS writes as PTEs, and
     for data lines that happen to be zero there. *)
 
@@ -57,7 +59,7 @@ val strip_mac : Line.t -> Line.t
 (** Zero the MAC fields (what the memory controller forwards upward). *)
 
 val masked_for_mac : config -> Line.t -> Line.t
-(** The canonical MAC input: the line restricted to its protected bits
+(** Staged like {!matches_basic_pattern}. The canonical MAC input: the line restricted to its protected bits
     (everything else zeroed, including the MAC/identifier fields). *)
 
 (** {2 Identifier embed / extract / strip (Section V-A)} *)

@@ -36,50 +36,63 @@ let protected_mask cfg =
 
 let protected_bits_per_pte cfg = Bits.popcount (protected_mask cfg)
 
-let zero_under mask line = Array.for_all (fun w -> Int64.logand w mask = 0L) line
 let basic_pattern_mask cfg = Int64.logor mac_field_mask (unused_low_pfn_mask cfg)
-let matches_basic_pattern cfg line = zero_under (basic_pattern_mask cfg) line
 
-let matches_extended_pattern cfg line =
-  zero_under (Int64.logor (basic_pattern_mask cfg) identifier_field_mask) line
+let matches_basic_pattern cfg =
+  let mask = basic_pattern_mask cfg in
+  fun line -> Line.zero_under mask line
 
-(* A 12-bit MAC piece goes high-10 into bits 49:40 and low-2 into 9:8. *)
+let matches_extended_pattern cfg =
+  let mask = Int64.logor (basic_pattern_mask cfg) identifier_field_mask in
+  fun line -> Line.zero_under mask line
+
+(* A 12-bit MAC piece goes high-10 into bits 49:40 and low-2 into 9:8.
+   Like the x86 helpers, these loops allocate at most their output. *)
 let embed_piece w piece =
   let piece = Int64.of_int piece in
-  let w = Bits.insert w ~lo:40 ~hi:49 (Int64.shift_right_logical piece 2) in
-  Bits.insert w ~lo:8 ~hi:9 (Int64.logand piece 3L)
+  Int64.logor
+    (Int64.logand w (Int64.lognot mac_field_mask))
+    (Int64.logor
+       (Int64.shift_left (Int64.shift_right_logical piece 2) 40)
+       (Int64.shift_left (Int64.logand piece 3L) 8))
 
 let extract_piece w =
-  let high = Bits.extract w ~lo:40 ~hi:49 in
-  let low = Bits.extract w ~lo:8 ~hi:9 in
-  Int64.to_int (Int64.logor (Int64.shift_left high 2) low)
+  let w = Int64.to_int (Int64.shift_right_logical w 8) in
+  ((w lsr 32) lsl 2) lor (w land 3)
 
 let embed_mac line mac =
-  let pieces = Ptg_crypto.Mac.split12 mac in
-  Array.mapi (fun i w -> embed_piece w pieces.(i)) line
+  let out = Array.make Line.words 0L in
+  for i = 0 to Line.words - 1 do
+    out.(i) <- embed_piece line.(i) (Ptg_crypto.Mac.piece12 mac i)
+  done;
+  out
 
-let extract_mac line = Ptg_crypto.Mac.join12 (Array.map extract_piece line)
-let strip_mac line = Array.map (fun w -> Int64.logand w (Int64.lognot mac_field_mask)) line
+let extract_mac line = Ptg_crypto.Mac.gather12 extract_piece line
+let strip_mac line = Line.keep (Int64.lognot mac_field_mask) line
 
-let masked_for_mac cfg line =
-  let m = protected_mask cfg in
-  Array.map (fun w -> Int64.logand w m) line
+let masked_for_mac cfg =
+  let mask = protected_mask cfg in
+  fun line -> Line.keep mask line
 
 let embed_identifier line ident =
   if Int64.logand ident (Int64.lognot (Bits.mask 32)) <> 0L then
     invalid_arg "Protection_armv8.embed_identifier: identifier wider than 32 bits";
-  Array.mapi
-    (fun i w ->
-      Bits.insert w ~lo:55 ~hi:58 (Bits.extract ident ~lo:(i * 4) ~hi:((i * 4) + 3)))
-    line
+  let out = Array.make Line.words 0L in
+  for i = 0 to Line.words - 1 do
+    let piece = Int64.logand (Int64.shift_right_logical ident (4 * i)) 0xfL in
+    out.(i) <-
+      Int64.logor
+        (Int64.logand line.(i) (Int64.lognot identifier_field_mask))
+        (Int64.shift_left piece 55)
+  done;
+  out
 
 let extract_identifier line =
   let acc = ref 0L in
-  Array.iteri
-    (fun i w ->
-      acc := Int64.logor !acc (Int64.shift_left (Bits.extract w ~lo:55 ~hi:58) (i * 4)))
-    line;
+  for i = 0 to Line.words - 1 do
+    let piece = Int64.logand (Int64.shift_right_logical line.(i) 55) 0xfL in
+    acc := Int64.logor !acc (Int64.shift_left piece (4 * i))
+  done;
   !acc
 
-let strip_identifier line =
-  Array.map (fun w -> Int64.logand w (Int64.lognot identifier_field_mask)) line
+let strip_identifier line = Line.keep (Int64.lognot identifier_field_mask) line

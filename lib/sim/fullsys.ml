@@ -104,7 +104,7 @@ let create ?(config = default_config) ?(pages = 2048) ?obs ~seed () =
   let victim =
     match Page_table.leaf_line_addrs table with
     | first :: _ -> Ptg_dram.Geometry.decode (Ptg_dram.Dram.geometry dram) first
-    | [] -> assert false
+    | [] -> failwith "Fullsys.create: the page table has no leaf line to aim the attack at"
   in
   {
     cfg = config;

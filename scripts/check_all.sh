@@ -22,7 +22,7 @@
 #   7. Figure 6 gate (bench_gate fig6): single-job wall time, obs-on
 #      figure identical to obs-off, Fig. 6 mean slowdown pinned
 #   8. full-system gate (bench_gate fullsys): real-crypto co-simulation
-#      + batched multicore verification wall time, zero wrong
+#      + engine-verified multicore wall time, zero wrong
 #      translations and zero verify failures, walks/flips/MACs pinned
 #   8b. snapshot tier alone (dune build @snapshot) — codec/container
 #      properties and resume determinism, also part of runtest but
@@ -34,7 +34,10 @@
 #      have exactly one call site in lib/, in lib/server/listener.ml —
 #      the one connection layer behind Server and Router; and one bench
 #      gate: no scripts/check_bench_*.sh, and bench/main.ml reads
-#      PTG_BENCH_JSON in exactly one place (its one JSON writer)
+#      PTG_BENCH_JSON in exactly one place (its one JSON writer); and one
+#      MAC path: no compute_batch or Engine.Batch in lib/ or bench/, so
+#      nothing bypasses the engine's MAC memo; and no new assert false in
+#      lib/ beyond the four sites still listed on the ROADMAP
 #   8d. warm-start gate (bench_gate snapshot): resuming a finished
 #      fullsys budget from its snapshot store must stay >= 5x faster
 #      than computing it cold and byte-identical
@@ -147,6 +150,28 @@ if [ "$(printf '%s' "$reads" | grep -c .)" -ne 1 ]; then
     exit 1
 fi
 echo "OK: no check_bench_*.sh; PTG_BENCH_JSON read once, by the one bench JSON writer"
+
+echo "== one MAC path =="
+if grep -rnE --include='*.ml' --include='*.mli' 'compute_batch|Engine\.Batch' lib bench; then
+    echo "FAIL: a batched MAC path is back; every engine MAC goes through Engine.compute_mac" >&2
+    exit 1
+fi
+echo "OK: no compute_batch or Engine.Batch in lib/ or bench/"
+
+echo "== no new assert false in lib =="
+extra=$(grep -rn --include='*.ml' 'assert false' lib \
+    | grep -vE '^lib/sim/(ablations|baselines_exp)\.ml:|^lib/util/pool\.ml:' || true)
+for site in lib/sim/ablations.ml:1 lib/sim/baselines_exp.ml:2 lib/util/pool.ml:1; do
+    if [ "$(grep -c 'assert false' "${site%:*}")" -gt "${site#*:}" ]; then
+        extra="$extra ${site%:*}"
+    fi
+done
+if [ -n "$extra" ]; then
+    echo "FAIL: new assert false in lib/ (allowed: ablations.ml x1, baselines_exp.ml x2, pool.ml x1):" >&2
+    printf '%s\n' "$extra" >&2
+    exit 1
+fi
+echo "OK: assert false only at the four listed sites in lib/"
 
 echo "== warm-start regression gate =="
 bench_gate snapshot

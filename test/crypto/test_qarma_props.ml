@@ -214,33 +214,6 @@ let prop_mac_matches_ref =
       Mac.equal (Mac.compute key ~addr line) want
       && Mac.equal (Mac.compute_with shared_mac_ctx key ~addr line) want)
 
-let prop_mac_batch_matches_scalar =
-  QCheck2.Test.make
-    ~name:"Mac.compute_batch = scalar Mac.compute = reference fold (ragged n)" ~count:60
-    QCheck2.Gen.(
-      pair (int_range 0 12) (list_size (return 12) (pair int64 gen_line)))
-    (fun (n, reqs) ->
-      let reqs = Array.of_list reqs in
-      let addrs = Array.map fst reqs and lines = Array.map snd reqs in
-      let macs = Mac.compute_batch shared_mac_ctx fixed_key ~n ~addrs ~lines in
-      Array.length macs = n
-      && Array.for_all Mac.is_well_formed macs
-      && List.for_all
-           (fun i ->
-             Mac.equal macs.(i) (Mac.compute fixed_key ~addr:addrs.(i) lines.(i))
-             && Mac.equal macs.(i) (Qarma_ref.mac fixed_key ~addr:addrs.(i) lines.(i)))
-           (List.init n Fun.id))
-
-let prop_mac_batch_duplicated_addrs =
-  QCheck2.Test.make ~name:"Mac.compute_batch with one addr/line duplicated" ~count:60
-    QCheck2.Gen.(pair int64 gen_line)
-    (fun (addr, line) ->
-      let n = 10 in
-      let addrs = Array.make n addr and lines = Array.make n line in
-      let macs = Mac.compute_batch shared_mac_ctx fixed_key ~n ~addrs ~lines in
-      let want = Qarma_ref.mac fixed_key ~addr line in
-      Array.for_all (fun m -> Mac.equal m want) macs)
-
 (* [Mac.compute] runs in pool workers (every rekey's [compute_zero]), so
    two domains computing at once must not disturb each other. *)
 let test_mac_across_domains () =
@@ -409,7 +382,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_schedule_reused;
     QCheck_alcotest.to_alcotest prop_retweaked_matches_ref;
     QCheck_alcotest.to_alcotest prop_mac_matches_ref;
-    QCheck_alcotest.to_alcotest prop_mac_batch_matches_scalar;
-    QCheck_alcotest.to_alcotest prop_mac_batch_duplicated_addrs;
     QCheck_alcotest.to_alcotest prop_correction_matches_ref;
   ]

@@ -162,8 +162,8 @@ let test_multicore_contention () =
   Alcotest.(check bool) "dram reads recorded" true (r.Multicore.dram_reads > 1000)
 
 let test_multicore_verify_engine () =
-  (* Engine-backed verification: every PTE DRAM read is staged into a
-     shared Engine.Batch and must verify against the content the engine
+  (* Engine-backed verification: every PTE DRAM read goes through the
+     shared engine and must verify against the content the engine
      itself installed — zero failures, one verification per PTE read. *)
   let spec = Option.get (Ptg_workloads.Workload.by_name "pr") in
   let engine = Ptguard.Engine.create ~rng:(Ptg_util.Rng.create 9L) () in

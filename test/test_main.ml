@@ -37,7 +37,6 @@ let () =
       ("core.config", Test_config.suite);
       ("core.correction", Test_correction.suite);
       ("core.engine", Test_engine.suite);
-      ("core.engine_batch", Test_engine_batch.suite);
       ("core.cost", Test_cost.suite);
       ("core.engine_armv8", Test_engine_armv8.suite);
       ("core.engine_props", Test_engine_props.suite);

@@ -147,6 +147,37 @@ let prop_split7_join7 =
   QCheck2.Test.make ~name:"join7 inverts split7" ~count:300 gen_ident (fun v ->
       Int64.equal (Protection.join7 (Protection.split7 v)) v)
 
+(* Words biased towards the interesting cases: arbitrary bits, PTE-shaped
+   words with the MAC and identifier fields clear, and words that match
+   every pattern at any M. *)
+(* Lines biased towards the interesting cases: arbitrary bits, PTE-shaped
+   words with the MAC and identifier fields clear, words that match every
+   pattern at any M, and mixtures of the three. *)
+let gen_line =
+  let spare = Int64.logor Protection.mac_field_mask Protection.identifier_field_mask in
+  let narrow = Protection.protected_mask (Protection.make ~phys_addr_bits:32) in
+  let shaped = QCheck2.Gen.map (fun w -> Int64.logand w (Int64.lognot spare)) QCheck2.Gen.int64 in
+  let fits = QCheck2.Gen.map (fun w -> Int64.logand w narrow) QCheck2.Gen.int64 in
+  QCheck2.Gen.(
+    oneofl [ int64; shaped; fits; oneof [ int64; shaped; fits ] ]
+    >>= fun word -> array_size (return 8) word)
+
+let prop_loops_match_oracle =
+  QCheck2.Test.make ~name:"loop helpers = split12/split7 oracle (x86)" ~count:500
+    QCheck2.Gen.(quad gen_line gen_mac96 gen_ident (int_range 32 40))
+    (fun (line, mac, ident, m) ->
+      let module O = Layout_oracle.X86 in
+      let cfg = Protection.make ~phys_addr_bits:m in
+      Line.equal (Protection.embed_mac line mac) (O.embed_mac line mac)
+      && Mac.equal (Protection.extract_mac line) (O.extract_mac line)
+      && Line.equal (Protection.strip_mac line) (O.strip_mac line)
+      && Line.equal (Protection.masked_for_mac cfg line) (O.masked_for_mac cfg line)
+      && Line.equal (Protection.embed_identifier line ident) (O.embed_identifier line ident)
+      && Int64.equal (Protection.extract_identifier line) (O.extract_identifier line)
+      && Line.equal (Protection.strip_identifier line) (O.strip_identifier line)
+      && Protection.matches_basic_pattern cfg line = O.matches_basic_pattern cfg line
+      && Protection.matches_extended_pattern cfg line = O.matches_extended_pattern cfg line)
+
 let suite =
   [
     Alcotest.test_case "Table IV protected mask" `Quick test_protected_mask_table_iv;
@@ -161,4 +192,5 @@ let suite =
     Alcotest.test_case "pfn bounds check" `Quick test_pfn_bounds;
     QCheck_alcotest.to_alcotest prop_embed_roundtrip;
     QCheck_alcotest.to_alcotest prop_split7_join7;
+    QCheck_alcotest.to_alcotest prop_loops_match_oracle;
   ]

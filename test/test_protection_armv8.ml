@@ -107,6 +107,38 @@ let prop_mac_roundtrip =
       Mac.equal (Protection_armv8.extract_mac embedded) mac
       && Line.equal (Protection_armv8.strip_mac embedded) line)
 
+(* Lines biased towards the interesting cases: arbitrary bits, PTE-shaped
+   words with the MAC and identifier fields clear, words that match every
+   pattern at any M, and mixtures of the three. *)
+let gen_line =
+  let spare = Int64.logor Protection_armv8.mac_field_mask Protection_armv8.identifier_field_mask in
+  let narrow = Protection_armv8.protected_mask (Protection_armv8.make ~phys_addr_bits:32) in
+  let shaped = QCheck2.Gen.map (fun w -> Int64.logand w (Int64.lognot spare)) QCheck2.Gen.int64 in
+  let fits = QCheck2.Gen.map (fun w -> Int64.logand w narrow) QCheck2.Gen.int64 in
+  QCheck2.Gen.(
+    oneofl [ int64; shaped; fits; oneof [ int64; shaped; fits ] ]
+    >>= fun word -> array_size (return 8) word)
+let gen_ident = QCheck2.Gen.map (fun x -> Int64.logand x 0xFFFF_FFFFL) QCheck2.Gen.int64
+
+let prop_loops_match_oracle =
+  QCheck2.Test.make ~name:"loop helpers = split12 oracle (ARMv8)" ~count:500
+    QCheck2.Gen.(quad gen_line gen_mac96 gen_ident (int_range 32 40))
+    (fun (line, mac, ident, m) ->
+      let module O = Layout_oracle.Armv8 in
+      let cfg = Protection_armv8.make ~phys_addr_bits:m in
+      Line.equal (Protection_armv8.embed_mac line mac) (O.embed_mac line mac)
+      && Mac.equal (Protection_armv8.extract_mac line) (O.extract_mac line)
+      && Line.equal (Protection_armv8.strip_mac line) (O.strip_mac line)
+      && Line.equal (Protection_armv8.masked_for_mac cfg line) (O.masked_for_mac cfg line)
+      && Line.equal
+           (Protection_armv8.embed_identifier line ident)
+           (O.embed_identifier line ident)
+      && Int64.equal (Protection_armv8.extract_identifier line) (O.extract_identifier line)
+      && Line.equal (Protection_armv8.strip_identifier line) (O.strip_identifier line)
+      && Protection_armv8.matches_basic_pattern cfg line = O.matches_basic_pattern cfg line
+      && Protection_armv8.matches_extended_pattern cfg line
+         = O.matches_extended_pattern cfg line)
+
 let suite =
   [
     Alcotest.test_case "field masks" `Quick test_field_masks;
@@ -116,4 +148,5 @@ let suite =
     Alcotest.test_case "identifier roundtrip" `Quick test_identifier_roundtrip;
     Alcotest.test_case "end-to-end verify on ARM" `Quick test_end_to_end_verification;
     QCheck_alcotest.to_alcotest prop_mac_roundtrip;
+    QCheck_alcotest.to_alcotest prop_loops_match_oracle;
   ]
