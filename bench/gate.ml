@@ -77,6 +77,7 @@ let rules =
           both "identical" (Is (Bool true));
           both "warm_resumed_from" (Cmp (Eq, Field (1.0, "instrs")));
           fresh "speedup" (Cmp (Ge, Const 5.0));
+          fresh "store_bytes" (Pinned "Checkpoint store bytes");
           not_slower "cold_wall_s";
         ] );
     ( "slices",

@@ -68,10 +68,12 @@ val write_line : t -> int64 -> Ptg_pte.Line.t -> unit
 
 val refresh_row : t -> channel:int -> bank:int -> row:int -> unit
 (** Targeted refresh (the mitigation action): notifies subscribers and
-    resets the row's activation count. *)
+    resets the row's activation count. Raises [Invalid_argument] naming
+    the channel, bank or row that lies outside the geometry. *)
 
 val activations : t -> channel:int -> bank:int -> row:int -> int
-(** Activations of the row since it was last refreshed. *)
+(** Activations of the row since it was last refreshed. Raises
+    [Invalid_argument] like {!refresh_row}. *)
 
 val lines_in_row : t -> channel:int -> bank:int -> row:int -> (int64 * Ptg_pte.Line.t) list
 (** All (address, line) pairs currently stored in the given row, in
@@ -95,7 +97,7 @@ val stored_line_count : t -> int
 (** {2 Checkpointable state}
 
     The device's full mutable state as plain data: per-bank open row and
-    nonzero activation counts (sparse), the stored lines (address-sorted),
+    nonzero activation counts (row-sorted), the stored lines (address-sorted),
     the refresh epoch, and the published last-access decode. *)
 
 type bank_snapshot = { bs_open_row : int; bs_activations : (int * int) list }
@@ -118,5 +120,6 @@ val state : t -> state
 
 val set_state : t -> state -> unit
 (** Overwrite the device with captured state. Requires identical
-    geometry (bank/row counts); raises [Invalid_argument] otherwise.
+    geometry (bank/row counts), rows inside it and non-negative counts;
+    raises [Invalid_argument] otherwise, before changing anything.
     Listeners are untouched. *)

@@ -122,17 +122,49 @@ type state = {
   s_flip_count : int;
 }
 
+(* Key order without comparing tuples: every key lies on the device
+   ([set_state] checks restored ones), so entries bucket by (channel,
+   bank) and each bucket sorts by row alone — a checkpoint takes this
+   once per save, and a whole-list sort under polymorphic [compare]
+   costs several times more. *)
+let sorted_disturbance t =
+  let g = Ptg_dram.Dram.geometry t.dram in
+  let banks = Ptg_dram.Geometry.total_banks g in
+  let buckets = Array.make (g.Ptg_dram.Geometry.channels * banks) [] in
+  Hashtbl.iter
+    (fun ((channel, bank, _) as k) v ->
+      let i = (channel * banks) + bank in
+      buckets.(i) <- (k, v) :: buckets.(i))
+    t.disturbance;
+  let by_row ((_, _, r1), (_ : float)) ((_, _, r2), (_ : float)) = Int.compare r1 r2 in
+  Array.fold_right (fun entries acc -> List.sort by_row entries @ acc) buckets []
+
 let state t =
   {
     s_rng = Ptg_util.Rng.state t.rng;
-    s_disturbance =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.disturbance []
-      |> List.sort (fun (a, _) (b, _) -> compare a b);
+    s_disturbance = sorted_disturbance t;
     s_flips = t.flips;
     s_flip_count = t.flip_count;
   }
 
 let set_state t s =
+  let g = Ptg_dram.Dram.geometry t.dram in
+  List.iter
+    (fun ((channel, bank, row), _) ->
+      if
+        channel < 0
+        || channel >= g.Ptg_dram.Geometry.channels
+        || bank < 0
+        || bank >= Ptg_dram.Geometry.total_banks g
+        || row < 0
+        || row >= g.Ptg_dram.Geometry.rows_per_bank
+      then
+        invalid_arg
+          (Printf.sprintf
+             "Fault_model.set_state: disturbance at channel %d bank %d row \
+              %d is outside the device"
+             channel bank row))
+    s.s_disturbance;
   Ptg_util.Rng.set_state t.rng s.s_rng;
   Hashtbl.reset t.disturbance;
   List.iter (fun (k, v) -> Hashtbl.replace t.disturbance k v) s.s_disturbance;

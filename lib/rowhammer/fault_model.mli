@@ -70,6 +70,9 @@ type state = {
 
 val state : t -> state
 val set_state : t -> state -> unit
+(** Raises [Invalid_argument], before changing anything, when a
+    disturbance key lies outside the device's geometry. *)
+
 val disturbance : t -> channel:int -> bank:int -> row:int -> float
 val row_is_true_cell : t -> row:int -> bool
 (** Orientation assigned to a row (under [Per_row_hash]). *)

@@ -15,15 +15,7 @@ type t = { points : point array; shards : int }
 (* Unsigned comparison: ring positions are raw 64-bit hashes. *)
 let ucompare a b = Int64.unsigned_compare a b
 
-let fnv1a64 s =
-  let prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
-  !h
+let fnv1a64 s = Ptg_snapshot.Codec.fnv1a64 s
 
 (* FNV-1a of near-identical strings (scenarios differing only in a seed
    digit) clusters in a narrow band of the 64-bit space — poor avalanche

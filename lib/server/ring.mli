@@ -36,5 +36,3 @@ val ownership : t -> live:bool array -> float array
     own 0; entries sum to ~1 when any shard is live, all-zero
     otherwise). Feeds the per-shard ring-position gauges. *)
 
-val fnv1a64 : string -> int64
-(** The ring's hash function, exposed for tests. *)

@@ -276,7 +276,12 @@ let ctb_overflow ?(seed = 23L) () =
     let leaked =
       match Ptg_memctrl.Memctrl.read_line mc ~addr ~is_pte:false () with
       | { Ptg_memctrl.Memctrl.data = Some l; _ } -> l
-      | _ -> assert false
+      | { data = None; _ } ->
+          (* Only a failed page-walk read withholds its line. *)
+          failwith
+            (Printf.sprintf
+               "Ablations.ctb_overflow: data read of 0x%Lx was not forwarded"
+               addr)
     in
     (* The leaked line carries MAC(payload, addr) and the identifier in
        the clear (the flip broke the data, not the MAC). Recombine the

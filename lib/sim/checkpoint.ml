@@ -163,11 +163,13 @@ let fullsys_key ?(config = Fullsys.default_config) ?(pages = 2048) ~seed () =
   in
   Snapshot.hash_hex (Codec.fnv1a64 canonical)
 
-(* One section per subsystem of the machine's current state. *)
+(* One section per subsystem of the machine's current state, encoded
+   in turn through one writer. *)
 let fullsys_sections (m : Fullsys.t) =
   let s = Fullsys.state m in
+  let b = Codec.writer () in
   let sec name fill =
-    let b = Codec.writer () in
+    Codec.reset b;
     fill b;
     Snapshot.section ~name (Codec.contents b)
   in

@@ -215,20 +215,12 @@ let check t =
 (* Canonical form and content hash                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* FNV-1a, 64-bit: tiny, dependency-free, and stable across runs and
-   platforms — exactly what a cache key and a trace payload need. Not
-   adversarially collision-resistant; the cache is an optimization, not a
-   security boundary (and a collision only ever returns another
-   deterministic experiment report). *)
-let fnv1a64 s =
-  let prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
-  !h
+(* FNV-1a, 64-bit ({!Ptg_snapshot.Codec.fnv1a64}): tiny, dependency-free,
+   and stable across runs and platforms — exactly what a cache key and a
+   trace payload need. Not adversarially collision-resistant; the cache
+   is an optimization, not a security boundary (and a collision only
+   ever returns another deterministic experiment report). *)
+let fnv1a64 s = Ptg_snapshot.Codec.fnv1a64 s
 
 (* Trace scenarios cache by what the trace *contains*, not where it
    lives: two paths with identical bytes share a cache entry, and

@@ -5,30 +5,66 @@
    [Mem_trace]'s trace format so corrupt inputs fail the same way
    everywhere: [Invalid_argument] naming the input and byte offset. *)
 
-type writer = Buffer.t
+(* A growable byte array rather than a [Buffer.t], so a finished
+   writer can be hashed and written out where its bytes lie. *)
+type writer = { mutable buf : Bytes.t; mutable len : int }
 
-let writer () = Buffer.create 4096
-let contents (b : writer) = Buffer.contents b
-let put_varint b n =
+let writer ?(size = 4096) () = { buf = Bytes.create (max size 16); len = 0 }
+let reset w = w.len <- 0
+let contents w = Bytes.sub_string w.buf 0 w.len
+let output oc w = Out_channel.output oc w.buf 0 w.len
+
+(* Make room for [n] more bytes, doubling. *)
+let room w n =
+  if w.len + n > Bytes.length w.buf then begin
+    let cap = ref (2 * Bytes.length w.buf) in
+    while w.len + n > !cap do
+      cap := 2 * !cap
+    done;
+    let buf = Bytes.create !cap in
+    Bytes.blit w.buf 0 buf 0 w.len;
+    w.buf <- buf
+  end
+
+let put_varint w n =
   if n < 0 then invalid_arg "Snapshot: negative varint";
-  let n = ref n in
+  (* A non-negative 63-bit int takes at most 9 groups of 7 bits. *)
+  room w 9;
+  let buf = w.buf and n = ref n and pos = ref w.len in
   while !n >= 0x80 do
-    Buffer.add_char b (Char.chr (0x80 lor (!n land 0x7f)));
-    n := !n lsr 7
+    Bytes.unsafe_set buf !pos (Char.unsafe_chr (0x80 lor (!n land 0x7f)));
+    n := !n lsr 7;
+    incr pos
   done;
-  Buffer.add_char b (Char.chr !n)
+  Bytes.unsafe_set buf !pos (Char.unsafe_chr !n);
+  w.len <- !pos + 1
 
 let zigzag n = (n lsl 1) lxor (n asr 62)
 let unzigzag n = (n lsr 1) lxor (- (n land 1))
 
-let put_int b n = put_varint b (zigzag n)
-let put_bool b v = Buffer.add_char b (if v then '\001' else '\000')
-let put_i64 b (v : int64) = Buffer.add_int64_le b v
-let put_float b f = put_i64 b (Int64.bits_of_float f)
+let put_int w n = put_varint w (zigzag n)
 
-let put_string b s =
-  put_varint b (String.length s);
-  Buffer.add_string b s
+let put_bool w v =
+  room w 1;
+  Bytes.unsafe_set w.buf w.len (if v then '\001' else '\000');
+  w.len <- w.len + 1
+
+let put_i64 w (v : int64) =
+  room w 8;
+  Bytes.set_int64_le w.buf w.len v;
+  w.len <- w.len + 8
+
+let put_float w f = put_i64 w (Int64.bits_of_float f)
+
+let put_raw w s =
+  let n = String.length s in
+  room w n;
+  Bytes.blit_string s 0 w.buf w.len n;
+  w.len <- w.len + n
+
+let put_string w s =
+  put_varint w (String.length s);
+  put_raw w s
 
 let put_list b put xs =
   put_varint b (List.length xs);
@@ -112,13 +148,26 @@ let expect_end r =
     corrupt r
       (Printf.sprintf "%d trailing bytes" (String.length r.src - r.pos))
 
-(* FNV-1a 64 — same content-hash primitive the scenario canonicalizer
-   uses, applied here to the framed section region of a snapshot. *)
-let fnv1a64 s =
+(* FNV-1a 64 — the content hash of a snapshot's section region, of
+   scenario cache keys and of ring positions. An index loop keeps the
+   accumulator an unboxed [int64]; a closure over a ref (as with
+   [String.iter]) would box one per byte. *)
+let fnv1a64_bytes b pos len =
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
+  for i = pos to pos + len - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i))))
+        0x100000001b3L
+  done;
   !h
+
+let fnv1a64 ?(pos = 0) ?len s =
+  let len = match len with Some n -> n | None -> String.length s - pos in
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Codec.fnv1a64: range outside the string";
+  fnv1a64_bytes (Bytes.unsafe_of_string s) pos len
+
+let hash w ~from =
+  if from < 0 || from > w.len then invalid_arg "Codec.hash: from";
+  fnv1a64_bytes w.buf from (w.len - from)

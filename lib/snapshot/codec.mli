@@ -8,8 +8,18 @@
 
 type writer
 
-val writer : unit -> writer
+val writer : ?size:int -> unit -> writer
+(** An empty writer with room for [size] bytes (default 4096) before it
+    grows. *)
+
+val reset : writer -> unit
+(** Empty the writer, keeping its room for reuse. *)
+
 val contents : writer -> string
+
+val output : out_channel -> writer -> unit
+(** Write the writer's bytes to the channel, without copying them
+    first. *)
 
 val put_varint : writer -> int -> unit
 (** Unsigned; raises [Invalid_argument] on a negative value. *)
@@ -20,6 +30,9 @@ val put_int : writer -> int -> unit
 val put_bool : writer -> bool -> unit
 val put_i64 : writer -> int64 -> unit
 val put_float : writer -> float -> unit
+val put_raw : writer -> string -> unit
+(** The bytes alone, with no length prefix. *)
+
 val put_string : writer -> string -> unit
 val put_list : writer -> (writer -> 'a -> unit) -> 'a list -> unit
 val put_array : writer -> (writer -> 'a -> unit) -> 'a array -> unit
@@ -47,5 +60,12 @@ val get_option : reader -> (reader -> 'a) -> 'a option
 val expect_end : reader -> unit
 (** Raises unless every byte has been consumed. *)
 
-val fnv1a64 : string -> int64
-(** The snapshot content-hash primitive (FNV-1a, 64-bit). *)
+val fnv1a64 : ?pos:int -> ?len:int -> string -> int64
+(** The content-hash primitive (FNV-1a, 64-bit) of snapshots, scenario
+    keys and ring positions, over [len] bytes of the string from [pos]
+    (default: from 0 to the end) without copying them. Allocation-free.
+    Raises [Invalid_argument] when the range leaves the string. *)
+
+val hash : writer -> from:int -> int64
+(** {!fnv1a64} of the bytes written from offset [from] on, hashed in
+    place. Raises [Invalid_argument] when [from] is outside them. *)

@@ -10,7 +10,10 @@ open Codec
 let put_words b words = put_array b put_i64 words
 let get_words r = get_array r get_i64
 
-let put_line b (line : Ptg_pte.Line.t) = Array.iter (put_i64 b) line
+let put_line b (line : Ptg_pte.Line.t) =
+  for i = 0 to Array.length line - 1 do
+    put_i64 b (Array.unsafe_get line i)
+  done
 
 let get_line r : Ptg_pte.Line.t =
   Ptg_pte.Line.of_words (Array.init Ptg_pte.Line.words (fun _ -> get_i64 r))
@@ -137,6 +140,10 @@ let get_dram r : Ptg_dram.Dram.state =
               get_list r (fun r ->
                   let row = get_int r in
                   let acts = get_int r in
+                  if acts < 0 then
+                    corrupt r
+                      (Printf.sprintf "negative activation count %d for row %d"
+                         acts row);
                   (row, acts))
             in
             { Ptg_dram.Dram.bs_open_row; bs_activations }))

@@ -10,47 +10,54 @@ let section ~name payload = { name; payload }
    and a length-prefixed payload. The hash covers exactly the section
    region, so any bit damage between the header and the trailer is
    caught before a single section is decoded. *)
-let to_string sections =
-  let body = Codec.writer () in
-  Codec.put_varint body (List.length sections);
+let put_region b sections =
+  Codec.put_varint b (List.length sections);
   List.iter
     (fun s ->
-      Codec.put_string body s.name;
-      Codec.put_string body s.payload)
-    sections;
-  let body = Codec.contents body in
-  let out = Buffer.create (String.length body + 16) in
-  Buffer.add_string out magic;
-  Buffer.add_char out (Char.chr version);
-  Buffer.add_string out body;
-  Buffer.add_int64_le out (Codec.fnv1a64 body);
-  Buffer.contents out
+      Codec.put_string b s.name;
+      Codec.put_string b s.payload)
+    sections
+
+let header_len = String.length magic + 1
+
+(* The whole file in one writer sized for it; the trailer is the hash
+   of the region, taken where it lies. [save] writes the writer out
+   without copying it. *)
+let encode sections =
+  let size =
+    List.fold_left
+      (fun n s -> n + String.length s.name + String.length s.payload + 20)
+      (header_len + 18) sections
+  in
+  let b = Codec.writer ~size () in
+  Codec.put_raw b magic;
+  Codec.put_raw b (String.make 1 (Char.chr version));
+  put_region b sections;
+  Codec.put_i64 b (Codec.hash b ~from:header_len);
+  b
+
+let to_string sections = Codec.contents (encode sections)
 
 let content_hash sections =
-  let body = Codec.writer () in
-  Codec.put_varint body (List.length sections);
-  List.iter
-    (fun s ->
-      Codec.put_string body s.name;
-      Codec.put_string body s.payload)
-    sections;
-  Codec.fnv1a64 (Codec.contents body)
+  let b = Codec.writer () in
+  put_region b sections;
+  Codec.hash b ~from:0
 
 let hash_hex h = Printf.sprintf "%016Lx" h
 
 let of_string ~what s =
   let fail msg = invalid_arg (Printf.sprintf "Snapshot.load: %s: %s" what msg) in
   let len = String.length s in
-  if len < 13 then fail (Printf.sprintf "truncated at byte %d" len);
+  if len < header_len + 8 then fail (Printf.sprintf "truncated at byte %d" len);
   if String.sub s 0 4 <> magic then fail "bad magic (not a PTGS snapshot)";
   let v = Char.code s.[4] in
   if v <> version then
     fail (Printf.sprintf "unsupported snapshot version %d (want %d)" v version);
-  let body = String.sub s 5 (len - 13) in
+  let body_len = len - header_len - 8 in
   let stored = String.get_int64_le s (len - 8) in
-  if not (Int64.equal stored (Codec.fnv1a64 body)) then
-    fail "content hash mismatch (corrupt snapshot)";
-  let r = Codec.reader ~what body in
+  if not (Int64.equal stored (Codec.fnv1a64 ~pos:header_len ~len:body_len s))
+  then fail "content hash mismatch (corrupt snapshot)";
+  let r = Codec.reader ~what (String.sub s header_len body_len) in
   let n = Codec.get_varint r in
   if n < 0 then Codec.corrupt r "negative section count";
   let sections =
@@ -68,17 +75,23 @@ let of_string ~what s =
    last writer wins. The temp file lives next to the target so the
    rename stays within one filesystem. *)
 let save ~path sections =
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir ".ptgs-tmp" ".partial" in
+  let data = encode sections in
+  let tmp, oc =
+    Filename.open_temp_file ~mode:[ Open_binary ]
+      ~temp_dir:(Filename.dirname path) ".ptgs-tmp" ".partial"
+  in
   let ok = ref false in
   Fun.protect
     ~finally:(fun () ->
       if not !ok then try Sys.remove tmp with Sys_error _ -> ())
     (fun () ->
-      let oc = open_out_bin tmp in
+      (* [close_out] flushes and reports a failed write, so a short
+         file is never renamed into place. *)
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc (to_string sections));
+        (fun () ->
+          Codec.output oc data;
+          close_out oc);
       Sys.rename tmp path;
       ok := true)
 

@@ -162,18 +162,18 @@ let parallel_map ?jobs f a =
         error = None;
       }
     in
-    (* [None] cells are only ever written (to [Some]) by the one worker
-       that popped that index; Domain.join publishes them to the caller. *)
-    let results = Array.make n None in
-    let rec worker () =
+    (* Each worker returns the (index, value) pairs it computed; every
+       index is popped by exactly one worker, so on success the pairs,
+       sorted by index, are the results. *)
+    let rec worker acc =
       match take st with
-      | None -> ()
+      | None -> acc
       | Some i -> (
           match f a.(i) with
-          | v ->
-              results.(i) <- Some v;
-              worker ()
-          | exception exn -> fail st exn (Printexc.get_raw_backtrace ()))
+          | v -> worker ((i, v) :: acc)
+          | exception exn ->
+              fail st exn (Printexc.get_raw_backtrace ());
+              acc)
     in
     Mutex.lock st.mutex;
     for i = 0 to n - 1 do
@@ -181,9 +181,12 @@ let parallel_map ?jobs f a =
     done;
     st.closed <- true;
     Mutex.unlock st.mutex;
-    let domains = Array.init jobs (fun _ -> Domain.spawn worker) in
-    Array.iter Domain.join domains;
+    let domains = Array.init jobs (fun _ -> Domain.spawn (fun () -> worker [])) in
+    let parts = Array.map Domain.join domains in
     match st.error with
     | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
-    | None -> Array.map (function Some v -> v | None -> assert false) results
+    | None ->
+        let results = Array.of_list (List.concat (Array.to_list parts)) in
+        Array.sort (fun (i, _) (j, _) -> Int.compare i j) results;
+        Array.map snd results
   end

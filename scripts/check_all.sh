@@ -37,7 +37,8 @@
 #      PTG_BENCH_JSON in exactly one place (its one JSON writer); and one
 #      MAC path: no compute_batch or Engine.Batch in lib/ or bench/, so
 #      nothing bypasses the engine's MAC memo; and no new assert false in
-#      lib/ beyond the four sites still listed on the ROADMAP
+#      lib/ beyond the two baselines_exp.ml sites still listed on the
+#      ROADMAP
 #   8d. warm-start gate (bench_gate snapshot): resuming a finished
 #      fullsys budget from its snapshot store must stay >= 5x faster
 #      than computing it cold and byte-identical
@@ -160,18 +161,18 @@ echo "OK: no compute_batch or Engine.Batch in lib/ or bench/"
 
 echo "== no new assert false in lib =="
 extra=$(grep -rn --include='*.ml' 'assert false' lib \
-    | grep -vE '^lib/sim/(ablations|baselines_exp)\.ml:|^lib/util/pool\.ml:' || true)
-for site in lib/sim/ablations.ml:1 lib/sim/baselines_exp.ml:2 lib/util/pool.ml:1; do
+    | grep -vE '^lib/sim/baselines_exp\.ml:' || true)
+for site in lib/sim/baselines_exp.ml:2; do
     if [ "$(grep -c 'assert false' "${site%:*}")" -gt "${site#*:}" ]; then
         extra="$extra ${site%:*}"
     fi
 done
 if [ -n "$extra" ]; then
-    echo "FAIL: new assert false in lib/ (allowed: ablations.ml x1, baselines_exp.ml x2, pool.ml x1):" >&2
+    echo "FAIL: new assert false in lib/ (allowed: baselines_exp.ml x2):" >&2
     printf '%s\n' "$extra" >&2
     exit 1
 fi
-echo "OK: assert false only at the four listed sites in lib/"
+echo "OK: assert false only at the two baselines_exp.ml sites in lib/"
 
 echo "== warm-start regression gate =="
 bench_gate snapshot

@@ -149,6 +149,54 @@ let test_fnv1a64_vectors () =
     "\"foobar\"" 0x85944171f73967e8L
     (Codec.fnv1a64 "foobar")
 
+(* A range hashes exactly like the copy of it, and the loop keeps its
+   accumulator unboxed: hashing 64 KiB allocates only the result. *)
+let test_fnv1a64_range () =
+  let s = String.init 65536 (fun i -> Char.chr ((i * 131) land 0xff)) in
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.(check int64)
+        (Printf.sprintf "pos %d len %d" pos len)
+        (Codec.fnv1a64 (String.sub s pos len))
+        (Codec.fnv1a64 ~pos ~len s))
+    [ (0, 0); (0, 65536); (5, 100); (65535, 1); (65536, 0) ];
+  Alcotest.(check int64) "pos alone runs to the end"
+    (Codec.fnv1a64 (String.sub s 7 (65536 - 7)))
+    (Codec.fnv1a64 ~pos:7 s);
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "pos %d len %d rejected" pos len)
+        true
+        (match Codec.fnv1a64 ~pos ~len s with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ (-1, 1); (0, -1); (65536, 1); (1, 65536) ];
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Codec.fnv1a64 s));
+  let words = Gc.minor_words () -. before in
+  if words > 16.0 then Alcotest.failf "fnv1a64 of 64 KiB allocated %.0f words" words
+
+(* A crafted DRAM section with a negative activation count is corrupt
+   input, rejected when decoded rather than restored into the device. *)
+let test_negative_activation_count () =
+  let s = Ptg_dram.Dram.state (Ptg_dram.Dram.create ()) in
+  let banks = Array.map Array.copy s.Ptg_dram.Dram.s_banks in
+  banks.(0).(2) <- { (banks.(0).(2)) with Ptg_dram.Dram.bs_activations = [ (5, -4) ] };
+  let b = Codec.writer () in
+  Ptg_snapshot.Sections.put_dram b { s with Ptg_dram.Dram.s_banks = banks };
+  let r = Codec.reader ~what:"crafted" (Codec.contents b) in
+  match Ptg_snapshot.Sections.get_dram r with
+  | _ -> Alcotest.fail "negative count decoded"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "message %S names the count" msg)
+        true
+        (String.length msg > 0
+        && List.exists
+             (fun w -> w = "-4")
+             (String.split_on_char ' ' msg))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_roundtrip;
@@ -157,4 +205,7 @@ let suite =
     Alcotest.test_case "trailing bytes rejected" `Quick test_trailing_bytes;
     Alcotest.test_case "zigzag boundaries" `Quick test_zigzag_boundaries;
     Alcotest.test_case "fnv1a64 test vectors" `Quick test_fnv1a64_vectors;
+    Alcotest.test_case "fnv1a64 over a range" `Quick test_fnv1a64_range;
+    Alcotest.test_case "negative activation count rejected" `Quick
+      test_negative_activation_count;
   ]

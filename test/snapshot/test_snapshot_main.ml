@@ -7,4 +7,5 @@ let () =
       ("snapshot.codec", Test_snapshot_codec.suite);
       ("snapshot.container", Test_snapshot_container.suite);
       ("snapshot.resume", Test_snapshot_resume.suite);
+      ("snapshot.golden", Test_snapshot_golden.suite);
     ]

@@ -443,6 +443,7 @@ let test_gate_fails_each_rule_kind () =
       ("field vs field", "serve_sharded", "rps_2_shards", set "rps_2_shards" "26.00");
       ("1.25 x baseline", "fullsys", "wall_time_s", set "wall_time_s" "0.832");
       ("exact pin", "fullsys", "fullsys_walks", set "fullsys_walks" "3389");
+      ("checkpoint bytes pin", "snapshot", "store_bytes", set "store_bytes" "150001");
     ]
 
 let test_gate_bad_files () =

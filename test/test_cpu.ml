@@ -206,8 +206,18 @@ let test_multicore_verify_timing_invariant () =
     plain.Multicore.per_core;
   Alcotest.(check int) "plain run verifies nothing" 0 plain.Multicore.macs_verified
 
+(* A core's DRAM device is sparse, so building a core costs its caches
+   and TLB — a dense per-row counter array would add 4 MiB. *)
+let test_core_create_allocation () =
+  let bytes =
+    Test_dram.allocated (fun () -> Core.create ~guard:Guard_timing.unprotected ())
+  in
+  if bytes >= 1048576.0 then
+    Alcotest.failf "Core.create allocated %.0f bytes (limit 1 MiB)" bytes
+
 let suite =
   [
+    Alcotest.test_case "core: create allocation" `Quick test_core_create_allocation;
     Alcotest.test_case "guard: unprotected" `Quick test_guard_unprotected;
     Alcotest.test_case "guard: baseline charges all" `Quick test_guard_baseline_charges_all;
     Alcotest.test_case "guard: optimized" `Quick test_guard_optimized;

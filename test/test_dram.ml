@@ -120,6 +120,95 @@ let test_lines_in_row_and_iter () =
   Dram.iter_stored d (fun _ _ -> incr n);
   Alcotest.(check int) "iter_stored visits all" 2 !n
 
+(* Bytes one call of [f] allocates, its result kept alive until
+   measured: the least of three measured calls after a warm-up call.
+   [Gc.allocated_bytes] can be charged extra around a minor collection
+   (a whole minor heap's worth has been seen in a long test process),
+   never less than what was allocated, so the minimum is the honest
+   reading. *)
+let allocated f =
+  ignore (Sys.opaque_identity (f ()));
+  let once () =
+    let before = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.allocated_bytes () -. before
+  in
+  List.fold_left min infinity [ once (); once (); once () ]
+
+(* Counters are sparse: a device costs its banks and its line store,
+   never a word per row (16 x 32768 rows would be 4 MiB). *)
+let test_create_allocation () =
+  let bytes = allocated (fun () -> Dram.create ()) in
+  if bytes >= 65536.0 then
+    Alcotest.failf "Dram.create allocated %.0f bytes (limit 64 KiB)" bytes
+
+(* Once a row has a counter, activating it again allocates nothing. *)
+let test_activation_allocation_free () =
+  let d = Dram.create () in
+  let g = Dram.geometry d in
+  let c = Geometry.decode g 0x1000L in
+  let a = Geometry.encode g { c with Geometry.row = 10 }
+  and b = Geometry.encode g { c with Geometry.row = 12 } in
+  let hammer n =
+    for _ = 1 to n do
+      ignore (Dram.access_fast d ~now:0 ~addr:a ~is_write:false : int);
+      ignore (Dram.access_fast d ~now:0 ~addr:b ~is_write:false : int)
+    done
+  in
+  hammer 1;
+  let before = Gc.minor_words () in
+  hammer 1_000;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "minor words over 2000 activations" 0.0 words;
+  Alcotest.(check int) "row 10 counted" 1_001
+    (Dram.activations d ~channel:c.Geometry.channel ~bank:c.Geometry.bank ~row:10)
+
+let raises_naming what needle f =
+  match f () with
+  | _ -> Alcotest.failf "%s: no exception" what
+  | exception Invalid_argument msg ->
+      let found =
+        let n = String.length needle and m = String.length msg in
+        let rec at i = i + n <= m && (String.sub msg i n = needle || at (i + 1)) in
+        at 0
+      in
+      if not found then Alcotest.failf "%s: message %S does not name %S" what msg needle
+
+let test_bad_coordinates () =
+  let d = Dram.create () in
+  let cases =
+    [
+      ("channel", (1, 0, 0), "channel 1");
+      ("negative channel", (-1, 0, 0), "channel -1");
+      ("bank", (0, 16, 0), "bank 16");
+      ("row", (0, 0, 32768), "row 32768");
+      ("negative row", (0, 3, -2), "row -2");
+    ]
+  in
+  List.iter
+    (fun (what, (channel, bank, row), needle) ->
+      raises_naming ("activations: " ^ what) ("Dram.activations: " ^ needle)
+        (fun () -> Dram.activations d ~channel ~bank ~row);
+      raises_naming ("refresh_row: " ^ what) ("Dram.refresh_row: " ^ needle)
+        (fun () -> Dram.refresh_row d ~channel ~bank ~row))
+    cases
+
+let test_set_state_rejects_bad_counts () =
+  let d = Dram.create () in
+  ignore (Dram.access d ~now:0 ~addr:0x1000L ~is_write:false);
+  let s = Dram.state d in
+  let with_bank0 acts =
+    let banks = Array.map Array.copy s.Dram.s_banks in
+    banks.(0).(0) <- { (banks.(0).(0)) with Dram.bs_activations = acts };
+    { s with Dram.s_banks = banks }
+  in
+  raises_naming "negative count" "negative activation count -3"
+    (fun () -> Dram.set_state d (with_bank0 [ (7, 2); (9, -3) ]));
+  raises_naming "row out of range" "Dram.set_state: row 40000"
+    (fun () -> Dram.set_state d (with_bank0 [ (40000, 1) ]));
+  Alcotest.(check bool) "a rejected state leaves the device as it was" true
+    (Dram.state d = s)
+
 let suite =
   [
     Alcotest.test_case "timing latencies" `Quick test_latencies;
@@ -131,4 +220,10 @@ let suite =
     Alcotest.test_case "listeners" `Quick test_listeners;
     Alcotest.test_case "epoch clears" `Quick test_epoch_clears_activations;
     Alcotest.test_case "lines_in_row / iter" `Quick test_lines_in_row_and_iter;
+      Alcotest.test_case "create allocation" `Quick test_create_allocation;
+    Alcotest.test_case "activation allocation-free" `Quick
+      test_activation_allocation_free;
+    Alcotest.test_case "bad coordinates" `Quick test_bad_coordinates;
+    Alcotest.test_case "set_state rejects bad counts" `Quick
+      test_set_state_rejects_bad_counts;
   ]

@@ -22,6 +22,7 @@ let () =
       ("pte.protection_armv8", Test_protection_armv8.suite);
       ("dram.geometry", Test_geometry.suite);
       ("dram.device", Test_dram.suite);
+      ("dram.sparse_vs_dense", Test_dram_diff.suite);
       ("rowhammer", Test_rowhammer.suite);
       ("rowhammer.attack", Test_attack.suite);
       ("rowhammer.blacksmith", Test_blacksmith.suite);

@@ -140,6 +140,36 @@ let test_inject_exactly () =
   Alcotest.(check int) "distinct" 17 (List.length (List.sort_uniq compare bits));
   Alcotest.(check int) "hamming 17" 17 (Ptg_pte.Line.hamming line flipped)
 
+(* The state lists disturbance in (channel, bank, row) order across
+   several banks and channels, and a restored key off the device is
+   refused before anything changes. *)
+let test_state_order_and_bad_keys () =
+  let rng = Ptg_util.Rng.create 7L in
+  let dram = Dram.create ~geometry:Geometry.ddr4_16gb () in
+  let fault = Fault_model.attach ~rng dram in
+  let seed = Ptg_util.Rng.create 8L in
+  for i = 0 to 4_000 do
+    let line = Ptg_util.Rng.int seed (1 lsl 22) in
+    ignore (Dram.access dram ~now:i ~addr:(Int64.of_int (line * 64)) ~is_write:false)
+  done;
+  let s = Fault_model.state fault in
+  let keys = List.map fst s.Fault_model.s_disturbance in
+  let banks = List.sort_uniq compare (List.map (fun (c, b, _) -> (c, b)) keys) in
+  Alcotest.(check bool) "several banks and channels" true (List.length banks > 8);
+  Alcotest.(check (list (triple int int int))) "key order" (List.sort compare keys) keys;
+  List.iter
+    (fun ((c, b, r) as key) ->
+      let bad = { s with Fault_model.s_disturbance = [ (key, 1.0) ] } in
+      Alcotest.(check bool)
+        (Printf.sprintf "key (%d, %d, %d) refused" c b r)
+        true
+        (match Fault_model.set_state fault bad with
+        | () -> false
+        | exception Invalid_argument _ -> true))
+    [ (2, 0, 0); (0, 32, 0); (0, 0, 32768); (-1, 0, 0) ];
+  Alcotest.(check bool) "state untouched by the refusals" true
+    (Fault_model.state fault = s)
+
 let suite =
   [
     Alcotest.test_case "below threshold" `Quick test_below_threshold_no_flips;
@@ -154,4 +184,5 @@ let suite =
     Alcotest.test_case "inject flip_line edges" `Quick test_inject_flip_line;
     Alcotest.test_case "inject rate" `Quick test_inject_rate;
     Alcotest.test_case "inject exactly" `Quick test_inject_exactly;
+    Alcotest.test_case "state order, bad keys" `Quick test_state_order_and_bad_keys;
   ]
