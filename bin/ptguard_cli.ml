@@ -421,22 +421,28 @@ let trace_walk_cmd =
   let save =
     Arg.(
       value & opt (some string) None
-      & info [ "save" ] ~docv:"PATH" ~doc:"Persist the trace to $(docv).")
+      & info [ "save" ] ~docv:"PATH"
+          ~doc:
+            "Persist the walks to $(docv) as a text memory trace (one \
+             read of the leaf-PTE line per walk), which $(b,trace \
+             replay) and $(b,trace convert) accept.")
   in
   let run seed instrs workload save =
     let spec = require_workload ~cmd:"trace walk" workload in
-    let t = Ptg_sim.Walk_trace.record ~seed ~instrs spec in
+    let t = Ptg_sim.Mem_trace.record_walks ~seed ~instrs spec in
+    let lines = Hashtbl.create 1024 in
+    Array.iter
+      (fun e -> Hashtbl.replace lines e.Ptg_sim.Mem_trace.addr ())
+      t.Ptg_sim.Mem_trace.events;
     Printf.printf "recorded %d page-table walks for %s (%d distinct PTE lines)\n"
-      (Ptg_sim.Walk_trace.length t)
-      t.Ptg_sim.Walk_trace.workload
-      (Hashtbl.length (Ptg_sim.Walk_trace.histogram t));
+      (Ptg_sim.Mem_trace.length t)
+      t.Ptg_sim.Mem_trace.workload (Hashtbl.length lines);
     Option.iter
       (fun path ->
-        Ptg_sim.Walk_trace.save t ~path;
+        save_mem_trace ~cmd:"trace walk" t ~format:Ptg_sim.Mem_trace.Text ~path;
         Printf.printf "saved to %s\n" path)
       save;
-    Ptg_sim.Walk_trace.print_comparison spec
-      (Ptg_sim.Walk_trace.compare_samplers ~seed spec)
+    Ptg_sim.Fig9.print_comparison spec (Ptg_sim.Fig9.compare_samplers ~seed spec)
   in
   Cmd.v
     (Cmd.info "walk"
@@ -451,7 +457,7 @@ let trace_cmd =
          "Memory-trace frontend: record a workload's access stream, \
           replay it against any registered mitigation, convert between \
           the text and binary formats, or record a page-walk trace \
-          (walk, the pre-registry recorder).")
+          (walk).")
     [ trace_record_cmd; trace_replay_cmd; trace_convert_cmd; trace_walk_cmd ]
 
 let fullsys_cmd =

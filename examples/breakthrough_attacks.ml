@@ -21,7 +21,13 @@ let scenario ~label ~mitigate ~pattern ~iterations =
       Ptg_rowhammer.Fault_model.distance2_weight = 0.01 }
   in
   let fault = Ptg_rowhammer.Fault_model.attach ~config ~rng:(Ptg_util.Rng.split rng) dram in
-  let mitigation = if mitigate then Some (Ptg_mitigations.Mitigation.attach_trr dram) else None in
+  let mitigation =
+    if mitigate then
+      Some
+        (Ptg_mitigations.Registry.instantiate_exn "trr"
+           (Ptg_mitigations.Registry.ctx dram))
+    else None
+  in
   (* Victim row 1000 of bank 3 holds a page of PTEs. *)
   let geometry = Ptg_dram.Dram.geometry dram in
   let engine = Ptguard.Engine.create ~config:Ptguard.Config.optimized ~rng:(Ptg_util.Rng.split rng) () in
@@ -56,9 +62,9 @@ let scenario ~label ~mitigate ~pattern ~iterations =
     victim_lines;
   Printf.printf "%-42s %-14s flips=%-4d refreshes=%-6d PTE lines hit=%d, all detected=%b\n"
     label
-    (match mitigation with Some m -> Ptg_mitigations.Mitigation.name m | None -> "no mitigation")
+    (match mitigation with Some m -> Ptg_mitigations.Registry.instance_name m | None -> "no mitigation")
     (List.length flips)
-    (match mitigation with Some m -> Ptg_mitigations.Mitigation.refreshes_issued m | None -> 0)
+    (match mitigation with Some m -> Ptg_mitigations.Registry.refreshes_issued m | None -> 0)
     !tampered
     (!tampered = !detected)
 

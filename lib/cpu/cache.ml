@@ -98,8 +98,6 @@ let locate t addr =
   let tag = line lsr t.set_shift in
   (set_idx * t.assoc, set_idx, tag)
 
-type result = Hit | Miss of { writeback : int64 option }
-
 let line_addr_of t ~set_idx ~tag =
   Int64.shift_left
     (Int64.of_int ((tag lsl t.set_shift) lor set_idx))
@@ -163,10 +161,6 @@ let access_fast t ~addr ~is_write =
 
 let writeback_pending t = t.wb_pending
 let writeback_addr t = t.wb_addr
-
-let access t ~addr ~is_write =
-  if access_fast t ~addr ~is_write then Hit
-  else Miss { writeback = (if t.wb_pending then Some t.wb_addr else None) }
 
 let probe t ~addr =
   let base, _, tag = locate t addr in

@@ -28,11 +28,6 @@ val mmu_8k : config
 
 type t
 
-type result =
-  | Hit
-  | Miss of { writeback : int64 option }
-      (** [writeback] is the dirty victim's line address, if any. *)
-
 val create : ?obs:Ptg_obs.Sink.t -> ?name:string -> config -> t
 (** With [obs], accesses and misses are mirrored into
     [cache_accesses{cache="name"}] / [cache_misses{cache="name"}]
@@ -40,14 +35,11 @@ val create : ?obs:Ptg_obs.Sink.t -> ?name:string -> config -> t
 
 val config : t -> config
 
-val access : t -> addr:int64 -> is_write:bool -> result
-(** Look up the line containing [addr]; on miss the line is installed
-    (allocate-on-miss for reads and writes alike). Convenience wrapper
-    around {!access_fast}, allocating the result. *)
-
 val access_fast : t -> addr:int64 -> is_write:bool -> bool
-(** Allocation-free {!access}: returns [true] on hit. On a miss that
-    evicts a dirty line, the writeback is published through
+(** Look up the line containing [addr] and return [true] on hit; on miss
+    the line is installed (allocate-on-miss for reads and writes alike)
+    without allocating. On a miss that evicts a dirty line, the
+    writeback is published through
     {!writeback_pending}/{!writeback_addr} and stays readable until the
     next access to this cache. *)
 

@@ -17,7 +17,7 @@ let try_pattern ~slots ~rth ~rng ~victim pattern =
       p_flip = 0.02 }
   in
   let fault = Fault_model.attach ~config ~rng dram in
-  let _trr = Mitigation.attach_trr dram in
+  let _trr = Registry.instantiate_exn "trr" (Registry.ctx dram) in
   let geometry = Ptg_dram.Dram.geometry dram in
   let c = Ptg_dram.Geometry.decode geometry 0L in
   Ptg_dram.Dram.write_line dram

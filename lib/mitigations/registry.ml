@@ -1,28 +1,8 @@
-type instance = {
-  name : string;
-  mutable refreshes : int;
-  mutable active : bool;
-  (* Checkpoint capability: a flat, canonically-ordered key/value image of
-     the plugin's internal state (sampler tables, counters, coin-flip RNG).
-     Builders without hidden state keep the empty defaults. *)
-  mutable save : unit -> (string * int64) list;
-  mutable restore : (string * int64) list -> unit;
-}
+type instance = { name : string; mutable refreshes : int }
 
-let make_instance name =
-  { name; refreshes = 0; active = true; save = (fun () -> []); restore = ignore }
-
+let make_instance name = { name; refreshes = 0 }
 let instance_name i = i.name
 let refreshes_issued i = i.refreshes
-let detach i = i.active <- false
-
-let save_state i = ("refreshes", Int64.of_int i.refreshes) :: i.save ()
-
-let restore_state i kvs =
-  (match List.assoc_opt "refreshes" kvs with
-  | Some n -> i.refreshes <- Int64.to_int n
-  | None -> ());
-  i.restore (List.remove_assoc "refreshes" kvs)
 
 (* ------------------------------------------------------------------ *)
 (* Typed parameters                                                    *)
@@ -96,31 +76,31 @@ let register ~name ~doc ~params build =
     @ [ { plugin_name = name; plugin_doc = doc; plugin_params = params; build } ]
 
 let names () = List.map (fun p -> p.plugin_name) !plugins
-let doc name = Option.map (fun p -> p.plugin_doc) (find name)
-let params name = Option.map (fun p -> p.plugin_params) (find name)
 
 let unknown_plugin name =
   Printf.sprintf "unknown mitigation %S (registered: %s)" name
     (String.concat ", " (names ()))
 
+let find_param plugin key =
+  match List.find_opt (fun p -> p.key = key) plugin.plugin_params with
+  | Some p -> Ok p
+  | None ->
+      Error
+        (Printf.sprintf "%s: unknown parameter %S (valid: %s)" plugin.plugin_name
+           key
+           (String.concat ", " (List.map (fun p -> p.key) plugin.plugin_params)))
+
 let check_overrides plugin overrides =
   List.fold_left
     (fun acc (key, v) ->
       Result.bind acc (fun () ->
-          match List.find_opt (fun p -> p.key = key) plugin.plugin_params with
-          | None ->
-              Error
-                (Printf.sprintf "%s: unknown parameter %S (valid: %s)"
-                   plugin.plugin_name key
-                   (String.concat ", "
-                      (List.map (fun p -> p.key) plugin.plugin_params)))
-          | Some p ->
+          Result.bind (find_param plugin key) (fun p ->
               if type_name p.default = type_name v then Ok ()
               else
                 Error
                   (Printf.sprintf "%s: parameter %s must be %s, got %s %s"
                      plugin.plugin_name key (type_name p.default) (type_name v)
-                     (value_to_string v))))
+                     (value_to_string v)))))
     (Ok ()) overrides
 
 let check_params name overrides =
@@ -161,6 +141,11 @@ let instantiate ?(params = []) name ctx =
              both surface as Invalid_argument and come back as Error. *)
           (try Ok (plugin.build get ctx) with Invalid_argument msg -> Error msg))
 
+let instantiate_exn ?params name ctx =
+  match instantiate ?params name ctx with
+  | Ok i -> i
+  | Error msg -> invalid_arg msg
+
 (* ------------------------------------------------------------------ *)
 (* CLI spec syntax: NAME[:key=value,key=value]                         *)
 (* ------------------------------------------------------------------ *)
@@ -192,20 +177,11 @@ let parse_spec spec =
                   let raw =
                     String.sub binding (i + 1) (String.length binding - i - 1)
                   in
-                  (match
-                     List.find_opt (fun p -> p.key = key) plugin.plugin_params
-                   with
-                  | None ->
-                      Error
-                        (Printf.sprintf "%s: unknown parameter %S (valid: %s)"
-                           name key
-                           (String.concat ", "
-                              (List.map (fun p -> p.key) plugin.plugin_params)))
-                  | Some p -> (
+                  Result.bind (find_param plugin key) (fun p ->
                       match value_of_string ~like:p.default raw with
                       | Ok v -> Ok (parsed @ [ (key, v) ])
                       | Error e ->
-                          Error (Printf.sprintf "%s: parameter %s: %s" name key e)))))
+                          Error (Printf.sprintf "%s: parameter %s: %s" name key e))))
         (Ok []) bindings
       |> Result.map (fun parsed -> (name, parsed))
 
@@ -258,20 +234,28 @@ let require_pt_row ~plugin ctx =
 
 (* ------------------------------------------------------------------ *)
 (* Built-in defenses                                                   *)
-(*                                                                     *)
-(* The bodies below are the reference implementations; the             *)
-(* Mitigation.attach_* entry points are thin wrappers over             *)
-(* [instantiate] and serve as the differential oracles for the         *)
-(* registry path (see test/test_registry.ml).                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Per-(channel, bank) tracker state, created on a bank's first
+   activation. *)
+let per_bank make =
+  let banks = Hashtbl.create 32 in
+  fun channel bank ->
+    match Hashtbl.find_opt banks (channel, bank) with
+    | Some b -> b
+    | None ->
+        let b = make () in
+        Hashtbl.replace banks (channel, bank) b;
+        b
+
+let refresh t dram ~channel ~bank row =
+  Ptg_dram.Dram.refresh_row dram ~channel ~bank ~row;
+  t.refreshes <- t.refreshes + 1
+
 let refresh_neighbors t dram ~channel ~bank ~row =
-  let geometry = Ptg_dram.Dram.geometry dram in
   List.iter
-    (fun r ->
-      Ptg_dram.Dram.refresh_row dram ~channel ~bank ~row:r;
-      t.refreshes <- t.refreshes + 1)
-    (Ptg_dram.Geometry.row_neighbors geometry row ~distance:1)
+    (refresh t dram ~channel ~bank)
+    (Ptg_dram.Geometry.row_neighbors (Ptg_dram.Dram.geometry dram) row ~distance:1)
 
 (* --- TRR ------------------------------------------------------------- *)
 
@@ -284,86 +268,20 @@ type trr_bank = {
 }
 
 let make_trr ~sampler_size ~ref_interval_acts ~sample_window dram =
-  if sampler_size < 1 then invalid_arg "Mitigation.attach_trr: sampler_size";
-  if ref_interval_acts < 1 then
-    invalid_arg "Mitigation.attach_trr: ref_interval_acts";
-  if sample_window < 0 then invalid_arg "Mitigation.attach_trr: sample_window";
+  if sampler_size < 1 then invalid_arg "trr: sampler_size";
+  if ref_interval_acts < 1 then invalid_arg "trr: ref_interval_acts";
+  if sample_window < 0 then invalid_arg "trr: sample_window";
   let t = make_instance "TRR" in
-  let banks : (int * int, trr_bank) Hashtbl.t = Hashtbl.create 32 in
-  let bank_state channel bank =
-    let key = (channel, bank) in
-    match Hashtbl.find_opt banks key with
-    | Some b -> b
-    | None ->
-        let b = { entries = []; acts_since_ref = 0; acts_total = 0 } in
-        Hashtbl.replace banks key b;
-        b
+  let bank_state =
+    per_bank (fun () -> { entries = []; acts_since_ref = 0; acts_total = 0 })
   in
-  t.save <-
-    (fun () ->
-      let keys =
-        Hashtbl.fold (fun k _ acc -> k :: acc) banks [] |> List.sort compare
-      in
-      List.concat_map
-        (fun (c, bk) ->
-          let b = Hashtbl.find banks (c, bk) in
-          let prefix = Printf.sprintf "%d.%d." c bk in
-          [
-            (prefix ^ "asr", Int64.of_int b.acts_since_ref);
-            (prefix ^ "att", Int64.of_int b.acts_total);
-            (prefix ^ "n", Int64.of_int (List.length b.entries));
-          ]
-          @ List.concat
-              (List.mapi
-                 (fun i e ->
-                   let ep = Printf.sprintf "%se%d." prefix i in
-                   [
-                     (ep ^ "row", Int64.of_int e.row);
-                     (ep ^ "count", Int64.of_int e.count);
-                     (ep ^ "at", Int64.of_int e.inserted_at);
-                   ])
-                 b.entries))
-        keys);
-  t.restore <-
-    (fun kvs ->
-      Hashtbl.reset banks;
-      let get k =
-        match List.assoc_opt k kvs with
-        | Some v -> Int64.to_int v
-        | None -> invalid_arg (Printf.sprintf "trr restore: missing %S" k)
-      in
-      List.iter
-        (fun (k, v) ->
-          match String.split_on_char '.' k with
-          | [ c; bk; "asr" ] ->
-              let c = int_of_string c and bk = int_of_string bk in
-              let prefix = Printf.sprintf "%d.%d." c bk in
-              let n = get (prefix ^ "n") in
-              let entries =
-                List.init n (fun i ->
-                    let ep = Printf.sprintf "%se%d." prefix i in
-                    {
-                      row = get (ep ^ "row");
-                      count = get (ep ^ "count");
-                      inserted_at = get (ep ^ "at");
-                    })
-              in
-              Hashtbl.replace banks (c, bk)
-                {
-                  entries;
-                  acts_since_ref = Int64.to_int v;
-                  acts_total = get (prefix ^ "att");
-                }
-          | _ -> ())
-        kvs);
   Ptg_dram.Dram.on_activate dram (fun c ->
-      if t.active then begin
-        let channel = c.Ptg_dram.Geometry.channel
-        and bank = c.Ptg_dram.Geometry.bank
-        and row = c.Ptg_dram.Geometry.row in
-        let b = bank_state channel bank in
-        b.acts_total <- b.acts_total + 1;
-        if b.acts_since_ref < sample_window then begin
+      let channel = c.Ptg_dram.Geometry.channel
+      and bank = c.Ptg_dram.Geometry.bank
+      and row = c.Ptg_dram.Geometry.row in
+      let b = bank_state channel bank in
+      b.acts_total <- b.acts_total + 1;
+      if b.acts_since_ref < sample_window then begin
         (match List.find_opt (fun e -> e.row = row) b.entries with
         | Some e -> e.count <- e.count + 1
         | None ->
@@ -382,52 +300,36 @@ let make_trr ~sampler_size ~ref_interval_acts ~sample_window dram =
               b.entries <-
                 entry :: List.filter (fun e -> e != oldest) b.entries
             end)
-        end;
-        b.acts_since_ref <- b.acts_since_ref + 1;
-        if b.acts_since_ref >= ref_interval_acts then begin
-          b.acts_since_ref <- 0;
-          (* REF-time mitigation: refresh neighbours of the hottest entry. *)
-          match b.entries with
-          | [] -> ()
-          | e :: rest ->
-              let hottest =
-                List.fold_left (fun acc e -> if e.count > acc.count then e else acc) e rest
-              in
-              b.entries <- List.filter (fun e -> e != hottest) b.entries;
-              refresh_neighbors t dram ~channel ~bank ~row:hottest.row
-        end
+      end;
+      b.acts_since_ref <- b.acts_since_ref + 1;
+      if b.acts_since_ref >= ref_interval_acts then begin
+        b.acts_since_ref <- 0;
+        (* REF-time mitigation: refresh neighbours of the hottest entry. *)
+        match b.entries with
+        | [] -> ()
+        | e :: rest ->
+            let hottest =
+              List.fold_left (fun acc e -> if e.count > acc.count then e else acc) e rest
+            in
+            b.entries <- List.filter (fun e -> e != hottest) b.entries;
+            refresh_neighbors t dram ~channel ~bank ~row:hottest.row
       end);
   t
 
 (* --- PARA ------------------------------------------------------------ *)
 
 let make_para ~p ~rng dram =
-  if p < 0.0 || p > 1.0 then invalid_arg "Mitigation.attach_para: p";
+  if p < 0.0 || p > 1.0 then invalid_arg "para: p";
   let t = make_instance "PARA" in
-  t.save <-
-    (fun () ->
-      Array.to_list (Ptg_util.Rng.state rng)
-      |> List.mapi (fun i w -> (Printf.sprintf "rng.%d" i, w)));
-  t.restore <-
-    (fun kvs ->
-      let word i =
-        match List.assoc_opt (Printf.sprintf "rng.%d" i) kvs with
-        | Some w -> w
-        | None -> invalid_arg "para restore: missing rng word"
-      in
-      Ptg_util.Rng.set_state rng (Array.init 4 word));
   let geometry = Ptg_dram.Dram.geometry dram in
   Ptg_dram.Dram.on_activate dram (fun c ->
-      if t.active then
-        List.iter
-          (fun r ->
-            if Ptg_util.Rng.bernoulli rng p then begin
-              Ptg_dram.Dram.refresh_row dram ~channel:c.Ptg_dram.Geometry.channel
-                ~bank:c.Ptg_dram.Geometry.bank ~row:r;
-              t.refreshes <- t.refreshes + 1
-            end)
-          (Ptg_dram.Geometry.row_neighbors geometry c.Ptg_dram.Geometry.row
-             ~distance:1));
+      List.iter
+        (fun r ->
+          if Ptg_util.Rng.bernoulli rng p then
+            refresh t dram ~channel:c.Ptg_dram.Geometry.channel
+              ~bank:c.Ptg_dram.Geometry.bank r)
+        (Ptg_dram.Geometry.row_neighbors geometry c.Ptg_dram.Geometry.row
+           ~distance:1));
   t
 
 (* --- Graphene -------------------------------------------------------- *)
@@ -438,138 +340,74 @@ type graphene_bank = {
 }
 
 let make_graphene ~counters ~threshold dram =
-  if counters < 1 || threshold < 1 then invalid_arg "Mitigation.attach_graphene";
+  if counters < 1 || threshold < 1 then
+    invalid_arg "graphene: counters and threshold must be >= 1";
   let t = make_instance "Graphene" in
-  let banks : (int * int, graphene_bank) Hashtbl.t = Hashtbl.create 32 in
-  let bank_state channel bank =
-    let key = (channel, bank) in
-    match Hashtbl.find_opt banks key with
-    | Some b -> b
-    | None ->
-        let b = { counts = Hashtbl.create counters; spillover = 0 } in
-        Hashtbl.replace banks key b;
-        b
+  let bank_state =
+    per_bank (fun () -> { counts = Hashtbl.create counters; spillover = 0 })
   in
-  t.save <-
-    (fun () ->
-      let keys =
-        Hashtbl.fold (fun k _ acc -> k :: acc) banks [] |> List.sort compare
-      in
-      List.concat_map
-        (fun (c, bk) ->
-          let b = Hashtbl.find banks (c, bk) in
-          let rows =
-            Hashtbl.fold (fun r n acc -> (r, n) :: acc) b.counts []
-            |> List.sort compare
-          in
-          (Printf.sprintf "%d.%d.spill" c bk, Int64.of_int b.spillover)
-          :: List.map
-               (fun (r, n) ->
-                 (Printf.sprintf "%d.%d.row.%d" c bk r, Int64.of_int n))
-               rows)
-        keys);
-  t.restore <-
-    (fun kvs ->
-      Hashtbl.reset banks;
-      List.iter
-        (fun (k, v) ->
-          match String.split_on_char '.' k with
-          | [ c; bk; "spill" ] ->
-              let b = bank_state (int_of_string c) (int_of_string bk) in
-              b.spillover <- Int64.to_int v
-          | [ c; bk; "row"; r ] ->
-              let b = bank_state (int_of_string c) (int_of_string bk) in
-              Hashtbl.replace b.counts (int_of_string r) (Int64.to_int v)
-          | _ -> ())
-        kvs);
   Ptg_dram.Dram.on_activate dram (fun c ->
-      if t.active then begin
-        let channel = c.Ptg_dram.Geometry.channel
-        and bank = c.Ptg_dram.Geometry.bank
-        and row = c.Ptg_dram.Geometry.row in
-        let b = bank_state channel bank in
-        (match Hashtbl.find_opt b.counts row with
-        | Some n -> Hashtbl.replace b.counts row (n + 1)
-        | None ->
-            if Hashtbl.length b.counts < counters then Hashtbl.replace b.counts row 1
-            else begin
-              (* Misra-Gries decrement step: no entry is ever silently
-                 undercounted by more than the spillover. *)
-              b.spillover <- b.spillover + 1;
-              let doomed =
-                Hashtbl.fold
-                  (fun r n acc -> if n <= 1 then r :: acc else acc)
-                  b.counts []
-              in
-              if doomed = [] then begin
-                let all = Hashtbl.fold (fun r n acc -> (r, n) :: acc) b.counts [] in
-                List.iter (fun (r, n) -> Hashtbl.replace b.counts r (n - 1)) all
-              end
-              else List.iter (Hashtbl.remove b.counts) doomed;
-              Hashtbl.replace b.counts row 1
-            end);
-        match Hashtbl.find_opt b.counts row with
-        | Some n when n >= threshold ->
-            Hashtbl.replace b.counts row 0;
-            refresh_neighbors t dram ~channel ~bank ~row
-        | _ -> ()
-      end);
+      let channel = c.Ptg_dram.Geometry.channel
+      and bank = c.Ptg_dram.Geometry.bank
+      and row = c.Ptg_dram.Geometry.row in
+      let b = bank_state channel bank in
+      (match Hashtbl.find_opt b.counts row with
+      | Some n -> Hashtbl.replace b.counts row (n + 1)
+      | None ->
+          if Hashtbl.length b.counts < counters then Hashtbl.replace b.counts row 1
+          else begin
+            (* Misra-Gries decrement step: no entry is ever silently
+               undercounted by more than the spillover. *)
+            b.spillover <- b.spillover + 1;
+            let doomed =
+              Hashtbl.fold
+                (fun r n acc -> if n <= 1 then r :: acc else acc)
+                b.counts []
+            in
+            if doomed = [] then begin
+              let all = Hashtbl.fold (fun r n acc -> (r, n) :: acc) b.counts [] in
+              List.iter (fun (r, n) -> Hashtbl.replace b.counts r (n - 1)) all
+            end
+            else List.iter (Hashtbl.remove b.counts) doomed;
+            Hashtbl.replace b.counts row 1
+          end);
+      match Hashtbl.find_opt b.counts row with
+      | Some n when n >= threshold ->
+          Hashtbl.replace b.counts row 0;
+          refresh_neighbors t dram ~channel ~bank ~row
+      | _ -> ());
   t
 
 (* --- SoftTRR ---------------------------------------------------------- *)
 
 let make_soft_trr ~threshold ~pt_row dram =
-  if threshold < 1 then invalid_arg "Mitigation.attach_soft_trr: threshold";
+  if threshold < 1 then invalid_arg "soft-trr: threshold";
   let t = make_instance "SoftTRR" in
   let geometry = Ptg_dram.Dram.geometry dram in
   (* aggressor (channel, bank, row) -> activations seen since the guarded
      PT row was last refreshed *)
   let counts : (int * int * int, int) Hashtbl.t = Hashtbl.create 64 in
-  t.save <-
-    (fun () ->
-      Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts []
-      |> List.sort compare
-      |> List.map (fun ((c, bk, r), n) ->
-             (Printf.sprintf "%d.%d.%d" c bk r, Int64.of_int n)));
-  t.restore <-
-    (fun kvs ->
-      Hashtbl.reset counts;
-      List.iter
-        (fun (k, v) ->
-          match String.split_on_char '.' k with
-          | [ c; bk; r ] ->
-              Hashtbl.replace counts
-                (int_of_string c, int_of_string bk, int_of_string r)
-                (Int64.to_int v)
-          | _ -> ())
-        kvs);
   Ptg_dram.Dram.on_activate dram (fun c ->
-      if t.active then begin
-        let channel = c.Ptg_dram.Geometry.channel
-        and bank = c.Ptg_dram.Geometry.bank
-        and row = c.Ptg_dram.Geometry.row in
-        (* Software visibility: only the attacker's activations adjacent
-           to a page-table row register. *)
-        let guarded_neighbors =
-          List.filter
-            (fun r -> pt_row ~channel ~bank ~row:r)
-            (Ptg_dram.Geometry.row_neighbors geometry row ~distance:1)
-        in
-        if guarded_neighbors <> [] then begin
-          let key = (channel, bank, row) in
-          let n = 1 + Option.value ~default:0 (Hashtbl.find_opt counts key) in
-          if n >= threshold then begin
-            Hashtbl.remove counts key;
-            (* Refresh the page-table rows this aggressor endangers (a
-               kernel read of the PT page re-writes the row). *)
-            List.iter
-              (fun r ->
-                Ptg_dram.Dram.refresh_row dram ~channel ~bank ~row:r;
-                t.refreshes <- t.refreshes + 1)
-              guarded_neighbors
-          end
-          else Hashtbl.replace counts key n
+      let channel = c.Ptg_dram.Geometry.channel
+      and bank = c.Ptg_dram.Geometry.bank
+      and row = c.Ptg_dram.Geometry.row in
+      (* Software visibility: only the attacker's activations adjacent
+         to a page-table row register. *)
+      let guarded_neighbors =
+        List.filter
+          (fun r -> pt_row ~channel ~bank ~row:r)
+          (Ptg_dram.Geometry.row_neighbors geometry row ~distance:1)
+      in
+      if guarded_neighbors <> [] then begin
+        let key = (channel, bank, row) in
+        let n = 1 + Option.value ~default:0 (Hashtbl.find_opt counts key) in
+        if n >= threshold then begin
+          Hashtbl.remove counts key;
+          (* Refresh the page-table rows this aggressor endangers (a
+             kernel read of the PT page re-writes the row). *)
+          List.iter (refresh t dram ~channel ~bank) guarded_neighbors
         end
+        else Hashtbl.replace counts key n
       end);
   t
 

@@ -1,38 +1,65 @@
-(** Named mitigation plugins with typed parameter schemas.
+(** Baseline Rowhammer mitigations as named plugins with typed parameter
+    schemas (paper Sections II-B and VIII-B).
+
+    These are the trackers that breakthrough attacks defeat, implemented
+    so the experiments can demonstrate {e why} PT-Guard's threshold-free
+    detection is needed. Each mitigation subscribes to a DRAM's
+    activation stream and issues victim refreshes through
+    {!Ptg_dram.Dram.refresh_row}; those refreshes in turn disturb their
+    own neighbours in the fault model, which is exactly the lever
+    Half-Double exploits.
 
     The registry is the extensibility point ramulator2 gets from its
     [IControllerPlugin] implementations: a defense registers once, by
     name, with a schema of typed parameters (ints, floats, booleans,
-    each with a default), and every front-end — the CLI's
-    [trace replay --mitigation], the server's [kind:"trace"] scenarios,
-    and the programmatic {!Mitigation.attach_trr}-style wrappers —
-    instantiates it through the same validated path. Unknown plugin
-    names, unknown parameter keys and type mismatches are rejected with
-    messages that name the valid alternatives.
+    each with a default), and every front-end (the attack experiments,
+    the CLI's [trace replay --mitigation], the server's [kind:"trace"]
+    scenarios) instantiates it through the same validated path. Unknown
+    plugin names, unknown parameter keys and type mismatches are
+    rejected with messages that name the valid alternatives.
 
-    Built-ins registered at load time: [trr], [para], [soft-trr],
-    [graphene] (see {!Mitigation} for their semantics). *)
+    Built-ins registered at load time, all in the victim-refresh
+    paradigm:
+
+    - [trr] (in-DRAM TRR): [sampler_size] entries per bank (default 4);
+      every [ref_interval_acts] activations per bank (default 166 =
+      tREFI / tRC) a REF refreshes both neighbours of the sampler entry
+      with the highest count, then drops it. The sampler observes only
+      the first [sample_window] activations of each interval (default 8),
+      as reverse-engineered from DDR4 parts; when a new row arrives and
+      the sampler is full, the oldest entry is evicted and its count
+      lost. The bounded sampler and the predictable window are exactly
+      the weaknesses TRRespass/SMASH exploit by hammering outside the
+      window and parking decoys inside it, while the per-REF refreshes
+      hammer distance-1 rows for Half-Double.
+    - [para] (PARA): stateless; on each activation refreshes each
+      neighbour with probability [p] (default 0.001). Protection is
+      probabilistic and [p] must be provisioned for a known RTH. Needs
+      a random stream in the {!ctx}.
+    - [graphene] (Graphene): [counters] Misra-Gries entries per bank
+      (default 128); refreshes a row's neighbours whenever its estimated
+      count reaches [threshold] (default 2500 = design-RTH 10K / 4), then
+      resets it. It never misses a row that exceeds the threshold, but
+      the threshold is fixed at design time: a module with lower RTH
+      than provisioned still flips.
+    - [soft-trr] (SoftTRR, Zhang et al., ATC 2022; paper Section
+      II-E.3): the OS tracks activations of rows {e adjacent to
+      page-table rows} (via PMU-based sampling) and refreshes the PT row
+      itself when a neighbour's count reaches [threshold] (default
+      2500). Being software, it only sees the attacker's accesses at
+      distance 1 from a PT row: distance-2 hammering and the in-DRAM
+      mitigation's own refreshes are invisible to it, the Half-Double
+      blind spot the paper calls out. Only page-table rows (per the
+      {!ctx}'s [pt_row] oracle) are defended at all. *)
 
 type instance
-(** A live mitigation subscribed to a DRAM device. [Mitigation.t] is an
-    alias of this type; use {!Mitigation.name},
-    {!Mitigation.refreshes_issued} and {!Mitigation.detach} (re-exported
-    below) to interact with one. *)
+(** A live mitigation subscribed to a DRAM device. *)
 
 val instance_name : instance -> string
+(** Display name: ["TRR"], ["PARA"], ["Graphene"], ["SoftTRR"]. *)
+
 val refreshes_issued : instance -> int
-val detach : instance -> unit
-
-val save_state : instance -> (string * int64) list
-(** The plugin's mutable state as a flat, canonically-ordered key/value
-    image (always includes a ["refreshes"] entry; plugin-internal tables
-    follow under plugin-chosen keys). Snapshots embed this image so a
-    restored simulation resumes with identical mitigation behaviour. *)
-
-val restore_state : instance -> (string * int64) list -> unit
-(** Overwrite the plugin's state with a previously captured image. The
-    instance must come from the same plugin with the same parameters.
-    Raises [Invalid_argument] on a malformed image. *)
+(** Victim refreshes this mitigation has issued. *)
 
 (** {1 Typed parameters} *)
 
@@ -40,10 +67,6 @@ type value = Int of int | Float of float | Bool of bool
 
 val value_to_string : value -> string
 (** Canonical rendering: decimal ints, [%.17g] floats, [true]/[false]. *)
-
-val value_of_string : like:value -> string -> (value, string) result
-(** Parse a CLI token with the type carried by [like] (a parameter's
-    default). Rejects non-finite floats. *)
 
 type param = {
   key : string;
@@ -87,9 +110,6 @@ val register :
 val names : unit -> string list
 (** Registered plugin names, in registration order (built-ins first). *)
 
-val doc : string -> string option
-val params : string -> param list option
-
 val resolved_params : string -> (string * value) list -> (string * value) list option
 (** [resolved_params name overrides] is the full parameter set of
     [name] — defaults overlaid with [overrides], sorted by key — or
@@ -105,6 +125,12 @@ val instantiate :
 (** Look up by name, validate the overrides, and build. All failure
     modes — unknown plugin, unknown key, type mismatch, out-of-range
     value, missing context capability — come back as [Error msg]. *)
+
+val instantiate_exn :
+  ?params:(string * value) list -> string -> ctx -> instance
+(** {!instantiate} for callers whose plugin name and parameters are
+    fixed in code: raises [Invalid_argument msg] with the [Error]
+    message, which names the plugin and the failed check. *)
 
 (** {1 CLI spec syntax}
 

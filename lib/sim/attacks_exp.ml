@@ -108,17 +108,21 @@ let run_scenario ~seed ~iterations scenario =
   in
   let pt_row ~channel:c ~bank:b ~row = c = channel && b = bank && row = victim_row in
   let mitigation =
+    let module R = Ptg_mitigations.Registry in
     match scenario.mitigation with
     | No_mitigation -> None
-    | Trr -> Some (Ptg_mitigations.Mitigation.attach_trr dram)
-    | Para -> Some (Ptg_mitigations.Mitigation.attach_para ~rng:(Rng.split rng) dram)
+    | Trr -> Some (R.instantiate_exn "trr" (R.ctx dram))
+    | Para -> Some (R.instantiate_exn "para" (R.ctx ~rng:(Rng.split rng) dram))
     | Graphene { threshold } ->
-        Some (Ptg_mitigations.Mitigation.attach_graphene ~threshold dram)
-    | Soft_trr -> Some (Ptg_mitigations.Mitigation.attach_soft_trr ~pt_row dram)
+        Some
+          (R.instantiate_exn
+             ~params:[ ("threshold", R.Int threshold) ]
+             "graphene" (R.ctx dram))
+    | Soft_trr -> Some (R.instantiate_exn "soft-trr" (R.ctx ~pt_row dram))
     | Soft_trr_and_trr ->
         (* the in-DRAM TRR runs underneath; report SoftTRR's refreshes *)
-        let _hw = Ptg_mitigations.Mitigation.attach_trr dram in
-        Some (Ptg_mitigations.Mitigation.attach_soft_trr ~pt_row dram)
+        let _hw = R.instantiate_exn "trr" (R.ctx dram) in
+        Some (R.instantiate_exn "soft-trr" (R.ctx ~pt_row dram))
   in
   let engine = Ptguard.Engine.create ~config:Ptguard.Config.optimized ~rng:(Rng.split rng) () in
   let planted = plant_pte_lines rng engine dram in
@@ -164,7 +168,8 @@ let run_scenario ~seed ~iterations scenario =
     rth = scenario.fault_config.Ptg_rowhammer.Fault_model.rth;
     activations;
     mitigation_refreshes =
-      Option.fold ~none:0 ~some:Ptg_mitigations.Mitigation.refreshes_issued mitigation;
+      Option.fold ~none:0 ~some:Ptg_mitigations.Registry.refreshes_issued
+        mitigation;
     bit_flips;
     pte_lines_tampered = !tampered;
     detected = !detected;

@@ -9,22 +9,45 @@ type outcome_counts = {
   escaped : int;
 }
 
-type row = { threat : string; defense : string; counts : outcome_counts }
+type threat =
+  | Pfn_true_cell
+  | Pfn_anti_cell
+  | Us_bit
+  | Random_flips
+  | Surgical_forge
+  | Relocation_replay
+
+type defense =
+  | Undefended
+  | Monotonic_pointers
+  | Secwalk_edc
+  | Pte_encryption
+  | Pt_guard
+
+type row = { threat : threat; defense : defense; counts : outcome_counts }
 type result = { rows : row list }
 
 type outcome = Blocked | Detected | Corrected | Escaped
 
 let threats =
-  [
-    "PFN flip (true cell, 1->0)";
-    "PFN flip (anti cell, 0->1)";
-    "U/S privilege-bit flip";
-    "5 random flips";
-    "surgical forge (keyless)";
-    "PTE relocation/replay";
-  ]
+  [ Pfn_true_cell; Pfn_anti_cell; Us_bit; Random_flips; Surgical_forge; Relocation_replay ]
 
-let defenses = [ "none"; "Monotonic"; "SecWalk-EDC"; "PTE-encryption"; "PT-Guard" ]
+let threat_name = function
+  | Pfn_true_cell -> "PFN flip (true cell, 1->0)"
+  | Pfn_anti_cell -> "PFN flip (anti cell, 0->1)"
+  | Us_bit -> "U/S privilege-bit flip"
+  | Random_flips -> "5 random flips"
+  | Surgical_forge -> "surgical forge (keyless)"
+  | Relocation_replay -> "PTE relocation/replay"
+
+let defenses = [ Undefended; Monotonic_pointers; Secwalk_edc; Pte_encryption; Pt_guard ]
+
+let defense_name = function
+  | Undefended -> "none"
+  | Monotonic_pointers -> "Monotonic"
+  | Secwalk_edc -> "SecWalk-EDC"
+  | Pte_encryption -> "PTE-encryption"
+  | Pt_guard -> "PT-Guard"
 
 (* Victim environment shared by all trials: page tables live above the
    watermark frame; the attacker's PTEs point below it. *)
@@ -41,19 +64,9 @@ let make_line rng =
 
 (* --- the threats, expressed on (line, target PTE index) ---------------- *)
 
-let pick_set_pfn_bit rng pte =
-  let candidates =
-    List.filter (fun b -> Bits.get pte (12 + b)) (List.init 19 Fun.id)
-  in
-  match candidates with
-  | [] -> None
-  | l -> Some (List.nth l (Rng.int rng (List.length l)))
-
-let pick_clear_pfn_bit rng pte =
-  let candidates =
-    List.filter (fun b -> not (Bits.get pte (12 + b))) (List.init 28 Fun.id)
-  in
-  match candidates with
+(* A random one of the low [width] PFN bits that currently reads [value]. *)
+let pick_pfn_bit rng pte ~width ~value =
+  match List.filter (fun b -> Bits.get pte (12 + b) = value) (List.init width Fun.id) with
   | [] -> None
   | l -> Some (List.nth l (Rng.int rng (List.length l)))
 
@@ -61,17 +74,14 @@ let pick_clear_pfn_bit rng pte =
 
 let eval_none ~changed = if changed then Escaped else Blocked
 
-let eval_monotonic ~threat ~pfn_bit ~anti_cell ~pte ~changed =
-  match threat with
-  | `Pfn ->
-      let mono = Monotonic.create ~watermark_pfn in
-      let pfn = Ptg_pte.X86.pfn pte in
-      (match pfn_bit with
-      | None -> Blocked
-      | Some bit ->
-          if Monotonic.pfn_flip_blocked mono ~pfn ~bit ~anti_cell then Blocked
-          else Escaped)
-  | `Other -> if changed then Escaped else Blocked
+let eval_monotonic_pfn ~pfn_bit ~anti_cell ~pte =
+  let mono = Monotonic.create ~watermark_pfn in
+  let pfn = Ptg_pte.X86.pfn pte in
+  match pfn_bit with
+  | None -> Blocked
+  | Some bit ->
+      if Monotonic.pfn_flip_blocked mono ~pfn ~bit ~anti_cell then Blocked
+      else Escaped
 
 let eval_secwalk ~tampered_protected =
   if Secwalk.verify tampered_protected then Escaped else Detected
@@ -107,60 +117,57 @@ let run ?(trials = 500) ?(seed = 33L) () =
         List.nth nonzero (Rng.int rng (List.length nonzero))
       in
       let pte = line.(idx) in
-      (* Build the tampered artifacts each defense sees. *)
+      (* Build the tampered PTE each defense sees. *)
+      let tampered_pte, pfn_bit =
+        match threat with
+        | Pfn_true_cell -> (
+            match pick_pfn_bit rng pte ~width:19 ~value:true with
+            | Some b -> (Bits.clear pte (12 + b), Some b)
+            | None -> (pte, None))
+        | Pfn_anti_cell -> (
+            match pick_pfn_bit rng pte ~width:28 ~value:false with
+            | Some b -> (Bits.set pte (12 + b), Some b)
+            | None -> (pte, None))
+        | Us_bit -> (Bits.flip pte 2, None)
+        | Random_flips ->
+            let p = ref pte in
+            for _ = 1 to 5 do
+              (* flips across flags and PFN *)
+              p := Bits.flip !p (Rng.int rng 40)
+            done;
+            (!p, None)
+        | Surgical_forge ->
+            (* attacker-chosen PTE: kernel frame, user-accessible *)
+            ( Ptg_pte.X86.make ~writable:true ~user:true
+                ~pfn:(Int64.add watermark_pfn 7L) (),
+              None )
+        | Relocation_replay -> (pte, None)
+      in
+      let changed = not (Int64.equal tampered_pte pte) in
       let outcome =
-        (* Prepare threat-specific tampering. *)
-        let kind, tampered_pte, pfn_bit, anti_cell =
-          match threat with
-          | "PFN flip (true cell, 1->0)" -> (
-              match pick_set_pfn_bit rng pte with
-              | Some b -> (`Pfn, Bits.clear pte (12 + b), Some b, false)
-              | None -> (`Pfn, pte, None, false))
-          | "PFN flip (anti cell, 0->1)" -> (
-              match pick_clear_pfn_bit rng pte with
-              | Some b -> (`Pfn, Bits.set pte (12 + b), Some b, true)
-              | None -> (`Pfn, pte, None, true))
-          | "U/S privilege-bit flip" -> (`Other, Bits.flip pte 2, None, false)
-          | "5 random flips" ->
-              let p = ref pte in
-              for _ = 1 to 5 do
-                (* flips across flags and PFN *)
-                p := Bits.flip !p (Rng.int rng 40)
-              done;
-              (`Other, !p, None, false)
-          | "surgical forge (keyless)" ->
-              (* attacker-chosen PTE: kernel frame, user-accessible *)
-              ( `Forge,
-                Ptg_pte.X86.make ~writable:true ~user:true
-                  ~pfn:(Int64.add watermark_pfn 7L) (),
-                None, false )
-          | "PTE relocation/replay" -> (`Replay, pte, None, false)
-          | _ -> assert false
-        in
-        let changed = not (Int64.equal tampered_pte pte) in
         match defense with
-        | "none" -> eval_none ~changed:(changed || kind = `Replay)
-        | "Monotonic" -> (
-            match kind with
-            | `Pfn -> eval_monotonic ~threat:`Pfn ~pfn_bit ~anti_cell ~pte ~changed
-            | `Forge ->
+        | Undefended -> eval_none ~changed:(changed || threat = Relocation_replay)
+        | Monotonic_pointers -> (
+            match threat with
+            | Pfn_true_cell -> eval_monotonic_pfn ~pfn_bit ~anti_cell:false ~pte
+            | Pfn_anti_cell -> eval_monotonic_pfn ~pfn_bit ~anti_cell:true ~pte
+            | Surgical_forge | Relocation_replay ->
                 (* the OS placement check rejects PFNs above the watermark
                    at map time, but the attacker writes via DRAM, not via
                    the OS *)
                 Escaped
-            | `Replay -> Escaped
-            | `Other -> eval_monotonic ~threat:`Other ~pfn_bit ~anti_cell ~pte ~changed)
-        | "SecWalk-EDC" -> (
+            | Us_bit | Random_flips -> eval_none ~changed)
+        | Secwalk_edc -> (
             let protected_pte = Secwalk.protect pte in
-            match kind with
-            | `Forge ->
+            match threat with
+            | Surgical_forge ->
                 eval_secwalk
                   ~tampered_protected:(Secwalk.forge protected_pte ~target:tampered_pte)
-            | `Replay ->
+            | Relocation_replay ->
                 (* a validly protected PTE copied to another slot still
                    verifies: no address binding *)
                 eval_secwalk ~tampered_protected:protected_pte
-            | `Pfn | `Other ->
+            | Pfn_true_cell | Pfn_anti_cell | Us_bit | Random_flips ->
                 if not changed then Blocked
                 else
                   let t =
@@ -169,28 +176,26 @@ let run ?(trials = 500) ?(seed = 33L) () =
                       (Int64.logand protected_pte (Int64.lognot (Bits.mask 40)))
                   in
                   eval_secwalk ~tampered_protected:t)
-        | "PTE-encryption" -> (
+        | Pte_encryption -> (
             (* No authentication: any physical tampering decrypts to
                garbage that is consumed undetected (counted as escaped —
                the walk proceeds on meaningless PTEs or crashes). *)
             let stored = Encrypted_pte.encrypt_line enc ~addr line in
-            match kind with
-            | `Pfn | `Other ->
+            let consume faulty =
+              match Encrypted_pte.consume enc ~addr ~original:line ~stored:faulty with
+              | Encrypted_pte.Intact -> Blocked
+              | Encrypted_pte.Garbage_consumed _ -> Escaped
+            in
+            match threat with
+            | Pfn_true_cell | Pfn_anti_cell | Us_bit | Random_flips ->
                 if not changed then Blocked
-                else begin
+                else
                   (* the attacker's flip lands on ciphertext bits *)
-                  let faulty = Ptg_pte.Line.flip_bit stored ((idx * 64) + 12) in
-                  match Encrypted_pte.consume enc ~addr ~original:line ~stored:faulty with
-                  | Encrypted_pte.Intact -> Blocked
-                  | Encrypted_pte.Garbage_consumed _ -> Escaped
-                end
-            | `Forge -> (
+                  consume (Ptg_pte.Line.flip_bit stored ((idx * 64) + 12))
+            | Surgical_forge ->
                 (* attacker-written bits decrypt to uncontrolled garbage *)
-                let faulty = Array.map (fun w -> Int64.logxor w 0x1234L) stored in
-                match Encrypted_pte.consume enc ~addr ~original:line ~stored:faulty with
-                | Encrypted_pte.Intact -> Blocked
-                | Encrypted_pte.Garbage_consumed _ -> Escaped)
-            | `Replay -> (
+                consume (Array.map (fun w -> Int64.logxor w 0x1234L) stored)
+            | Relocation_replay -> (
                 (* ciphertext replayed at another address: the tweak makes
                    it decrypt to garbage, silently *)
                 match
@@ -199,18 +204,20 @@ let run ?(trials = 500) ?(seed = 33L) () =
                 with
                 | Encrypted_pte.Intact -> Escaped (* would mean replay worked *)
                 | Encrypted_pte.Garbage_consumed _ -> Escaped))
-        | "PT-Guard" -> (
+        | Pt_guard -> (
             let stored = Ptguard.Engine.process_write engine ~addr line in
-            match kind with
-            | `Forge ->
-                (* attacker writes its forged PTE straight into DRAM *)
-                let faulty = Array.copy stored in
-                faulty.(idx) <-
-                  Int64.logor
-                    (Int64.logand tampered_pte (Bits.mask 40))
-                    (Int64.logand stored.(idx) (Int64.lognot (Bits.mask 40)));
-                eval_ptguard engine ~addr ~original:line ~faulty_stored:faulty
-            | `Replay -> (
+            let forged () =
+              (* the tampered PTE lands straight in DRAM *)
+              let faulty = Array.copy stored in
+              faulty.(idx) <-
+                Int64.logor
+                  (Int64.logand tampered_pte (Bits.mask 40))
+                  (Int64.logand stored.(idx) (Int64.lognot (Bits.mask 40)));
+              eval_ptguard engine ~addr ~original:line ~faulty_stored:faulty
+            in
+            match threat with
+            | Surgical_forge -> forged ()
+            | Relocation_replay -> (
                 (* replay the whole protected line at a different physical
                    address: the MAC tweak catches it *)
                 let other = Int64.add addr 0x40L in
@@ -228,17 +235,8 @@ let run ?(trials = 500) ?(seed = 33L) () =
                     if Ptg_pte.Line.equal (masked l) (masked line) then Escaped
                     else Detected
                 | _ -> Escaped)
-            | `Pfn | `Other ->
-                if not changed then Blocked
-                else begin
-                  let faulty = Array.copy stored in
-                  faulty.(idx) <-
-                    Int64.logor
-                      (Int64.logand tampered_pte (Bits.mask 40))
-                      (Int64.logand stored.(idx) (Int64.lognot (Bits.mask 40)));
-                  eval_ptguard engine ~addr ~original:line ~faulty_stored:faulty
-                end)
-        | _ -> assert false
+            | Pfn_true_cell | Pfn_anti_cell | Us_bit | Random_flips ->
+                if not changed then Blocked else forged ())
       in
       acc :=
         (match outcome with
@@ -264,7 +262,7 @@ let to_rows result =
     (fun r ->
       let pct n = Table.fpct (100.0 *. float_of_int n /. float_of_int r.counts.trials) in
       [
-        r.threat; r.defense; pct r.counts.blocked; pct r.counts.detected;
+        threat_name r.threat; defense_name r.defense; pct r.counts.blocked; pct r.counts.detected;
         pct r.counts.corrected; pct r.counts.escaped;
       ])
     result.rows

@@ -23,10 +23,35 @@ type outcome_counts = {
   escaped : int;
 }
 
-type row = { threat : string; defense : string; counts : outcome_counts }
+type threat =
+  | Pfn_true_cell  (** flip a set PFN bit 1->0 *)
+  | Pfn_anti_cell  (** flip a clear PFN bit 0->1 *)
+  | Us_bit  (** flip the U/S privilege bit *)
+  | Random_flips  (** 5 random flips across flags and PFN *)
+  | Surgical_forge  (** write an attacker-chosen PTE, without the key *)
+  | Relocation_replay  (** replay a valid line at another address *)
+
+type defense =
+  | Undefended
+  | Monotonic_pointers
+  | Secwalk_edc
+  | Pte_encryption
+  | Pt_guard
+
+type row = { threat : threat; defense : defense; counts : outcome_counts }
 type result = { rows : row list }
 
-val threats : string list
+val threats : threat list
+(** Table order. *)
+
+val threat_name : threat -> string
+(** The table label, e.g. ["PTE relocation/replay"]. *)
+
+val defenses : defense list
+(** Table order. *)
+
+val defense_name : defense -> string
+(** The table label, e.g. ["PT-Guard"]. *)
 
 val run : ?trials:int -> ?seed:int64 -> unit -> result
 (** Default 500 trials per (threat, defense) cell. *)

@@ -327,3 +327,95 @@ let multi_to_string m =
       m.total_miscorrections m.total_escapes
 
 let print_multi m = print_string (multi_to_string m)
+
+(* ------------------------------------------------------------------ *)
+(* Section VI-F methodology check: trace-frequency replay              *)
+(* ------------------------------------------------------------------ *)
+
+type replay_result = {
+  trace_len : int;
+  faulty : int;
+  corrected : int;
+  uncorrectable : int;
+  corrected_pct : float;
+}
+
+let replay_with_faults ?(p_flip = 1.0 /. 512.0) ?(seed = 19L) ?(max_events = 2000)
+    (t : Mem_trace.t) ~lines =
+  if Array.length lines = 0 then invalid_arg "Fig9.replay_with_faults: no lines";
+  let base = Ptg_cpu.Core.default_config.Ptg_cpu.Core.data_region_bytes in
+  let rng = Rng.create seed in
+  let engine =
+    Ptguard.Engine.create ~config:Ptguard.Config.optimized ~rng:(Rng.split rng) ()
+  in
+  let corrected = ref 0 and uncorrectable = ref 0 and faulty = ref 0 in
+  let n = Array.length t.events in
+  let i = ref 0 in
+  while !i < n && !faulty < max_events do
+    let ev_addr = t.events.(!i).Mem_trace.addr in
+    if Int64.compare ev_addr base < 0 then
+      invalid_arg
+        (Printf.sprintf
+           "Fig9.replay_with_faults: event %d: address 0x%Lx is below the \
+            leaf-PTE region"
+           !i ev_addr);
+    (* leaf line k covers virtual pages 8k..8k+7 *)
+    let idx =
+      Int64.to_int (Int64.div (Int64.sub ev_addr base) 64L) mod Array.length lines
+    in
+    let line = lines.(idx) in
+    let addr = Int64.of_int (0x4800_0000 + (idx * 64)) in
+    let stored = Ptguard.Engine.process_write engine ~addr line in
+    let damaged, flips = Ptg_rowhammer.Inject.flip_line rng ~p_flip stored in
+    if flips <> [] then begin
+      incr faulty;
+      match Ptguard.Engine.process_read engine ~addr ~is_pte:true damaged with
+      | { Ptguard.Engine.integrity = Ptguard.Engine.Corrected _; _ } -> incr corrected
+      | { integrity = Ptguard.Engine.Failed; _ } -> incr uncorrectable
+      | _ -> () (* benign: unprotected-bit damage *)
+    end;
+    incr i
+  done;
+  let denom = max 1 (!corrected + !uncorrectable) in
+  {
+    trace_len = n;
+    faulty = !faulty;
+    corrected = !corrected;
+    uncorrectable = !uncorrectable;
+    corrected_pct = 100.0 *. float_of_int !corrected /. float_of_int denom;
+  }
+
+type sampler_comparison = { trace_pct : float; weighted_pct : float }
+
+let compare_samplers ?(instrs = 400_000) ?(seed = 20L) ?(p_flip = 1.0 /. 512.0)
+    (spec : Ptg_workloads.Workload.spec) =
+  (* One synthetic process underlies both samplers. *)
+  let rng = Rng.create seed in
+  let params =
+    {
+      (Ptg_vm.Process_model.draw_params rng) with
+      Ptg_vm.Process_model.target_ptes = 32768;
+      mean_run = 40.0;
+      mean_gap = 8.0;
+      p_break = 0.06;
+    }
+  in
+  let lines = Ptg_vm.Process_model.leaf_lines rng params in
+  (* trace-frequency replay *)
+  let trace = Mem_trace.record_walks ~instrs ~seed spec in
+  let trace_result = replay_with_faults ~p_flip ~seed trace ~lines in
+  (* the weighted sampler, this figure's default *)
+  let weighted =
+    run ~lines_per_point:trace_result.faulty ~seed ~p_flips:[ p_flip ]
+      ~workloads:[ spec ] ()
+  in
+  let weighted_pct =
+    match weighted.average with (c : cell) :: _ -> c.corrected_pct | [] -> 0.0
+  in
+  { trace_pct = trace_result.corrected_pct; weighted_pct }
+
+let print_comparison (spec : Ptg_workloads.Workload.spec) c =
+  Printf.printf
+    "Sampler validation (%s): trace-frequency replay corrects %.1f%%, the\n\
+     Fig. 9 weighted sampler %.1f%% — the approximation the harness uses.\n"
+    spec.Ptg_workloads.Workload.name c.trace_pct c.weighted_pct

@@ -109,3 +109,47 @@ val run_multi :
 
 val multi_to_string : multi -> string
 val print_multi : multi -> unit
+
+(** {1 Section VI-F methodology check}
+
+    The paper drives the correction study from traces of page-table
+    walks. This figure's default present-PTE-weighted line sampler
+    approximates true walk-frequency sampling; {!compare_samplers}
+    measures how close the two are on the same workload, replaying a
+    walk trace recorded by {!Mem_trace.record_walks}. *)
+
+type replay_result = {
+  trace_len : int;
+  faulty : int;
+  corrected : int;
+  uncorrectable : int;
+  corrected_pct : float;
+}
+
+val replay_with_faults :
+  ?p_flip:float ->
+  ?seed:int64 ->
+  ?max_events:int ->
+  Mem_trace.t ->
+  lines:Ptg_pte.Line.t array ->
+  replay_result
+(** Replay a walk trace against PT-Guard. Each event's leaf-line index,
+    [(addr - data_region_bytes) / 64], taken mod the population size,
+    picks a line that is written through the engine, hit with uniform
+    faults at [p_flip] (default 1/512) and read back as a walk; only
+    events with at least one flip count (capped at [max_events], default
+    2000). Raises [Invalid_argument] on an event below the leaf-PTE
+    region. *)
+
+type sampler_comparison = {
+  trace_pct : float;      (** corrected%% under true walk-frequency replay *)
+  weighted_pct : float;   (** corrected%% under the weighted sampler *)
+}
+
+val compare_samplers :
+  ?instrs:int -> ?seed:int64 -> ?p_flip:float -> Ptg_workloads.Workload.spec ->
+  sampler_comparison
+(** Both samplers over the same synthetic process (walk trace of
+    [instrs] instructions, default 400K). *)
+
+val print_comparison : Ptg_workloads.Workload.spec -> sampler_comparison -> unit

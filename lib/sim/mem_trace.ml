@@ -25,6 +25,37 @@ let record ?(instrs = 500_000) ?(seed = 18L) (spec : Ptg_workloads.Workload.spec
   done;
   { workload = spec.Ptg_workloads.Workload.name; events = Array.of_list (List.rev !acc) }
 
+let record_walks ?(instrs = 500_000) ?(seed = 18L)
+    (spec : Ptg_workloads.Workload.spec) =
+  let rng = Rng.create seed in
+  let stream = Ptg_workloads.Workload.stream rng spec in
+  let core = Ptg_cpu.Core.create ~guard:Ptg_cpu.Guard_timing.unprotected () in
+  let acc = ref [] in
+  Ptg_cpu.Core.on_walk core (fun ~vpn:_ ~leaf_line_addr ->
+      acc := leaf_line_addr :: !acc);
+  ignore (Ptg_cpu.Core.run core ~instrs:(instrs / 4) ~stream);
+  acc := [];
+  ignore (Ptg_cpu.Core.run core ~instrs ~stream);
+  {
+    workload = spec.Ptg_workloads.Workload.name;
+    events =
+      Array.of_list (List.rev !acc)
+      |> Array.mapi (fun cycle addr -> { addr; is_write = false; cycle });
+  }
+
+(* A workload name is a single non-empty header line in both formats,
+   so a newline inside it would silently shear the tail of the name into
+   the data section (where it parses as garbage, or worse, as a valid
+   record). *)
+let validate_name ~context name =
+  if name = "" then invalid_arg (Printf.sprintf "%s: empty workload name" context);
+  String.iter
+    (fun c ->
+      if c = '\n' || c = '\r' then
+        invalid_arg
+          (Printf.sprintf "%s: workload name %S contains a newline" context name))
+    name
+
 (* ------------------------------------------------------------------ *)
 (* Text format                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -229,7 +260,7 @@ let load_binary ~path (s : string) =
 (* ------------------------------------------------------------------ *)
 
 let save t ~format ~path =
-  Walk_trace.validate_name ~context:"Mem_trace.save" t.workload;
+  validate_name ~context:"Mem_trace.save" t.workload;
   match format with Text -> save_text t ~path | Binary -> save_binary t ~path
 
 let load ~path =
@@ -243,7 +274,7 @@ let load ~path =
     else
       In_channel.with_open_text path (fun ic -> load_text ~path ic)
   in
-  Walk_trace.validate_name ~context:"Mem_trace.load" t.workload;
+  validate_name ~context:"Mem_trace.load" t.workload;
   t
 
 (* ------------------------------------------------------------------ *)

@@ -18,7 +18,7 @@
       Addresses are accepted in any [Int64.of_string] form and written
       back as [0x%Lx]; cycles are non-negative decimals; blank lines
       are skipped. Malformed input raises [Invalid_argument] naming the
-      file and 1-based line, exactly like {!Walk_trace.load}.
+      file and its 1-based line.
     - {b binary} (compact): magic ["PTGM"], a version byte (currently
       1), the workload name (varint length + bytes), the event count
       (varint), then per event a zigzag-varint address delta and a
@@ -26,7 +26,11 @@
       deltas are signed, so neither addresses nor cycles need to be
       monotone. See EXPERIMENTS.md for the normative grammar.
 
-    Workload names obey {!Walk_trace.validate_name} in both formats. *)
+    Workload names obey {!validate_name} in both formats.
+
+    Page-table-walk traces (paper Section VI-F) are ordinary traces
+    recorded by {!record_walks}: one read per walk of the leaf-PTE line
+    it fetched, so they save, load, convert and replay like any other. *)
 
 type event = { addr : int64; is_write : bool; cycle : int }
 
@@ -40,11 +44,24 @@ val record :
     one event per [Load]/[Store] of the instruction stream, with
     [cycle] = instruction index. Deterministic for a given seed. *)
 
+val record_walks :
+  ?instrs:int -> ?seed:int64 -> Ptg_workloads.Workload.spec -> t
+(** Run the workload on the timing core (default 500K instructions after
+    a warmup of a quarter of that) and record one read event per
+    page-table walk: [addr] is the leaf-PTE line the walk fetched and
+    [cycle] the walk's ordinal (0, 1, 2, ...). The leaf region starts at
+    the core's [data_region_bytes], and leaf line [k] covers virtual
+    pages [8k..8k+7] of the workload. Deterministic for a given seed. *)
+
 val length : t -> int
+
+val validate_name : context:string -> string -> unit
+(** The header-name rule of both formats: non-empty, no [\n]/[\r].
+    Raises [Invalid_argument] prefixed with [context] on violation. *)
 
 val save : t -> format:format -> path:string -> unit
 (** Raises [Invalid_argument] if the workload name violates
-    {!Walk_trace.validate_name}. *)
+    {!validate_name}. *)
 
 val load : path:string -> t
 (** Sniffs the format (binary iff the file starts with the magic) and

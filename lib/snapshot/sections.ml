@@ -35,18 +35,6 @@ let get_block r =
   let lo = get_i64 r in
   Ptg_crypto.Block128.make ~hi ~lo
 
-(* Mitigation-plugin key/value images ([Registry.save_state]). *)
-let put_kv b (k, v) =
-  put_string b k;
-  put_i64 b v
-
-let get_kv r =
-  let k = get_string r in
-  (k, get_i64 r)
-
-let put_kvs b kvs = put_list b put_kv kvs
-let get_kvs r = get_list r get_kv
-
 let put_cache b (s : Ptg_cpu.Cache.state) =
   put_array b (fun b n -> put_int b n) s.Ptg_cpu.Cache.s_tags;
   put_array b (fun b n -> put_int b n) s.s_lrus;

@@ -16,10 +16,6 @@ val get_addr_line : Codec.reader -> int64 * Ptg_pte.Line.t
 val put_block : Codec.writer -> Ptg_crypto.Block128.t -> unit
 val get_block : Codec.reader -> Ptg_crypto.Block128.t
 
-val put_kvs : Codec.writer -> (string * int64) list -> unit
-(** Mitigation-plugin images ({!Ptg_mitigations.Registry.save_state}). *)
-
-val get_kvs : Codec.reader -> (string * int64) list
 val put_cache : Codec.writer -> Ptg_cpu.Cache.state -> unit
 val get_cache : Codec.reader -> Ptg_cpu.Cache.state
 val put_tlb : Codec.writer -> Ptg_cpu.Tlb.state -> unit

@@ -36,9 +36,11 @@
 #      gate: no scripts/check_bench_*.sh, and bench/main.ml reads
 #      PTG_BENCH_JSON in exactly one place (its one JSON writer); and one
 #      MAC path: no compute_batch or Engine.Batch in lib/ or bench/, so
-#      nothing bypasses the engine's MAC memo; and no new assert false in
-#      lib/ beyond the two baselines_exp.ml sites still listed on the
-#      ROADMAP
+#      nothing bypasses the engine's MAC memo; and no assert false in
+#      lib/ at all; and one mitigation path and one trace format: no
+#      Mitigation., attach_, Walk_trace, save_state/restore_state or
+#      put_kvs in lib/, bin/, bench/ or examples/ (Registry.instantiate
+#      builds every mitigation, Mem_trace is the only trace format)
 #   8d. warm-start gate (bench_gate snapshot): resuming a finished
 #      fullsys budget from its snapshot store must stay >= 5x faster
 #      than computing it cold and byte-identical
@@ -159,20 +161,21 @@ if grep -rnE --include='*.ml' --include='*.mli' 'compute_batch|Engine\.Batch' li
 fi
 echo "OK: no compute_batch or Engine.Batch in lib/ or bench/"
 
-echo "== no new assert false in lib =="
-extra=$(grep -rn --include='*.ml' 'assert false' lib \
-    | grep -vE '^lib/sim/baselines_exp\.ml:' || true)
-for site in lib/sim/baselines_exp.ml:2; do
-    if [ "$(grep -c 'assert false' "${site%:*}")" -gt "${site#*:}" ]; then
-        extra="$extra ${site%:*}"
-    fi
-done
-if [ -n "$extra" ]; then
-    echo "FAIL: new assert false in lib/ (allowed: baselines_exp.ml x2):" >&2
-    printf '%s\n' "$extra" >&2
+echo "== no assert false in lib =="
+if grep -rn --include='*.ml' 'assert false' lib; then
+    echo "FAIL: assert false in lib/ — make the case impossible by type or raise a descriptive error" >&2
     exit 1
 fi
-echo "OK: assert false only at the two baselines_exp.ml sites in lib/"
+echo "OK: no assert false in lib/"
+
+echo "== one mitigation path, one trace format =="
+if grep -rnE --include='*.ml' --include='*.mli' \
+    'Mitigation\.|attach_|Walk_trace|save_state|restore_state|put_kvs' \
+    lib bin bench examples; then
+    echo "FAIL: a second mitigation entry point, the walk trace format or the plugin checkpoint images are back; use Registry.instantiate and Mem_trace" >&2
+    exit 1
+fi
+echo "OK: Registry.instantiate is the one mitigation path, Mem_trace the one trace format"
 
 echo "== warm-start regression gate =="
 bench_gate snapshot

@@ -126,37 +126,42 @@ let test_encryption_replay_garbles () =
 (* --- the comparison experiment ------------------------------------------ *)
 
 let test_comparison_story () =
-  let r = Ptg_sim.Baselines_exp.run ~trials:60 () in
+  let open Ptg_sim.Baselines_exp in
+  let r = run ~trials:60 () in
   let cell threat defense =
-    (List.find
-       (fun row ->
-         row.Ptg_sim.Baselines_exp.threat = threat
-         && row.Ptg_sim.Baselines_exp.defense = defense)
-       r.Ptg_sim.Baselines_exp.rows)
-      .Ptg_sim.Baselines_exp.counts
+    (List.find (fun row -> row.threat = threat && row.defense = defense) r.rows)
+      .counts
   in
   (* PT-Guard never lets anything escape, across all threats *)
   List.iter
     (fun threat ->
-      Alcotest.(check int) (threat ^ ": PT-Guard zero escapes") 0
-        (cell threat "PT-Guard").Ptg_sim.Baselines_exp.escaped)
-    Ptg_sim.Baselines_exp.threats;
+      Alcotest.(check int) (threat_name threat ^ ": PT-Guard zero escapes") 0
+        (cell threat Pt_guard).escaped)
+    threats;
   (* Monotonic blocks the true-cell PFN attack completely *)
   Alcotest.(check int) "Monotonic blocks true-cell flips" 0
-    (cell "PFN flip (true cell, 1->0)" "Monotonic").Ptg_sim.Baselines_exp.escaped;
+    (cell Pfn_true_cell Monotonic_pointers).escaped;
   (* ...but not flag tampering *)
   Alcotest.(check int) "Monotonic helpless on U/S flips" 60
-    (cell "U/S privilege-bit flip" "Monotonic").Ptg_sim.Baselines_exp.escaped;
+    (cell Us_bit Monotonic_pointers).escaped;
   (* ...and anti-cell flips sometimes escape *)
   Alcotest.(check bool) "Monotonic leaks on anti cells" true
-    ((cell "PFN flip (anti cell, 0->1)" "Monotonic").Ptg_sim.Baselines_exp.escaped > 0);
+    ((cell Pfn_anti_cell Monotonic_pointers).escaped > 0);
   (* SecWalk detects random damage but is forged and replayed at will *)
   Alcotest.(check int) "SecWalk detects single flips" 0
-    (cell "PFN flip (true cell, 1->0)" "SecWalk-EDC").Ptg_sim.Baselines_exp.escaped;
+    (cell Pfn_true_cell Secwalk_edc).escaped;
   Alcotest.(check int) "SecWalk fully forged" 60
-    (cell "surgical forge (keyless)" "SecWalk-EDC").Ptg_sim.Baselines_exp.escaped;
+    (cell Surgical_forge Secwalk_edc).escaped;
   Alcotest.(check int) "SecWalk replayed" 60
-    (cell "PTE relocation/replay" "SecWalk-EDC").Ptg_sim.Baselines_exp.escaped
+    (cell Relocation_replay Secwalk_edc).escaped;
+  Alcotest.(check (list string))
+    "table labels"
+    [
+      "PFN flip (true cell, 1->0)"; "PFN flip (anti cell, 0->1)";
+      "U/S privilege-bit flip"; "5 random flips"; "surgical forge (keyless)";
+      "PTE relocation/replay";
+    ]
+    (List.map threat_name threats)
 
 let suite =
   [

@@ -3,7 +3,15 @@ open Ptg_cpu
 let tiny = { Cache.size_bytes = 512; assoc = 2; line_bytes = 64; latency = 3 }
 (* 512 B / (2 * 64) = 4 sets *)
 
-let is_hit = function Cache.Hit -> true | Cache.Miss _ -> false
+(* Hit, or a miss carrying the dirty victim's line address if the fill
+   evicted one, read off the access_fast writeback protocol. *)
+type outcome = Hit | Miss of int64 option
+
+let access c ~addr ~is_write =
+  if Cache.access_fast c ~addr ~is_write then Hit
+  else Miss (if Cache.writeback_pending c then Some (Cache.writeback_addr c) else None)
+
+let is_hit = function Hit -> true | Miss _ -> false
 
 let test_geometry_validation () =
   Alcotest.check_raises "bad geometry"
@@ -12,22 +20,22 @@ let test_geometry_validation () =
 
 let test_miss_then_hit () =
   let c = Cache.create tiny in
-  Alcotest.(check bool) "cold miss" false (is_hit (Cache.access c ~addr:0L ~is_write:false));
-  Alcotest.(check bool) "then hit" true (is_hit (Cache.access c ~addr:0L ~is_write:false));
+  Alcotest.(check bool) "cold miss" false (is_hit (access c ~addr:0L ~is_write:false));
+  Alcotest.(check bool) "then hit" true (is_hit (access c ~addr:0L ~is_write:false));
   Alcotest.(check bool) "same line hit" true
-    (is_hit (Cache.access c ~addr:63L ~is_write:false));
+    (is_hit (access c ~addr:63L ~is_write:false));
   Alcotest.(check bool) "next line miss" false
-    (is_hit (Cache.access c ~addr:64L ~is_write:false))
+    (is_hit (access c ~addr:64L ~is_write:false))
 
 let test_lru_eviction () =
   let c = Cache.create tiny in
   (* 4 sets: addresses 0, 256, 512 all map to set 0 (line/4 mod 4). *)
   let set0 n = Int64.of_int (n * 4 * 64) in
-  ignore (Cache.access c ~addr:(set0 0) ~is_write:false);
-  ignore (Cache.access c ~addr:(set0 1) ~is_write:false);
+  ignore (access c ~addr:(set0 0) ~is_write:false);
+  ignore (access c ~addr:(set0 1) ~is_write:false);
   (* touch 0 so 1 becomes LRU *)
-  ignore (Cache.access c ~addr:(set0 0) ~is_write:false);
-  ignore (Cache.access c ~addr:(set0 2) ~is_write:false) (* evicts 1 *);
+  ignore (access c ~addr:(set0 0) ~is_write:false);
+  ignore (access c ~addr:(set0 2) ~is_write:false) (* evicts 1 *);
   Alcotest.(check bool) "0 survives" true (Cache.probe c ~addr:(set0 0));
   Alcotest.(check bool) "1 evicted" false (Cache.probe c ~addr:(set0 1));
   Alcotest.(check bool) "2 present" true (Cache.probe c ~addr:(set0 2))
@@ -35,16 +43,16 @@ let test_lru_eviction () =
 let test_writeback () =
   let c = Cache.create tiny in
   let set0 n = Int64.of_int (n * 4 * 64) in
-  ignore (Cache.access c ~addr:(set0 0) ~is_write:true) (* dirty *);
-  ignore (Cache.access c ~addr:(set0 1) ~is_write:false);
-  (match Cache.access c ~addr:(set0 2) ~is_write:false with
-  | Cache.Miss { writeback = Some addr } ->
+  ignore (access c ~addr:(set0 0) ~is_write:true) (* dirty *);
+  ignore (access c ~addr:(set0 1) ~is_write:false);
+  (match access c ~addr:(set0 2) ~is_write:false with
+  | Miss (Some addr) ->
       Alcotest.(check int64) "dirty victim address" (set0 0) addr
-  | Cache.Miss { writeback = None } -> Alcotest.fail "expected writeback"
-  | Cache.Hit -> Alcotest.fail "expected miss");
+  | Miss None -> Alcotest.fail "expected writeback"
+  | Hit -> Alcotest.fail "expected miss");
   (* clean eviction has no writeback *)
-  match Cache.access c ~addr:(set0 3) ~is_write:false with
-  | Cache.Miss { writeback = None } -> ()
+  match access c ~addr:(set0 3) ~is_write:false with
+  | Miss None -> ()
   | _ -> Alcotest.fail "expected clean miss"
 
 let test_probe_no_side_effect () =
@@ -54,14 +62,14 @@ let test_probe_no_side_effect () =
 
 let test_invalidate () =
   let c = Cache.create tiny in
-  ignore (Cache.access c ~addr:0L ~is_write:false);
+  ignore (access c ~addr:0L ~is_write:false);
   Cache.invalidate c ~addr:0L;
   Alcotest.(check bool) "gone" false (Cache.probe c ~addr:0L)
 
 let test_stats () =
   let c = Cache.create tiny in
-  ignore (Cache.access c ~addr:0L ~is_write:false);
-  ignore (Cache.access c ~addr:0L ~is_write:false);
+  ignore (access c ~addr:0L ~is_write:false);
+  ignore (access c ~addr:0L ~is_write:false);
   Alcotest.(check int) "accesses" 2 (Cache.accesses c);
   Alcotest.(check int) "misses" 1 (Cache.misses c);
   Alcotest.(check (float 1e-9)) "miss rate" 0.5 (Cache.miss_rate c);
@@ -114,16 +122,16 @@ let prop_split_matches_divrem =
       let c =
         Cache.create { Cache.size_bytes = 1024; assoc = 1; line_bytes = 64; latency = 1 }
       in
-      ignore (Cache.access c ~addr:a1 ~is_write:true);
+      ignore (access c ~addr:a1 ~is_write:true);
       let line1 = Int64.div a1 64L and line2 = Int64.div a2 64L in
       let set1 = Int64.rem line1 16L and set2 = Int64.rem line2 16L in
-      match Cache.access c ~addr:a2 ~is_write:false with
-      | Cache.Hit -> Int64.equal line1 line2
-      | Cache.Miss { writeback = Some wb } ->
+      match access c ~addr:a2 ~is_write:false with
+      | Hit -> Int64.equal line1 line2
+      | Miss (Some wb) ->
           (not (Int64.equal line1 line2))
           && Int64.equal set1 set2
           && Int64.equal wb (Int64.mul line1 64L)
-      | Cache.Miss { writeback = None } -> not (Int64.equal set1 set2))
+      | Miss None -> not (Int64.equal set1 set2))
 
 let test_tlb () =
   let t = Tlb.create ~entries:2 () in

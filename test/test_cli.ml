@@ -282,7 +282,27 @@ let test_trace_validation_exit_codes () =
     "zap";
   check_exit2
     (Printf.sprintf "trace convert %s /nonexistent/dir/out.ptgm" good)
-    "out.ptgm"
+    "out.ptgm";
+  check_exit2
+    "trace walk --workload mcf --instrs 20000 --save /nonexistent/d/w.txt"
+    "/nonexistent/d/w.txt"
+
+(* A page-walk trace saved by [trace walk] is an ordinary memory trace:
+   [trace replay] loads it and counts one read per walk. *)
+let test_trace_walk_replays () =
+  let walks = tmp ".txt" in
+  let out = tmp ".out" in
+  Alcotest.(check int) "walk --save" 0
+    (exec ~out
+       (Printf.sprintf "trace walk --workload mcf --instrs 20000 --save %s" walks));
+  let recorded = read_file out in
+  let n = Scanf.sscanf recorded "recorded %d page-table walks" Fun.id in
+  Alcotest.(check int) "replay --mitigation trr" 0
+    (exec ~out (Printf.sprintf "trace replay %s --mitigation trr" walks));
+  Alcotest.(check bool)
+    "one read per walk" true
+    (contains (read_file out)
+       (Printf.sprintf "Trace replay (trr): %d events (%d reads, 0 writes)" n n))
 
 (* An unknown subcommand prints the full command list to stderr and
    exits 2 (cmdliner's generic error is 124, kept for flag errors). *)
@@ -486,6 +506,7 @@ let suite =
       test_trace_pipeline;
     Alcotest.test_case "trace validation exit codes" `Quick
       test_trace_validation_exit_codes;
+    Alcotest.test_case "trace walk file replays" `Quick test_trace_walk_replays;
     Alcotest.test_case "unknown subcommand lists commands" `Quick
       test_unknown_subcommand;
     Alcotest.test_case "bench rejects unknown section" `Quick

@@ -4,7 +4,6 @@
    cache key. *)
 
 module Mem_trace = Ptg_sim.Mem_trace
-module Walk_trace = Ptg_sim.Walk_trace
 module Scenario = Ptg_sim.Scenario
 module Registry = Ptg_mitigations.Registry
 
@@ -85,6 +84,7 @@ let expect_invalid what path check =
 let test_text_malformed () =
   let cases =
     [
+      ("empty file", "", fun m -> contains "empty" m);
       ("missing header", "0x1000 R 0\n", fun m -> contains "line 1" m);
       ( "bad address",
         "# demo\nnotanaddr R 0\n",
@@ -156,10 +156,8 @@ let test_newline_name_rejected () =
           Mem_trace.save bad ~format:Mem_trace.Text ~path);
       expect_raise "Mem_trace.save binary" (fun () ->
           Mem_trace.save bad ~format:Mem_trace.Binary ~path);
-      expect_raise "Walk_trace.save" (fun () ->
-          Walk_trace.save
-            { Walk_trace.workload = "evil\nname"; line_indices = [| 1 |] }
-            ~path);
+      expect_raise "validate_name" (fun () ->
+          Mem_trace.validate_name ~context:"test" "evil\rname");
       expect_raise ~needle:"empty" "empty name" (fun () ->
           Mem_trace.save
             { sample with Mem_trace.workload = "" }
