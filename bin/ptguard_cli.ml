@@ -133,6 +133,13 @@ let workloads_arg =
    through Ptg_sim.Scenario — the same record the server decodes from
    wire frames — so CLI output and served output cannot drift. *)
 let run_scenario ?obs ?csv scenario =
+  (match Ptg_sim.Scenario.validate scenario with
+  | Ok () -> ()
+  | Error msg ->
+      Printf.eprintf "%s: %s\n"
+        (Ptg_sim.Scenario.kind_name scenario.Ptg_sim.Scenario.kind)
+        msg;
+      exit 2);
   let out = Ptg_sim.Scenario.run ?obs scenario in
   print_string (Ptg_sim.Scenario.render out);
   Option.iter (fun path -> Ptg_sim.Scenario.save_csv out ~path) csv
@@ -548,7 +555,7 @@ let fullsys_cmd =
              (observer state is not checkpointed)\n";
           exit 2
         end;
-        (try Ptg_sim.Checkpoint.ensure_dir dir
+        (try Ptg_sim.Sweep.ensure_dir dir
          with Sys_error msg ->
            Printf.eprintf "fullsys: --checkpoint-dir %s: cannot create directory (%s)\n"
              dir msg;

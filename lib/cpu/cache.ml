@@ -176,45 +176,6 @@ let invalidate t ~addr =
     if t.tags.(base + i) = tag then t.tags.(base + i) <- -1
   done
 
-type state = {
-  s_tags : int array;
-  s_lrus : int array;
-  s_dirty : Bytes.t;
-  s_tick : int;
-  s_accesses : int;
-  s_misses : int;
-  s_wb_pending : bool;
-  s_wb_addr : int64;
-}
-
-let state t =
-  {
-    s_tags = Array.copy t.tags;
-    s_lrus = Array.copy t.lrus;
-    s_dirty = Bytes.copy t.dirty;
-    s_tick = t.tick;
-    s_accesses = t.accesses;
-    s_misses = t.misses;
-    s_wb_pending = t.wb_pending;
-    s_wb_addr = t.wb_addr;
-  }
-
-let set_state t s =
-  let ways = Array.length t.tags in
-  if
-    Array.length s.s_tags <> ways
-    || Array.length s.s_lrus <> ways
-    || Bytes.length s.s_dirty <> ways
-  then invalid_arg "Cache.set_state: geometry mismatch";
-  Array.blit s.s_tags 0 t.tags 0 ways;
-  Array.blit s.s_lrus 0 t.lrus 0 ways;
-  Bytes.blit s.s_dirty 0 t.dirty 0 ways;
-  t.tick <- s.s_tick;
-  t.accesses <- s.s_accesses;
-  t.misses <- s.s_misses;
-  t.wb_pending <- s.s_wb_pending;
-  t.wb_addr <- s.s_wb_addr
-
 let accesses t = t.accesses
 let misses t = t.misses
 

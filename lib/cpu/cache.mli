@@ -59,27 +59,3 @@ val accesses : t -> int
 val misses : t -> int
 val miss_rate : t -> float
 val reset_stats : t -> unit
-
-(** {2 Checkpointable state}
-
-    The full mutable contents (tags, recency, dirty bits, counters, the
-    published writeback) as plain data, for the snapshot subsystem.
-    [set_state] requires a cache of identical geometry. *)
-
-type state = {
-  s_tags : int array;
-  s_lrus : int array;
-  s_dirty : Bytes.t;
-  s_tick : int;
-  s_accesses : int;
-  s_misses : int;
-  s_wb_pending : bool;
-  s_wb_addr : int64;
-}
-
-val state : t -> state
-(** Defensive copy of the current contents. *)
-
-val set_state : t -> state -> unit
-(** Overwrite the cache with captured contents. Raises
-    [Invalid_argument] when array lengths do not match this geometry. *)

@@ -231,48 +231,3 @@ let run t ~instrs ~stream =
     guard_mac_computations = Guard_timing.mac_computations t.guard - start_mac;
     cache_writebacks = t.cache_writebacks - start_wb;
   }
-
-type state = {
-  s_l1 : Cache.state;
-  s_l2 : Cache.state;
-  s_l3 : Cache.state;
-  s_mmu : Cache.state;
-  s_tlb : Tlb.state;
-  s_dram : Ptg_dram.Dram.state;
-  s_guard : Guard_timing.state;
-  s_now : int;
-  s_dram_reads : int;
-  s_pte_dram_reads : int;
-  s_walks : int;
-  s_cache_writebacks : int;
-}
-
-let state t =
-  {
-    s_l1 = Cache.state t.l1;
-    s_l2 = Cache.state t.l2;
-    s_l3 = Cache.state t.l3;
-    s_mmu = Cache.state t.mmu;
-    s_tlb = Tlb.state t.tlb;
-    s_dram = Ptg_dram.Dram.state t.dram;
-    s_guard = Guard_timing.state t.guard;
-    s_now = t.now;
-    s_dram_reads = t.dram_reads;
-    s_pte_dram_reads = t.pte_dram_reads;
-    s_walks = t.walks;
-    s_cache_writebacks = t.cache_writebacks;
-  }
-
-let set_state t s =
-  Cache.set_state t.l1 s.s_l1;
-  Cache.set_state t.l2 s.s_l2;
-  Cache.set_state t.l3 s.s_l3;
-  Cache.set_state t.mmu s.s_mmu;
-  Tlb.set_state t.tlb s.s_tlb;
-  Ptg_dram.Dram.set_state t.dram s.s_dram;
-  Guard_timing.set_state t.guard s.s_guard;
-  t.now <- s.s_now;
-  t.dram_reads <- s.s_dram_reads;
-  t.pte_dram_reads <- s.s_pte_dram_reads;
-  t.walks <- s.s_walks;
-  t.cache_writebacks <- s.s_cache_writebacks

@@ -80,31 +80,3 @@ val on_walk : t -> (vpn:int64 -> leaf_line_addr:int64 -> unit) -> unit
     the physical line address of the leaf PTE cacheline the walker read —
     the paper's "execution traces of Page Table Walks accessing [the]
     memory controller" (Section VI-F). *)
-
-(** {2 Checkpointable state}
-
-    The full mutable surface of the core: cache/TLB/MMU contents, the
-    private DRAM device, the guard's counters and RNG, and the run
-    counters. Walk listeners are structural and survive in the
-    re-created core. *)
-
-type state = {
-  s_l1 : Cache.state;
-  s_l2 : Cache.state;
-  s_l3 : Cache.state;
-  s_mmu : Cache.state;
-  s_tlb : Tlb.state;
-  s_dram : Ptg_dram.Dram.state;
-  s_guard : Guard_timing.state;
-  s_now : int;
-  s_dram_reads : int;
-  s_pte_dram_reads : int;
-  s_walks : int;
-  s_cache_writebacks : int;
-}
-
-val state : t -> state
-
-val set_state : t -> state -> unit
-(** Raises [Invalid_argument] when a section's geometry does not match
-    this core's configuration. *)

@@ -58,30 +58,3 @@ let read_penalty t ~is_pte =
 
 let mac_computations t = t.mac_computations
 let reads_observed t = t.reads
-
-type state = {
-  s_mac_computations : int;
-  s_reads : int;
-  s_rng : int64 array option;
-}
-
-let state t =
-  {
-    s_mac_computations = t.mac_computations;
-    s_reads = t.reads;
-    s_rng =
-      (match t.kind with
-      | Unprotected -> None
-      | Guarded { rng; _ } -> Some (Ptg_util.Rng.state rng));
-  }
-
-let set_state t s =
-  (match (t.kind, s.s_rng) with
-  | Unprotected, None -> ()
-  | Guarded { rng; _ }, Some words -> Ptg_util.Rng.set_state rng words
-  | Unprotected, Some _ ->
-      invalid_arg "Guard_timing.set_state: rng state for an unprotected guard"
-  | Guarded _, None ->
-      invalid_arg "Guard_timing.set_state: guarded instance needs an rng state");
-  t.mac_computations <- s.s_mac_computations;
-  t.reads <- s.s_reads

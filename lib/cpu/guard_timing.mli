@@ -37,21 +37,3 @@ val mac_computations : t -> int
 (** Number of reads that paid the MAC latency so far. *)
 
 val reads_observed : t -> int
-
-(** {2 Checkpointable state}
-
-    Counters plus the guarded instance's RNG stream ([None] for
-    {!unprotected}). The configuration itself is structural — a restored
-    guard must be built with the same design and probabilities. *)
-
-type state = {
-  s_mac_computations : int;
-  s_reads : int;
-  s_rng : int64 array option;
-}
-
-val state : t -> state
-
-val set_state : t -> state -> unit
-(** Raises [Invalid_argument] when the RNG presence does not match the
-    instance's kind. *)

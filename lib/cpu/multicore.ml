@@ -294,116 +294,3 @@ let run t ~instrs_per_core ~streams =
     macs_verified = (match t.verify with None -> 0 | Some v -> v.passed);
     mac_verify_failures = (match t.verify with None -> 0 | Some v -> v.failed);
   }
-
-type core_snapshot = {
-  sc_l1 : Cache.state;
-  sc_l2 : Cache.state;
-  sc_tlb : Tlb.state;
-  sc_mmu : Cache.state;
-  sc_now : int;
-  sc_done_instrs : int;
-  sc_dram_reads : int;
-}
-
-type verify_snapshot = {
-  sv_engine : Ptguard.Engine.state;
-  sv_store : (int64 * Ptg_pte.Line.t) list; (* address-sorted *)
-  sv_passed : int;
-  sv_failed : int;
-}
-
-type state = {
-  s_cores : core_snapshot array;
-  s_llc : Cache.state;
-  s_dram : Ptg_dram.Dram.state;
-  s_guard : Guard_timing.state;
-  s_channel_busy : int array;
-  s_read_counter : int;
-  s_dram_reads : int;
-  s_pte_dram_reads : int;
-  s_queue_delay_total : int;
-  s_queued_accesses : int;
-  s_cache_writebacks : int;
-  s_verify : verify_snapshot option;
-}
-
-let state t =
-  {
-    s_cores =
-      Array.map
-        (fun c ->
-          {
-            sc_l1 = Cache.state c.l1;
-            sc_l2 = Cache.state c.l2;
-            sc_tlb = Tlb.state c.tlb;
-            sc_mmu = Cache.state c.mmu;
-            sc_now = c.now;
-            sc_done_instrs = c.done_instrs;
-            sc_dram_reads = c.dram_reads;
-          })
-        t.cores;
-    s_llc = Cache.state t.llc;
-    s_dram = Ptg_dram.Dram.state t.dram;
-    s_guard = Guard_timing.state t.guard;
-    s_channel_busy = Array.copy t.channel_busy;
-    s_read_counter = t.read_counter;
-    s_dram_reads = t.dram_reads;
-    s_pte_dram_reads = t.pte_dram_reads;
-    s_queue_delay_total = t.queue_delay_total;
-    s_queued_accesses = t.queued_accesses;
-    s_cache_writebacks = t.cache_writebacks;
-    s_verify =
-      Option.map
-        (fun v ->
-          {
-            sv_engine = Ptguard.Engine.state v.engine;
-            sv_store =
-              Hashtbl.fold
-                (fun addr line acc -> (addr, Ptg_pte.Line.copy line) :: acc)
-                v.store []
-              |> List.sort (fun (a, _) (b, _) -> Int64.compare a b);
-            sv_passed = v.passed;
-            sv_failed = v.failed;
-          })
-        t.verify;
-  }
-
-let set_state t s =
-  if Array.length s.s_cores <> Array.length t.cores then
-    invalid_arg "Multicore.set_state: core count mismatch";
-  if Array.length s.s_channel_busy <> Array.length t.channel_busy then
-    invalid_arg "Multicore.set_state: channel count mismatch";
-  (match (t.verify, s.s_verify) with
-  | None, None | Some _, Some _ -> ()
-  | _ -> invalid_arg "Multicore.set_state: verify-engine presence mismatch");
-  Array.iteri
-    (fun i c ->
-      let sc = s.s_cores.(i) in
-      Cache.set_state c.l1 sc.sc_l1;
-      Cache.set_state c.l2 sc.sc_l2;
-      Tlb.set_state c.tlb sc.sc_tlb;
-      Cache.set_state c.mmu sc.sc_mmu;
-      c.now <- sc.sc_now;
-      c.done_instrs <- sc.sc_done_instrs;
-      c.dram_reads <- sc.sc_dram_reads)
-    t.cores;
-  Cache.set_state t.llc s.s_llc;
-  Ptg_dram.Dram.set_state t.dram s.s_dram;
-  Guard_timing.set_state t.guard s.s_guard;
-  Array.blit s.s_channel_busy 0 t.channel_busy 0 (Array.length t.channel_busy);
-  t.read_counter <- s.s_read_counter;
-  t.dram_reads <- s.s_dram_reads;
-  t.pte_dram_reads <- s.s_pte_dram_reads;
-  t.queue_delay_total <- s.s_queue_delay_total;
-  t.queued_accesses <- s.s_queued_accesses;
-  t.cache_writebacks <- s.s_cache_writebacks;
-  match (t.verify, s.s_verify) with
-  | Some v, Some sv ->
-      Ptguard.Engine.set_state v.engine sv.sv_engine;
-      Hashtbl.reset v.store;
-      List.iter
-        (fun (addr, line) -> Hashtbl.replace v.store addr (Ptg_pte.Line.copy line))
-        sv.sv_store;
-      v.passed <- sv.sv_passed;
-      v.failed <- sv.sv_failed
-  | _ -> ()

@@ -67,47 +67,3 @@ val run : t -> instrs_per_core:int -> streams:(unit -> Core.op) array -> result
 (** [streams] must have length [config.cores]; each core executes
     [instrs_per_core] instructions from its own stream, interleaved in
     (approximate) global time order. *)
-
-(** {2 Checkpointable state}
-
-    Per-core cache/TLB/MMU contents and counters, the shared LLC and
-    DRAM device, channel occupancy, and (when engine-backed verification
-    is on) the engine state plus the installed PTE store. *)
-
-type core_snapshot = {
-  sc_l1 : Cache.state;
-  sc_l2 : Cache.state;
-  sc_tlb : Tlb.state;
-  sc_mmu : Cache.state;
-  sc_now : int;
-  sc_done_instrs : int;
-  sc_dram_reads : int;
-}
-
-type verify_snapshot = {
-  sv_engine : Ptguard.Engine.state;
-  sv_store : (int64 * Ptg_pte.Line.t) list;  (** address-sorted *)
-  sv_passed : int;
-  sv_failed : int;
-}
-
-type state = {
-  s_cores : core_snapshot array;
-  s_llc : Cache.state;
-  s_dram : Ptg_dram.Dram.state;
-  s_guard : Guard_timing.state;
-  s_channel_busy : int array;
-  s_read_counter : int;
-  s_dram_reads : int;
-  s_pte_dram_reads : int;
-  s_queue_delay_total : int;
-  s_queued_accesses : int;
-  s_cache_writebacks : int;
-  s_verify : verify_snapshot option;
-}
-
-val state : t -> state
-
-val set_state : t -> state -> unit
-(** Raises [Invalid_argument] on a core/channel-count or verify-presence
-    mismatch. *)

@@ -235,7 +235,7 @@ type wait_outcome =
    job completion/progress broadcasts and from the listener's ticker,
    which bounds how late a deadline expiry is noticed.
 
-   [sliceable] requests whose deadline runs out with slice budget left
+   [sliceable] (forced on expiry) requests whose deadline runs out with slice budget left
    do not expire: the waiter arms [p_yield] (the worker checkpoints and
    the scheduler requeues the remainder) and grants itself one more
    deadline window per slice. Once the pending entry has consumed
@@ -270,7 +270,8 @@ let await_locked t p w ~deadline ~sliceable ~on_progress =
         | None ->
             if t.aborting then Expired
             else if Clock.now_ns () >= !deadline then
-              if sliceable && t.config.slices > 0 && p.p_slices < t.config.slices
+              if t.config.slices > 0 && p.p_slices < t.config.slices
+                 && Lazy.force sliceable
               then begin
                 p.p_yield <- true;
                 deadline := Clock.ns_after (Clock.now_ns ()) t.config.deadline_s;
@@ -384,7 +385,8 @@ let rec submit_job t hash scenario p =
    streams progress frames to the peer between wakeups. *)
 let handle_run t ?on_progress ?cancel_id scenario =
   let hash = Scenario.hash scenario in
-  let sliceable = Checkpoint.sliceable scenario in
+  (* Building the plan is only worth it once a deadline expires. *)
+  let sliceable = lazy (Checkpoint.sliceable scenario) in
   let t0 = Clock.now_ns () in
   let deadline = Clock.ns_after t0 t.config.deadline_s in
   Mutex.lock t.mutex;

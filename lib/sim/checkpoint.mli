@@ -1,54 +1,33 @@
-(** Checkpoint/restore over {!Ptg_snapshot}: one chunked driver for
-    every sliceable experiment.
+(** Checkpoint/restore entry points over the one chunked driver,
+    {!Sweep.drive}.
 
-    Each run is an instance the driver steps through: a meta kind, a
-    total unit count, a cold start state, how deep a state is, a step
-    that runs up to [n] more units, and a section codec whose decoder
-    rejects a prefix stored by a different run. The driver alone adopts
-    the deepest usable stored prefix, polls [should_stop] at each chunk
-    top, saves, prunes and reports [progress]. The instances are:
+    Every sliceable run goes through that driver: it adopts the deepest
+    usable stored prefix, polls [should_stop] at each chunk top, saves,
+    prunes and reports [progress]. There are two kinds of state:
 
-    - {b fullsys} — instructions; the state is the machine itself
-      ({!Fullsys.state} in nine subsystem sections). Because the hammer
-      schedule, RNG streams and all counters are absolute, a run
-      resumed from any checkpoint is byte-identical to one that never
-      stopped.
-    - {b fig6}, {b fig7}, {b fig9}, {b multicore} — sweeps over a case
-      list; the state is the completed unit prefix. Units are
-      independent and job-count invariant, so a resumed run computes
-      only the missing suffix and aggregates identically.
+    - the {b fullsys} machine, counted in instructions; its state is the
+      machine itself ({!Fullsys.state} in nine subsystem sections).
+      Because the hammer schedule, RNG streams and all counters are
+      absolute, a run resumed from any checkpoint is byte-identical to
+      one that never stopped.
+    - a {b sweep} ({!Sweep.t}: fig6, fig7, fig9, multicore), counted in
+      units; its state is the completed unit prefix. A figure's plain
+      [run] is the same sweep driven with no store.
 
-    Checkpoints live in a {e warm-start store}: a directory of
-    [<key>.<count>.ptgs] snapshot files, where [key] hashes everything
-    the run depends on {e except} how far it goes
-    ({!Scenario.prefix_hash} for fullsys scenarios) and [count] is the
-    depth covered. A longer run warm-starts from the deepest stored
-    prefix at or below its budget; damaged or mismatched files are
-    skipped, never fatal — explicit restores ({!fullsys_restore}) raise
-    instead. After each save the store is pruned to the deepest [keep]
-    files per key, so a long multi-chunk run leaves a bounded number of
-    files behind. A stopped run saves its position only when it ran a
-    step since it started or adopted.
-
-    Checkpointing excludes observability: drivers never pass [obs]. *)
+    {!Scenario.plan} is the one dispatch from a scenario to either kind
+    (or to a whole run, which is not sliceable); {!run_scenario} consumes
+    it. Checkpoints live in a warm-start store ({!Sweep.path}): damaged
+    or mismatched files are skipped, never fatal — explicit restores
+    ({!fullsys_restore}) raise instead. Checkpointing excludes
+    observability: {!Sweep.exec} rejects [obs] with a store. *)
 
 (** {1 Warm-start store} *)
 
 val path : dir:string -> key:string -> int -> string
-
-val stored_counts : dir:string -> key:string -> int list
-(** Prefix depths present for [key], deepest first; [] when [dir] is
-    missing. *)
+(** {!Sweep.path}. *)
 
 val default_keep : int
-(** Files retained per key by the drivers' post-save prune (2: the
-    deepest plus one fallback for damaged-file recovery). *)
-
-val ensure_dir : string -> unit
-(** Create the store directory unless it already exists; a concurrent
-    creator winning the race is not an error. Raises [Sys_error] when
-    the directory cannot be created (missing parent, a file in the
-    way). *)
+(** {!Sweep.default_keep}. *)
 
 (** {1 Fullsys} *)
 
@@ -101,112 +80,14 @@ val run_fullsys :
     byte-identical for any [every], any kill/resume schedule, and any
     warm-start depth. *)
 
-(** {1 Sweeps}
-
-    Fig6, fig7, fig9 and multicore are sweeps: a case list computed in
-    order, one unit (row, point or workload campaign) per case. Each
-    takes the store [key] explicitly ({!run_scenario} passes
-    {!Scenario.hash}); a stored prefix is only adopted when it answers
-    this run's case list, in order. The other arguments mean what they
-    mean for {!run_fullsys}, with [every] counted in units. *)
-
-type ('unit, 'result) outcome = {
-  o_result : 'result option;  (** [None] when stopped early *)
-  o_units : 'unit list;       (** the completed prefix *)
-  o_completed : bool;
-  o_resumed_from : int option;  (** units adopted from the store *)
-}
-
-val run_fig6 :
-  ?jobs:int ->
-  key:string ->
-  ?keep:int ->
-  ?every:int ->
-  ?dir:string ->
-  ?adopt:bool ->
-  ?should_stop:(unit -> bool) ->
-  ?progress:(done_count:int -> total:int -> unit) ->
-  instrs:int ->
-  warmup:int ->
-  seed:int64 ->
-  config:Ptguard.Config.t ->
-  workloads:Ptg_workloads.Workload.spec list ->
-  unit ->
-  (Fig6.row, Fig6.result) outcome
-(** Rows through {!Fig6.run_rows}; a stored prefix must name this run's
-    workloads. *)
-
-val run_fig7 :
-  ?jobs:int ->
-  key:string ->
-  ?keep:int ->
-  ?every:int ->
-  ?dir:string ->
-  ?adopt:bool ->
-  ?should_stop:(unit -> bool) ->
-  ?progress:(done_count:int -> total:int -> unit) ->
-  ?latencies:int list ->
-  ?workloads:Ptg_workloads.Workload.spec list ->
-  instrs:int ->
-  warmup:int ->
-  seed:int64 ->
-  unit ->
-  (Fig7.point, Fig7.result) outcome
-(** The shared unprotected baselines are the first step, then points
-    through {!Fig7.point}. Every checkpoint carries the baselines (about
-    one point's cost, needed by every remaining point), so a
-    baselines-only file is a legal depth-0 checkpoint and a resumed
-    slice never recomputes them. A stored prefix must hold baselines for
-    this run's workloads and this run's (design, latency) points. *)
-
-val run_fig9 :
-  ?jobs:int ->
-  key:string ->
-  ?keep:int ->
-  ?every:int ->
-  ?dir:string ->
-  ?adopt:bool ->
-  ?should_stop:(unit -> bool) ->
-  ?progress:(done_count:int -> total:int -> unit) ->
-  ?p_flips:float list ->
-  ?config:Ptguard.Config.t ->
-  ?workloads:Ptg_workloads.Workload.spec list ->
-  lines_per_point:int ->
-  seed:int64 ->
-  unit ->
-  (Fig9.workload_result * (string * int) list, Fig9.result) outcome
-(** Campaigns through {!Fig9.run_workload} over generator states
-    {!Fig9.prepare} re-derives from [seed] each slice, assembled by
-    {!Fig9.assemble}; a stored prefix must match [p_flips] and the
-    workload names. *)
-
-val run_multicore :
-  ?jobs:int ->
-  key:string ->
-  ?keep:int ->
-  ?every:int ->
-  ?dir:string ->
-  ?adopt:bool ->
-  ?should_stop:(unit -> bool) ->
-  ?progress:(done_count:int -> total:int -> unit) ->
-  ?same:Ptg_workloads.Workload.spec list ->
-  ?config:Ptguard.Config.t ->
-  instrs_per_core:int ->
-  mixes:int ->
-  seed:int64 ->
-  unit ->
-  (Multicore_exp.row, Multicore_exp.result) outcome
-(** Rows through {!Multicore_exp.case_row} over {!Multicore_exp.cases}
-    (re-derived from [seed] each slice); a stored prefix must carry this
-    run's case labels. *)
-
 (** {1 Scenario entry point} *)
 
 val sliceable : Scenario.t -> bool
 (** Whether {!run_scenario} can execute this scenario in
-    kill-and-resume slices: fullsys, fig7 and multicore always;
-    fig6/fig9 when single-seed; fig8 and trace never. The server only
-    requeues deadline-expired requests for sliceable scenarios. *)
+    kill-and-resume slices: whether its {!Scenario.plan} is a sweep or
+    the fullsys machine (fullsys, fig7 and multicore always; fig6/fig9
+    when single-seed; fig8 and trace never). The server only requeues
+    deadline-expired requests for sliceable scenarios. *)
 
 type served = {
   text : string option;  (** the {!Scenario.render}ing; [None] if stopped *)
@@ -221,9 +102,9 @@ val run_scenario :
   ?progress:(done_count:int -> total:int -> unit) ->
   Scenario.t ->
   served
-(** The server's warm-start-aware execution path. With [dir], fullsys
-    scenarios warm-start by instruction prefix (key
-    {!Scenario.prefix_hash}) and the other sliceable kinds by unit
+(** The server's warm-start-aware execution path over
+    {!Scenario.plan}. With [dir], fullsys scenarios warm-start by
+    instruction prefix (key {!Scenario.prefix_hash}) and sweeps by unit
     prefix (key {!Scenario.hash}); the rendering is byte-identical to
     {!Scenario.run_to_string}. Sliceable scenarios run chunked even
     without [dir] (default [every]: a tenth of the fullsys budget, one

@@ -27,8 +27,8 @@ let run_workload ?obs ~instrs ~warmup ~seed ~guard spec =
 
 (* One workload's row. Each row builds its own Rng/Engine from [seed]
    alone, so rows are independent of each other and of which process,
-   domain or chunk computes them — the property both the parallel
-   fan-out and the row-batch checkpoint driver rely on. *)
+   domain or chunk computes them — the property the sweep's fan-out and
+   its sliced and resumed runs rely on. *)
 let row_of_spec ?obs ~instrs ~warmup ~seed ~config spec =
   let base =
     run_workload ~instrs ~warmup ~seed ~guard:Ptg_cpu.Guard_timing.unprotected
@@ -61,36 +61,57 @@ let of_rows rows =
     max_slowdown_pct = Array.fold_left Float.max 0.0 slowdowns;
   }
 
+module Codec = Ptg_snapshot.Codec
+
+let put_row b r =
+  Codec.put_string b r.workload;
+  Codec.put_float b r.mpki;
+  Codec.put_float b r.base_ipc;
+  Codec.put_float b r.norm_ipc;
+  Codec.put_float b r.slowdown_pct;
+  Codec.put_varint b r.pte_dram_reads;
+  Codec.put_varint b r.dram_reads
+
+let get_row r =
+  let workload = Codec.get_string r in
+  let mpki = Codec.get_float r in
+  let base_ipc = Codec.get_float r in
+  let norm_ipc = Codec.get_float r in
+  let slowdown_pct = Codec.get_float r in
+  let pte_dram_reads = Codec.get_varint r in
+  let dram_reads = Codec.get_varint r in
+  { workload; mpki; base_ipc; norm_ipc; slowdown_pct; pte_dram_reads; dram_reads }
+
+(* A stored row answers its workload when the name matches and its
+   slowdown is the one its positive normalized IPC gives: a row no run
+   can produce (one {!of_rows} would reject) is never adopted. *)
+let answers r (spec : Ptg_workloads.Workload.spec) =
+  r.workload = spec.Ptg_workloads.Workload.name
+  && r.norm_ipc > 0.0
+  && r.slowdown_pct = 100.0 *. (1.0 -. r.norm_ipc)
+
+let sweep ?jobs ~instrs ~warmup ~seed ~config workloads =
+  {
+    Sweep.kind = "fig6";
+    section = "fig6.rows";
+    header = "";
+    jobs;
+    prologue = Sweep.Given ();
+    cases = workloads;
+    run = (fun ?obs () spec -> row_of_spec ?obs ~instrs ~warmup ~seed ~config spec);
+    finish = of_rows;
+    put = put_row;
+    get = get_row;
+    answers;
+  }
+
 let run_rows ?jobs ~instrs ~warmup ~seed ~config workloads =
-  Array.to_list
-    (Pool.parallel_map ?jobs
-       (row_of_spec ~instrs ~warmup ~seed ~config)
-       (Array.of_list workloads))
+  Sweep.units (sweep ?jobs ~instrs ~warmup ~seed ~config workloads)
 
 let run ?jobs ?(instrs = 2_000_000) ?(warmup = 500_000) ?(seed = 42L)
     ?(config = Ptguard.Config.baseline) ?(workloads = Ptg_workloads.Workload.all)
     ?obs () =
-  (* Each task writes into its own child sink; the children are merged
-     into [obs] in task order after the join, so metrics and traces are
-     identical for any job count. *)
-  let children =
-    match obs with
-    | None -> [||]
-    | Some sink ->
-        Array.init (List.length workloads) (fun _ -> Ptg_obs.Sink.child sink)
-  in
-  let rows_arr =
-    Pool.parallel_map ?jobs
-      (fun (i, spec) ->
-        let obs = if Array.length children = 0 then None else Some children.(i) in
-        row_of_spec ?obs ~instrs ~warmup ~seed ~config spec)
-      (Array.of_list (List.mapi (fun i spec -> (i, spec)) workloads))
-  in
-  (match obs with
-  | None -> ()
-  | Some sink ->
-      Array.iter (fun child -> Ptg_obs.Sink.merge_into ~src:child ~dst:sink) children);
-  of_rows (Array.to_list rows_arr)
+  Sweep.run ?obs (sweep ?jobs ~instrs ~warmup ~seed ~config workloads)
 
 let to_rows result =
   List.map

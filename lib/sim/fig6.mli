@@ -52,13 +52,26 @@ val run_rows :
   Ptg_workloads.Workload.spec list ->
   row list
 (** The per-workload rows of {!run} for an arbitrary subset of
-    workloads, in order. Rows are independent — each builds its own RNG
-    and guard from [seed] alone — so computing them in separate calls
-    (the checkpoint driver's row batches) yields exactly the rows a
-    single {!run} over the full list produces. No observability. *)
+    workloads, in order: {!Sweep.units} of {!sweep}. Rows are
+    independent — each builds its own RNG and guard from [seed] alone —
+    so computing them in separate calls yields exactly the rows a single
+    {!run} over the full list produces. *)
 
 val of_rows : row list -> result
-(** Aggregate rows (gmean/amean/max) exactly as {!run} does. *)
+(** Aggregate rows (gmean/amean/max): the sweep's [finish]. *)
+
+val sweep :
+  ?jobs:int ->
+  instrs:int ->
+  warmup:int ->
+  seed:int64 ->
+  config:Ptguard.Config.t ->
+  Ptg_workloads.Workload.spec list ->
+  (unit, Ptg_workloads.Workload.spec, row, result) Sweep.t
+(** The figure as a sweep: one row per workload, stored in a
+    ["fig6.rows"] prefix. A stored row is adopted only when it names its
+    workload and its slowdown is the one its positive normalized IPC
+    gives. *)
 
 val to_string : result -> string
 (** Exactly the bytes {!print} writes to stdout (the serving layer caches

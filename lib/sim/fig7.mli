@@ -21,33 +21,26 @@ type result = { points : point list }
 val default_latencies : int list
 (** [[5; 10; 15; 20]], the paper's sweep. *)
 
-val cases : ?latencies:int list -> unit -> (Ptguard.Config.design * int) list
-(** The sweep's (design, MAC latency) points in presentation order:
-    Baseline across [latencies], then Optimized. *)
-
-val base_runs :
+val sweep :
   ?jobs:int ->
+  ?latencies:int list ->
+  ?workloads:Ptg_workloads.Workload.spec list ->
   instrs:int ->
   warmup:int ->
   seed:int64 ->
-  Ptg_workloads.Workload.spec list ->
-  (Ptg_workloads.Workload.spec * Ptg_cpu.Core.result) list
-(** The unprotected per-workload runs every sweep point is normalized
-    against. Deterministic for any [jobs]; each workload seeds its own
-    generator from [seed]. *)
-
-val point :
-  ?obs:Ptg_obs.Sink.t ->
-  instrs:int ->
-  warmup:int ->
-  seed:int64 ->
-  base_results:(Ptg_workloads.Workload.spec * Ptg_cpu.Core.result) list ->
-  Ptguard.Config.design * int ->
-  point
-(** One sweep point from shared baselines: guarded runs over every
-    workload in [base_results], averaged and worst-cased. Independent of
-    every other point, so points can be computed in any batching (the
-    checkpoint driver's slicing contract). *)
+  unit ->
+  ( (Ptg_workloads.Workload.spec * Ptg_cpu.Core.result) list,
+    Ptguard.Config.design * int,
+    point,
+    result )
+  Sweep.t
+(** The figure as a sweep over its (design, MAC latency) points:
+    Baseline across [latencies], then Optimized. The unprotected
+    per-workload baselines every point is normalized against are the
+    stored prologue: computed once as a step of their own and carried
+    in every checkpoint, so a baselines-only file is a legal depth-0
+    checkpoint and a resumed slice never recomputes them. Each point is
+    independent of every other point. *)
 
 val run :
   ?jobs:int ->
@@ -59,11 +52,11 @@ val run :
   ?obs:Ptg_obs.Sink.t ->
   unit ->
   result
-(** Defaults: latencies [5; 10; 15; 20], both designs, all workloads.
-    [jobs] fans the shared baseline runs and the (design, latency) sweep
-    points across domains; results are independent of the job count.
-    With [obs], each sweep case's guard reports into a child sink merged
-    back in case order (deterministic for any job count). *)
+(** {!Sweep.run} of {!sweep}. Defaults: latencies [5; 10; 15; 20], both
+    designs, all workloads. [jobs] fans the shared baseline runs and the
+    sweep points across domains; results are independent of the job
+    count. With [obs], each point's guard reports into a child sink
+    merged back in case order (deterministic for any job count). *)
 
 val to_string : result -> string
 (** Exactly the bytes {!print} writes to stdout. *)

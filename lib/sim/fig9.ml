@@ -98,7 +98,10 @@ let run_workload ?obs ~lines_per_point ~p_flips ~config prepared =
   let { pr_spec = spec; pr_params = params; pr_wl_rng = wl_rng;
         pr_engine_rng = engine_rng } = prepared in
   let mask line = Ptguard.Config.masked_for_mac config line in
-  let rng = wl_rng in
+  (* Copies: the prepared state stays as prepared, so a sweep value can
+     run again and draw the same streams. *)
+  let rng = Rng.copy wl_rng in
+  let engine_rng = Rng.copy engine_rng in
   let steps : (string, int) Hashtbl.t = Hashtbl.create 8 in
   let lines = Ptg_vm.Process_model.leaf_lines rng params in
   let sample = weighted_sampler rng lines in
@@ -207,30 +210,86 @@ let assemble ~p_flips parts =
         (Hashtbl.fold (fun k v acc -> (k, v) :: acc) steps []);
   }
 
-let run ?jobs ?(lines_per_point = 300) ?(seed = 9L) ?(p_flips = default_p_flips)
-    ?(config = Ptguard.Config.optimized)
-    ?(workloads = Ptg_workloads.Workload.fig9_subset) ?obs () =
-  let prepared = Array.of_list (prepare ~seed workloads) in
-  let children =
-    match obs with
-    | None -> [||]
-    | Some sink ->
-        Array.init (Array.length prepared) (fun _ -> Ptg_obs.Sink.child sink)
+module Codec = Ptg_snapshot.Codec
+
+let put_part b (w, steps) =
+  Codec.put_string b w.workload;
+  Codec.put_list b
+    (fun b c ->
+      Codec.put_float b c.p_flip;
+      Codec.put_varint b c.sampled;
+      Codec.put_varint b c.corrected;
+      Codec.put_varint b c.uncorrectable;
+      Codec.put_varint b c.benign;
+      Codec.put_varint b c.miscorrections;
+      Codec.put_varint b c.escapes;
+      Codec.put_float b c.corrected_pct)
+    w.cells;
+  Codec.put_list b
+    (fun b (k, v) ->
+      Codec.put_string b k;
+      Codec.put_varint b v)
+    steps
+
+let get_part r =
+  let workload = Codec.get_string r in
+  let cells =
+    Codec.get_list r (fun r ->
+        let p_flip = Codec.get_float r in
+        let sampled = Codec.get_varint r in
+        let corrected = Codec.get_varint r in
+        let uncorrectable = Codec.get_varint r in
+        let benign = Codec.get_varint r in
+        let miscorrections = Codec.get_varint r in
+        let escapes = Codec.get_varint r in
+        let corrected_pct = Codec.get_float r in
+        {
+          p_flip;
+          sampled;
+          corrected;
+          uncorrectable;
+          benign;
+          miscorrections;
+          escapes;
+          corrected_pct;
+        })
   in
-  let parts =
-    Pool.parallel_map ?jobs
-      (fun (i, p) ->
-        let obs =
-          if Array.length children = 0 then None else Some children.(i)
-        in
-        run_workload ?obs ~lines_per_point ~p_flips ~config p)
-      (Array.mapi (fun i p -> (i, p)) prepared)
+  let steps =
+    Codec.get_list r (fun r ->
+        let k = Codec.get_string r in
+        let v = Codec.get_varint r in
+        (k, v))
   in
-  (match obs with
-  | None -> ()
-  | Some sink ->
-      Array.iter (fun child -> Ptg_obs.Sink.merge_into ~src:child ~dst:sink) children);
-  assemble ~p_flips (Array.to_list parts)
+  ({ workload; cells }, steps)
+
+(* Generator states are re-derived for every run (cheap); only the
+   campaign results are stored, after a header of the run's [p_flips].
+   A stored part answers its workload only with one cell per run
+   [p_flip], in order — [assemble] indexes every part by them. *)
+let sweep ?jobs ?(p_flips = default_p_flips) ?(config = Ptguard.Config.optimized)
+    ?(workloads = Ptg_workloads.Workload.fig9_subset) ~lines_per_point ~seed () =
+  let header = Codec.writer () in
+  Codec.put_list header Codec.put_float p_flips;
+  {
+    Sweep.kind = "fig9";
+    section = "fig9.parts";
+    header = Codec.contents header;
+    jobs;
+    prologue = Sweep.Given ();
+    cases = prepare ~seed workloads;
+    run = (fun ?obs () p -> run_workload ?obs ~lines_per_point ~p_flips ~config p);
+    finish = assemble ~p_flips;
+    put = put_part;
+    get = get_part;
+    answers =
+      (fun (w, _) p ->
+        w.workload = p.pr_spec.Ptg_workloads.Workload.name
+        && List.map (fun c -> c.p_flip) w.cells = p_flips);
+  }
+
+let run ?jobs ?(lines_per_point = 300) ?(seed = 9L) ?p_flips ?config ?workloads
+    ?obs () =
+  Sweep.run ?obs (sweep ?jobs ?p_flips ?config ?workloads ~lines_per_point ~seed ())
 
 let pp_p p =
   if p > 0.0 && Float.is_integer (1.0 /. p) then

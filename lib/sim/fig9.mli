@@ -34,36 +34,25 @@ type result = {
 val default_p_flips : float list
 (** [1/1024; 1/512; 1/256; 1/128], the x-axis of Figure 9. *)
 
-type prepared = {
-  pr_spec : Ptg_workloads.Workload.spec;
-  pr_params : Ptg_vm.Process_model.params;
-  pr_wl_rng : Ptg_util.Rng.t;
-  pr_engine_rng : Ptg_util.Rng.t;
-}
+type prepared
 (** One workload's generator state, split serially off the master seed
-    stream in workload order. *)
+    stream in workload order: a case of {!sweep}. *)
 
-val prepare : seed:int64 -> Ptg_workloads.Workload.spec list -> prepared list
-(** Derive every workload's generator state from [seed]. Cheap relative
-    to a campaign — a checkpoint-resumed slice re-prepares all workloads
-    and runs only the missing ones, bit-identically. *)
-
-val run_workload :
-  ?obs:Ptg_obs.Sink.t ->
+val sweep :
+  ?jobs:int ->
+  ?p_flips:float list ->
+  ?config:Ptguard.Config.t ->
+  ?workloads:Ptg_workloads.Workload.spec list ->
   lines_per_point:int ->
-  p_flips:float list ->
-  config:Ptguard.Config.t ->
-  prepared ->
-  workload_result * (string * int) list
-(** One workload's injection campaign; the snd is its correction-step
-    histogram as a key-sorted assoc list (serializable, mergeable). *)
-
-val assemble :
-  p_flips:float list ->
-  (workload_result * (string * int) list) list ->
-  result
-(** Merge per-workload parts (in workload order) into the figure:
-    byte-identical however the parts were batched. *)
+  seed:int64 ->
+  unit ->
+  (unit, prepared, workload_result * (string * int) list, result) Sweep.t
+(** The figure as a sweep: one injection campaign per workload, whose
+    unit pairs the workload's cells with its correction-step histogram
+    (key-sorted). Generator states are re-derived from [seed] for every
+    run; the parts merge into the figure byte-identically however they
+    were batched. A stored part is adopted only when it names its
+    workload and carries one cell per [p_flips] entry, in order. *)
 
 val run :
   ?jobs:int ->
@@ -75,12 +64,13 @@ val run :
   ?obs:Ptg_obs.Sink.t ->
   unit ->
   result
-(** Defaults: 300 faulty lines per (workload, p_flip) point, the Optimized
-    design, the Figure 9 workload subset. [jobs] fans the per-workload
-    injection campaigns across domains; each workload draws from its own
-    generator split serially off the master stream, so results are
-    independent of the job count. With [obs], each workload's engine
-    reports into a child sink merged back in workload order. *)
+(** {!Sweep.run} of {!sweep}. Defaults: 300 faulty lines per (workload,
+    p_flip) point, the Optimized design, the Figure 9 workload subset.
+    [jobs] fans the per-workload injection campaigns across domains;
+    each workload draws from its own generator split serially off the
+    master stream, so results are independent of the job count. With
+    [obs], each workload's engine reports into a child sink merged back
+    in workload order. *)
 
 val to_string : result -> string
 (** Exactly the bytes {!print} writes to stdout. *)

@@ -79,31 +79,49 @@ let of_rows rows =
     max_label = max_row.label;
   }
 
-let run ?jobs ?(instrs_per_core = 400_000) ?(seed = 7L)
-    ?(same = Ptg_workloads.Workload.all) ?(mixes = 16)
-    ?(config = Ptguard.Config.baseline) ?obs () =
-  let cases = cases ~same ~seed ~mixes () in
-  let children =
-    match obs with
-    | None -> [||]
-    | Some sink ->
-        Array.init (List.length cases) (fun _ -> Ptg_obs.Sink.child sink)
-  in
-  let rows =
-    Array.to_list
-      (Pool.parallel_map ?jobs
-         (fun (i, case) ->
-           let obs =
-             if Array.length children = 0 then None else Some children.(i)
-           in
-           case_row ?obs ~instrs_per_core ~seed ~config case)
-         (Array.of_list (List.mapi (fun i case -> (i, case)) cases)))
-  in
-  (match obs with
-  | None -> ()
-  | Some sink ->
-      Array.iter (fun child -> Ptg_obs.Sink.merge_into ~src:child ~dst:sink) children);
-  of_rows rows
+module Codec = Ptg_snapshot.Codec
+
+let put_row b r =
+  Codec.put_string b r.label;
+  Codec.put_list b Codec.put_string r.workloads;
+  Codec.put_float b r.base_ipc;
+  Codec.put_float b r.norm_ipc;
+  Codec.put_float b r.slowdown_pct;
+  Codec.put_float b r.avg_queue_delay
+
+let get_row r =
+  let label = Codec.get_string r in
+  let workloads = Codec.get_list r Codec.get_string in
+  let base_ipc = Codec.get_float r in
+  let norm_ipc = Codec.get_float r in
+  let slowdown_pct = Codec.get_float r in
+  let avg_queue_delay = Codec.get_float r in
+  { label; workloads; base_ipc; norm_ipc; slowdown_pct; avg_queue_delay }
+
+(* The case list is re-derived from the seed for every run. A stored
+   row answers its case when the label matches and its slowdown is the
+   one its normalized IPC gives (a NaN one would fail {!of_rows}). *)
+let sweep ?jobs ?(same = Ptg_workloads.Workload.all)
+    ?(config = Ptguard.Config.baseline) ~instrs_per_core ~mixes ~seed () =
+  {
+    Sweep.kind = "multicore";
+    section = "multicore.rows";
+    header = "";
+    jobs;
+    prologue = Sweep.Given ();
+    cases = cases ~same ~seed ~mixes ();
+    run = (fun ?obs () case -> case_row ?obs ~instrs_per_core ~seed ~config case);
+    finish = of_rows;
+    put = put_row;
+    get = get_row;
+    answers =
+      (fun r (label, _) ->
+        r.label = label && r.slowdown_pct = 100.0 *. (1.0 -. r.norm_ipc));
+  }
+
+let run ?jobs ?(instrs_per_core = 400_000) ?(seed = 7L) ?same ?(mixes = 16)
+    ?config ?obs () =
+  Sweep.run ?obs (sweep ?jobs ?same ?config ~instrs_per_core ~mixes ~seed ())
 
 let header = [ "configuration"; "workloads"; "IPC_b"; "IPC/IPC_b"; "slowdown"; "queue delay" ]
 

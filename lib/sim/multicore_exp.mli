@@ -22,30 +22,22 @@ type result = {
   max_label : string;
 }
 
-val cases :
+val sweep :
+  ?jobs:int ->
   ?same:Ptg_workloads.Workload.spec list ->
-  seed:int64 ->
-  mixes:int ->
-  unit ->
-  (string * Ptg_workloads.Workload.spec array) list
-(** The labelled SAME and MIX core compositions, in presentation order.
-    MIXes are drawn serially from a seed-derived stream, so the list is
-    deterministic and cheap to re-derive (a checkpoint-resumed slice
-    recomputes it rather than storing it). *)
-
-val case_row :
-  ?obs:Ptg_obs.Sink.t ->
+  ?config:Ptguard.Config.t ->
   instrs_per_core:int ->
+  mixes:int ->
   seed:int64 ->
-  config:Ptguard.Config.t ->
-  string * Ptg_workloads.Workload.spec array ->
-  row
-(** One case's unprotected-vs-guarded 4-core comparison. Independent of
-    every other case. *)
-
-val of_rows : row list -> result
-(** Aggregate completed rows (in case order) into the section's
-    average/worst summary. Raises on []. *)
+  unit ->
+  (unit, string * Ptg_workloads.Workload.spec array, row, result) Sweep.t
+(** The section as a sweep over its labelled SAME and MIX core
+    compositions, in presentation order; each case is one
+    unprotected-vs-guarded 4-core comparison, independent of every
+    other. MIXes are drawn serially from a seed-derived stream, so the
+    case list is deterministic and re-derived for every run. A stored
+    row is adopted only when it carries its case's label and its
+    slowdown is the one its normalized IPC gives. *)
 
 val run :
   ?jobs:int ->
@@ -57,11 +49,12 @@ val run :
   ?obs:Ptg_obs.Sink.t ->
   unit ->
   result
-(** Defaults: every workload as a SAME configuration (the paper runs 18)
-    plus 16 random MIXes, 400K instructions per core, baseline design.
-    [jobs] fans the SAME/MIX cases across domains; results are
-    independent of the job count. With [obs], each case's guard reports
-    into a child sink merged back in case order. *)
+(** {!Sweep.run} of {!sweep}. Defaults: every workload as a SAME
+    configuration (the paper runs 18) plus 16 random MIXes, 400K
+    instructions per core, baseline design. [jobs] fans the SAME/MIX
+    cases across domains; results are independent of the job count.
+    With [obs], each case's guard reports into a child sink merged back
+    in case order. *)
 
 val to_string : result -> string
 (** Exactly the bytes {!print} writes to stdout. *)

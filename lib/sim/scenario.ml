@@ -347,9 +347,17 @@ type output =
   | Trace_out of { mitigation : string option; result : Mem_trace.replay_result }
   | Fullsys_out of Fullsys.result
 
-let run ?obs t =
+type plan =
+  | Sweep : ('p, 'c, 'u, output) Sweep.t -> plan
+  | Machine of { seed : int64; instrs : int }
+  | Whole of (?obs:Ptg_obs.Sink.t -> unit -> output)
+
+(* The one dispatch from a scenario to what runs it. Multi-seed sweeps
+   aggregate across seeds at the end, so they run whole. *)
+let plan t =
   check t;
-  let jobs = t.jobs in
+  let jobs = t.jobs and seed = t.seed in
+  let sweep s out = Sweep { s with Sweep.finish = (fun u -> out (s.Sweep.finish u)) } in
   match t.kind with
   | Fig6 ->
       let config =
@@ -363,46 +371,61 @@ let run ?obs t =
       in
       let instrs = resolve_instrs t and warmup = resolve_warmup t in
       if t.seeds > 1 then
-        Fig6_multi_out
-          (Fig6.run_multi ~jobs ~seeds:t.seeds ~instrs ~warmup ~config
-             ~workloads ?obs ())
+        Whole
+          (fun ?obs () ->
+            Fig6_multi_out
+              (Fig6.run_multi ~jobs ~seeds:t.seeds ~instrs ~warmup ~config
+                 ~workloads ?obs ()))
       else
-        Fig6_out
-          (Fig6.run ~jobs ~seed:t.seed ~instrs ~warmup ~config ~workloads ?obs
-             ())
+        sweep
+          (Fig6.sweep ~jobs ~instrs ~warmup ~seed ~config workloads)
+          (fun r -> Fig6_out r)
   | Fig7 ->
-      Fig7_out
-        (Fig7.run ~jobs ~seed:t.seed ~instrs:(resolve_instrs t)
-           ~warmup:(resolve_warmup t) ?obs ())
+      sweep
+        (Fig7.sweep ~jobs ~instrs:(resolve_instrs t) ~warmup:(resolve_warmup t)
+           ~seed ())
+        (fun r -> Fig7_out r)
   | Fig8 ->
-      Fig8_out (Fig8.run ~jobs ~seed:t.seed ~processes:(resolve_processes t) ?obs ())
+      Whole
+        (fun ?obs () ->
+          Fig8_out (Fig8.run ~jobs ~seed ~processes:(resolve_processes t) ?obs ()))
   | Fig9 ->
+      let lines_per_point = resolve_lines t in
       if t.seeds > 1 then
-        Fig9_multi_out
-          (Fig9.run_multi ~jobs ~seeds:t.seeds ~lines_per_point:(resolve_lines t) ())
+        Whole
+          (fun ?obs:_ () ->
+            Fig9_multi_out (Fig9.run_multi ~jobs ~seeds:t.seeds ~lines_per_point ()))
       else
-        Fig9_out
-          (Fig9.run ~jobs ~seed:t.seed ~lines_per_point:(resolve_lines t) ?obs ())
+        sweep (Fig9.sweep ~jobs ~lines_per_point ~seed ()) (fun r -> Fig9_out r)
   | Multicore ->
-      Multicore_out
-        (Multicore_exp.run ~jobs ~seed:t.seed
-           ~instrs_per_core:(resolve_instrs t) ~mixes:(resolve_mixes t) ?obs ())
-  | Trace -> (
-      let trace = Mem_trace.load ~path:(Option.get t.trace_path) in
-      match
-        Mem_trace.replay ?mitigation:t.mitigation ~params:t.mit_params
-          ~seed:t.seed trace
-      with
-      | Ok result -> Trace_out { mitigation = t.mitigation; result }
-      | Error msg -> invalid_arg ("Scenario: " ^ msg))
-  | Fullsys ->
+      sweep
+        (Multicore_exp.sweep ~jobs ~instrs_per_core:(resolve_instrs t)
+           ~mixes:(resolve_mixes t) ~seed ())
+        (fun r -> Multicore_out r)
+  | Trace ->
+      Whole
+        (fun ?obs:_ () ->
+          let trace = Mem_trace.load ~path:(Option.get t.trace_path) in
+          match
+            Mem_trace.replay ?mitigation:t.mitigation ~params:t.mit_params ~seed
+              trace
+          with
+          | Ok result -> Trace_out { mitigation = t.mitigation; result }
+          | Error msg -> invalid_arg ("Scenario: " ^ msg))
+  | Fullsys -> Machine { seed; instrs = resolve_instrs t }
+
+let run ?obs t =
+  match plan t with
+  | Sweep s -> Sweep.run ?obs s
+  | Machine { seed; instrs } ->
       (* Guarded machine under attack (the mode's defaults); [totals] so
          the rendering is identical however the budget was chunked —
          including when the checkpoint driver serves this scenario from
          a warm-start snapshot instead. *)
-      let m = Fullsys.create ?obs ~seed:t.seed () in
-      ignore (Fullsys.run m ~instrs:(resolve_instrs t));
+      let m = Fullsys.create ?obs ~seed () in
+      ignore (Fullsys.run m ~instrs);
       Fullsys_out (Fullsys.totals m)
+  | Whole f -> f ?obs ()
 
 let render = function
   | Fig6_out r -> Fig6.to_string r

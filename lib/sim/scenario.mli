@@ -81,17 +81,8 @@ val validate : t -> (unit, string) result
 val check : t -> unit
 (** {!validate}, raising [Invalid_argument] on rejection. *)
 
-val config_of_design : Ptguard.Config.design -> Ptguard.Config.t
-
 val resolve_instrs : t -> int
-val resolve_warmup : t -> int
-val resolve_mac_latency : t -> int
-val resolve_workload_names : t -> string list
-val resolve_lines : t -> int
-val resolve_mixes : t -> int
-(** Kind-aware defaults, as {!canonical} resolves them — exposed for
-    drivers (the checkpoint layer) that must reproduce {!run}'s exact
-    parameters. *)
+(** The kind-aware instruction budget, as {!canonical} resolves it. *)
 
 val canonical : t -> string
 (** Single-line JSON, sorted keys, defaults resolved, kind-relevant
@@ -132,10 +123,26 @@ type output =
   | Fullsys_out of Fullsys.result
       (** guarded machine under double-sided attack, default sizing *)
 
+(** What runs a scenario: the one dispatch both {!run} and the
+    checkpointing entry point ([Checkpoint.run_scenario]) consume. *)
+type plan =
+  | Sweep : ('p, 'c, 'u, output) Sweep.t -> plan
+      (** single-seed fig6 and fig9, fig7, multicore: sliced and stored
+          by unit prefix *)
+  | Machine of { seed : int64; instrs : int }
+      (** fullsys: the guarded machine under attack, default sizing,
+          sliced and stored by instruction prefix *)
+  | Whole of (?obs:Ptg_obs.Sink.t -> unit -> output)
+      (** multi-seed sweeps, fig8 and trace: run in one piece *)
+
+val plan : t -> plan
+(** Raises [Invalid_argument] when {!validate} rejects. *)
+
 val run : ?obs:Ptg_obs.Sink.t -> t -> output
-(** Execute the scenario (raising [Invalid_argument] when {!validate}
-    rejects). Deterministic: the rendering of the output depends only on
-    {!canonical}, never on [jobs] or on the observability sink. *)
+(** Execute the {!plan} with no store (raising [Invalid_argument] when
+    {!validate} rejects). Deterministic: the rendering of the output
+    depends only on {!canonical}, never on [jobs] or on the
+    observability sink. *)
 
 val render : output -> string
 (** The human-readable report — exactly what the corresponding CLI

@@ -83,7 +83,6 @@ let put_option b put = function
 type reader = { what : string; src : string; mutable pos : int }
 
 let reader ~what src = { what; src; pos = 0 }
-let pos r = r.pos
 
 let truncated r =
   invalid_arg
@@ -126,20 +125,24 @@ let get_i64 r =
 
 let get_float r = Int64.float_of_bits (get_i64 r)
 
-let get_string r =
-  let len = get_varint r in
-  if r.pos + len > String.length r.src then truncated r;
+let get_raw r len =
+  if len < 0 || len > String.length r.src - r.pos then truncated r;
   let s = String.sub r.src r.pos len in
   r.pos <- r.pos + len;
   s
 
-let get_list r get =
-  let n = get_varint r in
-  List.init n (fun _ -> get r)
+let get_string r = get_raw r (get_varint r)
 
-let get_array r get =
+(* Every element takes at least one byte, so a count beyond the bytes
+   left is corrupt: rejecting it up front keeps a damaged count from
+   sizing an allocation. *)
+let get_count r =
   let n = get_varint r in
-  Array.init n (fun _ -> get r)
+  if n < 0 || n > String.length r.src - r.pos then truncated r;
+  n
+
+let get_list r get = List.init (get_count r) (fun _ -> get r)
+let get_array r get = Array.init (get_count r) (fun _ -> get r)
 
 let get_option r get = if get_bool r then Some (get r) else None
 

@@ -43,15 +43,15 @@ type reader
 val reader : what:string -> string -> reader
 (** [what] names the input (a path, or ["<memory>"]) in error messages. *)
 
-val pos : reader -> int
-val truncated : reader -> 'a
 val corrupt : reader -> string -> 'a
-val get_u8 : reader -> int
 val get_varint : reader -> int
 val get_int : reader -> int
 val get_bool : reader -> bool
 val get_i64 : reader -> int64
 val get_float : reader -> float
+val get_raw : reader -> int -> string
+(** Exactly that many bytes, with no length prefix. *)
+
 val get_string : reader -> string
 val get_list : reader -> (reader -> 'a) -> 'a list
 val get_array : reader -> (reader -> 'a) -> 'a array

@@ -35,27 +35,6 @@ let get_block r =
   let lo = get_i64 r in
   Ptg_crypto.Block128.make ~hi ~lo
 
-let put_cache b (s : Ptg_cpu.Cache.state) =
-  put_array b (fun b n -> put_int b n) s.Ptg_cpu.Cache.s_tags;
-  put_array b (fun b n -> put_int b n) s.s_lrus;
-  put_string b (Bytes.to_string s.s_dirty);
-  put_int b s.s_tick;
-  put_int b s.s_accesses;
-  put_int b s.s_misses;
-  put_bool b s.s_wb_pending;
-  put_i64 b s.s_wb_addr
-
-let get_cache r : Ptg_cpu.Cache.state =
-  let s_tags = get_array r get_int in
-  let s_lrus = get_array r get_int in
-  let s_dirty = Bytes.of_string (get_string r) in
-  let s_tick = get_int r in
-  let s_accesses = get_int r in
-  let s_misses = get_int r in
-  let s_wb_pending = get_bool r in
-  let s_wb_addr = get_i64 r in
-  { s_tags; s_lrus; s_dirty; s_tick; s_accesses; s_misses; s_wb_pending; s_wb_addr }
-
 let put_tlb b (s : Ptg_cpu.Tlb.state) =
   put_array b
     (fun b (vpn, valid, lru) ->
@@ -212,141 +191,6 @@ let get_engine r : Ptguard.Engine.state =
   let s_ctb = get_list r get_i64 in
   let s_stats = get_engine_stats r in
   { s_key_w0; s_key_k0; s_ctb; s_stats }
-
-let put_guard b (s : Ptg_cpu.Guard_timing.state) =
-  put_int b s.Ptg_cpu.Guard_timing.s_mac_computations;
-  put_int b s.s_reads;
-  put_option b put_words s.s_rng
-
-let get_guard r : Ptg_cpu.Guard_timing.state =
-  let s_mac_computations = get_int r in
-  let s_reads = get_int r in
-  let s_rng = get_option r get_words in
-  { s_mac_computations; s_reads; s_rng }
-
-let put_core b (s : Ptg_cpu.Core.state) =
-  put_cache b s.Ptg_cpu.Core.s_l1;
-  put_cache b s.s_l2;
-  put_cache b s.s_l3;
-  put_cache b s.s_mmu;
-  put_tlb b s.s_tlb;
-  put_dram b s.s_dram;
-  put_guard b s.s_guard;
-  put_int b s.s_now;
-  put_int b s.s_dram_reads;
-  put_int b s.s_pte_dram_reads;
-  put_int b s.s_walks;
-  put_int b s.s_cache_writebacks
-
-let get_core r : Ptg_cpu.Core.state =
-  let s_l1 = get_cache r in
-  let s_l2 = get_cache r in
-  let s_l3 = get_cache r in
-  let s_mmu = get_cache r in
-  let s_tlb = get_tlb r in
-  let s_dram = get_dram r in
-  let s_guard = get_guard r in
-  let s_now = get_int r in
-  let s_dram_reads = get_int r in
-  let s_pte_dram_reads = get_int r in
-  let s_walks = get_int r in
-  let s_cache_writebacks = get_int r in
-  {
-    s_l1;
-    s_l2;
-    s_l3;
-    s_mmu;
-    s_tlb;
-    s_dram;
-    s_guard;
-    s_now;
-    s_dram_reads;
-    s_pte_dram_reads;
-    s_walks;
-    s_cache_writebacks;
-  }
-
-let put_multicore b (s : Ptg_cpu.Multicore.state) =
-  put_array b
-    (fun b (c : Ptg_cpu.Multicore.core_snapshot) ->
-      put_cache b c.Ptg_cpu.Multicore.sc_l1;
-      put_cache b c.sc_l2;
-      put_tlb b c.sc_tlb;
-      put_cache b c.sc_mmu;
-      put_int b c.sc_now;
-      put_int b c.sc_done_instrs;
-      put_int b c.sc_dram_reads)
-    s.Ptg_cpu.Multicore.s_cores;
-  put_cache b s.s_llc;
-  put_dram b s.s_dram;
-  put_guard b s.s_guard;
-  put_array b (fun b n -> put_int b n) s.s_channel_busy;
-  put_int b s.s_read_counter;
-  put_int b s.s_dram_reads;
-  put_int b s.s_pte_dram_reads;
-  put_int b s.s_queue_delay_total;
-  put_int b s.s_queued_accesses;
-  put_int b s.s_cache_writebacks;
-  put_option b
-    (fun b (v : Ptg_cpu.Multicore.verify_snapshot) ->
-      put_engine b v.Ptg_cpu.Multicore.sv_engine;
-      put_list b put_addr_line v.sv_store;
-      put_int b v.sv_passed;
-      put_int b v.sv_failed)
-    s.s_verify
-
-let get_multicore r : Ptg_cpu.Multicore.state =
-  let s_cores =
-    get_array r (fun r ->
-        let sc_l1 = get_cache r in
-        let sc_l2 = get_cache r in
-        let sc_tlb = get_tlb r in
-        let sc_mmu = get_cache r in
-        let sc_now = get_int r in
-        let sc_done_instrs = get_int r in
-        let sc_dram_reads = get_int r in
-        {
-          Ptg_cpu.Multicore.sc_l1;
-          sc_l2;
-          sc_tlb;
-          sc_mmu;
-          sc_now;
-          sc_done_instrs;
-          sc_dram_reads;
-        })
-  in
-  let s_llc = get_cache r in
-  let s_dram = get_dram r in
-  let s_guard = get_guard r in
-  let s_channel_busy = get_array r get_int in
-  let s_read_counter = get_int r in
-  let s_dram_reads = get_int r in
-  let s_pte_dram_reads = get_int r in
-  let s_queue_delay_total = get_int r in
-  let s_queued_accesses = get_int r in
-  let s_cache_writebacks = get_int r in
-  let s_verify =
-    get_option r (fun r ->
-        let sv_engine = get_engine r in
-        let sv_store = get_list r get_addr_line in
-        let sv_passed = get_int r in
-        let sv_failed = get_int r in
-        { Ptg_cpu.Multicore.sv_engine; sv_store; sv_passed; sv_failed })
-  in
-  {
-    s_cores;
-    s_llc;
-    s_dram;
-    s_guard;
-    s_channel_busy;
-    s_read_counter;
-    s_dram_reads;
-    s_pte_dram_reads;
-    s_queue_delay_total;
-    s_queued_accesses;
-    s_cache_writebacks;
-    s_verify;
-  }
 
 let put_fault b (s : Ptg_rowhammer.Fault_model.state) =
   put_words b s.Ptg_rowhammer.Fault_model.s_rng;

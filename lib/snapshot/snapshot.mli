@@ -13,9 +13,6 @@
     detection. Section payloads are produced and consumed with {!Codec}
     by the per-subsystem encoders in {!Sections}. *)
 
-val magic : string
-val version : int
-
 type section = { name : string; payload : string }
 
 val section : name:string -> string -> section
@@ -45,7 +42,6 @@ val hash_hex : int64 -> string
     of [<key>.<count>.ptgs] files where [key] hashes everything the run
     depends on except its depth and [count] is the prefix covered. *)
 
-val store_file_name : key:string -> int -> string
 val store_path : dir:string -> key:string -> int -> string
 
 val store_counts : dir:string -> key:string -> int list
@@ -60,11 +56,8 @@ val prune : ?keep:int -> dir:string -> key:string -> unit -> int
     always complete snapshots. Raises [Invalid_argument] when
     [keep < 1]. *)
 
-val find : section list -> string -> string option
-
-val get : what:string -> section list -> string -> string
-(** Raises [Invalid_argument] naming [what] and the missing section. *)
-
 val reader : what:string -> section list -> string -> Codec.reader
-(** [get] wrapped in a {!Codec.reader} whose error messages carry both
-    the input name and the section name. *)
+(** A {!Codec.reader} over the named section, whose error messages
+    carry both the input name and the section name. Raises
+    [Invalid_argument] naming [what] and the section when it is
+    missing. *)

@@ -40,7 +40,12 @@
 #      lib/ at all; and one mitigation path and one trace format: no
 #      Mitigation., attach_, Walk_trace, save_state/restore_state or
 #      put_kvs in lib/, bin/, bench/ or examples/ (Registry.instantiate
-#      builds every mitigation, Mem_trace is the only trace format)
+#      builds every mitigation, Mem_trace is the only trace format); and
+#      one sweep path: Sink.child in lib/ only in lib/sim/sweep.ml (its
+#      one per-case fan-out) and lib/obs/, no per-kind run_fig6,
+#      run_fig7, run_fig9 or run_multicore, and no timing-model machine
+#      snapshots (Core/Multicore/Guard_timing.set_state, put_core,
+#      put_multicore) in lib/, bin/, bench/ or examples/
 #   8d. warm-start gate (bench_gate snapshot): resuming a finished
 #      fullsys budget from its snapshot store must stay >= 5x faster
 #      than computing it cold and byte-identical
@@ -176,6 +181,22 @@ if grep -rnE --include='*.ml' --include='*.mli' \
     exit 1
 fi
 echo "OK: Registry.instantiate is the one mitigation path, Mem_trace the one trace format"
+
+echo "== one sweep path =="
+sites=$(grep -rn --include='*.ml' 'Sink\.child' lib \
+    | grep -v -e '^lib/sim/sweep\.ml:' -e '^lib/obs/' || true)
+if [ -n "$sites" ]; then
+    echo "FAIL: a per-case child-sink fan-out outside lib/sim/sweep.ml; run the cases through Sweep:" >&2
+    printf '%s\n' "$sites" >&2
+    exit 1
+fi
+if grep -rnE --include='*.ml' --include='*.mli' \
+    '\brun_(fig6|fig7|fig9|multicore)\b|(Core|Multicore|Guard_timing)\.set_state|\bput_(core|multicore)\b' \
+    lib bin bench examples; then
+    echo "FAIL: a per-kind checkpoint wrapper or a timing-model machine snapshot is back; a sweep runs through Sweep.exec" >&2
+    exit 1
+fi
+echo "OK: one per-case fan-out (Sweep), no per-kind sweep wrappers, no timing-model machine snapshots"
 
 echo "== warm-start regression gate =="
 bench_gate snapshot

@@ -197,6 +197,26 @@ let test_negative_activation_count () =
              (fun w -> w = "-4")
              (String.split_on_char ' ' msg))
 
+(* A damaged element count larger than the bytes left is corrupt input,
+   rejected before it can size an allocation. *)
+let test_oversized_count () =
+  let b = Codec.writer () in
+  Codec.put_varint b (1 lsl 40);
+  Codec.put_i64 b 0L;
+  let input = Codec.contents b in
+  let rejected get =
+    match get (Codec.reader ~what:"crafted" input) with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let before = Gc.allocated_bytes () in
+  Alcotest.(check bool) "array count rejected" true
+    (rejected (fun r -> Codec.get_array r Codec.get_i64));
+  Alcotest.(check bool) "list count rejected" true
+    (rejected (fun r -> Codec.get_list r Codec.get_i64));
+  let allocated = Gc.allocated_bytes () -. before in
+  if allocated > 1e6 then Alcotest.failf "rejecting allocated %.0f bytes" allocated
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_roundtrip;
@@ -208,4 +228,5 @@ let suite =
     Alcotest.test_case "fnv1a64 over a range" `Quick test_fnv1a64_range;
     Alcotest.test_case "negative activation count rejected" `Quick
       test_negative_activation_count;
+    Alcotest.test_case "oversized count rejected" `Quick test_oversized_count;
   ]

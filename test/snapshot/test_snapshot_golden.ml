@@ -1,13 +1,13 @@
 (* Byte-identity goldens for the checkpoint format: the FNV-1a digest of
-   every file a fixed checkpointed run leaves in the store, and of the
-   DRAM-carrying core and multicore sections. Any change to what a save
+   every file a fixed checkpointed run leaves in the store, for the
+   fullsys machine and for every sweep. Any change to what a save
    writes — field order, sparse-row order, a count — moves a digest here
    and fails by file name. Regenerate only for a deliberate format
    change, and say so. *)
 
 module Checkpoint = Ptg_sim.Checkpoint
+module Sweep = Ptg_sim.Sweep
 module Codec = Ptg_snapshot.Codec
-module Sections = Ptg_snapshot.Sections
 module Snapshot = Ptg_snapshot.Snapshot
 
 let seed = 42L
@@ -66,58 +66,59 @@ let test_fullsys_store () =
 
 let multicore_expected = [ ("1.ptgs", "1ff5f41dd0b6678a") ]
 
-let test_multicore_store () =
+(* Drive [sweep] to completion one unit per checkpoint, keeping every
+   file, and compare the store against [expected]. *)
+let check_sweep_store what expected sweep =
   with_dir (fun dir ->
-      let o =
-        Checkpoint.run_multicore ~jobs:1 ~key:"golden" ~every:1 ~dir
-          ~keep:max_int
-          ~same:(List.filteri (fun i _ -> i < 1) Ptg_workloads.Workload.all)
-          ~instrs_per_core:1_500 ~mixes:0 ~seed ()
-      in
-      Alcotest.(check bool) "completed" true o.Checkpoint.o_completed;
-      check_digests "multicore checkpoint files" multicore_expected
-        (store_digests dir))
+      let o = Sweep.exec ~key:"golden" ~every:1 ~dir ~keep:max_int sweep in
+      Alcotest.(check bool) "completed" true o.Sweep.o_completed;
+      check_digests what expected (store_digests dir))
 
-let encode put v =
-  let b = Codec.writer () in
-  put b v;
-  digest (Codec.contents b)
+let test_multicore_store () =
+  check_sweep_store "multicore checkpoint files" multicore_expected
+    (Ptg_sim.Multicore_exp.sweep ~jobs:1
+       ~same:(List.filteri (fun i _ -> i < 1) Ptg_workloads.Workload.all)
+       ~instrs_per_core:1_500 ~mixes:0 ~seed ())
 
-let guard () =
-  Ptg_cpu.Guard_timing.of_config Ptguard.Config.optimized
-    ~rng:(Ptg_util.Rng.create 43L)
+(* Sweep stores at demo scale: every file a chunked run leaves, fig7's
+   baselines-only depth-0 file included. *)
+let fig6_expected =
+  [ ("1.ptgs", "9c032a71f3af8fb7"); ("2.ptgs", "f7e7e673a299c391") ]
 
-let spec = List.hd Ptg_workloads.Workload.all
+let test_fig6_store () =
+  check_sweep_store "fig6 checkpoint files" fig6_expected
+    (Ptg_sim.Fig6.sweep ~jobs:1 ~instrs:600 ~warmup:200 ~seed
+       ~config:Ptguard.Config.baseline
+       (List.filteri (fun i _ -> i < 2) Ptg_workloads.Workload.all))
 
-let core_expected = "60c15bcfdedbcbe1"
+let fig7_expected =
+  [
+    ("0.ptgs", "7f3f4cf5ce957aca");
+    ("1.ptgs", "fa07077f401727fa");
+    ("2.ptgs", "e4d944f55ee37de4");
+  ]
 
-(* A sweep checkpoint stores rows, not machines; the core and multicore
-   sections are where a timing model's DRAM state meets the codec. *)
-let test_core_section () =
-  let core = Ptg_cpu.Core.create ~guard:(guard ()) () in
-  let stream = Ptg_workloads.Workload.stream (Ptg_util.Rng.create seed) spec in
-  ignore (Ptg_cpu.Core.run core ~instrs:20_000 ~stream);
-  Alcotest.(check string) "core section digest" core_expected
-    (encode Sections.put_core (Ptg_cpu.Core.state core))
+let test_fig7_store () =
+  check_sweep_store "fig7 checkpoint files" fig7_expected
+    (Ptg_sim.Fig7.sweep ~jobs:1 ~latencies:[ 10 ]
+       ~workloads:(List.filteri (fun i _ -> i < 1) Ptg_workloads.Workload.all)
+       ~instrs:600 ~warmup:200 ~seed ())
 
-let multicore_state_expected = "0ed2ad0d7f60ea6c"
+let fig9_expected =
+  [ ("1.ptgs", "5eddc31a7e65b7e4"); ("2.ptgs", "693fc86fd6cb1ba4") ]
 
-let test_multicore_section () =
-  let mc = Ptg_cpu.Multicore.create ~guard:(guard ()) () in
-  let streams =
-    Array.init 4 (fun i ->
-        Ptg_workloads.Workload.stream
-          (Ptg_util.Rng.create (Int64.add seed (Int64.of_int i)))
-          spec)
-  in
-  ignore (Ptg_cpu.Multicore.run mc ~instrs_per_core:5_000 ~streams);
-  Alcotest.(check string) "multicore section digest" multicore_state_expected
-    (encode Sections.put_multicore (Ptg_cpu.Multicore.state mc))
+let test_fig9_store () =
+  check_sweep_store "fig9 checkpoint files" fig9_expected
+    (Ptg_sim.Fig9.sweep ~jobs:1
+       ~workloads:
+         (List.filteri (fun i _ -> i < 2) Ptg_workloads.Workload.fig9_subset)
+       ~lines_per_point:10 ~seed ())
 
 let suite =
   [
     Alcotest.test_case "fullsys store bytes" `Quick test_fullsys_store;
     Alcotest.test_case "multicore store bytes" `Quick test_multicore_store;
-    Alcotest.test_case "core section bytes" `Quick test_core_section;
-    Alcotest.test_case "multicore section bytes" `Quick test_multicore_section;
+    Alcotest.test_case "fig6 store bytes" `Quick test_fig6_store;
+    Alcotest.test_case "fig7 store bytes" `Quick test_fig7_store;
+    Alcotest.test_case "fig9 store bytes" `Quick test_fig9_store;
   ]

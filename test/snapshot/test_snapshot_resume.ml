@@ -4,6 +4,7 @@
    warm-start depth. Demo-scale budgets keep each machine run fast. *)
 
 module Checkpoint = Ptg_sim.Checkpoint
+module Sweep = Ptg_sim.Sweep
 module Fullsys = Ptg_sim.Fullsys
 module Fig6 = Ptg_sim.Fig6
 module Fig7 = Ptg_sim.Fig7
@@ -11,6 +12,7 @@ module Fig9 = Ptg_sim.Fig9
 module Multicore_exp = Ptg_sim.Multicore_exp
 module Scenario = Ptg_sim.Scenario
 module Snapshot = Ptg_snapshot.Snapshot
+module Codec = Ptg_snapshot.Codec
 
 let seed = 42L
 let instrs = 3_000
@@ -115,7 +117,7 @@ let test_damaged_checkpoint_skipped () =
       let key = Checkpoint.fullsys_key ~seed () in
       (* Damage the deepest checkpoint: resume must fall back to the
          next one rather than fail (the store is an optimization). *)
-      let deepest = Checkpoint.path ~dir ~key instrs in
+      let deepest = Sweep.path ~dir ~key instrs in
       let bytes = In_channel.with_open_bin deepest In_channel.input_all in
       Out_channel.with_open_bin deepest (fun oc ->
           Out_channel.output_string oc
@@ -136,7 +138,7 @@ let test_restore_rejects_wrong_key () =
         "explicit restore with a foreign key raises" true
         (match
            Checkpoint.fullsys_restore
-             ~path:(Checkpoint.path ~dir ~key instrs)
+             ~path:(Sweep.path ~dir ~key instrs)
              ~key:"deadbeefdeadbeef" m
          with
         | _ -> false
@@ -155,7 +157,7 @@ let test_store_bytes_deterministic () =
             (fun n ->
               let read d =
                 In_channel.with_open_bin
-                  (Checkpoint.path ~dir:d ~key n)
+                  (Sweep.path ~dir:d ~key n)
                   In_channel.input_all
               in
               Alcotest.(check bool)
@@ -173,14 +175,14 @@ let test_store_pruned_to_deepest () =
       let key = Checkpoint.fullsys_key ~seed () in
       Alcotest.(check (list int))
         "deepest two kept, rest pruned" [ 3_000; 2_500 ]
-        (Checkpoint.stored_counts ~dir ~key);
+        (Sweep.stored_counts ~dir ~key);
       (* keep:1 tightens the bound; the survivor still resumes. *)
       with_dir (fun dir ->
           ignore
             (Checkpoint.run_fullsys ~keep:1 ~every:1_000 ~dir ~seed ~instrs ());
           Alcotest.(check (list int))
             "keep:1 leaves only the deepest" [ 3_000 ]
-            (Checkpoint.stored_counts ~dir ~key);
+            (Sweep.stored_counts ~dir ~key);
           let o = Checkpoint.run_fullsys ~keep:1 ~every:1_000 ~dir ~seed ~instrs () in
           Alcotest.(check (option int))
             "survivor adopted" (Some 3_000) o.Checkpoint.f_resumed_from))
@@ -196,8 +198,8 @@ let fig6_args = (600, 200, Ptguard.Config.baseline)
 
 let fig6_run ?jobs ?(key = "fig6") ?every ?dir ?adopt ?should_stop () =
   let instrs, warmup, config = fig6_args in
-  Checkpoint.run_fig6 ?jobs ~key ?every ?dir ?adopt ?should_stop ~instrs
-    ~warmup ~seed ~config ~workloads ()
+  Sweep.exec ~key ?every ?dir ?adopt ?should_stop
+    (Fig6.sweep ?jobs ~instrs ~warmup ~seed ~config workloads)
 
 let fig6_reference =
   lazy
@@ -210,11 +212,11 @@ let test_fig6_batched_equals_plain () =
       let o = fig6_run ~jobs:1 ~every () in
       Alcotest.(check bool)
         (Printf.sprintf "every=%d completed" every)
-        true o.Checkpoint.o_completed;
+        true o.Sweep.o_completed;
       Alcotest.(check bool)
         (Printf.sprintf "every=%d rows" every)
         true
-        (o.Checkpoint.o_units = Lazy.force fig6_reference))
+        (o.Sweep.o_units = Lazy.force fig6_reference))
     [ 1; 3; 10 ]
 
 let test_fig6_jobs_invariant () =
@@ -226,7 +228,7 @@ let test_fig6_jobs_invariant () =
           let b = fig6_run ~jobs:3 ~every:2 ~dir:dir2 () in
           Alcotest.(check bool)
             "rows identical across -j" true
-            (a.Checkpoint.o_units = b.Checkpoint.o_units);
+            (a.Sweep.o_units = b.Sweep.o_units);
           let files d =
             Sys.readdir d |> Array.to_list |> List.sort compare
             |> List.map (fun n ->
@@ -241,20 +243,20 @@ let test_fig6_jobs_invariant () =
 let test_fig6_killed_and_resumed () =
   with_dir (fun dir ->
       let killed = fig6_run ~every:1 ~dir ~should_stop:(stop_after 2) () in
-      Alcotest.(check bool) "stopped" false killed.Checkpoint.o_completed;
+      Alcotest.(check bool) "stopped" false killed.Sweep.o_completed;
       Alcotest.(check bool) "no aggregate yet" true
-        (killed.Checkpoint.o_result = None);
+        (killed.Sweep.o_result = None);
       Alcotest.(check int) "two rows done" 2
-        (List.length killed.Checkpoint.o_units);
+        (List.length killed.Sweep.o_units);
       let resumed = fig6_run ~every:1 ~dir () in
       Alcotest.(check (option int))
-        "adopted the row prefix" (Some 2) resumed.Checkpoint.o_resumed_from;
+        "adopted the row prefix" (Some 2) resumed.Sweep.o_resumed_from;
       Alcotest.(check bool)
         "rows byte-identical to uninterrupted" true
-        (resumed.Checkpoint.o_units = Lazy.force fig6_reference);
+        (resumed.Sweep.o_units = Lazy.force fig6_reference);
       Alcotest.(check bool)
         "aggregate equals of_rows" true
-        (resumed.Checkpoint.o_result
+        (resumed.Sweep.o_result
         = Some (Fig6.of_rows (Lazy.force fig6_reference))))
 
 let test_fig6_prefix_not_adopted_for_other_workloads () =
@@ -267,11 +269,11 @@ let test_fig6_prefix_not_adopted_for_other_workloads () =
         List.filteri (fun i _ -> i >= 4 && i < 8) Ptg_workloads.Workload.all
       in
       let o =
-        Checkpoint.run_fig6 ~key:"cafe" ~every:1 ~dir ~instrs ~warmup ~seed
-          ~config ~workloads:others ()
+        Sweep.exec ~key:"cafe" ~every:1 ~dir
+          (Fig6.sweep ~instrs ~warmup ~seed ~config others)
       in
       Alcotest.(check (option int))
-        "foreign prefix ignored" None o.Checkpoint.o_resumed_from)
+        "foreign prefix ignored" None o.Sweep.o_resumed_from)
 
 (* ------------------------------------------------------------------ *)
 (* Fig7 point batches                                                  *)
@@ -283,8 +285,9 @@ let fig7_latencies = [ 5; 10 ]
 
 let fig7_run ?every ?dir ?should_stop ?(latencies = fig7_latencies) () =
   let instrs, warmup = fig7_args in
-  Checkpoint.run_fig7 ~jobs:1 ~key:"fig7" ?every ?dir ?should_stop ~latencies
-    ~workloads:fig7_workloads ~instrs ~warmup ~seed ()
+  Sweep.exec ~key:"fig7" ?every ?dir ?should_stop
+    (Fig7.sweep ~jobs:1 ~latencies ~workloads:fig7_workloads ~instrs ~warmup
+       ~seed ())
 
 let fig7_reference =
   lazy
@@ -297,15 +300,15 @@ let test_fig7_killed_and_resumed () =
       (* Poll 1 admits the baseline chunk, poll 2 admits one point,
          poll 3 stops. *)
       let killed = fig7_run ~every:1 ~dir ~should_stop:(stop_after 2) () in
-      Alcotest.(check bool) "stopped" false killed.Checkpoint.o_completed;
+      Alcotest.(check bool) "stopped" false killed.Sweep.o_completed;
       Alcotest.(check int) "one point done" 1
-        (List.length killed.Checkpoint.o_units);
+        (List.length killed.Sweep.o_units);
       let resumed = fig7_run ~every:1 ~dir () in
       Alcotest.(check (option int))
-        "adopted the point prefix" (Some 1) resumed.Checkpoint.o_resumed_from;
+        "adopted the point prefix" (Some 1) resumed.Sweep.o_resumed_from;
       Alcotest.(check bool)
         "result byte-identical to uninterrupted" true
-        (resumed.Checkpoint.o_result = Some (Lazy.force fig7_reference)))
+        (resumed.Sweep.o_result = Some (Lazy.force fig7_reference)))
 
 let test_fig7_base_only_checkpoint_adopted () =
   with_dir (fun dir ->
@@ -313,14 +316,14 @@ let test_fig7_base_only_checkpoint_adopted () =
          checkpoint still spares the resume the whole baseline sweep. *)
       let killed = fig7_run ~every:1 ~dir ~should_stop:(stop_after 1) () in
       Alcotest.(check int) "no points yet" 0
-        (List.length killed.Checkpoint.o_units);
+        (List.length killed.Sweep.o_units);
       let resumed = fig7_run ~every:1 ~dir () in
       Alcotest.(check (option int))
         "baselines adopted at depth 0" (Some 0)
-        resumed.Checkpoint.o_resumed_from;
+        resumed.Sweep.o_resumed_from;
       Alcotest.(check bool)
         "result byte-identical to uninterrupted" true
-        (resumed.Checkpoint.o_result = Some (Lazy.force fig7_reference)))
+        (resumed.Sweep.o_result = Some (Lazy.force fig7_reference)))
 
 let test_fig7_foreign_sweep_not_adopted () =
   with_dir (fun dir ->
@@ -328,16 +331,16 @@ let test_fig7_foreign_sweep_not_adopted () =
          prefix no longer matches the case list and must be ignored. *)
       let instrs, warmup = fig7_args in
       ignore
-        (Checkpoint.run_fig7 ~jobs:1 ~key:"cafe" ~every:1 ~dir
-           ~latencies:fig7_latencies ~workloads:fig7_workloads ~instrs ~warmup
-           ~seed ());
+        (Sweep.exec ~key:"cafe" ~every:1 ~dir
+           (Fig7.sweep ~jobs:1 ~latencies:fig7_latencies
+              ~workloads:fig7_workloads ~instrs ~warmup ~seed ()));
       let o =
-        Checkpoint.run_fig7 ~jobs:1 ~key:"cafe" ~every:1 ~dir
-          ~latencies:[ 5; 15 ] ~workloads:fig7_workloads ~instrs ~warmup ~seed
-          ()
+        Sweep.exec ~key:"cafe" ~every:1 ~dir
+          (Fig7.sweep ~jobs:1 ~latencies:[ 5; 15 ] ~workloads:fig7_workloads
+             ~instrs ~warmup ~seed ())
       in
       Alcotest.(check (option int))
-        "foreign sweep ignored" None o.Checkpoint.o_resumed_from)
+        "foreign sweep ignored" None o.Sweep.o_resumed_from)
 
 (* ------------------------------------------------------------------ *)
 (* Fig9 workload batches                                               *)
@@ -349,8 +352,9 @@ let fig9_workloads =
   List.filteri (fun i _ -> i < 2) Ptg_workloads.Workload.fig9_subset
 
 let fig9_run ?every ?dir ?should_stop () =
-  Checkpoint.run_fig9 ~jobs:1 ~key:"fig9" ?every ?dir ?should_stop
-    ~workloads:fig9_workloads ~lines_per_point:fig9_lines ~seed ()
+  Sweep.exec ~key:"fig9" ?every ?dir ?should_stop
+    (Fig9.sweep ~jobs:1 ~workloads:fig9_workloads ~lines_per_point:fig9_lines
+       ~seed ())
 
 let fig9_reference =
   lazy
@@ -360,16 +364,53 @@ let fig9_reference =
 let test_fig9_killed_and_resumed () =
   with_dir (fun dir ->
       let killed = fig9_run ~every:1 ~dir ~should_stop:(stop_after 1) () in
-      Alcotest.(check bool) "stopped" false killed.Checkpoint.o_completed;
+      Alcotest.(check bool) "stopped" false killed.Sweep.o_completed;
       Alcotest.(check int) "one workload done" 1
-        (List.length killed.Checkpoint.o_units);
+        (List.length killed.Sweep.o_units);
       let resumed = fig9_run ~every:1 ~dir () in
       Alcotest.(check (option int))
         "adopted the workload prefix" (Some 1)
-        resumed.Checkpoint.o_resumed_from;
+        resumed.Sweep.o_resumed_from;
       Alcotest.(check bool)
         "result byte-identical to uninterrupted" true
-        (resumed.Checkpoint.o_result = Some (Lazy.force fig9_reference)))
+        (resumed.Sweep.o_result = Some (Lazy.force fig9_reference)))
+
+(* A hash-valid checkpoint whose part carries fewer cells than the run
+   has flip probabilities answers a different run: it must not be
+   adopted (assembling it would index past its cells). *)
+let test_fig9_short_part_not_adopted () =
+  with_dir (fun dir ->
+      let sweep =
+        Fig9.sweep ~jobs:1 ~workloads:fig9_workloads
+          ~lines_per_point:fig9_lines ~seed ()
+      in
+      ignore
+        (Sweep.exec ~key:"fig9" ~every:1 ~dir ~should_stop:(stop_after 1) sweep);
+      let p = Sweep.path ~dir ~key:"fig9" 1 in
+      let sections = Snapshot.load ~path:p in
+      let r = Snapshot.reader ~what:p sections sweep.Sweep.section in
+      let total = Codec.get_varint r in
+      let header = Codec.get_raw r (String.length sweep.Sweep.header) in
+      let parts =
+        Codec.get_list r sweep.Sweep.get
+        |> List.map (fun ((w : Fig9.workload_result), steps) ->
+               ({ w with Fig9.cells = [ List.hd w.Fig9.cells ] }, steps))
+      in
+      let b = Codec.writer () in
+      Codec.put_varint b total;
+      Codec.put_raw b header;
+      Codec.put_list b sweep.Sweep.put parts;
+      let short = Snapshot.section ~name:sweep.Sweep.section (Codec.contents b) in
+      Snapshot.save ~path:p
+        (List.map
+           (fun s -> if s.Snapshot.name = short.Snapshot.name then short else s)
+           sections);
+      let resumed = Sweep.exec ~key:"fig9" ~every:1 ~dir sweep in
+      Alcotest.(check (option int))
+        "short part ignored" None resumed.Sweep.o_resumed_from;
+      Alcotest.(check bool)
+        "result equals the cold result" true
+        (resumed.Sweep.o_result = Some (Lazy.force fig9_reference)))
 
 (* ------------------------------------------------------------------ *)
 (* Multicore row batches                                               *)
@@ -379,8 +420,9 @@ let mc_same = List.filteri (fun i _ -> i < 2) Ptg_workloads.Workload.all
 let mc_instrs = 1_500
 
 let mc_run ?every ?dir ?should_stop () =
-  Checkpoint.run_multicore ~jobs:1 ~key:"multicore" ?every ?dir ?should_stop
-    ~same:mc_same ~instrs_per_core:mc_instrs ~mixes:1 ~seed ()
+  Sweep.exec ~key:"multicore" ?every ?dir ?should_stop
+    (Multicore_exp.sweep ~jobs:1 ~same:mc_same ~instrs_per_core:mc_instrs
+       ~mixes:1 ~seed ())
 
 let mc_reference =
   lazy
@@ -390,15 +432,15 @@ let mc_reference =
 let test_multicore_killed_and_resumed () =
   with_dir (fun dir ->
       let killed = mc_run ~every:1 ~dir ~should_stop:(stop_after 1) () in
-      Alcotest.(check bool) "stopped" false killed.Checkpoint.o_completed;
+      Alcotest.(check bool) "stopped" false killed.Sweep.o_completed;
       Alcotest.(check int) "one row done" 1
-        (List.length killed.Checkpoint.o_units);
+        (List.length killed.Sweep.o_units);
       let resumed = mc_run ~every:1 ~dir () in
       Alcotest.(check (option int))
-        "adopted the row prefix" (Some 1) resumed.Checkpoint.o_resumed_from;
+        "adopted the row prefix" (Some 1) resumed.Sweep.o_resumed_from;
       Alcotest.(check bool)
         "result byte-identical to uninterrupted" true
-        (resumed.Checkpoint.o_result = Some (Lazy.force mc_reference)))
+        (resumed.Sweep.o_result = Some (Lazy.force mc_reference)))
 
 (* ------------------------------------------------------------------ *)
 (* Every kind through the one driver                                   *)
@@ -439,16 +481,16 @@ let kind_rows =
       run =
         (fun ?should_stop dir ->
           let o = fig6_run ~jobs:1 ~every:1 ~dir ?should_stop () in
-          ( o.Checkpoint.o_resumed_from,
-            o.Checkpoint.o_units = Lazy.force fig6_reference ));
+          ( o.Sweep.o_resumed_from,
+            o.Sweep.o_units = Lazy.force fig6_reference ));
       foreign =
         Some
           (fun dir ->
             ignore
-              (Checkpoint.run_fig6 ~jobs:1 ~key:"fig6" ~every:1 ~dir
-                 ~instrs:instrs6 ~warmup:warmup6 ~seed ~config:config6
-                 ~workloads:(other_workloads 4 4 Ptg_workloads.Workload.all)
-                 ()));
+              (Sweep.exec ~key:"fig6" ~every:1 ~dir
+                 (Fig6.sweep ~jobs:1 ~instrs:instrs6 ~warmup:warmup6 ~seed
+                    ~config:config6
+                    (other_workloads 4 4 Ptg_workloads.Workload.all))));
     };
     {
       kind = "fig7";
@@ -456,16 +498,16 @@ let kind_rows =
       run =
         (fun ?should_stop dir ->
           let o = fig7_run ~every:1 ~dir ?should_stop () in
-          ( o.Checkpoint.o_resumed_from,
-            o.Checkpoint.o_result = Some (Lazy.force fig7_reference) ));
+          ( o.Sweep.o_resumed_from,
+            o.Sweep.o_result = Some (Lazy.force fig7_reference) ));
       foreign =
         Some
           (fun dir ->
             ignore
-              (Checkpoint.run_fig7 ~jobs:1 ~key:"fig7" ~every:1 ~dir
-                 ~latencies:fig7_latencies
-                 ~workloads:(other_workloads 2 2 Ptg_workloads.Workload.all)
-                 ~instrs:instrs7 ~warmup:warmup7 ~seed ()));
+              (Sweep.exec ~key:"fig7" ~every:1 ~dir
+                 (Fig7.sweep ~jobs:1 ~latencies:fig7_latencies
+                    ~workloads:(other_workloads 2 2 Ptg_workloads.Workload.all)
+                    ~instrs:instrs7 ~warmup:warmup7 ~seed ())));
     };
     {
       kind = "fig9";
@@ -473,15 +515,17 @@ let kind_rows =
       run =
         (fun ?should_stop dir ->
           let o = fig9_run ~every:1 ~dir ?should_stop () in
-          ( o.Checkpoint.o_resumed_from,
-            o.Checkpoint.o_result = Some (Lazy.force fig9_reference) ));
+          ( o.Sweep.o_resumed_from,
+            o.Sweep.o_result = Some (Lazy.force fig9_reference) ));
       foreign =
         Some
           (fun dir ->
             ignore
-              (Checkpoint.run_fig9 ~jobs:1 ~key:"fig9" ~every:1 ~dir
-                 ~workloads:(other_workloads 2 2 Ptg_workloads.Workload.fig9_subset)
-                 ~lines_per_point:fig9_lines ~seed ()));
+              (Sweep.exec ~key:"fig9" ~every:1 ~dir
+                 (Fig9.sweep ~jobs:1
+                    ~workloads:
+                      (other_workloads 2 2 Ptg_workloads.Workload.fig9_subset)
+                    ~lines_per_point:fig9_lines ~seed ())));
     };
     {
       kind = "multicore";
@@ -489,15 +533,16 @@ let kind_rows =
       run =
         (fun ?should_stop dir ->
           let o = mc_run ~every:1 ~dir ?should_stop () in
-          ( o.Checkpoint.o_resumed_from,
-            o.Checkpoint.o_result = Some (Lazy.force mc_reference) ));
+          ( o.Sweep.o_resumed_from,
+            o.Sweep.o_result = Some (Lazy.force mc_reference) ));
       foreign =
         Some
           (fun dir ->
             ignore
-              (Checkpoint.run_multicore ~jobs:1 ~key:"multicore" ~every:1 ~dir
-                 ~same:(other_workloads 2 2 Ptg_workloads.Workload.all)
-                 ~instrs_per_core:mc_instrs ~mixes:1 ~seed ()));
+              (Sweep.exec ~key:"multicore" ~every:1 ~dir
+                 (Multicore_exp.sweep ~jobs:1
+                    ~same:(other_workloads 2 2 Ptg_workloads.Workload.all)
+                    ~instrs_per_core:mc_instrs ~mixes:1 ~seed ())));
     };
   ]
 
@@ -512,9 +557,9 @@ let test_every_kind_damaged_falls_back () =
     (fun row ->
       with_dir (fun dir ->
           ignore (row.run dir);
-          match Checkpoint.stored_counts ~dir ~key:row.key with
+          match Sweep.stored_counts ~dir ~key:row.key with
           | deepest :: next :: _ ->
-              let p = Checkpoint.path ~dir ~key:row.key deepest in
+              let p = Sweep.path ~dir ~key:row.key deepest in
               let bytes = In_channel.with_open_bin p In_channel.input_all in
               Out_channel.with_open_bin p (fun oc ->
                   Out_channel.output_string oc
@@ -552,12 +597,12 @@ let test_every_kind_foreign_meta_ignored () =
       let other = List.nth kind_rows ((i + 1) mod List.length kind_rows) in
       with_dir (fun dir ->
           ignore (row.run dir);
-          let counts = Checkpoint.stored_counts ~dir ~key:row.key in
+          let counts = Sweep.stored_counts ~dir ~key:row.key in
           Alcotest.(check int) (row.kind ^ ": two checkpoints stored") 2
             (List.length counts);
           List.iter
             (fun n ->
-              relabel ~kind:other.kind (Checkpoint.path ~dir ~key:row.key n))
+              relabel ~kind:other.kind (Sweep.path ~dir ~key:row.key n))
             counts;
           check_cold row (row.run dir)))
     kind_rows
@@ -573,7 +618,7 @@ let test_every_kind_foreign_cases_ignored () =
               foreign dir;
               Alcotest.(check bool)
                 (row.kind ^ ": foreign prefix stored") true
-                (Checkpoint.stored_counts ~dir ~key:row.key <> []);
+                (Sweep.stored_counts ~dir ~key:row.key <> []);
               check_cold row (row.run dir)))
         row.foreign)
     kind_rows
@@ -588,14 +633,125 @@ let test_every_kind_stop_before_step_writes_nothing () =
           ignore (row.run ~should_stop:(fun () -> true) dir);
           Alcotest.(check (list int))
             (row.kind ^ ": cold stop writes nothing") []
-            (Checkpoint.stored_counts ~dir ~key:row.key);
+            (Sweep.stored_counts ~dir ~key:row.key);
           ignore (row.run ~should_stop:(stop_after 1) dir);
-          let kept = Checkpoint.stored_counts ~dir ~key:row.key in
+          let kept = Sweep.stored_counts ~dir ~key:row.key in
           ignore (row.run ~should_stop:(fun () -> true) dir);
           Alcotest.(check (list int))
             (row.kind ^ ": stop straight after adoption writes nothing") kept
-            (Checkpoint.stored_counts ~dir ~key:row.key)))
+            (Sweep.stored_counts ~dir ~key:row.key)))
     kind_rows
+
+(* Every sweep, filled one unit per checkpoint at demo scale: its kind
+   and a run over a store. [exec] reports whether the run completed with
+   a result. *)
+type sweep_row = { s_kind : string; exec : ?keep:int -> string -> bool }
+
+let sweep_row kind sweep =
+  {
+    s_kind = kind;
+    exec =
+      (fun ?keep dir ->
+        let o = Sweep.exec ?keep ~key:kind ~every:1 ~dir sweep in
+        o.Sweep.o_completed && Option.is_some o.Sweep.o_result);
+  }
+
+let sweep_rows =
+  lazy
+    [
+      sweep_row "fig6"
+        (Fig6.sweep ~jobs:1 ~instrs:600 ~warmup:200 ~seed
+           ~config:Ptguard.Config.baseline
+           (List.filteri (fun i _ -> i < 2) Ptg_workloads.Workload.all));
+      sweep_row "fig7"
+        (Fig7.sweep ~jobs:1 ~latencies:[ 5 ]
+           ~workloads:(List.filteri (fun i _ -> i < 1) Ptg_workloads.Workload.all)
+           ~instrs:600 ~warmup:200 ~seed ());
+      sweep_row "fig9"
+        (Fig9.sweep ~jobs:1 ~workloads:fig9_workloads ~lines_per_point:10 ~seed
+           ());
+      sweep_row "multicore"
+        (Multicore_exp.sweep ~jobs:1 ~same:(List.filteri (fun i _ -> i < 1) mc_same)
+           ~instrs_per_core:mc_instrs ~mixes:1 ~seed ());
+    ]
+
+(* Each row's depth-1 checkpoint, as written by a full run. *)
+let depth1_sections =
+  lazy
+    (List.map
+       (fun row ->
+         with_dir (fun dir ->
+             ignore (row.exec ~keep:max_int dir);
+             Snapshot.load ~path:(Sweep.path ~dir ~key:row.s_kind 1)))
+       (Lazy.force sweep_rows))
+
+type damage = Flip of int * int | Truncate of int
+
+(* Which row, which of its payload sections, what damage. *)
+let damage_gen =
+  QCheck2.Gen.(
+    triple (int_bound 3) nat
+      (oneof
+         [
+           map2 (fun pos x -> Flip (pos, x)) nat (int_range 1 255);
+           map (fun n -> Truncate n) nat;
+         ]))
+
+let print_damage (i, sec, d) =
+  Printf.sprintf "row %d, payload section %d, %s" i sec
+    (match d with
+    | Flip (pos, x) -> Printf.sprintf "flip byte %d by 0x%02x" pos x
+    | Truncate n -> Printf.sprintf "truncate to %d bytes" n)
+
+(* A payload section (the unit prefix, or fig7's stored baselines)
+   damaged in any one byte, or cut short, and re-sealed under a valid
+   container hash: the run adopts it or starts cold, and always
+   completes without raising. *)
+let prop_damaged_prefix_never_raises =
+  QCheck2.Test.make ~name:"every sweep: damaged unit prefix never raises"
+    ~count:200 ~print:print_damage damage_gen (fun (i, sec, damage) ->
+      let row = List.nth (Lazy.force sweep_rows) i in
+      let sections = List.nth (Lazy.force depth1_sections) i in
+      let payloads =
+        List.filter (fun s -> s.Snapshot.name <> "meta") sections
+      in
+      let target = List.nth payloads (sec mod List.length payloads) in
+      let damaged payload =
+        let n = String.length payload in
+        match damage with
+        | Flip (pos, x) ->
+            let b = Bytes.of_string payload in
+            let pos = pos mod n in
+            Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor x));
+            Bytes.to_string b
+        | Truncate len -> String.sub payload 0 (len mod n)
+      in
+      with_dir (fun dir ->
+          Snapshot.save
+            ~path:(Sweep.path ~dir ~key:row.s_kind 1)
+            (List.map
+               (fun s ->
+                 if s.Snapshot.name = target.Snapshot.name then
+                   Snapshot.section ~name:s.Snapshot.name (damaged s.Snapshot.payload)
+                 else s)
+               sections);
+          row.exec dir))
+
+(* A checkpointed run excludes observability, as on the command line. *)
+let test_obs_with_store_rejected () =
+  with_dir (fun dir ->
+      let raised =
+        match
+          Sweep.exec ~obs:(Ptg_obs.Sink.create ()) ~key:"fig9" ~dir
+            (Fig9.sweep ~jobs:1 ~workloads:fig9_workloads ~lines_per_point:10
+               ~seed ())
+        with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      Alcotest.(check bool) "obs and a store raise" true raised;
+      Alcotest.(check (list int))
+        "nothing written" [] (Sweep.stored_counts ~dir ~key:"fig9"))
 
 (* The store directory: created when missing, fine when present (also
    when a concurrent creator got there first), an error when it cannot
@@ -603,12 +759,12 @@ let test_every_kind_stop_before_step_writes_nothing () =
 let test_ensure_dir () =
   with_dir (fun dir ->
       let store = Filename.concat dir "store" in
-      Checkpoint.ensure_dir store;
-      Checkpoint.ensure_dir store;
+      Sweep.ensure_dir store;
+      Sweep.ensure_dir store;
       Alcotest.(check bool) "created" true (Sys.is_directory store);
       Sys.rmdir store;
       let raises d =
-        match Checkpoint.ensure_dir d with
+        match Sweep.ensure_dir d with
         | () -> false
         | exception Sys_error _ -> true
       in
@@ -734,6 +890,8 @@ let suite =
       test_fig7_foreign_sweep_not_adopted;
     Alcotest.test_case "fig9: killed + resumed = uninterrupted" `Quick
       test_fig9_killed_and_resumed;
+    Alcotest.test_case "fig9: short part not adopted" `Quick
+      test_fig9_short_part_not_adopted;
     Alcotest.test_case "multicore: killed + resumed = uninterrupted" `Quick
       test_multicore_killed_and_resumed;
     Alcotest.test_case "every kind: damaged deepest falls back" `Quick
@@ -744,6 +902,9 @@ let suite =
       test_every_kind_foreign_cases_ignored;
     Alcotest.test_case "every kind: stop before a step writes nothing" `Quick
       test_every_kind_stop_before_step_writes_nothing;
+    QCheck_alcotest.to_alcotest prop_damaged_prefix_never_raises;
+    Alcotest.test_case "sweep: obs with a store rejected" `Quick
+      test_obs_with_store_rejected;
     Alcotest.test_case "store: ensure_dir" `Quick test_ensure_dir;
     Alcotest.test_case "scenario: warm-start text identical" `Quick
       test_scenario_warm_start_text_identical;

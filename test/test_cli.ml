@@ -116,6 +116,30 @@ let test_validation_exit_codes () =
     (Printf.sprintf "fullsys --instrs 1000 --checkpoint-dir %s" dir)
     dir
 
+(* A scenario size below 1 is the caller's mistake on every
+   scenario-shaped subcommand: exit 2 naming the size, never an
+   internal error. *)
+let test_scenario_size_exit_codes () =
+  let check args needle =
+    let err = tmp "size.err" in
+    let code =
+      Sys.command (Printf.sprintf "%s %s > %s 2> %s" cli args Filename.null err)
+    in
+    let msg = read_file err in
+    Alcotest.(check int) (args ^ " exits 2") 2 code;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: stderr names the size (got %S)" args msg)
+      true (contains msg needle)
+  in
+  check "fig6 --instrs 0" "instrs must be >= 1";
+  check "fig6 --seeds 0" "seeds must be >= 1";
+  check "fig7 --instrs 0" "instrs must be >= 1";
+  check "fig8 --processes 0" "processes must be >= 1";
+  check "fig9 --lines 0" "lines must be >= 1";
+  check "fig9 --seeds 0" "seeds must be >= 1";
+  check "multicore --mixes 0" "mixes must be >= 1";
+  check "multicore --instrs 0" "instrs must be >= 1"
+
 (* A TCP port held by a listening socket for the duration of [f]. *)
 let with_held_port f =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -496,6 +520,8 @@ let suite =
     Alcotest.test_case "fig6 artifacts job-invariant" `Slow
       test_fig6_artifacts_job_invariant;
     Alcotest.test_case "error exit codes" `Quick test_error_paths;
+    Alcotest.test_case "scenario size exit codes" `Quick
+      test_scenario_size_exit_codes;
     Alcotest.test_case "validation exit codes" `Quick
       test_validation_exit_codes;
     Alcotest.test_case "serve bind failures exit 2" `Quick
