@@ -11,7 +11,7 @@
 
    Usage: dune exec bench/gate.exe -- BENCH_fig6.json fresh.json *)
 
-module Json = Ptg_server.Json
+module Json = Ptg_util.Json
 
 type cmp = Ge | Le | Eq
 

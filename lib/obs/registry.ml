@@ -195,26 +195,12 @@ let to_csv s =
     s;
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_jsonl s =
   let buf = Buffer.create 1024 in
   List.iter
     (fun (k, v) ->
       Buffer.add_string buf
-        (Printf.sprintf "{\"metric\":\"%s\",\"value\":%s}\n" (json_escape k)
+        (Printf.sprintf "{\"metric\":\"%s\",\"value\":%s}\n" (Ptg_util.Json.escape k)
            (fmt_value v)))
     s;
   Buffer.contents buf

@@ -74,6 +74,3 @@ val to_jsonl : snapshot -> string
 
 val save_csv : snapshot -> path:string -> unit
 val save_jsonl : snapshot -> path:string -> unit
-
-val json_escape : string -> string
-(** JSON string-content escaping (shared with {!Trace}'s exporter). *)

@@ -131,8 +131,8 @@ let to_jsonl t =
       List.iter
         (fun (k, v) ->
           Buffer.add_string buf
-            (Printf.sprintf ",\"%s\":\"%s\"" (Registry.json_escape k)
-               (Registry.json_escape v)))
+            (Printf.sprintf ",\"%s\":\"%s\"" (Ptg_util.Json.escape k)
+               (Ptg_util.Json.escape v)))
         (attrs e);
       Buffer.add_string buf "}\n")
     (events t);

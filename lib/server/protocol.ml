@@ -40,180 +40,7 @@ type response =
 
 type meta = { id : string option; v : int }
 
-(* ------------------------------------------------------------------ *)
-(* Scenario codec                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let scenario_to_json (s : Scenario.t) =
-  let fields = ref [] in
-  let add key v = fields := (key, v) :: !fields in
-  add "kind" (Json.String (Scenario.kind_name s.kind));
-  if s.seeds > 1 then add "seeds" (Json.Int (Int64.of_int s.seeds))
-  else add "seed" (Json.Int s.seed);
-  if s.reduced then add "reduced" (Json.Bool true);
-  (match s.kind with
-  | Scenario.Fig6 ->
-      add "design" (Json.String (Scenario.design_wire_name s.design));
-      Option.iter (fun l -> add "mac_latency" (Json.Int (Int64.of_int l))) s.mac_latency;
-      Option.iter
-        (fun ws -> add "workloads" (Json.List (List.map (fun w -> Json.String w) ws)))
-        s.workloads
-  | _ -> ());
-  Option.iter (fun i -> add "instrs" (Json.Int (Int64.of_int i))) s.instrs;
-  Option.iter (fun w -> add "warmup" (Json.Int (Int64.of_int w))) s.warmup;
-  Option.iter (fun p -> add "processes" (Json.Int (Int64.of_int p))) s.processes;
-  Option.iter (fun l -> add "lines" (Json.Int (Int64.of_int l))) s.lines;
-  Option.iter (fun m -> add "mixes" (Json.Int (Int64.of_int m))) s.mixes;
-  Option.iter (fun p -> add "trace" (Json.String p)) s.trace_path;
-  Option.iter (fun m -> add "mitigation" (Json.String m)) s.mitigation;
-  if s.mit_params <> [] then
-    add "params"
-      (Json.Obj
-         (List.map
-            (fun (key, v) ->
-              ( key,
-                match v with
-                | Ptg_mitigations.Registry.Int i -> Json.Int (Int64.of_int i)
-                | Ptg_mitigations.Registry.Float f -> Json.Float f
-                | Ptg_mitigations.Registry.Bool b -> Json.Bool b ))
-            s.mit_params));
-  if s.jobs <> 1 then add "jobs" (Json.Int (Int64.of_int s.jobs));
-  Json.Obj (List.rev !fields)
-
-let scenario_fields =
-  [
-    "kind"; "seed"; "seeds"; "reduced"; "design"; "mac_latency"; "workloads";
-    "instrs"; "warmup"; "processes"; "lines"; "mixes"; "trace"; "mitigation";
-    "params"; "jobs";
-  ]
-
 let ( let* ) = Result.bind
-
-let as_int what = function
-  | Json.Int i ->
-      if i > Int64.of_int max_int || i < Int64.of_int min_int then
-        Error (Printf.sprintf "%s out of range" what)
-      else Ok (Int64.to_int i)
-  | _ -> Error (Printf.sprintf "%s must be an integer" what)
-
-let as_int64 what = function
-  | Json.Int i -> Ok i
-  | _ -> Error (Printf.sprintf "%s must be an integer" what)
-
-let as_bool what = function
-  | Json.Bool b -> Ok b
-  | _ -> Error (Printf.sprintf "%s must be a boolean" what)
-
-let as_string what = function
-  | Json.String s -> Ok s
-  | _ -> Error (Printf.sprintf "%s must be a string" what)
-
-let opt_field json key conv =
-  match Json.member key json with
-  | None -> Ok None
-  | Some v ->
-      let* x = conv key v in
-      Ok (Some x)
-
-let scenario_of_json json =
-  match json with
-  | Json.Obj _ ->
-      let* () =
-        List.fold_left
-          (fun acc key ->
-            let* () = acc in
-            if List.mem key scenario_fields then Ok ()
-            else Error (Printf.sprintf "unknown scenario field \"%s\"" key))
-          (Ok ()) (Json.keys json)
-      in
-      let* kind_name =
-        match Json.member "kind" json with
-        | Some v -> as_string "kind" v
-        | None -> Error "scenario is missing \"kind\""
-      in
-      let* kind =
-        match Scenario.kind_of_name kind_name with
-        | Some k -> Ok k
-        | None ->
-            Error
-              (Printf.sprintf "unknown kind \"%s\" (one of: %s)" kind_name
-                 (String.concat ", " Scenario.kind_names))
-      in
-      let* seed = opt_field json "seed" as_int64 in
-      let* seeds = opt_field json "seeds" as_int in
-      let* reduced = opt_field json "reduced" as_bool in
-      let* design =
-        match Json.member "design" json with
-        | None -> Ok None
-        | Some v ->
-            let* name = as_string "design" v in
-            (match Scenario.design_of_wire_name name with
-            | Some d -> Ok (Some d)
-            | None ->
-                Error
-                  (Printf.sprintf
-                     "unknown design \"%s\" (baseline or optimized)" name))
-      in
-      let* mac_latency = opt_field json "mac_latency" as_int in
-      let* workloads =
-        match Json.member "workloads" json with
-        | None -> Ok None
-        | Some (Json.List items) ->
-            let* names =
-              List.fold_left
-                (fun acc item ->
-                  let* acc = acc in
-                  let* name = as_string "workloads element" item in
-                  Ok (name :: acc))
-                (Ok []) items
-            in
-            Ok (Some (List.rev names))
-        | Some _ -> Error "workloads must be a list of strings"
-      in
-      let* instrs = opt_field json "instrs" as_int in
-      let* warmup = opt_field json "warmup" as_int in
-      let* processes = opt_field json "processes" as_int in
-      let* lines = opt_field json "lines" as_int in
-      let* mixes = opt_field json "mixes" as_int in
-      let* jobs = opt_field json "jobs" as_int in
-      let* trace = opt_field json "trace" as_string in
-      let* mitigation = opt_field json "mitigation" as_string in
-      let* mit_params =
-        match Json.member "params" json with
-        | None -> Ok None
-        | Some (Json.Obj fields) ->
-            let* params =
-              List.fold_left
-                (fun acc (key, v) ->
-                  let* acc = acc in
-                  let* value =
-                    match v with
-                    | Json.Int i ->
-                        if i > Int64.of_int max_int || i < Int64.of_int min_int
-                        then Error (Printf.sprintf "params.%s out of range" key)
-                        else
-                          Ok (Ptg_mitigations.Registry.Int (Int64.to_int i))
-                    | Json.Float f -> Ok (Ptg_mitigations.Registry.Float f)
-                    | Json.Bool b -> Ok (Ptg_mitigations.Registry.Bool b)
-                    | _ ->
-                        Error
-                          (Printf.sprintf
-                             "params.%s must be a number or boolean" key)
-                  in
-                  Ok ((key, value) :: acc))
-                (Ok []) fields
-            in
-            Ok (Some (List.rev params))
-        | Some _ -> Error "params must be an object"
-      in
-      let scenario =
-        Scenario.make ?seed ?seeds ?reduced ?design ?mac_latency ?workloads
-          ?instrs ?warmup ?processes ?lines ?mixes ?trace ?mitigation
-          ?mit_params ?jobs kind
-      in
-      let* () = Scenario.validate scenario in
-      Ok scenario
-  | _ -> Error "scenario must be an object"
 
 (* ------------------------------------------------------------------ *)
 (* Frame codecs                                                        *)
@@ -240,13 +67,13 @@ let encode_request ?id ?(v = version) req =
     @
     match req with
     | Run scenario ->
-        [ ("op", Json.String "run"); ("scenario", scenario_to_json scenario) ]
+        [ ("op", Json.String "run"); ("scenario", Scenario.to_json scenario) ]
     | Run_stream scenario ->
         require_v2 "encode_request" v "stream";
         [
           ("op", Json.String "run");
           ("stream", Json.Bool true);
-          ("scenario", scenario_to_json scenario);
+          ("scenario", Scenario.to_json scenario);
         ]
     | Ping -> [ ("op", Json.String "ping") ]
     | Stats -> [ ("op", Json.String "stats") ]
@@ -297,7 +124,7 @@ let decode_request line =
             match Json.member "scenario" json with
             | None -> Error "run frame is missing \"scenario\""
             | Some sj ->
-                let* scenario = scenario_of_json sj in
+                let* scenario = Scenario.of_json sj in
                 Ok (if stream then Run_stream scenario else Run scenario))
         | Some (Json.String "ping") -> Ok Ping
         | Some (Json.String "stats") -> Ok Stats
@@ -306,7 +133,7 @@ let decode_request line =
             match Json.member "max" json with
             | None -> Ok (Hello max_version)
             | Some m ->
-                let* max = as_int "max" m in
+                let* max = Json.as_int "max" m in
                 if max < 1 then Error "max must be >= 1" else Ok (Hello max))
         | Some (Json.String "cancel") when v >= 2 -> (
             match Json.member "target" json with
@@ -379,8 +206,8 @@ let decode_response line =
             else (
               match (Json.member "done" json, Json.member "total" json) with
               | Some d, Some tot ->
-                  let* done_count = as_int "done" d in
-                  let* total = as_int "total" tot in
+                  let* done_count = Json.as_int "done" d in
+                  let* total = Json.as_int "total" tot in
                   Ok (Progress { done_count; total })
               | _ -> Error "progress frame is missing \"done\"/\"total\"")
         | Some (Json.String "error") -> (
@@ -417,7 +244,7 @@ let decode_response line =
                     else (
                       match Json.member "version" json with
                       | Some ver ->
-                          let* negotiated = as_int "version" ver in
+                          let* negotiated = Json.as_int "version" ver in
                           Ok (Hello_reply negotiated)
                       | None -> Error "hello frame is missing \"version\"")
                 | _ -> Error "unrecognized ok frame")

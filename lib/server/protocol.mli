@@ -60,12 +60,16 @@
       {"v":2,"id":"r2","status":"cancelled"}
       v}
 
-    Scenario field order and whitespace in a request are irrelevant:
-    the server canonicalizes ({!Ptg_sim.Scenario.canonical}) before
-    hashing, so any spelling of the same scenario shares one cache
-    entry. Unknown scenario fields, v2-only fields/ops under v1, and
-    unsupported versions are rejected (the version field is the
-    compatibility mechanism, not silent tolerance). *)
+    This module owns the frames only. A [run] frame's ["scenario"]
+    object is {!Ptg_sim.Scenario.to_json}'s encoding, decoded by
+    {!Ptg_sim.Scenario.of_json}: its fields and their defaults are
+    documented in [scenario.mli]. Scenario field order and whitespace
+    are irrelevant: the server canonicalizes
+    ({!Ptg_sim.Scenario.canonical}) before hashing, so any spelling of
+    the same scenario shares one cache entry. Unknown scenario fields,
+    v2-only fields/ops under v1, and unsupported versions are rejected
+    (the version field is the compatibility mechanism, not silent
+    tolerance). *)
 
 val version : int
 (** The baseline version (1): the default for {!encode_request} and
@@ -116,14 +120,6 @@ type response =
 type meta = { id : string option; v : int }
 (** Per-frame envelope: the echoed caller id and the frame's protocol
     version (which the response to it must mirror). *)
-
-val scenario_to_json : Ptg_sim.Scenario.t -> Json.t
-(** Wire encoding of a scenario: the canonical fields plus the [jobs]
-    hint when not 1. *)
-
-val scenario_of_json : Json.t -> (Ptg_sim.Scenario.t, string) result
-(** Decode and validate. Rejects unknown fields, bad types, unknown
-    kinds/designs/workloads, and semantically invalid values. *)
 
 val encode_request : ?id:string -> ?v:int -> request -> string
 (** One frame, without the trailing newline; [v] defaults to

@@ -267,8 +267,8 @@ let record_trace_locked t ~hash64 ~status ~shard =
    with progress frames; [on_progress] (the edge re-emission hook) runs
    on this thread, between frame reads. *)
 let handle_run ?on_progress t get_session scenario =
-  let hash = Scenario.hash scenario in
   let hash64 = Scenario.hash64 scenario in
+  let hash = Ptg_snapshot.Snapshot.hash_hex hash64 in
   Mutex.lock t.mutex;
   let cached = Lru.find t.cache hash in
   obs_incr t (fun m -> if cached = None then m.c_misses else m.c_hits);

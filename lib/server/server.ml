@@ -20,8 +20,7 @@ type config = {
   snapshot_dir : string option;
   snapshot_every : int option;
   obs : Ptg_obs.Sink.t option;
-  handler : (Scenario.t -> string) option;
-  handler_ext :
+  handler :
     (progress:(done_count:int -> total:int -> unit) ->
     should_stop:(unit -> bool) ->
     Scenario.t ->
@@ -47,7 +46,6 @@ let default_config addr =
     snapshot_every = None;
     obs = None;
     handler = None;
-    handler_ext = None;
     faults = Faults.create ();
   }
 
@@ -384,7 +382,12 @@ let rec submit_job t hash scenario p =
    [cancel_id] registers this waiter for [cancel] frames; [on_progress]
    streams progress frames to the peer between wakeups. *)
 let handle_run t ?on_progress ?cancel_id scenario =
-  let hash = Scenario.hash scenario in
+  (* [jobs] is a hint the hash ignores: no request makes a worker spawn
+     more domains than the host recommends (a process has at most 128). *)
+  let jobs = min scenario.Scenario.jobs (Ptg_util.Pool.default_jobs ()) in
+  let scenario = { scenario with Scenario.jobs } in
+  let hash64 = Scenario.hash64 scenario in
+  let hash = Ptg_snapshot.Snapshot.hash_hex hash64 in
   (* Building the plan is only worth it once a deadline expires. *)
   let sliceable = lazy (Checkpoint.sliceable scenario) in
   let t0 = Clock.now_ns () in
@@ -488,7 +491,7 @@ let handle_run t ?on_progress ?cancel_id scenario =
             | _ -> ("error", "")
           in
           Trace.record m.trace
-            (Trace.Server_request { hash = Scenario.hash64 scenario; status; cache }));
+            (Trace.Server_request { hash = hash64; status; cache }));
       Mutex.unlock t.mutex;
       response
 
@@ -618,16 +621,9 @@ let start config =
     {
       config;
       handler =
-        (match (config.handler_ext, config.handler) with
-        | Some h, _ -> h
-        | None, Some h ->
-            fun ~progress:_ ~should_stop:_ scenario ->
-              {
-                Checkpoint.text = Some (h scenario);
-                completed = true;
-                resumed_from = None;
-              }
-        | None, None ->
+        (match config.handler with
+        | Some h -> h
+        | None ->
             (* The warm-start-aware path: with [snapshot_dir],
                checkpointable scenarios resume from stored prefixes,
                report progress, and stop early when abandoned. *)

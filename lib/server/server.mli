@@ -90,25 +90,21 @@ type config = {
   snapshot_every : int option;
       (** checkpoint cadence (scenario units) for [snapshot_dir] *)
   obs : Ptg_obs.Sink.t option;
-  handler : (Ptg_sim.Scenario.t -> string) option;
-      (** compute override for tests/benchmarks; default
-          [Ptg_sim.Scenario.run_to_string] (via
-          {!Ptg_sim.Checkpoint.run_scenario} when [snapshot_dir] is
-          set). Overrides ignore snapshotting, progress and early
-          stop. *)
-  handler_ext :
+  handler :
     (progress:(done_count:int -> total:int -> unit) ->
     should_stop:(unit -> bool) ->
     Ptg_sim.Scenario.t ->
     Ptg_sim.Checkpoint.served)
     option;
-      (** full-control compute override (takes precedence over
-          [handler]): receives the progress callback that feeds
-          streamed [progress] frames and the [should_stop] poll that
-          turns true once every waiter has cancelled or expired (or the
-          server is aborting). Returning [{text = None; _}] means the
-          computation stopped early — nothing is cached and no error is
-          counted. *)
+      (** compute override for tests: receives the progress callback
+          that feeds streamed [progress] frames and the [should_stop]
+          poll that turns true once every waiter has cancelled or
+          expired (or the server is aborting). Returning
+          [{text = None; _}] means the computation stopped early —
+          nothing is cached and no error is counted. Default:
+          {!Ptg_sim.Checkpoint.run_scenario} over [snapshot_dir]. The
+          scenario's [jobs] arrives clamped to
+          {!Ptg_util.Pool.default_jobs}. *)
   faults : Faults.t;     (** chaos injection slot; unarmed by default *)
 }
 

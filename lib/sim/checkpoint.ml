@@ -14,28 +14,28 @@ let default_keep = Sweep.default_keep
 (* ------------------------------------------------------------------ *)
 
 (* Keying a fullsys machine outside the scenario layer: everything
-   [Fullsys.create] consumed, rendered canonically (alphabetical keys)
-   and hashed — the same recipe as [Scenario.prefix_hash], over the
-   creation parameters instead of the scenario fields. *)
+   [Fullsys.create] consumed, as JSON with alphabetical keys, hashed —
+   the same recipe as [Scenario.prefix_hash], over the creation
+   parameters instead of the scenario fields. *)
 let fullsys_key ?(config = Fullsys.default_config) ?(pages = 2048) ~seed () =
-  let f = config.Fullsys.fault in
-  let orientation =
-    match f.Ptg_rowhammer.Fault_model.orientation with
-    | Ptg_rowhammer.Fault_model.All_true -> "true"
-    | Ptg_rowhammer.Fault_model.All_anti -> "anti"
-    | Ptg_rowhammer.Fault_model.Per_row_hash -> "hash"
+  let module F = Ptg_rowhammer.Fault_model in
+  let open Ptg_util.Json in
+  let f = config.Fullsys.fault and int i = Int (Int64.of_int i) in
+  let orient =
+    F.(match f.orientation with All_true -> "true" | All_anti -> "anti" | Per_row_hash -> "hash")
   in
-  let canonical =
-    Printf.sprintf
-      "{\"attack\":%b,\"burst\":%d,\"fault\":{\"d2\":%.17g,\"orient\":%S,\"pflip\":%.17g,\"refresh\":%.17g,\"rth\":%d},\"guarded\":%b,\"pages\":%d,\"period\":%d,\"seed\":%Ld}"
-      config.Fullsys.attack config.Fullsys.hammer_burst
-      f.Ptg_rowhammer.Fault_model.distance2_weight orientation
-      f.Ptg_rowhammer.Fault_model.p_flip
-      f.Ptg_rowhammer.Fault_model.refresh_disturb_weight
-      f.Ptg_rowhammer.Fault_model.rth config.Fullsys.guarded pages
-      config.Fullsys.hammer_period seed
+  let fault =
+    [
+      ("d2", Float f.F.distance2_weight); ("orient", String orient);
+      ("pflip", Float f.F.p_flip); ("refresh", Float f.F.refresh_disturb_weight);
+      ("rth", int f.F.rth);
+    ]
   in
-  Snapshot.hash_hex (Codec.fnv1a64 canonical)
+  [ ("attack", Bool config.Fullsys.attack); ("burst", int config.Fullsys.hammer_burst);
+    ("fault", Obj fault); ("guarded", Bool config.Fullsys.guarded); ("pages", int pages);
+    ("period", int config.Fullsys.hammer_period); ("seed", Int seed) ]
+  |> (fun fields -> to_string (Obj fields))
+  |> Codec.fnv1a64 |> Snapshot.hash_hex
 
 (* One section per subsystem of the machine's current state, encoded
    in turn through one writer. *)

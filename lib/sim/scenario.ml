@@ -58,10 +58,8 @@ let make ?(seed = 42L) ?(seeds = 1) ?(reduced = false)
     jobs;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Default resolution. Full sizes are the CLI defaults of each         *)
-(* subcommand; reduced sizes are the bench harness's reduced sweep.    *)
-(* ------------------------------------------------------------------ *)
+module Json = Ptg_util.Json
+module Registry = Ptg_mitigations.Registry
 
 let config_of_design = function
   | Ptguard.Config.Baseline -> Ptguard.Config.baseline
@@ -78,57 +76,70 @@ let design_of_wire_name = function
   | "optimized" -> Some Ptguard.Config.Optimized
   | _ -> None
 
-let resolve_instrs t =
-  match (t.instrs, t.kind, t.reduced) with
-  | Some i, _, _ -> i
-  | None, Fig6, false -> 2_000_000
-  | None, Fig6, true -> 600_000
-  | None, Fig7, false -> 1_000_000
-  | None, Fig7, true -> 250_000
-  | None, Multicore, false -> 400_000
-  | None, Multicore, true -> 120_000
-  | None, Fullsys, false -> 60_000
-  | None, Fullsys, true -> 20_000
-  | None, (Fig8 | Fig9 | Trace), _ -> 0
+(* ------------------------------------------------------------------ *)
+(* Normal form                                                         *)
+(* ------------------------------------------------------------------ *)
 
-let resolve_warmup t =
-  match (t.warmup, t.kind, t.reduced) with
-  | Some w, _, _ -> w
-  | None, Fig6, false -> 500_000
-  | None, Fig6, true -> 200_000
-  | None, Fig7, false -> 300_000
-  | None, Fig7, true -> 100_000
-  | None, (Fig8 | Fig9 | Multicore | Trace | Fullsys), _ -> 0
+(* Every size the kind uses resolved (full sizes are the CLI defaults of
+   each subcommand, reduced sizes the bench harness's reduced sweep),
+   every field it ignores cleared, and [reduced] (folded into the sizes)
+   and [jobs] (results are identical for any job count) at their
+   defaults. Multi-seed sweeps draw their own per-run seeds, so [seed]
+   is cleared there too. Two scenarios that describe the same
+   computation have the same normal form. *)
+let normalize t =
+  let size v (full, reduced) =
+    Some (Option.value v ~default:(if t.reduced then reduced else full))
+  in
+  let seed = if t.seeds > 1 then 42L else t.seed in
+  let n = { (make t.kind) with seed; seeds = t.seeds } in
+  match t.kind with
+  | Fig6 ->
+      let latency = (config_of_design t.design).Ptguard.Config.mac_latency_cycles in
+      {
+        n with
+        design = t.design;
+        mac_latency = Some (Option.value t.mac_latency ~default:latency);
+        workloads = Some (Option.value t.workloads ~default:Ptg_workloads.Workload.names);
+        instrs = size t.instrs (2_000_000, 600_000);
+        warmup = size t.warmup (500_000, 200_000);
+      }
+  | Fig7 ->
+      {
+        n with
+        instrs = size t.instrs (1_000_000, 250_000);
+        warmup = size t.warmup (300_000, 100_000);
+      }
+  | Fig8 -> { n with processes = size t.processes (623, 200) }
+  | Fig9 -> { n with lines = size t.lines (300, 150) }
+  | Multicore ->
+      { n with instrs = size t.instrs (400_000, 120_000); mixes = size t.mixes (16, 8) }
+  | Trace ->
+      let resolved name = Registry.resolved_params name t.mit_params in
+      {
+        n with
+        trace_path = t.trace_path;
+        mitigation = t.mitigation;
+        mit_params = Option.value ~default:[] (Option.bind t.mitigation resolved);
+      }
+  | Fullsys -> { n with instrs = size t.instrs (60_000, 20_000) }
 
-let resolve_mac_latency t =
-  match t.mac_latency with
-  | Some l -> l
-  | None -> (config_of_design t.design).Ptguard.Config.mac_latency_cycles
-
-let resolve_workload_names t =
-  match t.workloads with
-  | Some names -> names
-  | None -> Ptg_workloads.Workload.names
-
-let resolve_processes t =
-  match (t.processes, t.reduced) with
-  | Some p, _ -> p
-  | None, false -> 623
-  | None, true -> 200
-
-let resolve_lines t =
-  match (t.lines, t.reduced) with
-  | Some l, _ -> l
-  | None, false -> 300
-  | None, true -> 150
-
-let resolve_mixes t =
-  match (t.mixes, t.reduced) with
-  | Some m, _ -> m
-  | None, false -> 16
-  | None, true -> 8
+(* ------------------------------------------------------------------ *)
+(* Validation                                                          *)
+(* ------------------------------------------------------------------ *)
 
 let multi_seed_kind = function Fig6 | Fig9 -> true | _ -> false
+
+(* Only a regular file is a trace: a device or a fifo could be read
+   without end when the trace is hashed or loaded. *)
+let check_trace_file path =
+  match (Sys.is_regular_file path, Sys.is_directory path) with
+  | true, _ -> Ok ()
+  | false, true -> Error (Printf.sprintf "trace file %s is a directory" path)
+  | false, false ->
+      Error (Printf.sprintf "trace file %s is not a regular file" path)
+  | exception Sys_error _ ->
+      Error (Printf.sprintf "trace file %s does not exist" path)
 
 let validate t =
   let ( let* ) = Result.bind in
@@ -144,46 +155,32 @@ let validate t =
            (kind_name t.kind))
     else Ok ()
   in
-  let* () =
-    if t.warmup <> None && Option.get t.warmup < 0 then
-      Error "warmup must be >= 0"
-    else Ok ()
-  in
-  let* () =
-    match t.instrs with Some i -> positive "instrs" i | None -> Ok ()
-  in
-  let* () =
-    match t.mac_latency with
-    | Some l when l < 0 -> Error "mac_latency must be >= 0"
+  let non_negative what = function
+    | Some n when n < 0 -> Error (what ^ " must be >= 0")
     | _ -> Ok ()
   in
-  let* () =
-    match t.processes with Some p -> positive "processes" p | None -> Ok ()
-  in
-  let* () = match t.lines with Some l -> positive "lines" l | None -> Ok () in
-  let* () = match t.mixes with Some m -> positive "mixes" m | None -> Ok () in
+  let* () = non_negative "warmup" t.warmup in
+  let* () = Option.fold ~none:(Ok ()) ~some:(positive "instrs") t.instrs in
+  let* () = non_negative "mac_latency" t.mac_latency in
+  let* () = Option.fold ~none:(Ok ()) ~some:(positive "processes") t.processes in
+  let* () = Option.fold ~none:(Ok ()) ~some:(positive "lines") t.lines in
+  let* () = Option.fold ~none:(Ok ()) ~some:(positive "mixes") t.mixes in
   let* () =
     match t.workloads with
     | None -> Ok ()
     | Some [] -> Error "workloads must be non-empty"
-    | Some names ->
-        List.fold_left
-          (fun acc name ->
-            let* () = acc in
-            match Ptg_workloads.Workload.by_name name with
-            | Some _ -> Ok ()
-            | None ->
-                Error
-                  (Printf.sprintf "unknown workload %s (try: %s)" name
-                     (String.concat ", " Ptg_workloads.Workload.names)))
-          (Ok ()) names
+    | Some names -> (
+        match List.find_opt (fun n -> Ptg_workloads.Workload.by_name n = None) names with
+        | Some name ->
+            Error
+              (Printf.sprintf "unknown workload %s (try: %s)" name
+                 (String.concat ", " Ptg_workloads.Workload.names))
+        | None -> Ok ())
   in
   let* () =
     match (t.kind, t.trace_path) with
     | Trace, None -> Error "trace scenarios require a trace file"
-    | Trace, Some path ->
-        if Sys.file_exists path && not (Sys.is_directory path) then Ok ()
-        else Error (Printf.sprintf "trace file %s does not exist" path)
+    | Trace, Some path -> check_trace_file path
     | _, Some _ ->
         Error
           (Printf.sprintf "trace is only valid for kind trace, not %s"
@@ -192,7 +189,16 @@ let validate t =
   in
   let* () =
     match (t.kind, t.mitigation) with
-    | Trace, Some name -> Ptg_mitigations.Registry.check_params name t.mit_params
+    | Trace, Some name -> (
+        let* () = Registry.check_params name t.mit_params in
+        (* JSON, and so the canonical form, has no nan or infinity. *)
+        match
+          List.find_opt
+            (function _, Registry.Float f -> not (Float.is_finite f) | _ -> false)
+            t.mit_params
+        with
+        | Some (key, _) -> Error (Printf.sprintf "params.%s must be finite" key)
+        | None -> Ok ())
     | Trace, None ->
         if t.mit_params = [] then Ok ()
         else Error "params require a mitigation"
@@ -212,8 +218,154 @@ let check t =
   | Error msg -> invalid_arg ("Scenario: " ^ msg)
 
 (* ------------------------------------------------------------------ *)
-(* Canonical form and content hash                                     *)
+(* JSON: the wire form, its decoder and the canonical form             *)
 (* ------------------------------------------------------------------ *)
+
+(* The wire form's fields, in wire order: the kind, one of seed/seeds,
+   and every other field only when it was given (design always for
+   Fig6), so a request spells what its sender chose. *)
+let fields t =
+  let fields = ref [] in
+  let add key v = fields := (key, v) :: !fields in
+  let add_int key = Option.iter (fun i -> add key (Json.Int (Int64.of_int i))) in
+  add "kind" (Json.String (kind_name t.kind));
+  if t.seeds > 1 then add "seeds" (Json.Int (Int64.of_int t.seeds))
+  else add "seed" (Json.Int t.seed);
+  if t.reduced then add "reduced" (Json.Bool true);
+  if t.kind = Fig6 then begin
+    add "design" (Json.String (design_wire_name t.design));
+    add_int "mac_latency" t.mac_latency;
+    Option.iter
+      (fun ws -> add "workloads" (Json.List (List.map (fun w -> Json.String w) ws)))
+      t.workloads
+  end;
+  add_int "instrs" t.instrs;
+  add_int "warmup" t.warmup;
+  add_int "processes" t.processes;
+  add_int "lines" t.lines;
+  add_int "mixes" t.mixes;
+  Option.iter (fun p -> add "trace" (Json.String p)) t.trace_path;
+  Option.iter (fun m -> add "mitigation" (Json.String m)) t.mitigation;
+  let param = function
+    | Registry.Int i -> Json.Int (Int64.of_int i)
+    | Registry.Float f -> Json.Float f
+    | Registry.Bool b -> Json.Bool b
+  in
+  if t.mit_params <> [] then
+    add "params" (Json.Obj (List.map (fun (key, v) -> (key, param v)) t.mit_params));
+  if t.jobs <> 1 then add "jobs" (Json.Int (Int64.of_int t.jobs));
+  List.rev !fields
+
+let to_json t = Json.Obj (fields t)
+
+let wire_fields =
+  [
+    "kind"; "seed"; "seeds"; "reduced"; "design"; "mac_latency"; "workloads";
+    "instrs"; "warmup"; "processes"; "lines"; "mixes"; "trace"; "mitigation";
+    "params"; "jobs";
+  ]
+
+let ( let* ) = Result.bind
+
+let as_int64 what = function
+  | Json.Int i -> Ok i
+  | _ -> Error (Printf.sprintf "%s must be an integer" what)
+
+let as_bool what = function
+  | Json.Bool b -> Ok b
+  | _ -> Error (Printf.sprintf "%s must be a boolean" what)
+
+let as_string what = function
+  | Json.String s -> Ok s
+  | _ -> Error (Printf.sprintf "%s must be a string" what)
+
+let opt_field json key conv =
+  match Json.member key json with
+  | None -> Ok None
+  | Some v ->
+      let* x = conv key v in
+      Ok (Some x)
+
+(* [f] over [items], or the error of the first item it rejects. *)
+let map_result f items =
+  List.fold_right
+    (fun x acc ->
+      let* y = f x in
+      let* ys = acc in
+      Ok (y :: ys))
+    items (Ok [])
+
+let of_json json =
+  match json with
+  | Json.Obj _ ->
+      let* () =
+        match List.find_opt (fun k -> not (List.mem k wire_fields)) (Json.keys json) with
+        | Some key -> Error (Printf.sprintf "unknown scenario field \"%s\"" key)
+        | None -> Ok ()
+      in
+      let* kind =
+        match Json.member "kind" json with
+        | None -> Error "scenario is missing \"kind\""
+        | Some v ->
+            let* name = as_string "kind" v in
+            Option.to_result (kind_of_name name)
+              ~none:
+                (Printf.sprintf "unknown kind \"%s\" (one of: %s)" name
+                   (String.concat ", " kind_names))
+      in
+      let* seed = opt_field json "seed" as_int64 in
+      let* seeds = opt_field json "seeds" Json.as_int in
+      let* reduced = opt_field json "reduced" as_bool in
+      let* design =
+        opt_field json "design" (fun what v ->
+            let* name = as_string what v in
+            Option.to_result (design_of_wire_name name)
+              ~none:(Printf.sprintf "unknown design \"%s\" (baseline or optimized)" name))
+      in
+      let* mac_latency = opt_field json "mac_latency" Json.as_int in
+      let* workloads =
+        opt_field json "workloads" (fun _ -> function
+          | Json.List items -> map_result (as_string "workloads element") items
+          | _ -> Error "workloads must be a list of strings")
+      in
+      let* instrs = opt_field json "instrs" Json.as_int in
+      let* warmup = opt_field json "warmup" Json.as_int in
+      let* processes = opt_field json "processes" Json.as_int in
+      let* lines = opt_field json "lines" Json.as_int in
+      let* mixes = opt_field json "mixes" Json.as_int in
+      let* jobs = opt_field json "jobs" Json.as_int in
+      let* trace = opt_field json "trace" as_string in
+      let* mitigation = opt_field json "mitigation" as_string in
+      (* JSON prints an integral float as an integer, so an integer for
+         a parameter the mitigation declares float is that float. *)
+      let declared key =
+        Option.bind mitigation (fun name ->
+            Option.bind (Registry.resolved_params name []) (List.assoc_opt key))
+      in
+      let param (key, v) =
+        match v with
+        | Json.Int _ -> (
+            let* i = Json.as_int ("params." ^ key) v in
+            match declared key with
+            | Some (Registry.Float _) -> Ok (key, Registry.Float (float_of_int i))
+            | _ -> Ok (key, Registry.Int i))
+        | Json.Float f -> Ok (key, Registry.Float f)
+        | Json.Bool b -> Ok (key, Registry.Bool b)
+        | _ -> Error (Printf.sprintf "params.%s must be a number or boolean" key)
+      in
+      let* mit_params =
+        opt_field json "params" (fun _ -> function
+          | Json.Obj fields -> map_result param fields
+          | _ -> Error "params must be an object")
+      in
+      let scenario =
+        make ?seed ?seeds ?reduced ?design ?mac_latency ?workloads ?instrs
+          ?warmup ?processes ?lines ?mixes ?trace ?mitigation ?mit_params ?jobs
+          kind
+      in
+      let* () = validate scenario in
+      Ok scenario
+  | _ -> Error "scenario must be an object"
 
 (* FNV-1a, 64-bit ({!Ptg_snapshot.Codec.fnv1a64}): tiny, dependency-free,
    and stable across runs and platforms — exactly what a cache key and a
@@ -230,105 +382,29 @@ let trace_content_hash path =
   Printf.sprintf "%016Lx"
     (fnv1a64 (In_channel.with_open_bin path In_channel.input_all))
 
-(* [skip_instrs] drops the instruction budget from the rendering: the
-   warm-start store keys checkpoints by everything {e except} how far
-   the run goes, so a longer run can resume from a shorter run's
-   snapshots (only [Fullsys] scales by instructions this way). *)
-let canonical_ext ~skip_instrs t =
+(* The wire form of the normal form, keys sorted, the trace path
+   replaced by the trace's content hash. [prefix] drops the instruction
+   budget: the warm-start store keys checkpoints by everything {e
+   except} how far the run goes, so a longer run can resume from a
+   shorter run's snapshots (only [Fullsys] scales by instructions this
+   way). *)
+let canonical_form ~prefix t =
   check t;
-  let buf = Buffer.create 128 in
-  let first = ref true in
-  let field key render =
-    if !first then first := false else Buffer.add_char buf ',';
-    Buffer.add_char buf '"';
-    Buffer.add_string buf key;
-    Buffer.add_string buf "\":";
-    render ()
+  let n = normalize t in
+  let n =
+    {
+      n with
+      instrs = (if prefix && t.kind = Fullsys then None else n.instrs);
+      trace_path = Option.map trace_content_hash n.trace_path;
+    }
   in
-  let int_field key v = field key (fun () -> Buffer.add_string buf (string_of_int v)) in
-  let str_field key v =
-    field key (fun () ->
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (Ptg_obs.Registry.json_escape v);
-        Buffer.add_char buf '"')
-  in
-  (* Multi-seed sweeps draw their own per-run seeds, so [seed] carries no
-     information there; emitting only one of seed/seeds keeps the hash
-     honest about what the computation depends on. *)
-  let seed_field () =
-    if t.seeds > 1 then int_field "seeds" t.seeds
-    else field "seed" (fun () -> Buffer.add_string buf (Int64.to_string t.seed))
-  in
-  Buffer.add_char buf '{';
-  (* Fields appear in alphabetical key order within each kind. *)
-  (match t.kind with
-  | Fig6 ->
-      str_field "design" (design_wire_name t.design);
-      int_field "instrs" (resolve_instrs t);
-      str_field "kind" "fig6";
-      int_field "mac_latency" (resolve_mac_latency t);
-      seed_field ();
-      int_field "warmup" (resolve_warmup t);
-      field "workloads" (fun () ->
-          Buffer.add_char buf '[';
-          List.iteri
-            (fun i name ->
-              if i > 0 then Buffer.add_char buf ',';
-              Buffer.add_char buf '"';
-              Buffer.add_string buf (Ptg_obs.Registry.json_escape name);
-              Buffer.add_char buf '"')
-            (resolve_workload_names t);
-          Buffer.add_char buf ']')
-  | Fig7 ->
-      int_field "instrs" (resolve_instrs t);
-      str_field "kind" "fig7";
-      seed_field ();
-      int_field "warmup" (resolve_warmup t)
-  | Fig8 ->
-      str_field "kind" "fig8";
-      int_field "processes" (resolve_processes t);
-      seed_field ()
-  | Fig9 ->
-      str_field "kind" "fig9";
-      int_field "lines" (resolve_lines t);
-      seed_field ()
-  | Multicore ->
-      int_field "instrs" (resolve_instrs t);
-      str_field "kind" "multicore";
-      int_field "mixes" (resolve_mixes t);
-      seed_field ()
-  | Trace ->
-      str_field "kind" "trace";
-      (match t.mitigation with
-      | None -> ()
-      | Some name ->
-          str_field "mitigation" name;
-          field "params" (fun () ->
-              Buffer.add_char buf '{';
-              List.iteri
-                (fun i (key, v) ->
-                  if i > 0 then Buffer.add_char buf ',';
-                  Buffer.add_char buf '"';
-                  Buffer.add_string buf (Ptg_obs.Registry.json_escape key);
-                  Buffer.add_string buf "\":";
-                  Buffer.add_string buf
-                    (Ptg_mitigations.Registry.value_to_string v))
-                (Option.get
-                   (Ptg_mitigations.Registry.resolved_params name t.mit_params));
-              Buffer.add_char buf '}'));
-      seed_field ();
-      str_field "trace" (trace_content_hash (Option.get t.trace_path))
-  | Fullsys ->
-      if not skip_instrs then int_field "instrs" (resolve_instrs t);
-      str_field "kind" "fullsys";
-      seed_field ());
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  Json.to_string
+    (Json.Obj (List.sort (fun (a, _) (b, _) -> String.compare a b) (fields n)))
 
-let canonical t = canonical_ext ~skip_instrs:false t
+let canonical t = canonical_form ~prefix:false t
 let hash64 t = fnv1a64 (canonical t)
 let hash t = Printf.sprintf "%016Lx" (hash64 t)
-let prefix_canonical t = canonical_ext ~skip_instrs:true t
+let prefix_canonical t = canonical_form ~prefix:true t
 let prefix_hash64 t = fnv1a64 (prefix_canonical t)
 let prefix_hash t = Printf.sprintf "%016Lx" (prefix_hash64 t)
 
@@ -356,20 +432,21 @@ type plan =
    aggregate across seeds at the end, so they run whole. *)
 let plan t =
   check t;
-  let jobs = t.jobs and seed = t.seed in
+  let n = normalize t in
+  let jobs = t.jobs and seed = t.seed and size = Option.get in
   let sweep s out = Sweep { s with Sweep.finish = (fun u -> out (s.Sweep.finish u)) } in
   match t.kind with
   | Fig6 ->
       let config =
         Ptguard.Config.with_mac_latency (config_of_design t.design)
-          (resolve_mac_latency t)
+          (size n.mac_latency)
       in
       let workloads =
         List.map
           (fun name -> Option.get (Ptg_workloads.Workload.by_name name))
-          (resolve_workload_names t)
+          (size n.workloads)
       in
-      let instrs = resolve_instrs t and warmup = resolve_warmup t in
+      let instrs = size n.instrs and warmup = size n.warmup in
       if t.seeds > 1 then
         Whole
           (fun ?obs () ->
@@ -382,15 +459,15 @@ let plan t =
           (fun r -> Fig6_out r)
   | Fig7 ->
       sweep
-        (Fig7.sweep ~jobs ~instrs:(resolve_instrs t) ~warmup:(resolve_warmup t)
+        (Fig7.sweep ~jobs ~instrs:(size n.instrs) ~warmup:(size n.warmup)
            ~seed ())
         (fun r -> Fig7_out r)
   | Fig8 ->
       Whole
         (fun ?obs () ->
-          Fig8_out (Fig8.run ~jobs ~seed ~processes:(resolve_processes t) ?obs ()))
+          Fig8_out (Fig8.run ~jobs ~seed ~processes:(size n.processes) ?obs ()))
   | Fig9 ->
-      let lines_per_point = resolve_lines t in
+      let lines_per_point = size n.lines in
       if t.seeds > 1 then
         Whole
           (fun ?obs:_ () ->
@@ -399,8 +476,8 @@ let plan t =
         sweep (Fig9.sweep ~jobs ~lines_per_point ~seed ()) (fun r -> Fig9_out r)
   | Multicore ->
       sweep
-        (Multicore_exp.sweep ~jobs ~instrs_per_core:(resolve_instrs t)
-           ~mixes:(resolve_mixes t) ~seed ())
+        (Multicore_exp.sweep ~jobs ~instrs_per_core:(size n.instrs)
+           ~mixes:(size n.mixes) ~seed ())
         (fun r -> Multicore_out r)
   | Trace ->
       Whole
@@ -412,7 +489,7 @@ let plan t =
           with
           | Ok result -> Trace_out { mitigation = t.mitigation; result }
           | Error msg -> invalid_arg ("Scenario: " ^ msg))
-  | Fullsys -> Machine { seed; instrs = resolve_instrs t }
+  | Fullsys -> Machine { seed; instrs = size n.instrs }
 
 let run ?obs t =
   match plan t with

@@ -8,27 +8,23 @@
     through {!run}/{!render}, so their outputs cannot drift: the bytes a
     server response carries are exactly the bytes the CLI prints.
 
-    Every scenario has a {e canonical} serialized form: a single-line
-    JSON object with alphabetically sorted keys, all defaults resolved to
-    concrete values, and only the fields that are semantic for its kind
-    (the [jobs] hint is excluded — results are bit-identical for any job
-    count, so two requests differing only in [jobs] must share a cache
-    entry). {!hash} is an FNV-1a 64-bit hash of that form: the result
-    cache key. Because every experiment is deterministic given its
-    canonical form, a cache hit is byte-identical to a re-run. *)
+    This module is the one place that knows a scenario's JSON form: the
+    wire encoder {!to_json}, its decoder {!of_json}, and the {e
+    canonical} form, which is the wire encoding of the scenario's normal
+    form — a single-line JSON object with alphabetically sorted keys,
+    all defaults resolved to concrete values, and only the fields that
+    are semantic for its kind (the [jobs] hint is excluded — results are
+    bit-identical for any job count, so two requests differing only in
+    [jobs] must share a cache entry). {!hash} is an FNV-1a 64-bit hash
+    of that form: the result cache key. Because every experiment is
+    deterministic given its canonical form, a cache hit is
+    byte-identical to a re-run. *)
 
 type kind = Fig6 | Fig7 | Fig8 | Fig9 | Multicore | Trace | Fullsys
 
 val kinds : kind list
 val kind_name : kind -> string
-val kind_of_name : string -> kind option
 val kind_names : string list
-
-val design_wire_name : Ptguard.Config.design -> string
-(** ["baseline"] / ["optimized"]: the CLI's --design tokens, reused as
-    the wire and canonical encoding. *)
-
-val design_of_wire_name : string -> Ptguard.Config.design option
 
 type t = {
   kind : kind;
@@ -75,23 +71,30 @@ val make :
 val validate : t -> (unit, string) result
 (** Semantic checks beyond typing: known workload names, positive sizes,
     [seeds > 1] only for the kinds with a multi-seed sweep (Fig6/Fig9);
-    for [Trace], an existing trace file, a registered mitigation name
-    and schema-valid parameter overrides. *)
+    for [Trace], a trace path naming a regular file (checked without
+    reading it: a directory, a device or a fifo is rejected), a
+    registered mitigation name and schema-valid, finite parameter
+    overrides. *)
 
 val check : t -> unit
 (** {!validate}, raising [Invalid_argument] on rejection. *)
 
-val resolve_instrs : t -> int
-(** The kind-aware instruction budget, as {!canonical} resolves it. *)
+val to_json : t -> Ptg_util.Json.t
+(** The wire encoding: [kind], [seed] (or [seeds] when > 1), and every
+    other field only as given — [design] always for Fig6, [reduced]
+    when true, [jobs] when not 1. *)
+
+val of_json : Ptg_util.Json.t -> (t, string) result
+(** Decode and {!validate}. Rejects unknown fields, bad types, unknown
+    kinds/designs/workloads, and semantically invalid values, each with
+    a descriptive error. Never raises. *)
 
 val canonical : t -> string
-(** Single-line JSON, sorted keys, defaults resolved, kind-relevant
-    fields only. Raises [Invalid_argument] when {!validate} rejects.
-    For [Trace], the [trace] field is {!trace_content_hash} of the file
-    — the cache key follows content, not path. *)
-
-val trace_content_hash : string -> string
-(** FNV-1a (64-bit, 16 hex digits) of a file's bytes. *)
+(** {!to_json} of the normal form, keys sorted: defaults resolved,
+    kind-relevant fields only. Raises [Invalid_argument] when
+    {!validate} rejects.
+    For [Trace], the [trace] field is the FNV-1a hash (16 hex digits)
+    of the file's bytes — the cache key follows content, not path. *)
 
 val hash64 : t -> int64
 (** FNV-1a (64-bit) of {!canonical}. *)
@@ -105,11 +108,10 @@ val prefix_canonical : t -> string
     differing only in [instrs] share a prefix form, which is what lets
     a longer run warm-start from a shorter run's checkpoints. *)
 
-val prefix_hash64 : t -> int64
-
 val prefix_hash : t -> string
-(** {!prefix_hash64} as 16 lowercase hex digits: the warm-start store
-    key ([Checkpoint] names snapshot files [<prefix_hash>.<n>.ptgs]). *)
+(** FNV-1a (64-bit) of {!prefix_canonical}, as 16 lowercase hex
+    digits: the warm-start store key ([Checkpoint] names snapshot files
+    [<prefix_hash>.<n>.ptgs]). *)
 
 type output =
   | Fig6_out of Fig6.result

@@ -45,7 +45,12 @@
 #      one per-case fan-out) and lib/obs/, no per-kind run_fig6,
 #      run_fig7, run_fig9 or run_multicore, and no timing-model machine
 #      snapshots (Core/Multicore/Guard_timing.set_state, put_core,
-#      put_multicore) in lib/, bin/, bench/ or examples/
+#      put_multicore) in lib/, bin/, bench/ or examples/; and one
+#      scenario codec: no json_escape in lib/ (Json.escape is the one
+#      escaper), no scenario_to_json, scenario_of_json or canonical_ext
+#      in lib/, bin/ or bench/ (Scenario.to_json/of_json are the codec,
+#      and the canonical form is their encoding), and no hand-built JSON
+#      string literal starting {\" in lib/sim/ (it goes through Json)
 #   8d. warm-start gate (bench_gate snapshot): resuming a finished
 #      fullsys budget from its snapshot store must stay >= 5x faster
 #      than computing it cold and byte-identical
@@ -197,6 +202,16 @@ if grep -rnE --include='*.ml' --include='*.mli' \
     exit 1
 fi
 echo "OK: one per-case fan-out (Sweep), no per-kind sweep wrappers, no timing-model machine snapshots"
+
+echo "== one scenario codec =="
+if grep -rn --include='*.ml' --include='*.mli' 'json_escape' lib \
+    || grep -rnE --include='*.ml' --include='*.mli' \
+        'scenario_to_json|scenario_of_json|canonical_ext' lib bin bench \
+    || grep -rnF --include='*.ml' '"{\"' lib/sim; then
+    echo "FAIL: a second JSON writer or scenario codec is back; use Ptg_util.Json and Scenario.to_json/of_json" >&2
+    exit 1
+fi
+echo "OK: Json.escape is the one escaper, Scenario holds the one scenario codec, lib/sim builds no JSON by hand"
 
 echo "== warm-start regression gate =="
 bench_gate snapshot

@@ -124,7 +124,7 @@ let test_exports () =
     "jsonl" "{\"metric\":\"a\",\"value\":1}\n{\"metric\":\"b\",\"value\":2}\n"
     (Registry.to_jsonl snap);
   Alcotest.(check string)
-    "json escaping" {|a\"b\\c|} (Registry.json_escape {|a"b\c|})
+    "json escaping" {|a\"b\\c|} (Ptg_util.Json.escape {|a"b\c|})
 
 let suite =
   [

@@ -30,13 +30,18 @@ let with_client addr f =
   let c = Client.connect addr in
   Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)
 
+(* The server's compute hook for a test handler that only renders
+   text: no progress, never stops early. *)
+let text_handler f ~progress:_ ~should_stop:_ scenario =
+  { Ptg_sim.Checkpoint.text = Some (f scenario); completed = true; resumed_from = None }
+
 let base_config ?handler ?obs ?(workers = 2) ?(high_water = 8) () =
   {
     (Server.default_config (Server.Tcp 0)) with
     Server.workers;
     high_water;
     obs;
-    handler;
+    handler = Option.map text_handler handler;
   }
 
 let stat server key =
@@ -404,7 +409,7 @@ let test_unix_socket_lifecycle () =
   let config =
     {
       (Server.default_config (Server.Unix_socket path)) with
-      Server.handler = Some (fun _ -> "via-unix-socket");
+      Server.handler = Some (text_handler (fun _ -> "via-unix-socket"));
     }
   in
   with_server config (fun server ->
@@ -422,7 +427,10 @@ let test_regular_file_refused () =
   let path = Filename.temp_file "ptg_not_a_sock_" ".txt" in
   Out_channel.with_open_bin path (fun oc -> output_string oc "precious");
   let config =
-    { (Server.default_config (Server.Unix_socket path)) with Server.handler = Some (fun _ -> "") }
+    {
+      (Server.default_config (Server.Unix_socket path)) with
+      Server.handler = Some (text_handler (fun _ -> ""));
+    }
   in
   (match Server.start config with
   | server ->
@@ -459,6 +467,30 @@ let test_bind_failure_leaks_no_fd () =
       done;
       Alcotest.(check int) "open descriptors unchanged" before (open_fds ()))
 
+(* The wire [jobs] hint is unbounded, but a worker must not spawn more
+   domains than the host recommends: the handler sees it clamped, and
+   the hash (which ignores [jobs]) is the unclamped request's. No
+   domain is spawned: the capturing handler runs nothing. *)
+let test_jobs_clamped () =
+  let seen = Atomic.make 0 in
+  let config =
+    base_config
+      ~handler:(fun s ->
+        Atomic.set seen s.Scenario.jobs;
+        "clamped")
+      ()
+  in
+  let scenario = Scenario.make ~jobs:1_000_000 Scenario.Fig8 in
+  with_server config (fun server ->
+      with_client (Server.listen_addr server) (fun c ->
+          match Client.run c scenario with
+          | Ok (Protocol.Result { hash; result; _ }) ->
+              Alcotest.(check string) "handler ran" "clamped" result;
+              Alcotest.(check string) "hash ignores jobs" (Scenario.hash scenario) hash
+          | _ -> Alcotest.fail "expected a result frame"));
+  Alcotest.(check int) "jobs clamped to the host's domain count"
+    (Ptg_util.Pool.default_jobs ()) (Atomic.get seen)
+
 let suite =
   [
     Alcotest.test_case "ping, stats, shutdown" `Quick test_ping_stats_shutdown;
@@ -481,4 +513,5 @@ let suite =
       test_regular_file_refused;
     Alcotest.test_case "failed bind leaks no descriptor" `Quick
       test_bind_failure_leaks_no_fd;
+    Alcotest.test_case "wire jobs hint clamped" `Quick test_jobs_clamped;
   ]

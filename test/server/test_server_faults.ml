@@ -31,7 +31,7 @@ let base_config ?(handler = fun _ -> "payload") ?obs ?(workers = 2)
     max_conns;
     drain_deadline_s;
     obs;
-    handler = Some handler;
+    handler = Some (Test_server_e2e.text_handler handler);
     faults;
   }
 

@@ -1,4 +1,4 @@
-module Json = Ptg_server.Json
+module Json = Ptg_util.Json
 
 let parse_ok s =
   match Json.parse s with

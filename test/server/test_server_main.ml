@@ -7,6 +7,7 @@ let () =
       ("server.lru", Test_server_lru.suite);
       ("server.protocol", Test_server_protocol.suite);
       ("server.scenario", Test_server_scenario.suite);
+      ("server.golden", Test_server_golden.suite);
       ("server.e2e", Test_server_e2e.suite);
       ("server.v2", Test_server_v2.suite);
       ("server.router", Test_server_router.suite);

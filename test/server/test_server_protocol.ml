@@ -1,4 +1,4 @@
-module Json = Ptg_server.Json
+module Json = Ptg_util.Json
 module Protocol = Ptg_server.Protocol
 module Scenario = Ptg_sim.Scenario
 
@@ -251,6 +251,30 @@ let prop_response_roundtrip =
       | Ok ({ Protocol.id = Some "q"; v = v' }, back) -> v' = v && back = resp
       | _ -> false)
 
+(* A trace path must name a regular file, checked without reading it:
+   hashing [/dev/zero] would never finish, so this test finishing is
+   part of the assertion. *)
+let test_trace_not_regular () =
+  let frame path =
+    Protocol.encode_request
+      (Protocol.Run { (Scenario.make Scenario.Trace) with Scenario.trace_path = Some path })
+  in
+  let contains sub s =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun (path, cause) ->
+      let e = decode_req_err (frame path) in
+      Alcotest.(check bool) (Printf.sprintf "%s: %S" path e) true
+        (contains path e && contains cause e))
+    [
+      ("/dev/zero", "is not a regular file");
+      (Filename.get_temp_dir_name (), "is a directory");
+      ("/nonexistent/ptg_trace.txt", "does not exist");
+    ]
+
 let suite =
   [
     Alcotest.test_case "request round trip" `Quick test_request_roundtrip;
@@ -263,5 +287,7 @@ let suite =
     Alcotest.test_case "v2 constructs rejected at v1" `Quick
       test_v2_only_rejected_at_v1;
     Alcotest.test_case "hello max defaults" `Quick test_hello_defaults;
+    Alcotest.test_case "trace path must be a regular file" `Quick
+      test_trace_not_regular;
     QCheck_alcotest.to_alcotest prop_response_roundtrip;
   ]

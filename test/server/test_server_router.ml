@@ -120,7 +120,7 @@ let shard_config ?(handler = fun s -> "res-" ^ Scenario.hash s) ?(addr = Server.
     (Server.default_config addr) with
     Server.workers = 2;
     high_water = 32;
-    handler = Some handler;
+    handler = Some (Test_server_e2e.text_handler handler);
   }
 
 let router_config ?(health_interval_s = 10.) ?(strike_limit = 1)

@@ -3,7 +3,7 @@
    explicit-vs-default values — and must separate semantically distinct
    scenarios. *)
 
-module Json = Ptg_server.Json
+module Json = Ptg_util.Json
 module Protocol = Ptg_server.Protocol
 module Scenario = Ptg_sim.Scenario
 
@@ -66,11 +66,11 @@ let prop_hash_spelling_invariant =
     QCheck2.Gen.(pair gen_scenario (int_bound 0x3FFFFFF))
     (fun (scenario, shuffle_seed) ->
       let st = Random.State.make [| shuffle_seed |] in
-      let sloppy = render_sloppy st (Protocol.scenario_to_json scenario) in
+      let sloppy = render_sloppy st (Scenario.to_json scenario) in
       match Json.parse sloppy with
       | Error e -> QCheck2.Test.fail_reportf "sloppy form unparseable: %s" e
       | Ok j -> (
-          match Protocol.scenario_of_json j with
+          match Scenario.of_json j with
           | Error e -> QCheck2.Test.fail_reportf "sloppy form rejected: %s" e
           | Ok back ->
               Scenario.hash back = Scenario.hash scenario
@@ -158,12 +158,218 @@ let test_validate_rejects () =
       ("negative mac latency", Scenario.make ~mac_latency:(-1) Scenario.Fig6);
     ]
 
+(* Decoder fuzzing. Two kinds of input: random objects over the
+   scenario's wire keys (plus unknown ones) with values of every JSON
+   type, and byte mutations of valid run frames. Each must decode to a
+   scenario or an error without raising, and every accepted scenario
+   must survive canonicalization and a wire round trip with its hash
+   unchanged. *)
+let fuzz_trace_file =
+  lazy
+    (let path = Filename.temp_file "ptg_fuzz_" ".trace" in
+     at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+     Out_channel.with_open_bin path (fun oc ->
+         Out_channel.output_string oc "# fuzz\n0x48000000 R 0\n0x48010040 W 3\n");
+     path)
+
+let gen_fuzz_value key =
+  let open QCheck2.Gen in
+  let int_in lo hi = map (fun i -> Json.Int (Int64.of_int i)) (int_range lo hi) in
+  let str l = map (fun s -> Json.String s) (oneofl l) in
+  let number =
+    oneof
+      [
+        int_in (-3) 40;
+        map (fun i -> Json.Int i) (oneofl [ Int64.max_int; Int64.min_int; 0x1_0000_0000L ]);
+        map (fun f -> Json.Float f) (oneofl [ 0.1; 1.0; 0.001; 2.5; -1.0; 1e300 ]);
+      ]
+  in
+  let any =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        number;
+        str (Scenario.kind_names @ [ "baseline"; "mcf"; ""; "para"; "a\"b\\c\n" ]);
+        map (fun s -> Json.String s) (string_size ~gen:printable (int_bound 8));
+        return (Json.List [ Json.String "mcf"; Json.Int 1L ]);
+        return (Json.Obj [ ("p", Json.Null) ]);
+      ]
+  in
+  let param = oneofl [ "p"; "threshold"; "counters"; "sampler_size"; "zap" ] in
+  let valid =
+    match key with
+    | "kind" -> str Scenario.kind_names
+    | "seed" -> number
+    | "seeds" -> int_in 1 3
+    | "reduced" -> map (fun b -> Json.Bool b) bool
+    | "design" -> str [ "baseline"; "optimized"; "Baseline" ]
+    | "workloads" ->
+        map (fun ws -> Json.List ws) (list_size (int_bound 3) (str [ "mcf"; "bc"; "xz"; "zzz" ]))
+    | "trace" ->
+        frequency
+          [
+            (6, map (fun () -> Json.String (Lazy.force fuzz_trace_file)) unit);
+            (1, str [ "/dev/zero"; "/"; "/nonexistent"; "" ]);
+          ]
+    | "mitigation" -> str [ "trr"; "para"; "soft-trr"; "graphene"; "bogus" ]
+    | "params" ->
+        map (fun kvs -> Json.Obj kvs)
+          (list_size (int_bound 2) (pair param (oneof [ number; map (fun b -> Json.Bool b) bool ])))
+    | "jobs" -> oneof [ int_in 1 4; return (Json.Int 1_000_000L) ]
+    | _ -> int_in 0 50
+  in
+  frequency [ (5, valid); (1, any) ]
+
+let wire_keys =
+  [
+    "kind"; "seed"; "seeds"; "reduced"; "design"; "mac_latency"; "workloads";
+    "instrs"; "warmup"; "processes"; "lines"; "mixes"; "trace"; "mitigation";
+    "params"; "jobs";
+  ]
+
+(* Integral floats print with a fraction ("1.0"), as a client in
+   another language sends them: on the wire that is a float, not the
+   integer [Json.to_string] would print. *)
+let rec render_fuzz = function
+  | Json.Float f when Float.is_integer f -> Printf.sprintf "%.1f" f
+  | Json.Obj fields ->
+      "{"
+      ^ String.concat ","
+          (List.map (fun (k, v) -> Json.to_string (Json.String k) ^ ":" ^ render_fuzz v) fields)
+      ^ "}"
+  | Json.List items -> "[" ^ String.concat "," (List.map render_fuzz items) ^ "]"
+  | v -> Json.to_string v
+
+(* A kind (usually), then a few fields. Trace objects usually name the
+   trace file, so the mitigation and parameter paths are reached. *)
+let gen_fuzz_object =
+  let open QCheck2.Gen in
+  let field k = map (fun v -> (k, v)) (gen_fuzz_value k) in
+  let kind = frequency [ (9, gen_fuzz_value "kind" >|= Option.some); (1, return None) ] in
+  kind >>= fun kind ->
+  (* Parameters drawn from the mitigation's own schema, each value of
+     the declared type or of a neighbouring one (integral floats
+     included), so the override paths are reached. *)
+  let schema_params name =
+    let declared =
+      Option.value ~default:[] (Ptg_mitigations.Registry.resolved_params name [])
+    in
+    let value = function
+      | Ptg_mitigations.Registry.Float _ ->
+          oneofl [ Json.Float 0.1; Json.Float 1.0; Json.Float 0.0; Json.Int 1L ]
+      | Ptg_mitigations.Registry.Int _ ->
+          oneof [ map (fun i -> Json.Int (Int64.of_int i)) (int_range 1 3000); return (Json.Float 2.0) ]
+      | Ptg_mitigations.Registry.Bool _ -> map (fun b -> Json.Bool b) bool
+    in
+    map (fun kvs -> Json.Obj kvs)
+      (list_size (int_bound 2) (oneofl declared >>= fun (k, d) -> map (fun v -> (k, v)) (value d)))
+  in
+  let trace_fields =
+    if kind = Some (Json.String "trace") then
+      oneofl (Ptg_mitigations.Registry.names ()) >>= fun name ->
+      flatten_l
+        [
+          field "trace" >|= Option.some;
+          opt (return ("mitigation", Json.String name));
+          opt (schema_params name >|= fun p -> ("params", p));
+        ]
+      >|= List.filter_map Fun.id
+    else return []
+  in
+  map2
+    (fun extra fields ->
+      render_fuzz
+        (Json.Obj (Option.to_list (Option.map (fun k -> ("kind", k)) kind) @ extra @ fields)))
+    trace_fields
+    (list_size (int_bound 4) (oneofl (wire_keys @ [ "zz"; "Kind" ]) >>= field))
+
+let gen_fuzz_mutant =
+  let open QCheck2.Gen in
+  let base =
+    oneof
+      [
+        gen_scenario;
+        map
+          (fun m -> Scenario.make ~trace:(Lazy.force fuzz_trace_file) ?mitigation:m Scenario.Trace)
+          (opt (oneofl [ "trr"; "para"; "graphene" ]));
+      ]
+  in
+  let mutate frame (pos, ch, op) =
+    let n = String.length frame in
+    if n = 0 then frame
+    else
+      let i = pos mod n in
+      match op with
+      | 0 -> String.mapi (fun j c -> if j = i then ch else c) frame
+      | 1 -> String.sub frame 0 i ^ String.sub frame (i + 1) (n - i - 1)
+      | 2 -> String.sub frame 0 i ^ String.make 1 ch ^ String.sub frame i (n - i)
+      | _ -> String.sub frame 0 i
+  in
+  map2
+    (fun s edits -> List.fold_left mutate (Protocol.encode_request (Protocol.Run s)) edits)
+    base
+    (list_size (int_range 1 4)
+       (triple nat
+          (oneofl [ '"'; '{'; '}'; ','; ':'; '0'; '9'; '-'; '.'; 'e'; '\\'; ' '; 'x'; '\000' ])
+          (int_bound 3)))
+
+let accepted_round_trips s =
+  let h = Scenario.hash s in
+  ignore (Scenario.prefix_canonical s);
+  match Json.parse (Json.to_string (Scenario.to_json s)) with
+  | Error e -> QCheck2.Test.fail_reportf "to_json unparseable: %s" e
+  | Ok j -> (
+      match Scenario.of_json j with
+      | Error e -> QCheck2.Test.fail_reportf "round trip rejected: %s" e
+      | Ok back -> Scenario.hash back = h || QCheck2.Test.fail_reportf "hash moved: %s" h)
+
+let prop_decoder_fuzz =
+  QCheck2.Test.make ~name:"decoder fuzz: value or error, accepted round-trips"
+    ~count:1000 ~print:(fun s -> s)
+    QCheck2.Gen.(
+      oneof
+        [
+          gen_fuzz_object;
+          map (fun o -> {|{"v":1,"op":"run","scenario":|} ^ o ^ "}") gen_fuzz_object;
+          gen_fuzz_mutant;
+        ])
+    (fun text ->
+      (match Json.parse text with
+      | Ok j -> (
+          match Scenario.of_json j with
+          | Ok s -> ignore (accepted_round_trips s)
+          | Error _ -> ())
+      | Error _ -> ());
+      match Protocol.decode_request text with
+      | Ok (_, (Protocol.Run s | Protocol.Run_stream s)) -> accepted_round_trips s
+      | Ok _ | Error _ -> true)
+
+(* An integral float parameter prints as an integer ("p":1); the
+   decoder reads it back as the float the mitigation declares. *)
+let test_integral_float_param () =
+  let trace = Lazy.force fuzz_trace_file in
+  let s =
+    Scenario.make ~trace ~mitigation:"para"
+      ~mit_params:[ ("p", Ptg_mitigations.Registry.Float 1.0) ]
+      Scenario.Trace
+  in
+  let text = Json.to_string (Scenario.to_json s) in
+  match Result.bind (Json.parse text) Scenario.of_json with
+  | Ok back -> Alcotest.(check string) text (Scenario.hash s) (Scenario.hash back)
+  | Error e -> Alcotest.failf "%s rejected: %s" text e
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_hash_spelling_invariant; prop_jobs_excluded; prop_defaults_resolved ]
+    [
+      prop_hash_spelling_invariant; prop_jobs_excluded; prop_defaults_resolved;
+      prop_decoder_fuzz;
+    ]
   @ [
       Alcotest.test_case "golden set hashes are distinct" `Quick
         test_golden_distinct;
       Alcotest.test_case "validate rejects bad scenarios" `Quick
         test_validate_rejects;
+      Alcotest.test_case "integral float parameter survives the wire" `Quick
+        test_integral_float_param;
     ]

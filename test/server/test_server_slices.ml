@@ -130,7 +130,7 @@ let test_orphaned_job_stops () =
       Server.workers = 1;
       high_water = 4;
       deadline_s = 0.1;
-      handler_ext = Some handler_ext;
+      handler = Some handler_ext;
       obs = Some sink;
     }
   in
@@ -202,7 +202,7 @@ let test_sliced_run_byte_identical () =
 let test_stream_progress_across_slices () =
   with_store (fun dir ->
       let scenario = overrunning_fullsys 22L ~deadline_s:0.5 ~windows:3. in
-      let instrs = Scenario.resolve_instrs scenario in
+      let instrs = Option.get scenario.Scenario.instrs in
       let reference = Scenario.run_to_string scenario in
       let sink = Ptg_obs.Sink.create () in
       let config = sliced_config ~dir ~sink ~slices:100 ~deadline_s:0.5 in

@@ -24,8 +24,10 @@ let base_config ?handler ?handler_ext ?snapshot_dir ?snapshot_every
     high_water;
     snapshot_dir;
     snapshot_every;
-    handler;
-    handler_ext;
+    handler =
+      (match handler_ext with
+      | Some _ -> handler_ext
+      | None -> Option.map Test_server_e2e.text_handler handler);
   }
 
 let stat server key =
