@@ -89,6 +89,15 @@ type t = {
   mac_ctx : Mac.ctx;
   memo : Bytes.t;
   memo_valid : Bytes.t;
+  corrections : correction option array;
+}
+
+(* A correction memo entry: the line address, a private copy of the
+   stored line, and [Correction.correct]'s outcome for them. *)
+and correction = {
+  c_addr : int64;
+  c_line : Ptg_pte.Line.t;
+  c_outcome : Correction.outcome;
 }
 
 (* The MAC memo: a host-side cache of [compute_mac], which is a pure
@@ -101,7 +110,19 @@ type t = {
 let memo_slots = 1024
 let memo_stride = 11 * 8 (* address, 8 masked words, MAC hi32, MAC lo *)
 
-let clear_memo t = Bytes.fill t.memo_valid 0 memo_slots '\000'
+(* The correction memo, under the same contract: a host-side cache of
+   [Correction.correct], a pure function of (configuration, key, line
+   address, stored line, MAC-zero). The fault model never writes a
+   corrected line back, so every later walk through a damaged line
+   asks for the same correction again. Direct-mapped on the line
+   address; a hit needs the address and all 8 stored words equal. Hit
+   or miss, [read_pte] counts, traces and charges the outcome's
+   guesses exactly as a fresh call would. *)
+let correction_slots = 256
+
+let clear_memo t =
+  Bytes.fill t.memo_valid 0 memo_slots '\000';
+  Array.fill t.corrections 0 correction_slots None
 
 let obs_incr t sel =
   match t.obs with None -> () | Some o -> Ptg_obs.Registry.incr (sel o)
@@ -146,6 +167,7 @@ let create ?(config = Config.baseline) ?obs ~rng () =
     mac_ctx = Mac.ctx ();
     memo = Bytes.create (memo_slots * memo_stride);
     memo_valid = Bytes.make memo_slots '\000';
+    corrections = Array.make correction_slots None;
   }
 
 let config t = t.config
@@ -343,6 +365,33 @@ let restore_identifier t line =
   | Config.Baseline -> line
   | Config.Optimized -> L.embed_identifier line t.identifier
 
+(* [Correction.correct] of a stored PTE line through the correction
+   memo. Neither the key copy nor the outcome's line ever leaves the
+   engine ([read_pte] forwards a stripped copy), so no caller can
+   mutate an entry into a later hit. *)
+let correct t ~addr line =
+  let slot = (Int64.to_int addr lsr 6) land (correction_slots - 1) in
+  match t.corrections.(slot) with
+  | Some c when Int64.equal c.c_addr addr && Ptg_pte.Line.equal c.c_line line ->
+      c.c_outcome
+  | Some _ | None ->
+      let mac_zero =
+        match t.config.Config.design with
+        | Config.Baseline -> None
+        | Config.Optimized -> Some t.mac_zero
+      in
+      let outcome =
+        match
+          Correction.correct ?mac_zero t.config t.key ~addr (restore_identifier t line)
+        with
+        | Correction.Corrected c ->
+            Correction.Corrected { c with line = Ptg_pte.Line.copy c.line }
+        | Correction.Uncorrectable _ as u -> u
+      in
+      t.corrections.(slot) <-
+        Some { c_addr = addr; c_line = Ptg_pte.Line.copy line; c_outcome = outcome };
+      outcome
+
 let read_pte t ~addr line =
   let module L = (val layout t : Layout.S) in
   let mac_latency = t.config.Config.mac_latency_cycles in
@@ -378,13 +427,7 @@ let read_pte t ~addr line =
   if t.config.Config.correction_enabled then begin
     t.stats.corrections_attempted <- t.stats.corrections_attempted + 1;
     obs_incr t (fun o -> o.o_corrections_attempted);
-    let candidate = restore_identifier t line in
-    let mac_zero =
-      match t.config.Config.design with
-      | Config.Baseline -> None
-      | Config.Optimized -> Some t.mac_zero
-    in
-    match Correction.correct ?mac_zero:(Option.map Fun.id mac_zero) t.config t.key ~addr candidate with
+    match correct t ~addr line with
     | Correction.Corrected { line = fixed; step; guesses } ->
         t.stats.corrections_succeeded <- t.stats.corrections_succeeded + 1;
         obs_incr t (fun o -> o.o_corrections_succeeded);

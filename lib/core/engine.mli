@@ -96,7 +96,19 @@ val process_read : t -> addr:int64 -> is_pte:bool -> Ptg_pte.Line.t -> read_resu
     whenever the key changes. A memo hit still counts as a MAC
     computation and still adds the MAC latency: results, {!stats},
     observability counters and {!state} are those of computing every
-    MAC afresh. *)
+    MAC afresh.
+
+    A PTE read whose MAC fails runs {!Correction.correct} through a
+    second host-side memo, of correction outcomes, keyed on the line
+    address and all 8 stored words, compared exactly. Rowhammer damage
+    stays in DRAM until the line is rewritten, so later walks through a
+    damaged line ask for the same correction again; a hit returns the
+    same outcome, guesses and [extra_latency] as a fresh correction,
+    and counts, traces and emits exactly as one. It is emptied by
+    {!create}, {!rekey} and {!set_state}, is not part of {!state}, and
+    hands out no line: every line a read returns is a fresh copy, so
+    mutating one cannot change a later hit. Neither memo models
+    hardware. *)
 
 val process_data_read : t -> addr:int64 -> Ptg_pte.Line.t -> Ptg_pte.Line.t * int
 (** [process_read ~is_pte:false] for callers that need only the forwarded
@@ -124,8 +136,9 @@ val state : t -> state
 (** Defensive copy (the stats record is duplicated). *)
 
 val set_state : t -> state -> unit
-(** Overwrite key, CTB and stats with captured state. The engine must
-    have the same configuration the state was captured under. *)
+(** Overwrite key, CTB and stats with captured state, and empty both
+    memos. The engine must have the same configuration the state was
+    captured under. *)
 
 val rekey :
   t ->
@@ -136,8 +149,8 @@ val rekey :
 (** Gradual re-keying (Section VII-B): draws a fresh key, then
     [iter_lines] must present every stored line (the engine snapshots
     them); each line is verified/stripped under the old key, re-embedded
-    under the new key, and handed to [write] in iteration order. The CTB
-    and the MAC memo are cleared. *)
+    under the new key, and handed to [write] in iteration order. The CTB,
+    the MAC memo and the correction memo are cleared. *)
 
 val pte_bounds_check : t -> Ptg_pte.Line.t -> bool
 (** Section IV-E: would the OS's PFN bounds check flag this stored PTE

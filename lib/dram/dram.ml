@@ -1,137 +1,10 @@
-(* Per-bank activation counts, kept sparse: an open-addressing table
-   (linear probing, unboxed int keys) holding only the rows activated
-   since their last refresh, in the spirit of Ramulator2's per-bank
-   [unordered_map<Addr_t, int>]. A device is built, reset at each
-   refresh epoch and checkpointed in time proportional to the rows it
-   touched, not to [rows_per_bank]; bumping a row that already has an
-   entry allocates nothing. *)
-module Counts = struct
-  type t = {
-    mutable rows : int array; (* -1 = empty slot *)
-    mutable counts : int array;
-    mutable size : int;
-    mutable shift : int; (* 62 - log2 (capacity) *)
-  }
-
-  let empty = -1
-  let min_bits = 4
-
-  let install t bits =
-    t.rows <- Array.make (1 lsl bits) empty;
-    t.counts <- Array.make (1 lsl bits) 0;
-    t.size <- 0;
-    t.shift <- 62 - bits
-
-  let create () =
-    let t = { rows = [||]; counts = [||]; size = 0; shift = 0 } in
-    install t min_bits;
-    t
-
-  (* Fibonacci hashing: the top bits of the 62-bit product. *)
-  let home t row = ((row * 0x27d4eb2f165667c5) land max_int) lsr t.shift
-
-  (* The slot holding [row], or the empty slot that ends its probe run. *)
-  let find_slot t row =
-    let rows = t.rows in
-    let mask = Array.length rows - 1 in
-    let i = ref (home t row) in
-    while
-      let r = Array.unsafe_get rows !i in
-      r <> row && r <> empty
-    do
-      i := (!i + 1) land mask
-    done;
-    !i
-
-  let get t row =
-    let i = find_slot t row in
-    if Array.unsafe_get t.rows i = row then Array.unsafe_get t.counts i else 0
-
-  (* Place a row known to be absent; the caller keeps the load <= 1/2. *)
-  let insert t row count =
-    let i = find_slot t row in
-    Array.unsafe_set t.rows i row;
-    Array.unsafe_set t.counts i count;
-    t.size <- t.size + 1
-
-  let rehash t bits =
-    let rows = t.rows and counts = t.counts in
-    install t bits;
-    Array.iteri (fun i r -> if r <> empty then insert t r counts.(i)) rows
-
-  let add t row count =
-    insert t row count;
-    if 2 * t.size > Array.length t.rows then rehash t (62 - t.shift + 1)
-
-  (* Count after one more activation of [row]. *)
-  let incr t row =
-    let i = find_slot t row in
-    if Array.unsafe_get t.rows i = row then begin
-      let c = Array.unsafe_get t.counts i + 1 in
-      Array.unsafe_set t.counts i c;
-      c
-    end
-    else begin
-      add t row 1;
-      1
-    end
-
-  (* Backward-shift deletion: later members of the probe run move into
-     the hole whenever the hole lies between their home slot and them,
-     so every remaining row stays reachable without tombstones. *)
-  let remove t row =
-    let i = find_slot t row in
-    if t.rows.(i) = row then begin
-      let rows = t.rows and counts = t.counts in
-      let mask = Array.length rows - 1 in
-      let hole = ref i and j = ref ((i + 1) land mask) in
-      while rows.(!j) <> empty do
-        let r = rows.(!j) in
-        if (!j - home t r) land mask >= (!j - !hole) land mask then begin
-          rows.(!hole) <- r;
-          counts.(!hole) <- counts.(!j);
-          hole := !j
-        end;
-        j := (!j + 1) land mask
-      done;
-      rows.(!hole) <- empty;
-      counts.(!hole) <- 0;
-      t.size <- t.size - 1
-    end
-
-  let set t row count =
-    let i = find_slot t row in
-    if t.rows.(i) = row then
-      if count = 0 then remove t row else t.counts.(i) <- count
-    else if count <> 0 then add t row count
-
-  (* Linear in the rows held: a table far larger than its contents is
-     replaced by a minimal one rather than swept. *)
-  let clear t =
-    if t.size > 0 then
-      if Array.length t.rows > 8 * t.size then install t min_bits
-      else begin
-        Array.fill t.rows 0 (Array.length t.rows) empty;
-        Array.fill t.counts 0 (Array.length t.counts) 0;
-        t.size <- 0
-      end
-
-  (* (row, count) pairs in ascending row order. *)
-  let to_list t =
-    let acc = ref [] in
-    Array.iteri
-      (fun i r -> if r <> empty then acc := (r, t.counts.(i)) :: !acc)
-      t.rows;
-    List.sort (fun ((a : int), _) (b, _) -> Int.compare a b) !acc
-end
-
 (* Row state is kept allocation-free on the access path: [open_row]
    uses -1 as the "no open row" sentinel instead of an option — the
    simulators hit [access] once per LLC miss, so the per-access cost
    here is on the fig6 critical path. *)
 type bank_state = {
   mutable open_row : int; (* -1 = closed *)
-  activations : Counts.t; (* row -> count since last refresh *)
+  activations : Row_table.t; (* row -> count since last refresh *)
 }
 
 type obs = {
@@ -191,7 +64,7 @@ let create ?(geometry = Geometry.ddr4_4gb) ?(timing = Timing.ddr4_3ghz)
     banks =
       Array.init geometry.Geometry.channels (fun _ ->
           Array.init (Geometry.total_banks geometry) (fun _ ->
-              { open_row = -1; activations = Counts.create () }));
+              { open_row = -1; activations = Row_table.create () }));
     storage = Hashtbl.create 4096;
     obs = Option.map (obs_of_sink ~hot_row_threshold) obs;
     epoch = 0;
@@ -225,7 +98,7 @@ let roll_epoch_if_needed t ~now =
       (fun channel_banks ->
         Array.iter
           (fun b ->
-            Counts.clear b.activations;
+            Row_table.clear b.activations;
             b.open_row <- -1)
           channel_banks)
       t.banks;
@@ -263,7 +136,7 @@ let access_fast t ~now ~addr ~is_write =
   | Timing.Hit -> ()
   | Timing.Closed_row | Timing.Conflict ->
       b.open_row <- row;
-      ignore (Counts.incr b.activations row : int);
+      ignore (Row_table.incr b.activations row : int);
       t.total_activations <- t.total_activations + 1;
       (match t.activate_listeners with
       | [] -> ()
@@ -287,7 +160,7 @@ let access_fast t ~now ~addr ~is_write =
       | Timing.Closed_row -> Ptg_obs.Registry.incr o.o_row_closed);
       if outcome <> Timing.Hit then begin
         Ptg_obs.Registry.incr o.o_activations;
-        let count = Counts.get b.activations row in
+        let count = Row_table.get b.activations row in
         (* Fire exactly once per refresh window, on the crossing access. *)
         if count = o.o_hot_row_threshold then
           Ptg_obs.Trace.record o.o_trace
@@ -336,11 +209,11 @@ let bank_of t what ~channel ~bank ~row =
   t.banks.(channel).(bank)
 
 let refresh_row t ~channel ~bank ~row =
-  Counts.remove (bank_of t "refresh_row" ~channel ~bank ~row).activations row;
+  Row_table.remove (bank_of t "refresh_row" ~channel ~bank ~row).activations row;
   List.iter (fun f -> f ~channel ~bank ~row) t.refresh_listeners
 
 let activations t ~channel ~bank ~row =
-  Counts.get (bank_of t "activations" ~channel ~bank ~row).activations row
+  Row_table.get (bank_of t "activations" ~channel ~bank ~row).activations row
 
 (* Sorted by address: [Hashtbl.fold] order depends on the table's
    insertion/resize history, which a checkpoint restore cannot reproduce —
@@ -403,7 +276,7 @@ type state = {
 
 let state t =
   let snap_bank b =
-    { bs_open_row = b.open_row; bs_activations = Counts.to_list b.activations }
+    { bs_open_row = b.open_row; bs_activations = Row_table.to_list b.activations }
   in
   {
     s_banks = Array.map (Array.map snap_bank) t.banks;
@@ -450,9 +323,12 @@ let set_state t s =
         (fun bi snap ->
           let b = t.banks.(ci).(bi) in
           b.open_row <- snap.bs_open_row;
-          Counts.clear b.activations;
+          Row_table.clear b.activations;
+          (* A zero count is no entry, as after a refresh. *)
           List.iter
-            (fun (row, count) -> Counts.set b.activations row count)
+            (fun (row, count) ->
+              if count = 0 then Row_table.remove b.activations row
+              else Row_table.replace b.activations row count)
             snap.bs_activations)
         channel_banks)
     s.s_banks;

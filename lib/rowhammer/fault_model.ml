@@ -22,15 +22,29 @@ let legacy_ddr3 = { ddr4 with rth = 139_000; p_flip = 0.0005 }
 
 type flip = { addr : int64; bit : int; row : int; bank : int; channel : int }
 
+(* Disturbance since each row's last refresh, one sparse row table per
+   (channel, bank) at index [channel * banks + bank]. A row keeps its
+   entry, at 0.0, after it crosses the threshold; a refresh drops it. *)
 type t = {
   config : config;
   rng : Ptg_util.Rng.t;
   dram : Ptg_dram.Dram.t;
-  disturbance : (int * int * int, float) Hashtbl.t; (* channel, bank, row *)
+  channels : int;
+  banks : int; (* per channel *)
+  rows_per_bank : int;
+  rth : float;
+  disturbance : Ptg_dram.Row_table.t array;
   mutable flips : flip list;
   mutable flip_count : int;
   mutable flip_listeners : (flip -> unit) list;
 }
+
+(* Cells hold a disturbance's IEEE-754 bits. Disturbance is never
+   negative ([set_state] refuses a set sign bit), so those bits fit the
+   63 bits of an [int] and the table stores the float unboxed; 0.0 is
+   the cell 0. *)
+let cell_of_float d = Int64.to_int (Int64.bits_of_float d)
+let float_of_cell c = Int64.float_of_bits (Int64.logand (Int64.of_int c) Int64.max_int)
 
 let config t = t.config
 let flips t = t.flips
@@ -42,8 +56,14 @@ let clear_flips t =
 
 let on_flip t f = t.flip_listeners <- f :: t.flip_listeners
 
+let on_device t ~channel ~bank ~row =
+  channel >= 0 && channel < t.channels && bank >= 0 && bank < t.banks && row >= 0
+  && row < t.rows_per_bank
+
 let disturbance t ~channel ~bank ~row =
-  Option.value ~default:0.0 (Hashtbl.find_opt t.disturbance (channel, bank, row))
+  if on_device t ~channel ~bank ~row then
+    float_of_cell (Ptg_dram.Row_table.get t.disturbance.((channel * t.banks) + bank) row)
+  else 0.0
 
 (* Stable pseudo-random row orientation: a cheap integer hash of the row
    number, independent of the experiment's RNG stream. *)
@@ -83,15 +103,18 @@ let inject_flips t ~channel ~bank ~row =
     lines
 
 let add_disturbance t ~channel ~bank ~row amount =
-  let rows = (Ptg_dram.Dram.geometry t.dram).Ptg_dram.Geometry.rows_per_bank in
-  if row >= 0 && row < rows then begin
-    let key = (channel, bank, row) in
-    let d = Option.value ~default:0.0 (Hashtbl.find_opt t.disturbance key) +. amount in
-    if d >= float_of_int t.config.rth then begin
-      Hashtbl.replace t.disturbance key 0.0;
-      inject_flips t ~channel ~bank ~row
-    end
-    else Hashtbl.replace t.disturbance key d
+  if row >= 0 && row < t.rows_per_bank then begin
+    let table = Array.unsafe_get t.disturbance ((channel * t.banks) + bank) in
+    let slot = Ptg_dram.Row_table.find table row in
+    let d =
+      (if slot < 0 then 0.0 else float_of_cell (Ptg_dram.Row_table.cell table slot))
+      +. amount
+    in
+    let crossed = d >= t.rth in
+    let cell = if crossed then 0 else cell_of_float d in
+    if slot < 0 then Ptg_dram.Row_table.add table row cell
+    else Ptg_dram.Row_table.set_cell table slot cell;
+    if crossed then inject_flips t ~channel ~bank ~row
   end
 
 let handle_activation t (c : Ptg_dram.Geometry.coords) =
@@ -107,7 +130,7 @@ let handle_activation t (c : Ptg_dram.Geometry.coords) =
 
 let handle_refresh t ~channel ~bank ~row =
   (* The refreshed row itself is restored... *)
-  Hashtbl.remove t.disturbance (channel, bank, row);
+  Ptg_dram.Row_table.remove t.disturbance.((channel * t.banks) + bank) row;
   (* ...but refreshing activates it, disturbing its own neighbours: the
      Half-Double lever. *)
   if t.config.refresh_disturb_weight > 0.0 then begin
@@ -122,62 +145,63 @@ type state = {
   s_flip_count : int;
 }
 
-(* Key order without comparing tuples: every key lies on the device
-   ([set_state] checks restored ones), so entries bucket by (channel,
-   bank) and each bucket sorts by row alone — a checkpoint takes this
-   once per save, and a whole-list sort under polymorphic [compare]
-   costs several times more. *)
-let sorted_disturbance t =
-  let g = Ptg_dram.Dram.geometry t.dram in
-  let banks = Ptg_dram.Geometry.total_banks g in
-  let buckets = Array.make (g.Ptg_dram.Geometry.channels * banks) [] in
-  Hashtbl.iter
-    (fun ((channel, bank, _) as k) v ->
-      let i = (channel * banks) + bank in
-      buckets.(i) <- (k, v) :: buckets.(i))
-    t.disturbance;
-  let by_row ((_, _, r1), (_ : float)) ((_, _, r2), (_ : float)) = Int.compare r1 r2 in
-  Array.fold_right (fun entries acc -> List.sort by_row entries @ acc) buckets []
-
+(* Key order comes free: tables are kept in (channel, bank) order and
+   each lists its rows in ascending order. *)
 let state t =
+  let entries = ref [] in
+  for i = Array.length t.disturbance - 1 downto 0 do
+    let channel = i / t.banks and bank = i mod t.banks in
+    entries :=
+      List.map
+        (fun (row, c) -> ((channel, bank, row), float_of_cell c))
+        (Ptg_dram.Row_table.to_list t.disturbance.(i))
+      @ !entries
+  done;
   {
     s_rng = Ptg_util.Rng.state t.rng;
-    s_disturbance = sorted_disturbance t;
+    s_disturbance = !entries;
     s_flips = t.flips;
     s_flip_count = t.flip_count;
   }
 
+(* The restored tables are built aside and swapped in only once every
+   entry has passed, so a refused state leaves the model as it was. *)
 let set_state t s =
-  let g = Ptg_dram.Dram.geometry t.dram in
+  let tables = Array.init (Array.length t.disturbance) (fun _ -> Ptg_dram.Row_table.create ()) in
   List.iter
-    (fun ((channel, bank, row), _) ->
-      if
-        channel < 0
-        || channel >= g.Ptg_dram.Geometry.channels
-        || bank < 0
-        || bank >= Ptg_dram.Geometry.total_banks g
-        || row < 0
-        || row >= g.Ptg_dram.Geometry.rows_per_bank
-      then
+    (fun ((channel, bank, row), d) ->
+      let refuse why =
         invalid_arg
           (Printf.sprintf
-             "Fault_model.set_state: disturbance at channel %d bank %d row \
-              %d is outside the device"
-             channel bank row))
+             "Fault_model.set_state: disturbance at channel %d bank %d row %d %s"
+             channel bank row why)
+      in
+      if not (on_device t ~channel ~bank ~row) then refuse "is outside the device";
+      if not (Float.is_finite d) || Float.sign_bit d then
+        refuse (Printf.sprintf "is %g, not a finite non-negative value" d);
+      let table = tables.((channel * t.banks) + bank) in
+      if Ptg_dram.Row_table.find table row >= 0 then refuse "appears twice";
+      Ptg_dram.Row_table.add table row (cell_of_float d))
     s.s_disturbance;
   Ptg_util.Rng.set_state t.rng s.s_rng;
-  Hashtbl.reset t.disturbance;
-  List.iter (fun (k, v) -> Hashtbl.replace t.disturbance k v) s.s_disturbance;
+  Array.blit tables 0 t.disturbance 0 (Array.length tables);
   t.flips <- s.s_flips;
   t.flip_count <- s.s_flip_count
 
 let attach ?(config = ddr4) ~rng dram =
+  let g = Ptg_dram.Dram.geometry dram in
+  let channels = g.Ptg_dram.Geometry.channels
+  and banks = Ptg_dram.Geometry.total_banks g in
   let t =
     {
       config;
       rng;
       dram;
-      disturbance = Hashtbl.create 1024;
+      channels;
+      banks;
+      rows_per_bank = g.Ptg_dram.Geometry.rows_per_bank;
+      rth = float_of_int config.rth;
+      disturbance = Array.init (channels * banks) (fun _ -> Ptg_dram.Row_table.create ());
       flips = [];
       flip_count = 0;
       flip_listeners = [];
@@ -186,5 +210,6 @@ let attach ?(config = ddr4) ~rng dram =
   Ptg_dram.Dram.on_activate dram (handle_activation t);
   Ptg_dram.Dram.subscribe_refresh dram (fun ~channel ~bank ~row ->
       handle_refresh t ~channel ~bank ~row);
-  Ptg_dram.Dram.on_refresh_epoch dram (fun () -> Hashtbl.reset t.disturbance);
+  Ptg_dram.Dram.on_refresh_epoch dram (fun () ->
+      Array.iter Ptg_dram.Row_table.clear t.disturbance);
   t

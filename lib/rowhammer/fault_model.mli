@@ -70,8 +70,14 @@ type state = {
 
 val state : t -> state
 val set_state : t -> state -> unit
-(** Raises [Invalid_argument], before changing anything, when a
-    disturbance key lies outside the device's geometry. *)
+(** Replace the model's RNG stream, disturbance and flip journal.
+    [s_disturbance] may list its keys in any order. Raises
+    [Invalid_argument] naming the [(channel, bank, row)] key, before
+    changing anything, when a key lies outside the device's geometry,
+    when a key appears twice, or when a value is NaN, infinite or
+    negative ([-0.0] included): a NaN row would never reach the
+    threshold again, and an infinite one would flip on its next
+    activation. *)
 
 val disturbance : t -> channel:int -> bank:int -> row:int -> float
 val row_is_true_cell : t -> row:int -> bool

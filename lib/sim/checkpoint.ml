@@ -145,21 +145,22 @@ type fullsys_outcome = {
   f_resumed_from : int option;
 }
 
-(* The machine is the state: [step] runs it on, [decode] overwrites it
-   (the whole state is decoded before any of it is set, so a bad file
-   leaves the machine untouched). *)
+(* The machine is the state: [step] runs it on, [decode] builds one
+   from the snapshot without constructing its page tables first, so an
+   adopted checkpoint never pays for a cold machine, and a refused one
+   leaves nothing half-restored behind. *)
 let run_fullsys ?config ?pages ?key ?keep ?every ?dir ?adopt ?should_stop
     ?progress ~seed ~instrs () =
   let key =
     match key with Some k -> k | None -> fullsys_key ?config ?pages ~seed ()
   in
-  let m = Fullsys.create ?config ?pages ~seed () in
   let m, completed, resumed_from =
     Sweep.drive ?keep ?every ?dir ?adopt ?should_stop ?progress ~key
       {
         Sweep.kind = "fullsys";
         total = instrs;
-        start = m;
+        start = lazy (Fullsys.create ?config ?pages ~seed ());
+        start_depth = 0;
         depth = Fullsys.instrs_done;
         step =
           (fun m n ->
@@ -168,8 +169,9 @@ let run_fullsys ?config ?pages ?key ?keep ?every ?dir ?adopt ?should_stop
         encode = fullsys_sections;
         decode =
           (fun ~what sections ->
-            Fullsys.set_state m (fullsys_state_of_sections ~what sections);
-            Some m);
+            Some
+              (Fullsys.of_state ?config ?pages ~seed
+                 (fullsys_state_of_sections ~what sections)));
       }
   in
   {

@@ -69,7 +69,8 @@ val run_fullsys :
   instrs:int ->
   unit ->
   fullsys_outcome
-(** Build the machine, warm-start it from [dir] when possible, and run
+(** Warm-start the machine from [dir] when possible ({!Fullsys.of_state}
+    on the deepest usable checkpoint), else build it cold, and run
     the remaining budget in chunks of [every] (one chunk when absent),
     checkpointing after each chunk and at completion. [should_stop] is
     polled between chunks; stopping checkpoints the current position

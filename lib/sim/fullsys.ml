@@ -55,7 +55,13 @@ type t = {
 
 let vaddr_base = 0x1000_0000L
 
-let create ?(config = default_config) ?(pages = 2048) ?obs ~seed () =
+(* Every draw [create] makes, in its order. The page tables are built
+   through [table_mem mc] and then used through the controller: a cold
+   start builds them on the device itself, through the integrity engine;
+   a restore builds them on scratch memory, only for the frame choices,
+   the shadow mapping and the victim, since the device contents come
+   from the snapshot. *)
+let build ?obs ~(config : config) ~pages ~seed ~table_mem () =
   if pages < 1 then
     invalid_arg (Printf.sprintf "Fullsys.create: pages must be >= 1 (got %d)" pages);
   let rng = Rng.create seed in
@@ -85,12 +91,11 @@ let create ?(config = default_config) ?(pages = 2048) ?obs ~seed () =
                }
              ?obs ~rng:(Rng.create 0L) mc)
   in
-  let mem = Ptg_memctrl.Memctrl.phys_mem mc in
   (* Contiguous kernel pool: the leaf tables land in a couple of DRAM rows,
      which is exactly what the attacker wants to aim at. *)
   let kernel_alloc = Frame_allocator.create ~p_break:0.0 ~start_frame:0x20000L rng in
   let user_alloc = Frame_allocator.create ~p_break:0.05 ~start_frame:0x80000L rng in
-  let table = Page_table.create ~mem ~alloc:kernel_alloc in
+  let table = Page_table.create ~mem:(table_mem mc) ~alloc:kernel_alloc in
   let shadow = Hashtbl.create pages in
   let vaddrs =
     Array.init pages (fun i ->
@@ -113,7 +118,7 @@ let create ?(config = default_config) ?(pages = 2048) ?obs ~seed () =
     fault;
     mc;
     os;
-    table;
+    table = Page_table.with_mem table (Ptg_memctrl.Memctrl.phys_mem mc);
     root = Page_table.root table;
     shadow;
     vaddrs;
@@ -128,6 +133,9 @@ let create ?(config = default_config) ?(pages = 2048) ?obs ~seed () =
     refaults = 0;
     wrong_translations = 0;
   }
+
+let create ?(config = default_config) ?(pages = 2048) ?obs ~seed () =
+  build ?obs ~config ~pages ~seed ~table_mem:Ptg_memctrl.Memctrl.phys_mem ()
 
 (* The OS page-fault path after an integrity exception (or a PTE whose
    Present bit was flipped off): rebuild the whole damaged PTE cacheline
@@ -319,9 +327,12 @@ let set_state t s =
   (match (engine t, s.s_engine) with
   | None, None | Some _, Some _ -> ()
   | _ -> invalid_arg "Fullsys.set_state: guarded/unguarded mismatch");
+  (* The fault model checks its state against the device and refuses it
+     before changing anything; going first, its refusal leaves the whole
+     machine as it was. *)
+  Ptg_rowhammer.Fault_model.set_state t.fault s.s_fault;
   Rng.set_state t.rng s.s_rng;
   Ptg_dram.Dram.set_state t.dram s.s_dram;
-  Ptg_rowhammer.Fault_model.set_state t.fault s.s_fault;
   (match (engine t, s.s_engine) with
   | Some e, Some es -> Ptguard.Engine.set_state e es
   | _ -> ());
@@ -339,6 +350,11 @@ let set_state t s =
   t.walk_exceptions <- s.s_walk_exceptions;
   t.refaults <- s.s_refaults;
   t.wrong_translations <- s.s_wrong_translations
+
+let of_state ?(config = default_config) ?(pages = 2048) ~seed s =
+  let t = build ~config ~pages ~seed ~table_mem:(fun _ -> Phys_mem.of_hashtbl ()) () in
+  set_state t s;
+  t
 
 let pp_result fmt r =
   Format.fprintf fmt

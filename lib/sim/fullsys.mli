@@ -88,8 +88,10 @@ val pp_result : Format.formatter -> result -> unit
     in [create] and reconstructed bit-identically from the same
     (config, pages, seed), which is the restore contract: build a fresh
     [t] with the creation parameters of the checkpointed run, then
-    [set_state] it. Checkpointing excludes observability ([obs]), whose
-    sinks cannot be serialized. *)
+    [set_state] it, or let {!of_state} do both without the cost of
+    building the page tables through the controller. Checkpointing
+    excludes observability ([obs]), whose sinks cannot be
+    serialized. *)
 
 type state = {
   s_rng : int64 array;
@@ -115,3 +117,11 @@ val state : t -> state
 val set_state : t -> state -> unit
 (** Raises [Invalid_argument] when the state's guarded/unguarded shape
     does not match this machine's configuration. *)
+
+val of_state : ?config:config -> ?pages:int -> seed:int64 -> state -> t
+(** The machine [create] followed by [set_state] would give, without
+    building its page tables through the controller: they are built on
+    scratch memory for the frame choices and the shadow mapping alone,
+    and the device contents come from the state. About a tenth of
+    [create]'s cost; the warm-start path. Raises like [create] and
+    [set_state]. *)

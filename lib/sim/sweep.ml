@@ -57,7 +57,8 @@ let load ~kind ~key path =
 type 's instance = {
   kind : string;
   total : int;
-  start : 's;
+  start : 's Lazy.t;
+  start_depth : int;
   depth : 's -> int;
   step : 's -> int -> 's;
   encode : 's -> Snapshot.section list;
@@ -73,7 +74,7 @@ let no_progress ~done_count:_ ~total:_ = ()
    an optimization, never a reason to fail. *)
 let adopt_from ~dir ~key inst =
   stored_counts ~dir ~key
-  |> List.filter (fun n -> n > inst.depth inst.start && n <= inst.total)
+  |> List.filter (fun n -> n > inst.start_depth && n <= inst.total)
   |> List.find_map (fun n ->
          let p = path ~dir ~key n in
          match
@@ -95,7 +96,7 @@ let drive ?(keep = default_keep) ?every ?dir ?(adopt = true)
   (* Make the adopted depth visible to progress streams before any new
      work happens (also the only progress a full-depth adoption emits). *)
   Option.iter (fun n -> progress ~done_count:n ~total) resumed_from;
-  let s = ref (Option.value resumed ~default:inst.start) in
+  let s = ref (match resumed with Some s -> s | None -> Lazy.force inst.start) in
   let checkpoint () =
     Option.iter
       (fun dir ->
@@ -199,11 +200,14 @@ let instance ?obs t =
     Codec.expect_end r;
     v
   in
+  let start = ((match t.prologue with Given p -> Some p | Stored _ -> None), []) in
+  let depth = function None, _ -> -1 | Some _, units -> List.length units in
   {
     kind = t.kind;
     total;
-    start = ((match t.prologue with Given p -> Some p | Stored _ -> None), []);
-    depth = (function None, _ -> -1 | Some _, units -> List.length units);
+    start = Lazy.from_val start;
+    start_depth = depth start;
+    depth;
     step =
       (fun (p, units) n ->
         match p with

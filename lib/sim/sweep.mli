@@ -53,7 +53,9 @@ val load : kind:string -> key:string -> string -> int * Snapshot.section list
 type 's instance = {
   kind : string;  (** the meta kind its checkpoints carry *)
   total : int;  (** units in the whole run *)
-  start : 's;  (** the cold start *)
+  start : 's Lazy.t;
+      (** the cold start, forced only when nothing stored is adopted *)
+  start_depth : int;  (** [depth] of the cold start *)
   depth : 's -> int;  (** units done *)
   step : 's -> int -> 's;  (** run up to [n] more units *)
   encode : 's -> Snapshot.section list;  (** every section but meta *)
@@ -75,10 +77,11 @@ val drive :
   's * bool * int option
 (** Adopt the deepest stored state in [dir] past the cold start and
     within the budget (damaged, foreign or mismatched files are skipped;
-    [adopt:false] starts cold), then loop: poll [should_stop] at each
-    chunk top, step up to [every] units (the whole rest when absent),
-    checkpoint (every chunk when [every] is given, else at completion),
-    prune to the deepest [keep] files, report [progress]. A stop saves
+    [adopt:false] starts cold), else force the cold start, then loop:
+    poll [should_stop] at each chunk top, step up to [every] units (the
+    whole rest when absent), checkpoint (every chunk when [every] is
+    given, else at completion), prune to the deepest [keep] files,
+    report [progress]. A stop saves
     its position only when a step ran since the start or adoption.
     Returns the final state, whether it completed, and the adopted
     depth. Without [dir] nothing is read or written. *)

@@ -47,6 +47,7 @@ let create ~mem ~alloc =
   { t with root }
 
 let root t = t.root
+let with_mem t mem = { t with mem }
 let allocator t = t.alloc
 
 type state = { s_pt_frames : int64 list; s_all_frames : int64 list }

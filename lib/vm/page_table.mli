@@ -22,6 +22,12 @@ val create : mem:Phys_mem.t -> alloc:Frame_allocator.t -> t
 val root : t -> int64
 (** Physical address of the PML4 (the CR3 value). *)
 
+val with_mem : t -> Phys_mem.t -> t
+(** The same table (root, frame index, allocator) read and written
+    through other memory, which must hold the same tables: a table built
+    on scratch memory, moved onto the device its contents were restored
+    into. *)
+
 val allocator : t -> Frame_allocator.t
 (** The frame allocator the table draws table pages from (checkpointing
     needs its cursor alongside the frame index below). *)

@@ -50,7 +50,12 @@
 #      escaper), no scenario_to_json, scenario_of_json or canonical_ext
 #      in lib/, bin/ or bench/ (Scenario.to_json/of_json are the codec,
 #      and the canonical form is their encoding), and no hand-built JSON
-#      string literal starting {\" in lib/sim/ (it goes through Json)
+#      string literal starting {\" in lib/sim/ (it goes through Json);
+#      and one row table: no Hashtbl in lib/rowhammer/fault_model.ml
+#      (its disturbance lives in Ptg_dram.Row_table), and the table's
+#      Fibonacci hash multiplier 0x27d4eb2f165667c5 appears in exactly
+#      one file of lib/, lib/dram/row_table.ml, so no second copy of the
+#      open-addressing probe exists
 #   8d. warm-start gate (bench_gate snapshot): resuming a finished
 #      fullsys budget from its snapshot store must stay >= 5x faster
 #      than computing it cold and byte-identical
@@ -212,6 +217,19 @@ if grep -rn --include='*.ml' --include='*.mli' 'json_escape' lib \
     exit 1
 fi
 echo "OK: Json.escape is the one escaper, Scenario holds the one scenario codec, lib/sim builds no JSON by hand"
+
+echo "== one row table =="
+if grep -n 'Hashtbl' lib/rowhammer/fault_model.ml; then
+    echo "FAIL: the fault model keeps row state in a Hashtbl again; use Ptg_dram.Row_table" >&2
+    exit 1
+fi
+probes=$(grep -rlF --include='*.ml' '0x27d4eb2f165667c5' lib || true)
+if [ "$probes" != "lib/dram/row_table.ml" ]; then
+    echo "FAIL: the open-addressing probe must be defined once, in lib/dram/row_table.ml; found in:" >&2
+    printf '%s\n' "$probes" >&2
+    exit 1
+fi
+echo "OK: the fault model and the DRAM counters share one row table (lib/dram/row_table.ml)"
 
 echo "== warm-start regression gate =="
 bench_gate snapshot

@@ -144,6 +144,55 @@ let test_restore_rejects_wrong_key () =
         | _ -> false
         | exception Invalid_argument _ -> true))
 
+(* A fault section carrying a NaN, infinite or negative disturbance
+   value, re-sealed under a valid container hash, is refused with a
+   message naming the row's key: a NaN row would never flip again. The
+   run that finds only such a checkpoint computes cold and still gets
+   the uninterrupted result. *)
+let test_bad_disturbance_refused () =
+  with_dir (fun dir ->
+      ignore (Checkpoint.run_fullsys ~every:instrs ~dir ~seed ~instrs ());
+      let key = Checkpoint.fullsys_key ~seed () in
+      let path = Sweep.path ~dir ~key instrs in
+      let sections = Snapshot.load ~path in
+      let fault =
+        Ptg_snapshot.Sections.get_fault (Snapshot.reader ~what:path sections "fault")
+      in
+      let (c, b, r), rest =
+        match fault.Ptg_rowhammer.Fault_model.s_disturbance with
+        | (key, _) :: rest -> (key, rest)
+        | [] -> Alcotest.fail "the checkpoint holds no disturbance"
+      in
+      List.iter
+        (fun bad ->
+          let w = Codec.writer () in
+          Ptg_snapshot.Sections.put_fault w
+            { fault with Ptg_rowhammer.Fault_model.s_disturbance = ((c, b, r), bad) :: rest };
+          Snapshot.save ~path
+            (List.map
+               (fun (sec : Snapshot.section) ->
+                 if sec.Snapshot.name = "fault" then
+                   Snapshot.section ~name:"fault" (Codec.contents w)
+                 else sec)
+               sections);
+          (match Checkpoint.fullsys_restore ~path ~key (Fullsys.create ~seed ()) with
+          | _ -> Alcotest.failf "disturbance %g restored" bad
+          | exception Invalid_argument msg ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%S names the key" msg)
+                true
+                (Test_snapshot_container.contains
+                   ~sub:(Printf.sprintf "channel %d bank %d row %d" c b r)
+                   msg));
+          let o = Checkpoint.run_fullsys ~every:instrs ~dir ~seed ~instrs () in
+          Alcotest.(check (option int))
+            (Printf.sprintf "%g: not adopted" bad)
+            None o.Checkpoint.f_resumed_from;
+          Alcotest.check check_result
+            (Printf.sprintf "%g: cold result" bad)
+            (Lazy.force uninterrupted) o.Checkpoint.f_result)
+        [ Float.nan; Float.infinity; -1.0 ])
+
 (* Stored snapshot bytes are themselves deterministic: two cold runs of
    the same machine leave byte-identical stores. Only the deepest
    [default_keep] prefixes survive pruning. *)
@@ -870,6 +919,8 @@ let suite =
       test_damaged_checkpoint_skipped;
     Alcotest.test_case "fullsys: restore rejects wrong key" `Quick
       test_restore_rejects_wrong_key;
+    Alcotest.test_case "fullsys: bad disturbance refused" `Quick
+      test_bad_disturbance_refused;
     Alcotest.test_case "fullsys: store bytes deterministic" `Quick
       test_store_bytes_deterministic;
     Alcotest.test_case "fullsys: store pruned to deepest" `Quick

@@ -1,11 +1,85 @@
-(* Differential check of the sparse activation counters: a dense
-   reference device (one int per row, as the counters were once kept)
-   runs the same random sequence of accesses, targeted refreshes,
-   refresh-epoch crossings and state restores, and after every step must
-   agree with [Dram] on each row's count, the lifetime total, the access
-   outcome and the row-sorted checkpoint lists. *)
+(* Differential checks of the sparse row table. First the table alone,
+   against a [Hashtbl] from row to cell, under random insertions,
+   updates through slots, removals (the backward shift) and clears
+   (the shrink) over rows that collide and wrap in the probe tables.
+   Then the activation counters built on it: a dense reference device
+   (one int per row, as the counters were once kept) runs the same
+   random sequence of accesses, targeted refreshes, refresh-epoch
+   crossings and state restores, and after every step must agree with
+   [Dram] on each row's count, the lifetime total, the access outcome
+   and the row-sorted checkpoint lists. *)
 
 open Ptg_dram
+
+type table_op =
+  | T_incr of int
+  | T_replace of int * int
+  | T_set_cell of int * int  (** through [find], when the row has an entry *)
+  | T_remove of int
+  | T_clear
+
+let print_table_op = function
+  | T_incr r -> Printf.sprintf "incr %d" r
+  | T_replace (r, v) -> Printf.sprintf "replace %d %d" r v
+  | T_set_cell (r, v) -> Printf.sprintf "set_cell %d %d" r v
+  | T_remove r -> Printf.sprintf "remove %d" r
+  | T_clear -> "clear"
+
+let table_op_gen =
+  let open QCheck2.Gen in
+  let row = oneof [ int_bound 63; int_bound 100_000 ] in
+  frequency
+    [
+      (8, map (fun r -> T_incr r) row);
+      (3, map2 (fun r v -> T_replace (r, v)) row (int_range (-5) 5));
+      (2, map2 (fun r v -> T_set_cell (r, v)) row int);
+      (5, map (fun r -> T_remove r) row);
+      (1, return T_clear);
+    ]
+
+let run_table_ops ops =
+  let t = Row_table.create () and r = Hashtbl.create 16 in
+  List.iteri
+    (fun i op ->
+      (match op with
+      | T_incr row ->
+          let want = 1 + Option.value ~default:0 (Hashtbl.find_opt r row) in
+          Hashtbl.replace r row want;
+          let got = Row_table.incr t row in
+          if got <> want then QCheck2.Test.fail_reportf "incr %d: %d vs %d" row got want
+      | T_replace (row, v) ->
+          Hashtbl.replace r row v;
+          Row_table.replace t row v
+      | T_set_cell (row, v) ->
+          let slot = Row_table.find t row in
+          if (slot >= 0) <> Hashtbl.mem r row then
+            QCheck2.Test.fail_reportf "find %d: slot %d" row slot;
+          if slot >= 0 then begin
+            Hashtbl.replace r row v;
+            Row_table.set_cell t slot v
+          end
+      | T_remove row ->
+          Hashtbl.remove r row;
+          Row_table.remove t row
+      | T_clear ->
+          Hashtbl.reset r;
+          Row_table.clear t);
+      let want = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) r []) in
+      if Row_table.to_list t <> want || Row_table.length t <> List.length want then
+        QCheck2.Test.fail_reportf "step %d %s: entries differ" i (print_table_op op);
+      List.iter
+        (fun (row, v) ->
+          if Row_table.get t row <> v || Row_table.cell t (Row_table.find t row) <> v then
+            QCheck2.Test.fail_reportf "step %d: row %d lost its cell" i row)
+        want)
+    ops;
+  true
+
+let table_prop =
+  QCheck2.Test.make ~name:"row table = Hashtbl" ~count:300
+    ~print:(fun ops -> String.concat "; " (List.map print_table_op ops))
+    QCheck2.Gen.(list_size (int_range 1 400) table_op_gen)
+    run_table_ops
 
 module Dense = struct
   type t = {
@@ -219,6 +293,7 @@ let wide =
 
 let suite =
   [
+    QCheck_alcotest.to_alcotest table_prop;
     QCheck_alcotest.to_alcotest (prop ~name:"sparse = dense (small device)" ~count:150 small);
     QCheck_alcotest.to_alcotest (prop ~name:"sparse = dense (wide device)" ~count:60 wide);
   ]

@@ -57,6 +57,27 @@ let test_rejects_no_pages () =
             String.starts_with ~prefix:"Fullsys.create: pages" msg))
     [ 0; -1 ]
 
+(* A machine built from a state without constructing its page tables
+   through the controller is the machine [create] then [set_state]
+   gives: the same state at once, and the same state and result after
+   running on, at depth 0 and mid-run, guarded or not. *)
+let test_of_state_equals_create_then_restore () =
+  let module F = Ptg_sim.Fullsys in
+  List.iter
+    (fun (guarded, seed, depth) ->
+      let config = { F.default_config with guarded } in
+      let what = Printf.sprintf "guarded=%b seed=%Ld depth=%d" guarded seed depth in
+      let m = F.create ~config ~pages:1024 ~seed () in
+      ignore (F.run m ~instrs:depth);
+      let s = F.state m in
+      let r = F.of_state ~config ~pages:1024 ~seed s in
+      Alcotest.(check bool) (what ^ ": same state") true (F.state r = s);
+      let a = F.run m ~instrs:5_000 and b = F.run r ~instrs:5_000 in
+      Alcotest.(check bool) (what ^ ": same result after running on") true (a = b);
+      Alcotest.(check bool) (what ^ ": same state after running on") true
+        (F.state m = F.state r))
+    [ (true, 2L, 0); (true, 2L, 6_000); (false, 5L, 6_000) ]
+
 let suite =
   [
     Alcotest.test_case "clean run" `Slow test_clean_run;
@@ -66,4 +87,6 @@ let suite =
     Alcotest.test_case "attack costs performance" `Slow test_attack_costs_performance;
     Alcotest.test_case "determinism" `Slow test_determinism;
     Alcotest.test_case "rejects pages < 1" `Quick test_rejects_no_pages;
+    Alcotest.test_case "of_state = create then set_state" `Quick
+      test_of_state_equals_create_then_restore;
   ]

@@ -24,6 +24,7 @@ let () =
       ("dram.device", Test_dram.suite);
       ("dram.sparse_vs_dense", Test_dram_diff.suite);
       ("rowhammer", Test_rowhammer.suite);
+      ("rowhammer.vs_hashtbl", Test_fault_model_diff.suite);
       ("rowhammer.attack", Test_attack.suite);
       ("rowhammer.blacksmith", Test_blacksmith.suite);
       ("mitigations", Test_mitigation.suite);
@@ -41,6 +42,7 @@ let () =
       ("core.cost", Test_cost.suite);
       ("core.engine_armv8", Test_engine_armv8.suite);
       ("core.engine_props", Test_engine_props.suite);
+      ("core.correction_memo", Test_correction_memo.suite);
       ("memctrl", Test_memctrl.suite);
       ("experiments", Test_experiments.suite);
       ("baselines", Test_baselines.suite);

@@ -167,7 +167,36 @@ let test_state_order_and_bad_keys () =
         | () -> false
         | exception Invalid_argument _ -> true))
     [ (2, 0, 0); (0, 32, 0); (0, 0, 32768); (-1, 0, 0) ];
+  (* Values a model can never reach, and a key given twice: each is
+     refused with a message naming the key. *)
+  let names_key msg =
+    let key = "channel 1 bank 3 row 77" in
+    let n = String.length key in
+    let rec go i = i + n <= String.length msg && (String.sub msg i n = key || go (i + 1)) in
+    go 0
+  in
+  let refused ~what bad =
+    match Fault_model.set_state fault bad with
+    | () -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool) (Printf.sprintf "%s: %S names the key" what msg) true (names_key msg)
+  in
+  List.iter
+    (fun v ->
+      refused ~what:(Printf.sprintf "value %g" v)
+        { s with Fault_model.s_disturbance = [ ((0, 0, 5), 2.0); ((1, 3, 77), v) ] })
+    [ Float.nan; Float.infinity; Float.neg_infinity; -1.0; -0.0 ];
+  refused ~what:"duplicate key"
+    {
+      s with
+      Fault_model.s_disturbance = [ ((1, 3, 77), 2.0); ((0, 0, 5), 1.0); ((1, 3, 77), 2.0) ];
+    };
   Alcotest.(check bool) "state untouched by the refusals" true
+    (Fault_model.state fault = s);
+  (* Any key order is accepted, and read back sorted. *)
+  let shuffled = { s with Fault_model.s_disturbance = List.rev s.Fault_model.s_disturbance } in
+  Fault_model.set_state fault shuffled;
+  Alcotest.(check bool) "reversed keys restore the same state" true
     (Fault_model.state fault = s)
 
 let suite =
