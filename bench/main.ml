@@ -218,32 +218,28 @@ let write_json section fields =
 
 let run_experiments () =
   let seed = 42L in
+  (* The CLI's scenarios at the bench's size mode; only the sizes the
+     bench keeps apart from the normal form are spelled out. *)
+  let run ?(seed = seed) ?instrs ?processes ?lines ?guarded ?attack kind =
+    Ptg_sim.Scenario.run_to_string
+      (Ptg_sim.Scenario.make ~seed ~reduced:(not full) ~jobs ?instrs ?processes
+         ?lines ?guarded ?attack kind)
+  in
   section "Tables I-IV and cost model";
   Ptg_sim.Tables_exp.print_all ();
   section "Security analysis (Sections IV-G, VI-E)";
   Ptg_sim.Security_exp.print (Ptg_sim.Security_exp.run ());
   section "Figure 6: per-workload slowdown and MPKI";
-  Ptg_sim.Fig6.print
-    (Ptg_sim.Fig6.run ~jobs ~seed
-       ~instrs:(if full then 2_000_000 else 600_000)
-       ~warmup:(if full then 500_000 else 200_000)
-       ());
+  print_string (run Ptg_sim.Scenario.Fig6);
   section "Figure 7: slowdown vs MAC latency";
-  Ptg_sim.Fig7.print
-    (Ptg_sim.Fig7.run ~jobs ~seed
-       ~instrs:(if full then 1_000_000 else 250_000)
-       ~warmup:(if full then 300_000 else 100_000)
-       ());
+  print_string (run Ptg_sim.Scenario.Fig7);
   section "Figure 8: PTE value locality (623 processes)";
-  Ptg_sim.Fig8.print (Ptg_sim.Fig8.run ~jobs ~processes:623 ());
+  (* The bench draws Figure 8 at seed 8, the default of Fig8.run. *)
+  print_string (run ~seed:8L ~processes:623 Ptg_sim.Scenario.Fig8);
   section "Figure 9: best-effort correction coverage";
-  Ptg_sim.Fig9.print
-    (Ptg_sim.Fig9.run ~jobs ~seed ~lines_per_point:(if full then 400 else 150) ());
+  print_string (run ?lines:(if full then Some 400 else None) Ptg_sim.Scenario.Fig9);
   section "Section VII-C: 4-core SAME/MIX";
-  Ptg_sim.Multicore_exp.print
-    (Ptg_sim.Multicore_exp.run ~jobs ~seed
-       ~instrs_per_core:(if full then 400_000 else 120_000)
-       ~mixes:(if full then 16 else 8) ());
+  print_string (run Ptg_sim.Scenario.Multicore);
   section "Attack-vs-mitigation matrix";
   Ptg_sim.Attacks_exp.print
     (Ptg_sim.Attacks_exp.run ~seed ~iterations:(if full then 400_000 else 200_000) ());
@@ -253,16 +249,10 @@ let run_experiments () =
   section "Full-system co-simulation (live Rowhammer vs PT-Guard)";
   List.iter
     (fun (label, guarded, attack) ->
-      let config = { Ptg_sim.Fullsys.default_config with guarded; attack } in
-      let t = Ptg_sim.Fullsys.create ~config ~seed:42L () in
-      let r = Ptg_sim.Fullsys.run t ~instrs:(if full then 60_000 else 30_000) in
-      Printf.printf "--- %s ---\n" label;
-      Format.printf "%a@.@." Ptg_sim.Fullsys.pp_result r)
-    [
-      ("baseline, no attack", true, false);
-      ("PT-Guard under attack", true, true);
-      ("UNPROTECTED under attack", false, true);
-    ];
+      Printf.printf "--- %s ---\n%s\n" label
+        (run ?instrs:(if full then None else Some 30_000) ~guarded ~attack
+           Ptg_sim.Scenario.Fullsys))
+    Ptg_sim.Fullsys.comparison;
   section "Ablations";
   Ptg_sim.Ablations.print_correction
     (Ptg_sim.Ablations.correction ~jobs ~lines:(if full then 400 else 150) ());

@@ -31,10 +31,20 @@ let csv_arg =
     & opt (some string) None
     & info [ "csv" ] ~docv:"PATH" ~doc:"Also write the result as CSV to $(docv).")
 
-let instrs_arg default =
-  Arg.(
-    value & opt int default
-    & info [ "instrs" ] ~docv:"N" ~doc:"Timed instructions per workload.")
+(* A scenario size: absent unless given, because the scenario's normal
+   form owns every default (the server and the bench read the same). *)
+let size_arg name ~doc =
+  Arg.(value & opt (some int) None & info [ name ] ~docv:"N" ~doc)
+
+let instrs_arg = size_arg "instrs" ~doc:"Timed instructions per workload."
+
+(* A size outside the scenario layer, checked the way Scenario.validate
+   checks a scenario's: below 1 exits 2 naming the flag. *)
+let require_positive ~cmd flag n =
+  if n < 1 then begin
+    Printf.eprintf "%s: --%s must be >= 1\n" cmd flag;
+    exit 2
+  end
 
 let design_arg =
   let designs =
@@ -95,10 +105,7 @@ let export_sink sink ~trace ~metrics =
       Option.iter (save_metrics s) metrics;
       Option.iter (save_trace s) trace
 
-let warmup_arg default =
-  Arg.(
-    value & opt int default
-    & info [ "warmup" ] ~docv:"N" ~doc:"Warmup instructions per workload.")
+let warmup_arg = size_arg "warmup" ~doc:"Warmup instructions per workload."
 
 let workloads_arg =
   let workloads_conv =
@@ -129,17 +136,21 @@ let workloads_arg =
     & info [ "workloads" ] ~docv:"W1,W2,.."
         ~doc:"Comma-separated workload subset (default: all 25).")
 
-(* The scenario-shaped subcommands (fig6/7/8/9, multicore) all funnel
-   through Ptg_sim.Scenario — the same record the server decodes from
-   wire frames — so CLI output and served output cannot drift. *)
-let run_scenario ?obs ?csv scenario =
-  (match Ptg_sim.Scenario.validate scenario with
+(* The scenario-shaped subcommands (fig6/7/8/9, multicore, fullsys and
+   those parts of `all`) funnel through Ptg_sim.Scenario — the same
+   record the server decodes from wire frames — so CLI output and served
+   output cannot drift. *)
+let check_scenario scenario =
+  match Ptg_sim.Scenario.validate scenario with
   | Ok () -> ()
   | Error msg ->
       Printf.eprintf "%s: %s\n"
         (Ptg_sim.Scenario.kind_name scenario.Ptg_sim.Scenario.kind)
         msg;
-      exit 2);
+      exit 2
+
+let run_scenario ?obs ?csv scenario =
+  check_scenario scenario;
   let out = Ptg_sim.Scenario.run ?obs scenario in
   print_string (Ptg_sim.Scenario.render out);
   Option.iter (fun path -> Ptg_sim.Scenario.save_csv out ~path) csv
@@ -151,49 +162,41 @@ let fig6_cmd =
       Option.map (List.map (fun s -> s.Ptg_workloads.Workload.name)) workloads
     in
     run_scenario ?obs ?csv
-      (Ptg_sim.Scenario.make ~seed ~seeds ~design ?workloads ~instrs ~warmup
+      (Ptg_sim.Scenario.make ~seed ~seeds ~design ?workloads ?instrs ?warmup
          ~jobs Ptg_sim.Scenario.Fig6);
     export_sink obs ~trace ~metrics
   in
   Cmd.v
     (Cmd.info "fig6" ~doc:"Figure 6: per-workload normalized IPC and LLC MPKI.")
     Term.(
-      const run $ seed_arg $ instrs_arg 2_000_000 $ warmup_arg 500_000 $ design_arg
+      const run $ seed_arg $ instrs_arg $ warmup_arg $ design_arg
       $ workloads_arg $ seeds_arg $ jobs_arg $ csv_arg $ trace_file_arg
       $ metrics_arg)
 
 let fig7_cmd =
   let run seed instrs jobs csv =
     run_scenario ?csv
-      (Ptg_sim.Scenario.make ~seed ~instrs ~jobs Ptg_sim.Scenario.Fig7)
+      (Ptg_sim.Scenario.make ~seed ?instrs ~jobs Ptg_sim.Scenario.Fig7)
   in
   Cmd.v
     (Cmd.info "fig7" ~doc:"Figure 7: slowdown vs MAC latency for both designs.")
-    Term.(const run $ seed_arg $ instrs_arg 1_000_000 $ jobs_arg $ csv_arg)
+    Term.(const run $ seed_arg $ instrs_arg $ jobs_arg $ csv_arg)
 
 let fig8_cmd =
-  let processes =
-    Arg.(
-      value & opt int 623
-      & info [ "processes" ] ~docv:"N" ~doc:"Processes to profile (paper: 623).")
-  in
+  let processes = size_arg "processes" ~doc:"Processes to profile (paper: 623)." in
   let run seed processes jobs csv =
     run_scenario ?csv
-      (Ptg_sim.Scenario.make ~seed ~processes ~jobs Ptg_sim.Scenario.Fig8)
+      (Ptg_sim.Scenario.make ~seed ?processes ~jobs Ptg_sim.Scenario.Fig8)
   in
   Cmd.v
     (Cmd.info "fig8" ~doc:"Figure 8: PTE value locality across processes.")
     Term.(const run $ seed_arg $ processes $ jobs_arg $ csv_arg)
 
 let fig9_cmd =
-  let lines =
-    Arg.(
-      value & opt int 300
-      & info [ "lines" ] ~docv:"N" ~doc:"Faulty lines per (workload, p_flip) point.")
-  in
+  let lines = size_arg "lines" ~doc:"Faulty lines per (workload, p_flip) point." in
   let run seed lines seeds jobs csv =
     run_scenario ?csv
-      (Ptg_sim.Scenario.make ~seed ~seeds ~lines ~jobs Ptg_sim.Scenario.Fig9)
+      (Ptg_sim.Scenario.make ~seed ~seeds ?lines ~jobs Ptg_sim.Scenario.Fig9)
   in
   Cmd.v
     (Cmd.info "fig9" ~doc:"Figure 9: best-effort correction coverage vs p_flip.")
@@ -206,17 +209,11 @@ let security_cmd =
     Term.(const run $ const ())
 
 let multicore_cmd =
-  let instrs =
-    Arg.(
-      value & opt int 400_000
-      & info [ "instrs" ] ~docv:"N" ~doc:"Instructions per core.")
-  in
-  let mixes =
-    Arg.(value & opt int 16 & info [ "mixes" ] ~docv:"N" ~doc:"Random MIX configs.")
-  in
+  let instrs = size_arg "instrs" ~doc:"Instructions per core." in
+  let mixes = size_arg "mixes" ~doc:"Random MIX configs." in
   let run seed instrs mixes jobs csv =
     run_scenario ?csv
-      (Ptg_sim.Scenario.make ~seed ~instrs ~mixes ~jobs
+      (Ptg_sim.Scenario.make ~seed ?instrs ?mixes ~jobs
          Ptg_sim.Scenario.Multicore)
   in
   Cmd.v
@@ -236,6 +233,7 @@ let attacks_cmd =
       & info [ "iterations" ] ~docv:"N" ~doc:"Hammer rotations per scenario.")
   in
   let run seed iterations csv =
+    require_positive ~cmd:"attacks" "iterations" iterations;
     let r = Ptg_sim.Attacks_exp.run ~seed ~iterations () in
     Ptg_sim.Attacks_exp.print r;
     Option.iter (fun path -> Ptg_sim.Attacks_exp.to_csv r ~path) csv
@@ -249,6 +247,7 @@ let baselines_cmd =
     Arg.(value & opt int 500 & info [ "trials" ] ~docv:"N" ~doc:"Trials per cell.")
   in
   let run seed trials csv =
+    require_positive ~cmd:"baselines" "trials" trials;
     let r = Ptg_sim.Baselines_exp.run ~seed ~trials () in
     Ptg_sim.Baselines_exp.print r;
     Option.iter (fun path -> Ptg_sim.Baselines_exp.to_csv r ~path) csv
@@ -276,6 +275,11 @@ let ablations_cmd =
 (* ---------------------------------------------------------------- *)
 (* Traces                                                            *)
 (* ---------------------------------------------------------------- *)
+
+let trace_instrs_arg =
+  Arg.(
+    value & opt int 500_000
+    & info [ "instrs" ] ~docv:"N" ~doc:"Instructions of the workload to trace.")
 
 let workload_name_arg =
   Arg.(
@@ -341,6 +345,7 @@ let trace_record_cmd =
       & info [ "o"; "out" ] ~docv:"PATH" ~doc:"Write the trace to $(docv).")
   in
   let run seed instrs workload format out =
+    require_positive ~cmd:"trace record" "instrs" instrs;
     let spec = require_workload ~cmd:"trace record" workload in
     let t = Ptg_sim.Mem_trace.record ~seed ~instrs spec in
     let format = Option.value format ~default:Ptg_sim.Mem_trace.Text in
@@ -356,7 +361,7 @@ let trace_record_cmd =
          "Record a workload's memory-access stream as a trace file (one \
           event per load/store, cycle = instruction index).")
     Term.(
-      const run $ seed_arg $ instrs_arg 500_000 $ workload_name_arg
+      const run $ seed_arg $ trace_instrs_arg $ workload_name_arg
       $ trace_format_arg $ out)
 
 let trace_replay_cmd =
@@ -435,6 +440,7 @@ let trace_walk_cmd =
              replay) and $(b,trace convert) accept.")
   in
   let run seed instrs workload save =
+    require_positive ~cmd:"trace walk" "instrs" instrs;
     let spec = require_workload ~cmd:"trace walk" workload in
     let t = Ptg_sim.Mem_trace.record_walks ~seed ~instrs spec in
     let lines = Hashtbl.create 1024 in
@@ -455,7 +461,7 @@ let trace_walk_cmd =
     (Cmd.info "walk"
        ~doc:"Record a page-walk trace (Section VI-F methodology) and validate \
              the Fig. 9 sampler against trace-frequency replay.")
-    Term.(const run $ seed_arg $ instrs_arg 500_000 $ workload $ save)
+    Term.(const run $ seed_arg $ trace_instrs_arg $ workload $ save)
 
 let trace_cmd =
   Cmd.group
@@ -468,9 +474,7 @@ let trace_cmd =
     [ trace_record_cmd; trace_replay_cmd; trace_convert_cmd; trace_walk_cmd ]
 
 let fullsys_cmd =
-  let instrs =
-    Arg.(value & opt int 60_000 & info [ "instrs" ] ~docv:"N" ~doc:"Instructions.")
-  in
+  let instrs = size_arg "instrs" ~doc:"Instructions." in
   let checkpoint_dir =
     Arg.(
       value
@@ -502,23 +506,6 @@ let fullsys_cmd =
              mismatched files are skipped. Requires \
              $(b,--checkpoint-dir).")
   in
-  let banner () =
-    print_endline
-      "Full-system co-simulation: real page tables in DRAM, functional\n\
-       PT-Guard on every walk, Rowhammer attacker running concurrently.\n"
-  in
-  let configs =
-    [
-      ("baseline, no attack", true, false);
-      ("PT-Guard under attack", true, true);
-      ("UNPROTECTED under attack", false, true);
-    ]
-  in
-  let closer () =
-    print_endline
-      "The number that matters: WRONG TRANSLATIONS is nonzero only on the\n\
-       unprotected machine — the invariant of Section IV-G holds."
-  in
   let run seed instrs trace metrics checkpoint_dir checkpoint_every resume =
     (match checkpoint_every with
     | Some n when n < 1 ->
@@ -530,57 +517,65 @@ let fullsys_cmd =
         "fullsys: --checkpoint-every and --resume need --checkpoint-dir\n";
       exit 2
     end;
-    match checkpoint_dir with
-    | None ->
-        let obs = sink_of ~trace ~metrics in
-        banner ();
-        List.iter
-          (fun (label, guarded, attack) ->
-            let config =
-              { Ptg_sim.Fullsys.default_config with guarded; attack }
-            in
-            let t = Ptg_sim.Fullsys.create ~config ?obs ~seed () in
-            let r = Ptg_sim.Fullsys.run t ~instrs in
-            Printf.printf "=== %s ===\n" label;
-            Format.printf "%a@.@." Ptg_sim.Fullsys.pp_result r)
-          configs;
-        closer ();
-        export_sink obs ~trace ~metrics
-    | Some dir ->
+    let machines =
+      List.map
+        (fun (label, guarded, attack) ->
+          ( label,
+            Ptg_sim.Scenario.make ~seed ?instrs ~guarded ~attack
+              Ptg_sim.Scenario.Fullsys ))
+        Ptg_sim.Fullsys.comparison
+    in
+    List.iter (fun (_, scenario) -> check_scenario scenario) machines;
+    let obs = sink_of ~trace ~metrics in
+    Option.iter
+      (fun dir ->
         (* Checkpointing excludes observability (the sink is not part of
            the snapshot, so a resumed run could not reproduce it). *)
-        if trace <> None || metrics <> None then begin
+        if obs <> None then begin
           Printf.eprintf
             "fullsys: --checkpoint-dir excludes --trace/--metrics \
              (observer state is not checkpointed)\n";
           exit 2
         end;
-        (try Ptg_sim.Sweep.ensure_dir dir
-         with Sys_error msg ->
-           Printf.eprintf "fullsys: --checkpoint-dir %s: cannot create directory (%s)\n"
-             dir msg;
-           exit 2);
-        banner ();
-        List.iter
-          (fun (label, guarded, attack) ->
-            let config =
-              { Ptg_sim.Fullsys.default_config with guarded; attack }
-            in
-            let key = Ptg_sim.Checkpoint.fullsys_key ~config ~seed () in
-            let o =
-              Ptg_sim.Checkpoint.run_fullsys ~config ~key
-                ?every:checkpoint_every ~dir ~adopt:resume ~seed ~instrs ()
-            in
-            Option.iter
-              (fun n ->
-                Printf.eprintf "fullsys: %s: resumed from %d/%d instructions\n%!"
-                  label n instrs)
-              o.Ptg_sim.Checkpoint.f_resumed_from;
-            Printf.printf "=== %s ===\n" label;
-            Format.printf "%a@.@." Ptg_sim.Fullsys.pp_result
-              o.Ptg_sim.Checkpoint.f_result)
-          configs;
-        closer ()
+        try Ptg_sim.Sweep.ensure_dir dir
+        with Sys_error msg ->
+          Printf.eprintf "fullsys: --checkpoint-dir %s: cannot create directory (%s)\n"
+            dir msg;
+          exit 2)
+      checkpoint_dir;
+    (* Without --checkpoint-every, one chunk: a checkpoint at completion
+       only. *)
+    let every = Option.value checkpoint_every ~default:max_int in
+    let run_machine label scenario =
+      match checkpoint_dir with
+      | None -> Ptg_sim.Scenario.run_to_string ?obs scenario
+      | Some dir ->
+          (* The resolved budget: the driver reports it with every
+             depth, the adopted one first. *)
+          let budget = ref 0 in
+          let o =
+            Ptg_sim.Checkpoint.run_scenario ~dir ~every ~adopt:resume
+              ~progress:(fun ~done_count:_ ~total -> budget := total)
+              scenario
+          in
+          Option.iter
+            (fun n ->
+              Printf.eprintf "fullsys: %s: resumed from %d/%d instructions\n%!"
+                label n !budget)
+            o.Ptg_sim.Checkpoint.resumed_from;
+          Option.get o.Ptg_sim.Checkpoint.text
+    in
+    print_endline
+      "Full-system co-simulation: real page tables in DRAM, functional\n\
+       PT-Guard on every walk, Rowhammer attacker running concurrently.\n";
+    List.iter
+      (fun (label, scenario) ->
+        Printf.printf "=== %s ===\n%s\n" label (run_machine label scenario))
+      machines;
+    print_endline
+      "The number that matters: WRONG TRANSLATIONS is nonzero only on the\n\
+       unprotected machine — the invariant of Section IV-G holds.";
+    export_sink obs ~trace ~metrics
   in
   Cmd.v
     (Cmd.info "fullsys"
@@ -605,10 +600,8 @@ let stats_cmd =
       & info [ "json" ] ~doc:"Emit the registry as line-JSON instead of CSV.")
   in
   let run seed instrs pages json trace =
-    if pages < 1 then begin
-      Printf.eprintf "stats: --pages must be >= 1\n";
-      exit 2
-    end;
+    require_positive ~cmd:"stats" "instrs" instrs;
+    require_positive ~cmd:"stats" "pages" pages;
     let r = Ptg_sim.Stats_exp.run ~seed ~pages ~instrs () in
     let snap = Ptg_obs.Sink.metrics r.Ptg_sim.Stats_exp.sink in
     print_string
@@ -1210,16 +1203,11 @@ let all_cmd =
     print_newline ();
     Ptg_sim.Security_exp.print (Ptg_sim.Security_exp.run ());
     print_newline ();
-    Ptg_sim.Fig6.print (Ptg_sim.Fig6.run ~jobs ~seed ());
-    print_newline ();
-    Ptg_sim.Fig7.print (Ptg_sim.Fig7.run ~jobs ~seed ());
-    print_newline ();
-    Ptg_sim.Fig8.print (Ptg_sim.Fig8.run ~jobs ~seed ());
-    print_newline ();
-    Ptg_sim.Fig9.print (Ptg_sim.Fig9.run ~jobs ~seed ());
-    print_newline ();
-    Ptg_sim.Multicore_exp.print (Ptg_sim.Multicore_exp.run ~jobs ~seed ());
-    print_newline ();
+    List.iter
+      (fun kind ->
+        run_scenario (Ptg_sim.Scenario.make ~seed ~jobs kind);
+        print_newline ())
+      Ptg_sim.Scenario.[ Fig6; Fig7; Fig8; Fig9; Multicore ];
     Ptg_sim.Attacks_exp.print (Ptg_sim.Attacks_exp.run ~seed ());
     print_newline ();
     Ptg_sim.Baselines_exp.print (Ptg_sim.Baselines_exp.run ~seed ());

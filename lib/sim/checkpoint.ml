@@ -133,11 +133,6 @@ let fullsys_save ~path ~key m =
   Sweep.save ~path ~kind:"fullsys" ~key ~count:(Fullsys.instrs_done m)
     (fullsys_sections m)
 
-let fullsys_restore ~path ~key m =
-  let count, sections = Sweep.load ~kind:"fullsys" ~key path in
-  Fullsys.set_state m (fullsys_state_of_sections ~what:path sections);
-  count
-
 type fullsys_outcome = {
   f_result : Fullsys.result;
   f_completed : bool;
@@ -182,7 +177,7 @@ let run_fullsys ?config ?pages ?key ?keep ?every ?dir ?adopt ?should_stop
   }
 
 (* ------------------------------------------------------------------ *)
-(* Scenario entry point (server warm-start path)                       *)
+(* Scenario entry point (the server's and the CLI's warm-start path)  *)
 (* ------------------------------------------------------------------ *)
 
 type served = {
@@ -209,22 +204,23 @@ let sliceable t = default_every (Scenario.plan t) <> None
    [Scenario.hash] — units are only reusable for identical sizing). Even
    without [dir] a sliceable plan runs chunked, so [should_stop] and
    [progress] stay live; a whole run is one piece. *)
-let run_scenario ?dir ?every ?should_stop ?progress (t : Scenario.t) =
+let run_scenario ?dir ?every ?adopt ?should_stop ?progress (t : Scenario.t) =
   let plan = Scenario.plan t in
   let every = match every with Some _ -> every | None -> default_every plan in
   match plan with
   | Scenario.Sweep s ->
       let o =
-        Sweep.exec ?every ?dir ?should_stop ?progress ~key:(Scenario.hash t) s
+        Sweep.exec ?every ?dir ?adopt ?should_stop ?progress
+          ~key:(Scenario.hash t) s
       in
       {
         text = Option.map Scenario.render o.Sweep.o_result;
         completed = o.o_completed;
         resumed_from = o.o_resumed_from;
       }
-  | Scenario.Machine { seed; instrs } ->
+  | Scenario.Machine { seed; instrs; config } ->
       let o =
-        run_fullsys ?every ?dir ?should_stop ?progress
+        run_fullsys ~config ?every ?dir ?adopt ?should_stop ?progress
           ~key:(Scenario.prefix_hash t) ~seed ~instrs ()
       in
       {

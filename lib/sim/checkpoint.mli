@@ -17,9 +17,9 @@
     {!Scenario.plan} is the one dispatch from a scenario to either kind
     (or to a whole run, which is not sliceable); {!run_scenario} consumes
     it. Checkpoints live in a warm-start store ({!Sweep.path}): damaged
-    or mismatched files are skipped, never fatal — explicit restores
-    ({!fullsys_restore}) raise instead. Checkpointing excludes
-    observability: {!Sweep.exec} rejects [obs] with a store. *)
+    or mismatched files are skipped, never fatal — an explicit
+    {!Sweep.load} raises instead. Checkpointing excludes observability:
+    {!Sweep.exec} rejects [obs] with a store. *)
 
 (** {1 Warm-start store} *)
 
@@ -41,12 +41,6 @@ val fullsys_save : path:string -> key:string -> Fullsys.t -> unit
 (** Snapshot the machine's current state: a meta header (kind, key,
     instruction count) plus one section per subsystem (rng, dram,
     fault, engine, memctrl, vm, tlb, translations, counters). *)
-
-val fullsys_restore : path:string -> key:string -> Fullsys.t -> int
-(** Load, validate the meta header against [key], and overwrite the
-    machine's state; returns the checkpoint's instruction count.
-    Raises [Invalid_argument] on a corrupt file or a kind/key
-    mismatch. *)
 
 type fullsys_outcome = {
   f_result : Fullsys.result;  (** lifetime totals, partial when stopped *)
@@ -76,8 +70,7 @@ val run_fullsys :
     polled between chunks; stopping checkpoints the current position
     (when a chunk ran since the start or the warm start) and returns
     with [f_completed = false]. [adopt:false] still writes
-    checkpoints but starts cold, ignoring stored ones (the CLI's
-    checkpoint-without-[--resume] mode). The final result is
+    checkpoints but starts cold, ignoring stored ones. The final result is
     byte-identical for any [every], any kill/resume schedule, and any
     warm-start depth. *)
 
@@ -99,15 +92,18 @@ type served = {
 val run_scenario :
   ?dir:string ->
   ?every:int ->
+  ?adopt:bool ->
   ?should_stop:(unit -> bool) ->
   ?progress:(done_count:int -> total:int -> unit) ->
   Scenario.t ->
   served
-(** The server's warm-start-aware execution path over
+(** The warm-start-aware execution path of the server and the CLI, over
     {!Scenario.plan}. With [dir], fullsys scenarios warm-start by
     instruction prefix (key {!Scenario.prefix_hash}) and sweeps by unit
     prefix (key {!Scenario.hash}); the rendering is byte-identical to
-    {!Scenario.run_to_string}. Sliceable scenarios run chunked even
-    without [dir] (default [every]: a tenth of the fullsys budget, one
-    unit otherwise), so [should_stop] and [progress] stay live
-    mid-scenario; other kinds run in one piece. *)
+    {!Scenario.run_to_string}. [adopt:false] still writes checkpoints
+    but starts cold (the CLI's checkpoint-without-[--resume] mode).
+    Sliceable scenarios run chunked even without [dir] (default
+    [every]: a tenth of the fullsys budget, one unit otherwise), so
+    [should_stop] and [progress] stay live mid-scenario; other kinds run
+    in one piece. *)

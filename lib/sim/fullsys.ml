@@ -18,6 +18,13 @@ let default_config =
     fault = Ptg_rowhammer.Fault_model.lpddr4;
   }
 
+let comparison =
+  [
+    ("baseline, no attack", true, false);
+    ("PT-Guard under attack", true, true);
+    ("UNPROTECTED under attack", false, true);
+  ]
+
 type result = {
   instrs : int;
   cycles : int;

@@ -33,6 +33,12 @@ val default_config : config
 (** Guarded, under attack, bursts of 2000 rotations every 2000
     instructions, LPDDR4-class fault model (RTH 4.8K, p_flip 1%). *)
 
+val comparison : (string * bool * bool) list
+(** The Section IV-G comparison as [(label, guarded, attack)], in the
+    order it is reported: the guarded machine without and under attack,
+    then the unprotected machine under attack — the only one whose
+    [wrong_translations] may be nonzero. *)
+
 type result = {
   instrs : int;
   cycles : int;

@@ -32,13 +32,15 @@ type t = {
   trace_path : string option;
   mitigation : string option;
   mit_params : (string * Ptg_mitigations.Registry.value) list;
+  guarded : bool;
+  attack : bool;
   jobs : int;
 }
 
 let make ?(seed = 42L) ?(seeds = 1) ?(reduced = false)
     ?(design = Ptguard.Config.Baseline) ?mac_latency ?workloads ?instrs ?warmup
-    ?processes ?lines ?mixes ?trace ?mitigation ?(mit_params = []) ?(jobs = 1)
-    kind =
+    ?processes ?lines ?mixes ?trace ?mitigation ?(mit_params = [])
+    ?(guarded = true) ?(attack = true) ?(jobs = 1) kind =
   {
     kind;
     seed;
@@ -55,6 +57,8 @@ let make ?(seed = 42L) ?(seeds = 1) ?(reduced = false)
     trace_path = trace;
     mitigation;
     mit_params;
+    guarded;
+    attack;
     jobs;
   }
 
@@ -122,7 +126,13 @@ let normalize t =
         mitigation = t.mitigation;
         mit_params = Option.value ~default:[] (Option.bind t.mitigation resolved);
       }
-  | Fullsys -> { n with instrs = size t.instrs (60_000, 20_000) }
+  | Fullsys ->
+      {
+        n with
+        instrs = size t.instrs (60_000, 20_000);
+        guarded = t.guarded;
+        attack = t.attack;
+      }
 
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)
@@ -140,6 +150,10 @@ let check_trace_file path =
       Error (Printf.sprintf "trace file %s is not a regular file" path)
   | exception Sys_error _ ->
       Error (Printf.sprintf "trace file %s does not exist" path)
+
+let machine_choice_error kind =
+  Printf.sprintf "guarded and attack are only valid for kind fullsys, not %s"
+    (kind_name kind)
 
 let validate t =
   let ( let* ) = Result.bind in
@@ -188,6 +202,11 @@ let validate t =
     | _, None -> Ok ()
   in
   let* () =
+    if t.kind <> Fullsys && not (t.guarded && t.attack) then
+      Error (machine_choice_error t.kind)
+    else Ok ()
+  in
+  let* () =
     match (t.kind, t.mitigation) with
     | Trace, Some name -> (
         let* () = Registry.check_params name t.mit_params in
@@ -223,7 +242,8 @@ let check t =
 
 (* The wire form's fields, in wire order: the kind, one of seed/seeds,
    and every other field only when it was given (design always for
-   Fig6), so a request spells what its sender chose. *)
+   Fig6; guarded and attack only when false), so a request spells what
+   its sender chose. *)
 let fields t =
   let fields = ref [] in
   let add key v = fields := (key, v) :: !fields in
@@ -244,6 +264,8 @@ let fields t =
   add_int "processes" t.processes;
   add_int "lines" t.lines;
   add_int "mixes" t.mixes;
+  if not t.guarded then add "guarded" (Json.Bool false);
+  if not t.attack then add "attack" (Json.Bool false);
   Option.iter (fun p -> add "trace" (Json.String p)) t.trace_path;
   Option.iter (fun m -> add "mitigation" (Json.String m)) t.mitigation;
   let param = function
@@ -261,8 +283,8 @@ let to_json t = Json.Obj (fields t)
 let wire_fields =
   [
     "kind"; "seed"; "seeds"; "reduced"; "design"; "mac_latency"; "workloads";
-    "instrs"; "warmup"; "processes"; "lines"; "mixes"; "trace"; "mitigation";
-    "params"; "jobs";
+    "instrs"; "warmup"; "processes"; "lines"; "mixes"; "guarded"; "attack";
+    "trace"; "mitigation"; "params"; "jobs";
   ]
 
 let ( let* ) = Result.bind
@@ -333,6 +355,15 @@ let of_json json =
       let* processes = opt_field json "processes" Json.as_int in
       let* lines = opt_field json "lines" Json.as_int in
       let* mixes = opt_field json "mixes" Json.as_int in
+      let* guarded = opt_field json "guarded" as_bool in
+      let* attack = opt_field json "attack" as_bool in
+      (* [validate] sees only the values: a machine choice spelled out
+         for another kind is an error even when it is the default. *)
+      let* () =
+        match (kind, guarded, attack) with
+        | Fullsys, _, _ | _, None, None -> Ok ()
+        | _ -> Error (machine_choice_error kind)
+      in
       let* jobs = opt_field json "jobs" Json.as_int in
       let* trace = opt_field json "trace" as_string in
       let* mitigation = opt_field json "mitigation" as_string in
@@ -360,8 +391,8 @@ let of_json json =
       in
       let scenario =
         make ?seed ?seeds ?reduced ?design ?mac_latency ?workloads ?instrs
-          ?warmup ?processes ?lines ?mixes ?trace ?mitigation ?mit_params ?jobs
-          kind
+          ?warmup ?processes ?lines ?mixes ?trace ?mitigation ?mit_params
+          ?guarded ?attack ?jobs kind
       in
       let* () = validate scenario in
       Ok scenario
@@ -425,7 +456,7 @@ type output =
 
 type plan =
   | Sweep : ('p, 'c, 'u, output) Sweep.t -> plan
-  | Machine of { seed : int64; instrs : int }
+  | Machine of { seed : int64; instrs : int; config : Fullsys.config }
   | Whole of (?obs:Ptg_obs.Sink.t -> unit -> output)
 
 (* The one dispatch from a scenario to what runs it. Multi-seed sweeps
@@ -489,17 +520,20 @@ let plan t =
           with
           | Ok result -> Trace_out { mitigation = t.mitigation; result }
           | Error msg -> invalid_arg ("Scenario: " ^ msg))
-  | Fullsys -> Machine { seed; instrs = size n.instrs }
+  | Fullsys ->
+      let config =
+        { Fullsys.default_config with guarded = t.guarded; attack = t.attack }
+      in
+      Machine { seed; instrs = size n.instrs; config }
 
 let run ?obs t =
   match plan t with
   | Sweep s -> Sweep.run ?obs s
-  | Machine { seed; instrs } ->
-      (* Guarded machine under attack (the mode's defaults); [totals] so
-         the rendering is identical however the budget was chunked —
-         including when the checkpoint driver serves this scenario from
-         a warm-start snapshot instead. *)
-      let m = Fullsys.create ?obs ~seed () in
+  | Machine { seed; instrs; config } ->
+      (* [totals] so the rendering is identical however the budget was
+         chunked — including when the checkpoint driver serves this
+         scenario from a warm-start snapshot instead. *)
+      let m = Fullsys.create ~config ?obs ~seed () in
       ignore (Fullsys.run m ~instrs);
       Fullsys_out (Fullsys.totals m)
   | Whole f -> f ?obs ()

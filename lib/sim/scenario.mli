@@ -43,6 +43,8 @@ type t = {
   mitigation : string option;   (** Trace only: a {!Ptg_mitigations.Registry} name *)
   mit_params : (string * Ptg_mitigations.Registry.value) list;
       (** Trace only: overrides for the mitigation's declared defaults *)
+  guarded : bool;  (** Fullsys only: PT-Guard on the memory controller *)
+  attack : bool;   (** Fullsys only: the Rowhammer attacker runs *)
   jobs : int;  (** execution hint: worker domains inside the experiment *)
 }
 
@@ -61,16 +63,19 @@ val make :
   ?trace:string ->
   ?mitigation:string ->
   ?mit_params:(string * Ptg_mitigations.Registry.value) list ->
+  ?guarded:bool ->
+  ?attack:bool ->
   ?jobs:int ->
   kind ->
   t
-(** Defaults: seed 42, one seed, full sizes, Baseline design, one job,
-    every parameter at its kind default (resolved lazily, see
-    {!canonical}). *)
+(** Defaults: seed 42, one seed, full sizes, Baseline design, the
+    guarded machine under attack, one job, every parameter at its kind
+    default (resolved lazily, see {!canonical}). *)
 
 val validate : t -> (unit, string) result
 (** Semantic checks beyond typing: known workload names, positive sizes,
-    [seeds > 1] only for the kinds with a multi-seed sweep (Fig6/Fig9);
+    [seeds > 1] only for the kinds with a multi-seed sweep (Fig6/Fig9),
+    [guarded]/[attack] false only for [Fullsys];
     for [Trace], a trace path naming a regular file (checked without
     reading it: a directory, a device or a fifo is rejected), a
     registered mitigation name and schema-valid, finite parameter
@@ -82,12 +87,13 @@ val check : t -> unit
 val to_json : t -> Ptg_util.Json.t
 (** The wire encoding: [kind], [seed] (or [seeds] when > 1), and every
     other field only as given — [design] always for Fig6, [reduced]
-    when true, [jobs] when not 1. *)
+    when true, [guarded] and [attack] when false, [jobs] when not 1. *)
 
 val of_json : Ptg_util.Json.t -> (t, string) result
 (** Decode and {!validate}. Rejects unknown fields, bad types, unknown
-    kinds/designs/workloads, and semantically invalid values, each with
-    a descriptive error. Never raises. *)
+    kinds/designs/workloads, [guarded] or [attack] on a kind other than
+    fullsys (whatever their value), and semantically invalid values,
+    each with a descriptive error. Never raises. *)
 
 val canonical : t -> string
 (** {!to_json} of the normal form, keys sorted: defaults resolved,
@@ -123,7 +129,7 @@ type output =
   | Multicore_out of Multicore_exp.result
   | Trace_out of { mitigation : string option; result : Mem_trace.replay_result }
   | Fullsys_out of Fullsys.result
-      (** guarded machine under double-sided attack, default sizing *)
+      (** the lifetime totals of the scenario's machine *)
 
 (** What runs a scenario: the one dispatch both {!run} and the
     checkpointing entry point ([Checkpoint.run_scenario]) consume. *)
@@ -131,8 +137,9 @@ type plan =
   | Sweep : ('p, 'c, 'u, output) Sweep.t -> plan
       (** single-seed fig6 and fig9, fig7, multicore: sliced and stored
           by unit prefix *)
-  | Machine of { seed : int64; instrs : int }
-      (** fullsys: the guarded machine under attack, default sizing,
+  | Machine of { seed : int64; instrs : int; config : Fullsys.config }
+      (** fullsys: the machine [config] describes ({!Fullsys.default_config}
+          with the scenario's [guarded] and [attack]), default page count,
           sliced and stored by instruction prefix *)
   | Whole of (?obs:Ptg_obs.Sink.t -> unit -> output)
       (** multi-seed sweeps, fig8 and trace: run in one piece *)

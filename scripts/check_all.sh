@@ -55,7 +55,11 @@
 #      (its disturbance lives in Ptg_dram.Row_table), and the table's
 #      Fibonacci hash multiplier 0x27d4eb2f165667c5 appears in exactly
 #      one file of lib/, lib/dram/row_table.ml, so no second copy of the
-#      open-addressing probe exists
+#      open-addressing probe exists; and one way to run an artifact: no
+#      Fullsys.create, fullsys_key, run_fullsys, Fig6.run, Fig7.run,
+#      Fig8.run, Fig9.run or Multicore_exp.run in bin/ (the CLI builds a
+#      Scenario and runs it through Scenario.run or
+#      Checkpoint.run_scenario, as the server does)
 #   8d. warm-start gate (bench_gate snapshot): resuming a finished
 #      fullsys budget from its snapshot store must stay >= 5x faster
 #      than computing it cold and byte-identical
@@ -230,6 +234,14 @@ if [ "$probes" != "lib/dram/row_table.ml" ]; then
     exit 1
 fi
 echo "OK: the fault model and the DRAM counters share one row table (lib/dram/row_table.ml)"
+
+echo "== one way to run an artifact =="
+if grep -rnE --include='*.ml' --include='*.mli' \
+    'Fullsys\.create|fullsys_key|run_fullsys|\b(Fig6|Fig7|Fig8|Fig9|Multicore_exp)\.run\b' bin; then
+    echo "FAIL: the CLI runs an artifact outside Scenario; build a Scenario and run it through Scenario.run or Checkpoint.run_scenario" >&2
+    exit 1
+fi
+echo "OK: every artifact the CLI runs is a Scenario"
 
 echo "== warm-start regression gate =="
 bench_gate snapshot

@@ -220,6 +220,38 @@ let test_cache_hit_matches_cli () =
   Alcotest.(check int) "one trace event per request" 2
     (List.length request_events)
 
+(* The comparison of Section IV-G is servable: a fullsys scenario with
+   "guarded":false renders exactly the CLI's UNPROTECTED block, wrong
+   translations included. *)
+let test_unprotected_fullsys_served () =
+  let instrs = 8_000 in
+  let scenario = Scenario.make ~instrs ~guarded:false Scenario.Fullsys in
+  Alcotest.(check bool) "the frame names the machine" true
+    (contains (Protocol.encode_request (Protocol.Run scenario)) {|"guarded":false|});
+  let served =
+    with_server (base_config ()) (fun server ->
+        with_client (Server.listen_addr server) (fun c ->
+            match Client.run c scenario with
+            | Ok (Protocol.Result { result; _ }) -> result
+            | Ok _ -> Alcotest.fail "unexpected frame"
+            | Error e -> Alcotest.fail e))
+  in
+  let out = Filename.temp_file "ptg_serve_" ".out" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s fullsys --instrs %d > %s 2> %s" cli instrs out Filename.null)
+  in
+  Alcotest.(check int) "cli exit code" 0 code;
+  Alcotest.(check bool) "the CLI's UNPROTECTED block" true
+    (contains (read_file out) ("=== UNPROTECTED under attack ===\n" ^ served ^ "\n"));
+  let wrong =
+    List.find_map
+      (fun line -> Scanf.sscanf_opt line "WRONG TRANSLATIONS: %d" Fun.id)
+      (String.split_on_char '\n' served)
+  in
+  Alcotest.(check bool) "wrong translations on the unprotected machine" true
+    (match wrong with Some n -> n > 0 | None -> false)
+
 let test_protocol_error_frames () =
   let config = base_config ~handler:(fun _ -> "unused") () in
   with_server config (fun server ->
@@ -500,6 +532,8 @@ let suite =
       test_backpressure;
     Alcotest.test_case "cache hit is byte-identical to the CLI" `Slow
       test_cache_hit_matches_cli;
+    Alcotest.test_case "unprotected fullsys served as the CLI prints it" `Slow
+      test_unprotected_fullsys_served;
     Alcotest.test_case "error frames keep the connection" `Quick
       test_protocol_error_frames;
     Alcotest.test_case "loadgen report" `Slow test_loadgen_report;

@@ -1,11 +1,14 @@
 (* Byte-identity goldens for the scenario codec. For scenarios of every
    kind — multi-seed, reduced, explicit defaults, a non-default jobs
-   hint, and a trace scenario per registered mitigation — they pin the
-   canonical form, the prefix form, both hashes and the v1 run frame;
-   and the fullsys warm-start key of each CLI fullsys configuration.
-   The result cache, the warm-start store and the router ring all key
-   on these bytes, so none may move. Regenerate only for a deliberate
-   format change, and say so. *)
+   hint, the unprotected and the unattacked fullsys machine, and a trace
+   scenario per registered mitigation — they pin the canonical form, the
+   prefix form, both hashes and the v1 run frame. The fullsys prefix
+   hashes are also the names of the CLI's `fullsys --checkpoint-dir`
+   store files, one per machine. The result cache, the warm-start store
+   and the router ring all key on these bytes, so none may move; the
+   [Checkpoint.fullsys_key] goldens pin the key of machines built
+   outside the scenario layer. Regenerate only for a deliberate format
+   change, and say so. *)
 
 module Protocol = Ptg_server.Protocol
 module Scenario = Ptg_sim.Scenario
@@ -65,6 +68,8 @@ let cases () =
     ("fullsys", make Fullsys);
     ("fullsys reduced", make ~reduced:true Fullsys);
     ("fullsys sized", make ~instrs:30_000 ~seed:7919L Fullsys);
+    ("fullsys unprotected", make ~guarded:false Fullsys);
+    ("fullsys unattacked", make ~attack:false Fullsys);
     ("trace", trace ());
     ("trace seeded", trace ~seed:7L ());
     ("trace quoted path", trace ~path:quoted_trace_file ~mitigation:"trr" ());
@@ -214,6 +219,18 @@ let expected : (string * string * string * string * string * string) list =
       "fbd6f57db48fa06a",
       "32c3247c0d1987cc",
       "{\"v\":1,\"op\":\"run\",\"scenario\":{\"kind\":\"fullsys\",\"seed\":7919,\"instrs\":30000}}" );
+    ( "fullsys unprotected",
+      "{\"guarded\":false,\"instrs\":60000,\"kind\":\"fullsys\",\"seed\":42}",
+      "{\"guarded\":false,\"kind\":\"fullsys\",\"seed\":42}",
+      "0ea0348354017fee",
+      "0b453ce7458da9dd",
+      "{\"v\":1,\"op\":\"run\",\"scenario\":{\"kind\":\"fullsys\",\"seed\":42,\"guarded\":false}}" );
+    ( "fullsys unattacked",
+      "{\"attack\":false,\"instrs\":60000,\"kind\":\"fullsys\",\"seed\":42}",
+      "{\"attack\":false,\"kind\":\"fullsys\",\"seed\":42}",
+      "90ad2700b4955e3e",
+      "d89ba9228c49860d",
+      "{\"v\":1,\"op\":\"run\",\"scenario\":{\"kind\":\"fullsys\",\"seed\":42,\"attack\":false}}" );
     ( "trace",
       "{\"kind\":\"trace\",\"seed\":42,\"trace\":\"2af8f83eb19a11bb\"}",
       "{\"kind\":\"trace\",\"seed\":42,\"trace\":\"2af8f83eb19a11bb\"}",

@@ -7,6 +7,11 @@ module Json = Ptg_util.Json
 module Protocol = Ptg_server.Protocol
 module Scenario = Ptg_sim.Scenario
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 (* Trace scenarios need an on-disk trace file, so the generators draw
    from the synthetic kinds only; trace canonicalization/caching has its
    own tests (test_mem_trace.ml, test_server_e2e.ml). *)
@@ -16,9 +21,11 @@ let synthetic_kinds =
 let gen_scenario =
   let open QCheck2.Gen in
   oneofl synthetic_kinds >>= fun kind ->
-  map2
-    (fun (seed, seeds, reduced, jobs) (design, mac_latency, workloads, size) ->
+  map3
+    (fun (seed, seeds, reduced, jobs) (design, mac_latency, workloads, size)
+         (guarded, attack) ->
       let multi_ok = kind = Scenario.Fig6 || kind = Scenario.Fig9 in
+      let fullsys = kind = Scenario.Fullsys in
       Scenario.make
         ~seed:(Int64.of_int seed)
         ~seeds:(if multi_ok then seeds else 1)
@@ -26,6 +33,7 @@ let gen_scenario =
         ?workloads:(if kind = Scenario.Fig6 then workloads else None)
         ?instrs:(if kind = Scenario.Fig7 then Some (1000 + size) else None)
         ?lines:(if kind = Scenario.Fig9 then Some (10 + size) else None)
+        ~guarded:(guarded || not fullsys) ~attack:(attack || not fullsys)
         ~jobs kind)
     (quad (int_bound 999) (int_range 1 3) bool (int_range 1 4))
     (quad
@@ -33,6 +41,7 @@ let gen_scenario =
        (opt (int_range 0 40))
        (opt (oneofl [ [ "mcf" ]; [ "mcf"; "bc" ]; [ "xz"; "leela"; "lbm" ] ]))
        (int_bound 5000))
+    (pair bool bool)
 
 (* Re-render a wire scenario object with shuffled field order and random
    whitespace — the spellings a real client might produce. *)
@@ -127,6 +136,9 @@ let test_golden_distinct () =
         Scenario.make ~processes:622 Scenario.Fig8;
         Scenario.make ~lines:299 Scenario.Fig9;
         Scenario.make ~mixes:15 Scenario.Multicore;
+        Scenario.make ~guarded:false Scenario.Fullsys;
+        Scenario.make ~attack:false Scenario.Fullsys;
+        Scenario.make ~guarded:false ~attack:false Scenario.Fullsys;
       ]
   in
   let tbl = Hashtbl.create 64 in
@@ -156,6 +168,41 @@ let test_validate_rejects () =
       ("unknown workload", Scenario.make ~workloads:[ "zzz" ] Scenario.Fig6);
       ("empty workloads", Scenario.make ~workloads:[] Scenario.Fig6);
       ("negative mac latency", Scenario.make ~mac_latency:(-1) Scenario.Fig6);
+      ("unprotected fig6", Scenario.make ~guarded:false Scenario.Fig6);
+      ("unattacked multicore", Scenario.make ~attack:false Scenario.Multicore);
+    ]
+
+(* The fullsys machine choice survives the wire: each configuration of
+   the Section IV-G comparison decodes to the record it was encoded
+   from, and only a false value is written. *)
+let test_machine_choice_round_trip () =
+  List.iter
+    (fun (label, guarded, attack) ->
+      let s = Scenario.make ~instrs:5000 ~guarded ~attack Scenario.Fullsys in
+      let text = Json.to_string (Scenario.to_json s) in
+      Alcotest.(check bool) (label ^ ": guarded written when false") (not guarded)
+        (contains text {|"guarded"|});
+      Alcotest.(check bool) (label ^ ": attack written when false") (not attack)
+        (contains text {|"attack"|});
+      match Result.bind (Json.parse text) Scenario.of_json with
+      | Ok back -> Alcotest.(check bool) (label ^ ": " ^ text) true (back = s)
+      | Error e -> Alcotest.failf "%s rejected: %s" text e)
+    Ptg_sim.Fullsys.comparison
+
+(* The machine choice belongs to fullsys: spelled out for any other
+   kind, even at its default, the decoder names the mistake. *)
+let test_machine_choice_other_kind () =
+  List.iter
+    (fun text ->
+      match Result.bind (Json.parse text) Scenario.of_json with
+      | Ok _ -> Alcotest.failf "accepted %s" text
+      | Error e ->
+          Alcotest.(check bool) (Printf.sprintf "%s: %s" text e) true
+            (contains e "only valid for kind fullsys"))
+    [
+      {|{"kind":"fig6","guarded":true}|};
+      {|{"kind":"fig8","attack":false}|};
+      {|{"kind":"multicore","guarded":false,"attack":false}|};
     ]
 
 (* Decoder fuzzing. Two kinds of input: random objects over the
@@ -202,7 +249,7 @@ let gen_fuzz_value key =
     | "kind" -> str Scenario.kind_names
     | "seed" -> number
     | "seeds" -> int_in 1 3
-    | "reduced" -> map (fun b -> Json.Bool b) bool
+    | "reduced" | "guarded" | "attack" -> map (fun b -> Json.Bool b) bool
     | "design" -> str [ "baseline"; "optimized"; "Baseline" ]
     | "workloads" ->
         map (fun ws -> Json.List ws) (list_size (int_bound 3) (str [ "mcf"; "bc"; "xz"; "zzz" ]))
@@ -224,8 +271,8 @@ let gen_fuzz_value key =
 let wire_keys =
   [
     "kind"; "seed"; "seeds"; "reduced"; "design"; "mac_latency"; "workloads";
-    "instrs"; "warmup"; "processes"; "lines"; "mixes"; "trace"; "mitigation";
-    "params"; "jobs";
+    "instrs"; "warmup"; "processes"; "lines"; "mixes"; "guarded"; "attack";
+    "trace"; "mitigation"; "params"; "jobs";
   ]
 
 (* Integral floats print with a fraction ("1.0"), as a client in
@@ -370,6 +417,10 @@ let suite =
         test_golden_distinct;
       Alcotest.test_case "validate rejects bad scenarios" `Quick
         test_validate_rejects;
+      Alcotest.test_case "fullsys machine choice survives the wire" `Quick
+        test_machine_choice_round_trip;
+      Alcotest.test_case "machine choice rejected on other kinds" `Quick
+        test_machine_choice_other_kind;
       Alcotest.test_case "integral float parameter survives the wire" `Quick
         test_integral_float_param;
     ]

@@ -43,11 +43,14 @@ let check_result = Alcotest.testable Fullsys.pp_result ( = )
 (* Fullsys                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let uninterrupted =
+let uninterrupted_machine =
   lazy
     (let m = Fullsys.create ~seed () in
      ignore (Fullsys.run m ~instrs);
-     Fullsys.totals m)
+     m)
+
+let uninterrupted = lazy (Fullsys.totals (Lazy.force uninterrupted_machine))
+let uninterrupted_state = lazy (Fullsys.state (Lazy.force uninterrupted_machine))
 
 let test_chunked_equals_plain () =
   List.iter
@@ -133,22 +136,21 @@ let test_restore_rejects_wrong_key () =
   with_dir (fun dir ->
       let key = Checkpoint.fullsys_key ~seed () in
       ignore (Checkpoint.run_fullsys ~every:instrs ~dir ~seed ~instrs ());
-      let m = Fullsys.create ~seed () in
+      let path = Sweep.path ~dir ~key instrs in
+      let load key = Sweep.load ~kind:"fullsys" ~key path in
+      Alcotest.(check int) "its own key loads" instrs (fst (load key));
       Alcotest.(check bool)
-        "explicit restore with a foreign key raises" true
-        (match
-           Checkpoint.fullsys_restore
-             ~path:(Sweep.path ~dir ~key instrs)
-             ~key:"deadbeefdeadbeef" m
-         with
+        "explicit load with a foreign key raises" true
+        (match load "deadbeefdeadbeef" with
         | _ -> false
         | exception Invalid_argument _ -> true))
 
 (* A fault section carrying a NaN, infinite or negative disturbance
-   value, re-sealed under a valid container hash, is refused with a
-   message naming the row's key: a NaN row would never flip again. The
-   run that finds only such a checkpoint computes cold and still gets
-   the uninterrupted result. *)
+   value, re-sealed under a valid container hash, still loads, but the
+   machine built from it is refused with a message naming the row's
+   key: a NaN row would never flip again. The run that finds only such
+   a checkpoint computes cold and still gets the uninterrupted
+   result. *)
 let test_bad_disturbance_refused () =
   with_dir (fun dir ->
       ignore (Checkpoint.run_fullsys ~every:instrs ~dir ~seed ~instrs ());
@@ -175,7 +177,12 @@ let test_bad_disturbance_refused () =
                    Snapshot.section ~name:"fault" (Codec.contents w)
                  else sec)
                sections);
-          (match Checkpoint.fullsys_restore ~path ~key (Fullsys.create ~seed ()) with
+          let _, loaded = Sweep.load ~kind:"fullsys" ~key path in
+          let s_fault =
+            Ptg_snapshot.Sections.get_fault (Snapshot.reader ~what:path loaded "fault")
+          in
+          let state = { (Lazy.force uninterrupted_state) with Fullsys.s_fault } in
+          (match Fullsys.of_state ~seed state with
           | _ -> Alcotest.failf "disturbance %g restored" bad
           | exception Invalid_argument msg ->
               Alcotest.(check bool)

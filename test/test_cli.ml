@@ -107,6 +107,13 @@ let test_validation_exit_codes () =
   (* A full-system machine needs a mapped page. *)
   check_exit2 "stats --pages 0" "--pages";
   check_exit2 "stats --pages=-1" "--pages";
+  (* Sizes outside the scenario layer are named the same way: none
+     records nothing or divides by zero trials. *)
+  check_exit2 "stats --instrs=-1" "--instrs";
+  check_exit2 "trace record --instrs=-4 -o /dev/null" "--instrs";
+  check_exit2 "trace walk --instrs=-4" "--instrs";
+  check_exit2 "attacks --iterations 0" "--iterations";
+  check_exit2 "baselines --trials 0" "--trials";
   (* A checkpoint store that cannot be created is the caller's mistake,
      named before any machine runs. *)
   let parent = tmp ".missing" in
@@ -138,7 +145,40 @@ let test_scenario_size_exit_codes () =
   check "fig9 --lines 0" "lines must be >= 1";
   check "fig9 --seeds 0" "seeds must be >= 1";
   check "multicore --mixes 0" "mixes must be >= 1";
-  check "multicore --instrs 0" "instrs must be >= 1"
+  check "multicore --instrs 0" "instrs must be >= 1";
+  check "fullsys --instrs 0" "instrs must be >= 1"
+
+(* The CLI's fullsys store is keyed like the server's: the store
+   `fullsys --checkpoint-dir` leaves is adopted at full depth by the
+   served path on the default (guarded, attacked) scenario, and renders
+   the CLI's block for that machine byte for byte. *)
+let test_fullsys_store_shared () =
+  let module Scenario = Ptg_sim.Scenario in
+  let module Checkpoint = Ptg_sim.Checkpoint in
+  let dir = tmp ".store" in
+  Sys.remove dir;
+  let out = tmp "fullsys.out" in
+  Alcotest.(check int) "exit code" 0
+    (exec ~out (Printf.sprintf "fullsys --checkpoint-dir %s" dir));
+  let scenario = Scenario.make Scenario.Fullsys in
+  let stored = Sys.readdir dir in
+  let budget = ref 0 in
+  let served =
+    Checkpoint.run_scenario ~dir
+      ~progress:(fun ~done_count:_ ~total -> budget := total)
+      scenario
+  in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir;
+  Alcotest.(check bool) "stored under the served prefix hash" true
+    (Array.exists
+       (String.starts_with ~prefix:(Scenario.prefix_hash scenario ^ "."))
+       stored);
+  Alcotest.(check (option int)) "adopted at full depth" (Some !budget)
+    served.Checkpoint.resumed_from;
+  let text = Option.get served.Checkpoint.text in
+  Alcotest.(check bool) "the CLI printed the served text" true
+    (contains (read_file out) ("=== PT-Guard under attack ===\n" ^ text ^ "\n"))
 
 (* A TCP port held by a listening socket for the duration of [f]. *)
 let with_held_port f =
@@ -524,6 +564,8 @@ let suite =
       test_scenario_size_exit_codes;
     Alcotest.test_case "validation exit codes" `Quick
       test_validation_exit_codes;
+    Alcotest.test_case "fullsys store shared with the server" `Slow
+      test_fullsys_store_shared;
     Alcotest.test_case "serve bind failures exit 2" `Quick
       test_bind_failure_exit_codes;
     Alcotest.test_case "router bind failure reaps spawned shards" `Quick
