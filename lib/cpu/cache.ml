@@ -35,9 +35,11 @@ type t = {
   mutable tick : int;
   mutable accesses : int;
   mutable misses : int;
-  (* Writeback protocol of [access_fast]: valid until the next access. *)
+  (* Writeback protocol of [access_fast]: valid until the next access.
+     The victim is kept as its line index, a native int (exact, like the
+     tags), so publishing a dirty eviction stores no boxed int64. *)
   mutable wb_pending : bool;
-  mutable wb_addr : int64;
+  mutable wb_line : int;
 }
 
 let obs_of_sink ~name sink =
@@ -45,20 +47,13 @@ let obs_of_sink ~name sink =
   let c = Ptg_obs.Registry.counter (Ptg_obs.Sink.registry sink) ~labels in
   { o_accesses = c "cache_accesses"; o_misses = c "cache_misses" }
 
-let is_pow2 n = n > 0 && n land (n - 1) = 0
-
-let log2 n =
-  let r = ref 0 in
-  while 1 lsl !r < n do incr r done;
-  !r
-
 let create ?obs ?(name = "cache") cfg =
   if cfg.size_bytes mod (cfg.assoc * cfg.line_bytes) <> 0 then
     invalid_arg "Cache.create: geometry does not divide";
   let set_count = cfg.size_bytes / (cfg.assoc * cfg.line_bytes) in
-  if not (is_pow2 cfg.line_bytes) then
+  if not (Ptg_util.Bits.is_pow2 cfg.line_bytes) then
     invalid_arg "Cache.create: line_bytes must be a power of two";
-  if not (is_pow2 set_count) then
+  if not (Ptg_util.Bits.is_pow2 set_count) then
     invalid_arg "Cache.create: set count must be a power of two";
   let ways = set_count * cfg.assoc in
   {
@@ -68,15 +63,15 @@ let create ?obs ?(name = "cache") cfg =
     tags = Array.make ways (-1);
     lrus = Array.make ways 0;
     dirty = Bytes.make ways '\000';
-    line_shift = log2 cfg.line_bytes;
-    set_shift = log2 set_count;
+    line_shift = Ptg_util.Bits.log2 cfg.line_bytes;
+    set_shift = Ptg_util.Bits.log2 set_count;
     set_mask = set_count - 1;
     obs = Option.map (obs_of_sink ~name) obs;
     tick = 0;
     accesses = 0;
     misses = 0;
     wb_pending = false;
-    wb_addr = 0L;
+    wb_line = 0;
   }
 
 let config t = t.cfg
@@ -98,12 +93,11 @@ let locate t addr =
   let tag = line lsr t.set_shift in
   (set_idx * t.assoc, set_idx, tag)
 
-let line_addr_of t ~set_idx ~tag =
-  Int64.shift_left
-    (Int64.of_int ((tag lsl t.set_shift) lor set_idx))
-    t.line_shift
-
-let access_fast t ~addr ~is_write =
+(* [@inline]: it runs several times per simulated instruction, and
+   inlined (the caller needs this module's .cmx: a build without
+   -opaque) its int64 [addr] is shifted in registers instead of being
+   boxed for the call. *)
+let[@inline] access_fast t ~addr ~is_write =
   t.tick <- t.tick + 1;
   t.accesses <- t.accesses + 1;
   (match t.obs with None -> () | Some o -> Ptg_obs.Registry.incr o.o_accesses);
@@ -151,7 +145,7 @@ let access_fast t ~addr ~is_write =
     let old_tag = Array.unsafe_get tags victim in
     if old_tag >= 0 && Bytes.unsafe_get t.dirty victim = '\001' then begin
       t.wb_pending <- true;
-      t.wb_addr <- line_addr_of t ~set_idx ~tag:old_tag
+      t.wb_line <- (old_tag lsl t.set_shift) lor set_idx
     end;
     Array.unsafe_set tags victim tag;
     Bytes.unsafe_set t.dirty victim (if is_write then '\001' else '\000');
@@ -160,7 +154,7 @@ let access_fast t ~addr ~is_write =
   end
 
 let writeback_pending t = t.wb_pending
-let writeback_addr t = t.wb_addr
+let writeback_addr t = Int64.shift_left (Int64.of_int t.wb_line) t.line_shift
 
 let probe t ~addr =
   let base, _, tag = locate t addr in

@@ -192,9 +192,14 @@ let walk t vpn =
 
 let translate t vaddr =
   (* Fold virtual data addresses into the physical data region, keeping
-     page and line locality. *)
-  let a = Int64.rem vaddr t.cfg.data_region_bytes in
-  if Int64.compare a 0L < 0 then Int64.add a t.cfg.data_region_bytes else a
+     page and line locality. An address already inside the region is its
+     own fold (every Figure 6 stream stays inside), and returning it
+     skips the division and the fresh box. *)
+  let region = t.cfg.data_region_bytes in
+  if Int64.compare vaddr 0L >= 0 && Int64.compare vaddr region < 0 then vaddr
+  else
+    let a = Int64.rem vaddr region in
+    if Int64.compare a 0L < 0 then Int64.add a region else a
 
 let run t ~instrs ~stream =
   let start_cycles = t.now in

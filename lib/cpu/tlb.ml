@@ -54,7 +54,10 @@ let find t vpn =
   done;
   !found
 
-let lookup t ~vpn =
+(* [@inline] so the int64 [vpn] a caller computes is converted in
+   registers instead of being boxed for the call (the caller needs this
+   module's .cmx: a build without -opaque). *)
+let[@inline] lookup t ~vpn =
   t.tick <- t.tick + 1;
   let vpn = Int64.to_int vpn in
   (* MRU shortcut: page locality makes consecutive lookups overwhelmingly

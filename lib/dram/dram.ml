@@ -29,13 +29,32 @@ let obs_of_sink ~hot_row_threshold sink =
     o_trace = Ptg_obs.Sink.trace sink;
   }
 
+(* The address split of [Geometry.decode] as shifts and masks: [create]
+   accepts only power-of-two geometries, for which they are exact (a
+   line index is never negative). *)
+type split = {
+  col_mask : int;
+  channel_shift : int; (* log2 columns *)
+  channel_mask : int;
+  bank_shift : int; (* log2 (columns * channels) *)
+  bank_mask : int; (* total banks - 1 *)
+  row_shift : int; (* log2 (columns * channels * total banks) *)
+  row_mask : int;
+  rank_shift : int; (* log2 banks_per_rank *)
+}
+
 type t = {
   geometry : Geometry.t;
+  split : split;
   timing : Timing.t;
   banks : bank_state array array; (* channel -> flattened bank *)
   storage : (int64, Ptg_pte.Line.t) Hashtbl.t;
   obs : obs option;
   mutable epoch : int;
+  (* First cycle of epoch [epoch + 1]: the refresh check is one compare
+     against it, not a division. Set with [epoch], by [create],
+     [roll_epoch_if_needed] and [set_state]. *)
+  mutable next_epoch_at : int;
   mutable activate_listeners : (Geometry.coords -> unit) list;
   mutable refresh_listeners : (channel:int -> bank:int -> row:int -> unit) list;
   mutable epoch_listeners : (unit -> unit) list;
@@ -56,10 +75,42 @@ type access_result = {
   coords : Geometry.coords;
 }
 
+let split_of (g : Geometry.t) =
+  let log2 = Ptg_util.Bits.log2 in
+  List.iter
+    (fun (name, n) ->
+      if not (Ptg_util.Bits.is_pow2 n) then
+        invalid_arg
+          (Printf.sprintf "Dram.create: geometry %s = %d is not a power of two"
+             name n))
+    [
+      ("channels", g.channels);
+      ("ranks", g.ranks);
+      ("banks_per_rank", g.banks_per_rank);
+      ("rows_per_bank", g.rows_per_bank);
+      ("columns", g.columns);
+    ];
+  let channel_shift = log2 g.columns in
+  let bank_shift = channel_shift + log2 g.channels in
+  let banks = Geometry.total_banks g in
+  {
+    col_mask = g.columns - 1;
+    channel_shift;
+    channel_mask = g.channels - 1;
+    bank_shift;
+    bank_mask = banks - 1;
+    row_shift = bank_shift + log2 banks;
+    row_mask = g.rows_per_bank - 1;
+    rank_shift = log2 g.banks_per_rank;
+  }
+
+let epoch_end timing epoch = (epoch + 1) * timing.Timing.refresh_interval
+
 let create ?(geometry = Geometry.ddr4_4gb) ?(timing = Timing.ddr4_3ghz)
     ?obs ?(hot_row_threshold = 4096) () =
   {
     geometry;
+    split = split_of geometry;
     timing;
     banks =
       Array.init geometry.Geometry.channels (fun _ ->
@@ -68,6 +119,7 @@ let create ?(geometry = Geometry.ddr4_4gb) ?(timing = Timing.ddr4_3ghz)
     storage = Hashtbl.create 4096;
     obs = Option.map (obs_of_sink ~hot_row_threshold) obs;
     epoch = 0;
+    next_epoch_at = epoch_end timing 0;
     activate_listeners = [];
     refresh_listeners = [];
     epoch_listeners = [];
@@ -86,10 +138,13 @@ let on_activate t f = t.activate_listeners <- f :: t.activate_listeners
 let subscribe_refresh t f = t.refresh_listeners <- f :: t.refresh_listeners
 let on_refresh_epoch t f = t.epoch_listeners <- f :: t.epoch_listeners
 
+(* [now >= next_epoch_at] is [now / refresh_interval > epoch] for every
+   [now >= 0] and [epoch >= 0]; the division runs only on a roll. *)
 let roll_epoch_if_needed t ~now =
-  let epoch = now / t.timing.Timing.refresh_interval in
-  if epoch > t.epoch then begin
+  if now >= t.next_epoch_at then begin
+    let epoch = now / t.timing.Timing.refresh_interval in
     t.epoch <- epoch;
+    t.next_epoch_at <- epoch_end t.timing epoch;
     (match t.obs with
     | None -> ()
     | Some o -> Ptg_obs.Registry.incr o.o_refresh_epochs);
@@ -107,21 +162,18 @@ let roll_epoch_if_needed t ~now =
 
 let access_fast t ~now ~addr ~is_write =
   roll_epoch_if_needed t ~now;
-  (* Inline [Geometry.decode]: identical arithmetic, but no coords record
-     on the hit path — the record is materialized only for listeners. *)
-  let g = t.geometry in
+  (* [Geometry.decode] by shifts and masks: the same fields, but no
+     division and no coords record on the hit path — the record is
+     materialized only for listeners. The permuted bank stays below the
+     bank count, so decode's final [mod] is the identity. *)
+  let sp = t.split in
   let line = Int64.to_int (Int64.shift_right_logical addr 6) in
-  let col = line mod g.Geometry.columns in
-  let rest = line / g.Geometry.columns in
-  let channel = rest mod g.Geometry.channels in
-  let rest = rest / g.Geometry.channels in
-  let banks = Geometry.total_banks g in
-  let bank_raw = rest mod banks in
-  let rest = rest / banks in
-  let row = rest mod g.Geometry.rows_per_bank in
-  let bank = (bank_raw lxor (row land (banks - 1))) mod banks in
+  let col = line land sp.col_mask in
+  let channel = (line lsr sp.channel_shift) land sp.channel_mask in
+  let row = (line lsr sp.row_shift) land sp.row_mask in
+  let bank = ((line lsr sp.bank_shift) land sp.bank_mask) lxor (row land sp.bank_mask) in
   t.last_channel <- channel;
-  t.last_rank <- bank / g.Geometry.banks_per_rank;
+  t.last_rank <- bank lsr sp.rank_shift;
   t.last_bank <- bank;
   t.last_row <- row;
   t.last_col <- col;
@@ -339,6 +391,7 @@ let set_state t s =
         (Ptg_pte.Line.copy line))
     s.s_storage;
   t.epoch <- s.s_epoch;
+  t.next_epoch_at <- epoch_end t.timing s.s_epoch;
   t.total_activations <- s.s_total_activations;
   t.last_outcome <- s.s_last_outcome;
   t.last_channel <- s.s_last_channel;

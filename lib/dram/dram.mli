@@ -22,7 +22,12 @@ val create :
   ?hot_row_threshold:int ->
   unit ->
   t
-(** Defaults: {!Geometry.ddr4_4gb}, {!Timing.ddr4_3ghz}. With [obs], the
+(** Defaults: {!Geometry.ddr4_4gb}, {!Timing.ddr4_3ghz}. Every geometry
+    field must be a power of two (accesses decode addresses by shifts and
+    masks, exactly as {!Geometry.decode} does for such a geometry);
+    otherwise raises [Invalid_argument] naming the first offending field,
+    e.g. ["Dram.create: geometry columns = 100 is not a power of two"].
+    With [obs], the
     device counts activations, row-buffer outcomes and refresh epochs
     ([dram_*]) and records a [Row_activation] trace event the first time a
     row's per-window activation count reaches [hot_row_threshold]

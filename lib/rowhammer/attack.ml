@@ -89,8 +89,7 @@ let run dram ~channel ~bank pattern ~iterations ~start_time =
             bank; row; col = i land (geometry.Ptg_dram.Geometry.columns - 1) }
         in
         let addr = Ptg_dram.Geometry.encode geometry coords in
-        let r = Ptg_dram.Dram.access dram ~now:!now ~addr ~is_write:false in
-        now := !now + r.Ptg_dram.Dram.latency
+        now := !now + Ptg_dram.Dram.access_fast dram ~now:!now ~addr ~is_write:false
       end)
     sched;
   !now

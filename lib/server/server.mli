@@ -88,7 +88,8 @@ type config = {
           the deepest stored prefix of an identical later request (see
           {!Ptg_sim.Checkpoint.run_scenario}) *)
   snapshot_every : int option;
-      (** checkpoint cadence (scenario units) for [snapshot_dir] *)
+      (** checkpoint cadence (scenario units) for [snapshot_dir];
+          [None] checkpoints at completion or on a stop only *)
   obs : Ptg_obs.Sink.t option;
   handler :
     (progress:(done_count:int -> total:int -> unit) ->

@@ -144,13 +144,13 @@ type fullsys_outcome = {
    from the snapshot without constructing its page tables first, so an
    adopted checkpoint never pays for a cold machine, and a refused one
    leaves nothing half-restored behind. *)
-let run_fullsys ?config ?pages ?key ?keep ?every ?dir ?adopt ?should_stop
-    ?progress ~seed ~instrs () =
+let run_fullsys ?config ?pages ?key ?keep ?every ?poll ?dir ?adopt
+    ?should_stop ?progress ~seed ~instrs () =
   let key =
     match key with Some k -> k | None -> fullsys_key ?config ?pages ~seed ()
   in
   let m, completed, resumed_from =
-    Sweep.drive ?keep ?every ?dir ?adopt ?should_stop ?progress ~key
+    Sweep.drive ?keep ?every ?poll ?dir ?adopt ?should_stop ?progress ~key
       {
         Sweep.kind = "fullsys";
         total = instrs;
@@ -186,18 +186,18 @@ type served = {
   resumed_from : int option;
 }
 
-(* Without an explicit granularity, slice fullsys into ~10 instruction
-   chunks and sweeps one unit at a time, so [should_stop] gets a timely
-   look even when the caller never tuned [every]; a whole run is one
-   piece. *)
-let default_every = function
+(* Without an explicit cadence, poll fullsys every ~tenth of its budget
+   and sweeps after every unit, so [should_stop] gets a timely look even
+   when the caller never tuned [every]; a whole run is one piece. Polling
+   saves nothing: the checkpoint waits for completion or a stop. *)
+let default_poll = function
   | Scenario.Machine { instrs; _ } -> Some (max 1 (instrs / 10))
   | Scenario.Sweep _ -> Some 1
   | Scenario.Whole _ -> None
 
 (* Scenario kinds the driver can slice: kill, persist, resume,
    byte-identically. *)
-let sliceable t = default_every (Scenario.plan t) <> None
+let sliceable t = default_poll (Scenario.plan t) <> None
 
 (* Fullsys warm-starts by instruction prefix (keyed by
    [Scenario.prefix_hash]) and sweeps by unit prefix (keyed by the full
@@ -206,11 +206,11 @@ let sliceable t = default_every (Scenario.plan t) <> None
    [progress] stay live; a whole run is one piece. *)
 let run_scenario ?dir ?every ?adopt ?should_stop ?progress (t : Scenario.t) =
   let plan = Scenario.plan t in
-  let every = match every with Some _ -> every | None -> default_every plan in
+  let poll = default_poll plan in
   match plan with
   | Scenario.Sweep s ->
       let o =
-        Sweep.exec ?every ?dir ?adopt ?should_stop ?progress
+        Sweep.exec ?every ?poll ?dir ?adopt ?should_stop ?progress
           ~key:(Scenario.hash t) s
       in
       {
@@ -220,7 +220,7 @@ let run_scenario ?dir ?every ?adopt ?should_stop ?progress (t : Scenario.t) =
       }
   | Scenario.Machine { seed; instrs; config } ->
       let o =
-        run_fullsys ~config ?every ?dir ?adopt ?should_stop ?progress
+        run_fullsys ~config ?every ?poll ?dir ?adopt ?should_stop ?progress
           ~key:(Scenario.prefix_hash t) ~seed ~instrs ()
       in
       {

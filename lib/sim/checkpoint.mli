@@ -55,6 +55,7 @@ val run_fullsys :
   ?key:string ->
   ?keep:int ->
   ?every:int ->
+  ?poll:int ->
   ?dir:string ->
   ?adopt:bool ->
   ?should_stop:(unit -> bool) ->
@@ -65,8 +66,10 @@ val run_fullsys :
   fullsys_outcome
 (** Warm-start the machine from [dir] when possible ({!Fullsys.of_state}
     on the deepest usable checkpoint), else build it cold, and run
-    the remaining budget in chunks of [every] (one chunk when absent),
-    checkpointing after each chunk and at completion. [should_stop] is
+    the remaining budget in chunks of [every], checkpointing after each
+    chunk and at completion. Without [every] it runs in chunks of [poll]
+    (one chunk when absent too) and checkpoints at completion only.
+    [should_stop] is
     polled between chunks; stopping checkpoints the current position
     (when a chunk ran since the start or the warm start) and returns
     with [f_completed = false]. [adopt:false] still writes
@@ -103,7 +106,8 @@ val run_scenario :
     prefix (key {!Scenario.hash}); the rendering is byte-identical to
     {!Scenario.run_to_string}. [adopt:false] still writes checkpoints
     but starts cold (the CLI's checkpoint-without-[--resume] mode).
-    Sliceable scenarios run chunked even without [dir] (default
-    [every]: a tenth of the fullsys budget, one unit otherwise), so
-    [should_stop] and [progress] stay live mid-scenario; other kinds run
-    in one piece. *)
+    [every] is the checkpoint cadence. Without it, sliceable scenarios
+    still run chunked (a tenth of the fullsys budget, one unit
+    otherwise), so [should_stop] and [progress] stay live mid-scenario,
+    but checkpoint only at completion or on a stop; other kinds run in
+    one piece. *)

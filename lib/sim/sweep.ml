@@ -85,7 +85,7 @@ let adopt_from ~dir ~key inst =
          | _ -> None
          | exception (Invalid_argument _ | Sys_error _) -> None)
 
-let drive ?(keep = default_keep) ?every ?dir ?(adopt = true)
+let drive ?(keep = default_keep) ?every ?poll ?dir ?(adopt = true)
     ?(should_stop = never_stop) ?(progress = no_progress) ~key inst =
   let total = inst.total in
   let resumed =
@@ -109,7 +109,15 @@ let drive ?(keep = default_keep) ?every ?dir ?(adopt = true)
         end)
       dir
   in
-  let chunk = match every with Some e when e > 0 -> e | _ -> total in
+  (* [every] is the save cadence and the chunk; without it, [poll] only
+     chunks the run so [should_stop] gets a look, and saves wait for
+     completion or a stop. *)
+  let chunk =
+    match (every, poll) with
+    | Some e, _ when e > 0 -> e
+    | _, Some p when p > 0 -> p
+    | _ -> total
+  in
   let stepped = ref false and stopped = ref false in
   while (not !stopped) && inst.depth !s < total do
     if should_stop () then stopped := true
@@ -252,11 +260,11 @@ let instance ?obs t =
                 else None)));
   }
 
-let exec ?obs ?keep ?every ?dir ?adopt ?should_stop ?progress ~key t =
+let exec ?obs ?keep ?every ?poll ?dir ?adopt ?should_stop ?progress ~key t =
   if Option.is_some obs && Option.is_some dir then
     invalid_arg "Sweep.exec: a checkpointed run excludes obs";
   let (_, units), completed, resumed_from =
-    drive ?keep ?every ?dir ?adopt ?should_stop ?progress ~key (instance ?obs t)
+    drive ?keep ?every ?poll ?dir ?adopt ?should_stop ?progress ~key (instance ?obs t)
   in
   {
     o_result = (if completed then Some (t.finish units) else None);

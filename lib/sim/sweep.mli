@@ -68,6 +68,7 @@ type 's instance = {
 val drive :
   ?keep:int ->
   ?every:int ->
+  ?poll:int ->
   ?dir:string ->
   ?adopt:bool ->
   ?should_stop:(unit -> bool) ->
@@ -78,10 +79,10 @@ val drive :
 (** Adopt the deepest stored state in [dir] past the cold start and
     within the budget (damaged, foreign or mismatched files are skipped;
     [adopt:false] starts cold), else force the cold start, then loop:
-    poll [should_stop] at each chunk top, step up to [every] units (the
-    whole rest when absent), checkpoint (every chunk when [every] is
-    given, else at completion), prune to the deepest [keep] files,
-    report [progress]. A stop saves
+    poll [should_stop] at each chunk top, step up to [every] units (else
+    up to [poll] units, else the whole rest), checkpoint (every chunk
+    when [every] is given, else at completion), prune to the deepest
+    [keep] files, report [progress]. A stop saves
     its position only when a step ran since the start or adoption.
     Returns the final state, whether it completed, and the adopted
     depth. Without [dir] nothing is read or written. *)
@@ -132,6 +133,7 @@ val exec :
   ?obs:Ptg_obs.Sink.t ->
   ?keep:int ->
   ?every:int ->
+  ?poll:int ->
   ?dir:string ->
   ?adopt:bool ->
   ?should_stop:(unit -> bool) ->
@@ -139,7 +141,7 @@ val exec :
   key:string ->
   ('p, 'c, 'u, 'r) t ->
   ('u, 'r) outcome
-(** {!drive} the sweep, [every] counted in units. Each case of a chunk
+(** {!drive} the sweep, [every] and [poll] counted in units. Each case of a chunk
     reports into its own child of [obs], merged back in case order, so
     obs output is the same for any job count or chunking. Raises
     [Invalid_argument] when given both [obs] and [dir]: a checkpointed

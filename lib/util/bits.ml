@@ -60,3 +60,9 @@ let bytes_of_int64_le w =
 let int64_of_bytes_le b ~off = Bytes.get_int64_le b off
 let to_hex w = Printf.sprintf "%016Lx" w
 let pp_hex fmt w = Format.fprintf fmt "0x%s" (to_hex w)
+let is_pow2 n = n > 0 && n land (n - 1) = 0
+
+let log2 n =
+  let r = ref 0 in
+  while 1 lsl !r < n do incr r done;
+  !r

@@ -69,3 +69,15 @@ val to_hex : int64 -> string
 
 val pp_hex : Format.formatter -> int64 -> unit
 (** Formatter version of {!to_hex}, prefixed with [0x]. *)
+
+(** {2 Native-int sizes}
+
+    For the simulators' power-of-two geometries (cache sets and lines,
+    DRAM rows, banks, channels and columns), split by shifts and masks. *)
+
+val is_pow2 : int -> bool
+(** [is_pow2 n] is [true] when [n > 0] is a power of two. *)
+
+val log2 : int -> int
+(** [log2 n] is the least [r] with [2^r >= n]: the exact logarithm of a
+    power of two. *)

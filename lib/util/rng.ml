@@ -38,11 +38,17 @@ let create seed =
   else make4 s0 s1 s2 s3
 
 (* Local rotate so [next] stays free of cross-module calls; [n] is a
-   nonzero literal at both uses. *)
-let rotl w n =
+   nonzero literal at both uses.
+
+   [rotl], [next], [float] and [bernoulli] are [@inline]: inlined at a
+   call site in another module (which needs the .cmx, i.e. a build
+   without -opaque), the int64 words and the float never leave
+   registers, so a draw allocates nothing. Called out of line, each
+   returns a fresh box. *)
+let[@inline] rotl w n =
   Int64.logor (Int64.shift_left w n) (Int64.shift_right_logical w (64 - n))
 
-let next (t : t) =
+let[@inline] next (t : t) =
   let open Int64 in
   let s0 = Bigarray.Array1.unsafe_get t 0
   and s1 = Bigarray.Array1.unsafe_get t 1
@@ -104,13 +110,13 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int";
   Int64.to_int (int64_bounded t (Int64.of_int bound))
 
-let float t =
+let[@inline] float t =
   (* 53 random bits into the mantissa. *)
   let r = Int64.shift_right_logical (next t) 11 in
   Int64.to_float r *. (1.0 /. 9007199254740992.0)
 
 let bool t = Int64.logand (next t) 1L = 1L
-let bernoulli t p = float t < p
+let[@inline] bernoulli t p = float t < p
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

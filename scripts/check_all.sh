@@ -2,6 +2,11 @@
 # Full local gate: everything CI would need to trust a change.
 #
 #   1. build the whole tree
+#   1b. build-profile gate: no lib/ module compiles with -opaque (the
+#      workspace's release profile; -opaque would stop every
+#      cross-module inlining the timing model's hot path relies on), and
+#      `dune printenv .` still carries the strict warning set,
+#      -strict-sequence and -strict-formats (the root dune file)
 #   2. tier-1 test suite (dune runtest: unit, property, golden, e2e)
 #   3. fast serving tier alone (dune build @server) — redundant with
 #      runtest, but proves the alias stays wired for quick iteration
@@ -90,6 +95,26 @@ bench_gate() {
 
 echo "== build =="
 dune build
+
+echo "== build profile: cross-module inlining and strict warnings =="
+modules=$(find _build/default/lib -name '*.cmx' | sed 's|^_build/default/||')
+if [ -z "$modules" ]; then
+    echo "FAIL: no lib/ module was built natively" >&2
+    exit 1
+fi
+# shellcheck disable=SC2086 # one target per word
+if dune rules $modules | grep -q -- '-opaque'; then
+    echo "FAIL: lib/ modules compile with -opaque; build with the workspace's release profile" >&2
+    exit 1
+fi
+env=$(dune printenv .)
+for flag in '@1..3@5..28@30..39@43@46..47@49..57@61..62-40' -strict-sequence -strict-formats; do
+    if ! printf '%s\n' "$env" | grep -qF -- "$flag"; then
+        echo "FAIL: dune printenv . lacks $flag; the root dune file's env stanza must keep the dev warning set" >&2
+        exit 1
+    fi
+done
+echo "OK: no lib/ module is -opaque; warnings stay strict and errors"
 
 echo "== tier-1 tests (dune runtest) =="
 dune runtest

@@ -894,6 +894,33 @@ let test_scenario_dirless_stop () =
   Alcotest.(check (option string)) "no text" None o.Checkpoint.text;
   Alcotest.(check bool) "polled more than once" true (!polls > 1)
 
+(* Without [every], a served fullsys run polls at tenths of its budget
+   but checkpoints only when stopped and at completion: one store file
+   per save, where a save per poll would leave two after the prune. *)
+let test_scenario_default_saves_at_end () =
+  with_dir (fun dir ->
+      let s = Scenario.make ~seed ~instrs:20_000 Scenario.Fullsys in
+      let files () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+      let name n = Filename.basename (Checkpoint.path ~dir ~key:(Scenario.prefix_hash s) n) in
+      let reports = ref [] in
+      let progress ~done_count ~total:_ = reports := done_count :: !reports in
+      let stopped = Checkpoint.run_scenario ~dir ~progress ~should_stop:(stop_after 3) s in
+      Alcotest.(check bool) "stopped" false stopped.Checkpoint.completed;
+      Alcotest.(check (list int)) "polled at tenths" [ 2_000; 4_000; 6_000 ] (List.rev !reports);
+      Alcotest.(check (list string)) "one save, on the stop" [ name 6_000 ] (files ());
+      reports := [];
+      let resumed = Checkpoint.run_scenario ~dir ~progress s in
+      Alcotest.(check (option int)) "resumed" (Some 6_000) resumed.Checkpoint.resumed_from;
+      Alcotest.(check (list int)) "adopted depth, then tenths to the end"
+        (List.init 8 (fun i -> 6_000 + (2_000 * i)))
+        (List.rev !reports);
+      Alcotest.(check (list string)) "one more save, at completion"
+        (List.sort compare [ name 6_000; name 20_000 ])
+        (files ());
+      Alcotest.(check (option string))
+        "text byte-identical" (Some (Scenario.run_to_string s))
+        resumed.Checkpoint.text)
+
 let test_sliceable () =
   let mk ?seeds kind = Scenario.make ?seeds ~seed kind in
   List.iter
@@ -972,5 +999,7 @@ let suite =
       test_scenario_fig7_interrupted_then_resumed;
     Alcotest.test_case "scenario: dir-less stop mid-scenario" `Quick
       test_scenario_dirless_stop;
+    Alcotest.test_case "scenario: no every saves on stop and at end" `Quick
+      test_scenario_default_saves_at_end;
     Alcotest.test_case "scenario: sliceable kinds" `Quick test_sliceable;
   ]

@@ -81,6 +81,13 @@ let test_bytes_roundtrip () =
 let test_hex () =
   Alcotest.(check string) "to_hex" "00000000deadbeef" (Bits.to_hex 0xDEADBEEFL)
 
+let test_pow2 () =
+  Alcotest.(check (list bool)) "is_pow2"
+    [ false; false; true; true; false; true; false ]
+    (List.map Bits.is_pow2 [ -4; 0; 1; 2; 3; 4096; 4097 ]);
+  Alcotest.(check (list int)) "log2 of powers of two" [ 0; 1; 6; 15; 40 ]
+    (List.map (fun k -> Bits.log2 (1 lsl k)) [ 0; 1; 6; 15; 40 ])
+
 (* Properties *)
 let prop_popcount_naive =
   QCheck2.Test.make ~name:"popcount matches naive loop" ~count:500
@@ -121,6 +128,7 @@ let suite =
     Alcotest.test_case "rotations" `Quick test_rot;
     Alcotest.test_case "bytes roundtrip" `Quick test_bytes_roundtrip;
     Alcotest.test_case "hex" `Quick test_hex;
+    Alcotest.test_case "is_pow2/log2" `Quick test_pow2;
     QCheck_alcotest.to_alcotest prop_popcount_naive;
     QCheck_alcotest.to_alcotest prop_rot_inverse;
     QCheck_alcotest.to_alcotest prop_insert_extract;

@@ -209,8 +209,59 @@ let test_set_state_rejects_bad_counts () =
   Alcotest.(check bool) "a rejected state leaves the device as it was" true
     (Dram.state d = s)
 
+(* [create] decodes by shifts and masks, so a geometry field that is not
+   a power of two is refused, naming the field. *)
+let test_non_pow2_geometry_refused () =
+  let g = Geometry.ddr4_4gb in
+  List.iter
+    (fun (field, bad) ->
+      raises_naming field
+        (Printf.sprintf "Dram.create: geometry %s = " field)
+        (fun () -> Dram.create ~geometry:bad ()))
+    [
+      ("channels", { g with Geometry.channels = 3 });
+      ("ranks", { g with Geometry.ranks = 0 });
+      ("banks_per_rank", { g with Geometry.banks_per_rank = 12 });
+      ("rows_per_bank", { g with Geometry.rows_per_bank = 30000 });
+      ("columns", { g with Geometry.columns = 100 });
+    ];
+  ignore (Dram.create ~geometry:Geometry.ddr4_16gb ())
+
+(* The refresh window rolls on exactly the accesses where
+   [now / refresh_interval] first exceeds the epoch, as the division
+   this compare replaced did: crossing boundaries in order, skipping
+   windows, and after [set_state] moves the epoch forward or back. The
+   rolls below were recorded on the division-based device. *)
+let test_epoch_roll_points () =
+  let timing = { Timing.ddr4_3ghz with Timing.refresh_interval = 1000 } in
+  let d = Dram.create ~timing () in
+  let rolls = ref 0 in
+  Dram.on_refresh_epoch d (fun () -> incr rolls);
+  let run nows =
+    List.map
+      (fun now ->
+        ignore (Dram.access_fast d ~now ~addr:0x1000L ~is_write:false : int);
+        !rolls)
+      nows
+  in
+  Alcotest.(check (list int)) "boundaries in order"
+    [ 0; 0; 1; 1; 1; 2; 3; 3; 4 ]
+    (run [ 0; 999; 1000; 1001; 1999; 2000; 4500; 4999; 5000 ]);
+  let at_epoch e = { (Dram.state d) with Dram.s_epoch = e } in
+  Dram.set_state d (at_epoch 7);
+  Alcotest.(check (list int)) "after set_state forward"
+    [ 4; 4; 5; 5; 6 ]
+    (run [ 6000; 7999; 8000; 8999; 9000 ]);
+  Dram.set_state d (at_epoch 1);
+  Alcotest.(check (list int)) "after set_state back"
+    [ 6; 7; 7; 8 ]
+    (run [ 1500; 2000; 2999; 3000 ])
+
 let suite =
   [
+    Alcotest.test_case "non-power-of-two geometry refused" `Quick
+      test_non_pow2_geometry_refused;
+    Alcotest.test_case "refresh epoch roll points" `Quick test_epoch_roll_points;
     Alcotest.test_case "timing latencies" `Quick test_latencies;
     Alcotest.test_case "row buffer" `Quick test_row_buffer_state_machine;
     Alcotest.test_case "storage" `Quick test_storage;

@@ -291,9 +291,30 @@ let small =
 let wide =
   { Geometry.channels = 1; ranks = 1; banks_per_rank = 2; rows_per_bank = 8192; columns = 2 }
 
+(* The device decodes by shifts and masks; [Geometry.decode] by the
+   div/mod chain. [Dram.access] publishes the device's decode, which
+   must equal the chain's on every shipped and tested geometry, for
+   addresses near zero and across the whole int64 range. *)
+let decode_prop (name, g) =
+  QCheck2.Test.make ~name:(name ^ ": shift decode = Geometry.decode") ~count:2000
+    ~print:(Printf.sprintf "%Lx")
+    QCheck2.Gen.(oneof [ map Int64.of_int (int_bound (lines_of g * 64 * 2)); int64 ])
+    (fun addr ->
+      let d = Dram.create ~geometry:g () in
+      let got = (Dram.access d ~now:0 ~addr ~is_write:false).Dram.coords in
+      got = Geometry.decode g addr && Dram.last_channel d = got.Geometry.channel)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest table_prop;
     QCheck_alcotest.to_alcotest (prop ~name:"sparse = dense (small device)" ~count:150 small);
     QCheck_alcotest.to_alcotest (prop ~name:"sparse = dense (wide device)" ~count:60 wide);
   ]
+  @ List.map
+      (fun g -> QCheck_alcotest.to_alcotest (decode_prop g))
+      [
+        ("ddr4_4gb", Geometry.ddr4_4gb);
+        ("ddr4_16gb", Geometry.ddr4_16gb);
+        ("small", small);
+        ("wide", wide);
+      ]

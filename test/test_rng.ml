@@ -143,8 +143,51 @@ let test_geometric_edge () =
   Alcotest.check_raises "geometric p=0 invalid" (Invalid_argument "Rng.geometric")
     (fun () -> ignore (Rng.geometric rng 0.0))
 
+(* Known answers: the first draws of each generator for three seeds,
+   pinned so a change to how the draws compile (inlining, unboxing) or
+   are written cannot move the streams every experiment is seeded
+   from. Floats are compared bit for bit. *)
+let known_answers =
+  [
+    ( 0L,
+      [ 0x99ec5f36cb75f2b4L; 0xbf6e1f784956452aL; 0x1a5f849d4933e6e0L ],
+      [ 0x1.aa9653c498b4ap-2; 0x1.774b5a943f085p-1; 0x1.ffdf06ebb3d79p-1 ],
+      [ false; false; false; false; true; true; true; false ],
+      [ 981783L; 334611L; 190579L ] );
+    ( 42L,
+      [ 0x15780b2e0c2ec716L; 0x6104d9866d113a7eL; 0xae17533239e499a1L ],
+      [ 0x1.d9715a8e0766cp-1; 0x1.fbcdb8ffc5d8bp-1; 0x1.8a1b4a6202f2ap-1 ],
+      [ false; false; false; false; false; true; false; false ],
+      [ 297542L; 744561L; 426256L ] );
+    ( 7919L,
+      [ 0x74a41decdb6184abL; 0xf9b2ba7286d85582L; 0x01968d9fb77b48f2L ],
+      [ 0x1.5cf30e40e4ap-3; 0x1.2b259c22e9e9p-2; 0x1.0d1add703b5cp-6 ],
+      [ false; false; false; false; false; true; false; false ],
+      [ 538012L; 259015L; 973116L ] );
+  ]
+
+let test_known_answers () =
+  let bits = Alcotest.testable (fun fmt f -> Format.fprintf fmt "%h" f) (fun a b ->
+      Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+  in
+  List.iter
+    (fun (seed, next, float, bernoulli, bounded) ->
+      let r = Rng.create seed in
+      let draw n f = List.init n (fun _ -> f r) in
+      let what = Printf.sprintf "seed %Ld: %s" seed in
+      (* One stream, drawn in this order: next, float, bernoulli 0.3,
+         int64_bounded 1000003. *)
+      Alcotest.(check (list int64)) (what "next") next (draw 3 Rng.next);
+      Alcotest.(check (list bits)) (what "float") float (draw 3 Rng.float);
+      Alcotest.(check (list bool)) (what "bernoulli") bernoulli
+        (draw 8 (fun r -> Rng.bernoulli r 0.3));
+      Alcotest.(check (list int64)) (what "int64_bounded") bounded
+        (draw 3 (fun r -> Rng.int64_bounded r 1000003L)))
+    known_answers
+
 let suite =
   [
+    Alcotest.test_case "known answers" `Quick test_known_answers;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
     Alcotest.test_case "copy" `Quick test_copy;
