@@ -646,7 +646,49 @@ let addr_of ~cmd ~required socket port =
       end
       else Ptg_server.Server.Tcp 0
 
+(* Flags [serve] and [serve-router] share. Defaults come from the tier's
+   [default_config], so their literals live in lib/server only. *)
+let cache_args ~default ~doc ~what =
+  Term.(
+    const (fun cache cache_bytes -> (cache, cache_bytes))
+    $ Arg.(value & opt int default & info [ "cache" ] ~docv:"N" ~doc)
+    $ Arg.(
+        value
+        & opt (some int) None
+        & info [ "cache-bytes" ] ~docv:"BYTES"
+            ~doc:
+              ("Byte budget for the " ^ what
+             ^ " (key + value weights), enforced alongside the entry cap; \
+                unset means entries-only.")))
+
+let conn_args ~idle_timeout ~max_conns ~drain_deadline ~idle_doc =
+  Term.(
+    const (fun idle max drain -> (idle, max, drain))
+    $ Arg.(
+        value & opt float idle_timeout
+        & info [ "idle-timeout" ] ~docv:"SECS" ~doc:idle_doc)
+    $ Arg.(
+        value & opt int max_conns
+        & info [ "max-conns" ] ~docv:"N"
+            ~doc:
+              "Concurrent-connection cap; accepts beyond it are shed with \
+               a best-effort overloaded frame.")
+    $ Arg.(
+        value & opt float drain_deadline
+        & info [ "drain-deadline" ] ~docv:"SECS"
+            ~doc:"On shutdown, force-close connections still open after $(docv)."))
+
+let announce verb addr detail =
+  match addr with
+  | Ptg_server.Server.Unix_socket path -> Printf.printf "%s on %s %s\n%!" verb path detail
+  | Ptg_server.Server.Tcp port -> Printf.printf "%s on 127.0.0.1:%d %s\n%!" verb port detail
+
+let print_final_stats who stats =
+  print_endline (who ^ " stopped; final stats:");
+  List.iter (fun (k, v) -> Printf.printf "  %-16s %.0f\n" k v) stats
+
 let serve_cmd =
+  let defaults = Ptg_server.Server.default_config (Ptg_server.Server.Tcp 0) in
   let high_water =
     Arg.(
       value
@@ -657,9 +699,8 @@ let serve_cmd =
              with an immediate overloaded response (default: 2x workers).")
   in
   let cache =
-    Arg.(
-      value & opt int 64
-      & info [ "cache" ] ~docv:"N" ~doc:"Result-cache capacity (LRU entries).")
+    cache_args ~default:defaults.cache_capacity
+      ~doc:"Result-cache capacity (LRU entries)." ~what:"result cache"
   in
   let deadline =
     Arg.(
@@ -683,29 +724,12 @@ let serve_cmd =
              one's persisted checkpoint, so the window extension \
              actually buys forward progress.")
   in
-  let idle_timeout =
-    Arg.(
-      value & opt float 60.
-      & info [ "idle-timeout" ] ~docv:"SECS"
-          ~doc:
-            "Close a connection whose socket stays idle (or unwritable) \
-             for $(docv); 0 disables.")
-  in
-  let max_conns =
-    Arg.(
-      value & opt int 256
-      & info [ "max-conns" ] ~docv:"N"
-          ~doc:
-            "Concurrent-connection cap; accepts beyond it are shed with \
-             a best-effort overloaded frame.")
-  in
-  let drain_deadline =
-    Arg.(
-      value & opt float 5.
-      & info [ "drain-deadline" ] ~docv:"SECS"
-          ~doc:
-            "On shutdown, force-close connections still open after \
-             $(docv).")
+  let conns =
+    conn_args ~idle_timeout:defaults.idle_timeout_s ~max_conns:defaults.max_conns
+      ~drain_deadline:defaults.drain_deadline_s
+      ~idle_doc:
+        "Close a connection whose socket stays idle (or unwritable) for \
+         $(docv); 0 disables."
   in
   let inject_fault =
     (* Testing hook; see Ptg_server.Faults.of_spec for the grammar. *)
@@ -716,15 +740,6 @@ let serve_cmd =
           ~doc:
             "(testing) Arm a chaos fault: delay:SECS, wedge:SECS, torn \
              or drop, optionally :TIMES (e.g. wedge:2:3).")
-  in
-  let cache_bytes =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "cache-bytes" ] ~docv:"BYTES"
-          ~doc:
-            "Byte budget for the result cache (key + value weights), \
-             enforced alongside the entry cap; unset means entries-only.")
   in
   let snapshot_dir =
     Arg.(
@@ -747,12 +762,11 @@ let serve_cmd =
              (fig6); also the granularity at which cancelled or drained \
              computations stop. Default: checkpoint at completion only.")
   in
-  let run socket port jobs high_water cache cache_bytes snapshot_dir
-      snapshot_every deadline slices idle_timeout max_conns drain_deadline
+  let run socket port jobs high_water (cache, cache_bytes) snapshot_dir
+      snapshot_every deadline slices (idle_timeout, max_conns, drain_deadline)
       inject_fault trace metrics =
     let addr = addr_of ~cmd:"serve" ~required:false socket port in
     let obs = sink_of ~trace ~metrics in
-    let base = Ptg_server.Server.default_config addr in
     let faults = Ptg_server.Faults.create () in
     (match inject_fault with
     | None -> ()
@@ -764,9 +778,11 @@ let serve_cmd =
             exit 2));
     let config =
       {
-        base with
-        Ptg_server.Server.workers = jobs;
-        high_water = Option.value high_water ~default:(max 4 (2 * jobs));
+        defaults with
+        Ptg_server.Server.addr;
+        workers = jobs;
+        high_water =
+          Option.value high_water ~default:(Ptg_server.Server.default_high_water jobs);
         cache_capacity = cache;
         cache_bytes;
         snapshot_dir;
@@ -786,21 +802,11 @@ let serve_cmd =
         Printf.eprintf "serve: %s\n" msg;
         exit 2
     in
-    (match Ptg_server.Server.listen_addr server with
-    | Ptg_server.Server.Unix_socket path ->
-        Printf.printf "serving on %s (workers %d, high-water %d, cache %d)\n%!"
-          path config.Ptg_server.Server.workers
-          config.Ptg_server.Server.high_water cache
-    | Ptg_server.Server.Tcp port ->
-        Printf.printf
-          "serving on 127.0.0.1:%d (workers %d, high-water %d, cache %d)\n%!"
-          port config.Ptg_server.Server.workers
-          config.Ptg_server.Server.high_water cache);
+    announce "serving" (Ptg_server.Server.listen_addr server)
+      (Printf.sprintf "(workers %d, high-water %d, cache %d)" config.workers
+         config.high_water cache);
     Ptg_server.Server.wait server;
-    print_endline "server stopped; final stats:";
-    List.iter
-      (fun (k, v) -> Printf.printf "  %-16s %.0f\n" k v)
-      (Ptg_server.Server.stats server);
+    print_final_stats "server" (Ptg_server.Server.stats server);
     export_sink obs ~trace ~metrics
   in
   Cmd.v
@@ -812,8 +818,7 @@ let serve_cmd =
           connection cap. Stops on a shutdown frame.")
     Term.(
       const run $ socket_arg $ port_arg $ jobs_arg $ high_water $ cache
-      $ cache_bytes $ snapshot_dir $ snapshot_every
-      $ deadline $ slices $ idle_timeout $ max_conns $ drain_deadline
+      $ snapshot_dir $ snapshot_every $ deadline $ slices $ conns
       $ inject_fault $ trace_file_arg $ metrics_arg)
 
 let loadgen_cmd =
@@ -940,6 +945,7 @@ let loadgen_cmd =
       $ request_timeout $ swarm)
 
 let serve_router_cmd =
+  let defaults = Ptg_server.Router.default_config (Ptg_server.Server.Tcp 0) ~shards:[] in
   let shard_args =
     Arg.(
       value & opt_all string []
@@ -960,19 +966,8 @@ let serve_router_cmd =
              stops.")
   in
   let cache =
-    Arg.(
-      value & opt int 64
-      & info [ "cache" ] ~docv:"N"
-          ~doc:"Router hot-set cache capacity (LRU entries).")
-  in
-  let cache_bytes =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "cache-bytes" ] ~docv:"BYTES"
-          ~doc:
-            "Byte budget for the hot-set cache (key + value weights), \
-             enforced alongside the entry cap; unset means entries-only.")
+    cache_args ~default:defaults.cache_capacity
+      ~doc:"Router hot-set cache capacity (LRU entries)." ~what:"hot-set cache"
   in
   let vnodes =
     Arg.(
@@ -1004,29 +999,10 @@ let serve_router_cmd =
              transport failure (retried, then the shard is ejected and \
              the request re-routed).")
   in
-  let idle_timeout =
-    Arg.(
-      value & opt float 60.
-      & info [ "idle-timeout" ] ~docv:"SECS"
-          ~doc:
-            "Close a client connection whose socket stays idle for \
-             $(docv); 0 disables.")
-  in
-  let max_conns =
-    Arg.(
-      value & opt int 256
-      & info [ "max-conns" ] ~docv:"N"
-          ~doc:
-            "Concurrent-connection cap; accepts beyond it are shed with \
-             a best-effort overloaded frame.")
-  in
-  let drain_deadline =
-    Arg.(
-      value & opt float 5.
-      & info [ "drain-deadline" ] ~docv:"SECS"
-          ~doc:
-            "On shutdown, force-close connections still open after \
-             $(docv).")
+  let conns =
+    conn_args ~idle_timeout:defaults.idle_timeout_s ~max_conns:defaults.max_conns
+      ~drain_deadline:defaults.drain_deadline_s
+      ~idle_doc:"Close a client connection whose socket stays idle for $(docv); 0 disables."
   in
   let shard_snapshot_dir =
     Arg.(
@@ -1099,8 +1075,8 @@ let serve_router_cmd =
     close_in_noerr ic
   in
   let run socket port shard_addrs spawn snapshot_dir snapshot_every slices
-      deadline cache cache_bytes vnodes health_interval strikes
-      request_timeout idle_timeout max_conns drain_deadline trace metrics =
+      deadline (cache, cache_bytes) vnodes health_interval strikes
+      request_timeout (idle_timeout, max_conns, drain_deadline) trace metrics =
     let addr = addr_of ~cmd:"serve-router" ~required:false socket port in
     if spawn < 0 then begin
       Printf.eprintf "serve-router: --spawn must be >= 0\n";
@@ -1138,11 +1114,12 @@ let serve_router_cmd =
     let children = List.init spawn (spawn_shard shard_extra) in
     let shards = named @ List.map (fun (_, _, a) -> a) children in
     let obs = sink_of ~trace ~metrics in
-    let base = Ptg_server.Router.default_config addr ~shards in
     let config =
       {
-        base with
-        Ptg_server.Router.cache_capacity = cache;
+        defaults with
+        Ptg_server.Router.addr;
+        shards;
+        cache_capacity = cache;
         cache_bytes;
         vnodes;
         health_interval_s = health_interval;
@@ -1166,20 +1143,12 @@ let serve_router_cmd =
             exit 2
         | e -> raise e)
     in
-    (match Ptg_server.Router.listen_addr router with
-    | Ptg_server.Server.Unix_socket path ->
-        Printf.printf "routing on %s across %d shards (cache %d, vnodes %d)\n%!"
-          path (List.length shards) cache vnodes
-    | Ptg_server.Server.Tcp port ->
-        Printf.printf
-          "routing on 127.0.0.1:%d across %d shards (cache %d, vnodes %d)\n%!"
-          port (List.length shards) cache vnodes);
+    announce "routing" (Ptg_server.Router.listen_addr router)
+      (Printf.sprintf "across %d shards (cache %d, vnodes %d)" (List.length shards) cache
+         vnodes);
     Ptg_server.Router.wait router;
     List.iter shutdown_shard children;
-    print_endline "router stopped; final stats:";
-    List.iter
-      (fun (k, v) -> Printf.printf "  %-16s %.0f\n" k v)
-      (Ptg_server.Router.stats router);
+    print_final_stats "router" (Ptg_server.Router.stats router);
     export_sink obs ~trace ~metrics
   in
   Cmd.v
@@ -1193,9 +1162,8 @@ let serve_router_cmd =
     Term.(
       const run $ socket_arg $ port_arg $ shard_args $ spawn
       $ shard_snapshot_dir $ shard_snapshot_every $ shard_slices
-      $ shard_deadline $ cache $ cache_bytes $ vnodes $ health_interval
-      $ strikes $ request_timeout $ idle_timeout $ max_conns
-      $ drain_deadline $ trace_file_arg $ metrics_arg)
+      $ shard_deadline $ cache $ vnodes $ health_interval
+      $ strikes $ request_timeout $ conns $ trace_file_arg $ metrics_arg)
 
 let all_cmd =
   let run seed jobs =

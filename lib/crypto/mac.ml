@@ -114,4 +114,4 @@ let flip_bit m i =
   if i < 64 then { m with lo = Ptg_util.Bits.flip m.lo i }
   else { m with hi32 = Ptg_util.Bits.flip m.hi32 (i - 64) }
 
-let pp fmt m = Format.fprintf fmt "0x%08Lx%016Lx" m.hi32 m.lo
+let pp fmt m = Format.fprintf fmt "0x%08Lx%s" m.hi32 (Ptg_util.Bits.to_hex m.lo)

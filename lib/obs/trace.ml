@@ -93,13 +93,13 @@ let attrs = function
   | Os_journal { entry } -> [ ("entry", entry) ]
   | Server_request { hash; status; cache } ->
       [
-        ("hash", Printf.sprintf "%016Lx" hash);
+        ("hash", Ptg_util.Bits.to_hex hash);
         ("status", status);
         ("cache", cache);
       ]
   | Router_request { hash; status; shard } ->
       [
-        ("hash", Printf.sprintf "%016Lx" hash);
+        ("hash", Ptg_util.Bits.to_hex hash);
         ("status", status);
         ("shard", shard);
       ]

@@ -14,11 +14,9 @@ type t = {
   mutex : Mutex.t;
   mutable armed : kind option;
   mutable remaining : int;
-  mutable fired : int;
 }
 
-let create () =
-  { mutex = Mutex.create (); armed = None; remaining = 0; fired = 0 }
+let create () = { mutex = Mutex.create (); armed = None; remaining = 0 }
 
 let arm ?(times = 1) t kind =
   if times < 1 then invalid_arg "Faults.arm: times";
@@ -46,7 +44,6 @@ let take_matching t f =
         match f kind with
         | Some _ as hit ->
             t.remaining <- t.remaining - 1;
-            t.fired <- t.fired + 1;
             if t.remaining = 0 then t.armed <- None;
             hit
         | None -> None)
@@ -54,12 +51,6 @@ let take_matching t f =
   in
   Mutex.unlock t.mutex;
   r
-
-let fired t =
-  Mutex.lock t.mutex;
-  let n = t.fired in
-  Mutex.unlock t.mutex;
-  n
 
 let of_spec spec =
   let parts = String.split_on_char ':' spec in

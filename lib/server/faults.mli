@@ -45,10 +45,8 @@ val take_matching : t -> (kind -> 'a option) -> 'a option
 (** [take_matching t f] consumes one firing iff a fault is armed, has
     budget left and [f kind] is [Some _] — returning that value — and
     [None] otherwise (leaving the budget untouched, so a non-matching
-    injection point never burns a firing). Thread-safe. *)
-
-val fired : t -> int
-(** Total firings consumed since {!create}. *)
+    injection point never burns a firing). Thread-safe. The consumer
+    counts the firings it takes ({!Server}'s [faults_injected]). *)
 
 val of_spec : string -> (kind * int, string) result
 (** Parse a CLI fault spec: [KIND[:ARG][:TIMES]] —

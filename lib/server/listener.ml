@@ -53,16 +53,13 @@ type t = {
   conn_fds : (Unix.file_descr, unit) Hashtbl.t;
   mutable fe : frontend option;
   mutable conns : int;
-  mutable conn_shed : int;
-  mutable accept_errors : int;
-  mutable idle_closed : int;
   mutable stopping : bool;
   mutable finalized : bool;
   mutable accept_thread : Thread.t option;
   mutable ticker_thread : Thread.t option;
-  c_conn_shed : Registry.counter option;  (* obs twins of the counts *)
-  c_accept_errors : Registry.counter option;
-  c_idle_closed : Registry.counter option;
+  conn_shed : Registry.counter;
+  accept_errors : Registry.counter;
+  idle_closed : Registry.counter;
 }
 
 let bound t = t.bound
@@ -74,12 +71,13 @@ let locked t f =
   r
 
 let stats t =
+  let c r = float_of_int (Registry.counter_value r) in
   locked t (fun () ->
       List.sort compare
-        (("accept_errors", float_of_int t.accept_errors)
-        :: ("conn_shed", float_of_int t.conn_shed)
+        (("accept_errors", c t.accept_errors)
+        :: ("conn_shed", c t.conn_shed)
         :: ("conns", float_of_int t.conns)
-        :: ("idle_closed", float_of_int t.idle_closed)
+        :: ("idle_closed", c t.idle_closed)
         :: Option.fold ~none:[] ~some:(fun fe -> fe.stats_locked ()) t.fe))
 
 (* ------------------------------------------------------------------ *)
@@ -123,7 +121,7 @@ let open_listener addr =
       raise e
   with Unix.Unix_error (err, _, _) -> raise (bind_error addr (Unix.error_message err))
 
-let create ~name ~mutex ?registry config =
+let create ~name ~mutex ~registry config =
   let check ok field =
     if not ok then invalid_arg (String.capitalize_ascii name ^ ".start: " ^ field)
   in
@@ -133,7 +131,7 @@ let create ~name ~mutex ?registry config =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let listen_fd, bound = open_listener config.addr in
   let pipe_r, pipe_w = Unix.pipe ~cloexec:true () in
-  let counter suffix = Option.map (fun reg -> Registry.counter reg (name ^ suffix)) registry in
+  let counter suffix = Registry.counter registry (name ^ suffix) in
   {
     config;
     mutex;
@@ -145,16 +143,13 @@ let create ~name ~mutex ?registry config =
     conn_fds = Hashtbl.create 64;
     fe = None;
     conns = 0;
-    conn_shed = 0;
-    accept_errors = 0;
-    idle_closed = 0;
     stopping = false;
     finalized = false;
     accept_thread = None;
     ticker_thread = None;
-    c_conn_shed = counter "_conns_shed_total";
-    c_accept_errors = counter "_accept_errors_total";
-    c_idle_closed = counter "_conns_idle_closed_total";
+    conn_shed = counter "_conns_shed_total";
+    accept_errors = counter "_accept_errors_total";
+    idle_closed = counter "_conns_idle_closed_total";
   }
 
 (* ------------------------------------------------------------------ *)
@@ -225,9 +220,7 @@ let handle_conn t fe fd =
           t.config.idle_timeout_s > 0.
           && Clock.elapsed_s read_t0 >= 0.9 *. t.config.idle_timeout_s
         then
-          locked t (fun () ->
-              t.idle_closed <- t.idle_closed + 1;
-              Option.iter Registry.incr t.c_idle_closed)
+          locked t (fun () -> Registry.incr t.idle_closed)
     | Eof -> ()
     | Too_long ->
         locked t fe.on_error_locked;
@@ -292,11 +285,7 @@ let shed_conn fd =
 let accept_backoff_s = 0.05
 
 let accept_loop t fe =
-  let accept_error () =
-    locked t (fun () ->
-        t.accept_errors <- t.accept_errors + 1;
-        Option.iter Registry.incr t.c_accept_errors)
-  in
+  let accept_error () = locked t (fun () -> Registry.incr t.accept_errors) in
   let rec loop () =
     match Unix.select [ t.listen_fd; t.pipe_r ] [] [] (-1.0) with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
@@ -314,10 +303,7 @@ let accept_loop t fe =
         | fd, _ ->
             Mutex.lock t.mutex;
             let over = t.conns >= t.config.max_conns in
-            if over then begin
-              t.conn_shed <- t.conn_shed + 1;
-              Option.iter Registry.incr t.c_conn_shed
-            end
+            if over then Registry.incr t.conn_shed
             else begin
               t.conns <- t.conns + 1;
               Hashtbl.replace t.conn_fds fd ()

@@ -56,11 +56,12 @@ type frontend = {
 
 type t
 
-val create : name:string -> mutex:Mutex.t -> ?registry:Ptg_obs.Registry.t -> config -> t
+val create : name:string -> mutex:Mutex.t -> registry:Ptg_obs.Registry.t -> config -> t
 (** Validate the limits ([Invalid_argument "Name.start: field"]) and
-    bind (or raise {!Bind_error} with the socket closed). [name]
-    prefixes the [_conns_shed_total], [_accept_errors_total] and
-    [_conns_idle_closed_total] counters. *)
+    bind (or raise {!Bind_error} with the socket closed). Shed
+    connections, accept errors and idle closes are counted once, in
+    [registry]'s [<name>_conns_shed_total], [<name>_accept_errors_total]
+    and [<name>_conns_idle_closed_total] counters. *)
 
 val serve : t -> frontend -> unit
 (** Start accepting. *)
@@ -69,8 +70,10 @@ val bound : t -> addr
 (** For [Tcp 0], the actual ephemeral port. *)
 
 val stats : t -> (string * float) list
-(** The front end's rows plus [accept_errors], [conn_shed], [conns] and
-    [idle_closed], sorted by key; also the [stats] op payload. *)
+(** The front end's rows plus [accept_errors], [conn_shed] and
+    [idle_closed] (the three counters above, read under their short
+    names) and the open-connection count [conns], sorted by key; also
+    the [stats] op payload. *)
 
 val stop : t -> unit
 (** Stop accepting, half-close every connection, force-close stragglers

@@ -5,7 +5,18 @@
    budget over encoded sizes (key + value bytes). A fullsys rendering is
    three orders of magnitude bigger than a fig6 row summary, so counting
    entries alone would let a handful of huge results evict the whole hot
-   set's worth of budget while reporting a healthy entry count. *)
+   set's worth of budget while reporting a healthy entry count.
+
+   Hits, misses and evictions are counted in registry counters, so an
+   owner that exports them hands over its own and reads them back. *)
+
+module Registry = Ptg_obs.Registry
+
+type counters = {
+  hits : Registry.counter;
+  misses : Registry.counter;
+  evictions : Registry.counter;
+}
 
 type node = {
   key : string;
@@ -21,14 +32,12 @@ type t = {
   mutable head : node option;
   mutable tail : node option;
   mutable bytes : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
+  counts : counters;
 }
 
 let weight ~key ~value = String.length key + String.length value
 
-let create ?max_bytes ~capacity () =
+let counted counts ?max_bytes ~capacity () =
   if capacity < 1 then invalid_arg "Lru.create: capacity";
   (match max_bytes with
   | Some b when b < 1 -> invalid_arg "Lru.create: max_bytes"
@@ -40,18 +49,23 @@ let create ?max_bytes ~capacity () =
     head = None;
     tail = None;
     bytes = 0;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
+    counts;
   }
+
+let create ?max_bytes ~capacity () =
+  let reg = Registry.create () in
+  let counter name = Registry.counter reg name in
+  counted
+    { hits = counter "hits"; misses = counter "misses"; evictions = counter "evictions" }
+    ?max_bytes ~capacity ()
 
 let capacity t = t.cap
 let max_bytes t = t.max_bytes
 let length t = Hashtbl.length t.tbl
 let bytes t = t.bytes
-let hits t = t.hits
-let misses t = t.misses
-let evictions t = t.evictions
+let hits t = Registry.counter_value t.counts.hits
+let misses t = Registry.counter_value t.counts.misses
+let evictions t = Registry.counter_value t.counts.evictions
 
 let to_alist t =
   let rec go acc = function
@@ -75,10 +89,10 @@ let push_front t n =
 let find t key =
   match Hashtbl.find_opt t.tbl key with
   | None ->
-      t.misses <- t.misses + 1;
+      Registry.incr t.counts.misses;
       None
   | Some n ->
-      t.hits <- t.hits + 1;
+      Registry.incr t.counts.hits;
       unlink t n;
       push_front t n;
       Some n.value
@@ -101,7 +115,7 @@ let rec evict_while_over t =
         unlink t lru;
         Hashtbl.remove t.tbl lru.key;
         t.bytes <- t.bytes - weight ~key:lru.key ~value:lru.value;
-        t.evictions <- t.evictions + 1;
+        Registry.incr t.counts.evictions;
         evict_while_over t
 
 let put t key value =

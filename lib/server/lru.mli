@@ -10,14 +10,25 @@
     hundred tiny fig6 rows.
 
     Not thread-safe by itself — the server guards it with the same mutex
-    that protects its scheduler state. Hit/miss/eviction counts are
-    tracked here and exported into the server's metrics registry. *)
+    that protects its scheduler state. Hit/miss/eviction counts live in
+    registry counters: an owner that exports them passes its own to
+    {!counted}, so each event is counted once. *)
 
 type t
 
-val create : ?max_bytes:int -> capacity:int -> unit -> t
-(** Raises [Invalid_argument] on [capacity < 1] or [max_bytes < 1].
+type counters = {
+  hits : Ptg_obs.Registry.counter;
+  misses : Ptg_obs.Registry.counter;
+  evictions : Ptg_obs.Registry.counter;
+}
+
+val counted : counters -> ?max_bytes:int -> capacity:int -> unit -> t
+(** A cache that counts its hits, misses and evictions in [counters].
+    Raises [Invalid_argument] on [capacity < 1] or [max_bytes < 1].
     Without [max_bytes] only the entry count bounds the cache. *)
+
+val create : ?max_bytes:int -> capacity:int -> unit -> t
+(** {!counted} over counters of a private registry. *)
 
 val capacity : t -> int
 val max_bytes : t -> int option

@@ -67,22 +67,37 @@ let default_config addr ~shards =
     obs = None;
   }
 
-(* Handles resolved once at startup; per-shard series are labelled with
-   the shard index so one registry serves any topology. *)
+(* One registry counter per event, in the sink's registry when there is
+   one and in a private registry otherwise; the [stats] payload reads the
+   same counters. Handles are resolved once at startup and updated under
+   the router mutex. *)
+type counters = {
+  served : Registry.counter;
+  forwarded : Registry.counter;
+  reroutes : Registry.counter;
+  adoptions : Registry.counter;
+  no_live : Registry.counter;
+  errors : Registry.counter;
+  timeouts : Registry.counter;
+  overloaded : Registry.counter;
+}
+
+let make_counters reg =
+  let c name = Registry.counter reg ("router_" ^ name ^ "_total") in
+  {
+    served = c "served";
+    forwarded = c "forwarded";
+    reroutes = c "reroutes";
+    adoptions = c "adoptions";
+    no_live = c "no_live_shard";
+    errors = c "errors";
+    timeouts = c "timeouts";
+    overloaded = c "overloaded";
+  }
+
+(* Gauges and trace events exist only with a sink; per-shard series are
+   labelled with the shard index so one registry serves any topology. *)
 type obs_metrics = {
-  c_served : Registry.counter;
-  c_hits : Registry.counter;
-  c_misses : Registry.counter;
-  c_forwarded : Registry.counter;
-  c_reroutes : Registry.counter;
-  c_adoptions : Registry.counter;
-  c_no_live : Registry.counter;
-  c_errors : Registry.counter;
-  c_timeouts : Registry.counter;
-  c_overloaded : Registry.counter;
-  shard_requests : Registry.counter array;
-  shard_ejections : Registry.counter array;
-  shard_readmissions : Registry.counter array;
   g_ring : Registry.gauge array;
   g_hit_ratio : Registry.gauge;
   g_live : Registry.gauge;
@@ -91,24 +106,7 @@ type obs_metrics = {
 
 let make_obs sink ~shards =
   let reg = Ptg_obs.Sink.registry sink in
-  let per name =
-    Array.init shards (fun i ->
-        Registry.counter reg ~labels:[ ("shard", string_of_int i) ] name)
-  in
   {
-    c_served = Registry.counter reg "router_served_total";
-    c_hits = Registry.counter reg "router_cache_hits_total";
-    c_misses = Registry.counter reg "router_cache_misses_total";
-    c_forwarded = Registry.counter reg "router_forwarded_total";
-    c_reroutes = Registry.counter reg "router_reroutes_total";
-    c_adoptions = Registry.counter reg "router_adoptions_total";
-    c_no_live = Registry.counter reg "router_no_live_shard_total";
-    c_errors = Registry.counter reg "router_errors_total";
-    c_timeouts = Registry.counter reg "router_timeouts_total";
-    c_overloaded = Registry.counter reg "router_overloaded_total";
-    shard_requests = per "router_shard_requests_total";
-    shard_ejections = per "router_shard_ejections_total";
-    shard_readmissions = per "router_shard_readmissions_total";
     g_ring =
       Array.init shards (fun i ->
           Registry.gauge reg
@@ -123,9 +121,9 @@ type shard_state = {
   s_addr : Server.addr;
   mutable live : bool;
   mutable strikes : int;
-  mutable requests : int;
-  mutable ejections : int;
-  mutable readmissions : int;
+  requests : Registry.counter;
+  ejections : Registry.counter;
+  readmissions : Registry.counter;
 }
 
 type t = {
@@ -138,20 +136,11 @@ type t = {
   mutable conn_seq : int;
   mutable health_stop : bool;
   mutable health_thread : Thread.t option;
-  mutable served : int;
-  mutable forwarded : int;
-  mutable reroutes : int;
-  mutable adoptions : int;
-  mutable no_live : int;
-  mutable errors : int;
-  mutable timeouts : int;
-  mutable overloaded : int;
+  counts : counters;
   obs_m : obs_metrics option;
 }
 
 let listen_addr t = Listener.bound t.listener
-
-let obs_incr t f = match t.obs_m with Some m -> Registry.incr (f m) | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Shard health (all _locked helpers require the router mutex)         *)
@@ -174,8 +163,7 @@ let eject_locked t i =
   let st = t.states.(i) in
   if st.live then begin
     st.live <- false;
-    st.ejections <- st.ejections + 1;
-    obs_incr t (fun m -> m.shard_ejections.(i));
+    Registry.incr st.ejections;
     sync_topology_gauges_locked t
   end
 
@@ -189,8 +177,7 @@ let mark_healthy_locked t i =
   st.strikes <- 0;
   if not st.live then begin
     st.live <- true;
-    st.readmissions <- st.readmissions + 1;
-    obs_incr t (fun m -> m.shard_readmissions.(i));
+    Registry.incr st.readmissions;
     sync_topology_gauges_locked t
   end
 
@@ -208,26 +195,28 @@ let sync_hit_ratio_locked t =
 (* ------------------------------------------------------------------ *)
 
 let stats_locked t =
-  let totals f = Array.fold_left (fun a s -> a + f s) 0 t.states in
+  let n = float_of_int and c r = float_of_int (Registry.counter_value r) in
+  let k = t.counts in
+  let total f = Array.fold_left (fun a s -> a +. c (f s)) 0. t.states in
   let base =
     [
-      ("adoptions", float_of_int t.adoptions);
-      ("cache_bytes", float_of_int (Lru.bytes t.cache));
-      ("cache_entries", float_of_int (Lru.length t.cache));
-      ("cache_evictions", float_of_int (Lru.evictions t.cache));
-      ("cache_hits", float_of_int (Lru.hits t.cache));
-      ("cache_misses", float_of_int (Lru.misses t.cache));
-      ("ejections", float_of_int (totals (fun s -> s.ejections)));
-      ("errors", float_of_int t.errors);
-      ("forwarded", float_of_int t.forwarded);
-      ("no_live", float_of_int t.no_live);
-      ("overloaded", float_of_int t.overloaded);
-      ("readmissions", float_of_int (totals (fun s -> s.readmissions)));
-      ("reroutes", float_of_int t.reroutes);
-      ("served", float_of_int t.served);
-      ("shards", float_of_int (Array.length t.states));
-      ("shards_live", float_of_int (live_count_locked t));
-      ("timeouts", float_of_int t.timeouts);
+      ("adoptions", c k.adoptions);
+      ("cache_bytes", n (Lru.bytes t.cache));
+      ("cache_entries", n (Lru.length t.cache));
+      ("cache_evictions", n (Lru.evictions t.cache));
+      ("cache_hits", n (Lru.hits t.cache));
+      ("cache_misses", n (Lru.misses t.cache));
+      ("ejections", total (fun s -> s.ejections));
+      ("errors", c k.errors);
+      ("forwarded", c k.forwarded);
+      ("no_live", c k.no_live);
+      ("overloaded", c k.overloaded);
+      ("readmissions", total (fun s -> s.readmissions));
+      ("reroutes", c k.reroutes);
+      ("served", c k.served);
+      ("shards", n (Array.length t.states));
+      ("shards_live", n (live_count_locked t));
+      ("timeouts", c k.timeouts);
     ]
   in
   let per_shard =
@@ -235,9 +224,9 @@ let stats_locked t =
       (List.init (Array.length t.states) (fun i ->
            let st = t.states.(i) in
            [
-             (Printf.sprintf "shard%d_ejections" i, float_of_int st.ejections);
+             (Printf.sprintf "shard%d_ejections" i, c st.ejections);
              (Printf.sprintf "shard%d_live" i, if st.live then 1. else 0.);
-             (Printf.sprintf "shard%d_requests" i, float_of_int st.requests);
+             (Printf.sprintf "shard%d_requests" i, c st.requests);
            ]))
   in
   base @ per_shard
@@ -268,15 +257,13 @@ let record_trace_locked t ~hash64 ~status ~shard =
    on this thread, between frame reads. *)
 let handle_run ?on_progress t get_session scenario =
   let hash64 = Scenario.hash64 scenario in
-  let hash = Ptg_snapshot.Snapshot.hash_hex hash64 in
+  let hash = Ptg_util.Bits.to_hex hash64 in
   Mutex.lock t.mutex;
   let cached = Lru.find t.cache hash in
-  obs_incr t (fun m -> if cached = None then m.c_misses else m.c_hits);
   sync_hit_ratio_locked t;
   match cached with
   | Some result ->
-      t.served <- t.served + 1;
-      obs_incr t (fun m -> m.c_served);
+      Registry.incr t.counts.served;
       record_trace_locked t ~hash64 ~status:"hit" ~shard:"";
       Mutex.unlock t.mutex;
       Protocol.Result { cache = Protocol.Hit; hash; result }
@@ -285,8 +272,7 @@ let handle_run ?on_progress t get_session scenario =
       let n = Array.length t.states in
       let no_live_reply () =
         Mutex.lock t.mutex;
-        t.no_live <- t.no_live + 1;
-        obs_incr t (fun m -> m.c_no_live);
+        Registry.incr t.counts.no_live;
         record_trace_locked t ~hash64 ~status:"overloaded" ~shard:"";
         Mutex.unlock t.mutex;
         Protocol.Overloaded
@@ -299,11 +285,7 @@ let handle_run ?on_progress t get_session scenario =
         else begin
           Mutex.lock t.mutex;
           let target = Ring.route t.ring ~live:(live_mask_locked t) hash64 in
-          (match target with
-          | Some i ->
-              t.states.(i).requests <- t.states.(i).requests + 1;
-              obs_incr t (fun m -> m.shard_requests.(i))
-          | None -> ());
+          Option.iter (fun i -> Registry.incr t.states.(i).requests) target;
           Mutex.unlock t.mutex;
           match target with
           | None -> no_live_reply ()
@@ -317,23 +299,12 @@ let handle_run ?on_progress t get_session scenario =
                 (match response with
                 | Protocol.Result { hash = h; result; _ } ->
                     Lru.put t.cache h result;
-                    t.served <- t.served + 1;
-                    t.forwarded <- t.forwarded + 1;
-                    obs_incr t (fun m -> m.c_served);
-                    obs_incr t (fun m -> m.c_forwarded);
-                    if adopted then begin
-                      t.adoptions <- t.adoptions + 1;
-                      obs_incr t (fun m -> m.c_adoptions)
-                    end
-                | Protocol.Overloaded ->
-                    t.overloaded <- t.overloaded + 1;
-                    obs_incr t (fun m -> m.c_overloaded)
-                | Protocol.Timeout ->
-                    t.timeouts <- t.timeouts + 1;
-                    obs_incr t (fun m -> m.c_timeouts)
-                | _ ->
-                    t.errors <- t.errors + 1;
-                    obs_incr t (fun m -> m.c_errors));
+                    Registry.incr t.counts.served;
+                    Registry.incr t.counts.forwarded;
+                    if adopted then Registry.incr t.counts.adoptions
+                | Protocol.Overloaded -> Registry.incr t.counts.overloaded
+                | Protocol.Timeout -> Registry.incr t.counts.timeouts
+                | _ -> Registry.incr t.counts.errors);
                 record_trace_locked t ~hash64 ~status ~shard;
                 Mutex.unlock t.mutex;
                 response
@@ -366,8 +337,7 @@ let handle_run ?on_progress t get_session scenario =
                      eject and re-route — the request is not lost. *)
                   Mutex.lock t.mutex;
                   eject_locked t i;
-                  t.reroutes <- t.reroutes + 1;
-                  obs_incr t (fun m -> m.c_reroutes);
+                  Registry.incr t.counts.reroutes;
                   Mutex.unlock t.mutex;
                   attempt (tried + 1))
         end
@@ -378,9 +348,7 @@ let handle_run ?on_progress t get_session scenario =
 (* The front end the listener drives                                   *)
 (* ------------------------------------------------------------------ *)
 
-let record_error_locked t =
-  t.errors <- t.errors + 1;
-  obs_incr t (fun m -> m.c_errors)
+let record_error_locked t = Registry.incr t.counts.errors
 
 (* One forwarding session per connection, holding one shard session per
    shard, built on first use: shard sessions are single-threaded, and
@@ -499,9 +467,11 @@ let start config =
   check (config.health_interval_s > 0.) "health_interval_s";
   check (config.strike_limit >= 1) "strike_limit";
   let mutex = Mutex.create () in
+  let registry =
+    match config.obs with Some sink -> Ptg_obs.Sink.registry sink | None -> Registry.create ()
+  in
   let listener =
-    Listener.create ~name:"router" ~mutex
-      ?registry:(Option.map Ptg_obs.Sink.registry config.obs)
+    Listener.create ~name:"router" ~mutex ~registry
       {
         Listener.addr = config.addr;
         idle_timeout_s = config.idle_timeout_s;
@@ -515,33 +485,36 @@ let start config =
       config;
       ring = Ring.create ~vnodes:config.vnodes (Array.length shards);
       states =
-        Array.map
-          (fun a ->
+        Array.mapi
+          (fun i a ->
+            let c name =
+              Registry.counter registry ~labels:[ ("shard", string_of_int i) ]
+                ("router_shard_" ^ name ^ "_total")
+            in
             {
               s_addr = a;
               live = true;
               strikes = 0;
-              requests = 0;
-              ejections = 0;
-              readmissions = 0;
+              requests = c "requests";
+              ejections = c "ejections";
+              readmissions = c "readmissions";
             })
           shards;
       listener;
       mutex;
       cache =
-        Lru.create ?max_bytes:config.cache_bytes
-          ~capacity:config.cache_capacity ();
+        Lru.counted
+          {
+            Lru.hits = Registry.counter registry "router_cache_hits_total";
+            misses = Registry.counter registry "router_cache_misses_total";
+            (* No eviction series is exported: that count stays private. *)
+            evictions = Registry.counter (Registry.create ()) "router_cache_evictions";
+          }
+          ?max_bytes:config.cache_bytes ~capacity:config.cache_capacity ();
       conn_seq = 0;
       health_stop = false;
       health_thread = None;
-      served = 0;
-      forwarded = 0;
-      reroutes = 0;
-      adoptions = 0;
-      no_live = 0;
-      errors = 0;
-      timeouts = 0;
-      overloaded = 0;
+      counts = make_counters registry;
       obs_m =
         Option.map (fun s -> make_obs s ~shards:(Array.length shards)) config.obs;
     }

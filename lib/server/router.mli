@@ -26,6 +26,15 @@
     counted as an {e adoption} ([adoptions] /
     [router_adoptions_total]).
 
+    Every event the router counts is counted once, in a
+    [router_*_total] registry counter: the [obs] sink's registry when
+    there is one, a private registry otherwise; {!stats} reads those
+    counters. Only with a sink does the router also keep ring-share,
+    live-shard and hit-ratio gauges and a [router_request] trace event
+    per request. Counters are get-or-create by name, so two routers
+    given the same sink share their counts, and
+    {!Ptg_obs.Sink.reset} zeroes those [stats] rows too.
+
     Protocol v2: responses mirror the request's version. [hello]
     negotiates normally. Every forward travels as a v2 stream
     ({!Client.session_run_stream}) so a shard slicing a long run past
@@ -73,9 +82,20 @@ val listen_addr : t -> Server.addr
 (** Actual bound address ([Tcp 0] resolves to the kernel-chosen port). *)
 
 val stats : t -> (string * float) list
-(** Router counters — including [adoptions], [reroutes], [ejections],
-    [readmissions] — plus per-shard [shardN_live] / [shardN_requests] /
-    [shardN_ejections] rows; keys sorted, also the [stats] op payload. *)
+(** Keys sorted; also the [stats] op payload. Each event count is its
+    registry counter read under a short name: adoptions, errors,
+    forwarded, overloaded, reroutes, served and timeouts are
+    [router_<name>_total], no_live is [router_no_live_shard_total],
+    cache_hits/misses are [router_cache_hits_total] /
+    [router_cache_misses_total], [shardN_requests] / [shardN_ejections]
+    are [router_shard_requests_total{shard="N"}] /
+    [router_shard_ejections_total{shard="N"}], and [ejections] /
+    [readmissions] sum [router_shard_ejections_total] /
+    [router_shard_readmissions_total] over the shards; accept_errors,
+    conn_shed and idle_closed are {!Listener}'s. cache_evictions is
+    counted once too but exported nowhere else. The rest are current
+    state: cache bytes/entries, conns, shards, shards_live and
+    [shardN_live]. *)
 
 val live_shards : t -> bool array
 (** Current ejection state, indexed by shard id. *)

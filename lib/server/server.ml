@@ -29,12 +29,14 @@ type config = {
   faults : Faults.t;
 }
 
+let default_high_water workers = max 4 (2 * workers)
+
 let default_config addr =
   let workers = Ptg_util.Pool.default_jobs () in
   {
     addr;
     workers;
-    high_water = max 4 (2 * workers);
+    high_water = default_high_water workers;
     cache_capacity = 64;
     cache_bytes = None;
     deadline_s = 30.;
@@ -49,24 +51,44 @@ let default_config addr =
     faults = Faults.create ();
   }
 
-(* Metric handles are resolved once at startup (the registry contract);
-   every update below happens under the server mutex, which also makes
-   the shared sink safe across connection threads and worker domains. *)
+(* One registry counter per event, in the sink's registry when there is
+   one and in a private registry otherwise; the [stats] payload reads the
+   same counters. Handles are resolved once at startup (the registry
+   contract); every update happens under the server mutex, which also
+   makes a shared sink safe across connection threads and worker
+   domains. *)
+type counters = {
+  served : Registry.counter;
+  shed : Registry.counter;
+  coalesced : Registry.counter;
+  errors : Registry.counter;
+  timeouts : Registry.counter;
+  cancelled : Registry.counter;
+  warm_starts : Registry.counter;
+  sliced : Registry.counter;
+  orphaned_stops : Registry.counter;
+  faults : Registry.counter;
+  pool_dropped : Registry.counter;
+}
+
+let make_counters reg =
+  let c name = Registry.counter reg ("server_" ^ name ^ "_total") in
+  {
+    served = c "served";
+    shed = c "shed";
+    coalesced = c "coalesced";
+    errors = c "errors";
+    timeouts = c "timeouts";
+    cancelled = c "cancelled";
+    warm_starts = c "warm_starts";
+    sliced = c "sliced";
+    orphaned_stops = c "orphaned_stops";
+    faults = c "faults_injected";
+    pool_dropped = c "pool_dropped_exceptions";
+  }
+
+(* Histograms, gauges and trace events exist only with a sink. *)
 type obs_metrics = {
-  c_served : Registry.counter;
-  c_shed : Registry.counter;
-  c_coalesced : Registry.counter;
-  c_errors : Registry.counter;
-  c_hits : Registry.counter;
-  c_misses : Registry.counter;
-  c_evictions : Registry.counter;
-  c_timeouts : Registry.counter;
-  c_cancelled : Registry.counter;
-  c_warm_starts : Registry.counter;
-  c_sliced : Registry.counter;
-  c_orphaned : Registry.counter;
-  c_faults : Registry.counter;
-  c_pool_dropped : Registry.counter;
   g_queue : Registry.gauge;
   g_drain : Registry.gauge;
   h_latency : Registry.histogram;
@@ -76,20 +98,6 @@ type obs_metrics = {
 let make_obs sink =
   let reg = Ptg_obs.Sink.registry sink in
   {
-    c_served = Registry.counter reg "server_served_total";
-    c_shed = Registry.counter reg "server_shed_total";
-    c_coalesced = Registry.counter reg "server_coalesced_total";
-    c_errors = Registry.counter reg "server_errors_total";
-    c_hits = Registry.counter reg "server_cache_hits_total";
-    c_misses = Registry.counter reg "server_cache_misses_total";
-    c_evictions = Registry.counter reg "server_cache_evictions_total";
-    c_timeouts = Registry.counter reg "server_timeouts_total";
-    c_cancelled = Registry.counter reg "server_cancelled_total";
-    c_warm_starts = Registry.counter reg "server_warm_starts_total";
-    c_sliced = Registry.counter reg "server_sliced_total";
-    c_orphaned = Registry.counter reg "server_orphaned_stops_total";
-    c_faults = Registry.counter reg "server_faults_injected_total";
-    c_pool_dropped = Registry.counter reg "server_pool_dropped_exceptions_total";
     g_queue = Registry.gauge reg "server_queue_depth";
     g_drain = Registry.gauge reg "server_drain_duration_us";
     h_latency =
@@ -146,17 +154,7 @@ type t = {
   cancel_tbl : (string, waiter) Hashtbl.t;
   mutable inflight : int;
   mutable aborting : bool;    (* forced drain: expire every waiter now *)
-  mutable served : int;
-  mutable shed : int;
-  mutable coalesced : int;
-  mutable errors : int;
-  mutable timeouts : int;
-  mutable cancelled : int;
-  mutable warm_starts : int;
-  mutable sliced : int;
-  mutable orphaned_stops : int;
-  mutable pool_dropped : int;
-  mutable last_evictions : int;
+  counts : counters;
   obs_m : obs_metrics option;
 }
 
@@ -167,28 +165,30 @@ let listen_addr t = Listener.bound t.listener
 (* ------------------------------------------------------------------ *)
 
 let stats_locked t =
+  let n = float_of_int and c r = float_of_int (Registry.counter_value r) in
+  let k = t.counts in
   [
-    ("cache_bytes", float_of_int (Lru.bytes t.cache));
-    ("cache_entries", float_of_int (Lru.length t.cache));
-    ("cache_evictions", float_of_int (Lru.evictions t.cache));
-    ("cache_hits", float_of_int (Lru.hits t.cache));
-    ("cache_misses", float_of_int (Lru.misses t.cache));
-    ("cancelled", float_of_int t.cancelled);
-    ("coalesced", float_of_int t.coalesced);
-    ("errors", float_of_int t.errors);
-    ("faults_injected", float_of_int (Faults.fired t.config.faults));
-    ("high_water", float_of_int t.config.high_water);
-    ("inflight", float_of_int t.inflight);
-    ("max_conns", float_of_int t.config.max_conns);
-    ("orphaned_stops", float_of_int t.orphaned_stops);
-    ("pending", float_of_int (Hashtbl.length t.pending_tbl));
-    ("pool_dropped", float_of_int t.pool_dropped);
-    ("served", float_of_int t.served);
-    ("shed", float_of_int t.shed);
-    ("sliced", float_of_int t.sliced);
-    ("timeouts", float_of_int t.timeouts);
-    ("warm_starts", float_of_int t.warm_starts);
-    ("workers", float_of_int t.config.workers);
+    ("cache_bytes", n (Lru.bytes t.cache));
+    ("cache_entries", n (Lru.length t.cache));
+    ("cache_evictions", n (Lru.evictions t.cache));
+    ("cache_hits", n (Lru.hits t.cache));
+    ("cache_misses", n (Lru.misses t.cache));
+    ("cancelled", c k.cancelled);
+    ("coalesced", c k.coalesced);
+    ("errors", c k.errors);
+    ("faults_injected", c k.faults);
+    ("high_water", n t.config.high_water);
+    ("inflight", n t.inflight);
+    ("max_conns", n t.config.max_conns);
+    ("orphaned_stops", c k.orphaned_stops);
+    ("pending", n (Hashtbl.length t.pending_tbl));
+    ("pool_dropped", c k.pool_dropped);
+    ("served", c k.served);
+    ("shed", c k.shed);
+    ("sliced", c k.sliced);
+    ("timeouts", c k.timeouts);
+    ("warm_starts", c k.warm_starts);
+    ("workers", n t.config.workers);
   ]
 
 let stats t = Listener.stats t.listener
@@ -202,22 +202,12 @@ let set_queue_gauge t =
   | Some m -> Registry.set_gauge m.g_queue (float_of_int t.inflight)
   | None -> ()
 
-let obs_incr t f = match t.obs_m with Some m -> Registry.incr (f m) | None -> ()
-
-let sync_evictions_locked t =
-  match t.obs_m with
-  | None -> ()
-  | Some m ->
-      let now = Lru.evictions t.cache in
-      Registry.add m.c_evictions (now - t.last_evictions);
-      t.last_evictions <- now
-
 (* A fault firing, counted under the mutex when consumed. *)
 let take_fault t f =
   let hit = Faults.take_matching t.config.faults f in
   if hit <> None then begin
     Mutex.lock t.mutex;
-    obs_incr t (fun m -> m.c_faults);
+    Registry.incr t.counts.faults;
     Mutex.unlock t.mutex
   end;
   hit
@@ -337,8 +327,7 @@ let rec submit_job t hash scenario p =
                hooked so identical requests keep coalescing. *)
             p.p_yield <- false;
             p.p_slices <- p.p_slices + 1;
-            t.sliced <- t.sliced + 1;
-            obs_incr t (fun m -> m.c_sliced);
+            Registry.incr t.counts.sliced;
             submit_job t hash scenario p;
             true
         | _ -> false
@@ -347,12 +336,7 @@ let rec submit_job t hash scenario p =
         (match result with
         | Finished (rendered, resumed_from) ->
             Lru.put t.cache hash rendered;
-            sync_evictions_locked t;
-            (match resumed_from with
-            | Some _ ->
-                t.warm_starts <- t.warm_starts + 1;
-                obs_incr t (fun m -> m.c_warm_starts)
-            | None -> ());
+            if resumed_from <> None then Registry.incr t.counts.warm_starts;
             p.outcome <- Some (Ok rendered)
         | Stopped ->
             (* Abandoned (cancelled, expired or draining) and stopped at
@@ -361,14 +345,11 @@ let rec submit_job t hash scenario p =
                orphan (zero waiters, no requeue pending, not draining)
                is counted: it proves abandoned compute stops early
                instead of burning the worker to completion. *)
-            if p.p_interest <= 0 && not t.aborting then begin
-              t.orphaned_stops <- t.orphaned_stops + 1;
-              obs_incr t (fun m -> m.c_orphaned)
-            end;
+            if p.p_interest <= 0 && not t.aborting then
+              Registry.incr t.counts.orphaned_stops;
             p.outcome <- Some (Error "cancelled")
         | Failed msg ->
-            t.errors <- t.errors + 1;
-            obs_incr t (fun m -> m.c_errors);
+            Registry.incr t.counts.errors;
             p.outcome <- Some (Error msg));
         unhook_locked t hash p;
         t.inflight <- t.inflight - 1;
@@ -387,7 +368,7 @@ let handle_run t ?on_progress ?cancel_id scenario =
   let jobs = min scenario.Scenario.jobs (Ptg_util.Pool.default_jobs ()) in
   let scenario = { scenario with Scenario.jobs } in
   let hash64 = Scenario.hash64 scenario in
-  let hash = Ptg_snapshot.Snapshot.hash_hex hash64 in
+  let hash = Ptg_util.Bits.to_hex hash64 in
   (* Building the plan is only worth it once a deadline expires. *)
   let sliceable = lazy (Checkpoint.sliceable scenario) in
   let t0 = Clock.now_ns () in
@@ -419,20 +400,15 @@ let handle_run t ?on_progress ?cancel_id scenario =
   in
   let disposition, outcome =
     match Lru.find t.cache hash with
-    | Some rendered ->
-        obs_incr t (fun m -> m.c_hits);
-        (Some Protocol.Hit, Done (Ok rendered))
+    | Some rendered -> (Some Protocol.Hit, Done (Ok rendered))
     | None -> (
-        obs_incr t (fun m -> m.c_misses);
         match Hashtbl.find_opt t.pending_tbl hash with
         | Some p ->
-            t.coalesced <- t.coalesced + 1;
-            obs_incr t (fun m -> m.c_coalesced);
+            Registry.incr t.counts.coalesced;
             (Some Protocol.Coalesced, wait_on p)
         | None ->
             if t.inflight >= t.config.high_water then begin
-              t.shed <- t.shed + 1;
-              obs_incr t (fun m -> m.c_shed);
+              Registry.incr t.counts.shed;
               (None, Done (Error "overloaded"))
             end
             else begin
@@ -463,18 +439,15 @@ let handle_run t ?on_progress ?cancel_id scenario =
       let response =
         match (disposition, outcome) with
         | Some cache, Done (Ok result) ->
-            t.served <- t.served + 1;
-            obs_incr t (fun m -> m.c_served);
+            Registry.incr t.counts.served;
             Protocol.Result { cache; hash; result }
         | None, _ -> Protocol.Overloaded
         | Some _, Done (Error msg) -> Protocol.Error_reply msg
         | Some _, Was_cancelled ->
-            t.cancelled <- t.cancelled + 1;
-            obs_incr t (fun m -> m.c_cancelled);
+            Registry.incr t.counts.cancelled;
             Protocol.Cancelled
         | Some _, (Expired | Conn_lost _) ->
-            t.timeouts <- t.timeouts + 1;
-            obs_incr t (fun m -> m.c_timeouts);
+            Registry.incr t.counts.timeouts;
             Protocol.Timeout
       in
       (match t.obs_m with
@@ -525,10 +498,9 @@ let handle_cancel t target =
 
 (* An undecodable or over-long frame, or a crashed connection. *)
 let record_error_locked t =
-  t.errors <- t.errors + 1;
+  Registry.incr t.counts.errors;
   Option.iter
     (fun m ->
-      Registry.incr m.c_errors;
       Trace.record m.trace (Trace.Server_request { hash = 0L; status = "error"; cache = "" }))
     t.obs_m
 
@@ -604,9 +576,11 @@ let start config =
   check (config.slices >= 0) "slices";
   check (Option.fold ~none:true ~some:(fun n -> n >= 1) config.snapshot_every) "snapshot_every";
   let mutex = Mutex.create () in
+  let registry =
+    match config.obs with Some sink -> Ptg_obs.Sink.registry sink | None -> Registry.create ()
+  in
   let listener =
-    Listener.create ~name:"server" ~mutex
-      ?registry:(Option.map Ptg_obs.Sink.registry config.obs)
+    Listener.create ~name:"server" ~mutex ~registry
       {
         Listener.addr = config.addr;
         idle_timeout_s = config.idle_timeout_s;
@@ -637,31 +611,25 @@ let start config =
       mutex;
       done_cond = Condition.create ();
       cache =
-        Lru.create ?max_bytes:config.cache_bytes
-          ~capacity:config.cache_capacity ();
+        Lru.counted
+          {
+            Lru.hits = Registry.counter registry "server_cache_hits_total";
+            misses = Registry.counter registry "server_cache_misses_total";
+            evictions = Registry.counter registry "server_cache_evictions_total";
+          }
+          ?max_bytes:config.cache_bytes ~capacity:config.cache_capacity ();
       pending_tbl = Hashtbl.create 64;
       cancel_tbl = Hashtbl.create 16;
       inflight = 0;
       aborting = false;
-      served = 0;
-      shed = 0;
-      coalesced = 0;
-      errors = 0;
-      timeouts = 0;
-      cancelled = 0;
-      warm_starts = 0;
-      sliced = 0;
-      orphaned_stops = 0;
-      pool_dropped = 0;
-      last_evictions = 0;
+      counts = make_counters registry;
       obs_m = Option.map make_obs config.obs;
     }
   in
   (drop_hook :=
      fun _e ->
        Mutex.lock t.mutex;
-       t.pool_dropped <- t.pool_dropped + 1;
-       obs_incr t (fun m -> m.c_pool_dropped);
+       Registry.incr t.counts.pool_dropped;
        Mutex.unlock t.mutex);
   Listener.serve listener (frontend t);
   t

@@ -48,12 +48,21 @@
     which also makes a forced drain lossless: interrupted runs resume
     where they stopped after a restart over the same store.
 
-    The compute pool is [workers] domains. With an [obs] sink the server
-    reports per-request latency histograms, queue-depth and
-    drain-duration gauges, served/shed/coalesced/error/timeout,
-    connection-shed/idle-closed/accept-error, fault-injection and
-    pool-dropped-exception counters, cache hit/miss/eviction counters,
-    and a [server_request] trace event per request. *)
+    The compute pool is [workers] domains. Every event the server counts
+    (served/shed/coalesced/error/timeout/cancel, warm start, slice,
+    orphaned stop, connection shed/idle close/accept error, injected
+    fault, dropped pool exception, cache hit/miss/eviction) is counted
+    once, in a [server_*_total] registry counter: the [obs] sink's
+    registry when there is one, a private registry otherwise. {!stats}
+    reads those counters, so the [stats] payload and the exported
+    metrics cannot disagree. Only with a sink does the server also keep
+    a per-request latency histogram, queue-depth and drain-duration
+    gauges, and a [server_request] trace event per request.
+
+    Counters are get-or-create by name, so two servers given the same
+    sink share their counts (each one's [stats] shows the sum), and
+    {!Ptg_obs.Sink.reset} zeroes those [stats] rows too. Give each
+    server its own sink to keep their counts apart. *)
 
 type addr = Listener.addr =
   | Unix_socket of string
@@ -109,9 +118,13 @@ type config = {
   faults : Faults.t;     (** chaos injection slot; unarmed by default *)
 }
 
+val default_high_water : int -> int
+(** The high-water mark for a pool of that many workers: [2 * workers],
+    at least 4. *)
+
 val default_config : addr -> config
-(** workers {!Ptg_util.Pool.default_jobs}, high-water [2 * workers]
-    (min 4), 64 cache entries (no byte budget), 30 s deadline, no
+(** workers {!Ptg_util.Pool.default_jobs}, high-water
+    {!default_high_water} of that, 64 cache entries (no byte budget), 30 s deadline, no
     slicing, 60 s idle timeout, 256 connections, 5 s drain deadline,
     no snapshot store, no obs, default handler, unarmed faults. *)
 
@@ -126,12 +139,16 @@ val listen_addr : t -> addr
 (** The bound address — for [Tcp 0], the actual ephemeral port. *)
 
 val stats : t -> (string * float) list
-(** Scheduler/cache/failure counters, sorted by key: accept_errors,
-    cache bytes/entries/hits/misses/evictions, cancelled, coalesced,
-    conn_shed, conns, errors, faults_injected, idle_closed, inflight,
-    orphaned_stops, pending, pool_dropped, served, shed, sliced,
-    timeouts, warm_starts, plus the configured
-    high_water/max_conns/workers. Also what the [stats] op returns. *)
+(** Sorted by key; also what the [stats] op returns. Each event count
+    is its registry counter read under a short name: [X] is
+    [server_X_total] for accept_errors, cache_evictions, cache_hits,
+    cache_misses, cancelled, coalesced, errors, faults_injected,
+    orphaned_stops, served, shed, sliced, timeouts and warm_starts;
+    conn_shed, idle_closed and pool_dropped are
+    [server_conns_shed_total], [server_conns_idle_closed_total] and
+    [server_pool_dropped_exceptions_total]. The rest are current state:
+    cache bytes/entries, conns, inflight, pending, and the configured
+    high_water/max_conns/workers. *)
 
 val stop : t -> unit
 (** Stop accepting, drain open connections (force-closing stragglers

@@ -35,7 +35,7 @@ let fullsys_key ?(config = Fullsys.default_config) ?(pages = 2048) ~seed () =
     ("fault", Obj fault); ("guarded", Bool config.Fullsys.guarded); ("pages", int pages);
     ("period", int config.Fullsys.hammer_period); ("seed", Int seed) ]
   |> (fun fields -> to_string (Obj fields))
-  |> Codec.fnv1a64 |> Snapshot.hash_hex
+  |> Codec.fnv1a64 |> Ptg_util.Bits.to_hex
 
 (* One section per subsystem of the machine's current state, encoded
    in turn through one writer. *)

@@ -410,7 +410,7 @@ let fnv1a64 s = Ptg_snapshot.Codec.fnv1a64 s
    rewriting a file under a cached path misses instead of serving stale
    results. *)
 let trace_content_hash path =
-  Printf.sprintf "%016Lx"
+  Ptg_util.Bits.to_hex
     (fnv1a64 (In_channel.with_open_bin path In_channel.input_all))
 
 (* The wire form of the normal form, keys sorted, the trace path
@@ -434,10 +434,10 @@ let canonical_form ~prefix t =
 
 let canonical t = canonical_form ~prefix:false t
 let hash64 t = fnv1a64 (canonical t)
-let hash t = Printf.sprintf "%016Lx" (hash64 t)
+let hash t = Ptg_util.Bits.to_hex (hash64 t)
 let prefix_canonical t = canonical_form ~prefix:true t
 let prefix_hash64 t = fnv1a64 (prefix_canonical t)
-let prefix_hash t = Printf.sprintf "%016Lx" (prefix_hash64 t)
+let prefix_hash t = Ptg_util.Bits.to_hex (prefix_hash64 t)
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)

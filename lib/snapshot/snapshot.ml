@@ -43,8 +43,6 @@ let content_hash sections =
   put_region b sections;
   Codec.hash b ~from:0
 
-let hash_hex h = Printf.sprintf "%016Lx" h
-
 let of_string ~what s =
   let fail msg = invalid_arg (Printf.sprintf "Snapshot.load: %s: %s" what msg) in
   let len = String.length s in

@@ -33,9 +33,6 @@ val content_hash : section list -> int64
     stores; two snapshots are byte-identical iff their hashes agree
     (modulo 64-bit collisions). *)
 
-val hash_hex : int64 -> string
-(** 16-digit lowercase hex. *)
-
 (** {1 Warm-start store}
 
     The store convention shared by every checkpoint driver: a directory

@@ -64,7 +64,11 @@
 #      Fullsys.create, fullsys_key, run_fullsys, Fig6.run, Fig7.run,
 #      Fig8.run, Fig9.run or Multicore_exp.run in bin/ (the CLI builds a
 #      Scenario and runs it through Scenario.run or
-#      Checkpoint.run_scenario, as the server does)
+#      Checkpoint.run_scenario, as the server does); and one count per
+#      serving event: no obs_incr or Option.iter Registry.incr in
+#      lib/server (each event bumps one Registry.counter, which stats
+#      reads); and one 64-bit hex formatter: %016Lx in lib/ only in
+#      lib/util/bits.ml (Bits.to_hex)
 #   8d. warm-start gate (bench_gate snapshot): resuming a finished
 #      fullsys budget from its snapshot store must stay >= 5x faster
 #      than computing it cold and byte-identical
@@ -267,6 +271,22 @@ if grep -rnE --include='*.ml' --include='*.mli' \
     exit 1
 fi
 echo "OK: every artifact the CLI runs is a Scenario"
+
+echo "== one count per serving event =="
+if grep -rnE --include='*.ml' 'obs_incr|Option\.iter Registry\.incr' lib/server; then
+    echo "FAIL: a serving event is counted twice again; bump its one Registry.counter and read that counter in stats" >&2
+    exit 1
+fi
+echo "OK: every serving event is counted once, in the registry stats reads"
+
+echo "== one 64-bit hex formatter =="
+sites=$(grep -rnF --include='*.ml' '%016Lx' lib | grep -v '^lib/util/bits\.ml:' || true)
+if [ -n "$sites" ]; then
+    echo "FAIL: %016Lx outside lib/util/bits.ml; render 64-bit hashes with Ptg_util.Bits.to_hex:" >&2
+    printf '%s\n' "$sites" >&2
+    exit 1
+fi
+echo "OK: Bits.to_hex is the one 64-bit hex formatter in lib/"
 
 echo "== warm-start regression gate =="
 bench_gate snapshot

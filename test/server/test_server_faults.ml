@@ -442,7 +442,6 @@ let test_fault_slot_budget () =
   Alcotest.(check (option unit)) "first firing" (Some ()) (take_if_torn t);
   Alcotest.(check (option unit)) "second firing" (Some ()) (take_if_torn t);
   Alcotest.(check (option unit)) "budget exhausted" None (take_if_torn t);
-  Alcotest.(check int) "fired total" 2 (Faults.fired t);
   Faults.arm t (Faults.Delay_handler 0.1);
   Faults.disarm t;
   Alcotest.(check (option unit)) "disarmed" None

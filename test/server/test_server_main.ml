@@ -11,6 +11,7 @@ let () =
       ("server.e2e", Test_server_e2e.suite);
       ("server.v2", Test_server_v2.suite);
       ("server.router", Test_server_router.suite);
+      ("server.stats", Test_server_stats.suite);
       ("server.slices", Test_server_slices.suite);
       ( "server.chaos",
         Test_server_faults.suite @ Test_server_router.chaos_suite

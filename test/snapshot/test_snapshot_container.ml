@@ -132,10 +132,12 @@ let test_save_is_atomic_overwrite () =
         (Snapshot.load ~path = [ Snapshot.section ~name:"gen" "two" ]);
       Alcotest.(check int) "no temp files leak" before (census ()))
 
+(* Content hashes (checkpoint keys, scenario hashes) are printed with
+   [Bits.to_hex]: always 16 lowercase hex digits, zero-padded. *)
 let test_hash_hex () =
   Alcotest.(check string)
     "16 lowercase hex digits" "00000000000000ff"
-    (Snapshot.hash_hex 255L)
+    (Ptg_util.Bits.to_hex 255L)
 
 let suite =
   [

@@ -24,7 +24,7 @@ let with_dir f =
       try Sys.rmdir dir with Sys_error _ -> ())
     (fun () -> f dir)
 
-let digest s = Snapshot.hash_hex (Codec.fnv1a64 s)
+let digest s = Ptg_util.Bits.to_hex (Codec.fnv1a64 s)
 
 (* (file name with the key stripped, digest of the whole file), sorted
    by depth. *)

@@ -289,7 +289,7 @@ let test_fig6_jobs_invariant () =
             Sys.readdir d |> Array.to_list |> List.sort compare
             |> List.map (fun n ->
                    ( n,
-                     Snapshot.hash_hex
+                     Ptg_util.Bits.to_hex
                        (Snapshot.content_hash
                           (Snapshot.load ~path:(Filename.concat d n))) ))
           in

@@ -79,7 +79,8 @@ let test_bytes_roundtrip () =
   check_i64 "bytes roundtrip" w (Bits.int64_of_bytes_le (Bits.bytes_of_int64_le w) ~off:0)
 
 let test_hex () =
-  Alcotest.(check string) "to_hex" "00000000deadbeef" (Bits.to_hex 0xDEADBEEFL)
+  Alcotest.(check string) "to_hex" "00000000deadbeef" (Bits.to_hex 0xDEADBEEFL);
+  Alcotest.(check string) "16 lowercase hex digits" "00000000000000ff" (Bits.to_hex 255L)
 
 let test_pow2 () =
   Alcotest.(check (list bool)) "is_pow2"
