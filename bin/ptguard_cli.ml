@@ -696,7 +696,7 @@ let serve_cmd =
       & info [ "high-water" ] ~docv:"N"
           ~doc:
             "In-flight computations beyond which new requests are shed \
-             with an immediate overloaded response (default: 2x workers).")
+             with an immediate overloaded response (default: twice the workers, at least 4).")
   in
   let cache =
     cache_args ~default:defaults.cache_capacity
@@ -1044,7 +1044,24 @@ let serve_router_cmd =
              per-slice compute window when --slices is set).")
   in
   (* A spawned shard announces its kernel-chosen port on its first
-     stdout line; everything after that flows to our stdout untouched. *)
+     stdout line. A forwarder thread then copies the rest of the pipe to
+     our stdout until the shard exits, so its final stats are printed
+     and a chatty shard never blocks on a full pipe. *)
+  let forward ic =
+    let buf = Bytes.create 4096 in
+    let rec loop () =
+      match input ic buf 0 (Bytes.length buf) with
+      | 0 | (exception Sys_error _) -> close_in_noerr ic
+      | n ->
+          (* Keep draining when our stdout is gone: the shard must not block. *)
+          (try
+             output stdout buf 0 n;
+             flush stdout
+           with Sys_error _ -> ());
+          loop ()
+    in
+    loop ()
+  in
   let spawn_shard extra i =
     let r, w = Unix.pipe () in
     let pid =
@@ -1062,17 +1079,17 @@ let serve_router_cmd =
     | exception End_of_file -> fail "exited before announcing its address"
     | line -> (
         match Scanf.sscanf_opt line "serving on 127.0.0.1:%d" (fun p -> p) with
-        | Some port -> (pid, ic, Ptg_server.Server.Tcp port)
+        | Some port -> (pid, Thread.create forward ic, Ptg_server.Server.Tcp port)
         | None -> fail (Printf.sprintf "announced %S, expected a port" line))
   in
-  let shutdown_shard (pid, ic, addr) =
+  let shutdown_shard (pid, forwarder, addr) =
     (try
        let c = Ptg_server.Client.connect ~timeout_s:1.0 addr in
        ignore (Ptg_server.Client.request ~timeout_s:5.0 c Ptg_server.Protocol.Shutdown);
        Ptg_server.Client.close c
      with _ -> ());
     (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-    close_in_noerr ic
+    Thread.join forwarder
   in
   let run socket port shard_addrs spawn snapshot_dir snapshot_every slices
       deadline (cache, cache_bytes) vnodes health_interval strikes

@@ -54,8 +54,11 @@ let obs_of_sink sink =
     o_trace = Ptg_obs.Sink.trace sink;
   }
 
+type dram_read = now:int -> paddr:int64 -> is_pte:bool -> int
+
 type t = {
   cfg : config;
+  base : int64;
   l1 : Cache.t;
   l2 : Cache.t;
   l3 : Cache.t;
@@ -63,6 +66,7 @@ type t = {
   mmu : Cache.t;
   dram : Ptg_dram.Dram.t;
   guard : Guard_timing.t;
+  read : dram_read;
   obs : obs option;
   mutable now : int;
   mutable dram_reads : int;
@@ -72,16 +76,18 @@ type t = {
   mutable walk_listeners : (vpn:int64 -> leaf_line_addr:int64 -> unit) list;
 }
 
-let create ?(config = default_config) ?geometry ?timing ?obs ~guard () =
+let make ?obs ~config ~base ~l3 ~dram ~guard ~read () =
   {
     cfg = config;
+    base;
     l1 = Cache.create ?obs ~name:"l1" config.l1;
     l2 = Cache.create ?obs ~name:"l2" config.l2;
-    l3 = Cache.create ?obs ~name:"l3" config.l3;
+    l3;
     tlb = Tlb.create ~entries:config.tlb_entries ?obs ();
     mmu = Cache.create ?obs ~name:"mmu" config.mmu_cache;
-    dram = Ptg_dram.Dram.create ?geometry ?timing ?obs ();
+    dram;
     guard;
+    read;
     obs = Option.map obs_of_sink obs;
     now = 0;
     dram_reads = 0;
@@ -91,24 +97,43 @@ let create ?(config = default_config) ?geometry ?timing ?obs ~guard () =
     walk_listeners = [];
   }
 
+(* The single core's LLC miss: the demand read, then PT-Guard's penalty
+   for it (the guard's RNG is drawn on every read). *)
+let create ?(config = default_config) ?geometry ?timing ?obs ~guard () =
+  let dram = Ptg_dram.Dram.create ?geometry ?timing ?obs () in
+  let read ~now ~paddr ~is_pte =
+    let dram_lat = Ptg_dram.Dram.access_fast dram ~now ~addr:paddr ~is_write:false in
+    dram_lat + Guard_timing.read_penalty guard ~is_pte
+  in
+  make ?obs ~config ~base:0L ~l3:(Cache.create ?obs ~name:"l3" config.l3) ~dram
+    ~guard ~read ()
+
+let create_shared ~config ~llc ~dram ~base ~guard ~read =
+  make ~config ~base ~l3:llc ~dram ~guard ~read ()
+
+let now t = t.now
+let dram_reads t = t.dram_reads
+let pte_dram_reads t = t.pte_dram_reads
+let cache_writebacks t = t.cache_writebacks
+
 (* Synthetic page-table layout: four physically-contiguous regions above
-   the data fold. Each level's entry for a vpn sits at base + index * 8,
-   which gives walks the same spatial locality real radix tables have
-   (adjacent pages share leaf-PTE cachelines). *)
-let leaf_pte_addr t vpn = Int64.add t.cfg.data_region_bytes (Int64.mul vpn 8L)
+   the core's data region. Each level's entry for a vpn sits at
+   base + index * 8, which gives walks the same spatial locality real
+   radix tables have (adjacent pages share leaf-PTE cachelines). *)
+let pt_base t = Int64.add t.base t.cfg.data_region_bytes
+let leaf_pte_addr t vpn = Int64.add (pt_base t) (Int64.mul vpn 8L)
 
 let upper_entry_addr t ~level vpn =
   (* level 1 = PD, 2 = PDPT, 3 = PML4. *)
   let index = Int64.shift_right_logical vpn (9 * level) in
-  let base =
-    Int64.add t.cfg.data_region_bytes
-      (Int64.of_int (512 * 1024 * 1024 * level))
-  in
-  Int64.add base (Int64.mul index 8L)
+  Int64.add
+    (Int64.add (pt_base t) (Int64.of_int (512 * 1024 * 1024 * level)))
+    (Int64.mul index 8L)
 
 (* A dirty victim published by the last miss is retired to DRAM as a
    posted write: it updates device state (row buffers, activation counts)
-   but charges no stall — write buffers take it off the critical path. *)
+   but charges no stall and skips any channel queue — write buffers take
+   it off the critical path. *)
 let drain_writeback t cache =
   if Cache.writeback_pending cache then begin
     let addr = Cache.writeback_addr cache in
@@ -126,7 +151,7 @@ let drain_writeback t cache =
    L1 as real walkers do. Each level's dirty eviction is drained before
    the next level is probed, so DRAM sees a deterministic order:
    L1 writeback, L2 access, L2 writeback, L3 access, L3 writeback,
-   demand read. *)
+   then the core's [read] (the demand read). *)
 let mem_access t ~paddr ~is_write ~is_pte ~through_l1 =
   if through_l1 && Cache.access_fast t.l1 ~addr:paddr ~is_write then 0
   else begin
@@ -141,11 +166,7 @@ let mem_access t ~paddr ~is_write ~is_pte ~through_l1 =
       else begin
         drain_writeback t t.l3;
         let l3_lat = (Cache.config t.l3).Cache.latency in
-        let dram_lat =
-          Ptg_dram.Dram.access_fast t.dram ~now:t.now ~addr:paddr
-            ~is_write:false
-        in
-        let guard_extra = Guard_timing.read_penalty t.guard ~is_pte in
+        let read_lat = t.read ~now:t.now ~paddr ~is_pte in
         if is_pte then t.pte_dram_reads <- t.pte_dram_reads + 1
         else t.dram_reads <- t.dram_reads + 1;
         (match t.obs with
@@ -153,7 +174,7 @@ let mem_access t ~paddr ~is_write ~is_pte ~through_l1 =
         | Some o ->
             Ptg_obs.Registry.incr
               (if is_pte then o.o_pte_dram_reads else o.o_dram_reads));
-        l2_lat + l3_lat + t.cfg.llc_miss_overhead + dram_lat + guard_extra
+        l2_lat + l3_lat + t.cfg.llc_miss_overhead + read_lat
       end
     end
   end
@@ -191,15 +212,31 @@ let walk t vpn =
   !stall
 
 let translate t vaddr =
-  (* Fold virtual data addresses into the physical data region, keeping
-     page and line locality. An address already inside the region is its
-     own fold (every Figure 6 stream stays inside), and returning it
-     skips the division and the fresh box. *)
+  (* Fold virtual data addresses into the core's physical data region,
+     keeping page and line locality. An address already inside the
+     region is its own fold (every Figure 6 stream stays inside), and
+     returning it skips the division and, at the single core's base 0,
+     the fresh box. *)
   let region = t.cfg.data_region_bytes in
-  if Int64.compare vaddr 0L >= 0 && Int64.compare vaddr region < 0 then vaddr
-  else
-    let a = Int64.rem vaddr region in
-    if Int64.compare a 0L < 0 then Int64.add a region else a
+  let a =
+    if Int64.compare vaddr 0L >= 0 && Int64.compare vaddr region < 0 then vaddr
+    else
+      let a = Int64.rem vaddr region in
+      if Int64.compare a 0L < 0 then Int64.add a region else a
+  in
+  if Int64.equal t.base 0L then a else Int64.add a t.base
+
+let step t op =
+  t.now <- t.now + 1;
+  match op with
+  | Nonmem -> ()
+  | Load vaddr | Store vaddr ->
+      let is_write = match op with Store _ -> true | Load _ | Nonmem -> false in
+      let paddr = translate t vaddr in
+      let vpn = Int64.shift_right_logical paddr t.cfg.page_shift in
+      let stall = if Tlb.lookup t.tlb ~vpn then 0 else walk t vpn in
+      let stall = stall + mem_access t ~paddr ~is_write ~is_pte:false ~through_l1:true in
+      t.now <- t.now + stall
 
 let run t ~instrs ~stream =
   let start_cycles = t.now in
@@ -209,17 +246,7 @@ let run t ~instrs ~stream =
   let start_mac = Guard_timing.mac_computations t.guard in
   Tlb.reset_stats t.tlb;
   for _ = 1 to instrs do
-    t.now <- t.now + 1;
-    match stream () with
-    | Nonmem -> ()
-    | Load vaddr | Store vaddr as op ->
-        let is_write = match op with Store _ -> true | Load _ | Nonmem -> false in
-        let paddr = translate t vaddr in
-        let vpn = Int64.shift_right_logical paddr t.cfg.page_shift in
-        let stall = ref 0 in
-        if not (Tlb.lookup t.tlb ~vpn) then stall := !stall + walk t vpn;
-        stall := !stall + mem_access t ~paddr ~is_write ~is_pte:false ~through_l1:true;
-        t.now <- t.now + !stall
+    step t (stream ())
   done;
   let cycles = t.now - start_cycles in
   let dram_reads = t.dram_reads - start_dram in

@@ -12,7 +12,11 @@
     this model reproduces exactly those terms — L1 hits are pipelined
     (free), deeper hits and DRAM accesses stall. Page tables live in a
     synthetic physical region so leaf-PTE lines contend for L2/L3 space
-    like real walks do. *)
+    like real walks do.
+
+    This module owns the one timing hierarchy: {!Multicore} runs N
+    cores built with {!create_shared} and differs only in the
+    {!dram_read} each core calls at an LLC miss. *)
 
 type op =
   | Nonmem
@@ -71,9 +75,41 @@ val create :
     [guard] is {e not} rewired — build it with
     {!Guard_timing.of_config} [?obs] to observe it too. *)
 
+type dram_read = now:int -> paddr:int64 -> is_pte:bool -> int
+(** An LLC miss's demand read at cycle [now]: returns its latency in
+    cycles beyond the core's [llc_miss_overhead]. {!create}'s performs
+    the DRAM read, then draws PT-Guard's penalty for it. DRAM sees the
+    miss's writebacks (L1, L2, LLC victims) before this call. *)
+
+val create_shared :
+  config:config ->
+  llc:Cache.t ->
+  dram:Ptg_dram.Dram.t ->
+  base:int64 ->
+  guard:Guard_timing.t ->
+  read:dram_read ->
+  t
+(** A core over a shared LLC ([config.l3] is not built) and a shared
+    DRAM device, its data region and page tables offset by the physical
+    [base] ({!create}'s core has base 0). Writebacks go straight to
+    [dram]; demand reads go through [read]. [guard] is the one {!run}
+    reports MAC computations of. No sink is attached. *)
+
+val step : t -> op -> unit
+(** Execute one instruction: one issue cycle, plus the walk and
+    memory stalls of a load or store. *)
+
 val run : t -> instrs:int -> stream:(unit -> op) -> result
-(** Execute [instrs] instructions drawn from [stream]. Can be called
-    repeatedly (warm caches); statistics are per-call. *)
+(** Execute [instrs] instructions drawn from [stream] ({!step} in a
+    loop). Can be called repeatedly (warm caches); statistics are
+    per-call. *)
+
+(** {2 Running totals} since the core was built. *)
+
+val now : t -> int
+val dram_reads : t -> int
+val pte_dram_reads : t -> int
+val cache_writebacks : t -> int
 
 val on_walk : t -> (vpn:int64 -> leaf_line_addr:int64 -> unit) -> unit
 (** Observer invoked on every page-table walk with the virtual page and

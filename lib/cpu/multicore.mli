@@ -1,27 +1,33 @@
 (** Four-core timing model for the Section VII-C study.
 
-    Private L1/L2 per core, a shared LLC (1 MB per core), and shared
-    memory channels with a contention model: each DRAM access occupies a
-    channel for a fixed service time, and later requests queue behind it.
-    This reproduces the paper's observation that multicore contention
-    inflates the {e base} memory latency, shrinking PT-Guard's constant
-    MAC delay in relative terms (0.5% average vs 1.3% single-core). *)
+    A scheduler over {!Core.t} values: the cache hierarchy, TLB, walker
+    and writeback path are {!Core}'s, built with {!Core.create_shared}
+    over one shared LLC (1 MB per core) and one DRAM device, each core in
+    its own physical slice. This module owns only what differs at the
+    LLC miss — the read function every core calls there — plus the
+    earliest-core scheduler and result assembly. The read function adds
+    to the single core's (DRAM read, then guard penalty): content-level
+    verification before the read (with [verify_engine]), a shared-channel
+    contention model (each DRAM read occupies a channel for a fixed
+    service time and later reads queue behind it), and out-of-order
+    masking of the guard penalty. This reproduces the paper's observation
+    that multicore contention inflates the {e base} memory latency,
+    shrinking PT-Guard's constant MAC delay in relative terms (0.5%
+    average vs 1.3% single-core). *)
 
 type config = {
   cores : int;                  (** 4 in the paper *)
-  l1 : Cache.config;
-  l2 : Cache.config;
-  llc : Cache.config;           (** shared; 1 MB x cores *)
-  tlb_entries : int;
-  mmu_cache : Cache.config;
-  llc_miss_overhead : int;
-  channel_service : int;        (** cycles a DRAM access occupies its channel *)
+  core : Core.config;
+      (** every core's hierarchy; its [l3] is the shared LLC (1 MB x
+          cores) and its [llc_miss_overhead] the request path to the
+          channels *)
+  channel_service : int;        (** cycles a DRAM read occupies its channel *)
   channels : int;               (** 2 (16 GB DDR4, Section VII-C) *)
   mlp_expose : int;
       (** out-of-order latency tolerance: the integrity engine's delay
           reaches the critical path on 1 read in [mlp_expose] (default 4),
-          approximating the paper's O3 cores *)
-  data_region_bytes : int64;
+          approximating the paper's O3 cores; the guard's RNG is still
+          drawn on every read *)
 }
 
 val default_config : config

@@ -507,8 +507,7 @@ let start config =
           {
             Lru.hits = Registry.counter registry "router_cache_hits_total";
             misses = Registry.counter registry "router_cache_misses_total";
-            (* No eviction series is exported: that count stays private. *)
-            evictions = Registry.counter (Registry.create ()) "router_cache_evictions";
+            evictions = Registry.counter registry "router_cache_evictions_total";
           }
           ?max_bytes:config.cache_bytes ~capacity:config.cache_capacity ();
       conn_seq = 0;

@@ -86,14 +86,14 @@ val stats : t -> (string * float) list
     registry counter read under a short name: adoptions, errors,
     forwarded, overloaded, reroutes, served and timeouts are
     [router_<name>_total], no_live is [router_no_live_shard_total],
-    cache_hits/misses are [router_cache_hits_total] /
-    [router_cache_misses_total], [shardN_requests] / [shardN_ejections]
+    cache_hits/misses/evictions are [router_cache_hits_total] /
+    [router_cache_misses_total] / [router_cache_evictions_total],
+    [shardN_requests] / [shardN_ejections]
     are [router_shard_requests_total{shard="N"}] /
     [router_shard_ejections_total{shard="N"}], and [ejections] /
     [readmissions] sum [router_shard_ejections_total] /
     [router_shard_readmissions_total] over the shards; accept_errors,
-    conn_shed and idle_closed are {!Listener}'s. cache_evictions is
-    counted once too but exported nowhere else. The rest are current
+    conn_shed and idle_closed are {!Listener}'s. The rest are current
     state: cache bytes/entries, conns, shards, shards_live and
     [shardN_live]. *)
 

@@ -68,7 +68,10 @@
 #      serving event: no obs_incr or Option.iter Registry.incr in
 #      lib/server (each event bumps one Registry.counter, which stats
 #      reads); and one 64-bit hex formatter: %016Lx in lib/ only in
-#      lib/util/bits.ml (Bits.to_hex)
+#      lib/util/bits.ml (Bits.to_hex); and one timing hierarchy: no
+#      Cache.access_fast, Cache.writeback_pending or Tlb.fill in
+#      lib/cpu/ outside core.ml (Multicore runs Core.t values over a
+#      shared LLC and DRAM; it walks no cache and fills no TLB itself)
 #   8d. warm-start gate (bench_gate snapshot): resuming a finished
 #      fullsys budget from its snapshot store must stay >= 5x faster
 #      than computing it cold and byte-identical
@@ -287,6 +290,16 @@ if [ -n "$sites" ]; then
     exit 1
 fi
 echo "OK: Bits.to_hex is the one 64-bit hex formatter in lib/"
+
+echo "== one timing hierarchy =="
+sites=$(grep -nE 'Cache\.access_fast|Cache\.writeback_pending|Tlb\.fill' lib/cpu/*.ml lib/cpu/*.mli \
+    | grep -v '^lib/cpu/core\.ml:' || true)
+if [ -n "$sites" ]; then
+    echo "FAIL: cache walk, writeback drain or walker code outside lib/cpu/core.ml; build the cores with Core.create_shared and differ only in the LLC-miss read:" >&2
+    printf '%s\n' "$sites" >&2
+    exit 1
+fi
+echo "OK: lib/cpu/core.ml is the one timing hierarchy"
 
 echo "== warm-start regression gate =="
 bench_gate snapshot

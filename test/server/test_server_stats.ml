@@ -190,6 +190,7 @@ let router_pairs =
   listener_pairs "router"
   @ [
       ("adoptions", "router_adoptions_total");
+      ("cache_evictions", "router_cache_evictions_total");
       ("cache_hits", "router_cache_hits_total");
       ("cache_misses", "router_cache_misses_total");
       ("ejections", "router_shard_ejections_total");
@@ -320,6 +321,7 @@ let router_metrics =
   [
     "router_accept_errors_total=0";
     "router_adoptions_total=0";
+    "router_cache_evictions_total=3";
     "router_cache_hits_total=1";
     "router_cache_misses_total=7";
     "router_conns_idle_closed_total=0";

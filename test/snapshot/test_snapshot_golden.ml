@@ -66,11 +66,11 @@ let test_fullsys_store () =
 
 let multicore_expected = [ ("1.ptgs", "1ff5f41dd0b6678a") ]
 
-(* Drive [sweep] to completion one unit per checkpoint, keeping every
-   file, and compare the store against [expected]. *)
-let check_sweep_store what expected sweep =
+(* Drive [sweep] to completion [every] units per checkpoint (default
+   one), keeping every file, and compare the store against [expected]. *)
+let check_sweep_store ?(every = 1) what expected sweep =
   with_dir (fun dir ->
-      let o = Sweep.exec ~key:"golden" ~every:1 ~dir ~keep:max_int sweep in
+      let o = Sweep.exec ~key:"golden" ~every ~dir ~keep:max_int sweep in
       Alcotest.(check bool) "completed" true o.Sweep.o_completed;
       check_digests what expected (store_digests dir))
 
@@ -79,6 +79,15 @@ let test_multicore_store () =
     (Ptg_sim.Multicore_exp.sweep ~jobs:1
        ~same:(List.filteri (fun i _ -> i < 1) Ptg_workloads.Workload.all)
        ~instrs_per_core:1_500 ~mixes:0 ~seed ())
+
+(* Every SAME row and two MIXes at 20,000 instrs per core, checkpointed
+   once at completion: the whole Section VII-C case list. *)
+let multicore_sweep_expected = [ ("27.ptgs", "c58673ec4c643844") ]
+
+let test_multicore_sweep_store () =
+  check_sweep_store ~every:27 "multicore sweep checkpoint file"
+    multicore_sweep_expected
+    (Ptg_sim.Multicore_exp.sweep ~jobs:1 ~instrs_per_core:20_000 ~mixes:2 ~seed ())
 
 (* Sweep stores at demo scale: every file a chunked run leaves, fig7's
    baselines-only depth-0 file included. *)
@@ -118,6 +127,7 @@ let suite =
   [
     Alcotest.test_case "fullsys store bytes" `Quick test_fullsys_store;
     Alcotest.test_case "multicore store bytes" `Quick test_multicore_store;
+    Alcotest.test_case "multicore sweep store bytes" `Quick test_multicore_sweep_store;
     Alcotest.test_case "fig6 store bytes" `Quick test_fig6_store;
     Alcotest.test_case "fig7 store bytes" `Quick test_fig7_store;
     Alcotest.test_case "fig9 store bytes" `Quick test_fig9_store;

@@ -14,10 +14,16 @@ let exec ?(out = Filename.null) args =
 
 let tmp suffix = Filename.temp_file "ptg_cli_" suffix
 
-let contains s sub =
+let find s sub =
   let n = String.length sub in
-  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  let rec go i =
+    if i + n > String.length s then None
+    else if String.sub s i n = sub then Some i
+    else go (i + 1)
+  in
   go 0
+
+let contains s sub = find s sub <> None
 
 let test_stats_golden () =
   let out = tmp "stats.csv" in
@@ -69,6 +75,22 @@ let test_error_paths () =
   Alcotest.(check int) "unknown flag" 124 (exec "stats --no-such-flag");
   Alcotest.(check int) "bad workload name" 124
     (exec "fig6 --workloads not_a_workload --instrs 1000 --warmup 100")
+
+(* serve's --help gives the high-water default Server.default_high_water
+   computes, max 4 (2 * workers); help text is reflowed, so whitespace
+   runs are collapsed before matching. *)
+let test_serve_help_high_water () =
+  let out = tmp "help.txt" in
+  Alcotest.(check int) "exit code" 0 (exec ~out "serve --help=plain");
+  let text =
+    String.split_on_char ' '
+      (String.map (function '\n' | '\t' -> ' ' | c -> c) (read_file out))
+    |> List.filter (( <> ) "")
+    |> String.concat " "
+  in
+  Alcotest.(check bool) "states the formula" true
+    (contains text "(default: twice the workers, at least 4)");
+  Alcotest.(check bool) "no stale 2x" false (contains text "2x workers")
 
 (* CLI-level validation (as opposed to cmdliner parse errors, which exit
    124) exits 2 with a message naming the offending flag. *)
@@ -225,6 +247,25 @@ let test_bind_failure_exit_codes () =
         (Printf.sprintf "serve --port %d" port)
         (Printf.sprintf "127.0.0.1:%d" port))
 
+(* Read [fd] until EOF, or until [stop] holds of everything read so
+   far; [None] when [secs] pass first. *)
+let read_until ?(stop = fun _ -> false) fd secs =
+  let deadline = Unix.gettimeofday () +. secs in
+  let buf = Bytes.create 4096 in
+  let rec go acc =
+    let left = deadline -. Unix.gettimeofday () in
+    if stop acc then Some acc
+    else if left <= 0. then None
+    else
+      match Unix.select [ fd ] [] [] left with
+      | [], _, _ -> None
+      | _ -> (
+          match Unix.read fd buf 0 (Bytes.length buf) with
+          | 0 -> Some acc
+          | n -> go (acc ^ Bytes.sub_string buf 0 n))
+  in
+  go ""
+
 (* A router that cannot bind shuts its spawned shards down: it exits 2,
    and its stderr (which the shards inherit) reaches EOF promptly. *)
 let test_router_bind_failure_reaps_shards () =
@@ -236,20 +277,7 @@ let test_router_bind_failure_reaps_shards () =
           Unix.stdin Unix.stdout w
       in
       Unix.close w;
-      let deadline = Unix.gettimeofday () +. 10. in
-      let buf = Bytes.create 4096 in
-      let rec drain acc =
-        let left = deadline -. Unix.gettimeofday () in
-        if left <= 0. then None
-        else
-          match Unix.select [ r ] [] [] left with
-          | [], _, _ -> None
-          | _ -> (
-              match Unix.read r buf 0 (Bytes.length buf) with
-              | 0 -> Some acc
-              | n -> drain (acc ^ Bytes.sub_string buf 0 n))
-      in
-      let err = drain "" in
+      let err = read_until r 10. in
       Unix.close r;
       if err = None then (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
       let code =
@@ -265,6 +293,55 @@ let test_router_bind_failure_reaps_shards () =
             (Printf.sprintf "stderr names the port (got %S)" err)
             true
             (contains err (Printf.sprintf "127.0.0.1:%d" port)))
+
+(* A spawned shard's output after its banner reaches the router's
+   stdout: on shutdown the shard's final stats are printed, before the
+   router's own. *)
+let test_router_forwards_shard_output () =
+  let r, w = Unix.pipe ~cloexec:true () in
+  let null = Unix.openfile Filename.null [ Unix.O_WRONLY; Unix.O_CLOEXEC ] 0 in
+  let pid =
+    Unix.create_process cli
+      [| cli; "serve-router"; "--port"; "0"; "--spawn"; "1" |]
+      Unix.stdin w null
+  in
+  Unix.close w;
+  Unix.close null;
+  let finish () =
+    (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+    ignore (Unix.waitpid [] pid);
+    Unix.close r
+  in
+  let banner = read_until ~stop:(fun s -> contains s " across ") r 20. in
+  let rest =
+    Option.bind banner (fun banner ->
+        let at = Option.get (find banner "routing on ") in
+        let port =
+          Scanf.sscanf
+            (String.sub banner at (String.length banner - at))
+            "routing on 127.0.0.1:%d" Fun.id
+        in
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+            Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+            let frame = "{\"v\":1,\"op\":\"shutdown\",\"id\":\"x\"}\n" in
+            ignore (Unix.write_substring fd frame 0 (String.length frame));
+            ignore (read_until ~stop:(fun s -> contains s "\n") fd 10.));
+        Option.map (fun rest -> banner ^ rest) (read_until r 30.))
+  in
+  finish ();
+  match rest with
+  | None -> Alcotest.fail "router did not announce and exit within the deadline"
+  | Some out ->
+      let shard = "server stopped; final stats:" in
+      let router = "router stopped; final stats:" in
+      Alcotest.(check bool)
+        (Printf.sprintf "stdout carries the shard's final stats (got %S)" out)
+        true (contains out shard);
+      Alcotest.(check bool) "shard's stats print before the router's" true
+        (match (find out shard, find out router) with
+        | Some a, Some b -> a < b
+        | _ -> false)
 
 (* The trace pipeline end to end through the binary: record a trace,
    convert text -> binary -> text losslessly, and replay it under a
@@ -560,6 +637,8 @@ let suite =
     Alcotest.test_case "fig6 artifacts job-invariant" `Slow
       test_fig6_artifacts_job_invariant;
     Alcotest.test_case "error exit codes" `Quick test_error_paths;
+    Alcotest.test_case "serve help states high-water default" `Quick
+      test_serve_help_high_water;
     Alcotest.test_case "scenario size exit codes" `Quick
       test_scenario_size_exit_codes;
     Alcotest.test_case "validation exit codes" `Quick
@@ -568,6 +647,8 @@ let suite =
       test_fullsys_store_shared;
     Alcotest.test_case "serve bind failures exit 2" `Quick
       test_bind_failure_exit_codes;
+    Alcotest.test_case "router forwards spawned shard output" `Quick
+      test_router_forwards_shard_output;
     Alcotest.test_case "router bind failure reaps spawned shards" `Quick
       test_router_bind_failure_reaps_shards;
     Alcotest.test_case "trace pipeline record/convert/replay" `Slow

@@ -206,6 +206,123 @@ let test_multicore_verify_timing_invariant () =
     plain.Multicore.per_core;
   Alcotest.(check int) "plain run verifies nothing" 0 plain.Multicore.macs_verified
 
+(* --- Byte-identity goldens ------------------------------------------------ *)
+
+(* Exact outputs of the timing hierarchy, recorded before the multicore
+   model was rebuilt on [Core.t] and unchanged by it: any change to the
+   order of DRAM events or of guard RNG draws moves a line here. Floats
+   are printed as their bits. *)
+
+let bits f = Printf.sprintf "%Lx" (Int64.bits_of_float f)
+
+let core_line (r : Core.result) =
+  Printf.sprintf "instrs=%d cycles=%d ipc=%s mpki=%s dram=%d pte=%d walks=%d tlb=%s macs=%d wb=%d"
+    r.Core.instrs r.Core.cycles (bits r.Core.ipc) (bits r.Core.llc_mpki)
+    r.Core.dram_reads r.Core.pte_dram_reads r.Core.walks
+    (bits r.Core.tlb_miss_rate) r.Core.guard_mac_computations
+    r.Core.cache_writebacks
+
+let multicore_line (r : Multicore.result) =
+  Printf.sprintf "total=%d cores=[%s] dram=%d pte=%d wb=%d queue=%s macs=%d fail=%d"
+    r.Multicore.total_cycles
+    (String.concat ";"
+       (Array.to_list
+          (Array.map
+             (fun (pc : Multicore.per_core) ->
+               Printf.sprintf "%d/%d" pc.Multicore.instrs pc.Multicore.cycles)
+             r.Multicore.per_core)))
+    r.Multicore.dram_reads r.Multicore.pte_dram_reads r.Multicore.cache_writebacks
+    (bits r.Multicore.avg_queue_delay) r.Multicore.macs_verified
+    r.Multicore.mac_verify_failures
+
+let core_expected =
+  [
+    "instrs=10000 cycles=285597 ipc=3fa1ed676949cc83 mpki=4064d33333333333 dram=1666 pte=47 walks=47 tlb=3f8b449ae7c724b2 macs=0 wb=729";
+    "instrs=40000 cycles=315154 ipc=3fc03efb8b30ea48 mpki=402d19999999999a dram=582 pte=93 walks=80 tlb=3f779acb84391803 macs=0 wb=3462";
+    "instrs=10000 cycles=302727 ipc=3fa0e9b5a8c2ecc5 mpki=4064d33333333333 dram=1666 pte=47 walks=47 tlb=3f8b449ae7c724b2 macs=1713 wb=729";
+    "instrs=40000 cycles=321904 ipc=3fbfcf8bc039d1b6 mpki=402d19999999999a dram=582 pte=93 walks=80 tlb=3f779acb84391803 macs=675 wb=3462";
+    "instrs=10000 cycles=286157 ipc=3fa1e46c31d0d00d mpki=4064d33333333333 dram=1666 pte=47 walks=47 tlb=3f8b449ae7c724b2 macs=56 wb=729";
+    "instrs=40000 cycles=316114 ipc=3fc0325a2e0f6586 mpki=402d19999999999a dram=582 pte=93 walks=80 tlb=3f779acb84391803 macs=96 wb=3462";
+  ]
+
+let test_core_golden () =
+  let spec = Option.get (Ptg_workloads.Workload.by_name "mcf") in
+  let run guard =
+    let core = Core.create ~guard () in
+    let stream = Ptg_workloads.Workload.stream (Ptg_util.Rng.create 11L) spec in
+    let warm = Core.run core ~instrs:10_000 ~stream in
+    [ core_line warm; core_line (Core.run core ~instrs:40_000 ~stream) ]
+  in
+  Alcotest.(check (list string)) "core results" core_expected
+    (run Guard_timing.unprotected
+    @ run (Guard_timing.of_config Ptguard.Config.baseline ~rng:(Ptg_util.Rng.create 12L))
+    @ run (Guard_timing.of_config Ptguard.Config.optimized ~rng:(Ptg_util.Rng.create 13L)))
+
+let multicore_expected =
+  [
+    "total=613534 cores=[20000/613365;20000/540815;20000/441100;20000/613534] dram=7612 pte=393 wb=6552 queue=400dfaf278f2cad1 macs=0 fail=0";
+    "total=613534 cores=[20000/613365;20000/540815;20000/441100;20000/613534] dram=7612 pte=393 wb=6552 queue=400dfaf278f2cad1 macs=393 fail=0";
+    "total=607629 cores=[20000/607629;20000/530237;20000/436580;20000/606688] dram=7612 pte=393 wb=6552 queue=400813719ffefa05 macs=0 fail=0";
+    "total=607629 cores=[20000/607629;20000/530237;20000/436580;20000/606688] dram=7612 pte=393 wb=6552 queue=400813719ffefa05 macs=393 fail=0";
+  ]
+
+let test_multicore_golden () =
+  let names = [| "pr"; "mcf"; "omnetpp"; "xalancbmk" |] in
+  let run config ~verify =
+    let guard = Guard_timing.of_config config ~rng:(Ptg_util.Rng.create 21L) in
+    let verify_engine =
+      if verify then Some (Ptguard.Engine.create ~rng:(Ptg_util.Rng.create 9L) ())
+      else None
+    in
+    let mc = Multicore.create ?verify_engine ~guard () in
+    let streams =
+      Array.mapi
+        (fun i name ->
+          Ptg_workloads.Workload.stream
+            (Ptg_util.Rng.create (Int64.of_int (30 + i)))
+            (Option.get (Ptg_workloads.Workload.by_name name)))
+        names
+    in
+    multicore_line (Multicore.run mc ~instrs_per_core:20_000 ~streams)
+  in
+  Alcotest.(check (list string)) "multicore results" multicore_expected
+    (List.concat_map
+       (fun config -> [ run config ~verify:false; run config ~verify:true ])
+       [ Ptguard.Config.baseline; Ptguard.Config.optimized ])
+
+let page_size_expected =
+  [
+    "4K slowdown=40031c67f5b0e11f walks=4007222222222221";
+    "2M slowdown=400203abbc0472a2 walks=4003333333333333";
+  ]
+
+let test_page_size_golden () =
+  let r =
+    Ptg_sim.Ablations.page_size ~jobs:1 ~instrs:40_000
+      ~workloads:(List.filteri (fun i _ -> i < 3) Ptg_workloads.Workload.high_mpki)
+      ()
+  in
+  Alcotest.(check (list string)) "page-size rows" page_size_expected
+    (List.map
+       (fun (row : Ptg_sim.Ablations.page_size_row) ->
+         Printf.sprintf "%s slowdown=%s walks=%s" row.Ptg_sim.Ablations.page
+           (bits row.Ptg_sim.Ablations.avg_slowdown_pct)
+           (bits row.Ptg_sim.Ablations.walks_per_kinstr))
+       r.Ptg_sim.Ablations.rows)
+
+let test_walk_trace_golden () =
+  let t =
+    Ptg_sim.Mem_trace.record_walks ~instrs:80_000
+      (Option.get (Ptg_workloads.Workload.by_name "mcf"))
+  in
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun (e : Ptg_sim.Mem_trace.event) ->
+      Buffer.add_string b (Printf.sprintf "%Lx/%d\n" e.Ptg_sim.Mem_trace.addr e.Ptg_sim.Mem_trace.cycle))
+    t.Ptg_sim.Mem_trace.events;
+  Alcotest.(check (pair int string)) "walk events" (193, "130cfd56e54ae6632b81145a3a14bcad")
+    (Array.length t.Ptg_sim.Mem_trace.events, Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* A core's DRAM device is sparse, so building a core costs its caches
    and TLB — a dense per-row counter array would add 4 MiB. *)
 let test_core_create_allocation () =
@@ -235,4 +352,8 @@ let suite =
       test_multicore_verify_engine;
     Alcotest.test_case "multicore: verify is timing-invariant" `Quick
       test_multicore_verify_timing_invariant;
+    Alcotest.test_case "golden: core results" `Quick test_core_golden;
+    Alcotest.test_case "golden: multicore results" `Quick test_multicore_golden;
+    Alcotest.test_case "golden: page-size rows" `Quick test_page_size_golden;
+    Alcotest.test_case "golden: walk trace" `Quick test_walk_trace_golden;
   ]
