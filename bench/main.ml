@@ -58,6 +58,20 @@ let hopeless =
   (* MAC shredded beyond soft match: correction runs all G_max guesses. *)
   List.fold_left Ptg_pte.Line.flip_bit stored_pte [ 40; 42; 44; 46; 48; 50; 104; 106 ]
 
+(* The correction rows correct under the key the lines were written
+   with. A fixture that drifts into another case (single-flip ending
+   Uncorrectable times the Gmax case twice) stops the bench here. *)
+let line_key = Ptguard.Engine.key baseline_engine
+
+let () =
+  let correct line = Ptguard.Correction.correct Ptguard.Config.baseline line_key ~addr line in
+  (match correct single_flip with
+  | Ptguard.Correction.Corrected { step = Ptguard.Correction.Flip_and_check; _ } -> ()
+  | _ -> failwith "bench fixture: single_flip is not corrected by flip-and-check");
+  match correct hopeless with
+  | Ptguard.Correction.Uncorrectable _ -> ()
+  | Ptguard.Correction.Corrected _ -> failwith "bench fixture: hopeless line was corrected"
+
 let block_p = Ptg_crypto.Block128.make ~hi:0x0123456789ABCDEFL ~lo:0xFEDCBA9876543210L
 let block_t = Ptg_crypto.Block128.make ~hi:0xAAAAAAAAAAAAAAAAL ~lo:0x5555555555555555L
 let masked = Ptg_pte.Protection.masked_for_mac Ptg_pte.Protection.default pte_line
@@ -111,10 +125,10 @@ let micro_tests =
            Ptguard.Engine.process_read optimized_engine ~addr ~is_pte:false data_line));
     Test.make ~name:"correction/single-flip"
       (Staged.stage (fun () ->
-           Ptguard.Correction.correct Ptguard.Config.baseline key ~addr single_flip));
+           Ptguard.Correction.correct Ptguard.Config.baseline line_key ~addr single_flip));
     Test.make ~name:"correction/worst-case-Gmax"
       (Staged.stage (fun () ->
-           Ptguard.Correction.correct Ptguard.Config.baseline key ~addr hopeless));
+           Ptguard.Correction.correct Ptguard.Config.baseline line_key ~addr hopeless));
     Test.make ~name:"obs/counter-incr"
       (Staged.stage (fun () -> Ptg_obs.Registry.incr obs_counter));
     Test.make ~name:"engine/read-pte-verify-observed"
@@ -341,7 +355,8 @@ let run_fig6_json () =
 (* ------------------------------------------------------------------ *)
 (* MAC core: one cipher call with its tweak expanded per call, with a  *)
 (* cached tweak schedule (what correction guesses pay), and whole MACs *)
-(* through compute_with and compute, which must agree.                 *)
+(* through compute_with and compute. Both pairs must agree; check_all  *)
+(* runs this section for those two checks.                             *)
 (* ------------------------------------------------------------------ *)
 
 let run_mac_bench () =
@@ -387,13 +402,28 @@ let run_mac_bench () =
     Array.for_all2 Ptg_crypto.Mac.equal scalar
       (Array.map2 (fun addr line -> Ptg_crypto.Mac.compute key ~addr line) addrs lines)
   in
+  (* The scheduled path must leave what a per-call expansion of the same
+     tweak leaves. *)
+  let sched_identical =
+    Array.for_all
+      (fun line ->
+        let p_hi = line.(1) and p_lo = line.(0) in
+        Ptg_crypto.Qarma.encrypt_scheduled sc sch ~p_hi ~p_lo;
+        let hi = Ptg_crypto.Qarma.out_hi sc and lo = Ptg_crypto.Qarma.out_lo sc in
+        Ptg_crypto.Qarma.encrypt_raw sc key ~t_hi:1L ~t_lo:0x4000L ~p_hi ~p_lo;
+        Int64.equal hi (Ptg_crypto.Qarma.out_hi sc)
+        && Int64.equal lo (Ptg_crypto.Qarma.out_lo sc))
+      lines
+  in
   Printf.printf
     "  encrypt_raw:       %8.1f ns/block (tweak expanded per call)\n\
     \  encrypt_scheduled: %8.1f ns/block (cached tweak schedule)\n\
     \  compute_with:      %8.1f ns/MAC (%d MACs, %d passes)\n\
-    \  compute_with == compute: %b\n"
-    ns_raw ns_sched ns_scalar reqs passes identical;
-  if not identical then failwith "mac bench: compute_with diverges from compute"
+    \  compute_with == compute: %b\n\
+    \  encrypt_scheduled == encrypt_raw: %b\n"
+    ns_raw ns_sched ns_scalar reqs passes identical sched_identical;
+  if not identical then failwith "mac bench: compute_with diverges from compute";
+  if not sched_identical then failwith "mac bench: encrypt_scheduled diverges from encrypt_raw"
 
 (* ------------------------------------------------------------------ *)
 (* Full-system regression benchmark: BENCH_fullsys.json                *)

@@ -49,9 +49,10 @@ let no_strategies =
 
 (* The MAC folds Q(C_i xor A_i) over four 16-byte chunks under the chunk
    tweaks A_i = { hi = i; lo = addr }. The cache schedules each A_i once
-   and keeps the base line's four chunk outputs, so a candidate that
-   differs from the base in one chunk costs one scheduled cipher call.
-   Flip-and-check guesses fold and compare bare int64s. *)
+   and keeps the base line's four chunk outputs and their fold, so a
+   candidate that differs from the base in one chunk costs one scheduled
+   cipher call. A flip-and-check guess folds and compares unboxed int64s
+   and allocates nothing. *)
 module Mac_cache = struct
   type t = {
     addr : int64;
@@ -65,10 +66,12 @@ module Mac_cache = struct
     nonzero_words : int; (* of [base] *)
     q_hi : int64 array; (* the 4 chunk outputs for [base] *)
     q_lo : int64 array;
+    all_hi : int64; (* their fold, untruncated *)
+    all_lo : int64;
   }
 
   (* Leaves Q(chunk xor A_ci) in [t.sc]. *)
-  let encrypt_chunk t ci ~hi ~lo =
+  let[@inline] encrypt_chunk t ci ~hi ~lo =
     Qarma.encrypt_scheduled t.sc t.scheds.(ci)
       ~p_hi:(Int64.logxor hi (Int64.of_int ci))
       ~p_lo:(Int64.logxor lo t.addr)
@@ -76,67 +79,64 @@ module Mac_cache = struct
   let make ~mac_bits ~masked_for_mac ~protected_mask key ~addr line =
     let base = masked_for_mac line in
     let masks = Mac.truncate ~width:mac_bits { Mac.hi32 = 0xFFFF_FFFFL; lo = -1L } in
+    let scheds =
+      Array.init 4 (fun i -> Qarma.schedule key ~t_hi:(Int64.of_int i) ~t_lo:addr)
+    in
+    let sc = Qarma.scratch () in
+    let q_hi = Array.make 4 0L and q_lo = Array.make 4 0L in
     let t =
       { addr; masked_for_mac; protected_mask; mask_hi = masks.Mac.hi32;
-        mask_lo = masks.Mac.lo;
-        scheds = Array.init 4 (fun i -> Qarma.schedule key ~t_hi:(Int64.of_int i) ~t_lo:addr);
-        sc = Qarma.scratch (); base;
+        mask_lo = masks.Mac.lo; scheds; sc; base;
         nonzero_words = Array.fold_left (fun n w -> if w = 0L then n else n + 1) 0 base;
-        q_hi = Array.make 4 0L; q_lo = Array.make 4 0L }
+        q_hi; q_lo; all_hi = 0L; all_lo = 0L }
     in
     for i = 0 to 3 do
       encrypt_chunk t i ~hi:base.((2 * i) + 1) ~lo:base.(2 * i);
-      t.q_hi.(i) <- Qarma.out_hi t.sc;
-      t.q_lo.(i) <- Qarma.out_lo t.sc
+      q_hi.(i) <- Qarma.out_hi sc;
+      q_lo.(i) <- Qarma.out_lo sc
     done;
-    t
+    let fold q = Int64.logxor (Int64.logxor q.(0) q.(1)) (Int64.logxor q.(2) q.(3)) in
+    { t with all_hi = fold q_hi; all_lo = fold q_lo }
 
   let to_mac t ~hi ~lo =
     { Mac.hi32 = Int64.logand hi t.mask_hi; lo = Int64.logand lo t.mask_lo }
 
   (* MAC of the current base. *)
-  let base_mac t =
-    let hi = ref 0L and lo = ref 0L in
-    for i = 0 to 3 do
-      hi := Int64.logxor !hi t.q_hi.(i);
-      lo := Int64.logxor !lo t.q_lo.(i)
-    done;
-    to_mac t ~hi:!hi ~lo:!lo
+  let base_mac t = to_mac t ~hi:t.all_hi ~lo:t.all_lo
 
   (* Is the base with word [word_idx] replaced by [value] all-zero once
      masked? *)
-  let zero_with_word t ~word_idx value =
+  let[@inline] zero_with_word t ~word_idx value =
     Int64.equal (Int64.logand value t.protected_mask) 0L
     && (t.nonzero_words = 0
        || (t.nonzero_words = 1 && not (Int64.equal t.base.(word_idx) 0L)))
 
-  (* Does the MAC of the base with word [word_idx] replaced by [value]
-     soft-match [target] within [k] bits? *)
-  let word_matches t ~word_idx value ~k ~(target : Mac.t) =
-    let v = Int64.logand value t.protected_mask in
-    let ci = word_idx / 2 in
-    let hi = ref 0L and lo = ref 0L in
-    for i = 0 to 3 do
-      if i <> ci then begin
-        hi := Int64.logxor !hi t.q_hi.(i);
-        lo := Int64.logxor !lo t.q_lo.(i)
-      end
-    done;
-    if Int64.equal v t.base.(word_idx) then begin
-      hi := Int64.logxor !hi t.q_hi.(ci);
-      lo := Int64.logxor !lo t.q_lo.(ci)
-    end
-    else begin
-      let odd = word_idx land 1 = 1 in
-      encrypt_chunk t ci
-        ~hi:(if odd then v else t.base.((2 * ci) + 1))
-        ~lo:(if odd then t.base.(2 * ci) else v);
-      hi := Int64.logxor !hi (Qarma.out_hi t.sc);
-      lo := Int64.logxor !lo (Qarma.out_lo t.sc)
-    end;
-    Bits.popcount (Int64.logxor (Int64.logand !hi t.mask_hi) target.Mac.hi32)
-    + Bits.popcount (Int64.logxor (Int64.logand !lo t.mask_lo) target.Mac.lo)
+  (* Does the untruncated MAC [hi], [lo] soft-match [target] within [k]
+     bits? *)
+  let[@inline] soft_matches t ~k ~(target : Mac.t) hi lo =
+    Bits.popcount (Int64.logxor (Int64.logand hi t.mask_hi) target.Mac.hi32)
+    + Bits.popcount (Int64.logxor (Int64.logand lo t.mask_lo) target.Mac.lo)
     <= k
+
+  (* Does the MAC of the base with word [word_idx] replaced by [value]
+     soft-match [target] within [k] bits? Inlined into the guess loop, so
+     [value] is never boxed. *)
+  let[@inline] word_matches t ~word_idx value ~k ~target =
+    let v = Int64.logand value t.protected_mask in
+    if Int64.equal v t.base.(word_idx) then soft_matches t ~k ~target t.all_hi t.all_lo
+    else begin
+      let ci = word_idx / 2 in
+      (* The changed half takes [v]: its difference from the base goes to
+         [hi] or [lo] under an all-ones mask (an [if] would box [v]). *)
+      let d = Int64.logxor v t.base.(word_idx) in
+      let d_hi = Int64.logand d (Int64.of_int (-(word_idx land 1))) in
+      encrypt_chunk t ci
+        ~hi:(Int64.logxor t.base.((2 * ci) + 1) d_hi)
+        ~lo:(Int64.logxor t.base.(2 * ci) (Int64.logxor d d_hi));
+      soft_matches t ~k ~target
+        (Int64.logxor (Int64.logxor t.all_hi t.q_hi.(ci)) (Qarma.out_hi t.sc))
+        (Int64.logxor (Int64.logxor t.all_lo t.q_lo.(ci)) (Qarma.out_lo t.sc))
+    end
 
   (* MAC of an arbitrary candidate line (changed chunks recomputed). *)
   let mac_of_line t line =
@@ -196,9 +196,6 @@ let correct ?(strategies = all_strategies) ?mac_zero (cfg : Config.t) key ~addr 
   let content_mask =
     Int64.lognot (Int64.logor L.mac_field_mask L.identifier_field_mask)
   in
-  let protected_bit_list =
-    List.filter (fun b -> Bits.get L.protected_mask b) (List.init 64 Fun.id)
-  in
   let exception Found of Ptg_pte.Line.t * step in
   let try_line step candidate =
     let mac =
@@ -217,8 +214,8 @@ let correct ?(strategies = all_strategies) ?mac_zero (cfg : Config.t) key ~addr 
        candidate line. *)
     if strategies.use_flip_and_check then begin
       for word = 0 to 7 do
-        List.iter
-          (fun b ->
+        for b = 0 to 63 do
+          if Bits.get L.protected_mask b then begin
             let flipped = Int64.logxor line.(word) (Int64.shift_left 1L b) in
             incr guesses;
             let hit =
@@ -232,8 +229,9 @@ let correct ?(strategies = all_strategies) ?mac_zero (cfg : Config.t) key ~addr 
               let candidate = Ptg_pte.Line.copy line in
               candidate.(word) <- flipped;
               raise (Found (candidate, Flip_and_check))
-            end)
-          protected_bit_list
+            end
+          end
+        done
       done
     end;
     (* Step 3: reset almost-zero PTEs; later steps inherit the resets. *)

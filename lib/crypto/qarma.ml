@@ -6,20 +6,26 @@
    The cipher's steps regroup into units that each gather 16 bytes
    through a cell permutation and rebuild four columns from lookups:
 
-   - forward unit: S-box, xor the round-key byte, then one lookup in
-     [mcol], the column contribution of that byte under M (the gather
-     through [tau] does the cell shuffle);
-   - backward unit: gather through [tau_inv], xor the round-key byte,
-     then one lookup in [mscol] = M o S^-1.
+   - forward unit: one lookup per byte in [ms] = M o S, xored with the
+     unit's four key words (the gather through [tau] does the cell
+     shuffle). M is linear over GF(2), so M(tau(S(x) xor k)) =
+     M(tau(S(x))) xor M(tau(k)), and the schedule keeps M(tau(k)) as
+     column words;
+   - backward unit: xor the key words into the state, then gather
+     through [tau_inv] with one lookup in [msinv] = M o S^-1. The key
+     xor moves ahead of the gather, so its words hold k permuted back
+     through tau.
 
-   Encryption is: whitening, [r] forward units (the last one is the
-   centre's M), [r - 1] backward units (the first one carries the
-   reflector key), and a final S^-1 gather with the output whitening.
-   Decryption is the same program under k0a/k0 swapped and w0/w1
-   swapped; only the centre's constants differ. A [schedule] holds every
-   unit's key bytes for one (key, tweak), so a fixed tweak is scheduled
-   once. The pure cell-array cipher lives in test/crypto/qarma_ref.ml as
-   the differential oracle. *)
+   Both kinds of unit build column c's key word from the key cells
+   tau(c), tau(4+c), tau(8+c), tau(12+c); a forward word is M of the
+   backward one. Encryption is: whitening, [r] forward units (the last
+   one is the centre's M), [r - 1] backward units (the first one carries
+   the reflector key), and a final S^-1 gather with the output
+   whitening. Decryption is the same program under k0a/k0 swapped and
+   w0/w1 swapped; only the centre's constants differ. A [schedule] holds
+   every unit's key words for one (key, tweak), so a fixed tweak is
+   scheduled once. The pure cell-array cipher lives in
+   test/crypto/qarma_ref.ml as the differential oracle. *)
 
 external get : int array -> int -> int = "%array_unsafe_get"
 external set : int array -> int -> int -> unit = "%array_unsafe_set"
@@ -58,7 +64,18 @@ let mcol =
       let at row v = v lsl (24 - (8 * (row land 3))) in
       at (j + 3) (rot x 1) lor at (j + 2) (rot x 4) lor at (j + 1) (rot x 5))
 
-let mscol = Array.init 1024 (fun i -> mcol.((i land 0x300) lor sbox_inv.(i land 0xff)))
+(* Column tables of whole units: [ms.(256 j + x)] = mcol of S(x) in row
+   j, [msinv] the same through S^-1. *)
+let through box = Array.init 1024 (fun i -> mcol.((i land 0x300) lor box.(i land 0xff)))
+let ms = through sbox
+let msinv = through sbox_inv
+
+(* M applied to column word [w]. *)
+let[@inline] mword w =
+  get mcol (w lsr 24)
+  lxor get mcol (256 + ((w lsr 16) land 0xff))
+  lxor get mcol (512 + ((w lsr 8) land 0xff))
+  lxor get mcol (768 + (w land 0xff))
 
 let mix cells =
   let out = Array.make 16 0 in
@@ -126,24 +143,51 @@ let rc_cells =
 
 let alpha = Block128.make ~hi:0x27b70a8546d22ffcL ~lo:0x2e1b21385c26c926L
 
-(* One direction's key material, as cells. A forward unit xors [fk] (k xor
-   rc_i), a backward unit [bk]; the centre forward unit's key is
-   [centre_f] and the first backward unit's is [centre_b] (already in
-   post-tau^-1 order), with the last tweak t_r joining the former when
-   [tweak_in_centre_f] and the latter otherwise. *)
-type half = {
-  fk : int array;
-  bk : int array;
-  w_in : int array;
-  w_out : int array;
-  centre_f : int array;
-  centre_b : int array;
-  tweak_in_centre_f : bool;
-}
+(* Unit word [c] of the 16 cells at [a.(b)..]: the cells tau(c),
+   tau(4+c), tau(8+c), tau(12+c) from the top byte down. A backward unit
+   xors it into the state before its gather; [mword] of it is a forward
+   unit's. *)
+let[@inline] gather a b c0 c1 c2 c3 =
+  (get a (b + c0) lsl 24) lor (get a (b + c1) lsl 16) lor (get a (b + c2) lsl 8)
+  lor get a (b + c3)
+
+(* One direction's key part of a schedule. [hk] holds every unit's key
+   words without the tweak, 4 per unit in schedule order (below), and
+   [hw] the input and output whitening's as row words. The last tweak t_r
+   joins the centre forward unit when [tweak_in_centre_f] and the centre
+   backward unit otherwise. *)
+type half = { hk : int array; hw : int array; tweak_in_centre_f : bool }
 
 type key = { rounds : int; w0 : Block128.t; k0 : Block128.t; enc : half; dec : half }
 
 let default_rounds = 8
+
+(* [fk] and [bk] are 16 cells per round (k xor rc_i); a forward unit
+   xors [fk], a backward unit [bk]. The centre forward unit's key is
+   [centre_f], the first backward unit's [centre_b] (already in
+   post-tau^-1 order). *)
+let half ~rounds:r ~fk ~bk ~w_in ~w_out ~centre_f ~centre_b ~tweak_in_centre_f =
+  let hk = Array.make (8 * r) 0 in
+  let words o a b f =
+    set hk o (f (gather a b 0 10 5 15));
+    set hk (o + 1) (f (gather a b 11 1 14 4));
+    set hk (o + 2) (f (gather a b 6 12 3 9));
+    set hk (o + 3) (f (gather a b 13 7 8 2))
+  in
+  (* Round i's forward key goes to unit i - 1, its backward key to unit
+     2r - i. *)
+  for i = 1 to r - 1 do
+    words (4 * (i - 1)) fk (16 * i) mword;
+    words (4 * ((2 * r) - i)) bk (16 * i) Fun.id
+  done;
+  words (4 * (r - 1)) centre_f 0 mword;
+  words (4 * r) centre_b 0 Fun.id;
+  let row a j = gather a (4 * j) 0 1 2 3 in
+  let hw =
+    Array.init 8 (fun j ->
+        if j < 4 then row w_in j lxor row fk j else row w_out (j - 4) lxor row bk (j - 4))
+  in
+  { hk; hw; tweak_in_centre_f }
 
 let expand_key ?(rounds = default_rounds) ~w0 k0 =
   if rounds < 1 || rounds > max_rounds then invalid_arg "Qarma.expand_key: rounds";
@@ -160,14 +204,14 @@ let expand_key ?(rounds = default_rounds) ~w0 k0 =
     k0;
     (* Centre: xor (w1 ^ t_r); tau; M; xor k1 (= M k0); tau^-1. *)
     enc =
-      { fk = round_keys k0c; bk = round_keys k0ac; w_in = w0c; w_out = w1c;
-        centre_f = w1c; centre_b = after_tau_inv (mix k0c); tweak_in_centre_f = true };
+      half ~rounds ~fk:(round_keys k0c) ~bk:(round_keys k0ac) ~w_in:w0c ~w_out:w1c
+        ~centre_f:w1c ~centre_b:(after_tau_inv (mix k0c)) ~tweak_in_centre_f:true;
     (* Its inverse: tau; M; xor M(k1) = k0; tau^-1; xor (w1 ^ t_r). *)
     dec =
-      { fk = round_keys k0ac; bk = round_keys k0c; w_in = w1c; w_out = w0c;
-        centre_f = Array.make 16 0;
-        centre_b = Array.map2 ( lxor ) (after_tau_inv k0c) w1c;
-        tweak_in_centre_f = false };
+      half ~rounds ~fk:(round_keys k0ac) ~bk:(round_keys k0c) ~w_in:w1c ~w_out:w0c
+        ~centre_f:(Array.make 16 0)
+        ~centre_b:(Array.map2 ( lxor ) (after_tau_inv k0c) w1c)
+        ~tweak_in_centre_f:false;
   }
 
 let key_of_rng ?rounds rng =
@@ -179,66 +223,61 @@ let key_of_rng ?rounds rng =
 let rounds k = k.rounds
 let key_material k = (k.w0, k.k0)
 
-(* A schedule holds one (key, tweak)'s round-key bytes in [kb], 16 per
-   unit in cell order: the r forward units, then the r - 1 backward units
-   and the final gather. A forward unit xors its bytes before its tau
-   gather, a backward unit after its tau^-1 gather. [wr] holds the input
-   and output whitening as row words, [tw] the tweak cells of the current
-   round while filling. Bytes keep a schedule small enough for the minor
-   heap. *)
-type schedule = { mutable nr : int; kb : Bytes.t; wr : int array; tw : int array }
-
-(* Byte access typed as int (a char is an immediate int); stored values
-   are always below 256. *)
-external kget : Bytes.t -> int -> int = "%bytes_unsafe_get"
-external kset : Bytes.t -> int -> int -> unit = "%bytes_unsafe_set"
+(* A schedule holds one (key, tweak)'s key words in [kw], 4 per unit:
+   the r forward units, then the r - 1 backward units and the final
+   gather. [wr] holds the input and output whitening as row words, [tw]
+   the tweak cells of the current round while filling. *)
+type schedule = { mutable nr : int; kw : int array; wr : int array; tw : int array }
 
 let make_schedule rounds =
-  { nr = rounds; kb = Bytes.make (32 * rounds) '\000'; wr = Array.make 8 0;
-    tw = Array.make 32 0 }
+  { nr = rounds; kw = Array.make (8 * rounds) 0; wr = Array.make 8 0; tw = Array.make 32 0 }
 
-(* Row word j of the 16 cells [a.(d) ^ b.(d) ^ c.(d)]. *)
-let row3 a b c j =
-  let w = ref 0 in
-  for d = 4 * j to (4 * j) + 3 do
-    w := (!w lsl 8) lor (get a d lxor get b d lxor get c d)
-  done;
-  !w
+(* Column [c]'s word of t_i into the forward unit at [fo] and the
+   backward unit at [bo], masked by [mf] and [mb] (all ones, except at
+   the centre where t_r joins one side only). *)
+let[@inline] pair kw hk fo bo mf mb g =
+  set kw fo (get hk fo lxor (mword g land mf));
+  set kw bo (get hk bo lxor (g land mb))
+
+let[@inline] round_words kw hk fo bo mf mb tw b =
+  pair kw hk fo bo mf mb (gather tw b 0 10 5 15);
+  pair kw hk (fo + 1) (bo + 1) mf mb (gather tw b 11 1 14 4);
+  pair kw hk (fo + 2) (bo + 2) mf mb (gather tw b 6 12 3 9);
+  pair kw hk (fo + 3) (bo + 3) mf mb (gather tw b 13 7 8 2)
 
 let fill sch key h ~t_hi ~t_lo =
   let r = key.rounds in
   sch.nr <- r;
-  let kb = sch.kb and tw = sch.tw and fk = h.fk and bk = h.bk in
-  for i = 0 to 7 do
-    let sh = 56 - (8 * i) in
-    set tw i (Int64.to_int (Int64.shift_right_logical t_hi sh) land 0xff);
-    set tw (i + 8) (Int64.to_int (Int64.shift_right_logical t_lo sh) land 0xff)
+  let kw = sch.kw and tw = sch.tw and hk = h.hk and hw = h.hw and wr = sch.wr in
+  let t0 = Int64.to_int (Int64.shift_right_logical t_hi 32)
+  and t1 = Int64.to_int t_hi land 0xffff_ffff
+  and t2 = Int64.to_int (Int64.shift_right_logical t_lo 32)
+  and t3 = Int64.to_int t_lo land 0xffff_ffff in
+  for i = 0 to 3 do
+    let sh = 24 - (8 * i) in
+    set tw i ((t0 lsr sh) land 0xff);
+    set tw (i + 4) ((t1 lsr sh) land 0xff);
+    set tw (i + 8) ((t2 lsr sh) land 0xff);
+    set tw (i + 12) ((t3 lsr sh) land 0xff)
   done;
-  for j = 0 to 3 do
-    set sch.wr j (row3 h.w_in fk tw j);
-    set sch.wr (4 + j) (row3 h.w_out bk tw j)
-  done;
-  (* Round i's forward key goes to unit i - 1, its backward key to unit
-     2r - i; t_i alternates between the two halves of [tw]. *)
+  set wr 0 (get hw 0 lxor t0);
+  set wr 1 (get hw 1 lxor t1);
+  set wr 2 (get hw 2 lxor t2);
+  set wr 3 (get hw 3 lxor t3);
+  set wr 4 (get hw 4 lxor t0);
+  set wr 5 (get hw 5 lxor t1);
+  set wr 6 (get hw 6 lxor t2);
+  set wr 7 (get hw 7 lxor t3);
+  (* t_i alternates between the two halves of [tw]. *)
   for i = 1 to r - 1 do
     let src = 16 * ((i - 1) land 1) and dst = 16 * (i land 1) in
     tweak_update tw src dst;
-    let o = 16 * i and of_ = 16 * (i - 1) and ob = 16 * ((2 * r) - i) in
-    for d = 0 to 15 do
-      let t = get tw (dst + d) in
-      kset kb (of_ + d) (get fk (o + d) lxor t);
-      kset kb (ob + d) (get bk (o + d) lxor t)
-    done
+    round_words kw hk (4 * (i - 1)) (4 * ((2 * r) - i)) (-1) (-1) tw dst
   done;
   let dst = 16 * (r land 1) in
   tweak_update tw (16 - dst) dst;
-  let o = 16 * (r - 1) in
   let tf = if h.tweak_in_centre_f then -1 else 0 in
-  for d = 0 to 15 do
-    let t = get tw (dst + d) in
-    kset kb (o + d) (get h.centre_f d lxor (t land tf));
-    kset kb (o + 16 + d) (get h.centre_b d lxor (t land lnot tf))
-  done
+  round_words kw hk (4 * (r - 1)) (4 * r) tf (lnot tf) tw dst
 
 (* Where a one-cell tweak difference goes in one tweak update: the cell
    it moves to, plus 16 if it passes through the LFSR there. Read off
@@ -254,9 +293,10 @@ let tweak_walk =
 
 (* The encryption schedule [sch] becomes that of its tweak with [v] xored
    into cell [cell]. The tweak schedule is linear and moves cells one to
-   one, so the difference touches one byte per round. *)
+   one, so the difference touches one word per unit: cell e sits in
+   column word p land 3, row p lsr 2, for p = tau^-1(e). *)
 let retweak sch ~cell v =
-  let r = sch.nr and kb = sch.kb and wr = sch.wr in
+  let r = sch.nr and kw = sch.kw and wr = sch.wr in
   let row = cell lsr 2 and d0 = v lsl (24 - (8 * (cell land 3))) in
   set wr row (get wr row lxor d0);
   set wr (4 + row) (get wr (4 + row) lxor d0);
@@ -265,13 +305,15 @@ let retweak sch ~cell v =
     let w = get tweak_walk !c in
     c := w land 15;
     if w >= 16 then d := get lfsr !d;
+    let p = get tau_inv !c in
+    let j = p lsr 2 and col = p land 3 in
     (* t_i feeds round i's forward and backward units; t_r the centre's
        forward unit. *)
-    let o1 = (16 * (i - 1)) + !c in
-    kset kb o1 (kget kb o1 lxor !d);
+    let o1 = (4 * (i - 1)) + col in
+    set kw o1 (get kw o1 lxor get mcol ((256 * j) + !d));
     if i < r then begin
-      let o2 = (16 * ((2 * r) - i)) + !c in
-      kset kb o2 (kget kb o2 lxor !d)
+      let o2 = (4 * ((2 * r) - i)) + col in
+      set kw o2 (get kw o2 lxor (!d lsl (24 - (8 * j))))
     end
   done
 
@@ -291,88 +333,95 @@ type scratch = {
 
 let scratch () = { own = make_schedule max_rounds; r0 = 0; r1 = 0; r2 = 0; r3 = 0 }
 
-(* One output column of a unit. [x0]..[x3] carry the source cells of rows
-   0..3 in their low byte. A forward unit's key byte belongs to the source
-   cell ([c0]..[c3]); a backward unit's to the output cell, [o] for row
-   0. *)
-let[@inline] fcol kb o x0 c0 x1 c1 x2 c2 x3 c3 =
-  get mcol (get sbox (x0 land 0xff) lxor kget kb (o + c0))
-  lxor get mcol (256 + (get sbox (x1 land 0xff) lxor kget kb (o + c1)))
-  lxor get mcol (512 + (get sbox (x2 land 0xff) lxor kget kb (o + c2)))
-  lxor get mcol (768 + (get sbox (x3 land 0xff) lxor kget kb (o + c3)))
+(* One output column of a unit from the source cells of rows 0..3 (in
+   the low byte of [x0]..[x3]). *)
+let[@inline] fcol kw o x0 x1 x2 x3 =
+  get ms (x0 land 0xff)
+  lxor get ms (256 + (x1 land 0xff))
+  lxor get ms (512 + (x2 land 0xff))
+  lxor get ms (768 + (x3 land 0xff))
+  lxor get kw o
 
-let[@inline] bcol kb o a b c d =
-  get mscol (a land 0xff lxor kget kb o)
-  lxor get mscol (256 + (b land 0xff lxor kget kb (o + 4)))
-  lxor get mscol (512 + (c land 0xff lxor kget kb (o + 8)))
-  lxor get mscol (768 + (d land 0xff lxor kget kb (o + 12)))
+let[@inline] bcol x0 x1 x2 x3 =
+  get msinv (x0 land 0xff)
+  lxor get msinv (256 + (x1 land 0xff))
+  lxor get msinv (512 + (x2 land 0xff))
+  lxor get msinv (768 + (x3 land 0xff))
 
-(* Final gather: S^-1 of the tau^-1-gathered cell [x] xor its key byte. *)
-let[@inline] fin kb o x = get sbox_inv (x land 0xff lxor kget kb o)
+(* Final gather: output row word from cells [a]..[d] through S^-1, then
+   the output whitening [w]. *)
+let[@inline] fin x = get sbox_inv (x land 0xff)
 
-(* Output row word j: cells 4j..4j+3 from [a]..[d], then the output
-   whitening [w]. *)
-let[@inline] frow kb o j w a b c d =
-  let oj = o + (4 * j) in
-  (fin kb oj a lsl 24) lor (fin kb (oj + 1) b lsl 16) lor (fin kb (oj + 2) c lsl 8)
-  lor fin kb (oj + 3) d
-  lxor w
+let[@inline] frow w a b c d =
+  ((fin a lsl 24) lor (fin b lsl 16) lor (fin c lsl 8) lor fin d) lxor w
 
-let final sc sch o s0 s1 s2 s3 =
-  let kb = sch.kb and wr = sch.wr in
-  sc.r0 <- frow kb o 0 (get wr 4) (s0 lsr 24) (s1 lsr 16) s3 (s2 lsr 8);
-  sc.r1 <- frow kb o 1 (get wr 5) s1 (s0 lsr 8) (s2 lsr 24) (s3 lsr 16);
-  sc.r2 <- frow kb o 2 (get wr 6) (s3 lsr 8) s2 (s0 lsr 16) (s1 lsr 24);
-  sc.r3 <- frow kb o 3 (get wr 7) (s2 lsr 16) (s3 lsr 24) (s1 lsr 8) s0
+let final sc sch s0 s1 s2 s3 =
+  let wr = sch.wr in
+  sc.r0 <- frow (get wr 4) (s0 lsr 24) (s1 lsr 16) s3 (s2 lsr 8);
+  sc.r1 <- frow (get wr 5) s1 (s0 lsr 8) (s2 lsr 24) (s3 lsr 16);
+  sc.r2 <- frow (get wr 6) (s3 lsr 8) s2 (s0 lsr 16) (s1 lsr 24);
+  sc.r3 <- frow (get wr 7) (s2 lsr 16) (s3 lsr 24) (s1 lsr 8) s0
 
-let rec bwd sc sch kb o stop s0 s1 s2 s3 =
-  if o = stop then final sc sch o s0 s1 s2 s3
+let rec bwd sc sch kw o stop s0 s1 s2 s3 =
+  let s0 = s0 lxor get kw o
+  and s1 = s1 lxor get kw (o + 1)
+  and s2 = s2 lxor get kw (o + 2)
+  and s3 = s3 lxor get kw (o + 3) in
+  if o = stop then final sc sch s0 s1 s2 s3
   else
-    bwd sc sch kb (o + 16) stop
-      (bcol kb o (s0 lsr 24) s1 (s3 lsr 8) (s2 lsr 16))
-      (bcol kb (o + 1) (s1 lsr 16) (s0 lsr 8) s2 (s3 lsr 24))
-      (bcol kb (o + 2) s3 (s2 lsr 24) (s0 lsr 16) (s1 lsr 8))
-      (bcol kb (o + 3) (s2 lsr 8) (s3 lsr 16) (s1 lsr 24) s0)
+    bwd sc sch kw (o + 4) stop
+      (bcol (s0 lsr 24) s1 (s3 lsr 8) (s2 lsr 16))
+      (bcol (s1 lsr 16) (s0 lsr 8) s2 (s3 lsr 24))
+      (bcol s3 (s2 lsr 24) (s0 lsr 16) (s1 lsr 8))
+      (bcol (s2 lsr 8) (s3 lsr 16) (s1 lsr 24) s0)
 
-let rec fwd sc sch kb o stop s0 s1 s2 s3 =
-  if o = stop then bwd sc sch kb o (stop + stop - 16) s0 s1 s2 s3
+let rec fwd sc sch kw o stop s0 s1 s2 s3 =
+  if o = stop then bwd sc sch kw o (stop + stop - 4) s0 s1 s2 s3
   else
-    fwd sc sch kb (o + 16) stop
-      (fcol kb o (s0 lsr 24) 0 (s2 lsr 8) 10 (s1 lsr 16) 5 s3 15)
-      (fcol kb o (s3 lsr 8) 11 (s1 lsr 24) 1 s2 14 (s0 lsr 16) 4)
-      (fcol kb o (s2 lsr 16) 6 s0 12 (s3 lsr 24) 3 (s1 lsr 8) 9)
-      (fcol kb o s1 13 (s3 lsr 16) 7 (s0 lsr 8) 8 (s2 lsr 24) 2)
+    fwd sc sch kw (o + 4) stop
+      (fcol kw o (s0 lsr 24) (s2 lsr 8) (s1 lsr 16) s3)
+      (fcol kw (o + 1) (s3 lsr 8) (s1 lsr 24) s2 (s0 lsr 16))
+      (fcol kw (o + 2) (s2 lsr 16) s0 (s3 lsr 24) (s1 lsr 8))
+      (fcol kw (o + 3) s1 (s3 lsr 16) (s0 lsr 8) (s2 lsr 24))
 
 (* Whitening on row words, then the first forward unit, which gathers
    from the row layout into columns. *)
-let run sc sch ~p_hi ~p_lo =
-  let kb = sch.kb and wr = sch.wr in
-  let s0 = Int64.to_int (Int64.shift_right_logical p_hi 32) lxor get wr 0
-  and s1 = Int64.to_int p_hi land 0xffff_ffff lxor get wr 1
-  and s2 = Int64.to_int (Int64.shift_right_logical p_lo 32) lxor get wr 2
-  and s3 = Int64.to_int p_lo land 0xffff_ffff lxor get wr 3 in
-  fwd sc sch kb 16 (16 * sch.nr)
-    (fcol kb 0 (s0 lsr 24) 0 (s2 lsr 8) 10 (s1 lsr 16) 5 s3 15)
-    (fcol kb 0 s2 11 (s0 lsr 16) 1 (s3 lsr 8) 14 (s1 lsr 24) 4)
-    (fcol kb 0 (s1 lsr 8) 6 (s3 lsr 24) 12 s0 3 (s2 lsr 16) 9)
-    (fcol kb 0 (s3 lsr 16) 13 s1 7 (s2 lsr 24) 8 (s0 lsr 8) 2)
+let run sc sch s0 s1 s2 s3 =
+  let kw = sch.kw and wr = sch.wr in
+  let s0 = s0 lxor get wr 0 and s1 = s1 lxor get wr 1 in
+  let s2 = s2 lxor get wr 2 and s3 = s3 lxor get wr 3 in
+  fwd sc sch kw 4 (4 * sch.nr)
+    (fcol kw 0 (s0 lsr 24) (s2 lsr 8) (s1 lsr 16) s3)
+    (fcol kw 1 s2 (s0 lsr 16) (s3 lsr 8) (s1 lsr 24))
+    (fcol kw 2 (s1 lsr 8) (s3 lsr 24) s0 (s2 lsr 16))
+    (fcol kw 3 (s3 lsr 16) s1 (s2 lsr 24) (s0 lsr 8))
 
-let encrypt_scheduled = run
+(* Plaintext halves into row words at the call site, so a caller's
+   unboxed int64s stay unboxed. *)
+let[@inline] encrypt_scheduled sc sch ~p_hi ~p_lo =
+  run sc sch
+    (Int64.to_int (Int64.shift_right_logical p_hi 32))
+    (Int64.to_int p_hi land 0xffff_ffff)
+    (Int64.to_int (Int64.shift_right_logical p_lo 32))
+    (Int64.to_int p_lo land 0xffff_ffff)
 
 let encrypt_raw sc key ~t_hi ~t_lo ~p_hi ~p_lo =
   fill sc.own key key.enc ~t_hi ~t_lo;
-  run sc sc.own ~p_hi ~p_lo
+  encrypt_scheduled sc sc.own ~p_hi ~p_lo
 
 let encrypt_retweaked sc ~cell v ~p_hi ~p_lo =
   retweak sc.own ~cell v;
-  run sc sc.own ~p_hi ~p_lo
+  encrypt_scheduled sc sc.own ~p_hi ~p_lo
 
-let out_hi sc = Int64.logor (Int64.shift_left (Int64.of_int sc.r0) 32) (Int64.of_int sc.r1)
-let out_lo sc = Int64.logor (Int64.shift_left (Int64.of_int sc.r2) 32) (Int64.of_int sc.r3)
+let[@inline] out_hi sc =
+  Int64.logor (Int64.shift_left (Int64.of_int sc.r0) 32) (Int64.of_int sc.r1)
+
+let[@inline] out_lo sc =
+  Int64.logor (Int64.shift_left (Int64.of_int sc.r2) 32) (Int64.of_int sc.r3)
 
 let cipher_with h sc key ~tweak b =
   fill sc.own key (h key) ~t_hi:tweak.Block128.hi ~t_lo:tweak.Block128.lo;
-  run sc sc.own ~p_hi:b.Block128.hi ~p_lo:b.Block128.lo;
+  encrypt_scheduled sc sc.own ~p_hi:b.Block128.hi ~p_lo:b.Block128.lo;
   Block128.make ~hi:(out_hi sc) ~lo:(out_lo sc)
 
 let encrypt_with sc key ~tweak p = cipher_with (fun k -> k.enc) sc key ~tweak p

@@ -12,10 +12,13 @@
     orthomorphism [o(w) = (w >>> 1) xor (w >> 127)] and the reflector key
     is [k1 = M(k0)].
 
-    The implementation is table-driven: four 32-bit column words, with
-    each round one byte gather plus a lookup in an [M o tau] (forward) or
-    [M o S^-1] (backward) column table. The pure cell-array cipher is kept
-    under test/ as the differential oracle.
+    The implementation is table-driven: four 32-bit column words. [M] is
+    linear, so a forward unit is one lookup per byte in an [M o S] column
+    table plus four key words already pushed through [M]; a backward unit
+    xors four key words into the state, then gathers through [tau^-1]
+    with one lookup per byte in [M o S^-1]. A schedule is four words per
+    unit. The pure cell-array cipher is kept under test/ as the
+    differential oracle.
 
     No official QARMA-128 test vectors are reachable in this offline
     environment, so the round constants (the SHA-512 round constants) and
@@ -79,7 +82,7 @@ val encrypt_retweaked : scratch -> cell:int -> int -> p_hi:int64 -> p_lo:int64 -
     call, which must be its last call, with
     the byte [v] xored into tweak cell [cell] (cell 0 = most significant
     byte of [t_hi], cell 7 its least significant). The schedule is patched
-    one byte per round instead of re-expanded: the MAC's chunk tweaks
+    one word per unit instead of re-expanded: the MAC's chunk tweaks
     [A_i] differ only in cell 7. *)
 
 val out_hi : scratch -> int64
@@ -90,12 +93,12 @@ val out_lo : scratch -> int64
 
 (** {2 Fixed tweaks}
 
-    Half the cost of a call is expanding the tweak into per-round key
-    bytes. A caller that encrypts many blocks under one tweak (correction
+    About half the cost of a call is expanding the tweak into per-unit key
+    words. A caller that encrypts many blocks under one tweak (correction
     guesses under the chunk tweaks [A_i]) expands it once. *)
 
 type schedule
-(** Every round's key-xor-tweak bytes for one (key, tweak). Immutable once
+(** Every unit's key-xor-tweak words for one (key, tweak). Immutable once
     built. *)
 
 val schedule : key -> t_hi:int64 -> t_lo:int64 -> schedule
@@ -103,4 +106,5 @@ val schedule : key -> t_hi:int64 -> t_lo:int64 -> schedule
 val encrypt_scheduled : scratch -> schedule -> p_hi:int64 -> p_lo:int64 -> unit
 (** [encrypt_scheduled sc (schedule key ~t_hi ~t_lo) ~p_hi ~p_lo] leaves
     the same result in [sc] as [encrypt_raw sc key ~t_hi ~t_lo ~p_hi
-    ~p_lo]. *)
+    ~p_lo]. It allocates nothing, and it is inlined at its call sites, so
+    a caller's unboxed [int64] halves stay unboxed. *)

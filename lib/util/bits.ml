@@ -58,7 +58,20 @@ let bytes_of_int64_le w =
   b
 
 let int64_of_bytes_le b ~off = Bytes.get_int64_le b off
-let to_hex w = Printf.sprintf "%016Lx" w
+(* Two lowercase hex digits per byte value, at [2 x]. *)
+let hex_pairs =
+  String.init 512 (fun i ->
+      "0123456789abcdef".[if i land 1 = 0 then i lsr 5 else (i lsr 1) land 0xf])
+
+let to_hex w =
+  let b = Bytes.create 16 in
+  for i = 0 to 7 do
+    let x = 2 * (Int64.to_int (Int64.shift_right_logical w (56 - (8 * i))) land 0xff) in
+    Bytes.unsafe_set b (2 * i) (String.unsafe_get hex_pairs x);
+    Bytes.unsafe_set b ((2 * i) + 1) (String.unsafe_get hex_pairs (x + 1))
+  done;
+  Bytes.unsafe_to_string b
+
 let pp_hex fmt w = Format.fprintf fmt "0x%s" (to_hex w)
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 

@@ -19,6 +19,9 @@
 #      reference cipher (test/crypto/qarma_ref.ml), golden vectors and
 #      Block128 algebra, also part of runtest but addressable for quick
 #      cipher iteration
+#   6a. MAC-core bench self-checks (PTG_BENCH_ONLY=batch): the section
+#      exits non-zero unless Mac.compute_with equals Mac.compute and
+#      Qarma.encrypt_scheduled equals Qarma.encrypt_raw on its inputs
 #   6b. trace tier alone (dune build @trace) — registry conformance +
 #      memory-trace formats, also part of runtest but addressable
 #   6c. grep gate: the plugin names registered in
@@ -141,6 +144,9 @@ echo "OK: lib/server swallows no exception silently"
 
 echo "== crypto tier (dune build @crypto) =="
 dune build @crypto
+
+echo "== MAC core self-checks (bench batch section) =="
+PTG_BENCH_ONLY=batch dune exec bench/main.exe
 
 echo "== trace tier (dune build @trace) =="
 dune build @trace

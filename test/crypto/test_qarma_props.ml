@@ -184,6 +184,15 @@ let prop_schedule_reused =
           && Int64.equal (Qarma.out_lo sc) c.Block128.lo)
         plains)
 
+(* Tweak [t] with byte [v] xored into cell [cell] (0 = top byte of hi). *)
+let xor_cell t ~cell v =
+  let shift = Int64.shift_left (Int64.of_int v) (8 * (7 - (cell land 7))) in
+  if cell < 8 then Block128.make ~hi:(Int64.logxor t.Block128.hi shift) ~lo:t.Block128.lo
+  else Block128.make ~hi:t.Block128.hi ~lo:(Int64.logxor t.Block128.lo shift)
+
+let out_equals c =
+  Int64.equal (Qarma.out_hi sc) c.Block128.hi && Int64.equal (Qarma.out_lo sc) c.Block128.lo
+
 let prop_retweaked_matches_ref =
   QCheck2.Test.make ~name:"encrypt_retweaked = Qarma_ref under the changed tweak"
     ~count:300
@@ -193,13 +202,50 @@ let prop_retweaked_matches_ref =
       Qarma.encrypt_raw sc key ~t_hi:tweak.Block128.hi ~t_lo:tweak.Block128.lo ~p_hi:0L
         ~p_lo:0L;
       Qarma.encrypt_retweaked sc ~cell v ~p_hi:p.Block128.hi ~p_lo:p.Block128.lo;
-      let shift = Int64.shift_left (Int64.of_int v) (8 * (7 - (cell land 7))) in
-      let tweak' =
-        if cell < 8 then Block128.make ~hi:(Int64.logxor tweak.Block128.hi shift) ~lo:tweak.Block128.lo
-        else Block128.make ~hi:tweak.Block128.hi ~lo:(Int64.logxor tweak.Block128.lo shift)
+      out_equals (Qarma_ref.encrypt key ~tweak:(xor_cell tweak ~cell v) p))
+
+(* Each retweak patches the schedule the previous one left, so a drift
+   in one patch compounds: every step is checked under the accumulated
+   tweak. *)
+let prop_chained_retweaks_match_ref =
+  QCheck2.Test.make ~name:"chained encrypt_retweaked = Qarma_ref under the accumulated tweak"
+    ~count:300
+    QCheck2.Gen.(
+      triple gen_rounds_key gen_block
+        (list_size (int_range 2 3)
+           (triple (int_range 0 15) (int_range 0 255) gen_block)))
+    (fun (key, tweak, steps) ->
+      Qarma.encrypt_raw sc key ~t_hi:tweak.Block128.hi ~t_lo:tweak.Block128.lo ~p_hi:0L
+        ~p_lo:0L;
+      let _, ok =
+        List.fold_left
+          (fun (t, ok) (cell, v, p) ->
+            let t = xor_cell t ~cell v in
+            Qarma.encrypt_retweaked sc ~cell v ~p_hi:p.Block128.hi ~p_lo:p.Block128.lo;
+            (t, ok && out_equals (Qarma_ref.encrypt key ~tweak:t p)))
+          (tweak, true) steps
       in
-      let c = Qarma_ref.encrypt key ~tweak:tweak' p in
-      Int64.equal (Qarma.out_hi sc) c.Block128.hi && Int64.equal (Qarma.out_lo sc) c.Block128.lo)
+      ok)
+
+(* A schedule is immutable once built: encrypting through the scratch
+   under other tweaks, retweaking and decrypting between its uses must
+   leave it intact. *)
+let prop_schedule_survives_scratch_calls =
+  QCheck2.Test.make ~name:"schedule reused after other scratch calls = Qarma_ref" ~count:100
+    QCheck2.Gen.(
+      quad gen_rounds_key gen_block gen_block
+        (list_size (int_range 1 4) (triple gen_block (int_range 0 15) gen_block)))
+    (fun (key, tweak, other, steps) ->
+      let sch = Qarma.schedule key ~t_hi:tweak.Block128.hi ~t_lo:tweak.Block128.lo in
+      List.for_all
+        (fun (p, cell, q) ->
+          Qarma.encrypt_raw sc key ~t_hi:other.Block128.hi ~t_lo:other.Block128.lo
+            ~p_hi:q.Block128.hi ~p_lo:q.Block128.lo;
+          Qarma.encrypt_retweaked sc ~cell 0x5a ~p_hi:q.Block128.hi ~p_lo:q.Block128.lo;
+          ignore (decrypt key ~tweak:other q);
+          Qarma.encrypt_scheduled sc sch ~p_hi:p.Block128.hi ~p_lo:p.Block128.lo;
+          out_equals (Qarma_ref.encrypt key ~tweak p))
+        steps)
 
 (* {2 MAC paths vs the reference fold} *)
 
@@ -381,6 +427,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_decrypt_matches_ref;
     QCheck_alcotest.to_alcotest prop_schedule_reused;
     QCheck_alcotest.to_alcotest prop_retweaked_matches_ref;
+    QCheck_alcotest.to_alcotest prop_chained_retweaks_match_ref;
+    QCheck_alcotest.to_alcotest prop_schedule_survives_scratch_calls;
     QCheck_alcotest.to_alcotest prop_mac_matches_ref;
     QCheck_alcotest.to_alcotest prop_correction_matches_ref;
   ]

@@ -117,6 +117,18 @@ let prop_flip_involution =
     QCheck2.Gen.(pair int64 (int_bound 63))
     (fun (w, i) -> Int64.equal (Bits.flip (Bits.flip w i) i) w)
 
+let prop_to_hex_printf =
+  QCheck2.Test.make ~name:"to_hex = Printf %016Lx" ~count:1000
+    QCheck2.Gen.(oneof [ int64; oneofl [ 0L; -1L; Int64.min_int; Int64.max_int ] ])
+    (fun w -> String.equal (Bits.to_hex w) (Printf.sprintf "%016Lx" w))
+
+let test_hex_edges () =
+  List.iter
+    (fun w ->
+      Alcotest.(check string)
+        (Printf.sprintf "%Ld" w) (Printf.sprintf "%016Lx" w) (Bits.to_hex w))
+    [ 0L; -1L; Int64.min_int; Int64.max_int ]
+
 let suite =
   [
     Alcotest.test_case "bit basics" `Quick test_bit_basics;
@@ -129,9 +141,11 @@ let suite =
     Alcotest.test_case "rotations" `Quick test_rot;
     Alcotest.test_case "bytes roundtrip" `Quick test_bytes_roundtrip;
     Alcotest.test_case "hex" `Quick test_hex;
+    Alcotest.test_case "hex edge values = Printf" `Quick test_hex_edges;
     Alcotest.test_case "is_pow2/log2" `Quick test_pow2;
     QCheck_alcotest.to_alcotest prop_popcount_naive;
     QCheck_alcotest.to_alcotest prop_rot_inverse;
     QCheck_alcotest.to_alcotest prop_insert_extract;
     QCheck_alcotest.to_alcotest prop_flip_involution;
+    QCheck_alcotest.to_alcotest prop_to_hex_printf;
   ]
