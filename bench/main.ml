@@ -230,53 +230,13 @@ let write_json section fields =
       Printf.fprintf oc "{\n%s\n}\n" (String.concat ",\n" (List.map line fields)));
   Printf.printf "  wrote %s\n" path
 
+(* The CLI's `all` list at the bench's size mode. *)
 let run_experiments () =
-  let seed = 42L in
-  (* The CLI's scenarios at the bench's size mode; only the sizes the
-     bench keeps apart from the normal form are spelled out. *)
-  let run ?(seed = seed) ?instrs ?processes ?lines ?guarded ?attack kind =
-    Ptg_sim.Scenario.run_to_string
-      (Ptg_sim.Scenario.make ~seed ~reduced:(not full) ~jobs ?instrs ?processes
-         ?lines ?guarded ?attack kind)
-  in
-  section "Tables I-IV and cost model";
-  Ptg_sim.Tables_exp.print_all ();
-  section "Security analysis (Sections IV-G, VI-E)";
-  Ptg_sim.Security_exp.print (Ptg_sim.Security_exp.run ());
-  section "Figure 6: per-workload slowdown and MPKI";
-  print_string (run Ptg_sim.Scenario.Fig6);
-  section "Figure 7: slowdown vs MAC latency";
-  print_string (run Ptg_sim.Scenario.Fig7);
-  section "Figure 8: PTE value locality (623 processes)";
-  (* The bench draws Figure 8 at seed 8, the default of Fig8.run. *)
-  print_string (run ~seed:8L ~processes:623 Ptg_sim.Scenario.Fig8);
-  section "Figure 9: best-effort correction coverage";
-  print_string (run ?lines:(if full then Some 400 else None) Ptg_sim.Scenario.Fig9);
-  section "Section VII-C: 4-core SAME/MIX";
-  print_string (run Ptg_sim.Scenario.Multicore);
-  section "Attack-vs-mitigation matrix";
-  Ptg_sim.Attacks_exp.print
-    (Ptg_sim.Attacks_exp.run ~seed ~iterations:(if full then 400_000 else 200_000) ());
-  section "Prior defenses vs PT-Guard (Sections II-E, VIII-C)";
-  Ptg_sim.Baselines_exp.print
-    (Ptg_sim.Baselines_exp.run ~trials:(if full then 500 else 250) ());
-  section "Full-system co-simulation (live Rowhammer vs PT-Guard)";
   List.iter
-    (fun (label, guarded, attack) ->
-      Printf.printf "--- %s ---\n%s\n" label
-        (run ?instrs:(if full then None else Some 30_000) ~guarded ~attack
-           Ptg_sim.Scenario.Fullsys))
-    Ptg_sim.Fullsys.comparison;
-  section "Ablations";
-  Ptg_sim.Ablations.print_correction
-    (Ptg_sim.Ablations.correction ~jobs ~lines:(if full then 400 else 150) ());
-  print_newline ();
-  Ptg_sim.Ablations.print_pattern (Ptg_sim.Ablations.pattern ());
-  print_newline ();
-  Ptg_sim.Ablations.print_ctb (Ptg_sim.Ablations.ctb_overflow ());
-  print_newline ();
-  Ptg_sim.Ablations.print_page_size
-    (Ptg_sim.Ablations.page_size ~jobs ~instrs:(if full then 400_000 else 150_000) ())
+    (fun (title, scenario) ->
+      section title;
+      print_string (Ptg_sim.Scenario.run_to_string scenario))
+    (Ptg_sim.Scenario.paper ~reduced:(not full) ~seed:42L ~jobs)
 
 (* ------------------------------------------------------------------ *)
 (* Pool scaling: serial vs parallel wall clock                         *)

@@ -136,10 +136,9 @@ let workloads_arg =
     & info [ "workloads" ] ~docv:"W1,W2,.."
         ~doc:"Comma-separated workload subset (default: all 25).")
 
-(* The scenario-shaped subcommands (fig6/7/8/9, multicore, fullsys and
-   those parts of `all`) funnel through Ptg_sim.Scenario — the same
-   record the server decodes from wire frames — so CLI output and served
-   output cannot drift. *)
+(* Every artifact subcommand and `all` funnel through Ptg_sim.Scenario —
+   the same record the server decodes from wire frames — so CLI output
+   and served output cannot drift. *)
 let check_scenario scenario =
   match Ptg_sim.Scenario.validate scenario with
   | Ok () -> ()
@@ -202,11 +201,14 @@ let fig9_cmd =
     (Cmd.info "fig9" ~doc:"Figure 9: best-effort correction coverage vs p_flip.")
     Term.(const run $ seed_arg $ lines $ seeds_arg $ jobs_arg $ csv_arg)
 
+(* An artifact that draws nothing: no seed, no size. *)
+let fixed_cmd name ~doc kind =
+  let run () = run_scenario (Ptg_sim.Scenario.make kind) in
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ const ())
+
 let security_cmd =
-  let run () = Ptg_sim.Security_exp.print (Ptg_sim.Security_exp.run ()) in
-  Cmd.v
-    (Cmd.info "security" ~doc:"Sections IV-G/VI-E: analytical MAC security.")
-    Term.(const run $ const ())
+  fixed_cmd "security" ~doc:"Sections IV-G/VI-E: analytical MAC security."
+    Ptg_sim.Scenario.Security
 
 let multicore_cmd =
   let instrs = size_arg "instrs" ~doc:"Instructions per core." in
@@ -221,36 +223,24 @@ let multicore_cmd =
     Term.(const run $ seed_arg $ instrs $ mixes $ jobs_arg $ csv_arg)
 
 let tables_cmd =
-  let run () = Ptg_sim.Tables_exp.print_all () in
-  Cmd.v
-    (Cmd.info "tables" ~doc:"Tables I-IV and the Section V-E cost summary.")
-    Term.(const run $ const ())
+  fixed_cmd "tables" ~doc:"Tables I-IV and the Section V-E cost summary."
+    Ptg_sim.Scenario.Tables
 
 let attacks_cmd =
-  let iterations =
-    Arg.(
-      value & opt int 400_000
-      & info [ "iterations" ] ~docv:"N" ~doc:"Hammer rotations per scenario.")
-  in
+  let iterations = size_arg "iterations" ~doc:"Hammer rotations per scenario." in
   let run seed iterations csv =
-    require_positive ~cmd:"attacks" "iterations" iterations;
-    let r = Ptg_sim.Attacks_exp.run ~seed ~iterations () in
-    Ptg_sim.Attacks_exp.print r;
-    Option.iter (fun path -> Ptg_sim.Attacks_exp.to_csv r ~path) csv
+    run_scenario ?csv
+      (Ptg_sim.Scenario.make ~seed ?iterations Ptg_sim.Scenario.Attacks)
   in
   Cmd.v
     (Cmd.info "attacks" ~doc:"Attack-vs-mitigation matrix with PT-Guard backstop.")
     Term.(const run $ seed_arg $ iterations $ csv_arg)
 
 let baselines_cmd =
-  let trials =
-    Arg.(value & opt int 500 & info [ "trials" ] ~docv:"N" ~doc:"Trials per cell.")
-  in
+  let trials = size_arg "trials" ~doc:"Trials per cell." in
   let run seed trials csv =
-    require_positive ~cmd:"baselines" "trials" trials;
-    let r = Ptg_sim.Baselines_exp.run ~seed ~trials () in
-    Ptg_sim.Baselines_exp.print r;
-    Option.iter (fun path -> Ptg_sim.Baselines_exp.to_csv r ~path) csv
+    run_scenario ?csv
+      (Ptg_sim.Scenario.make ~seed ?trials Ptg_sim.Scenario.Baselines)
   in
   Cmd.v
     (Cmd.info "baselines"
@@ -259,17 +249,11 @@ let baselines_cmd =
 
 let ablations_cmd =
   let run seed jobs =
-    Ptg_sim.Ablations.print_correction (Ptg_sim.Ablations.correction ~jobs ~seed ());
-    print_newline ();
-    Ptg_sim.Ablations.print_pattern (Ptg_sim.Ablations.pattern ~seed ());
-    print_newline ();
-    Ptg_sim.Ablations.print_ctb (Ptg_sim.Ablations.ctb_overflow ~seed ());
-    print_newline ();
-    Ptg_sim.Ablations.print_page_size (Ptg_sim.Ablations.page_size ~jobs ~seed ())
+    run_scenario (Ptg_sim.Scenario.make ~seed ~jobs Ptg_sim.Scenario.Ablations)
   in
   Cmd.v
     (Cmd.info "ablations"
-       ~doc:"Correction-strategy, write-pattern and CTB/re-keying ablations.")
+       ~doc:"Correction-strategy, write-pattern, CTB/re-keying and page-size ablations.")
     Term.(const run $ seed_arg $ jobs_arg)
 
 (* ---------------------------------------------------------------- *)
@@ -1184,24 +1168,12 @@ let serve_router_cmd =
 
 let all_cmd =
   let run seed jobs =
-    Ptg_sim.Tables_exp.print_all ();
-    print_newline ();
-    Ptg_sim.Security_exp.print (Ptg_sim.Security_exp.run ());
-    print_newline ();
     List.iter
-      (fun kind ->
-        run_scenario (Ptg_sim.Scenario.make ~seed ~jobs kind);
+      (fun (title, scenario) ->
+        Printf.printf "=== %s ===\n" title;
+        run_scenario scenario;
         print_newline ())
-      Ptg_sim.Scenario.[ Fig6; Fig7; Fig8; Fig9; Multicore ];
-    Ptg_sim.Attacks_exp.print (Ptg_sim.Attacks_exp.run ~seed ());
-    print_newline ();
-    Ptg_sim.Baselines_exp.print (Ptg_sim.Baselines_exp.run ~seed ());
-    print_newline ();
-    Ptg_sim.Ablations.print_correction (Ptg_sim.Ablations.correction ~jobs ~seed ());
-    print_newline ();
-    Ptg_sim.Ablations.print_pattern (Ptg_sim.Ablations.pattern ~seed ());
-    print_newline ();
-    Ptg_sim.Ablations.print_ctb (Ptg_sim.Ablations.ctb_overflow ~seed ())
+      (Ptg_sim.Scenario.paper ~reduced:false ~seed ~jobs)
   in
   Cmd.v
     (Cmd.info "all" ~doc:"Regenerate every table and figure in sequence.")

@@ -92,10 +92,10 @@ let correction ?jobs ?(lines = 400) ?(seed = 21L) ?(p_flip = 1.0 /. 256.0) () =
   in
   { p_flip; lines; rows }
 
-let print_correction r =
-  Printf.printf
-    "Correction-strategy ablation (p_flip = %.4f, %d faulty lines):\n" r.p_flip r.lines;
-  Table.print
+let correction_to_string r =
+  Printf.sprintf "Correction-strategy ablation (p_flip = %.4f, %d faulty lines):\n"
+    r.p_flip r.lines
+  ^ Table.render
     ~align:[ Table.Left; Right; Right ]
     ~header:[ "strategy mask"; "corrected"; "avg guesses" ]
     (List.map
@@ -160,9 +160,9 @@ let pattern ?(lines = 20_000) ?(seed = 22L) () =
     pte_extended_matches = !pte_extended;
   }
 
-let print_pattern r =
-  print_endline "Write-pattern selectivity (96-bit basic vs 152-bit extended):";
-  Table.print
+let pattern_to_string r =
+  "Write-pattern selectivity (96-bit basic vs 152-bit extended):\n"
+  ^ Table.render
     ~align:[ Table.Left; Right; Right ]
     ~header:[ "population"; "96-bit matches"; "152-bit matches" ]
     [
@@ -170,11 +170,10 @@ let print_pattern r =
         string_of_int r.basic_matches; string_of_int r.extended_matches ];
       [ Printf.sprintf "PTE lines (%d)" r.pte_lines_tested;
         string_of_int r.pte_basic_matches; string_of_int r.pte_extended_matches ];
-    ];
-  print_endline
-    "Every kernel-written PTE line must match both patterns (they do);\n\
+    ]
+  ^ "Every kernel-written PTE line must match both patterns (they do);\n\
      the extended pattern only sheds data lines, shrinking the set of\n\
-     reads that ever need a MAC computation."
+     reads that ever need a MAC computation.\n"
 
 (* --- Page-size sensitivity --------------------------------------------- *)
 
@@ -220,18 +219,17 @@ let page_size ?jobs ?(instrs = 400_000) ?(seed = 24L)
   in
   { rows = [ run_config "4K" 12; run_config "2M" 21 ] }
 
-let print_page_size r =
-  print_endline "Page-size sensitivity (PT-Guard baseline, high-MPKI workloads):";
-  Table.print
+let page_size_to_string r =
+  "Page-size sensitivity (PT-Guard baseline, high-MPKI workloads):\n"
+  ^ Table.render
     ~align:[ Table.Left; Right; Right ]
     ~header:[ "page size"; "avg slowdown"; "walks/Kinstr" ]
     (List.map
        (fun row ->
          [ row.page; Table.fpct row.avg_slowdown_pct; Table.f2 row.walks_per_kinstr ])
-       r.rows);
-  print_endline
-    "Paper (Section III): larger pages reduce walk frequency and hence
-     PT-Guard's already-small overhead."
+       r.rows)
+  ^ "Paper (Section III): larger pages reduce walk frequency and hence
+     PT-Guard's already-small overhead.\n"
 
 (* --- CTB overflow via the known-plaintext MAC leak -------------------- *)
 
@@ -326,10 +324,10 @@ let ctb_overflow ?(seed = 23L) () =
     reads_correct_after_rekey = !ok;
   }
 
-let print_ctb r =
-  print_endline "CTB overflow via known-plaintext collisions (Section VII-B):";
-  Printf.printf
-    "  collisions planted:        %d\n\
+let ctb_to_string r =
+  Printf.sprintf
+    "CTB overflow via known-plaintext collisions (Section VII-B):\n\
+    \  collisions planted:        %d\n\
     \  CTB entries before rekey:  %d (capacity 4)\n\
     \  overflow signalled to OS:  %b\n\
     \  re-key sweeps performed:   %d\n\
@@ -337,3 +335,25 @@ let print_ctb r =
     \  reads correct after rekey: %b\n"
     r.collisions_planted r.ctb_entries_before r.overflow_signalled r.rekeys
     r.collisions_after_rekey r.reads_correct_after_rekey
+
+(* --- All four, as the ablations subcommand prints them ----------------- *)
+
+type result = {
+  correction : correction_result;
+  pattern : pattern_result;
+  ctb : ctb_result;
+  page_size : page_size_result;
+}
+
+let run ?jobs ~lines ~instrs ~seed () =
+  {
+    correction = correction ?jobs ~lines ~seed ();
+    pattern = pattern ~seed ();
+    ctb = ctb_overflow ~seed ();
+    page_size = page_size ?jobs ~instrs ~seed ();
+  }
+
+let to_string r =
+  String.concat "\n"
+    [ correction_to_string r.correction; pattern_to_string r.pattern; ctb_to_string r.ctb;
+      page_size_to_string r.page_size ]

@@ -25,8 +25,6 @@ val correction :
 (** [jobs] fans the strategy masks across domains; every mask replays the
     same pre-drawn faults, so results are independent of the job count. *)
 
-val print_correction : correction_result -> unit
-
 (** {2 Write-pattern selectivity} *)
 
 type pattern_result = {
@@ -40,7 +38,6 @@ type pattern_result = {
 }
 
 val pattern : ?lines:int -> ?seed:int64 -> unit -> pattern_result
-val print_pattern : pattern_result -> unit
 
 (** {2 Page-size sensitivity (Section III's remark)} *)
 
@@ -60,8 +57,6 @@ val page_size :
     only reduce the slowdown by reducing frequency of page-table-walks"
     — measured. Defaults to the high-MPKI workload subset. *)
 
-val print_page_size : page_size_result -> unit
-
 (** {2 CTB overflow and re-keying (Section VII-B)} *)
 
 type ctb_result = {
@@ -74,4 +69,19 @@ type ctb_result = {
 }
 
 val ctb_overflow : ?seed:int64 -> unit -> ctb_result
-val print_ctb : ctb_result -> unit
+
+(** {2 All four} *)
+
+type result = {
+  correction : correction_result;
+  pattern : pattern_result;
+  ctb : ctb_result;
+  page_size : page_size_result;
+}
+
+val run : ?jobs:int -> lines:int -> instrs:int -> seed:int64 -> unit -> result
+(** Every ablation at one [seed]; [lines] and [instrs] size the
+    correction and page-size ablations. *)
+
+val to_string : result -> string
+(** The report the [ablations] subcommand prints. *)

@@ -201,14 +201,13 @@ let to_rows result =
       ])
     result.rows
 
-let print result =
-  print_endline "Rowhammer attacks vs mitigations, with PT-Guard as the backstop";
-  Table.print
-    ~align:[ Table.Left; Left; Right; Right; Right; Right; Right; Right; Right; Right ]
-    ~header (to_rows result);
-  print_endline
-    "Expected shape: TRR stops double-sided but not many-sided or\n\
+let to_string result =
+  "Rowhammer attacks vs mitigations, with PT-Guard as the backstop\n"
+  ^ Table.render
+      ~align:[ Table.Left; Left; Right; Right; Right; Right; Right; Right; Right; Right ]
+      ~header (to_rows result)
+  ^ "Expected shape: TRR stops double-sided but not many-sided or\n\
      half-double; Graphene provisioned for RTH 10K fails at RTH 4.8K;\n\
-     PT-Guard detects or corrects every tampered PTE line (escapes = 0)."
+     PT-Guard detects or corrects every tampered PTE line (escapes = 0).\n"
 
 let to_csv result ~path = Table.save_csv ~path ~header (to_rows result)

@@ -32,5 +32,7 @@ val run : ?seed:int64 -> ?iterations:int -> unit -> result
 (** [iterations] scales every attack's activation budget (default 400K
     rotations — enough to clear the RTH in each scripted scenario). *)
 
-val print : result -> unit
+val to_string : result -> string
+(** The report the [attacks] subcommand prints. *)
+
 val to_csv : result -> path:string -> unit

@@ -267,17 +267,14 @@ let to_rows result =
       ])
     result.rows
 
-let print result =
-  print_endline
-    "Prior page-table defenses vs PT-Guard (Sections II-E, VIII-C):";
-  Table.print
-    ~align:[ Table.Left; Left; Right; Right; Right; Right ]
-    ~header (to_rows result);
-  print_endline
-    "Expected shape: Monotonic only constrains true-cell PFN flips; the\n\
+let to_string result =
+  "Prior page-table defenses vs PT-Guard (Sections II-E, VIII-C):\n"
+  ^ Table.render ~align:[ Table.Left; Left; Right; Right; Right; Right ] ~header
+      (to_rows result)
+  ^ "Expected shape: Monotonic only constrains true-cell PFN flips; the\n\
      keyless EDC is forged and replayed at will; encryption denies the\n\
      attacker control but consumes undetected garbage (counted escaped)\n\
      and can correct nothing; PT-Guard never lets a tampered PTE through\n\
-     and corrects most faults."
+     and corrects most faults.\n"
 
 let to_csv result ~path = Table.save_csv ~path ~header (to_rows result)

@@ -56,5 +56,7 @@ val defense_name : defense -> string
 val run : ?trials:int -> ?seed:int64 -> unit -> result
 (** Default 500 trials per (threat, defense) cell. *)
 
-val print : result -> unit
+val to_string : result -> string
+(** The report the [baselines] subcommand prints. *)
+
 val to_csv : result -> path:string -> unit

@@ -147,8 +147,6 @@ let to_string result =
        Here:  %.2f%% average slowdown, %.2f%% worst.\n"
       result.amean_slowdown_pct result.max_slowdown_pct
 
-let print result = print_string (to_string result)
-
 let to_csv result ~path = Table.save_csv ~path ~header (to_rows result)
 
 type multi = {
@@ -182,5 +180,3 @@ let multi_to_string m =
     m.amean_slowdown.Stats.n m.amean_slowdown.Stats.mean m.amean_slowdown.Stats.stderr
     m.amean_slowdown.Stats.min m.amean_slowdown.Stats.max m.max_slowdown.Stats.mean
     m.max_slowdown.Stats.stderr
-
-let print_multi m = print_string (multi_to_string m)

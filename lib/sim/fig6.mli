@@ -74,10 +74,9 @@ val sweep :
     gives. *)
 
 val to_string : result -> string
-(** Exactly the bytes {!print} writes to stdout (the serving layer caches
+(** The report the [fig6] subcommand prints (the serving layer caches
     and ships this rendering). *)
 
-val print : result -> unit
 val to_csv : result -> path:string -> unit
 
 type multi = {
@@ -101,4 +100,3 @@ val run_multi :
     each per-seed {!run}. *)
 
 val multi_to_string : multi -> string
-val print_multi : multi -> unit

@@ -223,6 +223,4 @@ let to_string result =
   ^ "Paper: PT-Guard average 0.7%-2.6% across 5-20 cycles; Optimized stays\n\
      below 0.3% average (MAC computed on <2% of DRAM reads).\n"
 
-let print result = print_string (to_string result)
-
 let to_csv result ~path = Table.save_csv ~path ~header (to_rows result)

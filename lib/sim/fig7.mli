@@ -59,7 +59,6 @@ val run :
     merged back in case order (deterministic for any job count). *)
 
 val to_string : result -> string
-(** Exactly the bytes {!print} writes to stdout. *)
+(** The report the [fig7] subcommand prints. *)
 
-val print : result -> unit
 val to_csv : result -> path:string -> unit

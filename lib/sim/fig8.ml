@@ -68,8 +68,6 @@ let to_string result =
               [ string_of_int (i * 10); Table.f2 z; Table.f2 c; Table.f2 n ])
             result.sample_rows))
 
-let print result = print_string (to_string result)
-
 let to_csv result ~path =
   let rows =
     Array.to_list

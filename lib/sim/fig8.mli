@@ -20,7 +20,6 @@ val run :
     independent of the job count. *)
 
 val to_string : result -> string
-(** Exactly the bytes {!print} writes to stdout. *)
+(** The report the [fig8] subcommand prints. *)
 
-val print : result -> unit
 val to_csv : result -> path:string -> unit

@@ -327,8 +327,6 @@ let to_string result =
          (fun (s, n) -> Printf.sprintf "  %-16s %d\n" s n)
          result.step_histogram)
 
-let print result = print_string (to_string result)
-
 let to_csv result ~path =
   Table.save_csv ~path ~header:(header result) (to_rows result)
 
@@ -384,8 +382,6 @@ let multi_to_string m =
          m.corrected)
   ^ Printf.sprintf "  mis-corrections: %d, escapes: %d (must both be 0)\n"
       m.total_miscorrections m.total_escapes
-
-let print_multi m = print_string (multi_to_string m)
 
 (* ------------------------------------------------------------------ *)
 (* Section VI-F methodology check: trace-frequency replay              *)

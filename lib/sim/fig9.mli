@@ -73,9 +73,8 @@ val run :
     in workload order. *)
 
 val to_string : result -> string
-(** Exactly the bytes {!print} writes to stdout. *)
+(** The report the [fig9] subcommand prints. *)
 
-val print : result -> unit
 val to_csv : result -> path:string -> unit
 
 type multi = {
@@ -98,7 +97,6 @@ val run_multi :
     of the average corrected%% per flip probability. *)
 
 val multi_to_string : multi -> string
-val print_multi : multi -> unit
 
 (** {1 Section VI-F methodology check}
 

@@ -148,6 +148,4 @@ let to_string result =
        Paper: 0.5%% average, 1.6%% worst case.\n"
       result.avg_slowdown_pct result.max_slowdown_pct result.max_label
 
-let print result = print_string (to_string result)
-
 let to_csv result ~path = Table.save_csv ~path ~header (to_rows result)

@@ -57,7 +57,6 @@ val run :
     in case order. *)
 
 val to_string : result -> string
-(** Exactly the bytes {!print} writes to stdout. *)
+(** The report the [multicore] subcommand prints. *)
 
-val print : result -> unit
 val to_csv : result -> path:string -> unit

@@ -1,6 +1,10 @@
-type kind = Fig6 | Fig7 | Fig8 | Fig9 | Multicore | Trace | Fullsys
+type kind =
+  | Fig6 | Fig7 | Fig8 | Fig9 | Multicore | Trace | Fullsys
+  | Attacks | Baselines | Ablations | Security | Tables
 
-let kinds = [ Fig6; Fig7; Fig8; Fig9; Multicore; Trace; Fullsys ]
+let kinds =
+  [ Fig6; Fig7; Fig8; Fig9; Multicore; Trace; Fullsys;
+    Attacks; Baselines; Ablations; Security; Tables ]
 
 let kind_name = function
   | Fig6 -> "fig6"
@@ -10,6 +14,11 @@ let kind_name = function
   | Multicore -> "multicore"
   | Trace -> "trace"
   | Fullsys -> "fullsys"
+  | Attacks -> "attacks"
+  | Baselines -> "baselines"
+  | Ablations -> "ablations"
+  | Security -> "security"
+  | Tables -> "tables"
 
 let kind_names = List.map kind_name kinds
 
@@ -29,6 +38,8 @@ type t = {
   processes : int option;
   lines : int option;
   mixes : int option;
+  iterations : int option;
+  trials : int option;
   trace_path : string option;
   mitigation : string option;
   mit_params : (string * Ptg_mitigations.Registry.value) list;
@@ -39,7 +50,7 @@ type t = {
 
 let make ?(seed = 42L) ?(seeds = 1) ?(reduced = false)
     ?(design = Ptguard.Config.Baseline) ?mac_latency ?workloads ?instrs ?warmup
-    ?processes ?lines ?mixes ?trace ?mitigation ?(mit_params = [])
+    ?processes ?lines ?mixes ?iterations ?trials ?trace ?mitigation ?(mit_params = [])
     ?(guarded = true) ?(attack = true) ?(jobs = 1) kind =
   {
     kind;
@@ -54,6 +65,8 @@ let make ?(seed = 42L) ?(seeds = 1) ?(reduced = false)
     processes;
     lines;
     mixes;
+    iterations;
+    trials;
     trace_path = trace;
     mitigation;
     mit_params;
@@ -88,8 +101,9 @@ let design_of_wire_name = function
    each subcommand, reduced sizes the bench harness's reduced sweep),
    every field it ignores cleared, and [reduced] (folded into the sizes)
    and [jobs] (results are identical for any job count) at their
-   defaults. Multi-seed sweeps draw their own per-run seeds, so [seed]
-   is cleared there too. Two scenarios that describe the same
+   defaults. Multi-seed sweeps draw their own per-run seeds, and the
+   security analysis and the tables draw nothing, so [seed] is cleared
+   there too. Two scenarios that describe the same
    computation have the same normal form. *)
 let normalize t =
   let size v (full, reduced) =
@@ -133,6 +147,11 @@ let normalize t =
         guarded = t.guarded;
         attack = t.attack;
       }
+  | Attacks -> { n with iterations = size t.iterations (400_000, 200_000) }
+  | Baselines -> { n with trials = size t.trials (500, 250) }
+  | Ablations ->
+      { n with lines = size t.lines (400, 150); instrs = size t.instrs (400_000, 150_000) }
+  | Security | Tables -> make t.kind
 
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)
@@ -153,6 +172,10 @@ let check_trace_file path =
 
 let machine_choice_error kind =
   Printf.sprintf "guarded and attack are only valid for kind fullsys, not %s"
+    (kind_name kind)
+
+let only_for field owner kind =
+  Printf.sprintf "%s is only valid for kind %s, not %s" field (kind_name owner)
     (kind_name kind)
 
 let validate t =
@@ -179,6 +202,16 @@ let validate t =
   let* () = Option.fold ~none:(Ok ()) ~some:(positive "processes") t.processes in
   let* () = Option.fold ~none:(Ok ()) ~some:(positive "lines") t.lines in
   let* () = Option.fold ~none:(Ok ()) ~some:(positive "mixes") t.mixes in
+  let* () = Option.fold ~none:(Ok ()) ~some:(positive "iterations") t.iterations in
+  let* () = Option.fold ~none:(Ok ()) ~some:(positive "trials") t.trials in
+  (* Like the machine choice, a size only one kind has is an error on
+     any other. *)
+  let owned_by owner field = function
+    | Some _ when t.kind <> owner -> Error (only_for field owner t.kind)
+    | _ -> Ok ()
+  in
+  let* () = owned_by Attacks "iterations" t.iterations in
+  let* () = owned_by Baselines "trials" t.trials in
   let* () =
     match t.workloads with
     | None -> Ok ()
@@ -195,10 +228,7 @@ let validate t =
     match (t.kind, t.trace_path) with
     | Trace, None -> Error "trace scenarios require a trace file"
     | Trace, Some path -> check_trace_file path
-    | _, Some _ ->
-        Error
-          (Printf.sprintf "trace is only valid for kind trace, not %s"
-             (kind_name t.kind))
+    | _, Some _ -> Error (only_for "trace" Trace t.kind)
     | _, None -> Ok ()
   in
   let* () =
@@ -221,10 +251,7 @@ let validate t =
     | Trace, None ->
         if t.mit_params = [] then Ok ()
         else Error "params require a mitigation"
-    | _, Some _ ->
-        Error
-          (Printf.sprintf "mitigation is only valid for kind trace, not %s"
-             (kind_name t.kind))
+    | _, Some _ -> Error (only_for "mitigation" Trace t.kind)
     | _, None ->
         if t.mit_params = [] then Ok ()
         else Error "params are only valid for kind trace"
@@ -264,6 +291,8 @@ let fields t =
   add_int "processes" t.processes;
   add_int "lines" t.lines;
   add_int "mixes" t.mixes;
+  add_int "iterations" t.iterations;
+  add_int "trials" t.trials;
   if not t.guarded then add "guarded" (Json.Bool false);
   if not t.attack then add "attack" (Json.Bool false);
   Option.iter (fun p -> add "trace" (Json.String p)) t.trace_path;
@@ -283,8 +312,8 @@ let to_json t = Json.Obj (fields t)
 let wire_fields =
   [
     "kind"; "seed"; "seeds"; "reduced"; "design"; "mac_latency"; "workloads";
-    "instrs"; "warmup"; "processes"; "lines"; "mixes"; "guarded"; "attack";
-    "trace"; "mitigation"; "params"; "jobs";
+    "instrs"; "warmup"; "processes"; "lines"; "mixes"; "iterations"; "trials";
+    "guarded"; "attack"; "trace"; "mitigation"; "params"; "jobs";
   ]
 
 let ( let* ) = Result.bind
@@ -355,6 +384,8 @@ let of_json json =
       let* processes = opt_field json "processes" Json.as_int in
       let* lines = opt_field json "lines" Json.as_int in
       let* mixes = opt_field json "mixes" Json.as_int in
+      let* iterations = opt_field json "iterations" Json.as_int in
+      let* trials = opt_field json "trials" Json.as_int in
       let* guarded = opt_field json "guarded" as_bool in
       let* attack = opt_field json "attack" as_bool in
       (* [validate] sees only the values: a machine choice spelled out
@@ -391,8 +422,8 @@ let of_json json =
       in
       let scenario =
         make ?seed ?seeds ?reduced ?design ?mac_latency ?workloads ?instrs
-          ?warmup ?processes ?lines ?mixes ?trace ?mitigation ?mit_params
-          ?guarded ?attack ?jobs kind
+          ?warmup ?processes ?lines ?mixes ?iterations ?trials ?trace ?mitigation
+          ?mit_params ?guarded ?attack ?jobs kind
       in
       let* () = validate scenario in
       Ok scenario
@@ -453,6 +484,11 @@ type output =
   | Multicore_out of Multicore_exp.result
   | Trace_out of { mitigation : string option; result : Mem_trace.replay_result }
   | Fullsys_out of Fullsys.result
+  | Attacks_out of Attacks_exp.result
+  | Baselines_out of Baselines_exp.result
+  | Ablations_out of Ablations.result
+  | Security_out of Security_exp.result
+  | Tables_out
 
 type plan =
   | Sweep : ('p, 'c, 'u, output) Sweep.t -> plan
@@ -465,6 +501,7 @@ let plan t =
   check t;
   let n = normalize t in
   let jobs = t.jobs and seed = t.seed and size = Option.get in
+  let whole f = Whole (fun ?obs:_ () -> f ()) in
   let sweep s out = Sweep { s with Sweep.finish = (fun u -> out (s.Sweep.finish u)) } in
   match t.kind with
   | Fig6 ->
@@ -500,9 +537,7 @@ let plan t =
   | Fig9 ->
       let lines_per_point = size n.lines in
       if t.seeds > 1 then
-        Whole
-          (fun ?obs:_ () ->
-            Fig9_multi_out (Fig9.run_multi ~jobs ~seeds:t.seeds ~lines_per_point ()))
+        whole (fun () -> Fig9_multi_out (Fig9.run_multi ~jobs ~seeds:t.seeds ~lines_per_point ()))
       else
         sweep (Fig9.sweep ~jobs ~lines_per_point ~seed ()) (fun r -> Fig9_out r)
   | Multicore ->
@@ -511,13 +546,9 @@ let plan t =
            ~mixes:(size n.mixes) ~seed ())
         (fun r -> Multicore_out r)
   | Trace ->
-      Whole
-        (fun ?obs:_ () ->
+      whole (fun () ->
           let trace = Mem_trace.load ~path:(Option.get t.trace_path) in
-          match
-            Mem_trace.replay ?mitigation:t.mitigation ~params:t.mit_params ~seed
-              trace
-          with
+          match Mem_trace.replay ?mitigation:t.mitigation ~params:t.mit_params ~seed trace with
           | Ok result -> Trace_out { mitigation = t.mitigation; result }
           | Error msg -> invalid_arg ("Scenario: " ^ msg))
   | Fullsys ->
@@ -525,6 +556,15 @@ let plan t =
         { Fullsys.default_config with guarded = t.guarded; attack = t.attack }
       in
       Machine { seed; instrs = size n.instrs; config }
+  | Attacks ->
+      whole (fun () -> Attacks_out (Attacks_exp.run ~seed ~iterations:(size n.iterations) ()))
+  | Baselines ->
+      whole (fun () -> Baselines_out (Baselines_exp.run ~seed ~trials:(size n.trials) ()))
+  | Ablations ->
+      let lines = size n.lines and instrs = size n.instrs in
+      whole (fun () -> Ablations_out (Ablations.run ~jobs ~lines ~instrs ~seed ()))
+  | Security -> whole (fun () -> Security_out (Security_exp.run ()))
+  | Tables -> whole (fun () -> Tables_out)
 
 let run ?obs t =
   match plan t with
@@ -549,6 +589,11 @@ let render = function
   | Trace_out { mitigation; result } ->
       Mem_trace.render_result ?mitigation result
   | Fullsys_out r -> Format.asprintf "%a@." Fullsys.pp_result r
+  | Attacks_out r -> Attacks_exp.to_string r
+  | Baselines_out r -> Baselines_exp.to_string r
+  | Ablations_out r -> Ablations.to_string r
+  | Security_out r -> Security_exp.to_string r
+  | Tables_out -> Tables_exp.to_string ()
 
 let run_to_string ?obs t = render (run ?obs t)
 
@@ -559,4 +604,28 @@ let save_csv out ~path =
   | Fig8_out r -> Fig8.to_csv r ~path
   | Fig9_out r -> Fig9.to_csv r ~path
   | Multicore_out r -> Multicore_exp.to_csv r ~path
-  | Fig6_multi_out _ | Fig9_multi_out _ | Trace_out _ | Fullsys_out _ -> ()
+  | Attacks_out r -> Attacks_exp.to_csv r ~path
+  | Baselines_out r -> Baselines_exp.to_csv r ~path
+  | Fig6_multi_out _ | Fig9_multi_out _ | Trace_out _ | Fullsys_out _ | Ablations_out _
+  | Security_out _ | Tables_out -> ()
+
+(* The paper's artifacts in report order: the one list that `ptguard_cli
+   all` and the bench's experiments section both run. *)
+let paper ~reduced ~seed ~jobs =
+  let scenario ?guarded ?attack kind = make ~seed ~reduced ~jobs ?guarded ?attack kind in
+  [
+    ("Tables I-IV and the Section V-E cost summary", scenario Tables);
+    ("Security analysis (Sections IV-G, VI-E)", scenario Security);
+    ("Figure 6: per-workload slowdown and MPKI", scenario Fig6);
+    ("Figure 7: slowdown vs MAC latency", scenario Fig7);
+    ("Figure 8: PTE value locality", scenario Fig8);
+    ("Figure 9: best-effort correction coverage", scenario Fig9);
+    ("Section VII-C: 4-core SAME/MIX", scenario Multicore);
+    ("Attack-vs-mitigation matrix (Sections II-B, II-C)", scenario Attacks);
+    ("Prior defenses vs PT-Guard (Sections II-E, VIII-C)", scenario Baselines);
+  ]
+  @ List.map
+      (fun (label, guarded, attack) ->
+        ("Full-system co-simulation: " ^ label, scenario ~guarded ~attack Fullsys))
+      Fullsys.comparison
+  @ [ ("Ablations", scenario Ablations) ]

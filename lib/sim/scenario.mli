@@ -1,4 +1,4 @@
-(** Shared scenario description for the servable experiments.
+(** Shared scenario description for the paper's artifacts.
 
     A scenario is a typed, validated description of one experiment run:
     the experiment kind plus every semantic parameter (workload set, MAC
@@ -18,9 +18,12 @@
     [jobs] must share a cache entry). {!hash} is an FNV-1a 64-bit hash
     of that form: the result cache key. Because every experiment is
     deterministic given its canonical form, a cache hit is
-    byte-identical to a re-run. *)
+    byte-identical to a re-run. Every paper artifact is a kind, and
+    {!paper} lists them once; [Trace] replays a user's memory trace. *)
 
-type kind = Fig6 | Fig7 | Fig8 | Fig9 | Multicore | Trace | Fullsys
+type kind =
+  | Fig6 | Fig7 | Fig8 | Fig9 | Multicore | Trace | Fullsys
+  | Attacks | Baselines | Ablations | Security | Tables
 
 val kinds : kind list
 val kind_name : kind -> string
@@ -28,17 +31,19 @@ val kind_names : string list
 
 type t = {
   kind : kind;
-  seed : int64;                 (** ignored when [seeds > 1] *)
+  seed : int64;  (** ignored when [seeds > 1], and by Security and Tables *)
   seeds : int;                  (** > 1 selects the multi-seed sweep *)
   reduced : bool;               (** bench-reduced default sizes *)
   design : Ptguard.Config.design;      (** Fig6 only *)
   mac_latency : int option;            (** Fig6 only; None = design default *)
   workloads : string list option;      (** Fig6 only; None = all *)
-  instrs : int option;          (** Fig6/Fig7 timed instrs; Multicore per-core *)
+  instrs : int option;  (** Fig6/Fig7 timed; Multicore per-core; Ablations page-size *)
   warmup : int option;          (** Fig6/Fig7 *)
   processes : int option;       (** Fig8 *)
-  lines : int option;           (** Fig9 lines per (workload, p_flip) point *)
+  lines : int option;  (** Fig9 per (workload, p_flip) point; Ablations correction *)
   mixes : int option;           (** Multicore *)
+  iterations : int option;      (** Attacks: hammer rotations per attack *)
+  trials : int option;          (** Baselines: trials per (threat, defense) cell *)
   trace_path : string option;   (** Trace only: path to the trace file *)
   mitigation : string option;   (** Trace only: a {!Ptg_mitigations.Registry} name *)
   mit_params : (string * Ptg_mitigations.Registry.value) list;
@@ -60,6 +65,8 @@ val make :
   ?processes:int ->
   ?lines:int ->
   ?mixes:int ->
+  ?iterations:int ->
+  ?trials:int ->
   ?trace:string ->
   ?mitigation:string ->
   ?mit_params:(string * Ptg_mitigations.Registry.value) list ->
@@ -75,7 +82,8 @@ val make :
 val validate : t -> (unit, string) result
 (** Semantic checks beyond typing: known workload names, positive sizes,
     [seeds > 1] only for the kinds with a multi-seed sweep (Fig6/Fig9),
-    [guarded]/[attack] false only for [Fullsys];
+    [guarded]/[attack] false only for [Fullsys], [iterations] only for
+    [Attacks] and [trials] only for [Baselines];
     for [Trace], a trace path naming a regular file (checked without
     reading it: a directory, a device or a fifo is rejected), a
     registered mitigation name and schema-valid, finite parameter
@@ -92,7 +100,8 @@ val to_json : t -> Ptg_util.Json.t
 val of_json : Ptg_util.Json.t -> (t, string) result
 (** Decode and {!validate}. Rejects unknown fields, bad types, unknown
     kinds/designs/workloads, [guarded] or [attack] on a kind other than
-    fullsys (whatever their value), and semantically invalid values,
+    fullsys (whatever their value), [iterations] or [trials] on a kind
+    other than attacks or baselines, and semantically invalid values,
     each with a descriptive error. Never raises. *)
 
 val canonical : t -> string
@@ -130,6 +139,11 @@ type output =
   | Trace_out of { mitigation : string option; result : Mem_trace.replay_result }
   | Fullsys_out of Fullsys.result
       (** the lifetime totals of the scenario's machine *)
+  | Attacks_out of Attacks_exp.result
+  | Baselines_out of Baselines_exp.result
+  | Ablations_out of Ablations.result
+  | Security_out of Security_exp.result
+  | Tables_out
 
 (** What runs a scenario: the one dispatch both {!run} and the
     checkpointing entry point ([Checkpoint.run_scenario]) consume. *)
@@ -142,7 +156,8 @@ type plan =
           with the scenario's [guarded] and [attack]), default page count,
           sliced and stored by instruction prefix *)
   | Whole of (?obs:Ptg_obs.Sink.t -> unit -> output)
-      (** multi-seed sweeps, fig8 and trace: run in one piece *)
+      (** multi-seed sweeps, fig8, trace, attacks, baselines, ablations,
+          security and tables: run in one piece *)
 
 val plan : t -> plan
 (** Raises [Invalid_argument] when {!validate} rejects. *)
@@ -161,5 +176,11 @@ val run_to_string : ?obs:Ptg_obs.Sink.t -> t -> string
 (** [render (run t)]: what the server computes, caches and ships. *)
 
 val save_csv : output -> path:string -> unit
-(** Write the CSV artifact for single-run outputs; multi-seed outputs
-    have no CSV form and are ignored (matching the CLI). *)
+(** Write the CSV artifact of single-run figures, multicore, attacks and
+    baselines; the other outputs have no CSV form and are ignored
+    (matching the CLI). *)
+
+val paper : reduced:bool -> seed:int64 -> jobs:int -> (string * t) list
+(** Every paper artifact as a titled scenario, in report order (the
+    three {!Fullsys.comparison} machines included): the one list that
+    [ptguard_cli all] and the bench's experiments section iterate. *)

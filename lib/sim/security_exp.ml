@@ -49,32 +49,36 @@ let run ?(g_max = 372) () =
     mac_width_sweep;
   }
 
-let print result =
-  print_endline "Security analysis (Sections IV-G and VI-E, Equations 1-2)";
-  Format.printf "%a@." Security.pp_report result.report;
-  Printf.printf "\nSoft-match tolerance sweep (96-bit MAC, G_max=%d):\n"
-    result.report.Security.g_max;
-  Ptg_util.Table.print
-    ~align:[ Ptg_util.Table.Right; Right; Right; Right; Right ]
-    ~header:[ "k"; "P[unc.] @1%"; "P[unc.] @0.2%"; "n_eff (bits)"; "attack years" ]
-    (List.map
-       (fun r ->
-         [
-           string_of_int r.k;
-           Printf.sprintf "%.3g" r.p_uncorrectable_1pct;
-           Printf.sprintf "%.3g" r.p_uncorrectable_0p2pct;
-           Printf.sprintf "%.1f" r.n_eff;
-           Printf.sprintf "%.3g" r.years;
-         ])
-       result.k_sweep);
-  Printf.printf
-    "Chosen k = %d (smallest with <1%% uncorrectable MACs at p_flip = 1%%; paper: 4).\n\n"
-    result.chosen_k;
-  print_endline "MAC width ablation (Section VII-A), with k=4 correction:";
-  Ptg_util.Table.print
-    ~align:[ Ptg_util.Table.Right; Right; Right ]
-    ~header:[ "MAC bits"; "n_eff"; "attack years" ]
-    (List.map
-       (fun (w, n_eff, years) ->
-         [ string_of_int w; Printf.sprintf "%.1f" n_eff; Printf.sprintf "%.3g" years ])
-       result.mac_width_sweep)
+let to_string result =
+  let module Table = Ptg_util.Table in
+  String.concat ""
+    [
+      "Security analysis (Sections IV-G and VI-E, Equations 1-2)\n";
+      Format.asprintf "%a@." Security.pp_report result.report;
+      Printf.sprintf "\nSoft-match tolerance sweep (96-bit MAC, G_max=%d):\n"
+        result.report.Security.g_max;
+      Table.render
+        ~align:[ Table.Right; Right; Right; Right; Right ]
+        ~header:[ "k"; "P[unc.] @1%"; "P[unc.] @0.2%"; "n_eff (bits)"; "attack years" ]
+        (List.map
+           (fun r ->
+             [
+               string_of_int r.k;
+               Printf.sprintf "%.3g" r.p_uncorrectable_1pct;
+               Printf.sprintf "%.3g" r.p_uncorrectable_0p2pct;
+               Printf.sprintf "%.1f" r.n_eff;
+               Printf.sprintf "%.3g" r.years;
+             ])
+           result.k_sweep);
+      Printf.sprintf
+        "Chosen k = %d (smallest with <1%% uncorrectable MACs at p_flip = 1%%; paper: 4).\n\n"
+        result.chosen_k;
+      "MAC width ablation (Section VII-A), with k=4 correction:\n";
+      Table.render
+        ~align:[ Table.Right; Right; Right ]
+        ~header:[ "MAC bits"; "n_eff"; "attack years" ]
+        (List.map
+           (fun (w, n_eff, years) ->
+             [ string_of_int w; Printf.sprintf "%.1f" n_eff; Printf.sprintf "%.3g" years ])
+           result.mac_width_sweep);
+    ]

@@ -22,4 +22,5 @@ type result = {
 }
 
 val run : ?g_max:int -> unit -> result
-val print : result -> unit
+val to_string : result -> string
+(** The report the [security] subcommand prints. *)

@@ -5,19 +5,10 @@
     implementation encodes the same architecture the paper describes, and
     the unit tests assert every row. *)
 
-val print_table_i : unit -> unit
-(** x86_64 PTE layout (from {!Ptg_pte.X86}). *)
-
-val print_table_ii : unit -> unit
-(** ARMv8 descriptor layout (from {!Ptg_pte.Armv8}). *)
-
-val print_table_iii : unit -> unit
-(** Baseline system configuration (from the timing model's defaults). *)
-
-val print_table_iv : ?config:Ptg_pte.Protection.config -> unit -> unit
-(** MAC-protected bits (from {!Ptg_pte.Protection}). *)
-
-val print_cost : ?config:Ptguard.Config.t -> unit -> unit
-(** Section V-E storage/power summary for both designs. *)
-
-val print_all : unit -> unit
+val to_string : unit -> string
+(** Table I (x86_64 PTE layout, from {!Ptg_pte.X86}), Table II (ARMv8
+    descriptor layout, from {!Ptg_pte.Armv8}), Table III (baseline system
+    configuration, from the timing model's defaults), Table IV
+    (MAC-protected bits, from {!Ptg_pte.Protection}) and the Section V-E
+    storage/power summary of both designs: the report the [tables]
+    subcommand prints. *)

@@ -67,7 +67,11 @@
 #      Fullsys.create, fullsys_key, run_fullsys, Fig6.run, Fig7.run,
 #      Fig8.run, Fig9.run or Multicore_exp.run in bin/ (the CLI builds a
 #      Scenario and runs it through Scenario.run or
-#      Checkpoint.run_scenario, as the server does); and one count per
+#      Checkpoint.run_scenario, as the server does), no Attacks_exp.,
+#      Baselines_exp., Ablations., Security_exp. or Tables_exp. in bin/
+#      or bench/, and the artifact list defined once in lib/
+#      (Scenario.paper) and iterated by both `all` and the bench's
+#      experiments section; and one count per
 #      serving event: no obs_incr or Option.iter Registry.incr in
 #      lib/server (each event bumps one Registry.counter, which stats
 #      reads); and one 64-bit hex formatter: %016Lx in lib/ only in
@@ -279,7 +283,19 @@ if grep -rnE --include='*.ml' --include='*.mli' \
     echo "FAIL: the CLI runs an artifact outside Scenario; build a Scenario and run it through Scenario.run or Checkpoint.run_scenario" >&2
     exit 1
 fi
-echo "OK: every artifact the CLI runs is a Scenario"
+if grep -rnE --include='*.ml' --include='*.mli' \
+    '\b(Attacks_exp|Baselines_exp|Ablations|Security_exp|Tables_exp)\.' bin bench; then
+    echo "FAIL: bin/ or bench/ calls an artifact module directly; run its Scenario kind instead" >&2
+    exit 1
+fi
+defs=$(grep -rnE --include='*.ml' '^let paper\b' lib | wc -l)
+if [ "$defs" -ne 1 ] \
+    || ! grep -q 'Scenario\.paper' bin/ptguard_cli.ml \
+    || ! grep -q 'Scenario\.paper' bench/main.ml; then
+    echo "FAIL: the artifact list must be defined once in lib/ (Scenario.paper, found $defs) and iterated by both ptguard_cli all and the bench's experiments section" >&2
+    exit 1
+fi
+echo "OK: every artifact the CLI and the bench run is a Scenario, listed once in Scenario.paper"
 
 echo "== one count per serving event =="
 if grep -rnE --include='*.ml' 'obs_incr|Option\.iter Registry\.incr' lib/server; then

@@ -252,6 +252,39 @@ let test_unprotected_fullsys_served () =
   Alcotest.(check bool) "wrong translations on the unprotected machine" true
     (match wrong with Some n -> n > 0 | None -> false)
 
+(* The analytical and attack artifacts are servable like the figures:
+   each answer is the CLI's stdout byte for byte, and the same request
+   again is a cache hit. *)
+let test_artifacts_served () =
+  with_server (base_config ()) (fun server ->
+      with_client (Server.listen_addr server) (fun c ->
+          List.iter
+            (fun (args, scenario) ->
+              let run () =
+                match Client.run c scenario with
+                | Ok (Protocol.Result { cache; result; _ }) -> (cache, result)
+                | Ok _ -> Alcotest.fail "unexpected frame"
+                | Error e -> Alcotest.fail e
+              in
+              let first_cache, first = run () in
+              let second_cache, second = run () in
+              let out = Filename.temp_file "ptg_serve_" ".out" in
+              Alcotest.(check int) (args ^ ": cli exit code") 0
+                (Sys.command
+                   (Printf.sprintf "%s %s > %s 2> %s" cli args out Filename.null));
+              Alcotest.(check string) (args ^ ": byte-identical to the CLI")
+                (read_file out) first;
+              Alcotest.(check bool) (args ^ ": first is a miss") true
+                (first_cache = Protocol.Miss);
+              Alcotest.(check bool) (args ^ ": second is a hit") true
+                (second_cache = Protocol.Hit);
+              Alcotest.(check string) (args ^ ": hit bytes identical") first second)
+            [
+              ("security", Scenario.make Scenario.Security);
+              ( "attacks --iterations 20000",
+                Scenario.make ~iterations:20_000 Scenario.Attacks );
+            ]))
+
 let test_protocol_error_frames () =
   let config = base_config ~handler:(fun _ -> "unused") () in
   with_server config (fun server ->
@@ -534,6 +567,8 @@ let suite =
       test_cache_hit_matches_cli;
     Alcotest.test_case "unprotected fullsys served as the CLI prints it" `Slow
       test_unprotected_fullsys_served;
+    Alcotest.test_case "artifacts served as the CLI prints them" `Slow
+      test_artifacts_served;
     Alcotest.test_case "error frames keep the connection" `Quick
       test_protocol_error_frames;
     Alcotest.test_case "loadgen report" `Slow test_loadgen_report;

@@ -1,8 +1,10 @@
 (* Byte-identity goldens for the scenario codec. For scenarios of every
    kind — multi-seed, reduced, explicit defaults, a non-default jobs
-   hint, the unprotected and the unattacked fullsys machine, and a trace
-   scenario per registered mitigation — they pin the canonical form, the
-   prefix form, both hashes and the v1 run frame. The fullsys prefix
+   hint, the unprotected and the unattacked fullsys machine, a trace
+   scenario per registered mitigation, and the attack, prior-defense,
+   ablation, security and table artifacts (iterations and trials ride
+   the wire only when given) — they pin the canonical form, the prefix
+   form, both hashes and the v1 run frame. The fullsys prefix
    hashes are also the names of the CLI's `fullsys --checkpoint-dir`
    store files, one per machine. The result cache, the warm-start store
    and the router ring all key on these bytes, so none may move; the
@@ -81,7 +83,16 @@ let cases () =
     ( "trace graphene",
       trace ~mitigation:"graphene"
         ~params:[ ("threshold", Registry.Int 3000); ("counters", Registry.Int 64) ]
-        () );
+        () );    ("attacks", make Attacks);
+    ("attacks reduced", make ~reduced:true Attacks);
+    ("attacks sized", make ~iterations:60_000 ~seed:7L Attacks);
+    ("baselines", make Baselines);
+    ("baselines sized", make ~trials:50 ~seed:3L Baselines);
+    ("ablations", make Ablations);
+    ("ablations reduced jobs", make ~reduced:true ~jobs:2 Ablations);
+    ("security", make Security);
+    ("security seeded", make ~seed:7L Security);
+    ("tables", make Tables);
   ]
 
 (* label, canonical, prefix_canonical, hash, prefix_hash, run frame *)
@@ -278,7 +289,66 @@ let expected : (string * string * string * string * string * string) list =
       "{\"kind\":\"trace\",\"mitigation\":\"graphene\",\"params\":{\"counters\":64,\"threshold\":3000},\"seed\":42,\"trace\":\"2af8f83eb19a11bb\"}",
       "827821e886c40fc2",
       "827821e886c40fc2",
-      "{\"v\":1,\"op\":\"run\",\"scenario\":{\"kind\":\"trace\",\"seed\":42,\"trace\":\"golden_scenario.trace\",\"mitigation\":\"graphene\",\"params\":{\"threshold\":3000,\"counters\":64}}}" );
+      "{\"v\":1,\"op\":\"run\",\"scenario\":{\"kind\":\"trace\",\"seed\":42,\"trace\":\"golden_scenario.trace\",\"mitigation\":\"graphene\",\"params\":{\"threshold\":3000,\"counters\":64}}}" );    ( "attacks",
+      "{\"iterations\":400000,\"kind\":\"attacks\",\"seed\":42}",
+      "{\"iterations\":400000,\"kind\":\"attacks\",\"seed\":42}",
+      "2379729344bf3de1",
+      "2379729344bf3de1",
+      "{\"v\":1,\"op\":\"run\",\"scenario\":{\"kind\":\"attacks\",\"seed\":42}}" );
+    ( "attacks reduced",
+      "{\"iterations\":200000,\"kind\":\"attacks\",\"seed\":42}",
+      "{\"iterations\":200000,\"kind\":\"attacks\",\"seed\":42}",
+      "d20bbe19196d19f3",
+      "d20bbe19196d19f3",
+      "{\"v\":1,\"op\":\"run\",\"scenario\":{\"kind\":\"attacks\",\"seed\":42,\"reduced\":true}}" );
+    ( "attacks sized",
+      "{\"iterations\":60000,\"kind\":\"attacks\",\"seed\":7}",
+      "{\"iterations\":60000,\"kind\":\"attacks\",\"seed\":7}",
+      "7e34f9f75282277a",
+      "7e34f9f75282277a",
+      "{\"v\":1,\"op\":\"run\",\"scenario\":{\"kind\":\"attacks\",\"seed\":7,\"iterations\":60000}}" );
+    ( "baselines",
+      "{\"kind\":\"baselines\",\"seed\":42,\"trials\":500}",
+      "{\"kind\":\"baselines\",\"seed\":42,\"trials\":500}",
+      "a6b91263d72148fe",
+      "a6b91263d72148fe",
+      "{\"v\":1,\"op\":\"run\",\"scenario\":{\"kind\":\"baselines\",\"seed\":42}}" );
+    ( "baselines sized",
+      "{\"kind\":\"baselines\",\"seed\":3,\"trials\":50}",
+      "{\"kind\":\"baselines\",\"seed\":3,\"trials\":50}",
+      "ecced9965351461b",
+      "ecced9965351461b",
+      "{\"v\":1,\"op\":\"run\",\"scenario\":{\"kind\":\"baselines\",\"seed\":3,\"trials\":50}}" );
+    ( "ablations",
+      "{\"instrs\":400000,\"kind\":\"ablations\",\"lines\":400,\"seed\":42}",
+      "{\"instrs\":400000,\"kind\":\"ablations\",\"lines\":400,\"seed\":42}",
+      "4db7c4be513da5c1",
+      "4db7c4be513da5c1",
+      "{\"v\":1,\"op\":\"run\",\"scenario\":{\"kind\":\"ablations\",\"seed\":42}}" );
+    ( "ablations reduced jobs",
+      "{\"instrs\":150000,\"kind\":\"ablations\",\"lines\":150,\"seed\":42}",
+      "{\"instrs\":150000,\"kind\":\"ablations\",\"lines\":150,\"seed\":42}",
+      "47bd4f257cb2eef5",
+      "47bd4f257cb2eef5",
+      "{\"v\":1,\"op\":\"run\",\"scenario\":{\"kind\":\"ablations\",\"seed\":42,\"reduced\":true,\"jobs\":2}}" );
+    ( "security",
+      "{\"kind\":\"security\",\"seed\":42}",
+      "{\"kind\":\"security\",\"seed\":42}",
+      "89c3dfe49d3e8b08",
+      "89c3dfe49d3e8b08",
+      "{\"v\":1,\"op\":\"run\",\"scenario\":{\"kind\":\"security\",\"seed\":42}}" );
+    ( "security seeded",
+      "{\"kind\":\"security\",\"seed\":42}",
+      "{\"kind\":\"security\",\"seed\":42}",
+      "89c3dfe49d3e8b08",
+      "89c3dfe49d3e8b08",
+      "{\"v\":1,\"op\":\"run\",\"scenario\":{\"kind\":\"security\",\"seed\":7}}" );
+    ( "tables",
+      "{\"kind\":\"tables\",\"seed\":42}",
+      "{\"kind\":\"tables\",\"seed\":42}",
+      "d01cd3a871957eab",
+      "d01cd3a871957eab",
+      "{\"v\":1,\"op\":\"run\",\"scenario\":{\"kind\":\"tables\",\"seed\":42}}" );
   ]
 
 let test_scenario_goldens () =

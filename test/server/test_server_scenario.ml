@@ -33,6 +33,8 @@ let gen_scenario =
         ?workloads:(if kind = Scenario.Fig6 then workloads else None)
         ?instrs:(if kind = Scenario.Fig7 then Some (1000 + size) else None)
         ?lines:(if kind = Scenario.Fig9 then Some (10 + size) else None)
+        ?iterations:(if kind = Scenario.Attacks then Some (1 + size) else None)
+        ?trials:(if kind = Scenario.Baselines then Some (1 + size) else None)
         ~guarded:(guarded || not fullsys) ~attack:(attack || not fullsys)
         ~jobs kind)
     (quad (int_bound 999) (int_range 1 3) bool (int_range 1 4))
@@ -108,17 +110,24 @@ let prop_defaults_resolved =
         | Scenario.Fig9 -> Scenario.make ~lines:300 kind
         | Scenario.Multicore -> Scenario.make ~instrs:400_000 ~mixes:16 kind
         | Scenario.Fullsys -> Scenario.make ~seed:42L ~instrs:60_000 kind
+        | Scenario.Attacks -> Scenario.make ~iterations:400_000 kind
+        | Scenario.Baselines -> Scenario.make ~trials:500 kind
+        | Scenario.Ablations -> Scenario.make ~lines:400 ~instrs:400_000 kind
+        | Scenario.Security | Scenario.Tables -> Scenario.make ~seed:7L kind
         | Scenario.Trace -> assert false (* not in synthetic_kinds *)
       in
       Scenario.hash explicit = Scenario.hash omitted)
 
 (* A golden set of semantically distinct scenarios: every pair must get
-   its own cache entry. *)
+   its own cache entry. The security analysis and the tables have no
+   size, so their reduced form is the same computation. *)
 let test_golden_distinct () =
+  let unsized kind = kind = Scenario.Security || kind = Scenario.Tables in
   let scenarios =
     List.concat_map
       (fun kind ->
-        [ Scenario.make kind; Scenario.make ~reduced:true kind ])
+        Scenario.make kind
+        :: (if unsized kind then [] else [ Scenario.make ~reduced:true kind ]))
       synthetic_kinds
     @ List.init 20 (fun i ->
           Scenario.make ~seed:(Int64.of_int i) Scenario.Fig6)
@@ -139,6 +148,11 @@ let test_golden_distinct () =
         Scenario.make ~guarded:false Scenario.Fullsys;
         Scenario.make ~attack:false Scenario.Fullsys;
         Scenario.make ~guarded:false ~attack:false Scenario.Fullsys;
+        Scenario.make ~iterations:399_999 Scenario.Attacks;
+        Scenario.make ~seed:7L Scenario.Attacks;
+        Scenario.make ~trials:499 Scenario.Baselines;
+        Scenario.make ~lines:399 Scenario.Ablations;
+        Scenario.make ~instrs:399_999 Scenario.Ablations;
       ]
   in
   let tbl = Hashtbl.create 64 in
@@ -170,6 +184,11 @@ let test_validate_rejects () =
       ("negative mac latency", Scenario.make ~mac_latency:(-1) Scenario.Fig6);
       ("unprotected fig6", Scenario.make ~guarded:false Scenario.Fig6);
       ("unattacked multicore", Scenario.make ~attack:false Scenario.Multicore);
+      ("zero iterations", Scenario.make ~iterations:0 Scenario.Attacks);
+      ("zero trials", Scenario.make ~trials:0 Scenario.Baselines);
+      ("iterations on baselines", Scenario.make ~iterations:5 Scenario.Baselines);
+      ("trials on fig8", Scenario.make ~trials:5 Scenario.Fig8);
+      ("multi-seed security", Scenario.make ~seeds:2 Scenario.Security);
     ]
 
 (* The fullsys machine choice survives the wire: each configuration of
@@ -203,6 +222,22 @@ let test_machine_choice_other_kind () =
       {|{"kind":"fig6","guarded":true}|};
       {|{"kind":"fig8","attack":false}|};
       {|{"kind":"multicore","guarded":false,"attack":false}|};
+    ]
+
+(* iterations and trials belong to attacks and baselines: on any other
+   kind the decoder names the owner. *)
+let test_sizes_other_kind () =
+  List.iter
+    (fun (text, needle) ->
+      match Result.bind (Json.parse text) Scenario.of_json with
+      | Ok _ -> Alcotest.failf "accepted %s" text
+      | Error e ->
+          Alcotest.(check bool) (Printf.sprintf "%s: %s" text e) true (contains e needle))
+    [
+      ({|{"kind":"fig6","iterations":5}|}, "iterations is only valid for kind attacks");
+      ({|{"kind":"attacks","trials":5}|}, "trials is only valid for kind baselines");
+      ({|{"kind":"attacks","iterations":0}|}, "iterations must be >= 1");
+      ({|{"kind":"baselines","trials":"5"}|}, "trials must be an integer");
     ]
 
 (* Decoder fuzzing. Two kinds of input: random objects over the
@@ -271,8 +306,8 @@ let gen_fuzz_value key =
 let wire_keys =
   [
     "kind"; "seed"; "seeds"; "reduced"; "design"; "mac_latency"; "workloads";
-    "instrs"; "warmup"; "processes"; "lines"; "mixes"; "guarded"; "attack";
-    "trace"; "mitigation"; "params"; "jobs";
+    "instrs"; "warmup"; "processes"; "lines"; "mixes"; "iterations"; "trials";
+    "guarded"; "attack"; "trace"; "mitigation"; "params"; "jobs";
   ]
 
 (* Integral floats print with a fraction ("1.0"), as a client in
@@ -421,6 +456,8 @@ let suite =
         test_machine_choice_round_trip;
       Alcotest.test_case "machine choice rejected on other kinds" `Quick
         test_machine_choice_other_kind;
+      Alcotest.test_case "iterations and trials rejected on other kinds" `Quick
+        test_sizes_other_kind;
       Alcotest.test_case "integral float parameter survives the wire" `Quick
         test_integral_float_param;
     ]
