@@ -45,10 +45,10 @@ let baseline_engine = Ptguard.Engine.create ~config:Ptguard.Config.baseline ~rng
 let optimized_engine = Ptguard.Engine.create ~config:Ptguard.Config.optimized ~rng ()
 
 let pte_line =
-  Array.init 8 (fun i ->
+  Ptg_pte.Line.init (fun i ->
       Ptg_pte.X86.make ~writable:true ~user:true ~pfn:(Int64.of_int (0x52700 + i)) ())
 
-let data_line = Array.init 8 (fun i -> Int64.logor 0xDEAD_0000_0000_0000L (Int64.of_int i))
+let data_line = Ptg_pte.Line.init (fun i -> Int64.logor 0xDEAD_0000_0000_0000L (Int64.of_int i))
 let addr = 0x7F8A_1000L
 let stored_pte = Ptguard.Engine.process_write baseline_engine ~addr pte_line
 let stored_pte_opt = Ptguard.Engine.process_write optimized_engine ~addr pte_line
@@ -327,7 +327,7 @@ let run_mac_bench () =
   let addrs = Array.init reqs (fun i -> Int64.of_int (0x4000 + (i * 64))) in
   let lines =
     Array.init reqs (fun _ ->
-        Array.init 8 (fun _ ->
+        Ptg_pte.Line.init (fun _ ->
             (* Masked-shape inputs: any int64s are valid MAC inputs. *)
             Ptg_util.Rng.next brng))
   in
@@ -342,13 +342,14 @@ let run_mac_bench () =
     per_req (fun () ->
         for i = 0 to reqs - 1 do
           Ptg_crypto.Qarma.encrypt_raw sc key ~t_hi:(Int64.of_int (i land 3))
-            ~t_lo:addrs.(i) ~p_hi:lines.(i).(1) ~p_lo:lines.(i).(0)
+            ~t_lo:addrs.(i) ~p_hi:(Ptg_pte.Line.get lines.(i) 1) ~p_lo:(Ptg_pte.Line.get lines.(i) 0)
         done)
   in
   let ns_sched =
     per_req (fun () ->
         for i = 0 to reqs - 1 do
-          Ptg_crypto.Qarma.encrypt_scheduled sc sch ~p_hi:lines.(i).(1) ~p_lo:lines.(i).(0)
+          Ptg_crypto.Qarma.encrypt_scheduled sc sch ~p_hi:(Ptg_pte.Line.get lines.(i) 1)
+            ~p_lo:(Ptg_pte.Line.get lines.(i) 0)
         done)
   in
   let scalar = Array.make reqs Ptg_crypto.Mac.zero in
@@ -367,7 +368,7 @@ let run_mac_bench () =
   let sched_identical =
     Array.for_all
       (fun line ->
-        let p_hi = line.(1) and p_lo = line.(0) in
+        let p_hi = Ptg_pte.Line.get line 1 and p_lo = Ptg_pte.Line.get line 0 in
         Ptg_crypto.Qarma.encrypt_scheduled sc sch ~p_hi ~p_lo;
         let hi = Ptg_crypto.Qarma.out_hi sc and lo = Ptg_crypto.Qarma.out_lo sc in
         Ptg_crypto.Qarma.encrypt_raw sc key ~t_hi:1L ~t_lo:0x4000L ~p_hi ~p_lo;
@@ -395,6 +396,18 @@ let run_mac_bench () =
 let run_fullsys_json () =
   section "Full-system regression benchmark (BENCH_fullsys.json)";
   let instrs = if full then 60_000 else 30_000 in
+  (* Machine construction alone: the median of several guarded
+     [Fullsys.create] calls at the run's seed, each from a collected
+     heap. Informational: no gate row bounds it. *)
+  let builds = 9 in
+  let construct_s =
+    let ts =
+      List.init builds (fun _ ->
+          Gc.full_major ();
+          fst (timed (fun () -> Ptg_sim.Fullsys.create ~seed:42L ())))
+    in
+    List.nth (List.sort compare ts) (builds / 2)
+  in
   (* Guarded co-simulation under live Rowhammer: every TLB miss pays real
      MAC verification through the controller. *)
   let t_guarded, r_guarded =
@@ -425,9 +438,11 @@ let run_fullsys_json () =
     failwith "fullsys bench: multicore verification failed on untampered PTEs";
   let macs = r_mc.Ptg_cpu.Multicore.macs_verified in
   Printf.printf
-    "  fullsys: %.2f s (%d walks, %d flips landed, 0 wrong translations)\n\
+    "  construction: %.2f ms (median of %d guarded Fullsys.create at seed 42)\n\
+    \  fullsys: %.2f s (%d walks, %d flips landed, 0 wrong translations)\n\
     \  multicore verify: %.2f s (%d MACs verified, %.0f MACs/s)\n"
-    t_guarded r_guarded.Ptg_sim.Fullsys.walks r_guarded.Ptg_sim.Fullsys.flips_landed
+    (1000. *. construct_s) builds t_guarded r_guarded.Ptg_sim.Fullsys.walks
+    r_guarded.Ptg_sim.Fullsys.flips_landed
     t_mc macs
     (float_of_int macs /. t_mc);
   write_json "fullsys"
@@ -435,6 +450,7 @@ let run_fullsys_json () =
       ("instrs", Int instrs);
       ("wall_time_s", Float (3, t_guarded +. t_mc));
       ("fullsys_wall_s", Float (3, t_guarded));
+      ("construct_ms", Float (2, 1000. *. construct_s));
       ("fullsys_walks", Int r_guarded.Ptg_sim.Fullsys.walks);
       ("fullsys_flips_landed", Int r_guarded.Ptg_sim.Fullsys.flips_landed);
       ("fullsys_wrong_translations", Int r_guarded.Ptg_sim.Fullsys.wrong_translations);

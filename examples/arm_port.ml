@@ -20,7 +20,7 @@ let () =
 
   (* Eight ARMv8 descriptors mapping contiguous frames. *)
   let line =
-    Array.init 8 (fun i ->
+    Ptg_pte.Line.init (fun i ->
         Ptg_pte.Armv8.make ~writable:true ~user:true
           ~pfn:(Int64.of_int (0xC4000 + i))
           ())

@@ -36,7 +36,7 @@ let scenario ~label ~mitigate ~pattern ~iterations =
         let coords = { Ptg_dram.Geometry.channel = 0; rank = 0; bank = 3; row = 1000; col } in
         let addr = Ptg_dram.Geometry.encode geometry coords in
         let line =
-          Array.init 8 (fun i ->
+          Ptg_pte.Line.init (fun i ->
               Ptg_pte.X86.make ~writable:true ~user:true
                 ~pfn:(Int64.of_int (0x40000 + (col * 8) + i)) ())
         in

@@ -39,7 +39,7 @@ let () =
 
   (* A realistic line: contiguous PFNs, uniform flags, two zero PTEs. *)
   let line =
-    Array.init 8 (fun i ->
+    Ptg_pte.Line.init (fun i ->
         if i >= 6 then 0L
         else
           Ptg_pte.X86.make ~writable:true ~user:true ~dirty:true

@@ -82,7 +82,7 @@ let () =
   in
   for i = 1 to 5 do
     let addr = Int64.of_int (0x9100_0000 + (64 * i)) in
-    let payload = Array.init 8 (fun j -> Int64.of_int ((i * 31) + j)) in
+    let payload = Ptg_pte.Line.init (fun j -> Int64.of_int ((i * 31) + j)) in
     ignore (Ptg_memctrl.Memctrl.write_line mc ~addr payload ());
     Ptg_dram.Dram.flip_stored_bit dram ~addr ~bit:1;
     let leaked =
@@ -91,10 +91,10 @@ let () =
       | _ -> assert false
     in
     let crafted =
-      Array.mapi
-        (fun j w ->
-          Int64.logor (Int64.logand w (Int64.lognot meta)) (Int64.logand leaked.(j) meta))
-        payload
+      Ptg_pte.Line.init (fun j ->
+          Int64.logor
+            (Int64.logand (Ptg_pte.Line.get payload j) (Int64.lognot meta))
+            (Int64.logand (Ptg_pte.Line.get leaked j) meta))
     in
     ignore (Ptg_memctrl.Memctrl.write_line mc ~addr crafted ())
   done;
@@ -107,6 +107,6 @@ let () =
   let some_addr = Int64.of_int (0x9100_0000 + 64) in
   let ok =
     Ptg_os.Os_handler.resolve_collision os ~addr:some_addr
-      ~benign:(Array.make 8 0x1111_0000_0000_0000L)
+      ~benign:(Ptg_pte.Line.of_words (Array.make 8 0x1111_0000_0000_0000L))
   in
   Printf.printf "collision at 0x%Lx evicted by benign rewrite: %b\n" some_addr ok

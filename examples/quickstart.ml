@@ -18,7 +18,7 @@ let () =
   (* 2. A PTE cacheline: 8 page-table entries mapping pages to contiguous
         frames, the common case in real page tables. *)
   let line =
-    Array.init 8 (fun i ->
+    Ptg_pte.Line.init (fun i ->
         Ptg_pte.X86.make ~writable:true ~user:true
           ~pfn:(Int64.of_int (0x1a2b0 + i))
           ())

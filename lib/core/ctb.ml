@@ -7,7 +7,10 @@ let create ~capacity =
 let capacity t = t.capacity
 let size t = List.length t.entries
 let is_full t = size t >= t.capacity
-let mem t addr = List.exists (Int64.equal (Ptg_pte.Line.line_addr addr)) t.entries
+(* The table is almost always empty: every access checks it, so the
+   empty case decides without allocating. *)
+let mem t addr =
+  t.entries <> [] && List.exists (Int64.equal (Ptg_pte.Line.line_addr addr)) t.entries
 
 let add t addr =
   let addr = Ptg_pte.Line.line_addr addr in
@@ -19,8 +22,10 @@ let add t addr =
   end
 
 let remove t addr =
-  let addr = Ptg_pte.Line.line_addr addr in
-  t.entries <- List.filter (fun a -> not (Int64.equal a addr)) t.entries
+  if t.entries <> [] then begin
+    let addr = Ptg_pte.Line.line_addr addr in
+    t.entries <- List.filter (fun a -> not (Int64.equal a addr)) t.entries
+  end
 
 let clear t = t.entries <- []
 let entries t = t.entries

@@ -81,6 +81,7 @@ type t = {
   mutable key : Qarma.key;
   identifier : int64;
   mutable mac_zero : Mac.t;
+  unstripped : int64;
   ctb : Ctb.t;
   stats : stats;
   mutable listeners : (os_event -> unit) list;
@@ -102,13 +103,25 @@ and correction = {
 
 (* The MAC memo: a host-side cache of [compute_mac], which is a pure
    function of (key, line address, masked line). Direct-mapped on the
-   line address; a slot holds the address, the 8 masked words and the
-   truncated MAC, and a hit needs all nine key words equal. It is tied to
-   the current key and emptied whenever the key changes. It models no
-   hardware: the read and write paths charge latency and count MAC
-   computations exactly as without it, and [state] does not include it. *)
+   line address; a slot holds the address, the 8 masked words, their 4
+   chunk cipher outputs and the truncated MAC, and a hit needs all nine
+   key words equal. A miss at the address the slot already holds
+   re-enciphers only the chunks whose masked words changed (a PTE write
+   changes one word, so one chunk of four) and folds the others from the
+   slot. It is tied to the current key and emptied whenever the key
+   changes. It models no hardware: the read and write paths charge
+   latency and count MAC computations exactly as without it, and [state]
+   does not include it. *)
 let memo_slots = 1024
-let memo_stride = 11 * 8 (* address, 8 masked words, MAC hi32, MAC lo *)
+
+(* Byte offsets within a slot. *)
+let memo_addr = 0
+let memo_word i = 8 + (8 * i)
+let memo_q_hi i = 72 + (16 * i)
+let memo_q_lo i = 80 + (16 * i)
+let memo_mac_hi = 136
+let memo_mac_lo = 144
+let memo_stride = 152
 
 (* The correction memo, under the same contract: a host-side cache of
    [Correction.correct], a pure function of (configuration, key, line
@@ -146,6 +159,15 @@ let fresh_stats () =
     rekeys = 0;
   }
 
+(* The bits the controller keeps when it forwards a protected line: all
+   but the MAC field, and under Optimized the identifier field. *)
+let unstripped (config : Config.t) =
+  let module L = (val config.Config.layout : Layout.S) in
+  Int64.lognot
+    (match config.Config.design with
+    | Config.Baseline -> L.mac_field_mask
+    | Config.Optimized -> Int64.logor L.mac_field_mask L.identifier_field_mask)
+
 let create ?(config = Config.baseline) ?obs ~rng () =
   let key = Qarma.key_of_rng ~rounds:config.Config.qarma_rounds rng in
   let identifier =
@@ -160,6 +182,7 @@ let create ?(config = Config.baseline) ?obs ~rng () =
     key;
     identifier;
     mac_zero = Mac.truncate ~width:config.Config.mac_bits (Mac.compute_zero key);
+    unstripped = unstripped config;
     ctb = Ctb.create ~capacity:config.Config.ctb_entries;
     stats = fresh_stats ();
     listeners = [];
@@ -227,47 +250,67 @@ let emit t e = List.iter (fun f -> f e) t.listeners
    Config.with_layout): every format-specific operation goes through it. *)
 let layout t = t.config.Config.layout
 
-(* Does [slot] hold exactly [addr] and [line] under the protected-bit
-   mask [pm]? Allocates nothing. *)
-let memo_holds t ~slot ~addr ~pm line =
-  let base = slot * memo_stride in
-  Array.length line = Ptg_pte.Line.words
-  && Bytes.get t.memo_valid slot <> '\000'
-  && Int64.equal (Bytes.get_int64_ne t.memo base) addr
-  &&
+(* Does [slot] hold [addr]? *)
+let memo_at t ~base ~slot ~addr =
+  Bytes.get t.memo_valid slot <> '\000'
+  && Int64.equal (Bytes.get_int64_ne t.memo (base + memo_addr)) addr
+
+(* Do the slot's masked words equal [line]'s under the protected-bit
+   mask [pm]? Allocates nothing. [line] is checked by [compute_mac]. *)
+let memo_words_equal t ~base ~pm line =
   let i = ref 0 in
   while
     !i < Ptg_pte.Line.words
     && Int64.equal
-         (Bytes.get_int64_ne t.memo (base + 8 + (8 * !i)))
-         (Int64.logand line.(!i) pm)
+         (Bytes.get_int64_ne t.memo (base + memo_word !i))
+         (Int64.logand (Ptg_pte.Line.unsafe_get line !i) pm)
   do
     incr i
   done;
   !i = Ptg_pte.Line.words
 
-let memo_store t ~slot ~addr masked (mac : Mac.t) =
-  let base = slot * memo_stride in
-  Bytes.set_int64_ne t.memo base addr;
-  Array.iteri (fun i w -> Bytes.set_int64_ne t.memo (base + 8 + (8 * i)) w) masked;
-  Bytes.set_int64_ne t.memo (base + 72) mac.hi32;
-  Bytes.set_int64_ne t.memo (base + 80) mac.lo;
-  Bytes.set t.memo_valid slot '\001'
+(* Chunk [i] of [line] masked by [pm] through the slot at [base]:
+   re-enciphered and stored unless [reuse] and the slot holds the same
+   two masked words. *)
+let memo_chunk t ~base ~addr ~pm ~reuse line i =
+  let w_lo = Int64.logand (Ptg_pte.Line.unsafe_get line (2 * i)) pm
+  and w_hi = Int64.logand (Ptg_pte.Line.unsafe_get line ((2 * i) + 1)) pm in
+  if
+    not
+      (reuse
+      && Int64.equal (Bytes.get_int64_ne t.memo (base + memo_word (2 * i))) w_lo
+      && Int64.equal (Bytes.get_int64_ne t.memo (base + memo_word ((2 * i) + 1))) w_hi)
+  then begin
+    Mac.chunk t.mac_ctx t.key ~addr i ~hi:w_hi ~lo:w_lo;
+    Bytes.set_int64_ne t.memo (base + memo_word (2 * i)) w_lo;
+    Bytes.set_int64_ne t.memo (base + memo_word ((2 * i) + 1)) w_hi;
+    Bytes.set_int64_ne t.memo (base + memo_q_hi i) (Mac.out_hi t.mac_ctx);
+    Bytes.set_int64_ne t.memo (base + memo_q_lo i) (Mac.out_lo t.mac_ctx)
+  end
 
 (* MAC of a line's protected bits, truncated to the configured width. *)
 let compute_mac t ~addr line =
+  Ptg_pte.Line.check "Engine" line;
   let module L = (val layout t : Layout.S) in
+  let pm = L.protected_mask in
   let slot = (Int64.to_int addr lsr 6) land (memo_slots - 1) in
-  if memo_holds t ~slot ~addr ~pm:L.protected_mask line then
-    let base = slot * memo_stride in
-    { Mac.hi32 = Bytes.get_int64_ne t.memo (base + 72); lo = Bytes.get_int64_ne t.memo (base + 80) }
+  let base = slot * memo_stride in
+  let reuse = memo_at t ~base ~slot ~addr in
+  if reuse && memo_words_equal t ~base ~pm line then
+    { Mac.hi32 = Bytes.get_int64_ne t.memo (base + memo_mac_hi);
+      lo = Bytes.get_int64_ne t.memo (base + memo_mac_lo) }
   else begin
-    let masked = L.masked_for_mac line in
-    let mac =
-      Mac.truncate ~width:t.config.Config.mac_bits
-        (Mac.compute_with t.mac_ctx t.key ~addr masked)
-    in
-    memo_store t ~slot ~addr masked mac;
+    let hi = ref 0L and lo = ref 0L in
+    for i = 0 to 3 do
+      memo_chunk t ~base ~addr ~pm ~reuse line i;
+      hi := Int64.logxor !hi (Bytes.get_int64_ne t.memo (base + memo_q_hi i));
+      lo := Int64.logxor !lo (Bytes.get_int64_ne t.memo (base + memo_q_lo i))
+    done;
+    let mac = Mac.truncate ~width:t.config.Config.mac_bits (Mac.of_fold ~hi:!hi ~lo:!lo) in
+    Bytes.set_int64_ne t.memo (base + memo_addr) addr;
+    Bytes.set_int64_ne t.memo (base + memo_mac_hi) mac.Mac.hi32;
+    Bytes.set_int64_ne t.memo (base + memo_mac_lo) mac.Mac.lo;
+    Bytes.set t.memo_valid slot '\001';
     mac
   end
 
@@ -343,18 +386,8 @@ let process_write t ~addr line =
     Ptg_pte.Line.copy line
   end
 
-(* The spare bits the controller clears before forwarding a protected
-   line: the MAC field, plus the identifier field under Optimized. *)
-let stripped_bits t =
-  let module L = (val layout t : Layout.S) in
-  match t.config.Config.design with
-  | Config.Baseline -> L.mac_field_mask
-  | Config.Optimized -> Int64.logor L.mac_field_mask L.identifier_field_mask
-
-let strip t line = Ptg_pte.Line.keep (Int64.lognot (stripped_bits t)) line
-
-let zero_once_stripped t line =
-  Ptg_pte.Line.zero_under (Int64.lognot (stripped_bits t)) line
+let strip t line = Ptg_pte.Line.keep t.unstripped line
+let zero_once_stripped t line = Ptg_pte.Line.zero_under t.unstripped line
 
 (* Under the Optimized design, faults in the identifier field of a PTE
    line are trivially corrected because the expected value is known
@@ -578,4 +611,4 @@ let rekey t ~rng ~iter_lines ~write =
 
 let pte_bounds_check t line =
   let module L = (val layout t : Layout.S) in
-  Array.exists L.pfn_out_of_bounds line
+  Ptg_pte.Line.exists L.pfn_out_of_bounds line

@@ -37,6 +37,9 @@ module type S = sig
   val extract_mac : Ptg_pte.Line.t -> Ptg_crypto.Mac.t
   val strip_mac : Ptg_pte.Line.t -> Ptg_pte.Line.t
   val masked_for_mac : Ptg_pte.Line.t -> Ptg_pte.Line.t
+  (** [Ptg_pte.Line.keep protected_mask]: the engine's MAC memo masks
+      words with {!protected_mask} directly. *)
+
   val embed_identifier : Ptg_pte.Line.t -> int64 -> Ptg_pte.Line.t
   val extract_identifier : Ptg_pte.Line.t -> int64
   val strip_identifier : Ptg_pte.Line.t -> Ptg_pte.Line.t

@@ -75,7 +75,7 @@ let verify_pte_read v ~paddr =
           Int64.to_int (Int64.logand (Int64.shift_right_logical laddr 6) 0xffffL)
         in
         let line =
-          Array.init 8 (fun i ->
+          Ptg_pte.Line.init (fun i ->
               Ptg_pte.X86.make ~writable:true ~user:true ~accessed:false
                 ~pfn:(Int64.of_int (((idx lsl 3) lor i) land 0xfffff))
                 ())

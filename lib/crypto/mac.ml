@@ -11,35 +11,73 @@ let soft_match ~k a b =
   if k < 0 then invalid_arg "Mac.soft_match: negative k";
   hamming a b <= k
 
-type ctx = Qarma.scratch
+(* Word [i] of a 64-byte line, little-endian (see Ptg_pte.Line), for
+   loops that checked the line's length first. *)
+external unsafe_get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
 
-let ctx = Qarma.scratch
+let[@inline] word line i =
+  let w = unsafe_get64 line (8 * i) in
+  if Sys.big_endian then swap64 w else w
 
-(* Chunk i enciphers C_i xor A_i under tweak A_i = { hi = i; lo = addr },
-   which binds the MAC to both the line's physical address and the
-   chunk's position within the line. A_0 is expanded once; A_i differs
-   from A_(i-1) only in tweak cell 7 (the low byte of [hi]). The halves
-   flow through bare int64s. *)
+let check fn line = if Bytes.length line <> 64 then invalid_arg (fn ^ ": line must be 8 words")
+
+(* The scratch, and which chunk tweak A_i its schedule holds: that of
+   chunk [chunk] at [addr] under [key], or none while [chunk] < 0. *)
+type ctx = {
+  sc : Qarma.scratch;
+  mutable key : Qarma.key;
+  mutable addr : int64;
+  mutable chunk : int;
+}
+
+let no_key = Qarma.expand_key ~rounds:1 ~w0:Block128.zero Block128.zero
+let ctx () = { sc = Qarma.scratch (); key = no_key; addr = 0L; chunk = -1 }
+
+(* Point the schedule at A_i. The A_i of one (key, addr) differ only in
+   tweak cell 7 (the low byte of [hi]), so moving between them patches
+   one word per unit; any other tweak is expanded afresh. *)
+let retune ctx key ~addr i =
+  if ctx.chunk >= 0 && ctx.key == key && Int64.equal ctx.addr addr then
+    Qarma.retweak ctx.sc ~cell:7 (i lxor ctx.chunk)
+  else begin
+    Qarma.tweak ctx.sc key ~t_hi:(Int64.of_int i) ~t_lo:addr;
+    ctx.key <- key;
+    ctx.addr <- addr
+  end;
+  ctx.chunk <- i
+
+(* The chunk formula, the only one: chunk i of a line is the 16-byte
+   block C_i = (hi = word 2i+1, lo = word 2i), enciphered as
+   Q(C_i xor A_i) under tweak A_i = { hi = i; lo = addr }, which binds
+   the MAC to both the line's physical address and the chunk's position
+   within the line. Inlined, so the halves flow through bare int64s. *)
+let[@inline] chunk ctx key ~addr i ~hi ~lo =
+  if not (ctx.chunk = i && ctx.key == key && Int64.equal ctx.addr addr) then
+    retune ctx key ~addr i;
+  Qarma.encrypt ctx.sc ~p_hi:(Int64.logxor hi (Int64.of_int i)) ~p_lo:(Int64.logxor lo addr)
+
+let[@inline] out_hi ctx = Qarma.out_hi ctx.sc
+let[@inline] out_lo ctx = Qarma.out_lo ctx.sc
+
+let[@inline] of_fold ~hi ~lo = { hi32 = Int64.logand hi 0xFFFFFFFFL; lo }
+
 let compute_with ctx key ~addr line =
-  if Array.length line <> 8 then invalid_arg "Mac.compute: line must be 8 words";
+  check "Mac.compute" line;
   let acc_hi = ref 0L and acc_lo = ref 0L in
   for i = 0 to 3 do
-    let a_hi = Int64.of_int i in
-    let p_hi = Int64.logxor line.((2 * i) + 1) a_hi
-    and p_lo = Int64.logxor line.(2 * i) addr in
-    if i = 0 then Qarma.encrypt_raw ctx key ~t_hi:a_hi ~t_lo:addr ~p_hi ~p_lo
-    else Qarma.encrypt_retweaked ctx ~cell:7 (i lxor (i - 1)) ~p_hi ~p_lo;
-    acc_hi := Int64.logxor !acc_hi (Qarma.out_hi ctx);
-    acc_lo := Int64.logxor !acc_lo (Qarma.out_lo ctx)
+    chunk ctx key ~addr i ~hi:(word line ((2 * i) + 1)) ~lo:(word line (2 * i));
+    acc_hi := Int64.logxor !acc_hi (out_hi ctx);
+    acc_lo := Int64.logxor !acc_lo (out_lo ctx)
   done;
-  { hi32 = Int64.logand !acc_hi 0xFFFFFFFFL; lo = !acc_lo }
+  of_fold ~hi:!acc_hi ~lo:!acc_lo
 
-(* A fresh scratch per call: [compute] is reached from pool workers
+(* A fresh ctx per call: [compute] is reached from pool workers
    (every rekey's [compute_zero]) and from any thread, so it must never
    share one. The hot paths keep their own [ctx]. *)
 let compute key ~addr line = compute_with (ctx ()) key ~addr line
 
-let compute_zero key = compute key ~addr:0L (Array.make 8 0L)
+let compute_zero key = compute key ~addr:0L (Bytes.make 64 '\000')
 
 let truncate ~width m =
   if width < 1 || width > 96 then invalid_arg "Mac.truncate: width";
@@ -88,7 +126,7 @@ let join12 pieces =
 (* Slice i covers MAC bits 12i..12i+11; slice 5 straddles [lo] and
    [hi32]. Both directions work on bare int64s, so the layouts' per-line
    loops allocate nothing but their output. *)
-let piece12 m i =
+let[@inline] piece12 m i =
   let b = 12 * i in
   let v =
     if b + 12 <= 64 then Int64.shift_right_logical m.lo b
@@ -97,17 +135,24 @@ let piece12 m i =
   in
   Int64.to_int v land 0xfff
 
-let gather12 piece (line : int64 array) =
-  let lo = ref 0L and hi = ref 0L in
-  for i = 0 to 7 do
-    let p = Int64.of_int (piece line.(i) land 0xfff) and b = 12 * i in
-    if b < 64 then lo := Int64.logor !lo (Int64.shift_left p b);
-    if b + 12 > 64 then
-      hi :=
-        Int64.logor !hi
-          (if b >= 64 then Int64.shift_left p (b - 64) else Int64.shift_right_logical p (64 - b))
-  done;
-  { hi32 = !hi; lo = !lo }
+let[@inline] slice piece line i = piece (Int64.to_int (word line i)) land 0xfff
+
+let gather12 piece line =
+  check "Mac.gather12" line;
+  (* Slices 0..4 fill MAC bits 0..59, an OCaml int; slice 5 straddles
+     [lo] and [hi32]. *)
+  let low =
+    slice piece line 0
+    lor (slice piece line 1 lsl 12)
+    lor (slice piece line 2 lsl 24)
+    lor (slice piece line 3 lsl 36)
+    lor (slice piece line 4 lsl 48)
+  and p5 = slice piece line 5 in
+  {
+    lo = Int64.logor (Int64.of_int low) (Int64.shift_left (Int64.of_int (p5 land 0xf)) 60);
+    hi32 =
+      Int64.of_int ((p5 lsr 4) lor (slice piece line 6 lsl 8) lor (slice piece line 7 lsl 20));
+  }
 
 let flip_bit m i =
   if i < 0 || i > 95 then invalid_arg "Mac.flip_bit: bit index";

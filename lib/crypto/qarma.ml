@@ -295,7 +295,7 @@ let tweak_walk =
    into cell [cell]. The tweak schedule is linear and moves cells one to
    one, so the difference touches one word per unit: cell e sits in
    column word p land 3, row p lsr 2, for p = tau^-1(e). *)
-let retweak sch ~cell v =
+let patch sch ~cell v =
   let r = sch.nr and kw = sch.kw and wr = sch.wr in
   let row = cell lsr 2 and d0 = v lsl (24 - (8 * (cell land 3))) in
   set wr row (get wr row lxor d0);
@@ -405,13 +405,17 @@ let[@inline] encrypt_scheduled sc sch ~p_hi ~p_lo =
     (Int64.to_int (Int64.shift_right_logical p_lo 32))
     (Int64.to_int p_lo land 0xffff_ffff)
 
+let tweak sc key ~t_hi ~t_lo = fill sc.own key key.enc ~t_hi ~t_lo
+let retweak sc ~cell v = patch sc.own ~cell v
+let[@inline] encrypt sc ~p_hi ~p_lo = encrypt_scheduled sc sc.own ~p_hi ~p_lo
+
 let encrypt_raw sc key ~t_hi ~t_lo ~p_hi ~p_lo =
-  fill sc.own key key.enc ~t_hi ~t_lo;
-  encrypt_scheduled sc sc.own ~p_hi ~p_lo
+  tweak sc key ~t_hi ~t_lo;
+  encrypt sc ~p_hi ~p_lo
 
 let encrypt_retweaked sc ~cell v ~p_hi ~p_lo =
-  retweak sc.own ~cell v;
-  encrypt_scheduled sc sc.own ~p_hi ~p_lo
+  retweak sc ~cell v;
+  encrypt sc ~p_hi ~p_lo
 
 let[@inline] out_hi sc =
   Int64.logor (Int64.shift_left (Int64.of_int sc.r0) 32) (Int64.of_int sc.r1)

@@ -85,6 +85,20 @@ val encrypt_retweaked : scratch -> cell:int -> int -> p_hi:int64 -> p_lo:int64 -
     one word per unit instead of re-expanded: the MAC's chunk tweaks
     [A_i] differ only in cell 7. *)
 
+val tweak : scratch -> key -> t_hi:int64 -> t_lo:int64 -> unit
+(** [tweak sc key ~t_hi ~t_lo] expands the tweak into the scratch's own
+    schedule: the first half of {!encrypt_raw}. *)
+
+val retweak : scratch -> cell:int -> int -> unit
+(** [retweak sc ~cell v] patches the scratch's schedule as
+    {!encrypt_retweaked} does, without enciphering. *)
+
+val encrypt : scratch -> p_hi:int64 -> p_lo:int64 -> unit
+(** [encrypt sc ~p_hi ~p_lo] enciphers under the scratch's current
+    schedule (from {!tweak} and {!retweak}): [tweak] then [encrypt] is
+    {!encrypt_raw}. Inlined like {!encrypt_scheduled}, so a caller's
+    unboxed [int64] halves stay unboxed. *)
+
 val out_hi : scratch -> int64
 (** High 64 bits of the last result left in the scratch. *)
 

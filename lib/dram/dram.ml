@@ -245,8 +245,13 @@ let read_line t addr =
   | Some line -> Ptg_pte.Line.copy line
   | None -> Ptg_pte.Line.create ()
 
+(* No stored line ever leaves [storage] (every reader gets a copy), so an
+   overwrite or a flip updates the stored bytes in place. *)
 let write_line t addr line =
-  Hashtbl.replace t.storage (Ptg_pte.Line.line_addr addr) (Ptg_pte.Line.copy line)
+  let key = Ptg_pte.Line.line_addr addr in
+  match Hashtbl.find_opt t.storage key with
+  | Some stored -> Bytes.blit line 0 stored 0 Ptg_pte.Line.size_bytes
+  | None -> Hashtbl.replace t.storage key (Ptg_pte.Line.copy line)
 
 let check_coord what name v bound =
   if v < 0 || v >= bound then
@@ -291,7 +296,7 @@ let flip_stored_bit t ~addr ~bit =
         Hashtbl.replace t.storage key l;
         l
   in
-  Hashtbl.replace t.storage key (Ptg_pte.Line.flip_bit line bit)
+  Ptg_pte.Line.flip_bit_in_place line bit
 
 let total_activations t = t.total_activations
 

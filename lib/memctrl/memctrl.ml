@@ -127,12 +127,12 @@ let phys_mem t =
     Ptg_vm.Phys_mem.read_word =
       (fun addr ->
         let line = read_data t ~addr:(Ptg_pte.Line.line_addr addr) in
-        line.(Int64.to_int (Int64.logand addr 63L) / 8));
+        Ptg_pte.Line.get line (Int64.to_int (Int64.logand addr 63L) / 8));
     write_word =
       (fun addr v ->
         let base = Ptg_pte.Line.line_addr addr in
         let line = read_data t ~addr:base in
-        line.(Int64.to_int (Int64.logand addr 63L) / 8) <- v;
+        Ptg_pte.Line.set line (Int64.to_int (Int64.logand addr 63L) / 8) v;
         ignore (write_line t ~addr:base line ()));
   }
 

@@ -43,7 +43,7 @@ let walk mc ~root ~vaddr =
         match r.Memctrl.data with
         | None -> Integrity_failure { level; line_addr; latency = !latency }
         | Some line ->
-            let entry = line.(Int64.to_int (Int64.logand entry_addr 63L) / 8) in
+            let entry = Ptg_pte.Line.get line (Int64.to_int (Int64.logand entry_addr 63L) / 8) in
             if not (Ptg_pte.X86.get_flag entry Ptg_pte.X86.Present) then
               Not_present { level; latency = !latency }
             else begin

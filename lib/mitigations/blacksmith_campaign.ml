@@ -22,7 +22,7 @@ let try_pattern ~slots ~rth ~rng ~victim pattern =
   let c = Ptg_dram.Geometry.decode geometry 0L in
   Ptg_dram.Dram.write_line dram
     (Ptg_dram.Geometry.encode geometry { c with Ptg_dram.Geometry.row = victim })
-    (Array.make 8 (-1L));
+    (Ptg_pte.Line.of_words (Array.make 8 (-1L)));
   ignore
     (Blacksmith.run dram ~channel:c.Ptg_dram.Geometry.channel
        ~bank:c.Ptg_dram.Geometry.bank pattern ~slots ~start_time:0);

@@ -39,17 +39,18 @@ let matches_extended_pattern cfg =
   fun line -> Line.zero_under mask line
 
 let embed_mac line mac =
-  let out = Array.make Line.words 0L in
+  Line.check "Protection.embed_mac" line;
+  let out = Line.create () in
   for i = 0 to Line.words - 1 do
-    out.(i) <-
-      Int64.logor
-        (Int64.logand line.(i) (Int64.lognot mac_field_mask))
-        (Int64.shift_left (Int64.of_int (Ptg_crypto.Mac.piece12 mac i)) 40)
+    Line.unsafe_set out i
+      (Int64.logor
+         (Int64.logand (Line.unsafe_get line i) (Int64.lognot mac_field_mask))
+         (Int64.shift_left (Int64.of_int (Ptg_crypto.Mac.piece12 mac i)) 40))
   done;
   out
 
 let extract_mac line =
-  Ptg_crypto.Mac.gather12 (fun w -> Int64.to_int (Int64.shift_right_logical w 40)) line
+  Ptg_crypto.Mac.gather12 (fun w -> w lsr 40) line
 
 let strip_mac line = Line.keep (Int64.lognot mac_field_mask) line
 
@@ -77,20 +78,22 @@ let join7 pieces =
 
 let embed_identifier line ident =
   check_identifier ident;
-  let out = Array.make Line.words 0L in
+  Line.check "Protection.embed_identifier" line;
+  let out = Line.create () in
   for i = 0 to Line.words - 1 do
     let piece = Int64.logand (Int64.shift_right_logical ident (7 * i)) 0x7fL in
-    out.(i) <-
-      Int64.logor
-        (Int64.logand line.(i) (Int64.lognot identifier_field_mask))
-        (Int64.shift_left piece 52)
+    Line.unsafe_set out i
+      (Int64.logor
+         (Int64.logand (Line.unsafe_get line i) (Int64.lognot identifier_field_mask))
+         (Int64.shift_left piece 52))
   done;
   out
 
 let extract_identifier line =
+  Line.check "Protection.extract_identifier" line;
   let acc = ref 0L in
   for i = 0 to Line.words - 1 do
-    let piece = Int64.logand (Int64.shift_right_logical line.(i) 52) 0x7fL in
+    let piece = Int64.logand (Int64.shift_right_logical (Line.unsafe_get line i) 52) 0x7fL in
     acc := Int64.logor !acc (Int64.shift_left piece (7 * i))
   done;
   !acc

@@ -48,7 +48,7 @@ let matches_extended_pattern cfg =
 
 (* A 12-bit MAC piece goes high-10 into bits 49:40 and low-2 into 9:8.
    Like the x86 helpers, these loops allocate at most their output. *)
-let embed_piece w piece =
+let[@inline] embed_piece w piece =
   let piece = Int64.of_int piece in
   Int64.logor
     (Int64.logand w (Int64.lognot mac_field_mask))
@@ -57,13 +57,14 @@ let embed_piece w piece =
        (Int64.shift_left (Int64.logand piece 3L) 8))
 
 let extract_piece w =
-  let w = Int64.to_int (Int64.shift_right_logical w 8) in
+  let w = w lsr 8 in
   ((w lsr 32) lsl 2) lor (w land 3)
 
 let embed_mac line mac =
-  let out = Array.make Line.words 0L in
+  Line.check "Protection_armv8.embed_mac" line;
+  let out = Line.create () in
   for i = 0 to Line.words - 1 do
-    out.(i) <- embed_piece line.(i) (Ptg_crypto.Mac.piece12 mac i)
+    Line.unsafe_set out i (embed_piece (Line.unsafe_get line i) (Ptg_crypto.Mac.piece12 mac i))
   done;
   out
 
@@ -77,20 +78,22 @@ let masked_for_mac cfg =
 let embed_identifier line ident =
   if Int64.logand ident (Int64.lognot (Bits.mask 32)) <> 0L then
     invalid_arg "Protection_armv8.embed_identifier: identifier wider than 32 bits";
-  let out = Array.make Line.words 0L in
+  Line.check "Protection_armv8.embed_identifier" line;
+  let out = Line.create () in
   for i = 0 to Line.words - 1 do
     let piece = Int64.logand (Int64.shift_right_logical ident (4 * i)) 0xfL in
-    out.(i) <-
-      Int64.logor
-        (Int64.logand line.(i) (Int64.lognot identifier_field_mask))
-        (Int64.shift_left piece 55)
+    Line.unsafe_set out i
+      (Int64.logor
+         (Int64.logand (Line.unsafe_get line i) (Int64.lognot identifier_field_mask))
+         (Int64.shift_left piece 55))
   done;
   out
 
 let extract_identifier line =
+  Line.check "Protection_armv8.extract_identifier" line;
   let acc = ref 0L in
   for i = 0 to Line.words - 1 do
-    let piece = Int64.logand (Int64.shift_right_logical line.(i) 55) 0xfL in
+    let piece = Int64.logand (Int64.shift_right_logical (Line.unsafe_get line i) 55) 0xfL in
     acc := Int64.logor !acc (Int64.shift_left piece (4 * i))
   done;
   !acc

@@ -122,7 +122,7 @@ let pattern ?(lines = 20_000) ?(seed = 22L) () =
      pointers, zero lines — the kinds of payloads DRAM actually holds. *)
   let random_data_line () =
     let kind = Rng.int rng 10 in
-    Array.init 8 (fun _ ->
+    Ptg_pte.Line.init (fun _ ->
         match kind with
         | 0 | 1 -> 0L (* zero line *)
         | 2 | 3 -> Int64.of_int (Rng.int rng 65536) (* small ints *)
@@ -228,7 +228,7 @@ let page_size_to_string r =
        (fun row ->
          [ row.page; Table.fpct row.avg_slowdown_pct; Table.f2 row.walks_per_kinstr ])
        r.rows)
-  ^ "Paper (Section III): larger pages reduce walk frequency and hence
+  ^ "Paper (Section III): larger pages reduce walk frequency and hence \
      PT-Guard's already-small overhead.\n"
 
 (* --- CTB overflow via the known-plaintext MAC leak -------------------- *)
@@ -265,7 +265,7 @@ let ctb_overflow ?(seed = 23L) () =
   let leak_and_collide i =
     let addr = Int64.of_int (0x9000_0000 + (64 * i)) in
     let payload =
-      Array.init 8 (fun j ->
+      Ptg_pte.Line.init (fun j ->
           (* attacker-chosen data, zero in the MAC/identifier fields *)
           Int64.of_int ((i * 1000) + j))
     in
@@ -290,12 +290,10 @@ let ctb_overflow ?(seed = 23L) () =
         Ptg_pte.Protection.identifier_field_mask
     in
     let crafted =
-      Array.mapi
-        (fun j w ->
+      Ptg_pte.Line.init (fun j ->
           Int64.logor
-            (Int64.logand w (Int64.lognot meta))
-            (Int64.logand leaked.(j) meta))
-        payload
+            (Int64.logand (Ptg_pte.Line.get payload j) (Int64.lognot meta))
+            (Int64.logand (Ptg_pte.Line.get leaked j) meta))
     in
     ignore (Ptg_memctrl.Memctrl.write_line mc ~addr crafted ())
   in

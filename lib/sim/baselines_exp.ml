@@ -55,7 +55,7 @@ let watermark_pfn = 0x80000L
 
 let make_line rng =
   let base = Int64.add 0x2000L (Int64.of_int (Rng.int rng 0x6000)) in
-  Array.init 8 (fun i ->
+  Ptg_pte.Line.init (fun i ->
       if Rng.bernoulli rng 0.25 then 0L
       else
         Ptg_pte.X86.make ~writable:true ~user:true
@@ -112,11 +112,11 @@ let run ?(trials = 500) ?(seed = 33L) () =
       let line = make_line rng in
       let idx =
         let nonzero =
-          List.filter (fun i -> not (Int64.equal line.(i) 0L)) (List.init 8 Fun.id)
+          List.filter (fun i -> not (Int64.equal (Ptg_pte.Line.get line i) 0L)) (List.init 8 Fun.id)
         in
         List.nth nonzero (Rng.int rng (List.length nonzero))
       in
-      let pte = line.(idx) in
+      let pte = Ptg_pte.Line.get line idx in
       (* Build the tampered PTE each defense sees. *)
       let tampered_pte, pfn_bit =
         match threat with
@@ -194,7 +194,7 @@ let run ?(trials = 500) ?(seed = 33L) () =
                   consume (Ptg_pte.Line.flip_bit stored ((idx * 64) + 12))
             | Surgical_forge ->
                 (* attacker-written bits decrypt to uncontrolled garbage *)
-                consume (Array.map (fun w -> Int64.logxor w 0x1234L) stored)
+                consume (Ptg_pte.Line.map (fun w -> Int64.logxor w 0x1234L) stored)
             | Relocation_replay -> (
                 (* ciphertext replayed at another address: the tweak makes
                    it decrypt to garbage, silently *)
@@ -208,11 +208,11 @@ let run ?(trials = 500) ?(seed = 33L) () =
             let stored = Ptguard.Engine.process_write engine ~addr line in
             let forged () =
               (* the tampered PTE lands straight in DRAM *)
-              let faulty = Array.copy stored in
-              faulty.(idx) <-
-                Int64.logor
-                  (Int64.logand tampered_pte (Bits.mask 40))
-                  (Int64.logand stored.(idx) (Int64.lognot (Bits.mask 40)));
+              let faulty = Ptg_pte.Line.copy stored in
+              Ptg_pte.Line.set faulty idx
+                (Int64.logor
+                   (Int64.logand tampered_pte (Bits.mask 40))
+                   (Int64.logand (Ptg_pte.Line.get stored idx) (Int64.lognot (Bits.mask 40))));
               eval_ptguard engine ~addr ~original:line ~faulty_stored:faulty
             in
             match threat with

@@ -46,7 +46,7 @@ let weighted_sampler rng lines =
       (fun line ->
         Array.fold_left
           (fun acc w -> if Int64.equal w 0L then acc else acc + 1)
-          0 line)
+          0 (Ptg_pte.Line.to_words line))
       lines
   in
   let total = Array.fold_left ( + ) 0 weights in

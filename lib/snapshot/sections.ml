@@ -10,13 +10,12 @@ open Codec
 let put_words b words = put_array b put_i64 words
 let get_words r = get_array r get_i64
 
-let put_line b (line : Ptg_pte.Line.t) =
-  for i = 0 to Array.length line - 1 do
-    put_i64 b (Array.unsafe_get line i)
-  done
+(* A line is its 64 bytes as stored: eight little-endian words, the
+   same bytes as eight [put_i64]s. [put_raw] copies them out before the
+   string view could be observed. *)
+let put_line b (line : Ptg_pte.Line.t) = put_raw b (Bytes.unsafe_to_string line)
 
-let get_line r : Ptg_pte.Line.t =
-  Ptg_pte.Line.of_words (Array.init Ptg_pte.Line.words (fun _ -> get_i64 r))
+let get_line r : Ptg_pte.Line.t = Bytes.of_string (get_raw r Ptg_pte.Line.size_bytes)
 
 let put_addr_line b (addr, line) =
   put_i64 b addr;

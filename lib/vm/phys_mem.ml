@@ -24,21 +24,21 @@ let of_dram dram =
       (fun addr ->
         check_aligned addr;
         let line = Ptg_dram.Dram.read_line dram addr in
-        let idx = Int64.to_int (Int64.logand addr 63L) / 8 in
-        line.(idx));
+        Ptg_pte.Line.get line (Int64.to_int (Int64.logand addr 63L) / 8));
     write_word =
       (fun addr v ->
         check_aligned addr;
         let line = Ptg_dram.Dram.read_line dram addr in
-        let idx = Int64.to_int (Int64.logand addr 63L) / 8 in
-        line.(idx) <- v;
+        Ptg_pte.Line.set line (Int64.to_int (Int64.logand addr 63L) / 8) v;
         Ptg_dram.Dram.write_line dram addr line);
   }
 
 let read_line t addr =
   let base = Ptg_pte.Line.line_addr addr in
-  Array.init 8 (fun i -> t.read_word (Int64.add base (Int64.of_int (i * 8))))
+  Ptg_pte.Line.init (fun i -> t.read_word (Int64.add base (Int64.of_int (i * 8))))
 
 let write_line t addr line =
   let base = Ptg_pte.Line.line_addr addr in
-  Array.iteri (fun i w -> t.write_word (Int64.add base (Int64.of_int (i * 8))) w) line
+  for i = 0 to Ptg_pte.Line.words - 1 do
+    t.write_word (Int64.add base (Int64.of_int (i * 8))) (Ptg_pte.Line.get line i)
+  done

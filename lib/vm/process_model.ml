@@ -164,7 +164,7 @@ let leaf_lines rng params =
       let ptes = vma_ptes rng params alloc vma in
       let nlines = Array.length ptes / 8 in
       for l = nlines - 1 downto 0 do
-        lines := Array.sub ptes (l * 8) 8 :: !lines
+        lines := Ptg_pte.Line.of_words (Array.sub ptes (l * 8) 8) :: !lines
       done)
     vmas;
   Array.of_list !lines

@@ -3,8 +3,8 @@ open Ptg_util
 type category = Zero | Contiguous | Non_contiguous
 
 let categorize line =
-  let pfn i = Ptg_pte.X86.pfn line.(i) in
-  let nonzero i = not (Int64.equal line.(i) 0L) in
+  let pfn i = Ptg_pte.X86.pfn (Ptg_pte.Line.get line i) in
+  let nonzero i = not (Int64.equal (Ptg_pte.Line.get line i) 0L) in
   Array.init 8 (fun i ->
       if not (nonzero i) then Zero
       else begin
@@ -44,7 +44,7 @@ let flag_signature pte =
 
 let line_flags_uniform line =
   let sigs =
-    Array.to_list line
+    Array.to_list (Ptg_pte.Line.to_words line)
     |> List.filter (fun w -> not (Int64.equal w 0L))
     |> List.map flag_signature
   in

@@ -44,7 +44,10 @@
 #      gate: no scripts/check_bench_*.sh, and bench/main.ml reads
 #      PTG_BENCH_JSON in exactly one place (its one JSON writer); and one
 #      MAC path: no compute_batch or Engine.Batch in lib/ or bench/, so
-#      nothing bypasses the engine's MAC memo; and no assert false in
+#      nothing bypasses the engine's MAC memo; and one chunk formula: no
+#      Qarma.encrypt_raw, encrypt_scheduled, encrypt_retweaked or
+#      schedule in lib/core/ (the engine and correction encipher chunks
+#      through Mac.chunk only); and no assert false in
 #      lib/ at all; and one mitigation path and one trace format: no
 #      Mitigation., attach_, Walk_trace, save_state/restore_state or
 #      put_kvs in lib/, bin/, bench/ or examples/ (Registry.instantiate
@@ -221,6 +224,14 @@ if grep -rnE --include='*.ml' --include='*.mli' 'compute_batch|Engine\.Batch' li
     exit 1
 fi
 echo "OK: no compute_batch or Engine.Batch in lib/ or bench/"
+
+echo "== one chunk formula =="
+if grep -rnE --include='*.ml' --include='*.mli' \
+    'Qarma\.encrypt_raw|encrypt_scheduled|encrypt_retweaked|schedule' lib/core; then
+    echo "FAIL: lib/core/ drives the cipher itself; encipher MAC chunks through Mac.chunk" >&2
+    exit 1
+fi
+echo "OK: Mac.chunk is the one chunk cipher of lib/core/"
 
 echo "== no assert false in lib =="
 if grep -rn --include='*.ml' 'assert false' lib; then

@@ -257,6 +257,7 @@ let prop_mac_matches_ref =
     QCheck2.Gen.(triple gen_rounds_key int64 gen_line)
     (fun (key, addr, line) ->
       let want = Qarma_ref.mac key ~addr line in
+      let line = Ptg_pte.Line.of_words line in
       Mac.equal (Mac.compute key ~addr line) want
       && Mac.equal (Mac.compute_with shared_mac_ctx key ~addr line) want)
 
@@ -266,7 +267,7 @@ let test_mac_across_domains () =
   let rng = Ptg_util.Rng.create 0xD0D0L in
   let reqs =
     Array.init 400 (fun i ->
-        (Int64.of_int (i * 64), Array.init 8 (fun _ -> Ptg_util.Rng.next rng)))
+        (Int64.of_int (i * 64), Ptg_pte.Line.init (fun _ -> Ptg_util.Rng.next rng)))
   in
   let sequential = Array.map (fun (addr, line) -> Mac.compute fixed_key ~addr line) reqs in
   let half lo hi () =
@@ -288,15 +289,17 @@ let test_mac_across_domains () =
 
 open Ptguard
 
-let reference_correct ?mac_zero (cfg : Config.t) key ~addr line =
+let reference_correct ?mac_zero (cfg : Config.t) key ~addr stored =
   let module L = (val cfg.Config.layout : Layout.S) in
   let width = cfg.Config.mac_bits in
-  let target = Mac.truncate ~width (L.extract_mac line) in
+  let target = Mac.truncate ~width (L.extract_mac stored) in
+  (* The search runs over the line's words as an array. *)
+  let line = Ptg_pte.Line.to_words stored in
   let mac_of cand =
-    let masked = L.masked_for_mac cand in
+    let masked = L.masked_for_mac (Ptg_pte.Line.of_words cand) in
     match mac_zero with
     | Some mz when Ptg_pte.Line.is_zero masked -> mz
-    | Some _ | None -> Mac.truncate ~width (Qarma_ref.mac key ~addr masked)
+    | Some _ | None -> Mac.truncate ~width (Qarma_ref.mac key ~addr (Ptg_pte.Line.to_words masked))
   in
   let with_word l i w =
     let c = Array.copy l in
@@ -364,7 +367,7 @@ let reference_correct ?mac_zero (cfg : Config.t) key ~addr line =
     | [] -> Correction.Uncorrectable { guesses = n }
     | (step, cand) :: rest ->
         if Mac.soft_match ~k:cfg.Config.soft_match_k (mac_of cand) target then
-          Correction.Corrected { line = cand; step; guesses = n + 1 }
+          Correction.Corrected { line = Ptg_pte.Line.of_words cand; step; guesses = n + 1 }
         else search (n + 1) rest
   in
   search 0 candidates
@@ -392,7 +395,7 @@ let prop_correction_matches_ref =
       let pfn0 = Int64.of_int (Ptg_util.Rng.int rng 0x1000000) in
       let writable = Ptg_util.Rng.bool rng and dirty = Ptg_util.Rng.bool rng in
       let line =
-        Array.init 8 (fun i ->
+        Ptg_pte.Line.init (fun i ->
             if i >= live then 0L
             else Ptg_pte.X86.make ~writable ~user:true ~dirty ~pfn:(Int64.add pfn0 (Int64.of_int i)) ())
       in

@@ -96,7 +96,7 @@ let test_mono_no_field_protection () =
 
 let test_encryption_roundtrip () =
   let enc = Encrypted_pte.create ~rng:(Ptg_util.Rng.create 9L) in
-  let line = Array.init 8 (fun i -> pte (Int64.of_int (0x100 + i))) in
+  let line = Ptg_pte.Line.init (fun i -> pte (Int64.of_int (0x100 + i))) in
   let stored = Encrypted_pte.encrypt_line enc ~addr:0x40L line in
   Alcotest.(check bool) "ciphertext differs" false (Ptg_pte.Line.equal stored line);
   Alcotest.(check bool) "decrypt restores" true
@@ -106,7 +106,7 @@ let test_encryption_roundtrip () =
 
 let test_encryption_no_detection () =
   let enc = Encrypted_pte.create ~rng:(Ptg_util.Rng.create 10L) in
-  let line = Array.init 8 (fun i -> pte (Int64.of_int (0x200 + i))) in
+  let line = Ptg_pte.Line.init (fun i -> pte (Int64.of_int (0x200 + i))) in
   let stored = Encrypted_pte.encrypt_line enc ~addr:0x80L line in
   let faulty = Ptg_pte.Line.flip_bit stored 13 in
   match Encrypted_pte.consume enc ~addr:0x80L ~original:line ~stored:faulty with
@@ -117,7 +117,7 @@ let test_encryption_no_detection () =
 
 let test_encryption_replay_garbles () =
   let enc = Encrypted_pte.create ~rng:(Ptg_util.Rng.create 11L) in
-  let line = Array.init 8 (fun i -> pte (Int64.of_int (0x300 + i))) in
+  let line = Ptg_pte.Line.init (fun i -> pte (Int64.of_int (0x300 + i))) in
   let stored = Encrypted_pte.encrypt_line enc ~addr:0xC0L line in
   Alcotest.(check bool) "address-tweaked: replay decrypts to garbage" true
     (Encrypted_pte.consume enc ~addr:0x100L ~original:line ~stored

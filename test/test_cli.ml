@@ -95,7 +95,7 @@ let test_artifact_digests () =
       ( "baselines --trials 50",
         "2caf6740c33b0621b95ee6f7f8b7f82a",
         Some "73144022677058ae4ab7564ab56520e4" );
-      ("ablations -j 1", "454ccc2371c9644727dec75671f041a0", None);
+      ("ablations -j 1", "a940cebff14edc3d12e999f46c6cf1ae", None);
     ]
 
 let test_error_paths () =

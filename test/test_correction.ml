@@ -7,7 +7,7 @@ let key = Qarma.key_of_rng rng0
 
 (* A realistic protected line: contiguous PFNs, uniform flags, two zeros. *)
 let make_line () =
-  Array.init 8 (fun i ->
+  Ptg_pte.Line.init (fun i ->
       if i >= 6 then 0L
       else
         Ptg_pte.X86.make ~writable:true ~user:true ~dirty:true
@@ -130,7 +130,7 @@ let test_mac_zero_candidates () =
      MAC-zero; correction must check zero candidates against it. *)
   let cfg_opt = Config.optimized in
   let mz = Mac.truncate ~width:96 (Mac.compute_zero key) in
-  let stored = Ptg_pte.Protection.embed_mac (Array.make 8 0L) mz in
+  let stored = Ptg_pte.Protection.embed_mac (Ptg_pte.Line.create ()) mz in
   let faulty = Ptg_pte.Line.flip_bit stored ((3 * 64) + 21) in
   match Correction.correct ~mac_zero:mz cfg_opt key ~addr faulty with
   | Correction.Corrected { line; _ } ->
@@ -142,7 +142,7 @@ let test_guess_budget () =
   (* On a fully-populated line (8 contiguity bases), an uncorrectable
      outcome exhausts exactly G_max guesses — the Section VI-D bound. *)
   let line =
-    Array.init 8 (fun i ->
+    Ptg_pte.Line.init (fun i ->
         Ptg_pte.X86.make ~writable:true ~user:true ~pfn:(Int64.of_int (0x4400 + i)) ())
   in
   let stored = stored_of line in

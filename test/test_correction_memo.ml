@@ -164,14 +164,14 @@ let test_returned_lines_do_not_alias () =
         }
       in
       (* Scribble over the forwarded line: the next hit is unchanged. *)
-      Option.iter (fun l -> Array.fill l 0 Line.words (-1L)) first.Engine.line;
+      Option.iter (fun l -> Bytes.fill l 0 Line.size_bytes '\255') first.Engine.line;
       Alcotest.(check bool) "hit after the forwarded line is mutated" true
         (Engine.process_read e ~addr ~is_pte:true (Line.copy line) = saved);
       (* Turn the caller's input (the returned raw line) into another
          damaged line at the same address: reading that line must not
          hit the first one's entry. *)
       let other = damaged design ~addr ~line:3 [ (2 * 64) + 1 ] in
-      Array.blit other 0 first.Engine.raw_line 0 Line.words;
+      Bytes.blit other 0 first.Engine.raw_line 0 Line.size_bytes;
       Alcotest.(check bool) "mutated input is not a later hit" true
         (Engine.process_read e ~addr ~is_pte:true (Line.copy other)
         = Engine.process_read (engine design) ~addr ~is_pte:true (Line.copy other)))

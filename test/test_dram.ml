@@ -33,7 +33,7 @@ let test_storage () =
   let d = Dram.create () in
   Alcotest.(check bool) "unwritten reads zero" true
     (Ptg_pte.Line.is_zero (Dram.read_line d 0x2000L));
-  let line = Array.init 8 Int64.of_int in
+  let line = Ptg_pte.Line.init Int64.of_int in
   Dram.write_line d 0x2000L line;
   Alcotest.(check bool) "read back" true (Ptg_pte.Line.equal line (Dram.read_line d 0x2000L));
   (* line-granular: offset within line reads same line *)
@@ -43,11 +43,11 @@ let test_storage () =
 
 let test_flip_stored_bit () =
   let d = Dram.create () in
-  let line = Array.make 8 0L in
+  let line = Ptg_pte.Line.create () in
   Dram.write_line d 0x3000L line;
   Dram.flip_stored_bit d ~addr:0x3000L ~bit:70;
   let got = Dram.read_line d 0x3000L in
-  Alcotest.(check int64) "bit 70 is word 1 bit 6" (Ptg_util.Bits.bit 6) got.(1)
+  Alcotest.(check int64) "bit 70 is word 1 bit 6" (Ptg_util.Bits.bit 6) (Ptg_pte.Line.get got 1)
 
 let test_activation_counting () =
   let d = Dram.create () in
@@ -109,8 +109,8 @@ let test_lines_in_row_and_iter () =
   let d = Dram.create () in
   let g = Dram.geometry d in
   let c = Geometry.decode g 0x4000L in
-  Dram.write_line d 0x4000L (Array.make 8 7L);
-  Dram.write_line d 0x4040L (Array.make 8 9L);
+  Dram.write_line d 0x4000L (Ptg_pte.Line.of_words (Array.make 8 7L));
+  Dram.write_line d 0x4040L (Ptg_pte.Line.of_words (Array.make 8 9L));
   let in_row =
     Dram.lines_in_row d ~channel:c.Geometry.channel ~bank:c.Geometry.bank
       ~row:c.Geometry.row

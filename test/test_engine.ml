@@ -3,13 +3,13 @@ open Ptguard
 let mk ?(config = Config.baseline) seed = Engine.create ~config ~rng:(Ptg_util.Rng.create seed) ()
 
 let pte_line () =
-  Array.init 8 (fun i ->
+  Ptg_pte.Line.init (fun i ->
       Ptg_pte.X86.make ~writable:true ~user:true ~accessed:(i = 2)
         ~pfn:(Int64.of_int (0x6000 + i)) ())
 
 let data_line_unmatched () =
   (* random-looking data that does not match any pattern *)
-  Array.init 8 (fun i -> Int64.logor 0xDEAD_0000_0000_0000L (Int64.of_int i))
+  Ptg_pte.Line.init (fun i -> Int64.logor 0xDEAD_0000_0000_0000L (Int64.of_int i))
 
 let masked = Ptg_pte.Protection.masked_for_mac Ptg_pte.Protection.default
 
@@ -40,7 +40,7 @@ let test_write_optimized_identifier () =
 
 let test_write_mac_zero_stat () =
   let e = mk ~config:Config.optimized 3L in
-  ignore (Engine.process_write e ~addr:0xC0L (Array.make 8 0L));
+  ignore (Engine.process_write e ~addr:0xC0L (Ptg_pte.Line.create ()));
   Alcotest.(check int) "mac-zero fast path used" 1 (Engine.stats e).Engine.writes_mac_zero
 
 let test_baseline_identifier_is_zero () =
@@ -114,7 +114,7 @@ let test_accessed_bit_flip_invisible () =
 
 let test_zero_line_pte_read_optimized () =
   let e = mk ~config:Config.optimized 10L in
-  let stored = Engine.process_write e ~addr:0x200L (Array.make 8 0L) in
+  let stored = Engine.process_write e ~addr:0x200L (Ptg_pte.Line.create ()) in
   match Engine.process_read e ~addr:0x200L ~is_pte:true stored with
   | { Engine.integrity = Engine.Passed; line = Some out; extra_latency; _ } ->
       Alcotest.(check bool) "zero line restored" true (Ptg_pte.Line.is_zero out);
@@ -168,7 +168,7 @@ let test_optimized_data_read_skips_mac () =
 let craft_collision e ~addr =
   (* Build a data line whose bits at the MAC/identifier fields equal the
      MAC the engine would compute — the write path must CTB-track it. *)
-  let payload = Array.init 8 (fun i -> Int64.of_int (i + 1)) in
+  let payload = Ptg_pte.Line.init (fun i -> Int64.of_int (i + 1)) in
   let stored = Engine.process_write e ~addr payload in
   (* [stored] is the protected version (pattern matched). Re-writing those
      exact bits as data (pattern no longer matches because the MAC field

@@ -13,7 +13,7 @@ let mk ?(design = `Optimized) seed =
   Engine.create ~config:(arm_config design) ~rng:(Ptg_util.Rng.create seed) ()
 
 let descriptor_line () =
-  Array.init 8 (fun i ->
+  Ptg_pte.Line.init (fun i ->
       if i = 7 then 0L
       else
         Ptg_pte.Armv8.make ~writable:true ~user:true ~pfn:(Int64.of_int (0xB300 + i)) ())
@@ -96,7 +96,7 @@ let test_correction_strategies_on_arm () =
 
 let test_zero_line_mac_zero () =
   let e = mk 6L in
-  let stored = Engine.process_write e ~addr:0x180L (Array.make 8 0L) in
+  let stored = Engine.process_write e ~addr:0x180L (Ptg_pte.Line.create ()) in
   Alcotest.(check int) "mac-zero path used" 1 (Engine.stats e).Engine.writes_mac_zero;
   match Engine.process_read e ~addr:0x180L ~is_pte:true stored with
   | { Engine.integrity = Engine.Passed; extra_latency = 0; _ } -> ()

@@ -126,7 +126,7 @@ let memo_addrs =
      0x2000L |]
 
 let pte_line salt =
-  Array.init 8 (fun i ->
+  Ptg_pte.Line.init (fun i ->
       Ptg_pte.X86.make ~writable:true ~user:(salt mod 2 = 0) ~accessed:(i = salt)
         ~pfn:(Int64.of_int (0x6000 + (salt * 8) + i))
         ())
@@ -203,7 +203,7 @@ let run_memo_case (c, ops) =
     let agree =
       match op with
       | Write_pte (i, salt) -> write i (pte_line salt)
-      | Write_data (i, w) -> write i (Array.init 8 (fun k -> Int64.add w (Int64.of_int k)))
+      | Write_data (i, w) -> write i (Ptg_pte.Line.init (fun k -> Int64.add w (Int64.of_int k)))
       | Write_stored (i, j) -> write i (Ptg_pte.Line.copy (stored j))
       | Read (i, is_pte) ->
           let addr = memo_addrs.(i) in
@@ -256,6 +256,115 @@ let prop_memo_matches_cold_engine =
     QCheck2.Gen.(
       pair (int_bound (Array.length memo_configs - 1)) (list_size (int_range 1 40) gen_op))
     run_memo_case
+
+(* {2 Chunk reuse against the MAC itself}
+
+   A miss at the address a memo slot already holds re-enciphers only the
+   chunks whose masked words changed. Every protected write's embedded
+   MAC must equal [Mac.compute] of the masked line under the engine's
+   current key, whatever the memo held: one word or several changed,
+   the same line written again, two addresses 64 KiB apart sharing a
+   slot, a rekey in between. *)
+
+module Mac = Ptg_crypto.Mac
+
+(* 0x1000 and 0x11000 (and 0x1040 and 0x11040) share a slot of the
+   1024-slot memo. *)
+let chunk_addrs = [| 0x1000L; 0x1040L; 0x11000L; 0x11040L; 0x2000L |]
+
+type chunk_op =
+  | Set_words of int * (int * int64) list  (** address index, (word, value)s *)
+  | Rewrite of int  (** write the address's line again, unchanged *)
+  | Verify of int  (** a page-walk read of the stored line *)
+  | Rekey_all of int64
+
+let show_chunk_op = function
+  | Set_words (i, ws) ->
+      Printf.sprintf "Set_words(%d,[%s])" i
+        (String.concat ";" (List.map (fun (w, v) -> Printf.sprintf "%d:%Lx" w v) ws))
+  | Rewrite i -> Printf.sprintf "Rewrite(%d)" i
+  | Verify i -> Printf.sprintf "Verify(%d)" i
+  | Rekey_all s -> Printf.sprintf "Rekey_all(%Ld)" s
+
+let gen_chunk_op =
+  let idx = QCheck2.Gen.int_bound (Array.length chunk_addrs - 1) in
+  let word = QCheck2.Gen.(pair (int_bound 7) (oneof [ return 0L; int64 ])) in
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, map2 (fun i w -> Set_words (i, [ w ])) idx word);
+        (2, map2 (fun i ws -> Set_words (i, ws)) idx (list_size (int_range 2 8) word));
+        (2, map (fun i -> Rewrite i) idx);
+        (2, map (fun i -> Verify i) idx);
+        (1, map (fun s -> Rekey_all s) int64);
+      ])
+
+let chunk_configs =
+  Array.of_list
+    (List.concat_map
+       (fun design -> List.map (Config.with_layout design) [ Layout.default; Layout.armv8 () ])
+       [ Config.baseline; Config.optimized ])
+
+let run_chunk_case (c, ops) =
+  let config = chunk_configs.(c) in
+  let module L = (val config.Config.layout : Layout.S) in
+  let e = Engine.create ~config ~rng:(Ptg_util.Rng.create 91L) () in
+  let n = Array.length chunk_addrs in
+  (* The kernel's view of each line, and what DRAM holds. *)
+  let logical = Array.init n (fun _ -> Ptg_pte.Line.create ()) in
+  let stored = Array.init n (fun _ -> None) in
+  (* Words that keep the line a protected write: every spare field clear. *)
+  let spare = Int64.logor L.mac_field_mask L.identifier_field_mask in
+  let mac_of ~addr line =
+    let width = config.Config.mac_bits in
+    if config.Config.design = Config.Optimized && Ptg_pte.Line.is_zero line then
+      Mac.truncate ~width (Mac.compute_zero (Engine.key e))
+    else Mac.truncate ~width (Mac.compute (Engine.key e) ~addr (L.masked_for_mac line))
+  in
+  let write i =
+    let addr = chunk_addrs.(i) in
+    let s = Engine.process_write e ~addr logical.(i) in
+    stored.(i) <- Some s;
+    Mac.equal (L.extract_mac s) (mac_of ~addr logical.(i))
+  in
+  let step = function
+    | Set_words (i, ws) ->
+        List.iter
+          (fun (w, v) ->
+            Ptg_pte.Line.set logical.(i) w (Int64.logand v (Int64.lognot spare)))
+          ws;
+        write i
+    | Rewrite i -> write i
+    | Verify i -> (
+        match stored.(i) with
+        | None -> true
+        | Some s ->
+            (Engine.process_read e ~addr:chunk_addrs.(i) ~is_pte:true s).Engine.integrity
+            = Engine.Passed)
+    | Rekey_all seed ->
+        (* The rekey sweep's own output is the cold-engine property's
+           business; here every slot must be forgotten, so the writes
+           after it are checked under the new key, and [Verify] only
+           reads lines written since. *)
+        Engine.rekey e ~rng:(Ptg_util.Rng.create seed)
+          ~iter_lines:(fun visit ->
+            Array.iteri
+              (fun i s -> Option.iter (fun s -> visit ~addr:chunk_addrs.(i) s) s)
+              stored)
+          ~write:(fun ~addr:_ _ -> ());
+        Array.fill stored 0 n None;
+        true
+  in
+  List.for_all step ops
+
+let prop_memo_chunks_match_mac =
+  QCheck2.Test.make ~name:"memo: chunk reuse = Mac.compute over write sequences" ~count:200
+    ~print:(fun (c, ops) ->
+      Format.asprintf "%a: %s" Config.pp chunk_configs.(c)
+        (String.concat " " (List.map show_chunk_op ops)))
+    QCheck2.Gen.(
+      pair (int_bound (Array.length chunk_configs - 1)) (list_size (int_range 1 60) gen_chunk_op))
+    run_chunk_case
 
 let expect_integrity name want (r : Engine.read_result) =
   if r.Engine.integrity <> want then Alcotest.failf "%s: unexpected integrity" name
@@ -311,6 +420,7 @@ let suite =
       prop_verify_only_agrees_with_engine;
       prop_stats_monotone;
       prop_memo_matches_cold_engine;
+      prop_memo_chunks_match_mac;
     ]
   @ [
       Alcotest.test_case "memo: key change drops MACs" `Quick test_memo_key_change;

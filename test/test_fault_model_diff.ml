@@ -179,7 +179,7 @@ let populate g dram =
             for col = 0 to 1 do
               let addr = Geometry.encode g { Geometry.channel; rank = 0; bank; row; col } in
               Dram.write_line dram addr
-                (Array.init 8 (fun i ->
+                (Ptg_pte.Line.init (fun i ->
                      Int64.of_int ((row * 7919) + (col * 131) + (i * 0x5bd1e995))))
             done)
           rows)

@@ -1,7 +1,7 @@
 open Ptg_crypto
 
 let key = Qarma.expand_key ~w0:(Block128.of_int64 0x1111L) (Block128.of_int64 0x2222L)
-let line_a = Array.init 8 (fun i -> Int64.of_int ((i * 7) + 1))
+let line_a = Ptg_pte.Line.init (fun i -> Int64.of_int ((i * 7) + 1))
 let mac_testable = Alcotest.testable Mac.pp Mac.equal
 
 let test_well_formed () =
@@ -18,27 +18,27 @@ let test_addr_binding () =
     (Mac.equal (Mac.compute key ~addr:0x1000L line_a) (Mac.compute key ~addr:0x1040L line_a))
 
 let test_data_binding () =
-  let line_b = Array.copy line_a in
-  line_b.(3) <- Int64.logxor line_b.(3) 4L;
+  let line_b = Ptg_pte.Line.copy line_a in
+  Ptg_pte.Line.set line_b 3 (Int64.logxor (Ptg_pte.Line.get line_b 3) 4L);
   Alcotest.(check bool) "different data different MAC" false
     (Mac.equal (Mac.compute key ~addr:0x1000L line_a) (Mac.compute key ~addr:0x1000L line_b))
 
 let test_chunk_position_binding () =
   (* Swapping the contents of two chunks must change the MAC — A_i binds
      the chunk index. *)
-  let l1 = [| 1L; 2L; 3L; 4L; 5L; 6L; 7L; 8L |] in
-  let l2 = [| 3L; 4L; 1L; 2L; 5L; 6L; 7L; 8L |] in
+  let l1 = Ptg_pte.Line.of_words [| 1L; 2L; 3L; 4L; 5L; 6L; 7L; 8L |] in
+  let l2 = Ptg_pte.Line.of_words [| 3L; 4L; 1L; 2L; 5L; 6L; 7L; 8L |] in
   Alcotest.(check bool) "chunk swap detected" false
     (Mac.equal (Mac.compute key ~addr:0x40L l1) (Mac.compute key ~addr:0x40L l2))
 
 let test_line_validation () =
   Alcotest.check_raises "line must be 8 words"
     (Invalid_argument "Mac.compute: line must be 8 words") (fun () ->
-      ignore (Mac.compute key ~addr:0L (Array.make 7 0L)))
+      ignore (Mac.compute key ~addr:0L (Bytes.make 56 '\000')))
 
 let test_compute_zero () =
   Alcotest.check mac_testable "mac-zero = MAC(0-line, addr 0)"
-    (Mac.compute key ~addr:0L (Array.make 8 0L))
+    (Mac.compute key ~addr:0L (Ptg_pte.Line.create ()))
     (Mac.compute_zero key)
 
 let test_hamming_soft_match () =
@@ -101,14 +101,15 @@ let prop_split_pieces_width =
 let shared_ctx = Mac.ctx ()
 
 let gen_line =
-  QCheck2.Gen.(array_size (return 8) int64)
+  QCheck2.Gen.(map Ptg_pte.Line.of_words (array_size (return 8) int64))
 
 let prop_compute_with_agrees =
   QCheck2.Test.make ~name:"compute_with agrees with compute" ~count:300
     QCheck2.Gen.(pair int64 gen_line)
     (fun (addr, line) ->
       Mac.equal (Mac.compute_with shared_ctx key ~addr line) (Mac.compute key ~addr line)
-      && Mac.equal (Mac.compute key ~addr line) (Qarma_ref.mac key ~addr line))
+      && Mac.equal (Mac.compute key ~addr line)
+           (Qarma_ref.mac key ~addr (Ptg_pte.Line.to_words line)))
 
 let prop_compute_with_agrees_fresh_keys =
   QCheck2.Test.make ~name:"compute_with agrees under random keys" ~count:50

@@ -10,7 +10,7 @@ let setup ?(guarded = true) seed =
   Memctrl.create ?engine dram
 
 let pte_line () =
-  Array.init 8 (fun i -> Ptg_pte.X86.make ~writable:true ~pfn:(Int64.of_int (0x900 + i)) ())
+  Ptg_pte.Line.init (fun i -> Ptg_pte.X86.make ~writable:true ~pfn:(Int64.of_int (0x900 + i)) ())
 
 let test_rw_roundtrip () =
   let mc = setup 1L in
@@ -56,7 +56,7 @@ let test_phys_mem_pte_rmw () =
   let line = pte_line () in
   Array.iteri
     (fun i pte -> mem.Ptg_vm.Phys_mem.write_word (Int64.of_int (0x5000 + (i * 8))) pte)
-    line;
+    (Ptg_pte.Line.to_words line);
   match Memctrl.read_line mc ~addr:0x5000L ~is_pte:true () with
   | { Memctrl.data = Some out; integrity = Ptguard.Engine.Passed; _ } ->
       Alcotest.(check bool) "word-written PTE line verifies" true

@@ -11,7 +11,7 @@ let setup ?(config = Fault_model.ddr4) () =
   let victim = 800 in
   Dram.write_line dram
     (Geometry.encode g { c with Geometry.row = victim })
-    (Array.make 8 (-1L));
+    (Ptg_pte.Line.of_words (Array.make 8 (-1L)));
   (dram, fault, victim)
 
 let trr ?params dram = Registry.instantiate_exn ?params "trr" (Registry.ctx dram)

@@ -9,14 +9,14 @@ let setup ?policy seed =
   (mc, dram, os, rng)
 
 let pte_line () =
-  Array.init 8 (fun i -> Ptg_pte.X86.make ~writable:true ~pfn:(Int64.of_int (0xA00 + i)) ())
+  Ptg_pte.Line.init (fun i -> Ptg_pte.X86.make ~writable:true ~pfn:(Int64.of_int (0xA00 + i)) ())
 
 let meta =
   Int64.logor Ptg_pte.Protection.mac_field_mask Ptg_pte.Protection.identifier_field_mask
 
 let plant_collision mc dram i =
   let addr = Int64.of_int (0x9200_0000 + (64 * i)) in
-  let payload = Array.init 8 (fun j -> Int64.of_int ((i * 77) + j)) in
+  let payload = Ptg_pte.Line.init (fun j -> Int64.of_int ((i * 77) + j)) in
   ignore (Ptg_memctrl.Memctrl.write_line mc ~addr payload ());
   Ptg_dram.Dram.flip_stored_bit dram ~addr ~bit:1;
   let leaked =
@@ -25,10 +25,10 @@ let plant_collision mc dram i =
     | _ -> assert false
   in
   let crafted =
-    Array.mapi
-      (fun j w ->
-        Int64.logor (Int64.logand w (Int64.lognot meta)) (Int64.logand leaked.(j) meta))
-      payload
+    Ptg_pte.Line.init (fun j ->
+        Int64.logor
+          (Int64.logand (Ptg_pte.Line.get payload j) (Int64.lognot meta))
+          (Int64.logand (Ptg_pte.Line.get leaked j) meta))
   in
   ignore (Ptg_memctrl.Memctrl.write_line mc ~addr crafted ());
   addr
@@ -95,7 +95,7 @@ let test_resolve_collision () =
   let engine = Option.get (Ptg_memctrl.Memctrl.engine mc) in
   Alcotest.(check bool) "tracked" true (Ptguard.Ctb.mem (Ptguard.Engine.ctb engine) addr);
   Alcotest.(check bool) "benign rewrite evicts" true
-    (Os_handler.resolve_collision os ~addr ~benign:(Array.make 8 0x42L))
+    (Os_handler.resolve_collision os ~addr ~benign:(Ptg_pte.Line.of_words (Array.make 8 0x42L)))
 
 let test_remap_pt_page () =
   let mc, dram, os, rng = setup 6L in

@@ -57,7 +57,7 @@ let test_leaf_lines_shape () =
   let lines = Process_model.leaf_lines rng p in
   Alcotest.(check bool) "enough lines" true (Array.length lines * 8 >= p.Process_model.target_ptes);
   Array.iter
-    (fun line -> Alcotest.(check int) "8 words per line" 8 (Array.length line))
+    (fun line -> Alcotest.(check int) "8 words per line" 8 (Bytes.length line / 8))
     lines;
   (* every non-zero PTE is present and has a sane PFN *)
   Array.iter
@@ -70,7 +70,7 @@ let test_leaf_lines_shape () =
             if Ptg_pte.Protection.pfn_out_of_bounds Ptg_pte.Protection.default pte then
               Alcotest.fail "generated PFN out of bounds"
           end)
-        line)
+        (Ptg_pte.Line.to_words line))
     lines
 
 let test_leaf_lines_pattern_match () =

@@ -11,17 +11,17 @@ let cat =
     ( = )
 
 let test_zero_line () =
-  let cats = Profile.categorize (Array.make 8 0L) in
+  let cats = Profile.categorize (Ptg_pte.Line.create ()) in
   Array.iter (fun c -> Alcotest.check cat "all zero" Profile.Zero c) cats
 
 let test_contiguous_run () =
-  let line = Array.init 8 (fun i -> pte (Int64.of_int (100 + i))) in
+  let line = Ptg_pte.Line.init (fun i -> pte (Int64.of_int (100 + i))) in
   let cats = Profile.categorize line in
   Array.iter (fun c -> Alcotest.check cat "contiguous" Profile.Contiguous c) cats
 
 let test_isolated_pte () =
-  let line = Array.make 8 0L in
-  line.(3) <- pte 50L;
+  let line = Ptg_pte.Line.create () in
+  Ptg_pte.Line.set line 3 (pte 50L);
   let cats = Profile.categorize line in
   Alcotest.check cat "isolated is non-contiguous" Profile.Non_contiguous cats.(3);
   Alcotest.check cat "others zero" Profile.Zero cats.(0)
@@ -29,10 +29,10 @@ let test_isolated_pte () =
 let test_run_with_gap () =
   (* [a, a+1, 0, a+3]: the PTEs on either side of the zero continue the
      +1-per-index progression, so all non-zero PTEs are contiguous. *)
-  let line = Array.make 8 0L in
-  line.(0) <- pte 10L;
-  line.(1) <- pte 11L;
-  line.(3) <- pte 13L;
+  let line = Ptg_pte.Line.create () in
+  Ptg_pte.Line.set line 0 (pte 10L);
+  Ptg_pte.Line.set line 1 (pte 11L);
+  Ptg_pte.Line.set line 3 (pte 13L);
   let cats = Profile.categorize line in
   Alcotest.check cat "left edge" Profile.Contiguous cats.(0);
   Alcotest.check cat "middle" Profile.Contiguous cats.(1);
@@ -41,7 +41,7 @@ let test_run_with_gap () =
 let test_broken_run () =
   (* Two segments with a fragmentation break between PTE 3 and 4. *)
   let line =
-    Array.init 8 (fun i ->
+    Ptg_pte.Line.init (fun i ->
         if i < 4 then pte (Int64.of_int (10 + i)) else pte (Int64.of_int (900 + i)))
   in
   let cats = Profile.categorize line in
@@ -52,8 +52,8 @@ let test_broken_run () =
   Alcotest.check cat "boundary right" Profile.Contiguous cats.(4)
 
 let test_stats_counts () =
-  let line1 = Array.init 8 (fun i -> pte (Int64.of_int (100 + i))) in
-  let line2 = Array.make 8 0L in
+  let line1 = Ptg_pte.Line.init (fun i -> pte (Int64.of_int (100 + i))) in
+  let line2 = Ptg_pte.Line.create () in
   let s = Profile.stats_of_lines [| line1; line2 |] in
   Alcotest.(check int) "total" 16 s.Profile.total_ptes;
   Alcotest.(check int) "zero" 8 s.Profile.zero;
@@ -65,15 +65,15 @@ let test_stats_counts () =
     (Profile.pct_zero s +. Profile.pct_contiguous s +. Profile.pct_non_contiguous s)
 
 let test_flag_uniformity () =
-  let uniform = Array.init 8 (fun i -> pte (Int64.of_int (10 + i))) in
-  let mixed = Array.copy uniform in
-  mixed.(2) <- Ptg_pte.X86.set_flag mixed.(2) Ptg_pte.X86.Writable false;
+  let uniform = Ptg_pte.Line.init (fun i -> pte (Int64.of_int (10 + i))) in
+  let mixed = Ptg_pte.Line.copy uniform in
+  Ptg_pte.Line.set mixed 2 (Ptg_pte.X86.set_flag (Ptg_pte.Line.get mixed 2) Ptg_pte.X86.Writable false);
   let s = Profile.stats_of_lines [| uniform; mixed |] in
   Alcotest.(check int) "one uniform line" 1 s.Profile.flag_uniform_lines;
   Alcotest.(check (float 1e-9)) "uniformity 0.5" 0.5 (Profile.flag_uniformity s);
   (* accessed-bit variation must NOT break uniformity *)
-  let accessed_mix = Array.copy uniform in
-  accessed_mix.(4) <- Ptg_pte.X86.set_flag accessed_mix.(4) Ptg_pte.X86.Accessed true;
+  let accessed_mix = Ptg_pte.Line.copy uniform in
+  Ptg_pte.Line.set accessed_mix 4 (Ptg_pte.X86.set_flag (Ptg_pte.Line.get accessed_mix 4) Ptg_pte.X86.Accessed true);
   let s2 = Profile.stats_of_lines [| accessed_mix |] in
   Alcotest.(check int) "accessed bit ignored" 1 s2.Profile.flag_uniform_lines
 

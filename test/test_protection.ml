@@ -37,7 +37,7 @@ let test_field_masks () =
     Protection.identifier_field_mask
 
 let pte_line () =
-  Array.init 8 (fun i ->
+  Ptg_pte.Line.init (fun i ->
       X86.make ~writable:true ~user:true ~accessed:(i mod 2 = 0)
         ~pfn:(Int64.of_int (0x8000 + i)) ())
 
@@ -78,8 +78,8 @@ let test_mac_embed_extract_strip () =
   Array.iteri
     (fun i w ->
       Alcotest.(check int64) "protected bits preserved"
-        (Int64.logand line.(i) m) (Int64.logand w m))
-    embedded
+        (Int64.logand (Ptg_pte.Line.get line i) m) (Int64.logand w m))
+    (Line.to_words embedded)
 
 let test_masked_for_mac () =
   let line = pte_line () in
@@ -89,7 +89,7 @@ let test_masked_for_mac () =
   Alcotest.(check bool) "masked equal before/after embed" true
     (Line.equal (Protection.masked_for_mac cfg line) (Protection.masked_for_mac cfg embedded));
   let accessed_toggled =
-    Array.map (fun w -> Ptg_util.Bits.flip w 5) line
+    Line.map (fun w -> Ptg_util.Bits.flip w 5) line
   in
   Alcotest.(check bool) "accessed bit excluded from MAC input" true
     (Line.equal (Protection.masked_for_mac cfg line)
@@ -124,7 +124,7 @@ let test_pfn_bounds () =
      detection path of Section IV-E. *)
   let embedded = Protection.embed_mac (pte_line ()) { Mac.hi32 = -1L |> Int64.logand 0xFFFFFFFFL; lo = -1L } in
   Alcotest.(check bool) "MAC in PFN trips bounds" true
-    (Array.exists (Protection.pfn_out_of_bounds cfg) embedded)
+    (Line.exists (Protection.pfn_out_of_bounds cfg) embedded)
 
 let gen_mac96 =
   QCheck2.Gen.map
@@ -165,18 +165,19 @@ let gen_line =
 let prop_loops_match_oracle =
   QCheck2.Test.make ~name:"loop helpers = split12/split7 oracle (x86)" ~count:500
     QCheck2.Gen.(quad gen_line gen_mac96 gen_ident (int_range 32 40))
-    (fun (line, mac, ident, m) ->
+    (fun (a, mac, ident, m) ->
+      let line = Line.of_words a in
       let module O = Layout_oracle.X86 in
       let cfg = Protection.make ~phys_addr_bits:m in
-      Line.equal (Protection.embed_mac line mac) (O.embed_mac line mac)
-      && Mac.equal (Protection.extract_mac line) (O.extract_mac line)
-      && Line.equal (Protection.strip_mac line) (O.strip_mac line)
-      && Line.equal (Protection.masked_for_mac cfg line) (O.masked_for_mac cfg line)
-      && Line.equal (Protection.embed_identifier line ident) (O.embed_identifier line ident)
-      && Int64.equal (Protection.extract_identifier line) (O.extract_identifier line)
-      && Line.equal (Protection.strip_identifier line) (O.strip_identifier line)
-      && Protection.matches_basic_pattern cfg line = O.matches_basic_pattern cfg line
-      && Protection.matches_extended_pattern cfg line = O.matches_extended_pattern cfg line)
+      Line.to_words (Protection.embed_mac line mac) = O.embed_mac a mac
+      && Mac.equal (Protection.extract_mac line) (O.extract_mac a)
+      && Line.to_words (Protection.strip_mac line) = O.strip_mac a
+      && Line.to_words (Protection.masked_for_mac cfg line) = O.masked_for_mac cfg a
+      && Line.to_words (Protection.embed_identifier line ident) = O.embed_identifier a ident
+      && Int64.equal (Protection.extract_identifier line) (O.extract_identifier a)
+      && Line.to_words (Protection.strip_identifier line) = O.strip_identifier a
+      && Protection.matches_basic_pattern cfg line = O.matches_basic_pattern cfg a
+      && Protection.matches_extended_pattern cfg line = O.matches_extended_pattern cfg a)
 
 let suite =
   [

@@ -4,7 +4,7 @@ open Ptg_crypto
 let cfg = Protection_armv8.default
 
 let descriptor_line () =
-  Array.init 8 (fun i ->
+  Ptg_pte.Line.init (fun i ->
       Armv8.make ~writable:true ~user:true ~pfn:(Int64.of_int (0x7400 + i)) ())
 
 let test_field_masks () =
@@ -40,8 +40,8 @@ let test_patterns () =
   Alcotest.(check bool) "matches extended" true
     (Protection_armv8.matches_extended_pattern cfg line);
   (* a descriptor with PFN[38] set (bit 8) breaks the pattern at M=40 *)
-  let big = Array.copy line in
-  big.(2) <- Ptg_util.Bits.set big.(2) 8;
+  let big = Ptg_pte.Line.copy line in
+  Ptg_pte.Line.set big 2 (Ptg_util.Bits.set (Ptg_pte.Line.get big 2) 8);
   Alcotest.(check bool) "split-high PFN bit breaks pattern" false
     (Protection_armv8.matches_basic_pattern cfg big)
 
@@ -123,21 +123,20 @@ let gen_ident = QCheck2.Gen.map (fun x -> Int64.logand x 0xFFFF_FFFFL) QCheck2.G
 let prop_loops_match_oracle =
   QCheck2.Test.make ~name:"loop helpers = split12 oracle (ARMv8)" ~count:500
     QCheck2.Gen.(quad gen_line gen_mac96 gen_ident (int_range 32 40))
-    (fun (line, mac, ident, m) ->
+    (fun (a, mac, ident, m) ->
+      let line = Line.of_words a in
       let module O = Layout_oracle.Armv8 in
       let cfg = Protection_armv8.make ~phys_addr_bits:m in
-      Line.equal (Protection_armv8.embed_mac line mac) (O.embed_mac line mac)
-      && Mac.equal (Protection_armv8.extract_mac line) (O.extract_mac line)
-      && Line.equal (Protection_armv8.strip_mac line) (O.strip_mac line)
-      && Line.equal (Protection_armv8.masked_for_mac cfg line) (O.masked_for_mac cfg line)
-      && Line.equal
-           (Protection_armv8.embed_identifier line ident)
-           (O.embed_identifier line ident)
-      && Int64.equal (Protection_armv8.extract_identifier line) (O.extract_identifier line)
-      && Line.equal (Protection_armv8.strip_identifier line) (O.strip_identifier line)
-      && Protection_armv8.matches_basic_pattern cfg line = O.matches_basic_pattern cfg line
+      Line.to_words (Protection_armv8.embed_mac line mac) = O.embed_mac a mac
+      && Mac.equal (Protection_armv8.extract_mac line) (O.extract_mac a)
+      && Line.to_words (Protection_armv8.strip_mac line) = O.strip_mac a
+      && Line.to_words (Protection_armv8.masked_for_mac cfg line) = O.masked_for_mac cfg a
+      && Line.to_words (Protection_armv8.embed_identifier line ident) = O.embed_identifier a ident
+      && Int64.equal (Protection_armv8.extract_identifier line) (O.extract_identifier a)
+      && Line.to_words (Protection_armv8.strip_identifier line) = O.strip_identifier a
+      && Protection_armv8.matches_basic_pattern cfg line = O.matches_basic_pattern cfg a
       && Protection_armv8.matches_extended_pattern cfg line
-         = O.matches_extended_pattern cfg line)
+         = O.matches_extended_pattern cfg a)
 
 let suite =
   [

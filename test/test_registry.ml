@@ -26,7 +26,7 @@ let setup () =
   let victim = 800 in
   Dram.write_line dram
     (Geometry.encode g { c with Geometry.row = victim })
-    (Array.make 8 (-1L));
+    (Ptg_pte.Line.of_words (Array.make 8 (-1L)));
   (dram, fault, victim)
 
 let attack dram victim iterations =

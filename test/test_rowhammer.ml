@@ -10,7 +10,7 @@ let make_world ?(config = Fault_model.ddr4) ?(victim_data = -1L) () =
   let victim = 500 in
   let c = Geometry.decode g 0L in
   let victim_addr r col = Geometry.encode g { c with Geometry.row = r; col } in
-  Dram.write_line dram (victim_addr victim 0) (Array.make 8 victim_data);
+  Dram.write_line dram (victim_addr victim 0) (Ptg_pte.Line.of_words (Array.make 8 victim_data));
   (dram, fault, victim, victim_addr)
 
 let hammer dram ~rows ~times =
@@ -111,17 +111,17 @@ let test_presets () =
 (* Inject module *)
 let test_inject_flip_line () =
   let rng = Ptg_util.Rng.create 4L in
-  let line = Array.make 8 0L in
+  let line = Ptg_pte.Line.create () in
   let same, bits = Inject.flip_line rng ~p_flip:0.0 line in
   Alcotest.(check bool) "p=0 no change" true (Ptg_pte.Line.equal line same);
   Alcotest.(check int) "p=0 no bits" 0 (List.length bits);
   let all, bits = Inject.flip_line rng ~p_flip:1.0 line in
   Alcotest.(check int) "p=1 flips all 512" 512 (List.length bits);
-  Alcotest.(check bool) "p=1 all ones" true (Array.for_all (Int64.equal (-1L)) all)
+  Alcotest.(check bool) "p=1 all ones" true (Array.for_all (Int64.equal (-1L)) (Ptg_pte.Line.to_words all))
 
 let test_inject_rate () =
   let rng = Ptg_util.Rng.create 5L in
-  let line = Array.make 8 0L in
+  let line = Ptg_pte.Line.create () in
   let total = ref 0 in
   let n = 2000 in
   for _ = 1 to n do
@@ -134,7 +134,7 @@ let test_inject_rate () =
 
 let test_inject_exactly () =
   let rng = Ptg_util.Rng.create 6L in
-  let line = Array.make 8 0L in
+  let line = Ptg_pte.Line.create () in
   let flipped, bits = Inject.flip_exactly rng ~n:17 line in
   Alcotest.(check int) "17 bits" 17 (List.length bits);
   Alcotest.(check int) "distinct" 17 (List.length (List.sort_uniq compare bits));

@@ -22,12 +22,12 @@ let test_phys_mem_dram () =
   m.Phys_mem.write_word 0x210L 9L;
   Alcotest.(check int64) "word 1 via dram" 7L (m.Phys_mem.read_word 0x208L);
   let line = Ptg_dram.Dram.read_line dram 0x200L in
-  Alcotest.(check int64) "line word 1" 7L line.(1);
-  Alcotest.(check int64) "line word 2" 9L line.(2)
+  Alcotest.(check int64) "line word 1" 7L (Ptg_pte.Line.get line 1);
+  Alcotest.(check int64) "line word 2" 9L (Ptg_pte.Line.get line 2)
 
 let test_phys_mem_line_helpers () =
   let m = Phys_mem.of_hashtbl () in
-  let line = Array.init 8 (fun i -> Int64.of_int (100 + i)) in
+  let line = Ptg_pte.Line.init (fun i -> Int64.of_int (100 + i)) in
   Phys_mem.write_line m 0x400L line;
   Alcotest.(check bool) "read_line roundtrip" true
     (Ptg_pte.Line.equal line (Phys_mem.read_line m 0x400L));
