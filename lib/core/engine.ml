@@ -572,7 +572,7 @@ let process_read t ~addr ~is_pte line =
 
 let rekey t ~rng ~iter_lines ~write =
   let module L = (val layout t : Layout.S) in
-  let old_key = t.key in
+  let old_key = t.key and old_mac_zero = t.mac_zero in
   t.key <- Qarma.key_of_rng ~rounds:t.config.Config.qarma_rounds rng;
   t.mac_zero <- Mac.truncate ~width:t.config.Config.mac_bits (Mac.compute_zero t.key);
   clear_memo t;
@@ -585,23 +585,26 @@ let rekey t ~rng ~iter_lines ~write =
       lines := (addr, Ptg_pte.Line.copy line) :: !lines);
   List.iter
     (fun (addr, line) ->
-      (* Recover the pre-DRAM view under the old key, then re-embed. The
-         old-key MAC bypasses the memo, which holds new-key MACs only. *)
-      let id_ok =
+      (* Recover the pre-DRAM view under the old key, then re-embed. A
+         zero line under the Optimized design carries the old key's
+         address-free MAC-zero, as the read path accepts it; any other
+         line carries its address-bound MAC. The old-key MAC bypasses
+         the memo, which holds new-key MACs only. *)
+      let stored = L.extract_mac line in
+      let old_mac () =
+        Mac.truncate ~width:t.config.Config.mac_bits
+          (Mac.compute_with t.mac_ctx old_key ~addr (L.masked_for_mac line))
+      in
+      let embedded =
         match t.config.Config.design with
-        | Config.Baseline -> true
-        | Config.Optimized -> identifier_present t line
+        | Config.Baseline -> embedded_matches ~stored ~computed:(old_mac ())
+        | Config.Optimized ->
+            identifier_present t line
+            && ((zero_once_stripped t line
+                && embedded_matches ~stored ~computed:old_mac_zero)
+               || embedded_matches ~stored ~computed:(old_mac ()))
       in
-      let logical =
-        if
-          id_ok
-          && embedded_matches ~stored:(L.extract_mac line)
-               ~computed:
-                 (Mac.truncate ~width:t.config.Config.mac_bits
-                    (Mac.compute_with t.mac_ctx old_key ~addr (L.masked_for_mac line)))
-        then strip t line
-        else Ptg_pte.Line.copy line
-      in
+      let logical = if embedded then strip t line else Ptg_pte.Line.copy line in
       write ~addr (process_write t ~addr logical))
     (List.rev !lines);
   t.stats.rekeys <- t.stats.rekeys + 1;

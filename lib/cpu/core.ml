@@ -56,6 +56,18 @@ let obs_of_sink sink =
 
 type dram_read = now:int -> paddr:int64 -> is_pte:bool -> int
 
+(* What one machine owns below the shared hierarchy. Its clock is the
+   hierarchy's clock plus [lag]; [pending] holds the read latencies of
+   the instruction in flight, folded into [lag] when it retires, so
+   every DRAM call of one instruction sees the same cycle. *)
+type lane = {
+  dram : Ptg_dram.Dram.t;
+  guard : Guard_timing.t;
+  read : dram_read;
+  mutable lag : int;
+  mutable pending : int;
+}
+
 type t = {
   cfg : config;
   base : int64;
@@ -64,11 +76,11 @@ type t = {
   l3 : Cache.t;
   tlb : Tlb.t;
   mmu : Cache.t;
-  dram : Ptg_dram.Dram.t;
-  guard : Guard_timing.t;
-  read : dram_read;
+  lanes : lane array;
   obs : obs option;
   mutable now : int;
+      (* the hierarchy's clock: issue cycles plus cache and walk stalls *)
+  mutable read_pending : bool;  (* a lane holds a pending read latency *)
   mutable dram_reads : int;
   mutable pte_dram_reads : int;
   mutable walks : int;
@@ -76,7 +88,9 @@ type t = {
   mutable walk_listeners : (vpn:int64 -> leaf_line_addr:int64 -> unit) list;
 }
 
-let make ?obs ~config ~base ~l3 ~dram ~guard ~read () =
+let lane ~dram ~guard ~read = { dram; guard; read; lag = 0; pending = 0 }
+
+let make ?obs ~config ~base ~l3 ~lanes () =
   {
     cfg = config;
     base;
@@ -85,11 +99,10 @@ let make ?obs ~config ~base ~l3 ~dram ~guard ~read () =
     l3;
     tlb = Tlb.create ~entries:config.tlb_entries ?obs ();
     mmu = Cache.create ?obs ~name:"mmu" config.mmu_cache;
-    dram;
-    guard;
-    read;
+    lanes;
     obs = Option.map obs_of_sink obs;
     now = 0;
+    read_pending = false;
     dram_reads = 0;
     pte_dram_reads = 0;
     walks = 0;
@@ -97,21 +110,34 @@ let make ?obs ~config ~base ~l3 ~dram ~guard ~read () =
     walk_listeners = [];
   }
 
-(* The single core's LLC miss: the demand read, then PT-Guard's penalty
-   for it (the guard's RNG is drawn on every read). *)
-let create ?(config = default_config) ?geometry ?timing ?obs ~guard () =
-  let dram = Ptg_dram.Dram.create ?geometry ?timing ?obs () in
-  let read ~now ~paddr ~is_pte =
-    let dram_lat = Ptg_dram.Dram.access_fast dram ~now ~addr:paddr ~is_write:false in
-    dram_lat + Guard_timing.read_penalty guard ~is_pte
+(* A lane's LLC miss: the demand read on its own device, then its
+   guard's penalty for it (the guard's RNG is drawn on every read). Only
+   the last lane's device carries the sink, so each DRAM event of a
+   paired run is counted once, on the measured machine. *)
+let create_lanes ?(config = default_config) ?geometry ?timing ?obs ~guards () =
+  let n = Array.length guards in
+  if n = 0 then invalid_arg "Core.create_lanes: no guards";
+  let lanes =
+    Array.mapi
+      (fun i guard ->
+        let obs = if i = n - 1 then obs else None in
+        let dram = Ptg_dram.Dram.create ?geometry ?timing ?obs () in
+        let read ~now ~paddr ~is_pte =
+          let dram_lat = Ptg_dram.Dram.access_fast dram ~now ~addr:paddr ~is_write:false in
+          dram_lat + Guard_timing.read_penalty guard ~is_pte
+        in
+        lane ~dram ~guard ~read)
+      guards
   in
-  make ?obs ~config ~base:0L ~l3:(Cache.create ?obs ~name:"l3" config.l3) ~dram
-    ~guard ~read ()
+  make ?obs ~config ~base:0L ~l3:(Cache.create ?obs ~name:"l3" config.l3) ~lanes ()
+
+let create ?config ?geometry ?timing ?obs ~guard () =
+  create_lanes ?config ?geometry ?timing ?obs ~guards:[| guard |] ()
 
 let create_shared ~config ~llc ~dram ~base ~guard ~read =
-  make ~config ~base ~l3:llc ~dram ~guard ~read ()
+  make ~config ~base ~l3:llc ~lanes:[| lane ~dram ~guard ~read |] ()
 
-let now t = t.now
+let now t = t.now + t.lanes.(0).lag
 let dram_reads t = t.dram_reads
 let pte_dram_reads t = t.pte_dram_reads
 let cache_writebacks t = t.cache_writebacks
@@ -130,14 +156,18 @@ let upper_entry_addr t ~level vpn =
     (Int64.add (pt_base t) (Int64.of_int (512 * 1024 * 1024 * level)))
     (Int64.mul index 8L)
 
-(* A dirty victim published by the last miss is retired to DRAM as a
-   posted write: it updates device state (row buffers, activation counts)
-   but charges no stall and skips any channel queue — write buffers take
-   it off the critical path. *)
+(* A dirty victim published by the last miss is retired to every
+   lane's DRAM as a posted write: it updates device state (row buffers,
+   activation counts) but charges no stall and skips any channel queue —
+   write buffers take it off the critical path. *)
 let drain_writeback t cache =
   if Cache.writeback_pending cache then begin
     let addr = Cache.writeback_addr cache in
-    ignore (Ptg_dram.Dram.access_fast t.dram ~now:t.now ~addr ~is_write:true);
+    let lanes = t.lanes in
+    for i = 0 to Array.length lanes - 1 do
+      let l = Array.unsafe_get lanes i in
+      ignore (Ptg_dram.Dram.access_fast l.dram ~now:(t.now + l.lag) ~addr ~is_write:true)
+    done;
     t.cache_writebacks <- t.cache_writebacks + 1;
     match t.obs with
     | None -> ()
@@ -146,12 +176,23 @@ let drain_writeback t cache =
         Ptg_obs.Trace.record o.o_trace (Ptg_obs.Trace.Cache_writeback { addr })
   end
 
-(* A read or write climbing the hierarchy; returns the stall in cycles.
-   L1 hits are fully pipelined (no stall); hardware-walker accesses skip
-   L1 as real walkers do. Each level's dirty eviction is drained before
-   the next level is probed, so DRAM sees a deterministic order:
-   L1 writeback, L2 access, L2 writeback, L3 access, L3 writeback,
-   then the core's [read] (the demand read). *)
+(* An LLC miss's demand read on every lane, each at its own clock; the
+   latencies wait in [pending] until the instruction retires. *)
+let read_lanes t ~paddr ~is_pte =
+  let lanes = t.lanes in
+  for i = 0 to Array.length lanes - 1 do
+    let l = Array.unsafe_get lanes i in
+    l.pending <- l.pending + l.read ~now:(t.now + l.lag) ~paddr ~is_pte
+  done;
+  t.read_pending <- true
+
+(* A read or write climbing the hierarchy; returns the hierarchy's stall
+   in cycles, which every lane pays (a lane's DRAM read latencies are its
+   own, see [read_lanes]). L1 hits are fully pipelined (no stall);
+   hardware-walker accesses skip L1 as real walkers do. Each level's
+   dirty eviction is drained before the next level is probed, so DRAM
+   sees a deterministic order: L1 writeback, L2 access, L2 writeback, L3
+   access, L3 writeback, then each lane's [read] (the demand read). *)
 let mem_access t ~paddr ~is_write ~is_pte ~through_l1 =
   if through_l1 && Cache.access_fast t.l1 ~addr:paddr ~is_write then 0
   else begin
@@ -166,7 +207,7 @@ let mem_access t ~paddr ~is_write ~is_pte ~through_l1 =
       else begin
         drain_writeback t t.l3;
         let l3_lat = (Cache.config t.l3).Cache.latency in
-        let read_lat = t.read ~now:t.now ~paddr ~is_pte in
+        read_lanes t ~paddr ~is_pte;
         if is_pte then t.pte_dram_reads <- t.pte_dram_reads + 1
         else t.dram_reads <- t.dram_reads + 1;
         (match t.obs with
@@ -174,7 +215,7 @@ let mem_access t ~paddr ~is_write ~is_pte ~through_l1 =
         | Some o ->
             Ptg_obs.Registry.incr
               (if is_pte then o.o_pte_dram_reads else o.o_dram_reads));
-        l2_lat + l3_lat + t.cfg.llc_miss_overhead + read_lat
+        l2_lat + l3_lat + t.cfg.llc_miss_overhead
       end
     end
   end
@@ -226,6 +267,17 @@ let translate t vaddr =
   in
   if Int64.equal t.base 0L then a else Int64.add a t.base
 
+(* Retire an instruction's reads: each lane falls behind the hierarchy's
+   clock by its own read latencies. *)
+let retire_reads t =
+  t.read_pending <- false;
+  let lanes = t.lanes in
+  for i = 0 to Array.length lanes - 1 do
+    let l = Array.unsafe_get lanes i in
+    l.lag <- l.lag + l.pending;
+    l.pending <- 0
+  done
+
 let step t op =
   t.now <- t.now + 1;
   match op with
@@ -236,30 +288,41 @@ let step t op =
       let vpn = Int64.shift_right_logical paddr t.cfg.page_shift in
       let stall = if Tlb.lookup t.tlb ~vpn then 0 else walk t vpn in
       let stall = stall + mem_access t ~paddr ~is_write ~is_pte:false ~through_l1:true in
-      t.now <- t.now + stall
+      t.now <- t.now + stall;
+      if t.read_pending then retire_reads t
 
-let run t ~instrs ~stream =
-  let start_cycles = t.now in
+let run_lanes t ~instrs ~stream =
+  let lanes = t.lanes in
+  let start_cycles = Array.map (fun l -> t.now + l.lag) lanes in
+  let start_mac = Array.map (fun l -> Guard_timing.mac_computations l.guard) lanes in
   let start_dram = t.dram_reads and start_pte = t.pte_dram_reads in
   let start_walks = t.walks in
   let start_wb = t.cache_writebacks in
-  let start_mac = Guard_timing.mac_computations t.guard in
   Tlb.reset_stats t.tlb;
   for _ = 1 to instrs do
     step t (stream ())
   done;
-  let cycles = t.now - start_cycles in
   let dram_reads = t.dram_reads - start_dram in
   let pte_dram_reads = t.pte_dram_reads - start_pte in
-  {
-    instrs;
-    cycles;
-    ipc = float_of_int instrs /. float_of_int (max 1 cycles);
-    llc_mpki = 1000.0 *. float_of_int dram_reads /. float_of_int instrs;
-    dram_reads;
-    pte_dram_reads;
-    walks = t.walks - start_walks;
-    tlb_miss_rate = Tlb.miss_rate t.tlb;
-    guard_mac_computations = Guard_timing.mac_computations t.guard - start_mac;
-    cache_writebacks = t.cache_writebacks - start_wb;
-  }
+  let llc_mpki = 1000.0 *. float_of_int dram_reads /. float_of_int instrs in
+  let walks = t.walks - start_walks in
+  let tlb_miss_rate = Tlb.miss_rate t.tlb in
+  let cache_writebacks = t.cache_writebacks - start_wb in
+  Array.mapi
+    (fun i l ->
+      let cycles = t.now + l.lag - start_cycles.(i) in
+      {
+        instrs;
+        cycles;
+        ipc = float_of_int instrs /. float_of_int (max 1 cycles);
+        llc_mpki;
+        dram_reads;
+        pte_dram_reads;
+        walks;
+        tlb_miss_rate;
+        guard_mac_computations = Guard_timing.mac_computations l.guard - start_mac.(i);
+        cache_writebacks;
+      })
+    lanes
+
+let run t ~instrs ~stream = (run_lanes t ~instrs ~stream).(0)

@@ -16,7 +16,28 @@
 
     This module owns the one timing hierarchy: {!Multicore} runs N
     cores built with {!create_shared} and differs only in the
-    {!dram_read} each core calls at an LLC miss. *)
+    {!dram_read} each core calls at an LLC miss.
+
+    {2 Timing lanes}
+
+    A core simulates one functional hierarchy for one or more timing
+    {e lanes} ({!create_lanes}). The hierarchy is computed once per
+    instruction and shared by every lane: the TLB, the MMU cache, the
+    L1/L2/L3 tags and LRU state, page walks, writeback victims, and the
+    [dram_reads], [pte_dram_reads], [walks] and [cache_writebacks]
+    counts. Each lane owns what PT-Guard changes: its DRAM device, its
+    {!Guard_timing.t}, its LLC-miss read and its clock. Every writeback
+    and every LLC-miss read is issued to each lane at that lane's own
+    cycle; within one instruction, all of a lane's DRAM calls see the
+    same cycle, and the lane's clock then advances by the hierarchy's
+    stall plus its own read latencies.
+
+    Sharing is exact: nothing in the hierarchy reads the clock (caches
+    and the TLB age by access ticks, not cycles), so a lane makes the
+    same DRAM calls at the same cycles, and returns the same {!result},
+    as a one-lane core given the same stream. A Figure 6 row's
+    unprotected and guarded machines are two lanes of one core over one
+    stream. {!create} is the one-lane case of the same code. *)
 
 type op =
   | Nonmem
@@ -68,18 +89,40 @@ val create :
   guard:Guard_timing.t ->
   unit ->
   t
-(** With [obs], the core mirrors DRAM read counts and walks into
+(** A one-lane core: [create_lanes ~guards:[| guard |]].
+
+    With [obs], the core mirrors DRAM read counts and walks into
     [core_*] counters, propagates the sink to its caches (labelled
     [l1]/[l2]/[l3]/[mmu]), TLB and DRAM device, and records an
     [Mmu_cache_miss] trace event per upper-level walk miss. The caller's
     [guard] is {e not} rewired — build it with
     {!Guard_timing.of_config} [?obs] to observe it too. *)
 
+val create_lanes :
+  ?config:config ->
+  ?geometry:Ptg_dram.Geometry.t ->
+  ?timing:Ptg_dram.Timing.t ->
+  ?obs:Ptg_obs.Sink.t ->
+  guards:Guard_timing.t array ->
+  unit ->
+  t
+(** One shared hierarchy with one lane per guard, in order; each lane
+    gets a fresh DRAM device of the given geometry and timing. Raises
+    [Invalid_argument] when [guards] is empty. Lanes must not share a
+    guarded {!Guard_timing.t} (its counters and RNG would interleave);
+    {!Guard_timing.unprotected} draws nothing and may repeat.
+
+    With [obs], the hierarchy counts each event once (caches, TLB,
+    [core_*] counters, trace events) and only the {e last} lane's DRAM
+    device carries the sink: list a pair as [[| unprotected; guarded |]]
+    and the sink sees exactly what a lone guarded core would show. *)
+
 type dram_read = now:int -> paddr:int64 -> is_pte:bool -> int
 (** An LLC miss's demand read at cycle [now]: returns its latency in
-    cycles beyond the core's [llc_miss_overhead]. {!create}'s performs
-    the DRAM read, then draws PT-Guard's penalty for it. DRAM sees the
-    miss's writebacks (L1, L2, LLC victims) before this call. *)
+    cycles beyond the core's [llc_miss_overhead]. A lane of
+    {!create_lanes} (or {!create}) performs the read on its own DRAM
+    device, then draws its guard's penalty for it. DRAM sees the miss's
+    writebacks (L1, L2, LLC victims) before this call. *)
 
 val create_shared :
   config:config ->
@@ -96,17 +139,26 @@ val create_shared :
     reports MAC computations of. No sink is attached. *)
 
 val step : t -> op -> unit
-(** Execute one instruction: one issue cycle, plus the walk and
-    memory stalls of a load or store. *)
+(** Execute one instruction on every lane: one issue cycle, plus the
+    walk and memory stalls of a load or store. *)
+
+val run_lanes : t -> instrs:int -> stream:(unit -> op) -> result array
+(** Execute [instrs] instructions drawn from [stream] ({!step} in a
+    loop) and return one result per lane, in lane order. Can be called
+    repeatedly (warm caches); statistics are per-call. The hierarchy's
+    fields ([dram_reads], [pte_dram_reads], [walks], [tlb_miss_rate],
+    [cache_writebacks], [llc_mpki]) are equal across lanes; [cycles],
+    [ipc] and [guard_mac_computations] are each lane's own. *)
 
 val run : t -> instrs:int -> stream:(unit -> op) -> result
-(** Execute [instrs] instructions drawn from [stream] ({!step} in a
-    loop). Can be called repeatedly (warm caches); statistics are
-    per-call. *)
+(** The first lane's result of {!run_lanes} (the only lane of a
+    {!create}d core). *)
 
 (** {2 Running totals} since the core was built. *)
 
 val now : t -> int
+(** The first lane's clock. *)
+
 val dram_reads : t -> int
 val pte_dram_reads : t -> int
 val cache_writebacks : t -> int

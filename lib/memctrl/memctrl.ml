@@ -69,8 +69,8 @@ let fetch t ?now ~addr ~is_pte () =
   List.iter (fun f -> f ~addr ~is_pte) t.line_read_hooks;
   obs_incr t (fun o -> o.o_reads_total);
   if is_pte then obs_incr t (fun o -> o.o_reads_pte);
-  let r = Ptg_dram.Dram.access t.dram ~now:t.now ~addr ~is_write:false in
-  (Ptg_dram.Dram.read_line t.dram addr, r.Ptg_dram.Dram.latency)
+  let latency = Ptg_dram.Dram.access_fast t.dram ~now:t.now ~addr ~is_write:false in
+  (Ptg_dram.Dram.read_line t.dram addr, latency)
 
 let observe_latency t latency =
   match t.obs with
@@ -110,14 +110,14 @@ let read_data t ~addr =
 let write_line t ?now ~addr line () =
   advance t now;
   obs_incr t (fun o -> o.o_writes_total);
-  let r = Ptg_dram.Dram.access t.dram ~now:t.now ~addr ~is_write:true in
+  let latency = Ptg_dram.Dram.access_fast t.dram ~now:t.now ~addr ~is_write:true in
   let stored =
     match t.engine with
     | None -> line
     | Some engine -> Ptguard.Engine.process_write engine ~addr line
   in
   Ptg_dram.Dram.write_line t.dram addr stored;
-  r.Ptg_dram.Dram.latency
+  latency
 
 (* Word-level OS view: an untimed read-modify-write cycle through the
    controller. Data reads of a tampered protected line pass the raw bits

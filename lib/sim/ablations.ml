@@ -189,24 +189,24 @@ let page_size ?jobs ?(instrs = 400_000) ?(seed = 24L)
     ?(workloads = Ptg_workloads.Workload.high_mpki) () =
   let run_config label page_shift =
     (* Each workload simulates from seed-derived generators only, so the
-       per-workload fan-out is exact for any job count. *)
+       per-workload fan-out is exact for any job count. The unprotected
+       and guarded machines are two lanes of one core over one stream. *)
     let per =
       Pool.parallel_map ?jobs
         (fun spec ->
-          let core_cfg = { Ptg_cpu.Core.default_config with Ptg_cpu.Core.page_shift } in
-          let run guard =
-            let rng = Rng.create seed in
-            let stream = Ptg_workloads.Workload.stream rng spec in
-            let core = Ptg_cpu.Core.create ~config:core_cfg ~guard () in
-            ignore (Ptg_cpu.Core.run core ~instrs:(instrs / 4) ~stream);
-            Ptg_cpu.Core.run core ~instrs ~stream
+          let config = { Ptg_cpu.Core.default_config with Ptg_cpu.Core.page_shift } in
+          let stream = Ptg_workloads.Workload.stream (Rng.create seed) spec in
+          let guard =
+            Ptg_cpu.Guard_timing.of_config Config.baseline
+              ~rng:(Rng.create (Int64.add seed 1L))
           in
-          let base = run Ptg_cpu.Guard_timing.unprotected in
-          let guarded =
-            run
-              (Ptg_cpu.Guard_timing.of_config Config.baseline
-                 ~rng:(Rng.create (Int64.add seed 1L)))
+          let core =
+            Ptg_cpu.Core.create_lanes ~config
+              ~guards:[| Ptg_cpu.Guard_timing.unprotected; guard |] ()
           in
+          ignore (Ptg_cpu.Core.run_lanes core ~instrs:(instrs / 4) ~stream);
+          let lanes = Ptg_cpu.Core.run_lanes core ~instrs ~stream in
+          let base = lanes.(0) and guarded = lanes.(1) in
           ( 100.0 *. (1.0 -. (guarded.Ptg_cpu.Core.ipc /. base.Ptg_cpu.Core.ipc)),
             1000.0 *. float_of_int base.Ptg_cpu.Core.walks /. float_of_int instrs ))
         (Array.of_list workloads)

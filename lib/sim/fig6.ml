@@ -18,27 +18,26 @@ type result = {
   max_slowdown_pct : float;
 }
 
-let run_workload ?obs ~instrs ~warmup ~seed ~guard spec =
-  let rng = Rng.create seed in
-  let stream = Ptg_workloads.Workload.stream rng spec in
-  let core = Ptg_cpu.Core.create ?obs ~guard () in
-  ignore (Ptg_cpu.Core.run core ~instrs:warmup ~stream);
-  Ptg_cpu.Core.run core ~instrs ~stream
-
 (* One workload's row. Each row builds its own Rng/Engine from [seed]
    alone, so rows are independent of each other and of which process,
    domain or chunk computes them — the property the sweep's fan-out and
-   its sliced and resumed runs rely on. *)
+   its sliced and resumed runs rely on. The unprotected and guarded
+   machines are two lanes of one core over one stream: they share every
+   cache, TLB and walk, and differ only in DRAM timing and the guard's
+   penalty. *)
 let row_of_spec ?obs ~instrs ~warmup ~seed ~config spec =
-  let base =
-    run_workload ~instrs ~warmup ~seed ~guard:Ptg_cpu.Guard_timing.unprotected
-      spec
-  in
+  let stream = Ptg_workloads.Workload.stream (Rng.create seed) spec in
   let guard =
     Ptg_cpu.Guard_timing.of_config config ?obs
       ~rng:(Rng.create (Int64.add seed 1L))
   in
-  let guarded = run_workload ?obs ~instrs ~warmup ~seed ~guard spec in
+  let core =
+    Ptg_cpu.Core.create_lanes ?obs
+      ~guards:[| Ptg_cpu.Guard_timing.unprotected; guard |] ()
+  in
+  ignore (Ptg_cpu.Core.run_lanes core ~instrs:warmup ~stream);
+  let lanes = Ptg_cpu.Core.run_lanes core ~instrs ~stream in
+  let base = lanes.(0) and guarded = lanes.(1) in
   let norm_ipc = guarded.Ptg_cpu.Core.ipc /. base.Ptg_cpu.Core.ipc in
   {
     workload = spec.Ptg_workloads.Workload.name;

@@ -81,7 +81,10 @@
 #      lib/util/bits.ml (Bits.to_hex); and one timing hierarchy: no
 #      Cache.access_fast, Cache.writeback_pending or Tlb.fill in
 #      lib/cpu/ outside core.ml (Multicore runs Core.t values over a
-#      shared LLC and DRAM; it walks no cache and fills no TLB itself)
+#      shared LLC and DRAM; it walks no cache and fills no TLB itself);
+#      and paired runs share one hierarchy: no Core.create in
+#      lib/sim/fig6.ml or lib/sim/ablations.ml (an unprotected/guarded
+#      pair is two lanes of one Core.create_lanes core over one stream)
 #   8d. warm-start gate (bench_gate snapshot): resuming a finished
 #      fullsys budget from its snapshot store must stay >= 5x faster
 #      than computing it cold and byte-identical
@@ -333,6 +336,13 @@ if [ -n "$sites" ]; then
     exit 1
 fi
 echo "OK: lib/cpu/core.ml is the one timing hierarchy"
+
+echo "== paired runs share one hierarchy =="
+if grep -nE 'Core\.create\b' lib/sim/fig6.ml lib/sim/ablations.ml; then
+    echo "FAIL: a Figure 6 row or a page-size ablation row builds its own core per machine; run the pair as lanes of one Core.create_lanes core" >&2
+    exit 1
+fi
+echo "OK: Figure 6 and page-size pairs run as lanes of one core"
 
 echo "== warm-start regression gate =="
 bench_gate snapshot

@@ -323,6 +323,77 @@ let test_walk_trace_golden () =
   Alcotest.(check (pair int string)) "walk events" (193, "130cfd56e54ae6632b81145a3a14bcad")
     (Array.length t.Ptg_sim.Mem_trace.events, Digest.to_hex (Digest.string (Buffer.contents b)))
 
+(* --- Timing lanes --------------------------------------------------------- *)
+
+(* Lanes share one hierarchy; each must still equal a core of its own
+   over the same stream, field for field, on a warm-up call and a timed
+   call. Stores over a working set far above L1 make writebacks, and the
+   far addresses make walks at both page sizes. *)
+let gen_lane_case =
+  QCheck2.Gen.(
+    let addr bound = map (fun a -> Int64.of_int (a * 8)) (int_bound (bound - 1)) in
+    let op =
+      frequency
+        [
+          (1, pure Core.Nonmem);
+          (4, map (fun a -> Core.Load a) (addr (1 lsl 19)));
+          (3, map (fun a -> Core.Store a) (addr (1 lsl 19)));
+          (1, map (fun a -> Core.Load a) (addr (1 lsl 27)));
+          (1, map (fun a -> Core.Store a) (addr (1 lsl 27)));
+        ]
+    in
+    triple (oneofl [ 12; 21 ]) (int_bound 1_000_000) (array_size (int_range 200 3000) op))
+
+(* Fresh guards each call: the same seeds give the same penalty draws. *)
+let lane_guards seed =
+  let guarded ?p_data_protected config k =
+    Guard_timing.of_config ?p_data_protected config
+      ~rng:(Ptg_util.Rng.create (Int64.of_int ((4 * seed) + k)))
+  in
+  let optimized latency =
+    Ptguard.Config.with_mac_latency Ptguard.Config.optimized latency
+  in
+  [|
+    Guard_timing.unprotected;
+    guarded Ptguard.Config.baseline 1;
+    guarded ~p_data_protected:0.25 (optimized 10) 2;
+    guarded ~p_data_protected:0.25 (optimized 40) 3;
+  |]
+
+let prop_lanes_match_cores =
+  QCheck2.Test.make ~name:"lanes equal independent cores" ~count:60
+    ~print:(fun (shift, seed, ops) ->
+      Printf.sprintf "page_shift=%d seed=%d ops=%d" shift seed (Array.length ops))
+    gen_lane_case
+    (fun (page_shift, seed, ops) ->
+      let config = { Core.default_config with Core.page_shift } in
+      let warm = Array.length ops / 2 in
+      let timed = Array.length ops - warm in
+      let stream () =
+        let i = ref 0 in
+        fun () ->
+          let op = ops.(!i) in
+          incr i;
+          op
+      in
+      let lanes =
+        let core = Core.create_lanes ~config ~guards:(lane_guards seed) () in
+        let stream = stream () in
+        let w = Core.run_lanes core ~instrs:warm ~stream in
+        let t = Core.run_lanes core ~instrs:timed ~stream in
+        Array.map2 (fun w t -> (w, t)) w t
+      in
+      let alone =
+        Array.map
+          (fun guard ->
+            let core = Core.create ~config ~guard () in
+            let stream = stream () in
+            let w = Core.run core ~instrs:warm ~stream in
+            (w, Core.run core ~instrs:timed ~stream))
+          (lane_guards seed)
+      in
+      compare lanes alone = 0)
+
 (* A core's DRAM device is sparse, so building a core costs its caches
    and TLB — a dense per-row counter array would add 4 MiB. *)
 let test_core_create_allocation () =
@@ -356,4 +427,5 @@ let suite =
     Alcotest.test_case "golden: multicore results" `Quick test_multicore_golden;
     Alcotest.test_case "golden: page-size rows" `Quick test_page_size_golden;
     Alcotest.test_case "golden: walk trace" `Quick test_walk_trace_golden;
+    QCheck_alcotest.to_alcotest prop_lanes_match_cores;
   ]

@@ -85,6 +85,23 @@ let test_rekey_via_controller () =
       Alcotest.(check bool) "verifies under new key" true (Ptg_pte.Line.equal out line)
   | _ -> Alcotest.fail "rekeyed line must verify"
 
+(* Under the Optimized design an all-zero PTE line carries the
+   address-free MAC-zero; a rekey must recognise the old key's MAC-zero
+   and re-embed the new one, or the next walk fails and data reads see
+   the stale MAC bits. *)
+let test_rekey_zero_line () =
+  let mc = setup 9L in
+  ignore (Memctrl.write_line mc ~addr:0x4040L (Ptg_pte.Line.create ()) ());
+  Memctrl.rekey mc ~rng:(Ptg_util.Rng.create 321L);
+  (match Memctrl.read_line mc ~addr:0x4040L ~is_pte:true () with
+  | { Memctrl.data = Some out; integrity = Ptguard.Engine.Passed; _ } ->
+      Alcotest.(check bool) "walk sees the zero line" true (Ptg_pte.Line.is_zero out)
+  | _ -> Alcotest.fail "rekeyed zero line must verify");
+  match Memctrl.read_line mc ~addr:0x4040L ~is_pte:false () with
+  | { Memctrl.data = Some out; _ } ->
+      Alcotest.(check bool) "data read is zero" true (Ptg_pte.Line.is_zero out)
+  | _ -> Alcotest.fail "a data read always forwards a line"
+
 (* --- MMU walker -------------------------------------------------------- *)
 
 let build_table mc seed =
@@ -236,6 +253,7 @@ let suite =
     Alcotest.test_case "phys_mem PTE RMW" `Quick test_phys_mem_pte_rmw;
     Alcotest.test_case "tampered walk detected" `Quick test_tampered_walk_detected;
     Alcotest.test_case "rekey via controller" `Quick test_rekey_via_controller;
+    Alcotest.test_case "rekey keeps a zero line" `Quick test_rekey_zero_line;
     Alcotest.test_case "mmu: translated" `Quick test_mmu_translated;
     Alcotest.test_case "mmu: not present" `Quick test_mmu_not_present;
     Alcotest.test_case "mmu: integrity failure" `Quick test_mmu_integrity_failure;
