@@ -103,12 +103,15 @@ let rules =
           "clients"; "requests_per_client"; "rps_1_shard"; "rps_2_shards";
           "rps_4_shards"; "speedup_2_shards"; "speedup_4_shards"; "ok_1_shard";
           "ok_2_shards"; "ok_4_shards"; "lost_1_shard"; "lost_2_shards";
-          "lost_4_shards" ]
+          "lost_4_shards"; "cold_routed_p50_ms" ]
       @ [
           both "lost_1_shard" (Is (Int 0L));
           both "lost_2_shards" (Is (Int 0L));
           both "lost_4_shards" (Is (Int 0L));
           fresh "rps_2_shards" (Cmp (Ge, Field (1.6, "rps_1_shard")));
+          (* A few ms of compute; a delayed-ACK stall on either hop adds
+             about 40 ms to most runs. *)
+          fresh "cold_routed_p50_ms" (Cmp (Le, Const 25.0));
         ] );
   ]
 

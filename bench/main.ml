@@ -604,6 +604,37 @@ let run_serve () =
 (* mask the difference.                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* Cold routed streams: [cold_runs] never-seen two-workload fig6 rows
+   of 2000 instructions, sent back to back as v2 streams on one
+   connection. Each shard writes a progress frame between its two rows
+   and the router re-emits it, so both hops carry a small frame ahead of
+   the result; a socket left with Nagle's algorithm on makes the result
+   wait out the peer's delayed ACK (about 40 ms) on most runs. *)
+let cold_runs = 64
+
+let cold_routed_p50_ms addr =
+  let workloads = Array.of_list Ptg_workloads.Workload.names in
+  let c = Ptg_server.Client.connect addr in
+  let latency_ms =
+    Array.init cold_runs (fun i ->
+        let scenario =
+          Ptg_sim.Scenario.make
+            ~seed:(Int64.of_int (90_000 + i))
+            ~reduced:true
+            ~workloads:
+              (List.init 2 (fun k -> workloads.((2 * i + k) mod Array.length workloads)))
+            ~instrs:2000 ~warmup:500 Ptg_sim.Scenario.Fig6
+        in
+        let t0 = Ptg_util.Clock.now_ns () in
+        (match Ptg_server.Client.run_stream c scenario with
+        | Ok (Ptg_server.Protocol.Result { cache = Ptg_server.Protocol.Miss; _ }) -> ()
+        | Ok _ -> failwith "serve_sharded bench: cold stream did not compute"
+        | Error e -> failwith ("serve_sharded bench: cold stream: " ^ e));
+        Ptg_util.Clock.elapsed_us t0 /. 1e3)
+  in
+  Ptg_server.Client.close c;
+  Ptg_util.Stats.percentile latency_ms 50.
+
 let run_serve_sharded () =
   section "Sharded serving: throughput vs shard count (router over TCP)";
   let distinct = 64 in
@@ -644,6 +675,7 @@ let run_serve_sharded () =
         List.iter Ptg_server.Server.stop shards)
       (fun () ->
         let addr = Ptg_server.Router.listen_addr router in
+        let cold_p50 = if n = 2 then Some (cold_routed_p50_ms addr) else None in
         (* Warm pass: every scenario once, so the steady state being
            timed is the topology's, not the cold start's. With one
            thrashing shard the pass is recomputed anyway — that is the
@@ -672,13 +704,15 @@ let run_serve_sharded () =
           report.Ptg_server.Client.throughput_rps report.Ptg_server.Client.ok
           report.Ptg_server.Client.errors lost (p99 report);
         (report.Ptg_server.Client.throughput_rps, report.Ptg_server.Client.ok,
-         lost))
+         lost, cold_p50))
   in
-  let rps1, ok1, lost1 = topology 1 in
-  let rps2, ok2, lost2 = topology 2 in
-  let rps4, ok4, lost4 = topology 4 in
+  let rps1, ok1, lost1, _ = topology 1 in
+  let rps2, ok2, lost2, cold_p50 = topology 2 in
+  let rps4, ok4, lost4, _ = topology 4 in
+  let cold_p50 = Option.get cold_p50 in
   Printf.printf "  speedup: %.2fx at 2 shards, %.2fx at 4\n" (rps2 /. rps1)
     (rps4 /. rps1);
+  Printf.printf "  cold routed stream p50 (2 shards, %d runs): %.2f ms\n" cold_runs cold_p50;
   write_json "serve_sharded"
     [
       ("distinct_scenarios", Int distinct);
@@ -697,6 +731,7 @@ let run_serve_sharded () =
       ("lost_1_shard", Int lost1);
       ("lost_2_shards", Int lost2);
       ("lost_4_shards", Int lost4);
+      ("cold_routed_p50_ms", Float (2, cold_p50));
     ]
 
 (* ------------------------------------------------------------------ *)

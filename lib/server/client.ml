@@ -5,6 +5,7 @@ type t = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
 let connect ?timeout_s addr =
   let domain, sockaddr = Listener.sockaddr addr in
   let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
+  Listener.skip_nagle domain fd;
   (try
      match timeout_s with
      | None -> Unix.connect fd sockaddr

@@ -10,7 +10,8 @@ type t
 val connect : ?timeout_s:float -> Server.addr -> t
 (** Raises [Unix.Unix_error] if the server is unreachable; with
     [timeout_s], a non-responding peer raises [ETIMEDOUT] after at most
-    that long instead of the kernel default. *)
+    that long instead of the kernel default. A TCP connection has Nagle
+    off ({!Listener.skip_nagle}). *)
 
 val close : t -> unit
 

@@ -96,6 +96,16 @@ let sockaddr = function
   | Unix_socket path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
   | Tcp port -> (Unix.PF_INET, Unix.ADDR_INET (Unix.inet_addr_loopback, port))
 
+(* Every frame is its own flush, and a streamed run sends a progress
+   frame and then its result as two small writes. Under Nagle's
+   algorithm the result waits for the progress frame's ACK, which a peer
+   that sends nothing back delays by about 40 ms. No frame gains from
+   coalescing, so every TCP socket of the tier turns Nagle off; the
+   option does not apply to Unix-domain sockets. *)
+let skip_nagle domain fd =
+  if domain = Unix.PF_INET then
+    try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
+
 (* Only a socket left behind by a dead server is replaced; any other file
    at the path is the caller's mistake, and its data stays put. *)
 let open_listener addr =
@@ -204,6 +214,7 @@ let handle_conn t fe fd =
      Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.idle_timeout_s;
      Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.config.idle_timeout_s
    with Unix.Unix_error _ | Invalid_argument _ -> ());
+  skip_nagle (fst (sockaddr t.bound)) fd;
   let c =
     { fd; oc = Unix.out_channel_of_descr fd; buf = Bytes.create 65536; start = 0; stop = 0 }
   in

@@ -22,6 +22,12 @@ exception Bind_error of string
 val sockaddr : addr -> Unix.socket_domain * Unix.sockaddr
 (** What [addr] names, for binding here and connecting in {!Client}. *)
 
+val skip_nagle : Unix.socket_domain -> Unix.file_descr -> unit
+(** Set [TCP_NODELAY] on a [PF_INET] stream socket; a no-op for any
+    other domain. Called on every accepted connection and by
+    {!Client.connect}, so a result never waits behind a progress frame
+    for the peer's delayed ACK. *)
+
 type config = {
   addr : addr;
   idle_timeout_s : float;    (** socket read/write timeout; [0.] disables *)

@@ -84,7 +84,10 @@
 #      shared LLC and DRAM; it walks no cache and fills no TLB itself);
 #      and paired runs share one hierarchy: no Core.create in
 #      lib/sim/fig6.ml or lib/sim/ablations.ml (an unprotected/guarded
-#      pair is two lanes of one Core.create_lanes core over one stream)
+#      pair is two lanes of one Core.create_lanes core over one stream);
+#      and serving sockets skip Nagle: TCP_NODELAY appears in lib/server
+#      once, inside Listener.skip_nagle, which both the accept path
+#      (Listener.handle_conn) and Client.connect call
 #   8d. warm-start gate (bench_gate snapshot): resuming a finished
 #      fullsys budget from its snapshot store must stay >= 5x faster
 #      than computing it cold and byte-identical
@@ -343,6 +346,20 @@ if grep -nE 'Core\.create\b' lib/sim/fig6.ml lib/sim/ablations.ml; then
     exit 1
 fi
 echo "OK: Figure 6 and page-size pairs run as lanes of one core"
+
+echo "== serving sockets skip Nagle =="
+# Body of the top-level definition starting with $2 in file $1.
+definition() { awk -v start="^let $2 " '$0 ~ start { on = 1; print; next } on && /^(let|type) / { exit } on' "$1"; }
+sites=$(grep -rnF --include='*.ml' 'TCP_NODELAY' lib/server || true)
+if [ "$(printf '%s' "$sites" | grep -c .)" -ne 1 ] \
+    || ! definition lib/server/listener.ml skip_nagle | grep -qF 'TCP_NODELAY' \
+    || ! definition lib/server/listener.ml handle_conn | grep -qw 'skip_nagle' \
+    || ! definition lib/server/client.ml connect | grep -qF 'Listener.skip_nagle'; then
+    echo "FAIL: TCP_NODELAY must be set in one helper (Listener.skip_nagle), called on the accept path (Listener.handle_conn) and in Client.connect; found:" >&2
+    printf '%s\n' "$sites" >&2
+    exit 1
+fi
+echo "OK: every accepted and connected serving socket skips Nagle, through Listener.skip_nagle"
 
 echo "== warm-start regression gate =="
 bench_gate snapshot

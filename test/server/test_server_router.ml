@@ -255,6 +255,68 @@ let test_router_shutdown_frame () =
   Router.stop router;
   Server.stop shard
 
+(* The router forwards every run as a v2 stream, and a sliceable plan
+   (here a one-workload fig6 row) has its shard write a progress frame
+   and then the result as two small writes. With Nagle's algorithm on
+   the shard hop, the result waits for the progress frame's ACK, which
+   the router — sending nothing back — delays by about 40 ms: about
+   half of such runs sent back to back paid it. With Nagle off, a cold
+   routed run costs the shard's few milliseconds of compute. *)
+let cold_fig6 ?(rows = 1) i =
+  let workloads = Array.of_list Ptg_workloads.Workload.names in
+  Scenario.make ~seed:(Int64.of_int (70_000 + i)) ~reduced:true
+    ~workloads:(List.init rows (fun k -> workloads.((i + k) mod Array.length workloads)))
+    ~instrs:2000 ~warmup:500 Scenario.Fig6
+
+let test_routed_cold_runs_skip_delayed_ack () =
+  let shards =
+    List.init 2 (fun _ ->
+        Server.start { (Server.default_config (Server.Tcp 0)) with Server.workers = 1 })
+  in
+  let router = Router.start (router_config (List.map Server.listen_addr shards)) in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.stop router;
+      List.iter Server.stop shards)
+    (fun () ->
+      with_client (Router.listen_addr router) (fun c ->
+          let runs = 32 in
+          let latency_ms =
+            Array.init runs (fun i ->
+                let t0 = Clock.now_ns () in
+                (match Client.run c (cold_fig6 i) with
+                | Ok (Protocol.Result { cache = Protocol.Miss; _ }) -> ()
+                | Ok _ -> Alcotest.fail "expected a computed miss"
+                | Error e -> Alcotest.fail e);
+                Clock.elapsed_us t0 /. 1e3)
+          in
+          (* The premise: fig6 reports progress per row, and a routed
+             stream re-emits what its shard streamed. Whether a given run
+             carries a progress frame is a race between the shard's
+             connection thread waking and the run finishing, so some of
+             a few two-row streams must. *)
+          let progress = ref 0 in
+          for i = 0 to 7 do
+            match
+              Client.run_stream ~on_progress:(fun ~done_count:_ ~total:_ -> incr progress)
+                c (cold_fig6 ~rows:2 (runs + i))
+            with
+            | Ok (Protocol.Result { cache = Protocol.Miss; _ }) -> ()
+            | Ok _ -> Alcotest.fail "expected a computed stream"
+            | Error e -> Alcotest.fail e
+          done;
+          Alcotest.(check bool) "the shards streamed progress" true (!progress >= 1);
+          (* About half the one-row runs carry a progress frame, so
+             stalls can leave the median either side of 20 ms; the
+             count of stalled runs separates the two cleanly. *)
+          let p50 = Ptg_util.Stats.percentile latency_ms 50. in
+          let stalled = Array.fold_left (fun n ms -> if ms >= 30. then n + 1 else n) 0 latency_ms in
+          if p50 >= 20. || stalled > 4 then
+            Alcotest.failf
+              "cold routed p50 %.1f ms (want < 20), %d of %d runs >= 30 ms (want <= 4): \
+               a delayed-ACK stall?"
+              p50 stalled runs))
+
 (* ------------------------------------------------------------------ *)
 (* Chaos: ejection, re-routing, re-admission, kill-under-swarm         *)
 (* ------------------------------------------------------------------ *)
@@ -455,6 +517,8 @@ let suite =
       test_router_shutdown_frame;
     Alcotest.test_case "router observability series" `Slow
       test_router_obs_series;
+    Alcotest.test_case "cold routed runs skip the delayed-ACK stall" `Slow
+      test_routed_cold_runs_skip_delayed_ack;
   ]
 
 let chaos_suite =

@@ -574,7 +574,8 @@ let gate_fixtures =
         ("rps_2_shards", "7676.43"); ("rps_4_shards", "3932.51");
         ("speedup_2_shards", "460.77"); ("speedup_4_shards", "236.04");
         ("ok_1_shard", "600"); ("ok_2_shards", "600"); ("ok_4_shards", "600");
-        ("lost_1_shard", "0"); ("lost_2_shards", "0"); ("lost_4_shards", "0") ] );
+        ("lost_1_shard", "0"); ("lost_2_shards", "0"); ("lost_4_shards", "0");
+        ("cold_routed_p50_ms", "6.34") ] );
   ]
 
 let gate_record section fields =
@@ -628,6 +629,7 @@ let test_gate_fails_each_rule_kind () =
       ("constant", "serve_sharded", "lost_2_shards", set "lost_2_shards" "1");
       ("floor", "snapshot", "speedup", set "speedup" "4.90");
       ("ceiling", "slices", "overhead_pct", set "overhead_pct" "10.50");
+      ("latency ceiling", "serve_sharded", "cold_routed_p50_ms", set "cold_routed_p50_ms" "44.05");
       ("field vs field", "serve_sharded", "rps_2_shards", set "rps_2_shards" "26.00");
       ("1.25 x baseline", "fullsys", "wall_time_s", set "wall_time_s" "0.832");
       ("exact pin", "fullsys", "fullsys_walks", set "fullsys_walks" "3389");
