@@ -21,6 +21,10 @@ let scenario ~label ~mitigate ~pattern ~iterations =
       Ptg_rowhammer.Fault_model.distance2_weight = 0.01 }
   in
   let fault = Ptg_rowhammer.Fault_model.attach ~config ~rng:(Ptg_util.Rng.split rng) dram in
+  let flips = ref 0 in
+  Ptg_rowhammer.Fault_model.on_flip fault (fun f ->
+      if f.Ptg_rowhammer.Fault_model.row = 1000 && f.Ptg_rowhammer.Fault_model.bank = 3 then
+        incr flips);
   let mitigation =
     if mitigate then
       Some
@@ -44,11 +48,6 @@ let scenario ~label ~mitigate ~pattern ~iterations =
         addr)
   in
   ignore (Ptg_rowhammer.Attack.run dram ~channel:0 ~bank:3 pattern ~iterations ~start_time:0);
-  let flips =
-    List.filter
-      (fun f -> f.Ptg_rowhammer.Fault_model.row = 1000 && f.Ptg_rowhammer.Fault_model.bank = 3)
-      (Ptg_rowhammer.Fault_model.flips fault)
-  in
   let detected = ref 0 and tampered = ref 0 in
   List.iter
     (fun addr ->
@@ -63,7 +62,7 @@ let scenario ~label ~mitigate ~pattern ~iterations =
   Printf.printf "%-42s %-14s flips=%-4d refreshes=%-6d PTE lines hit=%d, all detected=%b\n"
     label
     (match mitigation with Some m -> Ptg_mitigations.Registry.instance_name m | None -> "no mitigation")
-    (List.length flips)
+    !flips
     (match mitigation with Some m -> Ptg_mitigations.Registry.refreshes_issued m | None -> 0)
     !tampered
     (!tampered = !detected)

@@ -35,44 +35,33 @@ type read_result = {
   raw_line : Ptg_pte.Line.t;
 }
 
-(* Observability mirror of [stats]: registry counters resolved once at
-   creation, plus the shared trace ring. [None] when the engine was built
-   without a sink — the disabled path costs one option branch. *)
+(* Observability: every [stats] field is exported as a registry source
+   reading the field itself, and [writes_unprotected] as the difference
+   of two; only CTB overflows, which no field counts, are a registry
+   counter. [None] when the engine was built without a sink. *)
 type obs = {
-  o_writes_total : Ptg_obs.Registry.counter;
-  o_writes_protected : Ptg_obs.Registry.counter;
-  o_writes_unprotected : Ptg_obs.Registry.counter;
-  o_writes_mac_zero : Ptg_obs.Registry.counter;
-  o_collisions : Ptg_obs.Registry.counter;
   o_ctb_overflows : Ptg_obs.Registry.counter;
-  o_reads_total : Ptg_obs.Registry.counter;
-  o_reads_pte : Ptg_obs.Registry.counter;
-  o_mac_computations : Ptg_obs.Registry.counter;
-  o_macs_stripped : Ptg_obs.Registry.counter;
-  o_integrity_failures : Ptg_obs.Registry.counter;
-  o_corrections_attempted : Ptg_obs.Registry.counter;
-  o_corrections_succeeded : Ptg_obs.Registry.counter;
-  o_rekeys : Ptg_obs.Registry.counter;
   o_trace : Ptg_obs.Trace.t;
 }
 
-let obs_of_sink sink =
-  let c = Ptg_obs.Registry.counter (Ptg_obs.Sink.registry sink) in
+let obs_of_sink stats sink =
+  let reg = Ptg_obs.Sink.registry sink in
+  let source = Ptg_obs.Registry.source reg in
+  source "engine_writes_total" (fun () -> stats.writes_total);
+  source "engine_writes_protected" (fun () -> stats.writes_protected);
+  source "engine_writes_unprotected" (fun () -> stats.writes_total - stats.writes_protected);
+  source "engine_writes_mac_zero" (fun () -> stats.writes_mac_zero);
+  source "engine_collisions_tracked" (fun () -> stats.collisions_tracked);
+  source "engine_reads_total" (fun () -> stats.reads_total);
+  source "engine_reads_pte" (fun () -> stats.reads_pte);
+  source "engine_mac_computations" (fun () -> stats.mac_computations);
+  source "engine_macs_stripped" (fun () -> stats.macs_stripped);
+  source "engine_integrity_failures" (fun () -> stats.integrity_failures);
+  source "engine_corrections_attempted" (fun () -> stats.corrections_attempted);
+  source "engine_corrections_succeeded" (fun () -> stats.corrections_succeeded);
+  source "engine_rekeys" (fun () -> stats.rekeys);
   {
-    o_writes_total = c "engine_writes_total";
-    o_writes_protected = c "engine_writes_protected";
-    o_writes_unprotected = c "engine_writes_unprotected";
-    o_writes_mac_zero = c "engine_writes_mac_zero";
-    o_collisions = c "engine_collisions_tracked";
-    o_ctb_overflows = c "engine_ctb_overflows";
-    o_reads_total = c "engine_reads_total";
-    o_reads_pte = c "engine_reads_pte";
-    o_mac_computations = c "engine_mac_computations";
-    o_macs_stripped = c "engine_macs_stripped";
-    o_integrity_failures = c "engine_integrity_failures";
-    o_corrections_attempted = c "engine_corrections_attempted";
-    o_corrections_succeeded = c "engine_corrections_succeeded";
-    o_rekeys = c "engine_rekeys";
+    o_ctb_overflows = Ptg_obs.Registry.counter reg "engine_ctb_overflows";
     o_trace = Ptg_obs.Sink.trace sink;
   }
 
@@ -137,9 +126,6 @@ let clear_memo t =
   Bytes.fill t.memo_valid 0 memo_slots '\000';
   Array.fill t.corrections 0 correction_slots None
 
-let obs_incr t sel =
-  match t.obs with None -> () | Some o -> Ptg_obs.Registry.incr (sel o)
-
 let obs_event t e =
   match t.obs with None -> () | Some o -> Ptg_obs.Trace.record o.o_trace e
 
@@ -170,6 +156,7 @@ let unstripped (config : Config.t) =
 
 let create ?(config = Config.baseline) ?obs ~rng () =
   let key = Qarma.key_of_rng ~rounds:config.Config.qarma_rounds rng in
+  let stats = fresh_stats () in
   let identifier =
     match config.Config.design with
     | Config.Baseline -> 0L
@@ -184,9 +171,9 @@ let create ?(config = Config.baseline) ?obs ~rng () =
     mac_zero = Mac.truncate ~width:config.Config.mac_bits (Mac.compute_zero key);
     unstripped = unstripped config;
     ctb = Ctb.create ~capacity:config.Config.ctb_entries;
-    stats = fresh_stats ();
+    stats;
     listeners = [];
-    obs = Option.map obs_of_sink obs;
+    obs = (match obs with Some sink -> Some (obs_of_sink stats sink) | None -> None);
     mac_ctx = Mac.ctx ();
     memo = Bytes.create (memo_slots * memo_stride);
     memo_valid = Bytes.make memo_slots '\000';
@@ -347,7 +334,6 @@ let embed t ~addr line =
   let mac =
     if t.config.Config.design = Config.Optimized && is_zero_line then begin
       t.stats.writes_mac_zero <- t.stats.writes_mac_zero + 1;
-      obs_incr t (fun o -> o.o_writes_mac_zero);
       t.mac_zero
     end
     else compute_mac t ~addr line
@@ -359,27 +345,26 @@ let embed t ~addr line =
 
 let process_write t ~addr line =
   t.stats.writes_total <- t.stats.writes_total + 1;
-  obs_incr t (fun o -> o.o_writes_total);
   if pattern_matches t line then begin
     t.stats.writes_protected <- t.stats.writes_protected + 1;
-    obs_incr t (fun o -> o.o_writes_protected);
     (* A protected write replaces whatever colliding data was there. *)
     Ctb.remove t.ctb addr;
     embed t ~addr line
   end
   else begin
-    obs_incr t (fun o -> o.o_writes_unprotected);
     if would_collide t ~addr line then begin
       match Ctb.add t.ctb addr with
       | `Added ->
           t.stats.collisions_tracked <- t.stats.collisions_tracked + 1;
-          obs_incr t (fun o -> o.o_collisions);
           obs_event t (Ptg_obs.Trace.Ctb_insert { addr });
           emit t (Collision_detected { addr })
       | `Already_present -> ()
       | `Full ->
-          obs_incr t (fun o -> o.o_ctb_overflows);
-          obs_event t Ptg_obs.Trace.Ctb_overflow;
+          (match t.obs with
+          | None -> ()
+          | Some o ->
+              Ptg_obs.Registry.incr o.o_ctb_overflows;
+              Ptg_obs.Trace.record o.o_trace Ptg_obs.Trace.Ctb_overflow);
           emit t Ctb_overflow
     end
     else Ctb.remove t.ctb addr;
@@ -439,18 +424,15 @@ let read_pte t ~addr line =
   in
   if mac_zero_hit then begin
     t.stats.macs_stripped <- t.stats.macs_stripped + 1;
-    obs_incr t (fun o -> o.o_macs_stripped);
     obs_event t (Ptg_obs.Trace.Mac_verify { addr; ok = true });
     { line = Some (strip t line); integrity = Passed; extra_latency = 0;
       raw_line = line }
   end
   else begin
   t.stats.mac_computations <- t.stats.mac_computations + 1;
-  obs_incr t (fun o -> o.o_mac_computations);
   let computed = compute_mac t ~addr line in
   if embedded_matches ~stored ~computed then begin
     t.stats.macs_stripped <- t.stats.macs_stripped + 1;
-    obs_incr t (fun o -> o.o_macs_stripped);
     obs_event t (Ptg_obs.Trace.Mac_verify { addr; ok = true });
     { line = Some (strip t line); integrity = Passed; extra_latency = mac_latency;
       raw_line = line }
@@ -459,11 +441,9 @@ let read_pte t ~addr line =
   obs_event t (Ptg_obs.Trace.Mac_verify { addr; ok = false });
   if t.config.Config.correction_enabled then begin
     t.stats.corrections_attempted <- t.stats.corrections_attempted + 1;
-    obs_incr t (fun o -> o.o_corrections_attempted);
     match correct t ~addr line with
     | Correction.Corrected { line = fixed; step; guesses } ->
         t.stats.corrections_succeeded <- t.stats.corrections_succeeded + 1;
-        obs_incr t (fun o -> o.o_corrections_succeeded);
         obs_event t
           (Ptg_obs.Trace.Correction
              { addr; step = Correction.step_name step; guesses; ok = true });
@@ -475,7 +455,6 @@ let read_pte t ~addr line =
         }
     | Correction.Uncorrectable { guesses } ->
         t.stats.integrity_failures <- t.stats.integrity_failures + 1;
-        obs_incr t (fun o -> o.o_integrity_failures);
         obs_event t
           (Ptg_obs.Trace.Correction { addr; step = "uncorrectable"; guesses; ok = false });
         emit t (Pte_integrity_failure { addr });
@@ -488,7 +467,6 @@ let read_pte t ~addr line =
   end
   else begin
     t.stats.integrity_failures <- t.stats.integrity_failures + 1;
-    obs_incr t (fun o -> o.o_integrity_failures);
     emit t (Pte_integrity_failure { addr });
     { line = None; integrity = Failed; extra_latency = mac_latency; raw_line = line }
   end
@@ -502,12 +480,10 @@ let read_data_baseline t ~addr line =
   let module L = (val layout t : Layout.S) in
   let mac_latency = t.config.Config.mac_latency_cycles in
   t.stats.mac_computations <- t.stats.mac_computations + 1;
-  obs_incr t (fun o -> o.o_mac_computations);
   let computed = compute_mac t ~addr line in
   let stored = L.extract_mac line in
   if embedded_matches ~stored ~computed then begin
     t.stats.macs_stripped <- t.stats.macs_stripped + 1;
-    obs_incr t (fun o -> o.o_macs_stripped);
     (strip t line, Data_protected, mac_latency)
   end
   else (Ptg_pte.Line.copy line, Data_passthrough, mac_latency)
@@ -524,16 +500,13 @@ let read_data_optimized t ~addr line =
     if zero_once_stripped t line && embedded_matches ~stored ~computed:t.mac_zero then begin
       (* MAC-zero shortcut: comparison against the on-chip constant only. *)
       t.stats.macs_stripped <- t.stats.macs_stripped + 1;
-      obs_incr t (fun o -> o.o_macs_stripped);
       (strip t line, Data_protected, 0)
     end
     else begin
       t.stats.mac_computations <- t.stats.mac_computations + 1;
-      obs_incr t (fun o -> o.o_mac_computations);
       let computed = compute_mac t ~addr line in
       if embedded_matches ~stored ~computed then begin
         t.stats.macs_stripped <- t.stats.macs_stripped + 1;
-        obs_incr t (fun o -> o.o_macs_stripped);
         (strip t line, Data_protected, mac_latency)
       end
       else (Ptg_pte.Line.copy line, Data_passthrough, mac_latency)
@@ -547,9 +520,7 @@ let read_data t ~addr line =
     | Config.Baseline -> read_data_baseline t ~addr line
     | Config.Optimized -> read_data_optimized t ~addr line
 
-let count_read t =
-  t.stats.reads_total <- t.stats.reads_total + 1;
-  obs_incr t (fun o -> o.o_reads_total)
+let count_read t = t.stats.reads_total <- t.stats.reads_total + 1
 
 let process_data_read t ~addr line =
   count_read t;
@@ -560,7 +531,6 @@ let process_read t ~addr ~is_pte line =
   count_read t;
   if is_pte then begin
     t.stats.reads_pte <- t.stats.reads_pte + 1;
-    obs_incr t (fun o -> o.o_reads_pte);
     (* Page-table walks are always verified, CTB or not: a PTE line can
        never legitimately be a tracked collision because the kernel's
        protected write evicts any stale CTB entry. *)
@@ -608,7 +578,6 @@ let rekey t ~rng ~iter_lines ~write =
       write ~addr (process_write t ~addr logical))
     (List.rev !lines);
   t.stats.rekeys <- t.stats.rekeys + 1;
-  obs_incr t (fun o -> o.o_rekeys);
   obs_event t (Ptg_obs.Trace.Rekey { writes = !count });
   emit t (Rekey_completed { writes = !count })
 

@@ -71,10 +71,12 @@ val create :
   ?config:Config.t -> ?obs:Ptg_obs.Sink.t -> rng:Ptg_util.Rng.t -> unit -> t
 (** Draws the QARMA key and (Optimized) the 56-bit identifier from [rng].
     Default config: {!Config.baseline}. When [obs] is given, every {!stats}
-    field is mirrored into [engine_*] counters and MAC-verify / correction /
-    CTB / rekey events are recorded in the trace ring; without it the
-    engine's behaviour and RNG stream are unchanged (a single [option]
-    branch per operation). *)
+    field is exported as an [engine_*] registry source that reads the field
+    (and [engine_writes_unprotected] as [writes_total - writes_protected]),
+    CTB overflows are counted in [engine_ctb_overflows], and MAC-verify /
+    correction / CTB / rekey events are recorded in the trace ring; without
+    it the engine's behaviour and RNG stream are unchanged (a single
+    [option] branch per traced event). *)
 
 val config : t -> Config.t
 val stats : t -> stats

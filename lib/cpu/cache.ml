@@ -6,10 +6,10 @@ let l3_2m = { size_bytes = 2 * 1024 * 1024; assoc = 16; line_bytes = 64; latency
 let l3_1m = { size_bytes = 1024 * 1024; assoc = 16; line_bytes = 64; latency = 38 }
 let mmu_8k = { size_bytes = 8 * 1024; assoc = 4; line_bytes = 8; latency = 1 }
 
-type obs = {
-  o_accesses : Ptg_obs.Registry.counter;
-  o_misses : Ptg_obs.Registry.counter;
-}
+(* The access and miss counts, apart from the cache itself: a registry
+   source reads this record, so a sink never keeps the tag arrays of a
+   finished cache alive. *)
+type counts = { mutable accesses : int; mutable misses : int }
 
 (* Way state is stored structure-of-arrays: the lookup loop scans a
    contiguous int array of tags instead of chasing one record pointer per
@@ -31,10 +31,8 @@ type t = {
   line_shift : int;
   set_shift : int;
   set_mask : int;
-  obs : obs option;
+  counts : counts;
   mutable tick : int;
-  mutable accesses : int;
-  mutable misses : int;
   (* Writeback protocol of [access_fast]: valid until the next access.
      The victim is kept as its line index, a native int (exact, like the
      tags), so publishing a dirty eviction stores no boxed int64. *)
@@ -42,10 +40,10 @@ type t = {
   mutable wb_line : int;
 }
 
-let obs_of_sink ~name sink =
-  let labels = [ ("cache", name) ] in
-  let c = Ptg_obs.Registry.counter (Ptg_obs.Sink.registry sink) ~labels in
-  { o_accesses = c "cache_accesses"; o_misses = c "cache_misses" }
+let export ~name counts sink =
+  let source = Ptg_obs.Registry.source (Ptg_obs.Sink.registry sink) ~labels:[ ("cache", name) ] in
+  source "cache_accesses" (fun () -> counts.accesses);
+  source "cache_misses" (fun () -> counts.misses)
 
 let create ?obs ?(name = "cache") cfg =
   if cfg.size_bytes mod (cfg.assoc * cfg.line_bytes) <> 0 then
@@ -56,6 +54,8 @@ let create ?obs ?(name = "cache") cfg =
   if not (Ptg_util.Bits.is_pow2 set_count) then
     invalid_arg "Cache.create: set count must be a power of two";
   let ways = set_count * cfg.assoc in
+  let counts = { accesses = 0; misses = 0 } in
+  (match obs with Some sink -> export ~name counts sink | None -> ());
   {
     cfg;
     set_count;
@@ -66,10 +66,8 @@ let create ?obs ?(name = "cache") cfg =
     line_shift = Ptg_util.Bits.log2 cfg.line_bytes;
     set_shift = Ptg_util.Bits.log2 set_count;
     set_mask = set_count - 1;
-    obs = Option.map (obs_of_sink ~name) obs;
+    counts;
     tick = 0;
-    accesses = 0;
-    misses = 0;
     wb_pending = false;
     wb_line = 0;
   }
@@ -99,8 +97,7 @@ let locate t addr =
    boxed for the call. *)
 let[@inline] access_fast t ~addr ~is_write =
   t.tick <- t.tick + 1;
-  t.accesses <- t.accesses + 1;
-  (match t.obs with None -> () | Some o -> Ptg_obs.Registry.incr o.o_accesses);
+  t.counts.accesses <- t.counts.accesses + 1;
   t.wb_pending <- false;
   let line = line_index t addr in
   let set_idx = line land t.set_mask in
@@ -139,8 +136,7 @@ let[@inline] access_fast t ~addr ~is_write =
     true
   end
   else begin
-    t.misses <- t.misses + 1;
-    (match t.obs with None -> () | Some o -> Ptg_obs.Registry.incr o.o_misses);
+    t.counts.misses <- t.counts.misses + 1;
     let victim = if !invalid >= 0 then !invalid else !best in
     let old_tag = Array.unsafe_get tags victim in
     if old_tag >= 0 && Bytes.unsafe_get t.dirty victim = '\001' then begin
@@ -170,12 +166,8 @@ let invalidate t ~addr =
     if t.tags.(base + i) = tag then t.tags.(base + i) <- -1
   done
 
-let accesses t = t.accesses
-let misses t = t.misses
+let accesses t = t.counts.accesses
+let misses t = t.counts.misses
 
 let miss_rate t =
-  if t.accesses = 0 then 0.0 else float_of_int t.misses /. float_of_int t.accesses
-
-let reset_stats t =
-  t.accesses <- 0;
-  t.misses <- 0
+  if accesses t = 0 then 0.0 else float_of_int (misses t) /. float_of_int (accesses t)

@@ -29,7 +29,7 @@ val mmu_8k : config
 type t
 
 val create : ?obs:Ptg_obs.Sink.t -> ?name:string -> config -> t
-(** With [obs], accesses and misses are mirrored into
+(** With [obs], the cache's own access and miss counts are exported as
     [cache_accesses{cache="name"}] / [cache_misses{cache="name"}]
     (default label ["cache"]). *)
 
@@ -58,4 +58,4 @@ val invalidate : t -> addr:int64 -> unit
 val accesses : t -> int
 val misses : t -> int
 val miss_rate : t -> float
-val reset_stats : t -> unit
+(** Lifetime counts: they are never reset. *)

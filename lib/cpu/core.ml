@@ -36,23 +36,21 @@ type result = {
   cache_writebacks : int;
 }
 
-type obs = {
-  o_dram_reads : Ptg_obs.Registry.counter;
-  o_pte_dram_reads : Ptg_obs.Registry.counter;
-  o_walks : Ptg_obs.Registry.counter;
-  o_cache_writebacks : Ptg_obs.Registry.counter;
-  o_trace : Ptg_obs.Trace.t;
+(* The hierarchy's event counts, apart from the core: a registry source
+   reads this record, so a sink never keeps a finished core alive. *)
+type counts = {
+  mutable dram_reads : int;
+  mutable pte_dram_reads : int;
+  mutable walks : int;
+  mutable cache_writebacks : int;
 }
 
-let obs_of_sink sink =
-  let c = Ptg_obs.Registry.counter (Ptg_obs.Sink.registry sink) in
-  {
-    o_dram_reads = c "core_dram_reads";
-    o_pte_dram_reads = c "core_pte_dram_reads";
-    o_walks = c "core_walks";
-    o_cache_writebacks = c "core_cache_writebacks";
-    o_trace = Ptg_obs.Sink.trace sink;
-  }
+let export counts sink =
+  let source = Ptg_obs.Registry.source (Ptg_obs.Sink.registry sink) in
+  source "core_dram_reads" (fun () -> counts.dram_reads);
+  source "core_pte_dram_reads" (fun () -> counts.pte_dram_reads);
+  source "core_walks" (fun () -> counts.walks);
+  source "core_cache_writebacks" (fun () -> counts.cache_writebacks)
 
 type dram_read = now:int -> paddr:int64 -> is_pte:bool -> int
 
@@ -77,20 +75,19 @@ type t = {
   tlb : Tlb.t;
   mmu : Cache.t;
   lanes : lane array;
-  obs : obs option;
+  counts : counts;
+  trace : Ptg_obs.Trace.t option;
   mutable now : int;
       (* the hierarchy's clock: issue cycles plus cache and walk stalls *)
   mutable read_pending : bool;  (* a lane holds a pending read latency *)
-  mutable dram_reads : int;
-  mutable pte_dram_reads : int;
-  mutable walks : int;
-  mutable cache_writebacks : int;
   mutable walk_listeners : (vpn:int64 -> leaf_line_addr:int64 -> unit) list;
 }
 
 let lane ~dram ~guard ~read = { dram; guard; read; lag = 0; pending = 0 }
 
 let make ?obs ~config ~base ~l3 ~lanes () =
+  let counts = { dram_reads = 0; pte_dram_reads = 0; walks = 0; cache_writebacks = 0 } in
+  (match obs with Some sink -> export counts sink | None -> ());
   {
     cfg = config;
     base;
@@ -100,13 +97,10 @@ let make ?obs ~config ~base ~l3 ~lanes () =
     tlb = Tlb.create ~entries:config.tlb_entries ?obs ();
     mmu = Cache.create ?obs ~name:"mmu" config.mmu_cache;
     lanes;
-    obs = Option.map obs_of_sink obs;
+    counts;
+    trace = Option.map Ptg_obs.Sink.trace obs;
     now = 0;
     read_pending = false;
-    dram_reads = 0;
-    pte_dram_reads = 0;
-    walks = 0;
-    cache_writebacks = 0;
     walk_listeners = [];
   }
 
@@ -138,9 +132,9 @@ let create_shared ~config ~llc ~dram ~base ~guard ~read =
   make ~config ~base ~l3:llc ~lanes:[| lane ~dram ~guard ~read |] ()
 
 let now t = t.now + t.lanes.(0).lag
-let dram_reads t = t.dram_reads
-let pte_dram_reads t = t.pte_dram_reads
-let cache_writebacks t = t.cache_writebacks
+let dram_reads t = t.counts.dram_reads
+let pte_dram_reads t = t.counts.pte_dram_reads
+let cache_writebacks t = t.counts.cache_writebacks
 
 (* Synthetic page-table layout: four physically-contiguous regions above
    the core's data region. Each level's entry for a vpn sits at
@@ -168,12 +162,10 @@ let drain_writeback t cache =
       let l = Array.unsafe_get lanes i in
       ignore (Ptg_dram.Dram.access_fast l.dram ~now:(t.now + l.lag) ~addr ~is_write:true)
     done;
-    t.cache_writebacks <- t.cache_writebacks + 1;
-    match t.obs with
+    t.counts.cache_writebacks <- t.counts.cache_writebacks + 1;
+    match t.trace with
     | None -> ()
-    | Some o ->
-        Ptg_obs.Registry.incr o.o_cache_writebacks;
-        Ptg_obs.Trace.record o.o_trace (Ptg_obs.Trace.Cache_writeback { addr })
+    | Some tr -> Ptg_obs.Trace.record tr (Ptg_obs.Trace.Cache_writeback { addr })
   end
 
 (* An LLC miss's demand read on every lane, each at its own clock; the
@@ -208,13 +200,9 @@ let mem_access t ~paddr ~is_write ~is_pte ~through_l1 =
         drain_writeback t t.l3;
         let l3_lat = (Cache.config t.l3).Cache.latency in
         read_lanes t ~paddr ~is_pte;
-        if is_pte then t.pte_dram_reads <- t.pte_dram_reads + 1
-        else t.dram_reads <- t.dram_reads + 1;
-        (match t.obs with
-        | None -> ()
-        | Some o ->
-            Ptg_obs.Registry.incr
-              (if is_pte then o.o_pte_dram_reads else o.o_dram_reads));
+        let c = t.counts in
+        if is_pte then c.pte_dram_reads <- c.pte_dram_reads + 1
+        else c.dram_reads <- c.dram_reads + 1;
         l2_lat + l3_lat + t.cfg.llc_miss_overhead
       end
     end
@@ -225,8 +213,7 @@ let mem_access t ~paddr ~is_write ~is_pte ~through_l1 =
 let on_walk t f = t.walk_listeners <- f :: t.walk_listeners
 
 let walk t vpn =
-  t.walks <- t.walks + 1;
-  (match t.obs with None -> () | Some o -> Ptg_obs.Registry.incr o.o_walks);
+  t.counts.walks <- t.counts.walks + 1;
   List.iter
     (fun f ->
       f ~vpn ~leaf_line_addr:(Ptg_pte.Line.line_addr (leaf_pte_addr t vpn)))
@@ -239,11 +226,9 @@ let walk t vpn =
          under the default preset, where latency = 1). *)
       stall := !stall + (Cache.config t.mmu).Cache.latency
     else begin
-      (match t.obs with
+      (match t.trace with
       | None -> ()
-      | Some o ->
-          Ptg_obs.Trace.record o.o_trace
-            (Ptg_obs.Trace.Mmu_cache_miss { addr }));
+      | Some tr -> Ptg_obs.Trace.record tr (Ptg_obs.Trace.Mmu_cache_miss { addr }));
       stall := !stall + mem_access t ~paddr:addr ~is_write:false ~is_pte:true ~through_l1:false
     end
   done;
@@ -295,19 +280,24 @@ let run_lanes t ~instrs ~stream =
   let lanes = t.lanes in
   let start_cycles = Array.map (fun l -> t.now + l.lag) lanes in
   let start_mac = Array.map (fun l -> Guard_timing.mac_computations l.guard) lanes in
-  let start_dram = t.dram_reads and start_pte = t.pte_dram_reads in
-  let start_walks = t.walks in
-  let start_wb = t.cache_writebacks in
-  Tlb.reset_stats t.tlb;
+  let c = t.counts in
+  let start_dram = c.dram_reads and start_pte = c.pte_dram_reads in
+  let start_walks = c.walks in
+  let start_wb = c.cache_writebacks in
+  let start_hits = Tlb.hits t.tlb and start_misses = Tlb.misses t.tlb in
   for _ = 1 to instrs do
     step t (stream ())
   done;
-  let dram_reads = t.dram_reads - start_dram in
-  let pte_dram_reads = t.pte_dram_reads - start_pte in
+  let dram_reads = c.dram_reads - start_dram in
+  let pte_dram_reads = c.pte_dram_reads - start_pte in
   let llc_mpki = 1000.0 *. float_of_int dram_reads /. float_of_int instrs in
-  let walks = t.walks - start_walks in
-  let tlb_miss_rate = Tlb.miss_rate t.tlb in
-  let cache_writebacks = t.cache_writebacks - start_wb in
+  let walks = c.walks - start_walks in
+  let tlb_miss_rate =
+    let misses = Tlb.misses t.tlb - start_misses in
+    let total = Tlb.hits t.tlb - start_hits + misses in
+    if total = 0 then 0.0 else float_of_int misses /. float_of_int total
+  in
+  let cache_writebacks = c.cache_writebacks - start_wb in
   Array.mapi
     (fun i l ->
       let cycles = t.now + l.lag - start_cycles.(i) in

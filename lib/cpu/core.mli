@@ -91,8 +91,8 @@ val create :
   t
 (** A one-lane core: [create_lanes ~guards:[| guard |]].
 
-    With [obs], the core mirrors DRAM read counts and walks into
-    [core_*] counters, propagates the sink to its caches (labelled
+    With [obs], the core exports its own DRAM read, walk and writeback
+    counts as [core_*] sources, propagates the sink to its caches (labelled
     [l1]/[l2]/[l3]/[mmu]), TLB and DRAM device, and records an
     [Mmu_cache_miss] trace event per upper-level walk miss. The caller's
     [guard] is {e not} rewired — build it with

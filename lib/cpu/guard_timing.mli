@@ -26,9 +26,10 @@ val of_config :
       paper measures < 2% of DRAM reads in total, of which page walks are
       the majority, so the default for data reads is 0.005.
 
-    With [obs], reads and charged MAC computations are mirrored into
-    [guard_reads]/[guard_mac_computations]; the shared {!unprotected}
-    instance never carries a sink. *)
+    With [obs], the guard's own counts of reads and charged MAC
+    computations are exported as [guard_reads]/[guard_mac_computations].
+    The shared {!unprotected} instance carries no sink and counts
+    nothing: every domain uses it, so nothing may write it. *)
 
 val read_penalty : t -> is_pte:bool -> int
 (** Extra cycles charged to this DRAM read. *)
@@ -37,3 +38,4 @@ val mac_computations : t -> int
 (** Number of reads that paid the MAC latency so far. *)
 
 val reads_observed : t -> int
+(** DRAM reads this guard has classified; always 0 for {!unprotected}. *)

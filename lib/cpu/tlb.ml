@@ -3,40 +3,35 @@
    boxed-int64 loads and comparisons. *)
 type entry = { mutable vpn : int; mutable valid : bool; mutable lru : int }
 
-type obs = {
-  o_hits : Ptg_obs.Registry.counter;
-  o_misses : Ptg_obs.Registry.counter;
-  o_trace : Ptg_obs.Trace.t;
-}
+(* Hit and miss counts, apart from the entries: a registry source
+   reads this record. *)
+type counts = { mutable hits : int; mutable misses : int }
 
 type t = {
   entries : entry array;
-  obs : obs option;
+  counts : counts;
+  trace : Ptg_obs.Trace.t option;
   mutable tick : int;
-  mutable hits : int;
-  mutable misses : int;
   (* Index of the most recently hit/filled entry. Pure fast path: entries
      are unique by vpn (fill never duplicates), so when the MRU entry
      matches, the scan would have found exactly that entry. *)
   mutable mru : int;
 }
 
-let obs_of_sink sink =
-  let c = Ptg_obs.Registry.counter (Ptg_obs.Sink.registry sink) in
-  {
-    o_hits = c "tlb_hits";
-    o_misses = c "tlb_misses";
-    o_trace = Ptg_obs.Sink.trace sink;
-  }
+let export counts sink =
+  let source = Ptg_obs.Registry.source (Ptg_obs.Sink.registry sink) in
+  source "tlb_hits" (fun () -> counts.hits);
+  source "tlb_misses" (fun () -> counts.misses)
 
 let create ?(entries = 64) ?obs () =
   if entries < 1 then invalid_arg "Tlb.create";
+  let counts = { hits = 0; misses = 0 } in
+  (match obs with Some sink -> export counts sink | None -> ());
   {
     entries = Array.init entries (fun _ -> { vpn = 0; valid = false; lru = 0 });
-    obs = Option.map obs_of_sink obs;
+    counts;
+    trace = Option.map Ptg_obs.Sink.trace obs;
     tick = 0;
-    hits = 0;
-    misses = 0;
     mru = 0;
   }
 
@@ -69,18 +64,14 @@ let[@inline] lookup t ~vpn =
   if idx >= 0 then begin
     (Array.unsafe_get t.entries idx).lru <- t.tick;
     t.mru <- idx;
-    t.hits <- t.hits + 1;
-    (match t.obs with None -> () | Some o -> Ptg_obs.Registry.incr o.o_hits);
+    t.counts.hits <- t.counts.hits + 1;
     true
   end
   else begin
-    t.misses <- t.misses + 1;
-    (match t.obs with
+    t.counts.misses <- t.counts.misses + 1;
+    (match t.trace with
     | None -> ()
-    | Some o ->
-        Ptg_obs.Registry.incr o.o_misses;
-        Ptg_obs.Trace.record o.o_trace
-          (Ptg_obs.Trace.Tlb_miss { vpn = Int64.of_int vpn }));
+    | Some tr -> Ptg_obs.Trace.record tr (Ptg_obs.Trace.Tlb_miss { vpn = Int64.of_int vpn }));
     false
   end
 
@@ -114,8 +105,8 @@ let fill t ~vpn =
   end
 
 let flush t = Array.iter (fun e -> e.valid <- false) t.entries
-let hits t = t.hits
-let misses t = t.misses
+let hits t = t.counts.hits
+let misses t = t.counts.misses
 
 type state = {
   s_entries : (int * bool * int) array; (* vpn, valid, lru *)
@@ -129,8 +120,8 @@ let state t =
   {
     s_entries = Array.map (fun e -> (e.vpn, e.valid, e.lru)) t.entries;
     s_tick = t.tick;
-    s_hits = t.hits;
-    s_misses = t.misses;
+    s_hits = t.counts.hits;
+    s_misses = t.counts.misses;
     s_mru = t.mru;
   }
 
@@ -147,14 +138,10 @@ let set_state t s =
       e.lru <- lru)
     s.s_entries;
   t.tick <- s.s_tick;
-  t.hits <- s.s_hits;
-  t.misses <- s.s_misses;
+  t.counts.hits <- s.s_hits;
+  t.counts.misses <- s.s_misses;
   t.mru <- s.s_mru
 
 let miss_rate t =
-  let total = t.hits + t.misses in
-  if total = 0 then 0.0 else float_of_int t.misses /. float_of_int total
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0
+  let total = hits t + misses t in
+  if total = 0 then 0.0 else float_of_int (misses t) /. float_of_int total

@@ -4,9 +4,9 @@
 type t
 
 val create : ?entries:int -> ?obs:Ptg_obs.Sink.t -> unit -> t
-(** Default 64 entries. With [obs], hits/misses are mirrored into
-    [tlb_hits]/[tlb_misses] and each miss records a [Tlb_miss] trace
-    event. *)
+(** Default 64 entries. With [obs], the TLB's own hit and miss counts
+    are exported as [tlb_hits]/[tlb_misses] and each miss records a
+    [Tlb_miss] trace event. *)
 
 val lookup : t -> vpn:int64 -> bool
 (** True on hit (updates LRU). A miss does {e not} install — call
@@ -17,7 +17,7 @@ val flush : t -> unit
 val hits : t -> int
 val misses : t -> int
 val miss_rate : t -> float
-val reset_stats : t -> unit
+(** Lifetime counts: they are never reset. *)
 
 (** {2 Checkpointable state} *)
 

@@ -7,8 +7,9 @@ type bank_state = {
   activations : Row_table.t; (* row -> count since last refresh *)
 }
 
+(* Row outcomes and refresh epochs are counted only by the registry;
+   activations are the device's own count, exported as a source. *)
 type obs = {
-  o_activations : Ptg_obs.Registry.counter;
   o_row_hits : Ptg_obs.Registry.counter;
   o_row_conflicts : Ptg_obs.Registry.counter;
   o_row_closed : Ptg_obs.Registry.counter;
@@ -17,10 +18,15 @@ type obs = {
   o_trace : Ptg_obs.Trace.t;
 }
 
-let obs_of_sink ~hot_row_threshold sink =
-  let c = Ptg_obs.Registry.counter (Ptg_obs.Sink.registry sink) in
+(* The activation count, apart from the device: a registry source
+   reads this record, so a sink never keeps a finished device alive. *)
+type counts = { mutable total_activations : int }
+
+let obs_of_sink ~hot_row_threshold counts sink =
+  let reg = Ptg_obs.Sink.registry sink in
+  Ptg_obs.Registry.source reg "dram_activations" (fun () -> counts.total_activations);
+  let c = Ptg_obs.Registry.counter reg in
   {
-    o_activations = c "dram_activations";
     o_row_hits = c "dram_row_hits";
     o_row_conflicts = c "dram_row_conflicts";
     o_row_closed = c "dram_row_closed";
@@ -58,7 +64,7 @@ type t = {
   mutable activate_listeners : (Geometry.coords -> unit) list;
   mutable refresh_listeners : (channel:int -> bank:int -> row:int -> unit) list;
   mutable epoch_listeners : (unit -> unit) list;
-  mutable total_activations : int;
+  counts : counts;
   (* Decode/outcome of the last [access_fast], valid until the next
      access — same publication protocol as [Cache.access_fast]. *)
   mutable last_outcome : Timing.row_buffer_outcome;
@@ -108,6 +114,7 @@ let epoch_end timing epoch = (epoch + 1) * timing.Timing.refresh_interval
 
 let create ?(geometry = Geometry.ddr4_4gb) ?(timing = Timing.ddr4_3ghz)
     ?obs ?(hot_row_threshold = 4096) () =
+  let counts = { total_activations = 0 } in
   {
     geometry;
     split = split_of geometry;
@@ -117,13 +124,13 @@ let create ?(geometry = Geometry.ddr4_4gb) ?(timing = Timing.ddr4_3ghz)
           Array.init (Geometry.total_banks geometry) (fun _ ->
               { open_row = -1; activations = Row_table.create () }));
     storage = Hashtbl.create 4096;
-    obs = Option.map (obs_of_sink ~hot_row_threshold) obs;
+    obs = Option.map (obs_of_sink ~hot_row_threshold counts) obs;
     epoch = 0;
     next_epoch_at = epoch_end timing 0;
     activate_listeners = [];
     refresh_listeners = [];
     epoch_listeners = [];
-    total_activations = 0;
+    counts;
     last_outcome = Timing.Hit;
     last_channel = 0;
     last_rank = 0;
@@ -189,7 +196,7 @@ let access_fast t ~now ~addr ~is_write =
   | Timing.Closed_row | Timing.Conflict ->
       b.open_row <- row;
       ignore (Row_table.incr b.activations row : int);
-      t.total_activations <- t.total_activations + 1;
+      t.counts.total_activations <- t.counts.total_activations + 1;
       (match t.activate_listeners with
       | [] -> ()
       | ls ->
@@ -211,7 +218,6 @@ let access_fast t ~now ~addr ~is_write =
       | Timing.Conflict -> Ptg_obs.Registry.incr o.o_row_conflicts
       | Timing.Closed_row -> Ptg_obs.Registry.incr o.o_row_closed);
       if outcome <> Timing.Hit then begin
-        Ptg_obs.Registry.incr o.o_activations;
         let count = Row_table.get b.activations row in
         (* Fire exactly once per refresh window, on the crossing access. *)
         if count = o.o_hot_row_threshold then
@@ -298,7 +304,7 @@ let flip_stored_bit t ~addr ~bit =
   in
   Ptg_pte.Line.flip_bit_in_place line bit
 
-let total_activations t = t.total_activations
+let total_activations t = t.counts.total_activations
 
 (* Address-sorted for the same reason as [lines_in_row]: rekey sweeps and
    checkpoint encoding must visit lines in an order independent of the
@@ -339,7 +345,7 @@ let state t =
     s_banks = Array.map (Array.map snap_bank) t.banks;
     s_storage = sorted_storage t;
     s_epoch = t.epoch;
-    s_total_activations = t.total_activations;
+    s_total_activations = t.counts.total_activations;
     s_last_outcome = t.last_outcome;
     s_last_channel = t.last_channel;
     s_last_rank = t.last_rank;
@@ -397,7 +403,7 @@ let set_state t s =
     s.s_storage;
   t.epoch <- s.s_epoch;
   t.next_epoch_at <- epoch_end t.timing s.s_epoch;
-  t.total_activations <- s.s_total_activations;
+  t.counts.total_activations <- s.s_total_activations;
   t.last_outcome <- s.s_last_outcome;
   t.last_channel <- s.s_last_channel;
   t.last_rank <- s.s_last_rank;

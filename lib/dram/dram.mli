@@ -28,8 +28,9 @@ val create :
     otherwise raises [Invalid_argument] naming the first offending field,
     e.g. ["Dram.create: geometry columns = 100 is not a power of two"].
     With [obs], the
-    device counts activations, row-buffer outcomes and refresh epochs
-    ([dram_*]) and records a [Row_activation] trace event the first time a
+    device exports its own activation count ([dram_activations]), counts
+    row-buffer outcomes and refresh epochs in the registry ([dram_row_*],
+    [dram_refresh_epochs]) and records a [Row_activation] trace event the first time a
     row's per-window activation count reaches [hot_row_threshold]
     (default 4096, roughly half a DDR4 Rowhammer threshold). *)
 

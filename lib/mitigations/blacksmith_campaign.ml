@@ -17,6 +17,8 @@ let try_pattern ~slots ~rth ~rng ~victim pattern =
       p_flip = 0.02 }
   in
   let fault = Fault_model.attach ~config ~rng dram in
+  let victim_flips = ref 0 in
+  Fault_model.on_flip fault (fun f -> if f.Fault_model.row = victim then incr victim_flips);
   let _trr = Registry.instantiate_exn "trr" (Registry.ctx dram) in
   let geometry = Ptg_dram.Dram.geometry dram in
   let c = Ptg_dram.Geometry.decode geometry 0L in
@@ -26,8 +28,7 @@ let try_pattern ~slots ~rth ~rng ~victim pattern =
   ignore
     (Blacksmith.run dram ~channel:c.Ptg_dram.Geometry.channel
        ~bank:c.Ptg_dram.Geometry.bank pattern ~slots ~start_time:0);
-  List.length
-    (List.filter (fun f -> f.Fault_model.row = victim) (Fault_model.flips fault))
+  !victim_flips
 
 let campaign ?(tries = 40) ?(slots = 600_000) ?(rth = 10_000) ~rng ~victim () =
   let effective = ref 0 and total = ref 0 and best_flips = ref 0 in

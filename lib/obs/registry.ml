@@ -1,4 +1,11 @@
-type counter = { c_key : string; mutable c : int }
+(* A counter's value is its own count plus what its sources read now,
+   less [base]: the sources' total at the last [reset]. *)
+type counter = {
+  c_key : string;
+  mutable c : int;
+  mutable sources : (unit -> int) list;
+  mutable base : int;
+}
 type gauge = { g_key : string; mutable g : float }
 
 type histogram = {
@@ -14,11 +21,10 @@ type metric = Counter of counter | Gauge of gauge | Histogram of histogram
 
 type t = {
   metrics : (string, metric) Hashtbl.t;
-  mutable order : string list; (* registration order, for reset only *)
   mutable absorbed : (string * float) list; (* sorted, merged child rows *)
 }
 
-let create () = { metrics = Hashtbl.create 64; order = []; absorbed = [] }
+let create () = { metrics = Hashtbl.create 64; absorbed = [] }
 
 let render_labels = function
   | [] -> ""
@@ -34,9 +40,7 @@ let render_labels = function
 let check_name name =
   if name = "" then invalid_arg "Registry: empty metric name"
 
-let register t key m =
-  Hashtbl.replace t.metrics key m;
-  t.order <- key :: t.order
+let register t key m = Hashtbl.replace t.metrics key m
 
 let counter t ?(labels = []) name =
   check_name name;
@@ -45,9 +49,13 @@ let counter t ?(labels = []) name =
   | Some (Counter c) -> c
   | Some _ -> invalid_arg ("Registry.counter: " ^ key ^ " is not a counter")
   | None ->
-      let c = { c_key = key; c = 0 } in
+      let c = { c_key = key; c = 0; sources = []; base = 0 } in
       register t key (Counter c);
       c
+
+let source t ?labels name read =
+  let c = counter t ?labels name in
+  c.sources <- read :: c.sources
 
 let incr c = c.c <- c.c + 1
 
@@ -55,7 +63,8 @@ let add c n =
   if n < 0 then invalid_arg "Registry.add: counters are monotonic";
   c.c <- c.c + n
 
-let counter_value c = c.c
+let read_sources c = List.fold_left (fun acc read -> acc + read ()) 0 c.sources
+let counter_value c = c.c + read_sources c - c.base
 
 let gauge t ?(labels = []) name =
   check_name name;
@@ -119,7 +128,7 @@ let fmt_bound b =
   if Float.is_integer b then Printf.sprintf "%.0f" b else Printf.sprintf "%g" b
 
 let flatten = function
-  | Counter c -> [ (c.c_key, float_of_int c.c) ]
+  | Counter c -> [ (c.c_key, float_of_int (counter_value c)) ]
   | Gauge g -> [ (g.g_key, g.g) ]
   | Histogram h ->
       let tagged suffix = h.h_name ^ suffix ^ h.h_labels in
@@ -162,7 +171,9 @@ let reset t =
   Hashtbl.iter
     (fun _ m ->
       match m with
-      | Counter c -> c.c <- 0
+      | Counter c ->
+          c.c <- 0;
+          c.base <- read_sources c
       | Gauge g -> g.g <- 0.0
       | Histogram h ->
           Array.fill h.counts 0 (Array.length h.counts) 0;

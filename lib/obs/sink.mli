@@ -3,7 +3,9 @@
 
     Disabled-by-default contract: a subsystem built without a sink keeps
     exactly its pre-observability behaviour — no RNG draws, no timing
-    changes, and per-operation cost of a single [option] branch.
+    changes, and per-operation cost of at most one [option] branch (none
+    for an event the subsystem counts in a field of its own, which the
+    registry reads as a {!Registry.source}).
 
     For [Ptg_util.Pool.parallel_map] fan-outs, each task builds its own
     {!child} sink and the parent reduces them with {!merge_into} in task

@@ -34,7 +34,6 @@ type t = {
   rows_per_bank : int;
   rth : float;
   disturbance : Ptg_dram.Row_table.t array;
-  mutable flips : flip list;
   mutable flip_count : int;
   mutable flip_listeners : (flip -> unit) list;
 }
@@ -47,13 +46,7 @@ let cell_of_float d = Int64.to_int (Int64.bits_of_float d)
 let float_of_cell c = Int64.float_of_bits (Int64.logand (Int64.of_int c) Int64.max_int)
 
 let config t = t.config
-let flips t = t.flips
 let flip_count t = t.flip_count
-
-let clear_flips t =
-  t.flips <- [];
-  t.flip_count <- 0
-
 let on_flip t f = t.flip_listeners <- f :: t.flip_listeners
 
 let on_device t ~channel ~bank ~row =
@@ -93,10 +86,12 @@ let inject_flips t ~channel ~bank ~row =
         let current = Ptg_pte.Line.get_bit line !bit in
         if orientation_allows t ~row ~current_bit:current then begin
           Ptg_dram.Dram.flip_stored_bit t.dram ~addr ~bit:!bit;
-          let f = { addr; bit = !bit; row; bank; channel } in
-          t.flips <- f :: t.flips;
           t.flip_count <- t.flip_count + 1;
-          List.iter (fun g -> g f) t.flip_listeners
+          match t.flip_listeners with
+          | [] -> ()
+          | ls ->
+              let f = { addr; bit = !bit; row; bank; channel } in
+              List.iter (fun g -> g f) ls
         end;
         bit := !bit + 1 + Ptg_util.Rng.geometric t.rng t.config.p_flip
       done)
@@ -141,7 +136,6 @@ let handle_refresh t ~channel ~bank ~row =
 type state = {
   s_rng : int64 array;
   s_disturbance : ((int * int * int) * float) list; (* key-sorted *)
-  s_flips : flip list;
   s_flip_count : int;
 }
 
@@ -160,7 +154,6 @@ let state t =
   {
     s_rng = Ptg_util.Rng.state t.rng;
     s_disturbance = !entries;
-    s_flips = t.flips;
     s_flip_count = t.flip_count;
   }
 
@@ -185,7 +178,6 @@ let set_state t s =
     s.s_disturbance;
   Ptg_util.Rng.set_state t.rng s.s_rng;
   Array.blit tables 0 t.disturbance 0 (Array.length tables);
-  t.flips <- s.s_flips;
   t.flip_count <- s.s_flip_count
 
 let attach ?(config = ddr4) ~rng dram =
@@ -202,7 +194,6 @@ let attach ?(config = ddr4) ~rng dram =
       rows_per_bank = g.Ptg_dram.Geometry.rows_per_bank;
       rth = float_of_int config.rth;
       disturbance = Array.init (channels * banks) (fun _ -> Ptg_dram.Row_table.create ());
-      flips = [];
       flip_count = 0;
       flip_listeners = [];
     }

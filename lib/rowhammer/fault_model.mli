@@ -47,30 +47,30 @@ val attach : ?config:config -> rng:Ptg_util.Rng.t -> Ptg_dram.Dram.t -> t
     refresh events. Default config: {!ddr4}. *)
 
 val config : t -> config
-val flips : t -> flip list
-(** All flips injected so far, most recent first. *)
 
 val flip_count : t -> int
-val clear_flips : t -> unit
+(** Flips injected since the model was attached. *)
 
 val on_flip : t -> (flip -> unit) -> unit
+(** Call [f] on every flip from now on. The model keeps no journal of
+    its flips: a caller that needs them, or a subset, collects them
+    here. *)
 
 (** {2 Checkpointable state}
 
     The model's own RNG stream, the accumulated per-row disturbance, and
-    the flip journal. Listeners and the DRAM subscription are structural
+    the flip count. Listeners and the DRAM subscription are structural
     and survive in the re-created model. *)
 
 type state = {
   s_rng : int64 array;
   s_disturbance : ((int * int * int) * float) list;
-  s_flips : flip list;
   s_flip_count : int;
 }
 
 val state : t -> state
 val set_state : t -> state -> unit
-(** Replace the model's RNG stream, disturbance and flip journal.
+(** Replace the model's RNG stream, disturbance and flip count.
     [s_disturbance] may list its keys in any order. Raises
     [Invalid_argument] naming the [(channel, bank, row)] key, before
     changing anything, when a key lies outside the device's geometry,

@@ -106,6 +106,10 @@ let run_scenario ~seed ~iterations scenario =
     Ptg_rowhammer.Fault_model.attach ~config:scenario.fault_config
       ~rng:(Rng.split rng) dram
   in
+  (* Flips that land in the victim row. *)
+  let bit_flips = ref 0 in
+  Ptg_rowhammer.Fault_model.on_flip fault (fun f ->
+      if f.Ptg_rowhammer.Fault_model.row = victim_row && f.bank = bank then incr bit_flips);
   let pt_row ~channel:c ~bank:b ~row = c = channel && b = bank && row = victim_row in
   let mitigation =
     let module R = Ptg_mitigations.Registry in
@@ -131,16 +135,7 @@ let run_scenario ~seed ~iterations scenario =
   ignore
     (Ptg_rowhammer.Attack.run dram ~channel ~bank pattern ~iterations ~start_time:0);
   let activations = Ptg_dram.Dram.total_activations dram - start_acts in
-  (* Count flips that landed in the victim row and replay page-table walks
-     over the planted lines. *)
-  let bit_flips =
-    List.length
-      (List.filter
-         (fun f ->
-           f.Ptg_rowhammer.Fault_model.row = victim_row
-           && f.Ptg_rowhammer.Fault_model.bank = bank)
-         (Ptg_rowhammer.Fault_model.flips fault))
-  in
+  (* Replay page-table walks over the planted lines. *)
   let mask = Ptg_pte.Protection.masked_for_mac Ptg_pte.Protection.default in
   let tampered = ref 0 and detected = ref 0 and corrected = ref 0 and escapes = ref 0 in
   List.iter
@@ -170,7 +165,7 @@ let run_scenario ~seed ~iterations scenario =
     mitigation_refreshes =
       Option.fold ~none:0 ~some:Ptg_mitigations.Registry.refreshes_issued
         mitigation;
-    bit_flips;
+    bit_flips = !bit_flips;
     pte_lines_tampered = !tampered;
     detected = !detected;
     corrected = !corrected;

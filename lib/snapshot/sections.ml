@@ -200,14 +200,6 @@ let put_fault b (s : Ptg_rowhammer.Fault_model.state) =
       put_int b row;
       put_float b d)
     s.s_disturbance;
-  put_list b
-    (fun b (f : Ptg_rowhammer.Fault_model.flip) ->
-      put_i64 b f.Ptg_rowhammer.Fault_model.addr;
-      put_int b f.bit;
-      put_int b f.row;
-      put_int b f.bank;
-      put_int b f.channel)
-    s.s_flips;
   put_int b s.s_flip_count
 
 let get_fault r : Ptg_rowhammer.Fault_model.state =
@@ -220,17 +212,8 @@ let get_fault r : Ptg_rowhammer.Fault_model.state =
         let d = get_float r in
         ((channel, bank, row), d))
   in
-  let s_flips =
-    get_list r (fun r ->
-        let addr = get_i64 r in
-        let bit = get_int r in
-        let row = get_int r in
-        let bank = get_int r in
-        let channel = get_int r in
-        { Ptg_rowhammer.Fault_model.addr; bit; row; bank; channel })
-  in
   let s_flip_count = get_int r in
-  { s_rng; s_disturbance; s_flips; s_flip_count }
+  { s_rng; s_disturbance; s_flip_count }
 
 let put_frame_allocator b (s : Ptg_vm.Frame_allocator.state) =
   put_i64 b s.Ptg_vm.Frame_allocator.s_cursor;

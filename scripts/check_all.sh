@@ -77,7 +77,11 @@
 #      experiments section; and one count per
 #      serving event: no obs_incr or Option.iter Registry.incr in
 #      lib/server (each event bumps one Registry.counter, which stats
-#      reads); and one 64-bit hex formatter: %016Lx in lib/ only in
+#      reads); and one count per simulation event: in lib/cpu/,
+#      lib/core/engine.ml and lib/dram/dram.ml no registry counter
+#      handle (o_NAME) mirrors an int field of the same layer, and every
+#      Registry.incr/add there goes through such a handle (a layer's
+#      own count is exported with Registry.source); and one 64-bit hex formatter: %016Lx in lib/ only in
 #      lib/util/bits.ml (Bits.to_hex); and one timing hierarchy: no
 #      Cache.access_fast, Cache.writeback_pending or Tlb.fill in
 #      lib/cpu/ outside core.ml (Multicore runs Core.t values over a
@@ -320,6 +324,32 @@ if grep -rnE --include='*.ml' 'obs_incr|Option\.iter Registry\.incr' lib/server;
     exit 1
 fi
 echo "OK: every serving event is counted once, in the registry stats reads"
+
+echo "== one count per simulation event =="
+# A layer that counts an event in a field of its own exports that field
+# with Registry.source. A registry counter handle (o_NAME) in these files
+# may only count what no int field there counts (no field NAME or
+# *_NAME), and every Registry.incr/add goes through such a handle.
+sites=""
+for f in lib/cpu/*.ml lib/core/engine.ml lib/dram/dram.ml; do
+    fields=$(grep -oE 'mutable [a-z0-9_]+ : int\b' "$f" | awk '{ print $2 }' | sort -u)
+    for h in $(grep -oE '\bo_[a-z0-9_]+' "$f" | sed 's/^o_//' | sort -u); do
+        if printf '%s\n' "$fields" | grep -qE "^([a-z0-9_]+_)?$h\$"; then
+            sites="$sites
+$f: o_$h mirrors a field"
+        fi
+    done
+    bare=$(grep -nE 'Registry\.(incr|add)\b' "$f" | grep -vE '\bo_[a-z0-9_]+' || true)
+    if [ -n "$bare" ]; then
+        sites="$sites
+$(printf '%s\n' "$bare" | sed "s|^|$f:|")"
+    fi
+done
+if [ -n "$sites" ]; then
+    echo "FAIL: a simulation event is counted twice; export the layer's own field with Registry.source instead of bumping a registry counter beside it:$sites" >&2
+    exit 1
+fi
+echo "OK: every simulation event in lib/cpu, the engine and the DRAM device is counted once"
 
 echo "== one 64-bit hex formatter =="
 sites=$(grep -rnF --include='*.ml' '%016Lx' lib | grep -v '^lib/util/bits\.ml:' || true)

@@ -126,6 +126,27 @@ let test_exports () =
   Alcotest.(check string)
     "json escaping" {|a\"b\\c|} (Ptg_util.Json.escape {|a"b\c|})
 
+let test_sources () =
+  let reg = Registry.create () in
+  let a = ref 3 and b = ref 4 in
+  Registry.source reg "events" (fun () -> !a);
+  (* Several owners under one key sum, with the key's own increments. *)
+  Registry.source reg "events" (fun () -> !b);
+  let c = Registry.counter reg "events" in
+  Registry.incr c;
+  Alcotest.(check int) "sum of sources and own count" 8 (Registry.counter_value c);
+  a := 10;
+  Alcotest.(check (float 0.0)) "read at snapshot" 15.0
+    (find_exn (Registry.snapshot reg) "events");
+  (* Reset rebases: the counter reads 0, then only what its owners add. *)
+  Registry.reset reg;
+  Alcotest.(check int) "rebased" 0 (Registry.counter_value c);
+  b := 6;
+  Alcotest.(check int) "counts after reset" 2 (Registry.counter_value c);
+  Alcotest.check_raises "sources are counters"
+    (Invalid_argument "Registry.gauge: events is not a gauge") (fun () ->
+      ignore (Registry.gauge reg "events"))
+
 let suite =
   [
     Alcotest.test_case "counter basics" `Quick test_counter_basics;
@@ -135,5 +156,6 @@ let suite =
     Alcotest.test_case "histogram" `Quick test_histogram;
     Alcotest.test_case "snapshot algebra" `Quick test_snapshot_algebra;
     Alcotest.test_case "reset and absorb" `Quick test_reset_and_absorb;
+    Alcotest.test_case "sources" `Quick test_sources;
     Alcotest.test_case "exports" `Quick test_exports;
   ]

@@ -47,11 +47,11 @@ let check_digests what expected actual =
 
 let fullsys_expected =
   [
-    ("2000.ptgs", "0775a4944bc58f2f");
-    ("4000.ptgs", "fc29a0b1fcf454e6");
-    ("6000.ptgs", "be71bee066274f19");
-    ("8000.ptgs", "8382d061a7e13010");
-    ("10000.ptgs", "cf26edcd3a5d7e75");
+    ("2000.ptgs", "4097e4a5b142bdc0");
+    ("4000.ptgs", "cc8fb4e389e35254");
+    ("6000.ptgs", "cb56e398ca2a0356");
+    ("8000.ptgs", "a838ff8756dce287");
+    ("10000.ptgs", "3422aac9b94b4301");
   ]
 
 let test_fullsys_store () =

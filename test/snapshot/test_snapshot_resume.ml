@@ -200,6 +200,46 @@ let test_bad_disturbance_refused () =
             (Lazy.force uninterrupted) o.Checkpoint.f_result)
         [ Float.nan; Float.infinity; -1.0 ])
 
+(* A store written before the fault model dropped its flip journal
+   carries, in its fault section, the flips as a list ahead of the
+   count. Such a file is skipped as damaged, never fatal: the run
+   computes cold and gets the uninterrupted result. *)
+let test_journal_store_skipped () =
+  with_dir (fun dir ->
+      ignore (Checkpoint.run_fullsys ~every:instrs ~dir ~seed ~instrs ());
+      let key = Checkpoint.fullsys_key ~seed () in
+      let path = Sweep.path ~dir ~key instrs in
+      let sections = Snapshot.load ~path in
+      let fault =
+        Ptg_snapshot.Sections.get_fault (Snapshot.reader ~what:path sections "fault")
+      in
+      let w = Codec.writer () in
+      Ptg_snapshot.Sections.put_words w fault.Ptg_rowhammer.Fault_model.s_rng;
+      Codec.put_list w
+        (fun w ((c, b, r), d) ->
+          Codec.put_int w c;
+          Codec.put_int w b;
+          Codec.put_int w r;
+          Codec.put_float w d)
+        fault.s_disturbance;
+      Codec.put_list w
+        (fun w bit ->
+          Codec.put_i64 w 0L;
+          List.iter (Codec.put_int w) [ bit; 0; 0; 0 ])
+        (List.init fault.s_flip_count (fun i -> i mod 512));
+      Codec.put_int w fault.s_flip_count;
+      Snapshot.save ~path
+        (List.map
+           (fun (sec : Snapshot.section) ->
+             if sec.Snapshot.name = "fault" then
+               Snapshot.section ~name:"fault" (Codec.contents w)
+             else sec)
+           sections);
+      let o = Checkpoint.run_fullsys ~every:instrs ~dir ~seed ~instrs () in
+      Alcotest.(check (option int)) "not adopted" None o.Checkpoint.f_resumed_from;
+      Alcotest.check check_result "cold result" (Lazy.force uninterrupted)
+        o.Checkpoint.f_result)
+
 (* Stored snapshot bytes are themselves deterministic: two cold runs of
    the same machine leave byte-identical stores. Only the deepest
    [default_keep] prefixes survive pruning. *)
@@ -955,6 +995,8 @@ let suite =
       test_restore_rejects_wrong_key;
     Alcotest.test_case "fullsys: bad disturbance refused" `Quick
       test_bad_disturbance_refused;
+    Alcotest.test_case "fullsys: flip-journal store skipped" `Quick
+      test_journal_store_skipped;
     Alcotest.test_case "fullsys: store bytes deterministic" `Quick
       test_store_bytes_deterministic;
     Alcotest.test_case "fullsys: store pruned to deepest" `Quick

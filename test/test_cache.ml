@@ -67,14 +67,19 @@ let test_invalidate () =
   Alcotest.(check bool) "gone" false (Cache.probe c ~addr:0L)
 
 let test_stats () =
-  let c = Cache.create tiny in
+  let sink = Ptg_obs.Sink.create () in
+  let c = Cache.create ~obs:sink ~name:"l1" tiny in
   ignore (access c ~addr:0L ~is_write:false);
   ignore (access c ~addr:0L ~is_write:false);
   Alcotest.(check int) "accesses" 2 (Cache.accesses c);
   Alcotest.(check int) "misses" 1 (Cache.misses c);
   Alcotest.(check (float 1e-9)) "miss rate" 0.5 (Cache.miss_rate c);
-  Cache.reset_stats c;
-  Alcotest.(check int) "reset" 0 (Cache.accesses c)
+  (* The registry reads the cache's own counts. *)
+  let exported name =
+    Ptg_obs.Registry.find (Ptg_obs.Sink.metrics sink) (Printf.sprintf {|cache_%s{cache="l1"}|} name)
+  in
+  Alcotest.(check (option (float 0.0))) "exported accesses" (Some 2.0) (exported "accesses");
+  Alcotest.(check (option (float 0.0))) "exported misses" (Some 1.0) (exported "misses")
 
 let test_presets_sizes () =
   (* Table III *)
@@ -147,8 +152,7 @@ let test_tlb () =
   Tlb.flush t;
   Alcotest.(check bool) "flush clears" false (Tlb.lookup t ~vpn:1L);
   Alcotest.(check bool) "miss rate sensible" true (Tlb.miss_rate t > 0.0);
-  Tlb.reset_stats t;
-  Alcotest.(check int) "stats reset" 0 (Tlb.misses t)
+  Alcotest.(check (pair int int)) "hits, misses" (3, 3) (Tlb.hits t, Tlb.misses t)
 
 let test_tlb_fill_idempotent () =
   let t = Tlb.create ~entries:4 () in

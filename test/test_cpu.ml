@@ -7,6 +7,16 @@ let test_guard_unprotected () =
   Alcotest.(check int) "no penalty" 0 (Guard_timing.read_penalty g ~is_pte:true);
   Alcotest.(check int) "no computations" 0 (Guard_timing.mac_computations g)
 
+(* Every unprotected machine, on every domain, shares the one global
+   guard, so nothing may write it: after a two-domain Figure 6 sweep its
+   counts are still 0. *)
+let test_guard_unprotected_untouched () =
+  let workloads = List.filter_map Ptg_workloads.Workload.by_name [ "mcf"; "bc" ] in
+  ignore (Ptg_sim.Fig6.run ~jobs:2 ~instrs:6_000 ~warmup:2_000 ~workloads ());
+  let g = Guard_timing.unprotected in
+  Alcotest.(check (pair int int)) "reads, MAC computations" (0, 0)
+    (Guard_timing.reads_observed g, Guard_timing.mac_computations g)
+
 let test_guard_baseline_charges_all () =
   let g =
     Guard_timing.of_config Ptguard.Config.baseline ~rng:(Ptg_util.Rng.create 1L)
@@ -407,6 +417,8 @@ let suite =
   [
     Alcotest.test_case "core: create allocation" `Quick test_core_create_allocation;
     Alcotest.test_case "guard: unprotected" `Quick test_guard_unprotected;
+    Alcotest.test_case "guard: global untouched by a -j 2 sweep" `Quick
+      test_guard_unprotected_untouched;
     Alcotest.test_case "guard: baseline charges all" `Quick test_guard_baseline_charges_all;
     Alcotest.test_case "guard: optimized" `Quick test_guard_optimized;
     Alcotest.test_case "guard: latency config" `Quick test_guard_latency_config;

@@ -51,5 +51,6 @@ let () =
       ("mem_trace", Test_mem_trace.suite);
       ("fullsys", Test_fullsys.suite);
       ("obs.integration", Test_obs_integration.suite);
+      ("obs.golden", Test_obs_golden.suite);
       ("cli", Test_cli.suite);
     ]
