@@ -530,6 +530,53 @@ let p99 (r : Ptg_server.Client.report) =
 (* stack over a real loopback socket; only the scenario is small.      *)
 (* ------------------------------------------------------------------ *)
 
+(* One cache hit's codec work, in process: the client encodes the run
+   frame, the server decodes it and hashes the scenario, encodes the hit
+   reply, and the client decodes that. The frames are serve-mix's: one-
+   workload reduced Figure 6 rows, whose replies carry the rendered row.
+   Each hit is timed on its own, and a round's figure is the median of
+   its hits. Other tenants of a shared host slow this code by up to 1.7x
+   in spells of seconds, so the figure is the quietest of a few rounds:
+   the codec's own cost, not the host's. *)
+let hit_codec_samples = 20_480
+let hit_codec_rounds = 5
+
+let hit_codec_us () =
+  let module P = Ptg_server.Protocol in
+  let workloads = Ptg_workloads.Workload.names in
+  let scenarios =
+    Array.init 128 (fun i ->
+        Ptg_sim.Scenario.make ~seed:(Int64.of_int (42_000 + i)) ~reduced:true
+          ~workloads:[ List.nth workloads (i mod List.length workloads) ]
+          ~instrs:2000 ~warmup:500 Ptg_sim.Scenario.Fig6)
+  in
+  let results =
+    Array.init (List.length workloads) (fun i -> Ptg_sim.Scenario.run_to_string scenarios.(i))
+  in
+  let hit i =
+    let sc = scenarios.(i land 127) in
+    match P.decode_request (P.encode_request ~id:"r" (P.Run sc)) with
+    | Ok ({ P.id; v }, P.Run s) -> (
+        let hash = Ptg_util.Bits.to_hex (Ptg_sim.Scenario.hash64 s) in
+        let result = results.((i land 127) mod Array.length results) in
+        match P.decode_response (P.encode_response ?id ~v (P.Result { cache = P.Hit; hash; result })) with
+        | Ok (_, P.Result r) when String.equal r.result result -> ()
+        | _ -> failwith "serve bench: hit reply did not decode")
+    | _ -> failwith "serve bench: run frame did not decode"
+  in
+  for i = 0 to 1023 do hit i done;
+  let round () =
+    let samples =
+      Array.init hit_codec_samples (fun i ->
+          let t0 = Ptg_util.Clock.now_ns () in
+          hit i;
+          Ptg_util.Clock.elapsed_us t0)
+    in
+    Array.sort compare samples;
+    samples.(hit_codec_samples / 2)
+  in
+  List.fold_left Float.min infinity (List.init hit_codec_rounds (fun _ -> round ()))
+
 let run_serve () =
   section "Serving: cold vs cache-hot requests/sec (ptg_server over TCP)";
   let scenario =
@@ -543,6 +590,8 @@ let run_serve () =
       Ptg_server.Server.workers = jobs;
     }
   in
+  (* Before the server starts: its threads would share the runtime. *)
+  let codec_us = hit_codec_us () in
   let server = Ptg_server.Server.start config in
   Fun.protect
     ~finally:(fun () -> Ptg_server.Server.stop server)
@@ -571,11 +620,13 @@ let run_serve () =
         "  cold:   %8.2f req/s (one computed request: %.3f s)\n\
         \  hot:    %8.2f req/s (%d requests, %d clients, p99 %s)\n\
         \  ratio:  %8.0fx\n\
-        \  hits %d / misses %d / shed %d / errors %d\n"
+        \  hits %d / misses %d / shed %d / errors %d\n\
+        \  codec:  %8.2f us per hit (quietest of %d medians of %d, in process)\n"
         cold_rps cold_s hot_rps report.Ptg_server.Client.ok
         report.Ptg_server.Client.clients (p99 report) (hot_rps /. cold_rps)
         report.Ptg_server.Client.hits report.Ptg_server.Client.misses
-        report.Ptg_server.Client.overloaded report.Ptg_server.Client.errors;
+        report.Ptg_server.Client.overloaded report.Ptg_server.Client.errors codec_us
+        hit_codec_rounds hit_codec_samples;
       write_json "serve"
         [
           ("cold_s", Float (3, cold_s));
@@ -587,6 +638,7 @@ let run_serve () =
           ("misses", Int report.Ptg_server.Client.misses);
           ("shed", Int report.Ptg_server.Client.overloaded);
           ("errors", Int report.Ptg_server.Client.errors);
+          ("hit_codec_us", Float (2, codec_us));
         ])
 
 (* ------------------------------------------------------------------ *)

@@ -1,6 +1,13 @@
 module Clock = Ptg_util.Clock
 
-type t = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
+(* [timeout_s] is the socket timeout last applied, so a request with the
+   same timeout as the one before costs no [setsockopt]. *)
+type t = {
+  fd : Unix.file_descr;
+  ic : in_channel;
+  oc : out_channel;
+  mutable timeout_s : float option;
+}
 
 let connect ?timeout_s addr =
   let domain, sockaddr = Listener.sockaddr addr in
@@ -29,7 +36,12 @@ let connect ?timeout_s addr =
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
-  { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
+  {
+    fd;
+    ic = Unix.in_channel_of_descr fd;
+    oc = Unix.out_channel_of_descr fd;
+    timeout_s = None;
+  }
 
 let close t =
   (* Both channels share one descriptor; closing the output channel
@@ -38,10 +50,11 @@ let close t =
 
 let set_timeouts t timeout_s =
   match timeout_s with
-  | Some v when v > 0. -> (
+  | Some v when v > 0. && not (Option.equal Float.equal t.timeout_s timeout_s) -> (
       try
         Unix.setsockopt_float t.fd Unix.SO_RCVTIMEO v;
-        Unix.setsockopt_float t.fd Unix.SO_SNDTIMEO v
+        Unix.setsockopt_float t.fd Unix.SO_SNDTIMEO v;
+        t.timeout_s <- timeout_s
       with Unix.Unix_error _ | Invalid_argument _ -> ())
   | _ -> ()
 

@@ -92,7 +92,9 @@ let frame_id json =
 
 let frame_version json =
   match Json.member "v" json with
-  | Some (Json.Int v) when supported (Int64.to_int v) -> Ok (Int64.to_int v)
+  (* Compared as an [int64]: [Int64.to_int] wraps, and would read
+     -9223372036854775807 as 1. *)
+  | Some (Json.Int v) when Int64.equal v 1L || Int64.equal v 2L -> Ok (Int64.to_int v)
   | Some (Json.Int v) ->
       Error
         (Printf.sprintf "unsupported protocol version %Ld (want 1..%d)" v

@@ -227,7 +227,10 @@ type wait_outcome =
    do not expire: the waiter arms [p_yield] (the worker checkpoints and
    the scheduler requeues the remainder) and grants itself one more
    deadline window per slice. Once the pending entry has consumed
-   [config.slices] requeues the next expiry is final. *)
+   [config.slices] requeues the next expiry is final.
+
+   No progress frame says [done = total]: that says only "finished",
+   and the terminal frame that follows says it. *)
 let await_locked t p w ~deadline ~sliceable ~on_progress =
   let deadline = ref deadline in
   let last = ref (0, 0) in
@@ -235,7 +238,7 @@ let await_locked t p w ~deadline ~sliceable ~on_progress =
     let fresh_progress =
       match on_progress with
       | Some _
-        when p.outcome = None && p.p_total > 0 && (p.p_done, p.p_total) <> !last
+        when p.outcome = None && p.p_done < p.p_total && (p.p_done, p.p_total) <> !last
         ->
           Some (p.p_done, p.p_total)
       | _ -> None

@@ -309,12 +309,32 @@ let fields t =
 
 let to_json t = Json.Obj (fields t)
 
-let wire_fields =
-  [
-    "kind"; "seed"; "seeds"; "reduced"; "design"; "mac_latency"; "workloads";
-    "instrs"; "warmup"; "processes"; "lines"; "mixes"; "iterations"; "trials";
-    "guarded"; "attack"; "trace"; "mitigation"; "params"; "jobs";
-  ]
+(* The wire form's field names, each with its slot in the array the
+   decoder reads a scenario's fields into; -1 for any other name. *)
+let wire_slot = function
+  | "kind" -> 0
+  | "seed" -> 1
+  | "seeds" -> 2
+  | "reduced" -> 3
+  | "design" -> 4
+  | "mac_latency" -> 5
+  | "workloads" -> 6
+  | "instrs" -> 7
+  | "warmup" -> 8
+  | "processes" -> 9
+  | "lines" -> 10
+  | "mixes" -> 11
+  | "iterations" -> 12
+  | "trials" -> 13
+  | "guarded" -> 14
+  | "attack" -> 15
+  | "trace" -> 16
+  | "mitigation" -> 17
+  | "params" -> 18
+  | "jobs" -> 19
+  | _ -> -1
+
+let wire_field_count = 20
 
 let ( let* ) = Result.bind
 
@@ -330,103 +350,114 @@ let as_string what = function
   | Json.String s -> Ok s
   | _ -> Error (Printf.sprintf "%s must be a string" what)
 
-let opt_field json key conv =
-  match Json.member key json with
-  | None -> Ok None
-  | Some v ->
-      let* x = conv key v in
-      Ok (Some x)
+(* The decoder reads in direct style and leaves by [Reject] at the
+   first error: a [let*] chain would allocate a continuation closure
+   for every field. *)
+exception Reject of string
 
-(* [f] over [items], or the error of the first item it rejects. *)
-let map_result f items =
-  List.fold_right
-    (fun x acc ->
-      let* y = f x in
-      let* ys = acc in
-      Ok (y :: ys))
-    items (Ok [])
+let ok_or_reject = function Ok x -> x | Error e -> raise (Reject e)
+
+(* One pass over an object's fields: each known field's first value
+   lands in its slot, and the first unknown field is rejected. *)
+let read_fields fields =
+  let slots = Array.make wire_field_count None in
+  List.iter
+    (fun (key, v) ->
+      let i = wire_slot key in
+      if i < 0 then raise (Reject (Printf.sprintf "unknown scenario field \"%s\"" key));
+      if Option.is_none slots.(i) then slots.(i) <- Some v)
+    fields;
+  slots
 
 let of_json json =
   match json with
-  | Json.Obj _ ->
-      let* () =
-        match List.find_opt (fun k -> not (List.mem k wire_fields)) (Json.keys json) with
-        | Some key -> Error (Printf.sprintf "unknown scenario field \"%s\"" key)
-        | None -> Ok ()
-      in
-      let* kind =
-        match Json.member "kind" json with
-        | None -> Error "scenario is missing \"kind\""
-        | Some v ->
-            let* name = as_string "kind" v in
-            Option.to_result (kind_of_name name)
-              ~none:
-                (Printf.sprintf "unknown kind \"%s\" (one of: %s)" name
-                   (String.concat ", " kind_names))
-      in
-      let* seed = opt_field json "seed" as_int64 in
-      let* seeds = opt_field json "seeds" Json.as_int in
-      let* reduced = opt_field json "reduced" as_bool in
-      let* design =
-        opt_field json "design" (fun what v ->
-            let* name = as_string what v in
-            Option.to_result (design_of_wire_name name)
-              ~none:(Printf.sprintf "unknown design \"%s\" (baseline or optimized)" name))
-      in
-      let* mac_latency = opt_field json "mac_latency" Json.as_int in
-      let* workloads =
-        opt_field json "workloads" (fun _ -> function
-          | Json.List items -> map_result (as_string "workloads element") items
-          | _ -> Error "workloads must be a list of strings")
-      in
-      let* instrs = opt_field json "instrs" Json.as_int in
-      let* warmup = opt_field json "warmup" Json.as_int in
-      let* processes = opt_field json "processes" Json.as_int in
-      let* lines = opt_field json "lines" Json.as_int in
-      let* mixes = opt_field json "mixes" Json.as_int in
-      let* iterations = opt_field json "iterations" Json.as_int in
-      let* trials = opt_field json "trials" Json.as_int in
-      let* guarded = opt_field json "guarded" as_bool in
-      let* attack = opt_field json "attack" as_bool in
-      (* [validate] sees only the values: a machine choice spelled out
-         for another kind is an error even when it is the default. *)
-      let* () =
-        match (kind, guarded, attack) with
-        | Fullsys, _, _ | _, None, None -> Ok ()
-        | _ -> Error (machine_choice_error kind)
-      in
-      let* jobs = opt_field json "jobs" Json.as_int in
-      let* trace = opt_field json "trace" as_string in
-      let* mitigation = opt_field json "mitigation" as_string in
-      (* JSON prints an integral float as an integer, so an integer for
-         a parameter the mitigation declares float is that float. *)
-      let declared key =
-        Option.bind mitigation (fun name ->
-            Option.bind (Registry.resolved_params name []) (List.assoc_opt key))
-      in
-      let param (key, v) =
-        match v with
-        | Json.Int _ -> (
-            let* i = Json.as_int ("params." ^ key) v in
-            match declared key with
-            | Some (Registry.Float _) -> Ok (key, Registry.Float (float_of_int i))
-            | _ -> Ok (key, Registry.Int i))
-        | Json.Float f -> Ok (key, Registry.Float f)
-        | Json.Bool b -> Ok (key, Registry.Bool b)
-        | _ -> Error (Printf.sprintf "params.%s must be a number or boolean" key)
-      in
-      let* mit_params =
-        opt_field json "params" (fun _ -> function
-          | Json.Obj fields -> map_result param fields
-          | _ -> Error "params must be an object")
-      in
-      let scenario =
-        make ?seed ?seeds ?reduced ?design ?mac_latency ?workloads ?instrs
-          ?warmup ?processes ?lines ?mixes ?iterations ?trials ?trace ?mitigation
-          ?mit_params ?guarded ?attack ?jobs kind
-      in
-      let* () = validate scenario in
-      Ok scenario
+  | Json.Obj fields -> (
+      try
+        let slots = read_fields fields in
+        (* Field [key] converted by [conv]; [None] when absent. *)
+        let field key conv =
+          match slots.(wire_slot key) with
+          | None -> None
+          | Some v -> Some (ok_or_reject (conv key v))
+        in
+        let kind =
+          match slots.(wire_slot "kind") with
+          | None -> raise (Reject "scenario is missing \"kind\"")
+          | Some v -> (
+              let name = ok_or_reject (as_string "kind" v) in
+              match kind_of_name name with
+              | Some kind -> kind
+              | None ->
+                  raise
+                    (Reject
+                       (Printf.sprintf "unknown kind \"%s\" (one of: %s)" name
+                          (String.concat ", " kind_names))))
+        in
+        let seed = field "seed" as_int64 in
+        let seeds = field "seeds" Json.as_int in
+        let reduced = field "reduced" as_bool in
+        let design =
+          field "design" (fun what v ->
+              let* name = as_string what v in
+              match design_of_wire_name name with
+              | Some design -> Ok design
+              | None ->
+                  Error (Printf.sprintf "unknown design \"%s\" (baseline or optimized)" name))
+        in
+        let mac_latency = field "mac_latency" Json.as_int in
+        let workloads =
+          field "workloads" (fun _ -> function
+            | Json.List items ->
+                Ok (List.map (fun w -> ok_or_reject (as_string "workloads element" w)) items)
+            | _ -> Error "workloads must be a list of strings")
+        in
+        let instrs = field "instrs" Json.as_int in
+        let warmup = field "warmup" Json.as_int in
+        let processes = field "processes" Json.as_int in
+        let lines = field "lines" Json.as_int in
+        let mixes = field "mixes" Json.as_int in
+        let iterations = field "iterations" Json.as_int in
+        let trials = field "trials" Json.as_int in
+        let guarded = field "guarded" as_bool in
+        let attack = field "attack" as_bool in
+        (* [validate] sees only the values: a machine choice spelled out
+           for another kind is an error even when it is the default. *)
+        (match (kind, guarded, attack) with
+        | Fullsys, _, _ | _, None, None -> ()
+        | _ -> raise (Reject (machine_choice_error kind)));
+        let jobs = field "jobs" Json.as_int in
+        let trace = field "trace" as_string in
+        let mitigation = field "mitigation" as_string in
+        (* JSON prints an integral float as an integer, so an integer for
+           a parameter the mitigation declares float is that float. *)
+        let declared key =
+          Option.bind mitigation (fun name ->
+              Option.bind (Registry.resolved_params name []) (List.assoc_opt key))
+        in
+        let param (key, v) =
+          match v with
+          | Json.Int _ -> (
+              let i = ok_or_reject (Json.as_int ("params." ^ key) v) in
+              match declared key with
+              | Some (Registry.Float _) -> (key, Registry.Float (float_of_int i))
+              | _ -> (key, Registry.Int i))
+          | Json.Float f -> (key, Registry.Float f)
+          | Json.Bool b -> (key, Registry.Bool b)
+          | _ -> raise (Reject (Printf.sprintf "params.%s must be a number or boolean" key))
+        in
+        let mit_params =
+          field "params" (fun _ -> function
+            | Json.Obj fields -> Ok (List.map param fields)
+            | _ -> Error "params must be an object")
+        in
+        let scenario =
+          make ?seed ?seeds ?reduced ?design ?mac_latency ?workloads ?instrs
+            ?warmup ?processes ?lines ?mixes ?iterations ?trials ?trace ?mitigation
+            ?mit_params ?guarded ?attack ?jobs kind
+        in
+        ok_or_reject (validate scenario);
+        Ok scenario
+      with Reject e -> Error e)
   | _ -> Error "scenario must be an object"
 
 (* FNV-1a, 64-bit ({!Ptg_snapshot.Codec.fnv1a64}): tiny, dependency-free,

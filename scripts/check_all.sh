@@ -100,7 +100,9 @@
 #      byte-identical at <= 10% tax, and finishing from a victim's
 #      deepest checkpoint must stay >= 2x faster than recomputing cold
 #   9. serving throughput gate (bench_gate serve): the cache-hot path
-#      serves at least 100x the cold-compute rate
+#      serves at least 100x the cold-compute rate, and one cache hit's
+#      wire codec work (both frames encoded and decoded, the scenario
+#      hashed) stays within 13 us
 #  10. sharded-scaling gate (bench_gate serve_sharded): 2 router shards
 #      must serve >= 1.6x one shard's throughput, with zero lost requests
 #

@@ -201,6 +201,16 @@ let test_v2_only_rejected_at_v1 () =
       {|{"v":1,"status":"cancelled"}|};
     ]
 
+(* A version is compared as the integer on the wire: one that wraps to
+   1 or 2 as an OCaml [int] is still unsupported. *)
+let test_wrapped_version_rejected () =
+  List.iter
+    (fun v ->
+      let e = decode_req_err (Printf.sprintf {|{"v":%s,"op":"ping"}|} v) in
+      Alcotest.(check string) ("v " ^ v)
+        (Printf.sprintf "unsupported protocol version %s (want 1..2)" v) e)
+    [ "-9223372036854775807"; "-9223372036854775806" ]
+
 let test_hello_defaults () =
   (* "max" may be omitted: it defaults to the highest version we speak. *)
   match decode_req_ok {|{"v":2,"op":"hello"}|} with
@@ -275,6 +285,167 @@ let test_trace_not_regular () =
       ("/nonexistent/ptg_trace.txt", "does not exist");
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Decoder totality: v2 requests, and responses as the client reads    *)
+(* them. Every input yields a value or a non-empty error within a      *)
+(* time bound, never an exception.                                     *)
+(* ------------------------------------------------------------------ *)
+
+module Clock = Ptg_util.Clock
+module Client = Ptg_server.Client
+module Server = Ptg_server.Server
+
+let decode_bound_s = 1.0
+
+let total_within name decode input =
+  let t0 = Clock.now_ns () in
+  match decode input with
+  | exception e -> QCheck2.Test.fail_reportf "%s raised %s" name (Printexc.to_string e)
+  | r ->
+      let dt = Clock.elapsed_s t0 in
+      if dt > decode_bound_s then QCheck2.Test.fail_reportf "%s took %.3f s" name dt
+      else (
+        match r with
+        | Error "" -> QCheck2.Test.fail_reportf "%s: empty error" name
+        | _ -> r)
+
+(* A valid frame, then up to four byte edits or a truncation. *)
+let damaged frames =
+  let open QCheck2.Gen in
+  map2 (List.fold_left Test_server_scenario.mutate) frames
+    (list_size (int_bound 4)
+       (triple nat
+          (frequency [ (3, oneofl [ '"'; '{'; '}'; ','; ':'; '0'; '2'; '-'; '\\'; ' ' ]); (1, char) ])
+          (int_bound 3)))
+
+(* An object over [keys] with values of every JSON type, [pool] mixed in. *)
+let random_object keys pool =
+  let open QCheck2.Gen in
+  let value =
+    oneof
+      [
+        map (fun s -> Json.String s) (oneofl pool);
+        map (fun s -> Json.String s) (string_size ~gen:char (int_bound 6));
+        map (fun i -> Json.Int (Int64.of_int i)) (int_range (-3) 70000);
+        map (fun i -> Json.Int i) (oneofl [ Int64.max_int; Int64.min_int; 0x4000_0000_0000_0000L ]);
+        map (fun f -> Json.Float f) (oneofl [ 0.5; 1.0; -2.0; 1e300 ]);
+        map (fun b -> Json.Bool b) bool;
+        return Json.Null;
+        return (Json.List [ Json.Int 1L ]);
+        return (Json.Obj [ ("served", Json.Int 3L); ("x", Json.String "y") ]);
+      ]
+  in
+  let v = frequency [ (4, map (fun v -> Json.Int (Int64.of_int v)) (int_range 1 2)); (1, value) ] in
+  map2
+    (fun v fields -> Json.to_string (Json.Obj (("v", v) :: fields)))
+    v
+    (list_size (int_bound 5) (pair (oneofl keys) value))
+
+let gen_v2_request =
+  let open QCheck2.Gen in
+  let frame =
+    oneof
+      [
+        map (fun n -> Protocol.encode_request ~v:2 (Protocol.Hello n)) (int_range (-2) 5);
+        map
+          (fun t -> Protocol.encode_request ~id:t ~v:2 (Protocol.Cancel t))
+          (string_size ~gen:char (int_bound 8));
+        map
+          (fun s -> Protocol.encode_request ~id:"s" ~v:2 (Protocol.Run_stream s))
+          Test_server_scenario.gen_scenario;
+      ]
+  in
+  frequency
+    [
+      (3, damaged frame);
+      ( 2,
+        random_object
+          [ "op"; "id"; "max"; "target"; "stream"; "scenario" ]
+          [ "hello"; "cancel"; "run"; "ping"; "stats"; "shutdown"; "HELLO" ] );
+    ]
+
+let prop_v2_request_total =
+  QCheck2.Test.make ~count:1000 ~name:"v2 request decoder is total"
+    ~print:String.escaped gen_v2_request
+    (fun frame ->
+      ignore (total_within "decode_request" Protocol.decode_request frame);
+      true)
+
+let gen_response_frame =
+  let open QCheck2.Gen in
+  let frame =
+    int_range 1 2 >>= fun v ->
+    map (Protocol.encode_response ~id:"q" ~v) (response_gen ~v)
+  in
+  frequency
+    [
+      (3, damaged frame);
+      ( 2,
+        random_object
+          [ "id"; "status"; "cache"; "hash"; "result"; "stats"; "done"; "total"; "error"; "version" ]
+          [ "ok"; "progress"; "error"; "hit"; "miss"; "coalesced"; "pong"; "hello"; "timeout";
+            "overloaded"; "cancelled" ] );
+    ]
+
+(* A peer that answers each request line with the frame in [next] (a
+   progress frame followed by a terminal timeout, so the client's read
+   loop ends), for driving the real {!Client} read path. *)
+let with_fake_peer f =
+  let path = Filename.temp_file "ptg_peer_" ".sock" in
+  Sys.remove path;
+  let lfd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 1;
+  let next = Atomic.make "" in
+  let peer =
+    Thread.create
+      (fun () ->
+        let fd, _ = Unix.accept ~cloexec:true lfd in
+        let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+        (try
+           while true do
+             ignore (input_line ic);
+             let frame = Atomic.get next in
+             output_string oc (frame ^ "\n");
+             (match Protocol.decode_response frame with
+             | Ok (_, Protocol.Progress _) -> output_string oc "{\"v\":2,\"status\":\"timeout\"}\n"
+             | _ -> ());
+             flush oc
+           done
+         with End_of_file | Sys_error _ -> ());
+        close_out_noerr oc)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Thread.join peer;
+      Unix.close lfd;
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let c = Client.connect (Server.Unix_socket path) in
+      Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f next c))
+
+let test_client_decode_total () =
+  with_fake_peer (fun next c ->
+      QCheck2.Test.check_exn
+        (QCheck2.Test.make ~count:500 ~name:"responses as the client decodes them"
+           ~print:String.escaped gen_response_frame (fun frame ->
+             (* The client reads lines: a frame never carries a raw newline. *)
+             let frame = String.concat "" (String.split_on_char '\n' frame) in
+             let want =
+               match total_within "decode_response" Protocol.decode_response frame with
+               | Ok (_, Protocol.Progress _) -> Ok Protocol.Timeout
+               | Ok (_, r) -> Ok r
+               | Error e -> Error e
+             in
+             Atomic.set next frame;
+             let got =
+               total_within "Client.request" (Client.request ~v:2 ~timeout_s:5. c) Protocol.Ping
+             in
+             got = want
+             || QCheck2.Test.fail_reportf "client read %s"
+                  (match got with Ok _ -> "a different reply" | Error e -> e))))
+
 let suite =
   [
     Alcotest.test_case "request round trip" `Quick test_request_roundtrip;
@@ -287,7 +458,12 @@ let suite =
     Alcotest.test_case "v2 constructs rejected at v1" `Quick
       test_v2_only_rejected_at_v1;
     Alcotest.test_case "hello max defaults" `Quick test_hello_defaults;
+    Alcotest.test_case "versions that wrap as an int are rejected" `Quick
+      test_wrapped_version_rejected;
     Alcotest.test_case "trace path must be a regular file" `Quick
       test_trace_not_regular;
     QCheck_alcotest.to_alcotest prop_response_roundtrip;
+    QCheck_alcotest.to_alcotest prop_v2_request_total;
+    Alcotest.test_case "responses as the client decodes them are total" `Quick
+      test_client_decode_total;
   ]

@@ -256,12 +256,13 @@ let test_router_shutdown_frame () =
   Server.stop shard
 
 (* The router forwards every run as a v2 stream, and a sliceable plan
-   (here a one-workload fig6 row) has its shard write a progress frame
-   and then the result as two small writes. With Nagle's algorithm on
-   the shard hop, the result waits for the progress frame's ACK, which
-   the router — sending nothing back — delays by about 40 ms: about
-   half of such runs sent back to back paid it. With Nagle off, a cold
-   routed run costs the shard's few milliseconds of compute. *)
+   (here two fig6 rows) has its shard write a progress frame after the
+   first row and then the result as separate small writes. With Nagle's
+   algorithm on the shard hop, the result waits for the progress frame's
+   ACK, which the router — sending nothing back — delays by about 40 ms.
+   With Nagle off, a cold routed run costs the shard's few milliseconds
+   of compute. (A one-row run writes no progress frame, so it cannot
+   show the stall.) *)
 let cold_fig6 ?(rows = 1) i =
   let workloads = Array.of_list Ptg_workloads.Workload.names in
   Scenario.make ~seed:(Int64.of_int (70_000 + i)) ~reduced:true
@@ -284,17 +285,17 @@ let test_routed_cold_runs_skip_delayed_ack () =
           let latency_ms =
             Array.init runs (fun i ->
                 let t0 = Clock.now_ns () in
-                (match Client.run c (cold_fig6 i) with
+                (match Client.run c (cold_fig6 ~rows:2 i) with
                 | Ok (Protocol.Result { cache = Protocol.Miss; _ }) -> ()
                 | Ok _ -> Alcotest.fail "expected a computed miss"
                 | Error e -> Alcotest.fail e);
                 Clock.elapsed_us t0 /. 1e3)
           in
           (* The premise: fig6 reports progress per row, and a routed
-             stream re-emits what its shard streamed. Whether a given run
-             carries a progress frame is a race between the shard's
-             connection thread waking and the run finishing, so some of
-             a few two-row streams must. *)
+             stream re-emits what its shard streamed. Whether a two-row
+             run carries its first row's frame is a race between the
+             shard's connection thread waking and the second row
+             finishing, so some of a few streams must. *)
           let progress = ref 0 in
           for i = 0 to 7 do
             match
@@ -306,9 +307,9 @@ let test_routed_cold_runs_skip_delayed_ack () =
             | Error e -> Alcotest.fail e
           done;
           Alcotest.(check bool) "the shards streamed progress" true (!progress >= 1);
-          (* About half the one-row runs carry a progress frame, so
-             stalls can leave the median either side of 20 ms; the
-             count of stalled runs separates the two cleanly. *)
+          (* A stall hits only some runs, so stalls can leave the
+             median either side of 20 ms; the count of stalled runs
+             separates the two cleanly. *)
           let p50 = Ptg_util.Stats.percentile latency_ms 50. in
           let stalled = Array.fold_left (fun n ms -> if ms >= 30. then n + 1 else n) 0 latency_ms in
           if p50 >= 20. || stalled > 4 then
@@ -316,6 +317,50 @@ let test_routed_cold_runs_skip_delayed_ack () =
               "cold routed p50 %.1f ms (want < 20), %d of %d runs >= 30 ms (want <= 4): \
                a delayed-ACK stall?"
               p50 stalled runs))
+
+(* A progress frame whose done equals its total only says "finished",
+   right before the result that says it: none is sent. A one-row stream
+   through the router therefore carries no progress frame, while a
+   two-row stream reports its first row (rows long enough that the
+   shard's connection thread wakes before the second one ends). *)
+let test_routed_streams_skip_finished_progress () =
+  let shards =
+    List.init 2 (fun _ ->
+        Server.start { (Server.default_config (Server.Tcp 0)) with Server.workers = 1 })
+  in
+  let router = Router.start (router_config (List.map Server.listen_addr shards)) in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.stop router;
+      List.iter Server.stop shards)
+    (fun () ->
+      with_client (Router.listen_addr router) (fun c ->
+          let frames scenario =
+            let seen = ref [] in
+            (match
+               Client.run_stream
+                 ~on_progress:(fun ~done_count ~total -> seen := (done_count, total) :: !seen)
+                 c scenario
+             with
+            | Ok (Protocol.Result { cache = Protocol.Miss; _ }) -> ()
+            | Ok _ -> Alcotest.fail "expected a computed stream"
+            | Error e -> Alcotest.fail e);
+            List.rev !seen
+          in
+          for i = 0 to 15 do
+            Alcotest.(check (list (pair int int)))
+              (Printf.sprintf "one-row stream %d: no progress frame" i)
+              [] (frames (cold_fig6 (100 + i)))
+          done;
+          let two_rows i =
+            let s = cold_fig6 ~rows:2 (200 + i) in
+            { s with Scenario.instrs = Some 400_000; warmup = Some 20_000 }
+          in
+          for i = 0 to 3 do
+            Alcotest.(check (list (pair int int)))
+              (Printf.sprintf "two-row stream %d: the first row only" i)
+              [ (1, 2) ] (frames (two_rows i))
+          done))
 
 (* ------------------------------------------------------------------ *)
 (* Chaos: ejection, re-routing, re-admission, kill-under-swarm         *)
@@ -519,6 +564,8 @@ let suite =
       test_router_obs_series;
     Alcotest.test_case "cold routed runs skip the delayed-ACK stall" `Slow
       test_routed_cold_runs_skip_delayed_ack;
+    Alcotest.test_case "routed streams send no finished-only progress frame" `Slow
+      test_routed_streams_skip_finished_progress;
   ]
 
 let chaos_suite =

@@ -366,6 +366,19 @@ let gen_fuzz_object =
     trace_fields
     (list_size (int_bound 4) (oneofl (wire_keys @ [ "zz"; "Kind" ]) >>= field))
 
+(* One edit of [frame] at [pos]: replace, delete or insert a byte, or
+   truncate there. *)
+let mutate frame (pos, ch, op) =
+  let n = String.length frame in
+  if n = 0 then frame
+  else
+    let i = pos mod n in
+    match op with
+    | 0 -> String.mapi (fun j c -> if j = i then ch else c) frame
+    | 1 -> String.sub frame 0 i ^ String.sub frame (i + 1) (n - i - 1)
+    | 2 -> String.sub frame 0 i ^ String.make 1 ch ^ String.sub frame i (n - i)
+    | _ -> String.sub frame 0 i
+
 let gen_fuzz_mutant =
   let open QCheck2.Gen in
   let base =
@@ -376,17 +389,6 @@ let gen_fuzz_mutant =
           (fun m -> Scenario.make ~trace:(Lazy.force fuzz_trace_file) ?mitigation:m Scenario.Trace)
           (opt (oneofl [ "trr"; "para"; "graphene" ]));
       ]
-  in
-  let mutate frame (pos, ch, op) =
-    let n = String.length frame in
-    if n = 0 then frame
-    else
-      let i = pos mod n in
-      match op with
-      | 0 -> String.mapi (fun j c -> if j = i then ch else c) frame
-      | 1 -> String.sub frame 0 i ^ String.sub frame (i + 1) (n - i - 1)
-      | 2 -> String.sub frame 0 i ^ String.make 1 ch ^ String.sub frame i (n - i)
-      | _ -> String.sub frame 0 i
   in
   map2
     (fun s edits -> List.fold_left mutate (Protocol.encode_request (Protocol.Run s)) edits)
@@ -427,6 +429,36 @@ let prop_decoder_fuzz =
       | Ok (_, (Protocol.Run s | Protocol.Run_stream s)) -> accepted_round_trips s
       | Ok _ | Error _ -> true)
 
+(* The decoder against the reference one ({!Scenario_oracle}) on the
+   fuzz corpus: the same parse, and for every object parsed (a run
+   frame's scenario too) the same scenario or the same error text. *)
+let prop_decoder_matches_oracle =
+  QCheck2.Test.make ~name:"decoder matches the reference on the fuzz corpus"
+    ~count:1000 ~print:(fun s -> s)
+    QCheck2.Gen.(
+      oneof
+        [
+          gen_fuzz_object;
+          map (fun o -> {|{"v":1,"op":"run","scenario":|} ^ o ^ "}") gen_fuzz_object;
+          gen_fuzz_mutant;
+        ])
+    (fun text ->
+      let parsed = Json.parse text in
+      if parsed <> Json_oracle.parse text then QCheck2.Test.fail_reportf "parse differs"
+      else
+        match parsed with
+        | Error _ -> true
+        | Ok j ->
+            List.for_all
+              (fun obj ->
+                let got = Scenario.of_json obj and want = Scenario_oracle.of_json obj in
+                got = want
+                || QCheck2.Test.fail_reportf "of_json %s: got %s, want %s"
+                     (Json.to_string obj)
+                     (match got with Ok s -> Scenario.canonical s | Error e -> e)
+                     (match want with Ok s -> Scenario.canonical s | Error e -> e))
+              (j :: Option.to_list (Json.member "scenario" j)))
+
 (* An integral float parameter prints as an integer ("p":1); the
    decoder reads it back as the float the mitigation declares. *)
 let test_integral_float_param () =
@@ -446,6 +478,7 @@ let suite =
     [
       prop_hash_spelling_invariant; prop_jobs_excluded; prop_defaults_resolved;
       prop_decoder_fuzz;
+      prop_decoder_matches_oracle;
     ]
   @ [
       Alcotest.test_case "golden set hashes are distinct" `Quick

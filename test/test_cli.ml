@@ -566,7 +566,7 @@ let gate_fixtures =
     ( "serve",
       [ ("cold_s", "0.750"); ("hot_rps", "4500.00"); ("ratio", "3375");
         ("clients", "4"); ("ok", "800"); ("hits", "800"); ("misses", "0");
-        ("shed", "0"); ("errors", "0") ] );
+        ("shed", "0"); ("errors", "0"); ("hit_codec_us", "6.05") ] );
     ( "serve_sharded",
       [ ("distinct_scenarios", "64"); ("shard_cache_capacity", "56");
         ("router_cache_capacity", "8"); ("clients", "4");
@@ -630,6 +630,7 @@ let test_gate_fails_each_rule_kind () =
       ("floor", "snapshot", "speedup", set "speedup" "4.90");
       ("ceiling", "slices", "overhead_pct", set "overhead_pct" "10.50");
       ("latency ceiling", "serve_sharded", "cold_routed_p50_ms", set "cold_routed_p50_ms" "44.05");
+      ("codec ceiling", "serve", "hit_codec_us", set "hit_codec_us" "16.59");
       ("field vs field", "serve_sharded", "rps_2_shards", set "rps_2_shards" "26.00");
       ("1.25 x baseline", "fullsys", "wall_time_s", set "wall_time_s" "0.832");
       ("exact pin", "fullsys", "fullsys_walks", set "fullsys_walks" "3389");
